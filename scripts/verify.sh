@@ -1,19 +1,17 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the exact ROADMAP.md command, a smoke campaign
-# through the harp_run experiment runner (incl. an alias binary), a
-# harpd smoke (daemon + client submit, byte-compared against batch), a
-# chaos smoke (injected ENOSPC -> degraded -> SIGKILL -> resume,
-# byte-compared against batch), an overload smoke (two weighted tenants
-# contending + a deadline-expired campaign resumed, all byte-compared
-# against batch), and a docs lint (Doxygen warnings are errors; skipped
-# when doxygen is not installed). Exits nonzero on any failure.
+# through the harp_run experiment runner, a harpd smoke (daemon +
+# client submit, byte-compared against batch), a chaos smoke (injected
+# ENOSPC -> degraded -> SIGKILL -> resume, byte-compared against
+# batch), an overload smoke (two weighted tenants contending + a
+# deadline-expired campaign resumed, all byte-compared against batch),
+# and a docs lint (Doxygen warnings are errors; skipped when doxygen is
+# not installed). Exits nonzero on any failure. Performance is measured
+# by `python3 perfbench/run.py --workload W`, not here.
 #
-#   scripts/verify.sh          # tier-1 + smoke perf wiring + a 10k-chip
-#                              # fleet byte-identity smoke
-#   scripts/verify.sh --full   # additionally: full-scale perf snapshot
-#                              # (sliced64 AND sliced256 floors + the
-#                              # <= 15% regression gate against the
-#                              # committed BENCH_PR6.json), the unit +
+#   scripts/verify.sh          # tier-1 + a 10k-chip fleet byte-identity
+#                              # smoke
+#   scripts/verify.sh --full   # additionally: the unit +
 #                              # fleet + chaos + overload suites under
 #                              # TSan and ASan+UBSan (-DHARP_SANITIZE),
 #                              # the intra-job scaling check (>= 8 cores
@@ -74,8 +72,8 @@ cmp -s "$smoke_dir/a/quickstart.jsonl" "$smoke_dir/b/quickstart.jsonl" || {
     exit 1
 }
 
-# Alias binaries forward into the same runner.
-./build/examples/example_quickstart --out "$smoke_dir/alias" > /dev/null
+# Label selectors resolve through the same registry.
+./build/src/harp_run label:example --dry-run > /dev/null
 
 # --- harpd smoke ----------------------------------------------------------
 # The resident service must stream byte-identical results to a batch
@@ -306,9 +304,13 @@ for name in gold bronze; do
     done
 done
 
+# The watchdog enforces deadlines at its 200 ms poll, so the expiring
+# campaign must outlast one poll on a fast machine: 8x the work above.
+./build/src/harp_run quickstart --seed 23 --threads 2 --repeat 256 \
+    --rounds 8192 --no-timings --out "$ovl_root/batch-expiring" > /dev/null
 dl_rc=0
 ./build/src/harpd_client --socket "$ovl_root/d.sock" \
-    submit expiring quickstart --seed 23 --repeat 32 \
+    submit expiring quickstart --seed 23 --repeat 256 \
     --set rounds 8192 --tenant gold --deadline-ms 1 \
     > /dev/null 2>&1 || dl_rc=$?
 [[ $dl_rc -eq 5 ]] || {
@@ -339,7 +341,7 @@ test -e "$ovl_root/data/checkpoints/expiring.ckpt" || {
     exit 1
 }
 for f in quickstart.jsonl summary.json; do
-    cmp -s "$ovl_root/batch/$f" \
+    cmp -s "$ovl_root/batch-expiring/$f" \
            "$ovl_root/data/results/expiring/$f" || {
         echo "verify: resumed expired campaign $f differs from batch" >&2
         exit 1
@@ -444,30 +446,6 @@ for variant in t4-sliced64 t4-sliced256; do
     }
 done
 
-# --- Perf snapshot (smoke) ------------------------------------------------
-# Wiring + bit-identity witness of the engine-throughput bench, and a
-# non-enforcing bench_compare against the committed snapshot (smoke
-# timings are noise; the comparison checks the tooling end-to-end).
-scripts/bench_snapshot.sh --smoke --out "$smoke_dir/BENCH_smoke.json"
-test -s "$smoke_dir/BENCH_smoke.json" || {
-    echo "verify: bench_snapshot smoke wrote no snapshot" >&2
-    exit 1
-}
-scripts/bench_compare.py BENCH_PR6.json "$smoke_dir/BENCH_smoke.json" \
-    --no-enforce --require-metric speedup --require-metric speedup_256
-
-# --- Perf snapshot (full) -------------------------------------------------
-# Full mode: re-measure at snapshot scale, enforce the sliced64 AND
-# sliced256 floors (Hamming >= 8x, BCH >= 9x, inside bench_snapshot.sh)
-# and fail on a > 15% speedup regression against the committed
-# snapshot. --require-metric makes a silently-missing wide-lane metric
-# a hard failure instead of a skipped comparison.
-if [[ $FULL -eq 1 ]]; then
-    scripts/bench_snapshot.sh --out "$smoke_dir/BENCH_full.json"
-    scripts/bench_compare.py BENCH_PR6.json "$smoke_dir/BENCH_full.json" \
-        --require-metric speedup --require-metric speedup_256
-fi
-
 # --- Sanitizer tier (full) ------------------------------------------------
 # The whole unit suite under TSan (memo sharing + intra-job sharding
 # races) and ASan+UBSan (lane/transpose pointer arithmetic), in
@@ -481,7 +459,7 @@ if [[ $FULL -eq 1 ]]; then
         sdir="build-tsan"
         [[ $san == address ]] && sdir="build-asan"
         cmake -B "$sdir" -S . -DHARP_SANITIZE="$san" \
-            -DHARP_BUILD_BENCH=OFF -DHARP_BUILD_EXAMPLES=OFF > /dev/null
+            -DHARP_BUILD_BENCH=OFF > /dev/null
         cmake --build "$sdir" -j
         (cd "$sdir" && ctest -L unit --output-on-failure -j) || {
             echo "verify: unit suite failed under $san sanitizer" >&2

@@ -3,11 +3,11 @@
  * General t-error-correcting shortened systematic binary BCH code with a
  * Berlekamp-Massey + Chien-search decoder.
  *
- * Complements the closed-form t=2 decoder (BchDecCode) for the paper's
- * "significantly more complex on-die ECC" discussion (HARP section
- * 6.3.2): the secondary-ECC strength a system needs scales with the
- * on-die code's correction capability, and this class provides the
- * arbitrary-t codes to study that scaling.
+ * Serves the paper's "significantly more complex on-die ECC" discussion
+ * (HARP section 6.3.2): the secondary-ECC strength a system needs
+ * scales with the on-die code's correction capability, and this class
+ * provides the arbitrary-t codes to study that scaling. The closed-form
+ * t=2 decoder in tests/support/bch_dec_code.hh is its test oracle.
  *
  * The decode hot path is allocation-free: syndromes come from a
  * precomputed per-coefficient alpha-power table, the Berlekamp-Massey

@@ -147,9 +147,7 @@ verifyFrame(const std::string &frame)
 
 CheckpointWriter::CheckpointWriter(const std::string &path,
                                    const CheckpointHeader &header,
-                                   common::io::FaultPlan *plan,
-                                   bool fsyncRecords)
-    : fsyncRecords_(fsyncRecords)
+                                   common::io::FaultPlan *plan)
 {
     path_ = path;
     if (std::error_code ec = file_.open(path, /*truncate=*/true, plan))
@@ -157,7 +155,7 @@ CheckpointWriter::CheckpointWriter(const std::string &path,
                                     ec.message(),
                                 ec);
     std::error_code ec = file_.writeAll(framed(headerJson(header).dump()));
-    if (!ec && fsyncRecords_)
+    if (!ec)
         ec = file_.sync();
     if (ec)
         throw CheckpointIoError("cannot write checkpoint header: " +
@@ -166,9 +164,7 @@ CheckpointWriter::CheckpointWriter(const std::string &path,
 }
 
 CheckpointWriter::CheckpointWriter(const std::string &path,
-                                   common::io::FaultPlan *plan,
-                                   bool fsyncRecords)
-    : fsyncRecords_(fsyncRecords)
+                                   common::io::FaultPlan *plan)
 {
     path_ = path;
     if (std::error_code ec = file_.open(path, /*truncate=*/false, plan))
@@ -190,11 +186,7 @@ CheckpointWriter::add(const CheckpointRecord &record)
     // record — the record is durable before the subscriber sees it.
     if (std::error_code ec = file_.writeAll(framed(doc.dump())))
         return ec;
-    if (fsyncRecords_) {
-        if (std::error_code ec = file_.sync())
-            return ec;
-    }
-    return {};
+    return file_.sync();
 }
 
 std::optional<LoadedCheckpoint>

@@ -91,15 +91,13 @@ class CheckpointWriter
      *  @throws CheckpointIoError when the file cannot be written. */
     CheckpointWriter(const std::string &path,
                      const CheckpointHeader &header,
-                     common::io::FaultPlan *plan = nullptr,
-                     bool fsyncRecords = true);
+                     common::io::FaultPlan *plan = nullptr);
 
     /** Reopen @p path for appending after a successful load (the
      *  header is already on disk).
      *  @throws CheckpointIoError when the file cannot be opened. */
     explicit CheckpointWriter(const std::string &path,
-                              common::io::FaultPlan *plan = nullptr,
-                              bool fsyncRecords = true);
+                              common::io::FaultPlan *plan = nullptr);
 
     /** Append one record: write + fsync. A non-empty error code means
      *  the record may not be durable — the caller must treat the
@@ -111,7 +109,6 @@ class CheckpointWriter
   private:
     std::string path_;
     common::io::File file_;
-    bool fsyncRecords_ = true;
 };
 
 /** A successfully loaded checkpoint. */

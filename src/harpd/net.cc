@@ -22,6 +22,41 @@ Fd::reset()
     }
 }
 
+void
+SelfPipe::open()
+{
+    int fds[2];
+    if (::pipe(fds) != 0)
+        throw std::runtime_error(std::string("pipe: ") +
+                                 std::strerror(errno));
+    read_ = Fd(fds[0]);
+    write_ = Fd(fds[1]);
+    const int flags = ::fcntl(write_.get(), F_GETFL, 0);
+    if (flags < 0 ||
+        ::fcntl(write_.get(), F_SETFL, flags | O_NONBLOCK) != 0)
+        throw std::runtime_error(std::string("pipe: ") +
+                                 std::strerror(errno));
+}
+
+void
+SelfPipe::poke() const
+{
+    if (!write_.valid())
+        return;
+    const char byte = 1;
+    ssize_t n;
+    do {
+        n = ::write(write_.get(), &byte, 1);
+    } while (n < 0 && errno == EINTR);
+}
+
+void
+SelfPipe::drain() const
+{
+    char drained[64];
+    (void)!::read(read_.get(), drained, sizeof drained);
+}
+
 namespace {
 
 sockaddr_un

@@ -53,6 +53,25 @@ class Fd
     int fd_ = -1;
 };
 
+/** A self-pipe: poke() wakes a poll() on readFd(). poke() is
+ *  async-signal-safe and never blocks: the write end is nonblocking,
+ *  and a full pipe already holds a wake-up byte. */
+class SelfPipe
+{
+  public:
+    /** @throws std::runtime_error when the pipe cannot be set up. */
+    void open();
+    /** No-op before open(). */
+    void poke() const;
+    /** Consume pending wake-ups; one read coalesces a burst. */
+    void drain() const;
+    int readFd() const { return read_.get(); }
+
+  private:
+    Fd read_;
+    Fd write_;
+};
+
 /**
  * Bind + listen on an AF_UNIX stream socket at @p path (any stale
  * socket file is unlinked first).

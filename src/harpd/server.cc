@@ -141,6 +141,28 @@ class ServedSink : public runner::ResultSink
     std::optional<SinkFailure> failure_;
 };
 
+/** A durable-path failure degrades the campaign with its errno. */
+void
+orDegrade(std::error_code ec, const std::string &what)
+{
+    if (ec)
+        throw CheckpointIoError(what + ": " + ec.message(), ec);
+}
+
+/** Write @p text to @p path through the io seam: open, write, fsync,
+ *  close. */
+void
+writeDurably(const std::string &path, const std::string &text,
+             io::FaultPlan *plan)
+{
+    io::File out;
+    orDegrade(out.open(path, /*truncate=*/true, plan),
+              "cannot open " + path);
+    orDegrade(out.writeAll(text), "cannot write " + path);
+    orDegrade(out.sync(), "cannot fsync " + path);
+    orDegrade(out.close(), "cannot close " + path);
+}
+
 /** Total (point, repeat) jobs of a submission — also validates the
  *  override *values* (grid expansion parses them).
  *  @throws std::exception on invalid values. */
@@ -276,29 +298,9 @@ Server::start()
     fs::create_directories(fs::path(config_.dataDir) / "checkpoints");
     fs::create_directories(fs::path(config_.dataDir) / "results");
 
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0)
-        throw std::runtime_error("harpd: cannot create stop pipe");
-    stopPipeRead_ = Fd(pipe_fds[0]);
-    stopPipeWrite_ = Fd(pipe_fds[1]);
-    // Nonblocking write end: requestStop() must never block (it runs
-    // in signal handlers); a full pipe already holds a wake-up byte.
-    const int flags = ::fcntl(stopPipeWrite_.get(), F_GETFL, 0);
-    if (flags < 0 ||
-        ::fcntl(stopPipeWrite_.get(), F_SETFL, flags | O_NONBLOCK) != 0)
-        throw std::runtime_error("harpd: cannot configure stop pipe");
-
-    // Second self-pipe for SIGHUP snapshots, same discipline.
-    int snap_fds[2];
-    if (::pipe(snap_fds) != 0)
-        throw std::runtime_error("harpd: cannot create snapshot pipe");
-    snapshotPipeRead_ = Fd(snap_fds[0]);
-    snapshotPipeWrite_ = Fd(snap_fds[1]);
-    const int snap_flags = ::fcntl(snapshotPipeWrite_.get(), F_GETFL, 0);
-    if (snap_flags < 0 ||
-        ::fcntl(snapshotPipeWrite_.get(), F_SETFL,
-                snap_flags | O_NONBLOCK) != 0)
-        throw std::runtime_error("harpd: cannot configure snapshot pipe");
+    // requestStop() and requestStatusSnapshot() run in signal handlers.
+    stopPipe_.open();
+    snapshotPipe_.open();
 
     listenFd_ = listenUnix(config_.socketPath);
     pool_ = std::make_unique<common::ThreadPool>(poolThreads_);
@@ -390,38 +392,13 @@ void
 Server::requestStop()
 {
     stopping_.store(true);
-    if (stopPipeWrite_.valid()) {
-        const char byte = 's';
-        for (;;) {
-            const ssize_t n = ::write(stopPipeWrite_.get(), &byte, 1);
-            if (n == 1)
-                break;
-            if (n < 0 && errno == EINTR)
-                continue;
-            // EAGAIN means the pipe already holds a wake-up byte —
-            // serve() will see it. Anything else is a programming
-            // error (closed/invalid pipe), not an environment fault.
-            assert(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
-            break;
-        }
-    }
+    stopPipe_.poke();
 }
 
 void
 Server::requestStatusSnapshot()
 {
-    if (!snapshotPipeWrite_.valid())
-        return;
-    const char byte = 'h';
-    for (;;) {
-        const ssize_t n = ::write(snapshotPipeWrite_.get(), &byte, 1);
-        if (n == 1)
-            break;
-        if (n < 0 && errno == EINTR)
-            continue;
-        // A full pipe already holds a pending snapshot request.
-        break;
-    }
+    snapshotPipe_.poke();
 }
 
 void
@@ -429,8 +406,8 @@ Server::serve()
 {
     while (!stopping_.load()) {
         pollfd fds[3] = {{listenFd_.get(), POLLIN, 0},
-                         {stopPipeRead_.get(), POLLIN, 0},
-                         {snapshotPipeRead_.get(), POLLIN, 0}};
+                         {stopPipe_.readFd(), POLLIN, 0},
+                         {snapshotPipe_.readFd(), POLLIN, 0}};
         const int ready = ::poll(fds, 3, -1);
         if (ready < 0) {
             if (errno == EINTR)
@@ -442,9 +419,7 @@ Server::serve()
         if ((fds[2].revents & POLLIN) != 0) {
             // One read coalesces a burst of SIGHUPs; leftover bytes
             // just trigger another (idempotent) snapshot.
-            char drained[64];
-            (void)!::read(snapshotPipeRead_.get(), drained,
-                          sizeof drained);
+            snapshotPipe_.drain();
             writeStatusSnapshot();
         }
         if ((fds[0].revents & POLLIN) == 0)
@@ -654,18 +629,10 @@ Server::handleRequest(int fd, const std::string &line)
         return sendAll(fd, wireLine(reply));
     }
     case Verb::Status: {
-        std::shared_ptr<Campaign> campaign;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            const auto it = campaigns_.find(request->campaign);
-            if (it != campaigns_.end())
-                campaign = it->second;
-        }
+        const std::shared_ptr<Campaign> campaign =
+            findCampaign(fd, request->campaign);
         if (campaign == nullptr)
-            return sendAll(fd, wireLine(errorReply(
-                                   errc::unknownCampaign,
-                                   "no campaign '" + request->campaign +
-                                       "'")));
+            return true;
         JsonValue reply;
         {
             std::lock_guard<std::mutex> state_lock(campaign->mutex);
@@ -676,18 +643,10 @@ Server::handleRequest(int fd, const std::string &line)
         return sendAll(fd, wireLine(reply));
     }
     case Verb::Cancel: {
-        std::shared_ptr<Campaign> campaign;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            const auto it = campaigns_.find(request->campaign);
-            if (it != campaigns_.end())
-                campaign = it->second;
-        }
+        const std::shared_ptr<Campaign> campaign =
+            findCampaign(fd, request->campaign);
         if (campaign == nullptr)
-            return sendAll(fd, wireLine(errorReply(
-                                   errc::unknownCampaign,
-                                   "no campaign '" + request->campaign +
-                                       "'")));
+            return true;
         campaign->cancel.store(true);
         JsonValue reply = JsonValue::object();
         reply.set("type", JsonValue("ok"));
@@ -778,24 +737,16 @@ Server::handleSubmit(int fd, const Request &request)
         }
         // Admission control: shed with a structured retry hint rather
         // than queue unboundedly on the shared pool.
-        const auto it = tenants_.find(request.tenant);
-        const TenantUsage usage =
-            it != tenants_.end() ? it->second : TenantUsage{};
-        const bool over_campaigns =
-            config_.maxCampaignsPerTenant > 0 &&
-            usage.campaigns >= config_.maxCampaignsPerTenant;
-        const bool over_jobs =
-            config_.maxInflightJobsPerTenant > 0 &&
-            usage.jobs + total > config_.maxInflightJobsPerTenant;
-        if (over_campaigns || over_jobs) {
+        const TenantUsage usage = usageLocked(request.tenant);
+        const QuotaCheck quota = checkQuota(usage, total);
+        if (!quota.fits()) {
             // Brownout rung 2: park over-quota submits in a bounded
             // FIFO instead of shedding — but only work that *could*
             // ever fit an empty ledger; an impossible submission would
             // park forever. Rung 3, the shed, is reserved for a full
             // queue (or queueing disabled).
             const bool could_ever_fit =
-                config_.maxInflightJobsPerTenant == 0 ||
-                total <= config_.maxInflightJobsPerTenant;
+                checkQuota(TenantUsage{}, total).fits();
             if (config_.admissionQueueLimit > 0 && could_ever_fit &&
                 admissionQueue_.size() < config_.admissionQueueLimit) {
                 campaign->state = CampaignState::Queued;
@@ -807,7 +758,7 @@ Server::handleSubmit(int fd, const Request &request)
             } else {
                 JsonValue reply = errorReply(
                     errc::quotaExceeded,
-                    over_campaigns
+                    quota.overCampaigns
                         ? "tenant '" + request.tenant + "' is at its " +
                               std::to_string(
                                   config_.maxCampaignsPerTenant) +
@@ -872,21 +823,27 @@ Server::handleSubmit(int fd, const Request &request)
     }
 }
 
+std::shared_ptr<Server::Campaign>
+Server::findCampaign(int fd, const std::string &id)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = campaigns_.find(id);
+        if (it != campaigns_.end())
+            return it->second;
+    }
+    sendAll(fd, wireLine(errorReply(errc::unknownCampaign,
+                                    "no campaign '" + id + "'")));
+    return nullptr;
+}
+
 bool
 Server::handleSubscribe(int fd, const Request &request)
 {
-    std::shared_ptr<Campaign> campaign;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = campaigns_.find(request.campaign);
-        if (it != campaigns_.end())
-            campaign = it->second;
-    }
+    const std::shared_ptr<Campaign> campaign =
+        findCampaign(fd, request.campaign);
     if (campaign == nullptr)
-        return sendAll(fd, wireLine(errorReply(errc::unknownCampaign,
-                                               "no campaign '" +
-                                                   request.campaign +
-                                                   "'")));
+        return true;
     JsonValue ack = JsonValue::object();
     ack.set("type", JsonValue("subscribed"));
     ack.set("campaign", JsonValue(request.campaign));
@@ -935,19 +892,9 @@ Server::handleSubscribe(int fd, const Request &request)
 void
 Server::handleResume(int fd, const Request &request)
 {
-    std::shared_ptr<Campaign> old;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = campaigns_.find(request.campaign);
-        if (it != campaigns_.end())
-            old = it->second;
-    }
-    if (old == nullptr) {
-        sendAll(fd, wireLine(errorReply(errc::unknownCampaign,
-                                        "no campaign '" +
-                                            request.campaign + "'")));
+    const std::shared_ptr<Campaign> old = findCampaign(fd, request.campaign);
+    if (old == nullptr)
         return;
-    }
     {
         std::lock_guard<std::mutex> lock(old->mutex);
         const bool resumable =
@@ -1035,16 +982,8 @@ Server::handleResume(int fd, const Request &request)
                                             "harpd is shutting down")));
             return;
         }
-        const auto it = tenants_.find(campaign->header.tenant);
-        const TenantUsage usage =
-            it != tenants_.end() ? it->second : TenantUsage{};
-        const bool over_campaigns =
-            config_.maxCampaignsPerTenant > 0 &&
-            usage.campaigns >= config_.maxCampaignsPerTenant;
-        const bool over_jobs =
-            config_.maxInflightJobsPerTenant > 0 &&
-            usage.jobs + jobs > config_.maxInflightJobsPerTenant;
-        if (over_campaigns || over_jobs) {
+        if (!checkQuota(usageLocked(campaign->header.tenant), jobs)
+                 .fits()) {
             std::lock_guard<std::mutex> old_lock(old->mutex);
             old->resumeInFlight = false;
             JsonValue reply = errorReply(
@@ -1132,17 +1071,9 @@ Server::promoteQueuedLocked()
             it = admissionQueue_.erase(it);
             continue;
         }
-        const auto usage_it = tenants_.find(campaign->header.tenant);
-        const TenantUsage usage =
-            usage_it != tenants_.end() ? usage_it->second : TenantUsage{};
-        const bool over_campaigns =
-            config_.maxCampaignsPerTenant > 0 &&
-            usage.campaigns >= config_.maxCampaignsPerTenant;
-        const bool over_jobs =
-            config_.maxInflightJobsPerTenant > 0 &&
-            usage.jobs + campaign->admittedJobs >
-                config_.maxInflightJobsPerTenant;
-        if (over_campaigns || over_jobs) {
+        if (!checkQuota(usageLocked(campaign->header.tenant),
+                        campaign->admittedJobs)
+                 .fits()) {
             ++it;
             continue;
         }
@@ -1158,9 +1089,33 @@ Server::promoteQueuedLocked()
         campaign->logCv.notify_all();
         it = admissionQueue_.erase(it);
     }
+    refreshQueuePositionsLocked();
+}
+
+Server::TenantUsage
+Server::usageLocked(const std::string &tenant) const
+{
+    const auto it = tenants_.find(tenant);
+    return it != tenants_.end() ? it->second : TenantUsage{};
+}
+
+Server::QuotaCheck
+Server::checkQuota(const TenantUsage &usage, std::size_t jobs) const
+{
+    QuotaCheck check;
+    check.overCampaigns = config_.maxCampaignsPerTenant > 0 &&
+                          usage.campaigns >= config_.maxCampaignsPerTenant;
+    check.overJobs = config_.maxInflightJobsPerTenant > 0 &&
+                     usage.jobs + jobs > config_.maxInflightJobsPerTenant;
+    return check;
+}
+
+void
+Server::refreshQueuePositionsLocked()
+{
     std::size_t position = 0;
-    for (const auto &campaign : admissionQueue_)
-        campaign->queuePosition.store(position++);
+    for (const auto &parked : admissionQueue_)
+        parked->queuePosition.store(position++);
 }
 
 bool
@@ -1192,9 +1147,7 @@ Server::awaitAdmission(const std::shared_ptr<Campaign> &campaign)
                 break;
             }
         }
-        std::size_t position = 0;
-        for (const auto &parked : admissionQueue_)
-            parked->queuePosition.store(position++);
+        refreshQueuePositionsLocked();
     }
     const bool deadline = campaign->deadlineExpired.load();
     {
@@ -1250,13 +1203,12 @@ Server::writeStatusSnapshot()
     // a failed snapshot must never hurt the serving path.
     const std::string path =
         (fs::path(config_.dataDir) / "status.json").string();
-    const std::string tmp = path + ".tmp";
-    io::File out;
-    if (out.open(tmp, /*truncate=*/true, nullptr))
+    try {
+        writeDurably(path + ".tmp", doc.dump(2) + "\n", nullptr);
+    } catch (const CheckpointIoError &) {
         return;
-    if (out.writeAll(doc.dump(2) + "\n") || out.sync() || out.close())
-        return;
-    (void)!io::renamePath(tmp, path, nullptr);
+    }
+    (void)!io::renamePath(path + ".tmp", path, nullptr);
 }
 
 void
@@ -1370,11 +1322,7 @@ Server::runCampaign(const std::shared_ptr<Campaign> &campaign)
         std::error_code stage_ec;
         fs::remove_all(staging, stage_ec);
         fs::create_directories(staging, stage_ec);
-        if (stage_ec)
-            throw CheckpointIoError("cannot create staging dir " +
-                                        staging.string() + ": " +
-                                        stage_ec.message(),
-                                    stage_ec);
+        orDegrade(stage_ec, "cannot create staging dir " + staging.string());
 
         // Sessions first: totals (for `accepted` and status) and
         // checkpoint-restore before any job runs.
@@ -1414,10 +1362,8 @@ Server::runCampaign(const std::shared_ptr<Campaign> &campaign)
         }
 
         CheckpointWriter checkpoint =
-            resuming ? CheckpointWriter(ckpt_path, plan,
-                                        config_.fsyncCheckpoints)
-                     : CheckpointWriter(ckpt_path, campaign->header,
-                                        plan, config_.fsyncCheckpoints);
+            resuming ? CheckpointWriter(ckpt_path, plan)
+                     : CheckpointWriter(ckpt_path, campaign->header, plan);
 
         runner::CampaignSummary summary;
         summary.seed = campaign->header.seed;
@@ -1457,11 +1403,8 @@ Server::runCampaign(const std::shared_ptr<Campaign> &campaign)
             const std::string jsonl_path =
                 (staging / (name + ".jsonl")).string();
             io::File file;
-            if (std::error_code ec =
-                    file.open(jsonl_path, /*truncate=*/true, plan))
-                throw CheckpointIoError("cannot open " + jsonl_path +
-                                            ": " + ec.message(),
-                                        ec);
+            orDegrade(file.open(jsonl_path, /*truncate=*/true, plan),
+                      "cannot open " + jsonl_path);
             ServedSink sink(file, &checkpoint, i, name, id, emitResult,
                             &campaign->cancel);
             const std::size_t base = completed_base;
@@ -1478,14 +1421,8 @@ Server::runCampaign(const std::shared_ptr<Campaign> &campaign)
             }
             // Staged results durable before the experiment is declared
             // finished (and before the next one starts).
-            if (std::error_code ec = file.sync())
-                throw CheckpointIoError("cannot fsync " + jsonl_path +
-                                            ": " + ec.message(),
-                                        ec);
-            if (std::error_code ec = file.close())
-                throw CheckpointIoError("cannot close " + jsonl_path +
-                                            ": " + ec.message(),
-                                        ec);
+            orDegrade(file.sync(), "cannot fsync " + jsonl_path);
+            orDegrade(file.close(), "cannot close " + jsonl_path);
             completed_base += session.totalJobs();
             if (!outcome.cancelled)
                 campaign->completedJobs.store(completed_base);
@@ -1558,45 +1495,21 @@ Server::runCampaign(const std::shared_ptr<Campaign> &campaign)
             // itself is durable. Results appear only as a complete
             // set; any failure along the way degrades with the
             // checkpoint intact.
-            const std::string summary_path =
-                (staging / "summary.json").string();
-            const std::string summary_text =
-                summary.toJson(/*include_timings=*/false).dump(2) + "\n";
-            io::File out;
-            if (std::error_code ec =
-                    out.open(summary_path, /*truncate=*/true, plan))
-                throw CheckpointIoError("cannot open " + summary_path +
-                                            ": " + ec.message(),
-                                        ec);
-            if (std::error_code ec = out.writeAll(summary_text))
-                throw CheckpointIoError("cannot write " + summary_path +
-                                            ": " + ec.message(),
-                                        ec);
-            if (std::error_code ec = out.sync())
-                throw CheckpointIoError("cannot fsync " + summary_path +
-                                            ": " + ec.message(),
-                                        ec);
-            if (std::error_code ec = out.close())
-                throw CheckpointIoError("cannot close " + summary_path +
-                                            ": " + ec.message(),
-                                        ec);
+            writeDurably((staging / "summary.json").string(),
+                         summary.toJson(/*include_timings=*/false).dump(2) +
+                             "\n",
+                         plan);
             // A results dir that already exists means a previous run
             // published and died before removing the checkpoint: the
             // work is done, don't rename over it.
-            if (!fs::exists(resultsDir(id))) {
-                if (std::error_code ec = io::renamePath(
-                        staging.string(), resultsDir(id), plan))
-                    throw CheckpointIoError(
-                        "cannot publish " + resultsDir(id) + ": " +
-                            ec.message(),
-                        ec);
-            }
-            if (std::error_code ec = io::syncDir(
-                    (fs::path(config_.dataDir) / "results").string(),
-                    plan))
-                throw CheckpointIoError("cannot fsync results dir: " +
-                                            ec.message(),
-                                        ec);
+            if (!fs::exists(resultsDir(id)))
+                orDegrade(io::renamePath(staging.string(), resultsDir(id),
+                                         plan),
+                          "cannot publish " + resultsDir(id));
+            orDegrade(io::syncDir(
+                          (fs::path(config_.dataDir) / "results").string(),
+                          plan),
+                      "cannot fsync results dir");
             std::error_code cleanup;
             fs::remove(ckpt_path, cleanup);
             finish(CampaignState::Done, "");

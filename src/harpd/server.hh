@@ -120,9 +120,6 @@ struct ServerConfig
     std::size_t stallTimeoutMs = 0;
     /** Watchdog poll cadence. */
     std::size_t watchdogPollMs = 200;
-    /** fsync each checkpoint record (tests may disable for speed;
-     *  the daemon always keeps the default on). */
-    bool fsyncCheckpoints = true;
 };
 
 class Server
@@ -245,7 +242,24 @@ class Server
         std::size_t jobs = 0;
     };
 
+    /** The per-tenant limits an admission would break. */
+    struct QuotaCheck
+    {
+        bool overCampaigns = false;
+        bool overJobs = false;
+        bool fits() const { return !overCampaigns && !overJobs; }
+    };
+
     void connectionLoop(Fd fd);
+    /** The campaign @p id, or nullptr after replying unknown_campaign. */
+    std::shared_ptr<Campaign> findCampaign(int fd, const std::string &id);
+    /** The one admission predicate: @p jobs more on top of @p usage. */
+    QuotaCheck checkQuota(const TenantUsage &usage, std::size_t jobs) const;
+    /** The ledger entry of @p tenant (zero when absent). Caller holds
+     *  mutex_. */
+    TenantUsage usageLocked(const std::string &tenant) const;
+    /** Renumber the admission queue. Caller holds mutex_. */
+    void refreshQueuePositionsLocked();
     bool handleRequest(int fd, const std::string &line);
     void handleSubmit(int fd, const Request &request);
     bool handleSubscribe(int fd, const Request &request);
@@ -281,10 +295,8 @@ class Server
     std::unique_ptr<common::FairScheduler> fair_;
     std::size_t poolThreads_ = 1;
     Fd listenFd_;
-    Fd stopPipeRead_;
-    Fd stopPipeWrite_;
-    Fd snapshotPipeRead_;
-    Fd snapshotPipeWrite_;
+    SelfPipe stopPipe_;
+    SelfPipe snapshotPipe_;
     std::atomic<bool> stopping_{false};
     std::size_t resumed_ = 0;
     std::thread watchdog_;

@@ -22,11 +22,8 @@ const std::set<std::string> reservedFlags = {
 };
 
 void
-printUsage(std::ostream &os, const char *forced_experiment)
+printUsage(std::ostream &os)
 {
-    if (forced_experiment != nullptr) {
-        os << "Alias for `harp_run " << forced_experiment << "`.\n\n";
-    }
     os << "Usage: harp_run [experiment|label:<label>]... [options]\n"
           "\n"
           "Selection:\n"
@@ -115,8 +112,7 @@ listExperimentsJson(const Registry &registry)
 } // namespace
 
 int
-runnerMain(int argc, const char *const *argv,
-           const char *forced_experiment)
+runnerMain(int argc, const char *const *argv)
 {
     // CommandLine lets a flag consume the next token as its value;
     // rewrite the runner's boolean flags to --flag=true so they can
@@ -142,7 +138,7 @@ runnerMain(int argc, const char *const *argv,
     const Registry &registry = builtinRegistry();
 
     if (cli.getBool("help", false)) {
-        printUsage(std::cout, forced_experiment);
+        printUsage(std::cout);
         return 0;
     }
     if (cli.getBool("list", false))
@@ -151,25 +147,14 @@ runnerMain(int argc, const char *const *argv,
         return listExperimentsJson(registry);
 
     // --- Selection ------------------------------------------------------
-    std::vector<std::string> selectors;
-    if (forced_experiment != nullptr) {
-        if (!cli.positional().empty()) {
-            std::cerr << "this binary is an alias for `harp_run "
-                      << forced_experiment
-                      << "` and accepts no positional selectors\n";
-            return 2;
-        }
-        selectors.emplace_back(forced_experiment);
-    } else {
-        selectors = cli.positional();
-        if (cli.has("label"))
-            selectors.push_back("label:" + cli.getString("label", ""));
-        if (cli.getBool("all", false))
-            for (const ExperimentSpec *spec : registry.all())
-                selectors.push_back(spec->name);
-    }
+    std::vector<std::string> selectors = cli.positional();
+    if (cli.has("label"))
+        selectors.push_back("label:" + cli.getString("label", ""));
+    if (cli.getBool("all", false))
+        for (const ExperimentSpec *spec : registry.all())
+            selectors.push_back(spec->name);
     if (selectors.empty()) {
-        printUsage(std::cerr, forced_experiment);
+        printUsage(std::cerr);
         return 2;
     }
 

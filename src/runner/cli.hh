@@ -1,8 +1,6 @@
 /**
  * @file
- * Command-line front end shared by `harp_run` and the per-experiment
- * alias binaries (the former bench/example executables, which forward
- * into the same campaign driver with a pre-selected experiment).
+ * Command-line front end of `harp_run`.
  */
 
 #ifndef HARP_RUNNER_CLI_HH
@@ -11,7 +9,7 @@
 namespace harp::runner {
 
 /**
- * Entry point behind `harp_run` and every alias binary.
+ * Entry point behind `harp_run`.
  *
  * Grammar:
  *   harp_run --list
@@ -23,13 +21,9 @@ namespace harp::runner {
  * must name a sweep axis (collapsing it to one value) or a declared
  * tunable of a selected experiment.
  *
- * @param forced_experiment When non-null, the binary is an alias: that
- *        experiment is pre-selected and positional selectors are
- *        rejected.
  * @return 0 on success, 1 on a runtime failure, 2 on a usage error.
  */
-int runnerMain(int argc, const char *const *argv,
-               const char *forced_experiment = nullptr);
+int runnerMain(int argc, const char *const *argv);
 
 } // namespace harp::runner
 

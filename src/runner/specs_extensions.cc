@@ -22,7 +22,6 @@
 #include "core/naive_profiler.hh"
 #include "core/round_engine.hh"
 #include "core/sliced_round_engine.hh"
-#include "ecc/bch_code.hh"
 #include "ecc/bch_general.hh"
 #include "ecc/extended_hamming_code.hh"
 #include "ecc/hamming_code.hh"
@@ -674,7 +673,9 @@ makeSecondaryInterleaving()
         common::Xoshiro256 setup_rng(ctx.seed());
         const ecc::ExtendedHammingCode secded =
             ecc::ExtendedHammingCode::randomSecDed(128, setup_rng);
-        const ecc::BchDecCode bch(128);
+        const ecc::BchCode bch(128, 2);
+        gf2::BitVector bch_codeword(bch.n());
+        ecc::BchGeneralDecodeResult bch_result;
 
         std::size_t single_indirect = 0, double_indirect = 0;
         std::size_t secded_uncorrectable = 0, secded_wrong = 0;
@@ -751,20 +752,15 @@ makeSecondaryInterleaving()
                     else if (!(r.dataword == joined_written))
                         ++secded_wrong;
                 }
-                // DEC BCH secondary over the same word.
-                {
-                    const gf2::BitVector check =
-                        bch.encode(joined_written).slice(128, bch.n());
-                    gf2::BitVector codeword(bch.n());
-                    for (std::size_t i = 0; i < 128; ++i)
-                        codeword.set(i, joined_read.get(i));
-                    for (std::size_t i = 0; i < check.size(); ++i)
-                        codeword.set(128 + i, check.get(i));
-                    const ecc::BchDecodeResult r = bch.decode(codeword);
-                    if (r.detectedUncorrectable ||
-                        !(r.dataword == joined_written))
-                        ++bch_failures;
-                }
+                // DEC BCH secondary over the same word: the check bits
+                // of the written data, the data bits as read.
+                bch.encodeInto(joined_written, bch_codeword);
+                for (std::size_t i = 0; i < 128; ++i)
+                    bch_codeword.set(i, joined_read.get(i));
+                bch.decodeInto(bch_codeword, bch_result);
+                if (bch_result.detectedUncorrectable ||
+                    !(bch_result.dataword == joined_written))
+                    ++bch_failures;
             }
         }
 

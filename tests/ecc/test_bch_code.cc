@@ -12,7 +12,7 @@
 #include <set>
 
 #include "common/rng.hh"
-#include "ecc/bch_code.hh"
+#include "support/bch_dec_code.hh"
 
 namespace harp::ecc {
 namespace {

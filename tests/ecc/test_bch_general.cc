@@ -10,8 +10,8 @@
 #include <set>
 
 #include "common/rng.hh"
-#include "ecc/bch_code.hh"
 #include "ecc/bch_general.hh"
+#include "support/bch_dec_code.hh"
 
 namespace harp::ecc {
 namespace {

@@ -356,6 +356,11 @@ TEST_F(ServerOverloadTest, DeadlineCancelReleasesQuotaToParkedWork)
     Client holder(config_.socketPath);
     ASSERT_TRUE(holder.send(
         submitRequest("held", "acme", 6, "20", "", 150)));
+    // Admitted before the next submit arrives, or "parked" could take
+    // the slot instead.
+    const std::optional<JsonValue> held = holder.read();
+    ASSERT_TRUE(held.has_value());
+    ASSERT_EQ(held->find("type")->asString(), "accepted") << held->dump();
 
     // "parked" from the same tenant lands in the admission queue: the
     // stream leads with `queued` carrying position + retry estimate.
@@ -400,6 +405,9 @@ TEST_F(ServerOverloadTest, QueueIsBoundedCancellableAndOrderRefreshed)
 
     Client holder(config_.socketPath);
     ASSERT_TRUE(holder.send(submitRequest("held", "acme", 6, "40")));
+    const std::optional<JsonValue> held = holder.read();
+    ASSERT_TRUE(held.has_value());
+    ASSERT_EQ(held->find("type")->asString(), "accepted") << held->dump();
 
     Client first(config_.socketPath);
     ASSERT_TRUE(first.send(submitRequest("q1", "acme", 1)));

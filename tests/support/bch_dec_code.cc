@@ -1,4 +1,4 @@
-#include "ecc/bch_code.hh"
+#include "support/bch_dec_code.hh"
 
 #include <algorithm>
 #include <cassert>

@@ -1,14 +1,10 @@
 /**
  * @file
  * Double-error-correcting (DEC) binary BCH code with systematic
- * encoding, shortened to an arbitrary dataword length.
- *
- * This implements the "stronger on-die ECC" generalization the paper
- * defers to future work (section 2.5.1 footnote 9, section 6.3.2): with
- * a DEC on-die code, at most N = 2 indirect errors can occur
- * concurrently, so HARP's reactive phase needs a double-error-correcting
- * secondary ECC. The extension bench (`bench/extension_dec_on_die_ecc`)
- * demonstrates exactly that bound.
+ * encoding, shortened to an arbitrary dataword length, decoded in
+ * closed form. It is the independent test oracle for ecc::BchCode(k, 2):
+ * both use the same generator, and their decode outcomes must agree
+ * (tests/ecc/test_bch_general.cc).
  *
  * Codeword layout matches the repository convention: positions [0, k)
  * are data bits, positions [k, k+p) are parity bits (p = 2m for BCH over
@@ -17,8 +13,8 @@
  * generator g(x) = m1(x) · m3(x).
  */
 
-#ifndef HARP_ECC_BCH_CODE_HH
-#define HARP_ECC_BCH_CODE_HH
+#ifndef HARP_TESTS_SUPPORT_BCH_DEC_CODE_HH
+#define HARP_TESTS_SUPPORT_BCH_DEC_CODE_HH
 
 #include <cstdint>
 #include <optional>
@@ -122,4 +118,4 @@ class BchDecCode
 
 } // namespace harp::ecc
 
-#endif // HARP_ECC_BCH_CODE_HH
+#endif // HARP_TESTS_SUPPORT_BCH_DEC_CODE_HH

@@ -9,9 +9,9 @@
 
 #include <vector>
 
-#include "ecc/bch_code.hh"
 #include "ecc/extended_hamming_code.hh"
 #include "ecc/hamming_code.hh"
+#include "support/bch_dec_code.hh"
 #include "support/golden.hh"
 #include "support/property.hh"
 #include "support/seeded_fixture.hh"
