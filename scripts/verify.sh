@@ -15,8 +15,9 @@
 #                              # fleet + chaos + overload suites under
 #                              # TSan and ASan+UBSan (-DHARP_SANITIZE),
 #                              # the intra-job scaling check (>= 8 cores
-#                              # only), and a million-chip fleet
-#                              # acceptance sweep
+#                              # only), a million-chip fleet
+#                              # acceptance sweep, and the benchmark
+#                              # self-test (perfbench/selftest.py)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -520,6 +521,14 @@ if [[ $FULL -eq 1 ]]; then
             exit 1
         }
     done
+fi
+
+# --- Benchmark self-test (full) -------------------------------------------
+# Every pinned result_hash in perfbench/pins.json and the traced
+# AtRiskAnalyzer witness (at_risk_probe) must still match: the
+# byte-identity proof for changes to the ground-truth enumeration.
+if [[ $FULL -eq 1 ]]; then
+    python3 perfbench/selftest.py
 fi
 
 # --- Intra-job scaling (full, hardware-gated) -----------------------------

@@ -1,6 +1,7 @@
 #include "core/at_risk_analyzer.hh"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <stdexcept>
 
@@ -29,9 +30,25 @@ AtRiskAnalyzer::AtRiskAnalyzer(const ecc::HammingCode &code,
         if (code_.isDataPosition(f.position))
             directAtRisk_.set(f.position, true);
 
+    // A failing pattern is realizable iff some dataword charges every
+    // failing cell while discharging every *deterministic* (p == 1)
+    // at-risk cell outside the pattern — a charged p=1 cell always fails,
+    // so it cannot be excluded from the pattern any other way. The cell
+    // rows are fixed per word; only which rows are constrained, and to
+    // which stored values, changes with the pattern.
+    const gf2::RowDependencies deps(storedValueRows(code_, cells_));
+    std::uint32_t deterministic = 0;
+    for (std::size_t i = 0; i < cells_.size(); ++i)
+        if (cells_[i].probability >= 1.0)
+            deterministic |= std::uint32_t{1} << i;
+    const bool true_cells =
+        faults_.technology() == fault::CellTechnology::TrueCell;
+
     const std::size_t m = cells_.size();
     for (std::uint32_t mask = 1; mask < (std::uint32_t{1} << m); ++mask) {
-        if (!feasible(mask))
+        // Charged cells store 1 in true-cells and 0 in anti-cells.
+        const std::uint32_t included = mask | deterministic;
+        if (!deps.consistent(included, true_cells ? mask : included & ~mask))
             continue;
         ErrorPatternOutcome outcome = computeOutcome(mask);
         for (const std::uint16_t pos : outcome.postErrors) {
@@ -52,63 +69,34 @@ AtRiskAnalyzer::computeOutcome(std::uint32_t mask) const
     ErrorPatternOutcome outcome;
     outcome.failingMask = mask;
 
-    // Syndrome of the failing pattern: XOR of member columns.
+    // Syndrome of the failing pattern (XOR of member columns) and its
+    // uncorrected direct errors, ascending since cells_ is sorted by
+    // position...
     std::uint32_t syndrome = 0;
-    for (std::size_t i = 0; i < cells_.size(); ++i)
-        if ((mask >> i) & 1)
-            syndrome ^= code_.codewordColumn(cells_[i].position);
-    outcome.syndrome = syndrome;
-
-    // Post-correction data errors: uncorrected direct errors...
-    std::set<std::uint16_t> errors;
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-        if (((mask >> i) & 1) == 0)
-            continue;
-        const std::size_t pos = cells_[i].position;
+    std::vector<std::uint16_t> &errors = outcome.postErrors;
+    errors.reserve(static_cast<std::size_t>(std::popcount(mask)) + 1);
+    for (std::uint32_t rest = mask; rest != 0; rest &= rest - 1) {
+        const std::size_t pos = cells_[std::countr_zero(rest)].position;
+        syndrome ^= code_.codewordColumn(pos);
         if (code_.isDataPosition(pos))
-            errors.insert(static_cast<std::uint16_t>(pos));
+            errors.push_back(static_cast<std::uint16_t>(pos));
     }
+    outcome.syndrome = syndrome;
     // ... adjusted by whatever the decoder flips.
     if (syndrome != 0) {
         const auto corrected = code_.syndromeToPosition(syndrome);
         outcome.correctedPosition = corrected;
         if (corrected && code_.isDataPosition(*corrected)) {
             const auto pos = static_cast<std::uint16_t>(*corrected);
-            if (errors.count(pos))
-                errors.erase(pos); // genuine correction
+            const auto it =
+                std::lower_bound(errors.begin(), errors.end(), pos);
+            if (it != errors.end() && *it == pos)
+                errors.erase(it); // genuine correction
             else
-                errors.insert(pos); // miscorrection (indirect error)
+                errors.insert(it, pos); // miscorrection (indirect error)
         }
     }
-    outcome.postErrors.assign(errors.begin(), errors.end());
     return outcome;
-}
-
-bool
-AtRiskAnalyzer::feasible(std::uint32_t mask) const
-{
-    // A failing pattern is realizable iff some dataword charges every
-    // failing cell while discharging every *deterministic* (p == 1)
-    // at-risk cell outside the pattern — a charged p=1 cell always fails,
-    // so it cannot be excluded from the pattern any other way.
-    const bool charged_value =
-        faults_.technology() == fault::CellTechnology::TrueCell;
-    gf2::ConstraintSystem cs(code_.k());
-    auto constrain = [&](std::size_t cell, bool charged) {
-        const bool stored = charged == charged_value;
-        if (code_.isDataPosition(cell)) {
-            cs.pinVariable(cell, stored);
-        } else {
-            cs.addConstraint(code_.parityRow(cell - code_.k()), stored);
-        }
-    };
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-        if ((mask >> i) & 1)
-            constrain(cells_[i].position, true);
-        else if (cells_[i].probability >= 1.0)
-            constrain(cells_[i].position, false);
-    }
-    return cs.consistent();
 }
 
 std::size_t

@@ -17,9 +17,19 @@
  *  - the bits that remain unsafe under a single-error-correcting
  *    secondary ECC (Fig. 10's "after reactive profiling" metric).
  *
- * The original artifact computed these quantities with the Z3 SAT solver;
- * enumeration with GF(2) feasibility solving is exact for the evaluated
- * regime (<= ~16 at-risk cells per word) — see DESIGN.md, substitution 1.
+ * The original artifact computed these quantities with the Z3 SAT solver.
+ * Here, exhaustive enumeration with exact GF(2) feasibility gives the same
+ * answers, and is affordable for the evaluated regime (<= ~16 at-risk
+ * cells per word).
+ *
+ * Feasibility of a pattern is a linear system over the dataword: one row
+ * per constrained cell (storedValueRows()), with the cell's required
+ * stored value on the right. The rows are fixed per word, so the
+ * analyzer eliminates them once (gf2::RowDependencies) to find the sets
+ * of cells whose rows sum to zero. A pattern is then infeasible iff one
+ * such set lies wholly among the constrained cells and requires an odd
+ * number of them to store 1 — a mask test per dependency, and the rows
+ * are almost always independent, so there is usually nothing to test.
  */
 
 #ifndef HARP_CORE_AT_RISK_ANALYZER_HH
@@ -47,6 +57,29 @@ struct ErrorPatternOutcome
     /** Data positions in error after decoding (sorted). */
     std::vector<std::uint16_t> postErrors;
 };
+
+/**
+ * Row i is the dataword functional of cell i's stored value: the unit
+ * vector of a data cell's position, or the code's parity row for a
+ * parity cell. Works for any systematic code with k(), isDataPosition()
+ * and parityRow().
+ */
+template <typename Code>
+std::vector<gf2::BitVector>
+storedValueRows(const Code &code, const std::vector<fault::CellFault> &cells)
+{
+    std::vector<gf2::BitVector> rows;
+    rows.reserve(cells.size());
+    for (const fault::CellFault &cell : cells) {
+        if (code.isDataPosition(cell.position)) {
+            rows.emplace_back(code.k());
+            rows.back().set(cell.position, true);
+        } else {
+            rows.push_back(code.parityRow(cell.position - code.k()));
+        }
+    }
+    return rows;
+}
 
 /**
  * Ground-truth at-risk analysis for a single (code, fault model) pair.
@@ -118,12 +151,6 @@ class AtRiskAnalyzer
     /** Decode outcome of an arbitrary failing-cell mask (no feasibility
      *  check). */
     ErrorPatternOutcome computeOutcome(std::uint32_t mask) const;
-
-    /** True iff some dataword charges exactly the cells that must fail
-     *  (members of @p mask) while discharging at-risk cells that would
-     *  otherwise fail deterministically (probability-1 cells outside
-     *  @p mask). */
-    bool feasible(std::uint32_t mask) const;
 
     const ecc::HammingCode &code_;
     const fault::WordFaultModel &faults_;

@@ -8,7 +8,9 @@
  * sampling can resolve, so the experiment is semi-analytic: it conditions
  * on the number of at-risk cells per word n ~ Binomial(k+p, RBER),
  * Monte-Carlo-simulates profiling for each n, and mixes the conditional
- * expectations with the Binomial weights (DESIGN.md, substitution 5).
+ * expectations with the Binomial weights — exact mixing of per-n
+ * estimates, where direct sampling would almost never draw a word with
+ * two or more at-risk cells.
  */
 
 #ifndef HARP_CORE_CASE_STUDY_EXPERIMENT_HH

@@ -1,6 +1,7 @@
 #include "gf2/linear_solver.hh"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace harp::gf2 {
 
@@ -123,6 +124,48 @@ ConstraintSystem::solveRandom(common::Xoshiro256 &rng) const
         if (rng.nextBernoulli(0.5))
             x ^= basis;
     return x;
+}
+
+RowDependencies::RowDependencies(const std::vector<BitVector> &rows)
+{
+    if (rows.size() > 64)
+        throw std::invalid_argument("RowDependencies: more than 64 rows");
+
+    // Incremental elimination: each row is reduced by the independent
+    // rows kept so far (each zero at every later pivot), and `combo`
+    // records which original rows the reduced row sums.
+    struct Reduced
+    {
+        BitVector row;
+        std::uint64_t combo;
+        std::size_t pivot;
+    };
+    std::vector<Reduced> basis;
+    std::vector<std::uint64_t> dep_basis;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        BitVector v = rows[i];
+        std::uint64_t combo = std::uint64_t{1} << i;
+        for (const Reduced &b : basis) {
+            if (v.get(b.pivot)) {
+                v ^= b.row;
+                combo ^= b.combo;
+            }
+        }
+        if (v.isZero()) {
+            dep_basis.push_back(combo);
+            continue;
+        }
+        const std::size_t pivot = v.setBits().front();
+        basis.push_back({std::move(v), combo, pivot});
+    }
+
+    // Span of the dependency basis, zero excluded.
+    for (const std::uint64_t dep : dep_basis) {
+        const std::size_t size = deps_.size();
+        deps_.push_back(dep);
+        for (std::size_t j = 0; j < size; ++j)
+            deps_.push_back(deps_[j] ^ dep);
+    }
 }
 
 } // namespace harp::gf2

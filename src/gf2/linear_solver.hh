@@ -4,13 +4,16 @@
  *
  * The HARP reproduction uses this for (a) data-pattern feasibility in the
  * at-risk ground-truth analysis — "does a dataword exist that charges this
- * set of cells?" — and (b) BEEP's pattern crafting, where target cell charge
- * states are affine functions of the dataword.
+ * set of cells?", asked of every subset of one word's cells through
+ * RowDependencies — and (b) BEEP's pattern crafting, where target cell
+ * charge states are affine functions of the dataword.
  */
 
 #ifndef HARP_GF2_LINEAR_SOLVER_HH
 #define HARP_GF2_LINEAR_SOLVER_HH
 
+#include <bit>
+#include <cstdint>
 #include <optional>
 
 #include "gf2/bit_matrix.hh"
@@ -78,6 +81,43 @@ class ConstraintSystem
     std::size_t numVars_;
     std::vector<BitVector> rows_;
     std::vector<bool> rhs_;
+};
+
+/**
+ * Consistency of every sub-system of one fixed row list, decided by the
+ * rows' left nullspace.
+ *
+ * For rows r_0..r_{m-1} (m <= 64), the sub-system { r_i · x = b_i : i in
+ * S } is consistent iff every dependency T — a set of rows that sums to
+ * zero — with T ⊆ S has even popcount(T & b). The constructor eliminates
+ * the rows once, tracking which rows each reduced row combines, and
+ * enumerates the span of the dependencies it finds (2^(m - rank)
+ * entries, one when the rows are independent). Each query is then one
+ * mask test per dependency, with no elimination.
+ */
+class RowDependencies
+{
+  public:
+    /** @param rows Equal-length rows; at most 64. */
+    explicit RowDependencies(const std::vector<BitVector> &rows);
+
+    /** Every nonempty set of rows (bit i = row i) that sums to zero. */
+    const std::vector<std::uint64_t> &dependencies() const { return deps_; }
+
+    /**
+     * True iff some x satisfies r_i · x = bit i of @p rhs for every row i
+     * in @p included. Bits of @p rhs outside @p included are ignored.
+     */
+    bool consistent(std::uint64_t included, std::uint64_t rhs) const
+    {
+        for (const std::uint64_t dep : deps_)
+            if ((dep & ~included) == 0 && std::popcount(dep & rhs) % 2 != 0)
+                return false;
+        return true;
+    }
+
+  private:
+    std::vector<std::uint64_t> deps_;
 };
 
 } // namespace harp::gf2

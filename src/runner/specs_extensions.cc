@@ -124,24 +124,6 @@ driveSlicedHamming(
     }, threads);
 }
 
-/** True iff some dataword charges every cell of the subset @p mask. */
-bool
-feasibleOnBch(const ecc::BchCode &code, const fault::WordFaultModel &fm,
-              std::uint32_t mask)
-{
-    gf2::ConstraintSystem cs(code.k());
-    for (std::size_t i = 0; i < fm.numFaults(); ++i) {
-        if (((mask >> i) & 1) == 0)
-            continue;
-        const std::size_t pos = fm.faults()[i].position;
-        if (pos < code.k())
-            cs.pinVariable(pos, true);
-        else
-            cs.addConstraint(code.parityRow(pos - code.k()), true);
-    }
-    return cs.consistent();
-}
-
 /**
  * Ground truth by enumeration of feasible failing subsets through the
  * general decoder (<= 2^numFaults subsets): the worst simultaneous
@@ -155,10 +137,13 @@ worstFeasibleErrors(const ecc::BchCode &code,
                     const fault::WordFaultModel &fm,
                     const std::function<bool(std::size_t)> &unprofiled)
 {
+    // A subset is feasible iff some dataword charges (stores 1 in) every
+    // cell of it.
+    const gf2::RowDependencies deps(core::storedValueRows(code, fm.faults()));
     std::size_t worst_total = 0, worst_unprofiled = 0;
     for (std::uint32_t mask = 1;
          mask < (std::uint32_t{1} << fm.numFaults()); ++mask) {
-        if (!feasibleOnBch(code, fm, mask))
+        if (!deps.consistent(mask, mask))
             continue;
         std::vector<std::size_t> failing;
         for (std::size_t i = 0; i < fm.numFaults(); ++i)

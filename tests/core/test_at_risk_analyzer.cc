@@ -12,6 +12,8 @@
 #include "common/rng.hh"
 #include "core/at_risk_analyzer.hh"
 #include "gf2/linear_solver.hh"
+#include "support/at_risk_reference.hh"
+#include "support/property.hh"
 
 namespace harp::core {
 namespace {
@@ -300,6 +302,77 @@ TEST(AtRiskAnalyzer, TooManyCellsThrows)
     const fault::WordFaultModel fm(code.n(), faults);
     EXPECT_THROW(AtRiskAnalyzer(code, fm, 16), std::invalid_argument);
     EXPECT_NO_THROW(AtRiskAnalyzer(code, fm, 20));
+}
+
+TEST(AtRiskAnalyzer, MatchesPerSubsetEliminationReference)
+{
+    // Property: the once-per-word dependency check reproduces the
+    // per-subset ConstraintSystem ground truth exactly. Small k makes
+    // cell rows dependent (so some patterns are infeasible); p = 1 cells,
+    // anti-cells and parity-position cells exercise every constraint.
+    std::vector<std::size_t> ks;
+    for (std::size_t k = 4; k <= 16; ++k)
+        ks.push_back(k);
+    ks.push_back(64);
+    ks.push_back(128);
+    std::size_t infeasible = 0;
+    std::size_t dependent_words = 0;
+    test::forEachSeed(160, [&](std::uint64_t, common::Xoshiro256 &rng) {
+        const std::size_t k = ks[rng.nextBelow(ks.size())];
+        const ecc::HammingCode code = ecc::HammingCode::randomSec(k, rng);
+        const std::size_t m = rng.nextBelow(std::min<std::size_t>(
+                                  12, code.n()) + 1);
+        std::set<std::size_t> positions;
+        while (positions.size() < m) {
+            positions.insert(rng.nextBernoulli(0.3)
+                                 ? k + rng.nextBelow(code.p())
+                                 : rng.nextBelow(code.n()));
+        }
+        std::vector<fault::CellFault> cells;
+        for (const std::size_t pos : positions)
+            cells.push_back({pos, rng.nextBernoulli(0.3) ? 1.0 : 0.5});
+        const fault::WordFaultModel fm(
+            code.n(), cells,
+            rng.nextBernoulli(0.5) ? fault::CellTechnology::TrueCell
+                                   : fault::CellTechnology::AntiCell);
+
+        const AtRiskAnalyzer analyzer(code, fm);
+        const test::ReferenceAtRiskAnalyzer reference(code, fm);
+        if (!gf2::RowDependencies(storedValueRows(code, fm.faults()))
+                 .dependencies()
+                 .empty())
+            ++dependent_words;
+        infeasible += ((std::size_t{1} << m) - 1) -
+                      reference.outcomes().size();
+
+        ASSERT_EQ(analyzer.outcomes().size(), reference.outcomes().size());
+        for (std::size_t i = 0; i < analyzer.outcomes().size(); ++i) {
+            const ErrorPatternOutcome &got = analyzer.outcomes()[i];
+            const ErrorPatternOutcome &want = reference.outcomes()[i];
+            EXPECT_EQ(got.failingMask, want.failingMask);
+            EXPECT_EQ(got.syndrome, want.syndrome);
+            EXPECT_EQ(got.correctedPosition, want.correctedPosition);
+            EXPECT_EQ(got.postErrors, want.postErrors);
+        }
+        EXPECT_EQ(analyzer.directAtRisk(), reference.directAtRisk());
+        EXPECT_EQ(analyzer.indirectAtRisk(), reference.indirectAtRisk());
+        EXPECT_EQ(analyzer.postCorrectionAtRisk(),
+                  reference.postCorrectionAtRisk());
+
+        gf2::BitVector ones(k);
+        ones.fill(true);
+        for (const gf2::BitVector &data :
+             {gf2::BitVector::random(k, rng), ones}) {
+            // Same subsets, same product and summation order: the
+            // probabilities must agree bit for bit, not just closely.
+            EXPECT_EQ(analyzer.perBitErrorProbability(data),
+                      reference.perBitErrorProbability(data));
+        }
+    });
+    // The sweep must actually reach dependent rows and infeasible
+    // patterns, or it proves nothing about the dependency check.
+    EXPECT_GT(dependent_words, 10u);
+    EXPECT_GT(infeasible, 100u);
 }
 
 } // namespace

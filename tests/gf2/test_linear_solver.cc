@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit and property tests for the GF(2) linear solver and the
- * constraint-system wrapper.
+ * Unit and property tests for the GF(2) linear solver, the
+ * constraint-system wrapper, and the sub-system consistency check built
+ * on the rows' left nullspace.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "common/rng.hh"
 #include "gf2/linear_solver.hh"
+#include "support/property.hh"
 
 namespace harp::gf2 {
 namespace {
@@ -181,6 +183,107 @@ TEST(ConstraintSystem, EmptySystemAlwaysConsistent)
     const auto x = cs.solveAny();
     ASSERT_TRUE(x.has_value());
     EXPECT_EQ(x->size(), 10u);
+}
+
+/** Reference answer: a fresh elimination of the included rows. */
+bool
+referenceConsistent(const std::vector<BitVector> &rows, std::size_t cols,
+                    std::uint64_t included, std::uint64_t rhs)
+{
+    ConstraintSystem cs(cols);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        if ((included >> i) & 1)
+            cs.addConstraint(rows[i], (rhs >> i) & 1);
+    return cs.consistent();
+}
+
+TEST(RowDependencies, EmptyRowSetAlwaysConsistent)
+{
+    const RowDependencies deps({});
+    EXPECT_TRUE(deps.dependencies().empty());
+    EXPECT_TRUE(deps.consistent(0, 0));
+    EXPECT_TRUE(deps.consistent(~std::uint64_t{0}, ~std::uint64_t{0}));
+}
+
+TEST(RowDependencies, ZeroRowDemandsZeroRhs)
+{
+    // 0 · x = b is satisfiable iff b = 0.
+    const RowDependencies deps({BitVector(8), BitVector::fromUint(0b1, 8)});
+    ASSERT_EQ(deps.dependencies(), std::vector<std::uint64_t>{0b01});
+    EXPECT_TRUE(deps.consistent(0b11, 0b10));
+    EXPECT_FALSE(deps.consistent(0b11, 0b01));
+    EXPECT_TRUE(deps.consistent(0b10, 0b01)); // zero row not included
+}
+
+TEST(RowDependencies, DuplicateRowsMustAgree)
+{
+    const BitVector row = BitVector::fromUint(0b1011, 6);
+    const RowDependencies deps({row, BitVector::fromUint(0b100, 6), row});
+    ASSERT_EQ(deps.dependencies(), std::vector<std::uint64_t>{0b101});
+    EXPECT_TRUE(deps.consistent(0b111, 0b101));
+    EXPECT_TRUE(deps.consistent(0b111, 0b010));
+    EXPECT_FALSE(deps.consistent(0b111, 0b001));
+    EXPECT_FALSE(deps.consistent(0b101, 0b100));
+    EXPECT_TRUE(deps.consistent(0b011, 0b001)); // one copy only
+}
+
+TEST(RowDependencies, SpanCoversCombinedDependencies)
+{
+    // r0 ^ r1 ^ r2 = 0 and r3 = r0: the dependency {1, 2, 3} exists only
+    // as the sum of the two basis dependencies, and must still be found.
+    const BitVector a = BitVector::fromUint(0b011, 3);
+    const BitVector b = BitVector::fromUint(0b110, 3);
+    const RowDependencies deps({a, b, a ^ b, a});
+    EXPECT_EQ(deps.dependencies().size(), 3u);
+    EXPECT_FALSE(deps.consistent(0b1110, 0b0010));
+    EXPECT_TRUE(deps.consistent(0b1110, 0b0110));
+}
+
+TEST(RowDependencies, AgreesWithConstraintSystemOnRandomRowSets)
+{
+    // Few columns relative to rows makes dependencies common; duplicate
+    // and all-zero rows are mixed in on purpose.
+    std::size_t inconsistent = 0;
+    test::forEachSeed(200, [&](std::uint64_t, common::Xoshiro256 &rng) {
+        const std::size_t cols = 1 + rng.nextBelow(10);
+        const std::size_t m = rng.nextBelow(9);
+        std::vector<BitVector> rows;
+        for (std::size_t i = 0; i < m; ++i) {
+            const std::uint64_t kind = rng.nextBelow(6);
+            if (kind == 0)
+                rows.emplace_back(cols);
+            else if (kind == 1 && !rows.empty())
+                rows.push_back(rows[rng.nextBelow(rows.size())]);
+            else
+                rows.push_back(BitVector::random(cols, rng));
+        }
+        const RowDependencies deps(rows);
+        for (const std::uint64_t dep : deps.dependencies()) {
+            BitVector sum(cols);
+            for (std::size_t i = 0; i < m; ++i)
+                if ((dep >> i) & 1)
+                    sum ^= rows[i];
+            EXPECT_TRUE(sum.isZero());
+        }
+        for (std::uint64_t included = 0; included < (1u << m); ++included) {
+            for (std::uint64_t rhs = 0; rhs < (1u << m); ++rhs) {
+                if ((rhs & ~included) != 0)
+                    continue;
+                const bool want =
+                    referenceConsistent(rows, cols, included, rhs);
+                inconsistent += !want;
+                ASSERT_EQ(deps.consistent(included, rhs), want)
+                    << "included " << included << " rhs " << rhs;
+            }
+        }
+    });
+    EXPECT_GT(inconsistent, 1000u);
+}
+
+TEST(RowDependencies, RejectsMoreThan64Rows)
+{
+    EXPECT_THROW(RowDependencies(std::vector<BitVector>(65, BitVector(4))),
+                 std::invalid_argument);
 }
 
 } // namespace

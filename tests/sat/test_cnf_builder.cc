@@ -154,8 +154,8 @@ TEST(CnfBuilder, DefineOrSemantics)
 /**
  * Property: a random GF(2) linear system is SAT-feasible iff the Gaussian
  * elimination solver finds it consistent. This is the exact cross-check
- * HARP uses to validate its enumeration-based ground truth (DESIGN.md,
- * substitution 1).
+ * behind replacing the original artifact's SAT queries with GF(2)
+ * feasibility in the enumeration-based ground truth.
  */
 TEST(CnfBuilder, XorSystemAgreesWithGf2Solver)
 {

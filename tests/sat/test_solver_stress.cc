@@ -126,7 +126,7 @@ TEST(SolverStress, PlantedXorSystemThroughChunking)
     // random XOR-SAT is exponentially hard for resolution-based CDCL
     // (no Gaussian reasoning) — the GF(2) elimination solver is the
     // right tool there, which is exactly why HARP's analyses use it
-    // (DESIGN.md, substitution 1).
+    // instead of the SAT solver the original artifact called.
     common::Xoshiro256 rng(7);
     CnfBuilder b;
     const std::size_t num_vars = 48;
