@@ -3,7 +3,7 @@
 # through the harp_run experiment runner, a harpd smoke (daemon +
 # client submit, byte-compared against batch), a chaos smoke (injected
 # ENOSPC -> degraded -> SIGKILL -> resume, byte-compared against
-# batch), an overload smoke (two weighted tenants contending + a
+# batch; a cancelled degraded campaign stays gone), an overload smoke (two weighted tenants contending + a
 # deadline-expired campaign resumed, all byte-compared against batch),
 # and a docs lint (Doxygen warnings are errors; skipped when doxygen is
 # not installed). Exits nonzero on any failure. Performance is measured
@@ -192,6 +192,38 @@ chaos_rc=0
     echo "verify: degraded campaign must not publish results" >&2
     exit 1
 }
+# A second campaign degrades the same way, then is cancelled: that ends
+# it for good (state cancelled, checkpoint gone), so the restart below
+# must not bring it back.
+chaos_rc=0
+./build/src/harpd_client --socket "$chaos_root/d.sock" \
+    submit chaos_cancel quickstart --seed 5 --repeat 2 \
+    > /dev/null 2> "$chaos_root/client2.log" || chaos_rc=$?
+[[ $chaos_rc -eq 4 ]] || {
+    echo "verify: expected degraded exit 4 from the second submit," \
+         "got $chaos_rc" >&2
+    cat "$chaos_root/client2.log" >&2 || true
+    exit 1
+}
+./build/src/harpd_client --socket "$chaos_root/d.sock" \
+    cancel chaos_cancel > /dev/null
+chaos_cancelled=0
+for _ in $(seq 1 200); do
+    if ./build/src/harpd_client --socket "$chaos_root/d.sock" \
+        status chaos_cancel 2> /dev/null | grep -q '"cancelled"'; then
+        chaos_cancelled=1
+        break
+    fi
+    sleep 0.05
+done
+[[ $chaos_cancelled -eq 1 ]] || {
+    echo "verify: cancel on a degraded campaign did not cancel it" >&2
+    exit 1
+}
+[[ -e "$chaos_root/data/checkpoints/chaos_cancel.ckpt" ]] && {
+    echo "verify: cancelled campaign kept its checkpoint" >&2
+    exit 1
+}
 # disown before the SIGKILL so the shell does not report the kill as
 # job-control noise ("Killed ...") on a later wait.
 disown "$chaos_pid"
@@ -223,6 +255,18 @@ for f in quickstart.jsonl summary.json; do
         exit 1
     }
 done
+./build/src/harpd_client --socket "$chaos_root/d.sock" \
+    status chaos_cancel > "$chaos_root/status2.log" 2>&1 || true
+grep -q unknown_campaign "$chaos_root/status2.log" || {
+    echo "verify: the restart brought a cancelled campaign back" >&2
+    cat "$chaos_root/status2.log" >&2
+    exit 1
+}
+if [[ -e "$chaos_root/data/checkpoints/chaos_cancel.ckpt" ||
+      -e "$chaos_root/data/results/chaos_cancel" ]]; then
+    echo "verify: cancelled campaign left a checkpoint or results" >&2
+    exit 1
+fi
 ./build/src/harpd_client --socket "$chaos_root/d.sock" shutdown \
     > /dev/null
 wait "$chaos_pid" || {

@@ -517,26 +517,16 @@ main(int argc, char **argv)
 
     const std::string verb = words[0];
     try {
-        if (verb == "ping" || verb == "list" || verb == "shutdown") {
-            if (words.size() != 1)
+        const bool named =
+            verb == "status" || verb == "cancel" || verb == "resume";
+        if (named || verb == "ping" || verb == "list" ||
+            verb == "shutdown") {
+            if (words.size() != (named ? 2u : 1u))
                 return usage(std::cerr, 2);
             JsonValue request = JsonValue::object();
             request.set("verb", JsonValue(verb));
-            const JsonValue reply =
-                requestWithRetries(socket_path, retry, request);
-            const JsonValue *type = reply.find("type");
-            if (type != nullptr && type->type() == JsonType::String &&
-                type->asString() == "error")
-                return fail(reply);
-            std::cout << reply.dump(2) << "\n";
-            return 0;
-        }
-        if (verb == "status" || verb == "cancel" || verb == "resume") {
-            if (words.size() != 2)
-                return usage(std::cerr, 2);
-            JsonValue request = JsonValue::object();
-            request.set("verb", JsonValue(verb));
-            request.set("campaign", JsonValue(words[1]));
+            if (named)
+                request.set("campaign", JsonValue(words[1]));
             if (verb == "resume" && deadline_ms > 0)
                 request.set("deadline_ms", JsonValue(deadline_ms));
             const JsonValue reply =

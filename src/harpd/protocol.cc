@@ -1,5 +1,6 @@
 #include "harpd/protocol.hh"
 
+#include <map>
 #include <stdexcept>
 
 namespace harp::harpd {
@@ -98,26 +99,16 @@ parseValidated(const JsonValue &doc)
     if (verb == nullptr || verb->type() != JsonType::String)
         throw RequestError("missing string member 'verb'");
 
+    static const std::map<std::string, Verb> verbs = {
+        {"ping", Verb::Ping},           {"list", Verb::List},
+        {"status", Verb::Status},       {"cancel", Verb::Cancel},
+        {"submit", Verb::Submit},       {"shutdown", Verb::Shutdown},
+        {"subscribe", Verb::Subscribe}, {"resume", Verb::Resume}};
+    const auto known = verbs.find(verb->asString());
+    if (known == verbs.end())
+        throw RequestError("unknown verb '" + verb->asString() + "'");
     Request request;
-    const std::string &name = verb->asString();
-    if (name == "ping")
-        request.verb = Verb::Ping;
-    else if (name == "list")
-        request.verb = Verb::List;
-    else if (name == "status")
-        request.verb = Verb::Status;
-    else if (name == "cancel")
-        request.verb = Verb::Cancel;
-    else if (name == "submit")
-        request.verb = Verb::Submit;
-    else if (name == "shutdown")
-        request.verb = Verb::Shutdown;
-    else if (name == "subscribe")
-        request.verb = Verb::Subscribe;
-    else if (name == "resume")
-        request.verb = Verb::Resume;
-    else
-        throw RequestError("unknown verb '" + name + "'");
+    request.verb = known->second;
 
     const bool needsCampaign = request.verb == Verb::Status ||
                                request.verb == Verb::Cancel ||

@@ -9,7 +9,7 @@
  *        │                                             │ submit
  *        │                              campaign worker thread
  *        │                        CampaignSession (runner/session.hh)
- *        │                   sink: checkpoint + results + event log
+ *        │     sink: checkpoint + results + event log (durability.hh)
  *        └── client stream:  BoundedQueue -> socket (backpressure)
  *
  * Contracts:
@@ -52,6 +52,9 @@
  *    next wave boundary, running jobs finish and reach the
  *    checkpoint, then the process exits; unfinished campaigns resume
  *    on the next start.
+ *
+ * Every campaign state change goes through one transition table
+ * (harpd/lifecycle.hh) and one commit function, in a fixed order.
  */
 
 #ifndef HARP_HARPD_SERVER_HH
@@ -60,10 +63,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,6 +76,7 @@
 #include "common/io.hh"
 #include "common/thread_pool.hh"
 #include "harpd/checkpoint.hh"
+#include "harpd/lifecycle.hh"
 #include "harpd/net.hh"
 #include "harpd/protocol.hh"
 #include "runner/registry.hh"
@@ -169,125 +173,96 @@ class Server
     /** Event queue feeding one submit stream. */
     using EventQueue = common::BoundedQueue<std::string>;
 
-    enum class CampaignState
-    {
-        /** Parked in the admission queue; not yet charged to the
-         *  tenant, promoted in arrival order as quota frees. */
-        Queued,
-        Running,
-        Done,
-        Failed,
-        Cancelled,
-        /** A durable-path I/O failure: checkpoint intact, resumable
-         *  via the `resume` verb once the fault clears. */
-        Degraded,
-        /** deadline_ms expired: stopped at a wave boundary, checkpoint
-         *  intact, resumable (optionally with a new deadline). */
-        DeadlineExceeded,
-    };
-
     struct Campaign
     {
         CheckpointHeader header;
         std::vector<const runner::ExperimentSpec *> specs;
         std::vector<CheckpointRecord> restored;
-        CampaignState state = CampaignState::Running;
-        std::string error;
-        /** Degraded detail: symbolic errno + whether waiting-and-
+        /** (point, repeat) jobs: the quota charge. Set before the
+         *  campaign is shared, never written after. */
+        std::size_t totalJobs = 0;
+        /** Written only by commitLocked, under mutex_ and mutex. */
+        Lifecycle life;
+        /** Why it failed, degraded or expired (shown in those states);
+         *  degraded adds the symbolic errno and whether waiting-and-
          *  resuming can clear it (ENOSPC yes, EIO no). */
+        std::string error;
         std::string errnoName;
         bool retriable = false;
-        /** Guards a degraded→running transition so concurrent
-         *  `resume` requests cannot both restart the campaign. */
-        bool resumeInFlight = false;
-        std::size_t totalJobs = 0;
-        /** Jobs charged against the tenant's quota at admission. */
-        std::size_t admittedJobs = 0;
-        /** True once the tenant ledger was actually charged (false
-         *  while parked in the admission queue). */
-        std::atomic<bool> chargedAdmission{false};
         std::atomic<std::size_t> completedJobs{0};
-        std::atomic<bool> cancel{false};
+        /** Cooperative abort read by the session, the fair scheduler
+         *  and the wave loop; stored only by commitLocked. */
+        std::atomic<bool> abort{false};
         /** Deadline as a steady-clock deadline in ms; 0 = none. Not
          *  persisted: deadlines belong to callers, not computations. */
         std::atomic<std::uint64_t> deadlineAtMs{0};
-        /** Set (once) by the watchdog when the deadline passes; turns
-         *  the cooperative cancel into `deadline_exceeded`. */
-        std::atomic<bool> deadlineExpired{false};
         /** Fair-scheduler waves granted so far (progress events). */
         std::atomic<std::size_t> waveIndex{0};
-        /** Position in the admission queue while state == Queued. */
-        std::atomic<std::size_t> queuePosition{0};
         /** Replayable event log: entry i is the wire line whose
          *  `seq` is i. Rebuilt identically on resume (restored lines
          *  re-enter the sink in job order), so `subscribe from=` is
          *  stable across kill/resume and degraded→resume. */
         std::vector<std::string> log;
-        bool logComplete = false;
-        std::condition_variable logCv;
+        /** Signalled on every log append and lifecycle step. */
+        std::condition_variable cv;
         /** Watchdog: last progress tick (steady-clock ms). */
         std::atomic<std::uint64_t> lastProgressMs{0};
         std::atomic<bool> stalled{false};
-        /** Null for resumed (detached) campaigns and after the
-         *  client's connection goes away. */
+        /** Null for resumed (detached) campaigns; closed when the
+         *  stream ends or the client goes away. */
         std::shared_ptr<EventQueue> clientQueue;
         std::thread worker;
-        std::mutex mutex; ///< guards state/error/log transitions
+        std::mutex mutex; ///< guards life/error/log
     };
 
-    /** Per-tenant admission ledger (guarded by mutex_). */
-    struct TenantUsage
+    /** What a committed step still owes the client stream once the
+     *  locks are dropped (a push can block on a slow client). */
+    struct Delivery
     {
-        std::size_t campaigns = 0;
-        std::size_t jobs = 0;
-    };
-
-    /** The per-tenant limits an admission would break. */
-    struct QuotaCheck
-    {
-        bool overCampaigns = false;
-        bool overJobs = false;
-        bool fits() const { return !overCampaigns && !overJobs; }
+        std::string terminal;
+        bool close = false;
     };
 
     void connectionLoop(Fd fd);
     /** The campaign @p id, or nullptr after replying unknown_campaign. */
     std::shared_ptr<Campaign> findCampaign(int fd, const std::string &id);
-    /** The one admission predicate: @p jobs more on top of @p usage. */
-    QuotaCheck checkQuota(const TenantUsage &usage, std::size_t jobs) const;
-    /** The ledger entry of @p tenant (zero when absent). Caller holds
-     *  mutex_. */
-    TenantUsage usageLocked(const std::string &tenant) const;
-    /** Renumber the admission queue. Caller holds mutex_. */
-    void refreshQueuePositionsLocked();
     bool handleRequest(int fd, const std::string &line);
     void handleSubmit(int fd, const Request &request);
     bool handleSubscribe(int fd, const Request &request);
     void handleResume(int fd, const Request &request);
     void runCampaign(const std::shared_ptr<Campaign> &campaign);
-    /** Block the campaign worker until promotion out of the admission
-     *  queue (true) or a cancel/deadline/shutdown while parked (false,
-     *  terminal state already published). */
-    bool awaitAdmission(const std::shared_ptr<Campaign> &campaign);
-    /** Admit queued campaigns that now fit their tenant's quota, in
-     *  arrival order (skipping over ones that still don't fit), and
-     *  refresh queue positions. Caller holds mutex_. */
-    void promoteQueuedLocked();
+    /** Run every job and publish; false when the run stopped early.
+     *  @throws CheckpointIoError, std::exception */
+    bool runJobs(const std::shared_ptr<Campaign> &campaign);
+    /** Apply @p event to @p campaign and run its effects; false when
+     *  the table refuses it. @p why and @p ec detail a failure. */
+    bool commit(const std::shared_ptr<Campaign> &campaign, Event event,
+                const std::string &why = {}, std::error_code ec = {});
+    /** commit() minus the stream delivery. Caller holds mutex_. */
+    std::optional<Delivery> commitLocked(
+        const std::shared_ptr<Campaign> &campaign, Event event,
+        const std::string &why = {}, std::error_code ec = {});
+    void deliver(const Campaign &campaign, const Delivery &delivery);
+    /** The line telling the stream how the campaign ended. Caller
+     *  holds campaign.mutex. */
+    std::string terminalLineLocked(Campaign &campaign);
+    /** Promote parked campaigns that now fit, in arrival order
+     *  (skipping ones that still don't). Caller holds mutex_. */
+    void promoteLocked();
+    /** Shutdown every campaign, close connections, join all threads. */
+    void drain();
     /** Write <dataDir>/status.json atomically (SIGHUP). */
     void writeStatusSnapshot();
     /** Stamp @p event with the next seq, append it to the replayable
      *  log, and forward it to the submit stream (if any). */
-    void publishEvent(const std::shared_ptr<Campaign> &campaign,
-                      runner::JsonValue event,
-                      const std::shared_ptr<EventQueue> &queue);
-    void releaseAdmission(const Campaign &campaign);
-    std::size_t tenantWeight(const std::string &tenant) const;
+    void publishEvent(Campaign &campaign, runner::JsonValue event);
     void watchdogLoop();
-    std::string campaignStatusLine(const std::string &id,
-                                   const Campaign &campaign);
+    /** Caller holds mutex_. */
+    runner::JsonValue statusLocked(const std::string &id,
+                                   Campaign &campaign) const;
     std::string checkpointPath(const std::string &id) const;
     std::string resultsDir(const std::string &id) const;
-    static const char *stateName(CampaignState state);
+    std::string stagingDir(const std::string &id) const;
 
     ServerConfig config_;
     const runner::Registry *registry_;
@@ -301,11 +276,9 @@ class Server
     std::size_t resumed_ = 0;
     std::thread watchdog_;
 
-    mutable std::mutex mutex_; ///< guards campaigns_/connections_/tenants_
+    mutable std::mutex mutex_; ///< guards campaigns_/admission_/connections
     std::map<std::string, std::shared_ptr<Campaign>> campaigns_;
-    std::map<std::string, TenantUsage> tenants_;
-    /** Over-quota submits awaiting promotion, arrival order. */
-    std::deque<std::shared_ptr<Campaign>> admissionQueue_;
+    Admission admission_;
     std::vector<std::thread> connections_;
     std::vector<int> connectionFds_;
     std::atomic<std::size_t> connectionCount_{0};

@@ -189,16 +189,7 @@ runnerMain(int argc, const char *const *argv)
     for (const auto &[name, text] : cli.entries()) {
         if (reservedFlags.count(name) > 0)
             continue;
-        const bool known = std::any_of(
-            specs.begin(), specs.end(), [&](const ExperimentSpec *spec) {
-                return spec->grid.findAxis(name) != nullptr ||
-                       std::any_of(spec->tunables.begin(),
-                                   spec->tunables.end(),
-                                   [&](const TunableSpec &t) {
-                                       return t.name == name;
-                                   });
-            });
-        if (!known) {
+        if (!acceptsOverride(specs, name)) {
             std::ostringstream valid;
             for (const ExperimentSpec *spec : specs) {
                 for (const ParamAxis &axis : spec->grid.axes())

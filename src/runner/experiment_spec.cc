@@ -111,4 +111,19 @@ schemaToJson(const std::vector<FieldSpec> &schema)
     return obj;
 }
 
+bool
+acceptsOverride(const std::vector<const ExperimentSpec *> &specs,
+                const std::string &name)
+{
+    return std::any_of(specs.begin(), specs.end(),
+                       [&name](const ExperimentSpec *spec) {
+                           return spec->grid.findAxis(name) != nullptr ||
+                                  std::any_of(spec->tunables.begin(),
+                                              spec->tunables.end(),
+                                              [&name](const TunableSpec &t) {
+                                                  return t.name == name;
+                                              });
+                       });
+}
+
 } // namespace harp::runner

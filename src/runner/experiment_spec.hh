@@ -135,6 +135,11 @@ validateSchema(const std::vector<FieldSpec> &schema,
 /** Schema rendered as a JSON object {field: type-name, ...}. */
 JsonValue schemaToJson(const std::vector<FieldSpec> &schema);
 
+/** Whether @p name is an axis or tunable of at least one of @p specs:
+ *  the overrides a campaign of them accepts. */
+bool acceptsOverride(const std::vector<const ExperimentSpec *> &specs,
+                     const std::string &name);
+
 } // namespace harp::runner
 
 #endif // HARP_RUNNER_EXPERIMENT_SPEC_HH

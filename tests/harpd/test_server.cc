@@ -606,9 +606,10 @@ TEST_F(ServerTest, SubmitDuringShutdownIsRefused)
         try {
             const std::optional<JsonValue> reply = client.read();
             if (reply.has_value() &&
-                reply->find("type")->asString() == "error")
+                reply->find("type")->asString() == "error") {
                 EXPECT_EQ(reply->find("code")->asString(),
                           errc::shuttingDown);
+            }
         } catch (const std::exception &) {
             // Torn read mid-shutdown: acceptable.
         }

@@ -7,8 +7,9 @@
  * corrupt, never hung*. Covers checkpoint-write and fsync faults,
  * publish-rename faults, torn checkpoint tails from injected short
  * writes, the `resume` verb (and its guards), degraded auto-resume on
- * daemon restart, and `subscribe from=` replay being byte-identical to
- * the original stream.
+ * daemon restart (and its absence once a degraded campaign is
+ * cancelled), and `subscribe from=` replay being byte-identical to the
+ * original stream.
  */
 
 #include <gtest/gtest.h>
@@ -486,6 +487,81 @@ TEST_F(ServerChaosTest, DegradedCampaignAutoResumesOnDaemonRestart)
     awaitState("c5", "done");
     EXPECT_FALSE(fs::exists(checkpoint("c5")));
     expectPublishedMatchesBatch("c5", batch, "fast");
+}
+
+TEST_F(ServerChaosTest, CancelledDegradedCampaignStaysGoneAcrossRestart)
+{
+    plan_.injectFrom(Op::Write, 5, fault(ENOSPC));
+    startServer();
+    {
+        Client client(config_.socketPath);
+        const Streamed streamed = streamSubmit(
+            client, submitRequest("c9", {"fast"}, 21, 2));
+        ASSERT_TRUE(streamed.degraded);
+    }
+    awaitState("c9", "degraded");
+    ASSERT_TRUE(fs::exists(checkpoint("c9")));
+
+    // Cancel ends a degraded campaign for good: the reply is the usual
+    // ack, the state lands, and the checkpoint goes with it.
+    {
+        Client client(config_.socketPath);
+        JsonValue request = JsonValue::object();
+        request.set("verb", JsonValue("cancel"));
+        request.set("campaign", JsonValue("c9"));
+        const JsonValue reply = client.request(request);
+        EXPECT_EQ(reply.find("type")->asString(), "ok");
+        EXPECT_TRUE(reply.find("cancelling")->asBool());
+    }
+    const JsonValue status = awaitState("c9", "cancelled");
+    EXPECT_EQ(status.find("errno_name"), nullptr);
+    EXPECT_FALSE(fs::exists(checkpoint("c9")));
+    EXPECT_EQ(resumeVerb("c9").find("code")->asString(), errc::notDegraded);
+    stopServer();
+
+    // The next daemon generation has nothing to bring back.
+    clearFaults();
+    config_.socketPath += ".2";
+    startServer();
+    EXPECT_EQ(server_->resumedCampaigns(), 0u);
+    EXPECT_FALSE(fs::exists(checkpoint("c9")));
+    EXPECT_FALSE(
+        fs::exists(fs::path(config_.dataDir) / "results" / "c9"));
+}
+
+TEST_F(ServerChaosTest, ResumedCampaignsReportTheirTotalAtOnce)
+{
+    plan_.injectFrom(Op::Write, 5, fault(ENOSPC));
+    startServer();
+    for (const char *id : {"t1", "t2"}) {
+        Client client(config_.socketPath);
+        ASSERT_TRUE(
+            streamSubmit(client, submitRequest(id, {"fast"}, 4, 2))
+                .degraded);
+        awaitState(id, "degraded");
+    }
+
+    const auto totalOf = [this](const std::string &id) {
+        Client client(config_.socketPath);
+        JsonValue request = JsonValue::object();
+        request.set("verb", JsonValue("status"));
+        request.set("campaign", JsonValue(id));
+        return client.request(request).find("total_jobs")->asInt();
+    };
+
+    // Both the resume verb and the restart price the campaign at
+    // admission, so `status` never reports 0 jobs in between.
+    clearFaults();
+    ASSERT_EQ(resumeVerb("t2").find("type")->asString(), "ok");
+    EXPECT_EQ(totalOf("t2"), 6);
+    awaitState("t2", "done");
+    stopServer();
+
+    config_.socketPath += ".2";
+    startServer();
+    ASSERT_EQ(server_->resumedCampaigns(), 1u);
+    EXPECT_EQ(totalOf("t1"), 6);
+    awaitState("t1", "done");
 }
 
 TEST_F(ServerChaosTest, SubscribeReplaysTheStreamByteIdentically)

@@ -4,8 +4,9 @@
  * herd of weighted tenants completes in fair-share order with
  * byte-identical per-campaign output, deadlines cancel cooperatively
  * at wave boundaries into a resumable `deadline_exceeded` (and release
- * admission quota to parked work), the bounded admission queue
- * publishes positions + retry estimates and promotes in arrival order,
+ * admission quota to parked work; a cancel there discards it for
+ * good), the bounded admission queue publishes positions + retry
+ * estimates and promotes in arrival order,
  * impossible submissions are shed rather than parked forever, and
  * progress heartbeats ride the replayable event log at stable seqs.
  */
@@ -343,6 +344,36 @@ TEST_F(ServerOverloadTest, DeadlineParksResumableThenBytesStillExact)
     EXPECT_EQ(readFile(fs::path(config_.dataDir) / "results" / "dl" /
                        "summary.json"),
               readFile(fs::path(batch) / "summary.json"));
+}
+
+TEST_F(ServerOverloadTest, CancelledDeadlineExceededCampaignStaysGone)
+{
+    startServer();
+    Client client(config_.socketPath);
+    const Streamed streamed = streamToEnd(
+        client, submitRequest("dlc", "", 6, "20", "", 120));
+    ASSERT_EQ(streamed.terminal, "deadline_exceeded");
+    awaitState("dlc", "deadline_exceeded");
+    const fs::path ckpt =
+        fs::path(config_.dataDir) / "checkpoints" / "dlc.ckpt";
+    ASSERT_TRUE(fs::exists(ckpt));
+
+    const JsonValue reply = request("cancel", "dlc");
+    EXPECT_EQ(reply.find("type")->asString(), "ok");
+    EXPECT_TRUE(reply.find("cancelling")->asBool());
+    awaitState("dlc", "cancelled");
+    EXPECT_FALSE(fs::exists(ckpt));
+    EXPECT_EQ(request("resume", "dlc").find("code")->asString(),
+              errc::notDegraded);
+    stopServer();
+
+    config_.socketPath += ".2";
+    startServer();
+    EXPECT_EQ(server_->resumedCampaigns(), 0u);
+    EXPECT_EQ(request("status", "dlc").find("code")->asString(),
+              errc::unknownCampaign);
+    EXPECT_FALSE(fs::exists(ckpt));
+    EXPECT_FALSE(fs::exists(fs::path(config_.dataDir) / "results" / "dlc"));
 }
 
 TEST_F(ServerOverloadTest, DeadlineCancelReleasesQuotaToParkedWork)
