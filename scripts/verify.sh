@@ -404,60 +404,52 @@ trap - EXIT
 
 # --- Engine equivalence ---------------------------------------------------
 # A seed-fixed campaign must be byte-identical under the scalar,
-# sliced64 and sliced256 profiling engines (70 words/code exercises a
-# ragged 64+6 sliced block at W=1 and a 70-lane wide block at W=4;
-# fig10 exercises heterogeneous per-lane codes).
-for engine in scalar sliced64 sliced256; do
-    ./build/src/harp_run fig06_direct_coverage fig10_case_study \
-        --seed 5 --threads 2 --engine "$engine" \
-        --codes 1 --words 70 --rounds 6 --prob 0.5 --pre_errors 3 \
-        --samples 5 --max_cells 2 \
-        --out "$smoke_dir/engine-$engine" > /dev/null
-done
-for engine in sliced64 sliced256; do
-    for f in fig06_direct_coverage.jsonl fig10_case_study.jsonl; do
-        cmp -s "$smoke_dir/engine-scalar/$f" \
-               "$smoke_dir/engine-$engine/$f" || {
-            echo "verify: $f differs between scalar and $engine" >&2
-            exit 1
-        }
+# sliced64 and sliced256 profiling engines. One row per case:
+# tag | experiments | overrides.
+#  - engine: 70 words/code exercises a ragged 64+6 sliced block at W=1
+#    and a 70-lane wide block at W=4; fig10 exercises heterogeneous
+#    per-lane codes.
+#  - bch: the memoized sliced BCH datapath is exactly equivalent to the
+#    scalar Berlekamp-Massey decoder at every lane width (70 words/point
+#    exercises a ragged 64 + 6 sliced block).
+#  - elp: heterogeneous per-word codes through the lane-native
+#    observation path (Naive/HARP-U lanes).
+engine_cases=(
+    "engine|fig06_direct_coverage fig10_case_study|--seed 5 --codes 1 --words 70 --rounds 6 --prob 0.5 --pre_errors 3 --samples 5 --max_cells 2"
+    "bch|bch_t_sweep|--seed 9 --words 70 --rounds 6"
+    "elp|extension_low_probability|--seed 11 --words 70 --rounds 8"
+)
+for case in "${engine_cases[@]}"; do
+    IFS='|' read -r tag experiments overrides <<< "$case"
+    for engine in scalar sliced64 sliced256; do
+        # shellcheck disable=SC2086  # split the experiment/override lists
+        ./build/src/harp_run $experiments $overrides \
+            --threads 2 --engine "$engine" \
+            --out "$smoke_dir/$tag-$engine" > /dev/null
+    done
+    for engine in sliced64 sliced256; do
+        for exp in $experiments; do
+            cmp -s "$smoke_dir/$tag-scalar/$exp.jsonl" \
+                   "$smoke_dir/$tag-$engine/$exp.jsonl" || {
+                echo "verify: $exp.jsonl differs between scalar and" \
+                     "$engine" >&2
+                exit 1
+            }
+        done
     done
 done
 
-# The BCH t-sweep must be byte-identical too: the memoized sliced BCH
-# datapath is exactly equivalent to the scalar Berlekamp-Massey
-# decoder at every lane width (70 words/point exercises a ragged
-# 64 + 6 sliced block).
-for engine in scalar sliced64 sliced256; do
-    ./build/src/harp_run bch_t_sweep \
-        --seed 9 --threads 2 --engine "$engine" \
-        --words 70 --rounds 6 \
-        --out "$smoke_dir/bch-$engine" > /dev/null
-done
-for engine in sliced64 sliced256; do
-    cmp -s "$smoke_dir/bch-scalar/bch_t_sweep.jsonl" \
-           "$smoke_dir/bch-$engine/bch_t_sweep.jsonl" || {
-        echo "verify: bch_t_sweep.jsonl differs between scalar and $engine" >&2
-        exit 1
-    }
-done
-
-# Heterogeneous per-word codes through the lane-native observation
-# path (Naive/HARP-U lanes) must also stay byte-identical.
-for engine in scalar sliced64 sliced256; do
-    ./build/src/harp_run extension_low_probability \
-        --seed 11 --threads 2 --engine "$engine" \
-        --words 70 --rounds 8 \
-        --out "$smoke_dir/elp-$engine" > /dev/null
-done
-for engine in sliced64 sliced256; do
-    cmp -s "$smoke_dir/elp-scalar/extension_low_probability.jsonl" \
-           "$smoke_dir/elp-$engine/extension_low_probability.jsonl" || {
-        echo "verify: extension_low_probability.jsonl differs" \
-             "(scalar vs $engine)" >&2
-        exit 1
-    }
-done
+# pre_errors past the 16-cell ground-truth enumeration guard must fail
+# the job, not silently enumerate a truncated subset range.
+if ./build/src/harp_run bch_t_sweep --pre_errors 34 --on_die_t 1 \
+        --words 2 --rounds 2 --out "$smoke_dir/bch-pre34" \
+        > "$smoke_dir/bch-pre34.log" 2>&1 ||
+   ! grep -q "exceeds the ground-truth enumeration limit" \
+        "$smoke_dir/bch-pre34.log"; then
+    echo "verify: bch_t_sweep --pre_errors 34 did not report a job error" >&2
+    cat "$smoke_dir/bch-pre34.log" >&2 || true
+    exit 1
+fi
 
 # --- Fleet tier smoke -----------------------------------------------------
 # The fleet simulator's registration guard first: a mistyped ctest

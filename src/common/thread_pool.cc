@@ -1,6 +1,7 @@
 #include "common/thread_pool.hh"
 
 #include <atomic>
+#include <exception>
 
 namespace harp::common {
 
@@ -96,6 +97,8 @@ parallelFor(std::size_t count,
     const std::size_t chunks = std::min(count, pool.numThreads() * 8);
     std::atomic<std::size_t> next{0};
     const std::size_t chunk_size = (count + chunks - 1) / chunks;
+    std::mutex failure_mutex;
+    std::exception_ptr failure;
     for (std::size_t c = 0; c < chunks; ++c) {
         pool.submit([&, chunk_size] {
             for (;;) {
@@ -104,12 +107,23 @@ parallelFor(std::size_t count,
                 if (start >= count)
                     return;
                 const std::size_t end = std::min(start + chunk_size, count);
-                for (std::size_t i = start; i < end; ++i)
-                    body(i);
+                try {
+                    for (std::size_t i = start; i < end; ++i)
+                        body(i);
+                } catch (...) {
+                    // Keep the first failure; hand out no further chunks.
+                    const std::lock_guard<std::mutex> lock(failure_mutex);
+                    if (!failure)
+                        failure = std::current_exception();
+                    next.store(count, std::memory_order_relaxed);
+                    return;
+                }
             }
         });
     }
     pool.wait();
+    if (failure)
+        std::rethrow_exception(failure);
 }
 
 } // namespace harp::common

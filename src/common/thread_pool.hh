@@ -104,7 +104,9 @@ class WaitGroup
  * Run @p body(i) for every i in [0, count) across a transient pool.
  *
  * Each invocation must be independent; @p body is shared across threads so
- * it must be safe to call concurrently.
+ * it must be safe to call concurrently. If a body throws, no further
+ * iterations start and the first exception is rethrown once the running
+ * ones finish.
  *
  * @param count       Number of iterations.
  * @param body        Callable invoked with the iteration index.

@@ -22,6 +22,9 @@ AtRiskAnalyzer::AtRiskAnalyzer(const ecc::HammingCode &code,
 {
     if (faults_.wordBits() != code_.n())
         throw std::invalid_argument("AtRiskAnalyzer: fault model size");
+    if (max_cells > 31)
+        throw std::invalid_argument(
+            "AtRiskAnalyzer: max_cells above the 31-cell pattern mask");
     if (cells_.size() > max_cells)
         throw std::invalid_argument(
             "AtRiskAnalyzer: too many at-risk cells to enumerate");

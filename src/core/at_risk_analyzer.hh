@@ -92,11 +92,15 @@ class AtRiskAnalyzer
      * @param faults    The word's fault model.
      * @param max_cells Enumeration guard; throws std::invalid_argument if
      *                  the fault model has more at-risk cells than this
-     *                  (2^cells patterns are enumerated).
+     *                  (2^cells patterns are enumerated), or if it
+     *                  exceeds the 31 cells a pattern mask can hold.
      */
     AtRiskAnalyzer(const ecc::HammingCode &code,
                    const fault::WordFaultModel &faults,
-                   std::size_t max_cells = 16);
+                   std::size_t max_cells = defaultMaxCells);
+
+    /** The default enumeration guard: 2^16 failing patterns. */
+    static constexpr std::size_t defaultMaxCells = 16;
 
     /** Every feasible failing pattern with its decode outcome. */
     const std::vector<ErrorPatternOutcome> &outcomes() const

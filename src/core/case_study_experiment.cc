@@ -1,18 +1,13 @@
 #include "core/case_study_experiment.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 
-#include "common/ordered_merger.hh"
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
 #include "core/at_risk_analyzer.hh"
 #include "core/beep_profiler.hh"
 #include "core/harp_profiler.hh"
 #include "core/naive_profiler.hh"
-#include "core/round_engine.hh"
-#include "core/sliced_round_engine.hh"
 #include "ecc/hamming_code.hh"
 
 namespace harp::core {
@@ -40,6 +35,7 @@ struct SampleSim
                   code.n(), n, config.perBitProbability, fault_rng);
           }()),
           analyzer(code, faults),
+          n(n),
           engineSeed(
               common::deriveSeed(config.seed, {0xE221u, n, sample}))
     {
@@ -67,76 +63,14 @@ struct SampleSim
     ecc::HammingCode code;
     fault::WordFaultModel faults;
     AtRiskAnalyzer analyzer;
+    /** Conditioned at-risk cell count. */
+    std::size_t n;
     std::uint64_t engineSeed;
     std::vector<std::unique_ptr<Profiler>> profilers;
     std::vector<Profiler *> raw;
     std::vector<std::vector<std::uint64_t>> localBefore;
     std::vector<std::vector<std::uint64_t>> localAfter;
 };
-
-/** One finished task's samples plus their conditioned cell counts,
- *  deposited into the OrderedMerger for index-ordered aggregation. */
-struct SampleBatch
-{
-    std::vector<std::unique_ptr<SampleSim>> sims;
-    std::vector<std::size_t> simN;
-};
-
-/**
- * The sliced case-study path at lane width W: one task per block of up
- * to W*64 samples, batched straight across conditioned cell counts —
- * every sample has its own random code anyway; lanes only share k.
- * Per-sample seeds and outcomes are identical to the scalar path (and
- * across widths); only the batching differs.
- */
-template <std::size_t W, typename MergeBatchFn>
-void
-runSlicedCaseStudy(const CaseStudyConfig &config, std::size_t max_n,
-                   const MergeBatchFn &mergeBatch)
-{
-    constexpr std::size_t lanes = gf2::BitSliceW<W>::laneCount;
-    const std::size_t total_samples = max_n * config.samplesPerCellCount;
-    const std::size_t num_blocks = (total_samples + lanes - 1) / lanes;
-    common::OrderedMerger<SampleBatch> merger(num_blocks);
-    common::parallelFor(num_blocks, [&](std::size_t block) {
-        const std::size_t begin = block * lanes;
-        const std::size_t end = std::min(begin + lanes, total_samples);
-
-        SampleBatch batch;
-        std::vector<const ecc::HammingCode *> code_ptrs;
-        std::vector<const fault::WordFaultModel *> fault_ptrs;
-        std::vector<std::uint64_t> seeds;
-        std::vector<std::vector<Profiler *>> lane_profilers;
-        for (std::size_t g = begin; g < end; ++g) {
-            const std::size_t n = 1 + g / config.samplesPerCellCount;
-            const std::size_t sample = g % config.samplesPerCellCount;
-            batch.sims.push_back(
-                std::make_unique<SampleSim>(config, n, sample));
-            batch.simN.push_back(n);
-            code_ptrs.push_back(&batch.sims.back()->code);
-            fault_ptrs.push_back(&batch.sims.back()->faults);
-            seeds.push_back(batch.sims.back()->engineSeed);
-            lane_profilers.push_back(batch.sims.back()->raw);
-        }
-
-        {
-            // The engine's destructor flushes and detaches its lane
-            // observer groups through raw Profiler pointers, so it
-            // must die before deposit() hands the batch (and its
-            // profilers) to a merger peer that may free them on
-            // another thread.
-            SlicedRoundEngineW<W> engine(code_ptrs, fault_ptrs,
-                                         config.pattern, seeds);
-            for (std::size_t r = 0; r < config.rounds; ++r) {
-                engine.runRound(lane_profilers);
-                for (auto &sim : batch.sims)
-                    sim->accumulateRound(r);
-            }
-        }
-
-        merger.deposit(block, std::move(batch), mergeBatch);
-    }, config.threads);
-}
 
 } // namespace
 
@@ -176,55 +110,44 @@ runCaseStudyExperiment(const CaseStudyConfig &config)
     auto after_sum = before_sum;
 
     // Per-sample integer sums are order-insensitive, but the merges
-    // still run through OrderedMerger in task index order so every
-    // engine and thread count walks the aggregates identically.
-    const auto mergeSample = [&](std::size_t n, const SampleSim &sim) {
-        for (std::size_t pi = 0; pi < num_profilers; ++pi) {
-            for (std::size_t r = 0; r < config.rounds; ++r) {
-                before_sum[pi][n][r] += sim.localBefore[pi][r];
-                after_sum[pi][n][r] += sim.localAfter[pi][r];
-            }
+    // still run in block order so every engine and thread count walks
+    // the aggregates identically. Blocks run straight across
+    // conditioned cell counts: every sample has its own random code
+    // anyway; lanes only share k.
+    const WordRun run{config.engine, max_n * config.samplesPerCellCount,
+                      config.rounds, config.pattern, config.threads};
+    std::vector<std::vector<std::unique_ptr<SampleSim>>> blocks(
+        wordBlockCount(run));
+    const auto build = [&](std::size_t block, std::size_t begin,
+                           std::size_t end, WordLanes &lanes) {
+        for (std::size_t g = begin; g < end; ++g) {
+            const std::size_t n = 1 + g / config.samplesPerCellCount;
+            const std::size_t sample = g % config.samplesPerCellCount;
+            const SampleSim &sim = *blocks[block].emplace_back(
+                std::make_unique<SampleSim>(config, n, sample));
+            lanes.codes.push_back(&sim.code);
+            lanes.faults.push_back(&sim.faults);
+            lanes.seeds.push_back(sim.engineSeed);
+            lanes.profilers.push_back(sim.raw);
         }
     };
-    const auto mergeBatch = [&](const SampleBatch &batch) {
-        for (std::size_t i = 0; i < batch.sims.size(); ++i)
-            mergeSample(batch.simN[i], *batch.sims[i]);
-    };
-
-    if (config.engine == EngineKind::Scalar) {
-        const std::size_t total_tasks =
-            max_n * config.samplesPerCellCount;
-        // The payload carries its own cell count: deposit() may drain
-        // payloads from *other* tasks than the depositing one.
-        using DonePair = std::pair<std::size_t, std::unique_ptr<SampleSim>>;
-        common::OrderedMerger<DonePair> merger(total_tasks);
-        common::parallelFor(total_tasks, [&](std::size_t task) {
-            const std::size_t n = 1 + task / config.samplesPerCellCount;
-            const std::size_t sample = task % config.samplesPerCellCount;
-
-            auto sim = std::make_unique<SampleSim>(config, n, sample);
-            {
-                // Scoped like the sliced engines: the engine holds
-                // references into *sim, which a merger peer may free
-                // once deposited.
-                RoundEngine engine(sim->code, sim->faults,
-                                   config.pattern, sim->engineSeed);
-                for (std::size_t r = 0; r < config.rounds; ++r) {
-                    engine.runRound(sim->raw);
-                    sim->accumulateRound(r);
+    profileWords(
+        run, build,
+        [&](std::size_t block, std::size_t r) {
+            for (auto &sim : blocks[block])
+                sim->accumulateRound(r);
+        },
+        [&](std::size_t block) {
+            const auto done = std::move(blocks[block]);
+            for (const auto &sim : done) {
+                for (std::size_t pi = 0; pi < num_profilers; ++pi) {
+                    for (std::size_t r = 0; r < config.rounds; ++r) {
+                        before_sum[pi][sim->n][r] += sim->localBefore[pi][r];
+                        after_sum[pi][sim->n][r] += sim->localAfter[pi][r];
+                    }
                 }
             }
-
-            merger.deposit(task, DonePair(n, std::move(sim)),
-                           [&](DonePair &done) {
-                               mergeSample(done.first, *done.second);
-                           });
-        }, config.threads);
-    } else if (config.engine == EngineKind::Sliced256) {
-        runSlicedCaseStudy<4>(config, max_n, mergeBatch);
-    } else {
-        runSlicedCaseStudy<1>(config, max_n, mergeBatch);
-    }
+        });
 
     // Mix the conditional expectations with Binomial weights.
     const std::size_t codeword_bits =

@@ -1,18 +1,13 @@
 #include "core/coverage_experiment.hh"
 
-#include <algorithm>
 #include <memory>
 
-#include "common/ordered_merger.hh"
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
 #include "core/at_risk_analyzer.hh"
 #include "core/beep_profiler.hh"
 #include "core/harp_a_beep_profiler.hh"
 #include "core/harp_profiler.hh"
 #include "core/naive_profiler.hh"
-#include "core/round_engine.hh"
-#include "core/sliced_round_engine.hh"
 #include "ecc/hamming_code.hh"
 
 namespace harp::core {
@@ -164,91 +159,12 @@ struct WordSim
     std::vector<WordStats> stats;
 };
 
-using common::OrderedMerger;
-
-/**
- * The sliced coverage path at lane width W: one task per block of up
- * to W*64 words, batched straight across code boundaries — lanes
- * carry their own code, so blocks stay full even when wordsPerCode is
- * small. Word-level seeds and outcomes are identical to the scalar
- * path (and across widths); only the batching differs.
- */
-template <std::size_t W>
-void
-runSlicedCoverage(const CoverageConfig &config, CoverageResult &result)
+/** One lane block's words and the codes they point into. */
+struct CoverageBlock
 {
-    const auto codeSeed = [&](std::size_t code_idx) {
-        return common::deriveSeed(config.seed, {0xC0DEu, code_idx});
-    };
-    const auto faultSeed = [&](std::size_t code_idx, std::size_t word_idx) {
-        return common::deriveSeed(config.seed,
-                                  {0xFA17u, code_idx, word_idx});
-    };
-    const auto engineSeed = [&](std::size_t code_idx,
-                                std::size_t word_idx) {
-        return common::deriveSeed(config.seed,
-                                  {0xE221u, code_idx, word_idx});
-    };
-
-    constexpr std::size_t sliceLanes = gf2::BitSliceW<W>::laneCount;
-    const std::size_t total_words = config.numCodes * config.wordsPerCode;
-    const std::size_t num_blocks =
-        (total_words + sliceLanes - 1) / sliceLanes;
-    using BlockSims = std::vector<std::unique_ptr<WordSim>>;
-    OrderedMerger<BlockSims> merger(num_blocks);
-    common::parallelFor(num_blocks, [&](std::size_t block) {
-        const std::size_t begin = block * sliceLanes;
-        const std::size_t end =
-            std::min(begin + sliceLanes, total_words);
-
-        // Materialize each code once per block (global word indices are
-        // consecutive, so words of one code are contiguous).
-        std::vector<std::unique_ptr<ecc::HammingCode>> codes;
-        std::size_t built_code_idx = config.numCodes; // sentinel
-        BlockSims words;
-        std::vector<const ecc::HammingCode *> code_ptrs;
-        std::vector<const fault::WordFaultModel *> fault_ptrs;
-        std::vector<std::uint64_t> seeds;
-        std::vector<std::vector<Profiler *>> lane_profilers;
-        for (std::size_t g = begin; g < end; ++g) {
-            const std::size_t code_idx = g / config.wordsPerCode;
-            const std::size_t word_idx = g % config.wordsPerCode;
-            if (code_idx != built_code_idx) {
-                common::Xoshiro256 code_rng(codeSeed(code_idx));
-                codes.push_back(std::make_unique<ecc::HammingCode>(
-                    ecc::HammingCode::randomSec(config.k, code_rng)));
-                built_code_idx = code_idx;
-            }
-            const ecc::HammingCode &code = *codes.back();
-            words.push_back(std::make_unique<WordSim>(
-                config, code, faultSeed(code_idx, word_idx)));
-            code_ptrs.push_back(&code);
-            fault_ptrs.push_back(&words.back()->faults);
-            seeds.push_back(engineSeed(code_idx, word_idx));
-            lane_profilers.push_back(words.back()->raw);
-        }
-
-        {
-            // The engine's destructor flushes and detaches its lane
-            // observer groups through raw Profiler pointers, so it
-            // must die before deposit() hands the words (and their
-            // profilers) to a merger peer that may free them on
-            // another thread.
-            SlicedRoundEngineW<W> engine(code_ptrs, fault_ptrs,
-                                         config.pattern, seeds);
-            for (std::size_t r = 0; r < config.rounds; ++r) {
-                engine.runRound(lane_profilers);
-                for (auto &word : words)
-                    word->accumulateRound(config, r);
-            }
-        }
-
-        merger.deposit(block, std::move(words), [&](BlockSims &sims) {
-            for (const auto &word : sims)
-                word->merge(config, result);
-        });
-    }, config.threads);
-}
+    std::vector<std::unique_ptr<ecc::HammingCode>> codes;
+    std::vector<std::unique_ptr<WordSim>> words;
+};
 
 } // namespace
 
@@ -292,63 +208,54 @@ runCoverageExperiment(const CoverageConfig &config)
     }
 
     // Deterministic per-word streams, independent of scheduling and of
-    // the engine: the sliced paths derive the exact same code, fault
-    // and engine seeds per (code_idx, word_idx) as the scalar path,
-    // and every path merges task results in task index order (see
-    // OrderedMerger), so output bytes are fixed by the seed alone —
-    // not by thread count, engine, or completion order.
-    const auto codeSeed = [&](std::size_t code_idx) {
-        return common::deriveSeed(config.seed, {0xC0DEu, code_idx});
-    };
-    const auto faultSeed = [&](std::size_t code_idx, std::size_t word_idx) {
-        return common::deriveSeed(config.seed,
-                                  {0xFA17u, code_idx, word_idx});
-    };
-    const auto engineSeed = [&](std::size_t code_idx,
-                                std::size_t word_idx) {
-        return common::deriveSeed(config.seed,
-                                  {0xE221u, code_idx, word_idx});
-    };
-
-    if (config.engine == EngineKind::Scalar) {
-        const std::size_t total_tasks =
-            config.numCodes * config.wordsPerCode;
-        OrderedMerger<std::unique_ptr<WordSim>> merger(total_tasks);
-        common::parallelFor(total_tasks, [&](std::size_t task) {
-            const std::size_t code_idx = task / config.wordsPerCode;
-            const std::size_t word_idx = task % config.wordsPerCode;
-
-            common::Xoshiro256 code_rng(codeSeed(code_idx));
-            const ecc::HammingCode code =
-                ecc::HammingCode::randomSec(config.k, code_rng);
-            auto word = std::make_unique<WordSim>(
-                config, code, faultSeed(code_idx, word_idx));
-
-            {
-                // Scoped like the sliced engines: the engine holds a
-                // reference into *word, which a merger peer may free
-                // once deposited.
-                RoundEngine engine(code, word->faults, config.pattern,
-                                   engineSeed(code_idx, word_idx));
-                for (std::size_t r = 0; r < config.rounds; ++r) {
-                    engine.runRound(word->raw);
-                    word->accumulateRound(config, r);
-                }
+    // the engine: every engine derives the exact same code, fault and
+    // engine seeds per (code_idx, word_idx), and profileWords merges
+    // blocks in block order, so output bytes are fixed by the seed
+    // alone — not by thread count, engine, or completion order.
+    // Blocks run straight across code boundaries — lanes carry their
+    // own code, so blocks stay full even when wordsPerCode is small.
+    const WordRun run{config.engine, config.numCodes * config.wordsPerCode,
+                      config.rounds, config.pattern, config.threads};
+    std::vector<CoverageBlock> blocks(wordBlockCount(run));
+    const auto build = [&](std::size_t block, std::size_t begin,
+                           std::size_t end, WordLanes &lanes) {
+        CoverageBlock &b = blocks[block];
+        // Global word indices are consecutive, so the words of one
+        // code are contiguous: materialize each code once per block.
+        std::size_t built_code_idx = config.numCodes; // sentinel
+        for (std::size_t g = begin; g < end; ++g) {
+            const std::size_t code_idx = g / config.wordsPerCode;
+            const std::size_t word_idx = g % config.wordsPerCode;
+            if (code_idx != built_code_idx) {
+                common::Xoshiro256 code_rng(common::deriveSeed(
+                    config.seed, {0xC0DEu, code_idx}));
+                b.codes.push_back(std::make_unique<ecc::HammingCode>(
+                    ecc::HammingCode::randomSec(config.k, code_rng)));
+                built_code_idx = code_idx;
             }
-
-            merger.deposit(task, std::move(word),
-                           [&](std::unique_ptr<WordSim> &sim) {
-                               sim->merge(config, result);
-                           });
-        }, config.threads);
-        return result;
-    }
-
-    if (config.engine == EngineKind::Sliced256)
-        runSlicedCoverage<4>(config, result);
-    else
-        runSlicedCoverage<1>(config, result);
-
+            const ecc::HammingCode &code = *b.codes.back();
+            b.words.push_back(std::make_unique<WordSim>(
+                config, code,
+                common::deriveSeed(config.seed,
+                                   {0xFA17u, code_idx, word_idx})));
+            lanes.codes.push_back(&code);
+            lanes.faults.push_back(&b.words.back()->faults);
+            lanes.seeds.push_back(common::deriveSeed(
+                config.seed, {0xE221u, code_idx, word_idx}));
+            lanes.profilers.push_back(b.words.back()->raw);
+        }
+    };
+    profileWords(
+        run, build,
+        [&](std::size_t block, std::size_t r) {
+            for (auto &word : blocks[block].words)
+                word->accumulateRound(config, r);
+        },
+        [&](std::size_t block) {
+            const CoverageBlock done = std::move(blocks[block]);
+            for (const auto &word : done.words)
+                word->merge(config, result);
+        });
     return result;
 }
 

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "common/ordered_merger.hh"
 #include "common/thread_pool.hh"
 #include "core/harp_profiler.hh"
 #include "core/naive_profiler.hh"
-#include "core/round_engine.hh"
-#include "core/sliced_round_engine.hh"
 #include "memsys/memory_controller.hh"
 
 namespace harp::fleet {
@@ -45,71 +44,56 @@ makeProfiler(ProfilerKind kind, const ecc::HammingCode &code)
     return nullptr;
 }
 
-std::uint64_t
-wordEngineSeed(const ChipSim &sim, std::size_t word)
-{
-    return common::deriveSeed(sim.chipSeed, {kEngineDomain, word});
-}
-
 /**
- * Sliced profiling over one stratum: faulty words of *different* chips
- * share lane blocks (each chip contributes few faulty words, so
- * cross-chip batching is what fills 64/256 lanes). Per-lane seeds use
- * the scalar derivation, so profiles are bit-identical to
- * profileChipScalar at any width.
+ * Active-profile every faulty word of @p sims through @p engine,
+ * filling their profiles (left empty when the policy profiles
+ * nothing). Faulty words of *different* chips share lane blocks (each
+ * chip contributes few faulty words, so cross-chip batching is what
+ * fills 64/256 lanes); per-word seeds make the profiles bit-identical
+ * under every engine.
  */
-template <std::size_t W>
 void
-profileStratumSliced(std::vector<ChipSim> &sims,
-                     const FleetPolicy &policy)
+profileSims(std::span<ChipSim> sims, const FleetPolicy &policy,
+            core::EngineKind engine)
 {
-    struct Entry
-    {
-        std::size_t sim;
-        std::size_t word;
-    };
-    std::vector<Entry> entries;
-    for (std::size_t s = 0; s < sims.size(); ++s) {
-        sims[s].profiles.assign(sims[s].faultyWords.size(),
-                                gf2::BitVector());
-        for (std::size_t i = 0; i < sims[s].faultyWords.size(); ++i)
-            entries.push_back({s, i});
+    if (policy.profiler == ProfilerKind::None || policy.activeRounds == 0) {
+        for (ChipSim &sim : sims)
+            sim.profiles.clear();
+        return;
+    }
+    // Every faulty word as (its sim, its index in faultyWords).
+    std::vector<std::pair<ChipSim *, std::size_t>> entries;
+    for (ChipSim &sim : sims) {
+        sim.profiles.assign(sim.faultyWords.size(), gf2::BitVector());
+        for (std::size_t i = 0; i < sim.faultyWords.size(); ++i)
+            entries.emplace_back(&sim, i);
     }
 
-    const std::size_t lanes_per_block = W * 64;
-    for (std::size_t base = 0; base < entries.size();
-         base += lanes_per_block) {
-        const std::size_t count =
-            std::min(lanes_per_block, entries.size() - base);
-        std::vector<const ecc::HammingCode *> codes(count);
-        std::vector<const fault::WordFaultModel *> faults(count);
-        std::vector<std::uint64_t> seeds(count);
-        std::vector<std::unique_ptr<core::Profiler>> profilers(count);
-        std::vector<std::vector<core::Profiler *>> slots(count);
-        for (std::size_t j = 0; j < count; ++j) {
-            ChipSim &sim = sims[entries[base + j].sim];
-            const auto &[word, model] =
-                sim.faultyWords[entries[base + j].word];
-            codes[j] = &sim.onDie;
-            faults[j] = &model;
-            seeds[j] = wordEngineSeed(sim, word);
-            profilers[j] = makeProfiler(policy.profiler, sim.onDie);
-            slots[j] = {profilers[j].get()};
+    // Per block: each word's profile slot and its profiler.
+    using Lane =
+        std::pair<gf2::BitVector *, std::unique_ptr<core::Profiler>>;
+    const core::WordRun run{engine, entries.size(), policy.activeRounds,
+                            core::PatternKind::Random, 1};
+    std::vector<std::vector<Lane>> blocks(core::wordBlockCount(run));
+    const auto build = [&](std::size_t block, std::size_t begin,
+                           std::size_t end, core::WordLanes &lanes) {
+        for (std::size_t j = begin; j < end; ++j) {
+            auto &[sim, i] = entries[j];
+            const auto &[word, model] = sim->faultyWords[i];
+            const Lane &lane = blocks[block].emplace_back(
+                &sim->profiles[i], makeProfiler(policy.profiler, sim->onDie));
+            lanes.codes.push_back(&sim->onDie);
+            lanes.faults.push_back(&model);
+            lanes.seeds.push_back(
+                common::deriveSeed(sim->chipSeed, {kEngineDomain, word}));
+            lanes.profilers.push_back({lane.second.get()});
         }
-        {
-            core::SlicedRoundEngineW<W> engine(
-                codes, faults, core::PatternKind::Random, seeds);
-            for (std::size_t r = 0; r < policy.activeRounds; ++r)
-                engine.runRound(slots);
-            // Engine destruction flushes the lane-native observer
-            // groups before the profiles are read below.
-        }
-        for (std::size_t j = 0; j < count; ++j) {
-            const Entry &entry = entries[base + j];
-            sims[entry.sim].profiles[entry.word] =
-                profilers[j]->identified();
-        }
-    }
+    };
+    core::profileWords(run, build, nullptr, [&](std::size_t block) {
+        const std::vector<Lane> done = std::move(blocks[block]);
+        for (const auto &[profile, profiler] : done)
+            *profile = profiler->identified();
+    });
 }
 
 FleetAggregator
@@ -129,21 +113,7 @@ runStratum(const FleetConfig &config, const PopulationSampler &sampler,
                                    sample.events.size()));
     }
 
-    if (config.policy.profiler != ProfilerKind::None &&
-        config.policy.activeRounds > 0) {
-        switch (config.engine) {
-          case core::EngineKind::Scalar:
-            for (ChipSim &sim : sims)
-                profileChipScalar(sim, config.policy);
-            break;
-          case core::EngineKind::Sliced64:
-            profileStratumSliced<1>(sims, config.policy);
-            break;
-          case core::EngineKind::Sliced256:
-            profileStratumSliced<4>(sims, config.policy);
-            break;
-        }
-    }
+    profileSims(sims, config.policy, config.engine);
 
     for (ChipSim &sim : sims)
         agg.addChip(runChipOperation(sim, config.wordsPerChip,
@@ -213,24 +183,7 @@ makeChipSim(
 void
 profileChipScalar(ChipSim &sim, const FleetPolicy &policy)
 {
-    if (policy.profiler == ProfilerKind::None ||
-        policy.activeRounds == 0) {
-        sim.profiles.clear();
-        return;
-    }
-    sim.profiles.assign(sim.faultyWords.size(), gf2::BitVector());
-    for (std::size_t i = 0; i < sim.faultyWords.size(); ++i) {
-        const auto &[word, model] = sim.faultyWords[i];
-        const std::unique_ptr<core::Profiler> profiler =
-            makeProfiler(policy.profiler, sim.onDie);
-        core::RoundEngine engine(sim.onDie, model,
-                                 core::PatternKind::Random,
-                                 wordEngineSeed(sim, word));
-        const std::vector<core::Profiler *> set = {profiler.get()};
-        for (std::size_t r = 0; r < policy.activeRounds; ++r)
-            engine.runRound(set);
-        sim.profiles[i] = profiler->identified();
-    }
+    profileSims({&sim, 1}, policy, core::EngineKind::Scalar);
 }
 
 ChipOutcome

@@ -12,20 +12,17 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <stdexcept>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
-#include "common/thread_pool.hh"
 #include "core/at_risk_analyzer.hh"
 #include "core/data_pattern.hh"
 #include "core/harp_profiler.hh"
 #include "core/naive_profiler.hh"
-#include "core/round_engine.hh"
-#include "core/sliced_round_engine.hh"
 #include "ecc/bch_general.hh"
 #include "ecc/extended_hamming_code.hh"
 #include "ecc/hamming_code.hh"
-#include "ecc/sliced_bch.hh"
 #include "fault/fault_model.hh"
 #include "gf2/linear_solver.hh"
 #include "runner/registry.hh"
@@ -38,97 +35,12 @@ namespace {
 using namespace harp;
 
 /**
- * Drive every word's profilers through blocks of <= W*64 sliced BCH
- * lanes. One prewarmed datapath is built up front; every block task
- * runs a *copy* of it — copies share the thread-safe syndrome memo
- * (ecc/sliced_bch_memo.hh) but own private scratch, so blocks shard
- * across the pool when the campaign grants inner threads. Per-lane
- * outcomes (and therefore the JSONL) are identical at any lane width
- * or thread count.
- */
-template <std::size_t W>
-void
-driveSlicedBch(const ecc::BchCode &code,
-               const std::vector<const fault::WordFaultModel *> &faults,
-               const std::vector<std::uint64_t> &seeds,
-               const std::vector<std::vector<core::Profiler *>> &profilers,
-               std::size_t rounds, std::size_t threads)
-{
-    constexpr std::size_t lanes = gf2::BitSliceW<W>::laneCount;
-    const std::size_t words = faults.size();
-    if (words == 0)
-        return;
-    const ecc::SlicedBchCodeW<W> shared(code, std::min(lanes, words));
-    const std::size_t num_blocks = (words + lanes - 1) / lanes;
-    common::parallelFor(num_blocks, [&](std::size_t block) {
-        const std::size_t begin = block * lanes;
-        const std::size_t end = std::min(begin + lanes, words);
-        const std::vector<const fault::WordFaultModel *> block_faults(
-            faults.begin() + static_cast<std::ptrdiff_t>(begin),
-            faults.begin() + static_cast<std::ptrdiff_t>(end));
-        const std::vector<std::uint64_t> block_seeds(
-            seeds.begin() + static_cast<std::ptrdiff_t>(begin),
-            seeds.begin() + static_cast<std::ptrdiff_t>(end));
-        std::vector<std::vector<core::Profiler *>> block_profilers(
-            profilers.begin() + static_cast<std::ptrdiff_t>(begin),
-            profilers.begin() + static_cast<std::ptrdiff_t>(end));
-        // The copy shares the memo thread-safely and owns its scratch;
-        // engines must never share one datapath *instance* across
-        // workers (see ecc/sliced_bch.hh).
-        const ecc::SlicedBchCodeW<W> datapath(shared);
-        core::SlicedRoundEngineW<W> engine(datapath, block_faults,
-                                           core::PatternKind::Random,
-                                           block_seeds);
-        for (std::size_t r = 0; r < rounds; ++r)
-            engine.runRound(block_profilers);
-    }, threads);
-}
-
-/**
- * Hamming sibling of driveSlicedBch: heterogeneous per-lane SEC codes
- * (equal k) pack straight into blocks of <= W*64 lanes, ragged tail
- * included. Stateless datapath, so blocks are trivially independent.
- */
-template <std::size_t W>
-void
-driveSlicedHamming(
-    const std::vector<const ecc::HammingCode *> &codes,
-    const std::vector<const fault::WordFaultModel *> &faults,
-    const std::vector<std::uint64_t> &seeds,
-    const std::vector<std::vector<core::Profiler *>> &profilers,
-    std::size_t rounds, std::size_t threads)
-{
-    constexpr std::size_t lanes = gf2::BitSliceW<W>::laneCount;
-    const std::size_t words = codes.size();
-    const std::size_t num_blocks = (words + lanes - 1) / lanes;
-    common::parallelFor(num_blocks, [&](std::size_t block) {
-        const std::size_t begin = block * lanes;
-        const std::size_t end = std::min(begin + lanes, words);
-        const std::vector<const ecc::HammingCode *> block_codes(
-            codes.begin() + static_cast<std::ptrdiff_t>(begin),
-            codes.begin() + static_cast<std::ptrdiff_t>(end));
-        const std::vector<const fault::WordFaultModel *> block_faults(
-            faults.begin() + static_cast<std::ptrdiff_t>(begin),
-            faults.begin() + static_cast<std::ptrdiff_t>(end));
-        const std::vector<std::uint64_t> block_seeds(
-            seeds.begin() + static_cast<std::ptrdiff_t>(begin),
-            seeds.begin() + static_cast<std::ptrdiff_t>(end));
-        std::vector<std::vector<core::Profiler *>> block_profilers(
-            profilers.begin() + static_cast<std::ptrdiff_t>(begin),
-            profilers.begin() + static_cast<std::ptrdiff_t>(end));
-        core::SlicedRoundEngineW<W> engine(block_codes, block_faults,
-                                           core::PatternKind::Random,
-                                           block_seeds);
-        for (std::size_t r = 0; r < rounds; ++r)
-            engine.runRound(block_profilers);
-    }, threads);
-}
-
-/**
  * Ground truth by enumeration of feasible failing subsets through the
  * general decoder (<= 2^numFaults subsets): the worst simultaneous
  * post-correction data errors over any subset, in total and restricted
- * to positions where @p unprofiled says the profile misses.
+ * to positions where @p unprofiled says the profile misses. Throws
+ * std::invalid_argument past AtRiskAnalyzer's default enumeration
+ * guard (the cell count comes from the `pre_errors` override).
  *
  * @return {worst total errors, worst unprofiled errors}.
  */
@@ -137,6 +49,12 @@ worstFeasibleErrors(const ecc::BchCode &code,
                     const fault::WordFaultModel &fm,
                     const std::function<bool(std::size_t)> &unprofiled)
 {
+    if (fm.numFaults() > core::AtRiskAnalyzer::defaultMaxCells)
+        throw std::invalid_argument(
+            "pre_errors " + std::to_string(fm.numFaults()) +
+            " exceeds the ground-truth enumeration limit of " +
+            std::to_string(core::AtRiskAnalyzer::defaultMaxCells) +
+            " at-risk cells per word");
     // A subset is feasible iff some dataword charges (stores 1 in) every
     // cell of it.
     const gf2::RowDependencies deps(core::storedValueRows(code, fm.faults()));
@@ -363,55 +281,36 @@ makeBchTSweep()
         const ecc::BchCode code(k, t);
 
         // Per-word state with the standard per-word seed derivations;
-        // both engines consume the identical per-word streams.
+        // every engine consumes the identical per-word streams.
         struct SweepWord
         {
             fault::WordFaultModel faults;
             std::unique_ptr<core::NaiveProfiler> naive;
             std::unique_ptr<core::HarpUProfiler> harp;
-            std::uint64_t engineSeed = 0;
         };
-        std::vector<SweepWord> sims(words);
-        for (std::size_t w = 0; w < words; ++w) {
-            common::Xoshiro256 fault_rng(
-                common::deriveSeed(ctx.seed(), {0xFA17u, w}));
-            sims[w].faults = fault::WordFaultModel::makeUniformFixedCount(
-                code.n(), n_errors, prob, fault_rng);
-            sims[w].naive =
-                std::make_unique<core::NaiveProfiler>(code.k());
-            sims[w].harp =
-                std::make_unique<core::HarpUProfiler>(code.k());
-            sims[w].engineSeed =
-                common::deriveSeed(ctx.seed(), {0xE221u, w});
-        }
-
-        if (engine == core::EngineKind::Scalar) {
-            for (SweepWord &sim : sims) {
-                core::RoundEngine round_engine(code, sim.faults,
-                                               core::PatternKind::Random,
-                                               sim.engineSeed);
-                const std::vector<core::Profiler *> ps = {
-                    sim.naive.get(), sim.harp.get()};
-                for (std::size_t r = 0; r < rounds; ++r)
-                    round_engine.runRound(ps);
+        const core::WordRun run{engine, words, rounds,
+                                core::PatternKind::Random, ctx.threads(),
+                                &code};
+        std::vector<std::vector<SweepWord>> blocks(
+            core::wordBlockCount(run));
+        const auto build = [&](std::size_t block, std::size_t begin,
+                               std::size_t end, core::WordLanes &lanes) {
+            blocks[block].reserve(end - begin);
+            for (std::size_t w = begin; w < end; ++w) {
+                common::Xoshiro256 fault_rng(
+                    common::deriveSeed(ctx.seed(), {0xFA17u, w}));
+                SweepWord &sim = blocks[block].emplace_back(SweepWord{
+                    fault::WordFaultModel::makeUniformFixedCount(
+                        code.n(), n_errors, prob, fault_rng),
+                    std::make_unique<core::NaiveProfiler>(code.k()),
+                    std::make_unique<core::HarpUProfiler>(code.k())});
+                lanes.faults.push_back(&sim.faults);
+                lanes.seeds.push_back(
+                    common::deriveSeed(ctx.seed(), {0xE221u, w}));
+                lanes.profilers.push_back(
+                    {sim.naive.get(), sim.harp.get()});
             }
-        } else if (words > 0) {
-            std::vector<const fault::WordFaultModel *> fault_ptrs;
-            std::vector<std::uint64_t> seeds;
-            std::vector<std::vector<core::Profiler *>> lane_profilers;
-            for (std::size_t w = 0; w < words; ++w) {
-                fault_ptrs.push_back(&sims[w].faults);
-                seeds.push_back(sims[w].engineSeed);
-                lane_profilers.push_back(
-                    {sims[w].naive.get(), sims[w].harp.get()});
-            }
-            if (engine == core::EngineKind::Sliced256)
-                driveSlicedBch<4>(code, fault_ptrs, seeds,
-                                  lane_profilers, rounds, ctx.threads());
-            else
-                driveSlicedBch<1>(code, fault_ptrs, seeds,
-                                  lane_profilers, rounds, ctx.threads());
-        }
+        };
 
         // Ground truth per word by enumeration of feasible failing
         // subsets through the general decoder (<= 2^pre_errors).
@@ -420,31 +319,34 @@ makeBchTSweep()
         std::size_t full_words = 0;
         std::size_t worst_empty_all = 0, worst_harp_all = 0;
         bool bound_respected = true;
-        for (const SweepWord &sim : sims) {
-            std::set<std::size_t> direct;
-            for (const fault::CellFault &f : sim.faults.faults())
-                if (f.position < code.k())
-                    direct.insert(f.position);
-            direct_total += direct.size();
-            bool full = true;
-            for (const std::size_t pos : direct) {
-                naive_found += sim.naive->identified().get(pos) ? 1 : 0;
-                const bool harp_hit = sim.harp->identified().get(pos);
-                harp_found += harp_hit ? 1 : 0;
-                full = full && harp_hit;
-            }
-            if (full)
-                ++full_words;
+        core::profileWords(run, build, nullptr, [&](std::size_t block) {
+            const std::vector<SweepWord> done = std::move(blocks[block]);
+            for (const SweepWord &sim : done) {
+                std::set<std::size_t> direct;
+                for (const fault::CellFault &f : sim.faults.faults())
+                    if (f.position < code.k())
+                        direct.insert(f.position);
+                direct_total += direct.size();
+                bool full = true;
+                for (const std::size_t pos : direct) {
+                    naive_found += sim.naive->identified().get(pos) ? 1 : 0;
+                    const bool harp_hit = sim.harp->identified().get(pos);
+                    harp_found += harp_hit ? 1 : 0;
+                    full = full && harp_hit;
+                }
+                if (full)
+                    ++full_words;
 
-            const auto [worst_empty, worst_harp] = worstFeasibleErrors(
-                code, sim.faults, [&sim](std::size_t e) {
-                    return !sim.harp->identified().get(e);
-                });
-            worst_empty_all = std::max(worst_empty_all, worst_empty);
-            worst_harp_all = std::max(worst_harp_all, worst_harp);
-            if (full && worst_harp > t)
-                bound_respected = false;
-        }
+                const auto [worst_empty, worst_harp] = worstFeasibleErrors(
+                    code, sim.faults, [&sim](std::size_t e) {
+                        return !sim.harp->identified().get(e);
+                    });
+                worst_empty_all = std::max(worst_empty_all, worst_empty);
+                worst_harp_all = std::max(worst_harp_all, worst_harp);
+                if (full && worst_harp > t)
+                    bound_respected = false;
+            }
+        });
 
         JsonValue metrics = JsonValue::object();
         metrics.set("code", JsonValue("(" + std::to_string(code.n()) +
@@ -516,89 +418,69 @@ makeLowProbability()
 
         const core::EngineKind engine_kind = engineFromContext(ctx);
 
-        // Build every word first (codes, mixed-tier fault models,
-        // profilers), then drive the rounds through the selected
-        // engine: per-word seed derivations are identical either way,
-        // so every engine emits byte-identical JSONL.
+        // Heterogeneous per-word codes (equal k) pack straight into
+        // lane blocks, ragged tail included; per-word seed derivations
+        // are identical under every engine, so each emits
+        // byte-identical JSONL.
         struct TierWord
         {
-            std::unique_ptr<ecc::HammingCode> code;
+            ecc::HammingCode code;
             fault::WordFaultModel faults;
             std::unique_ptr<core::HarpUProfiler> harp;
-            std::uint64_t engineSeed = 0;
         };
-        std::vector<TierWord> sims(words);
-        for (std::size_t w = 0; w < words; ++w) {
-            common::Xoshiro256 code_rng(
-                common::deriveSeed(ctx.seed(), {0xC0DEu, w}));
-            sims[w].code = std::make_unique<ecc::HammingCode>(
-                ecc::HammingCode::randomSec(64, code_rng));
-            const ecc::HammingCode &code = *sims[w].code;
+        const core::WordRun run{engine_kind, words, rounds_v,
+                                core::PatternKind::Random, ctx.threads()};
+        std::vector<std::vector<TierWord>> blocks(core::wordBlockCount(run));
+        const auto build = [&](std::size_t block, std::size_t begin,
+                               std::size_t end, core::WordLanes &lanes) {
+            blocks[block].reserve(end - begin);
+            for (std::size_t w = begin; w < end; ++w) {
+                common::Xoshiro256 code_rng(
+                    common::deriveSeed(ctx.seed(), {0xC0DEu, w}));
+                ecc::HammingCode code =
+                    ecc::HammingCode::randomSec(64, code_rng);
 
-            // Mixed fault model: distinct positions, two tiers.
-            common::Xoshiro256 fault_rng(common::deriveSeed(
-                ctx.seed(),
-                {0xFA17u, w, static_cast<std::uint64_t>(p_low_v * 1e6)}));
-            const fault::WordFaultModel placement =
-                fault::WordFaultModel::makeUniformFixedCount(
-                    code.n(), n_normal + n_low, 0.5, fault_rng);
-            std::vector<fault::CellFault> cells = placement.faults();
-            for (std::size_t i = 0; i < cells.size(); ++i)
-                cells[i].probability = i < n_normal ? 0.5 : p_low_v;
-            sims[w].faults = fault::WordFaultModel(code.n(), cells);
-            sims[w].harp = std::make_unique<core::HarpUProfiler>(code.k());
-            sims[w].engineSeed =
-                common::deriveSeed(ctx.seed(), {0xE221u, w, rounds_v});
-        }
-
-        if (engine_kind == core::EngineKind::Scalar) {
-            for (TierWord &sim : sims) {
-                core::RoundEngine engine(*sim.code, sim.faults,
-                                         core::PatternKind::Random,
-                                         sim.engineSeed);
-                const std::vector<core::Profiler *> ps = {sim.harp.get()};
-                for (std::size_t r = 0; r < rounds_v; ++r)
-                    engine.runRound(ps);
+                // Mixed fault model: distinct positions, two tiers.
+                common::Xoshiro256 fault_rng(common::deriveSeed(
+                    ctx.seed(),
+                    {0xFA17u, w,
+                     static_cast<std::uint64_t>(p_low_v * 1e6)}));
+                std::vector<fault::CellFault> cells =
+                    fault::WordFaultModel::makeUniformFixedCount(
+                        code.n(), n_normal + n_low, 0.5, fault_rng)
+                        .faults();
+                for (std::size_t i = 0; i < cells.size(); ++i)
+                    cells[i].probability = i < n_normal ? 0.5 : p_low_v;
+                fault::WordFaultModel faults(code.n(), cells);
+                auto harp = std::make_unique<core::HarpUProfiler>(code.k());
+                TierWord &sim = blocks[block].emplace_back(TierWord{
+                    std::move(code), std::move(faults), std::move(harp)});
+                lanes.codes.push_back(&sim.code);
+                lanes.faults.push_back(&sim.faults);
+                lanes.seeds.push_back(
+                    common::deriveSeed(ctx.seed(), {0xE221u, w, rounds_v}));
+                lanes.profilers.push_back({sim.harp.get()});
             }
-        } else {
-            // Heterogeneous per-lane codes (equal k) pack straight
-            // into lane blocks, ragged tail included — the long-tail
-            // rounds sweep is where the sliced datapath pays off most.
-            std::vector<const ecc::HammingCode *> code_ptrs;
-            std::vector<const fault::WordFaultModel *> fault_ptrs;
-            std::vector<std::uint64_t> seeds;
-            std::vector<std::vector<core::Profiler *>> lane_profilers;
-            for (std::size_t w = 0; w < words; ++w) {
-                code_ptrs.push_back(sims[w].code.get());
-                fault_ptrs.push_back(&sims[w].faults);
-                seeds.push_back(sims[w].engineSeed);
-                lane_profilers.push_back({sims[w].harp.get()});
-            }
-            if (engine_kind == core::EngineKind::Sliced256)
-                driveSlicedHamming<4>(code_ptrs, fault_ptrs, seeds,
-                                      lane_profilers, rounds_v,
-                                      ctx.threads());
-            else
-                driveSlicedHamming<1>(code_ptrs, fault_ptrs, seeds,
-                                      lane_profilers, rounds_v,
-                                      ctx.threads());
-        }
+        };
 
         std::size_t direct_total = 0, direct_found = 0;
         std::size_t missed_bits = 0, unsafe_words = 0;
-        for (const TierWord &sim : sims) {
-            const core::AtRiskAnalyzer analyzer(*sim.code, sim.faults);
-            const std::size_t total = analyzer.directAtRisk().popcount();
-            gf2::BitVector covered = sim.harp->identified();
-            covered &= analyzer.directAtRisk();
-            const std::size_t found = covered.popcount();
-            direct_total += total;
-            direct_found += found;
-            missed_bits += total - found;
-            if (analyzer.maxSimultaneousErrors(sim.harp->identified()) >
-                1)
-                ++unsafe_words;
-        }
+        core::profileWords(run, build, nullptr, [&](std::size_t block) {
+            const std::vector<TierWord> done = std::move(blocks[block]);
+            for (const TierWord &sim : done) {
+                const core::AtRiskAnalyzer analyzer(sim.code, sim.faults);
+                const std::size_t total = analyzer.directAtRisk().popcount();
+                gf2::BitVector covered = sim.harp->identified();
+                covered &= analyzer.directAtRisk();
+                const std::size_t found = covered.popcount();
+                direct_total += total;
+                direct_found += found;
+                missed_bits += total - found;
+                if (analyzer.maxSimultaneousErrors(
+                        sim.harp->identified()) > 1)
+                    ++unsafe_words;
+            }
+        });
 
         JsonValue metrics = JsonValue::object();
         metrics.set("direct_coverage",

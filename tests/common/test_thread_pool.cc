@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -79,6 +80,24 @@ TEST(ParallelFor, MoreThreadsThanWork)
     std::atomic<int> counter{0};
     parallelFor(3, [&](std::size_t) { counter.fetch_add(1); }, 16);
     EXPECT_EQ(counter.load(), 3);
+}
+
+TEST(ParallelFor, RethrowsABodyExceptionOnTheCaller)
+{
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        std::atomic<int> ran{0};
+        EXPECT_THROW(parallelFor(
+                         100,
+                         [&](std::size_t i) {
+                             ran.fetch_add(1);
+                             if (i == 37)
+                                 throw std::invalid_argument("bad 37");
+                         },
+                         threads),
+                     std::invalid_argument)
+            << threads << " threads";
+        EXPECT_LE(ran.load(), 100);
+    }
 }
 
 } // namespace

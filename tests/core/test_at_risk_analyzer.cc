@@ -304,6 +304,18 @@ TEST(AtRiskAnalyzer, TooManyCellsThrows)
     EXPECT_NO_THROW(AtRiskAnalyzer(code, fm, 20));
 }
 
+TEST(AtRiskAnalyzer, GuardAboveThePatternMaskWidthThrows)
+{
+    // Failing patterns are uint32_t masks: 32 cells would shift past
+    // the mask, so no guard may admit them.
+    const ecc::HammingCode code = makeCode(53);
+    std::vector<fault::CellFault> faults;
+    for (std::size_t i = 0; i < 32; ++i)
+        faults.push_back({i, 0.5});
+    const fault::WordFaultModel fm(code.n(), faults);
+    EXPECT_THROW(AtRiskAnalyzer(code, fm, 40), std::invalid_argument);
+}
+
 TEST(AtRiskAnalyzer, MatchesPerSubsetEliminationReference)
 {
     // Property: the once-per-word dependency check reproduces the

@@ -278,10 +278,12 @@ TEST(CampaignDeterminism, SeedFixedHashesAgreeAcrossShardCounts)
  * The engine × sharding contract behind `--engine`/`--threads`: every
  * engine (scalar, sliced64, sliced256) at every shard count (1, 4,
  * hardware) must emit byte-identical JSONL (equal result hashes) for a
- * fixed seed over the coverage and case-study specs. wordsPerCode = 70
- * exercises a ragged sliced block (64 + 6 lanes at W=1; 70 lanes of
- * one 256-lane block at W=4), and the multi-thread runs drive the
- * intra-job sharding + OrderedMerger path.
+ * fixed seed over the coverage, case-study and low-probability specs
+ * (the last one with heterogeneous per-word codes through the
+ * lane-native observation path). 70 words exercise a ragged sliced
+ * block (64 + 6 lanes at W=1; 70 lanes of one 256-lane block at W=4),
+ * and the multi-thread runs drive the intra-job sharding + ordered
+ * block release of core::profileWords.
  */
 TEST(CampaignDeterminism, EngineAndShardOverridesHashIdentically)
 {
@@ -303,9 +305,10 @@ TEST(CampaignDeterminism, EngineAndShardOverridesHashIdentically)
                                  {"prob", "0.5"},    {"pre_errors", "3"},
                                  {"samples", "5"},   {"max_cells", "2"}};
             std::ostringstream log;
-            runs.push_back(
-                runFast({"fig06_direct_coverage", "fig10_case_study"},
-                        options, log));
+            runs.push_back(runFast({"fig06_direct_coverage",
+                                    "fig10_case_study",
+                                    "extension_low_probability"},
+                                   options, log));
             std::string bytes;
             for (const ExperimentRunSummary &exp :
                  runs.back().experiments)
@@ -362,6 +365,35 @@ TEST(CampaignDeterminism, BchTSweepEngineOverridesHashIdentically)
     EXPECT_EQ(hashes[0], hashes[2]);
     EXPECT_EQ(jsonl_bytes[0], jsonl_bytes[1]);
     EXPECT_EQ(jsonl_bytes[0], jsonl_bytes[2]);
+}
+
+/**
+ * `pre_errors` reaches the BCH ground-truth enumeration (2^pre_errors
+ * subsets) from the command line and harpd submits: past the 16-cell
+ * guard the job must fail with a clear message instead of silently
+ * enumerating a truncated subset range.
+ */
+TEST(Campaign, BchTSweepRejectsUnenumerablePreErrors)
+{
+    const TempDir dir("bch_pre_errors_34");
+    CampaignOptions options;
+    options.threads = 2;
+    options.outDir = dir.str();
+    options.overrides = {{"pre_errors", "34"},
+                         {"on_die_t", "1"},
+                         {"words", "2"},
+                         {"rounds", "2"}};
+    std::ostringstream log;
+    try {
+        runFast({"bch_t_sweep"}, options, log);
+        FAIL() << "bch_t_sweep accepted pre_errors 34";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "pre_errors 34 exceeds the ground-truth enumeration "
+                      "limit of 16"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 /** The longest-first scheduling heuristic: scale-like integer params
