@@ -462,9 +462,9 @@ fleet_tests="$(cd build && ctest -L fleet -N | sed -n 's/^Total Tests: //p')"
 }
 
 # A 10k-chip policy sweep must be byte-identical across thread counts
-# and across the sliced64/sliced256 engines (the fleet CRN contract,
-# end-to-end through harp_run).
-for variant in t1-sliced64 t4-sliced64 t4-sliced256; do
+# and across the scalar/sliced64/sliced256 engines (the fleet CRN
+# contract, end-to-end through harp_run).
+for variant in t1-sliced64 t1-scalar t4-sliced64 t4-sliced256; do
     threads="${variant#t}"
     threads="${threads%%-*}"
     engine="${variant#*-}"
@@ -474,7 +474,7 @@ for variant in t1-sliced64 t4-sliced64 t4-sliced256; do
         --profiler harp_u \
         --out "$smoke_dir/fleet-$variant" > /dev/null
 done
-for variant in t4-sliced64 t4-sliced256; do
+for variant in t1-scalar t4-sliced64 t4-sliced256; do
     cmp -s "$smoke_dir/fleet-t1-sliced64/fleet_policy_sweep.jsonl" \
            "$smoke_dir/fleet-$variant/fleet_policy_sweep.jsonl" || {
         echo "verify: fleet_policy_sweep.jsonl differs" \

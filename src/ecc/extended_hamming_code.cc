@@ -18,16 +18,51 @@ ExtendedHammingCode::randomSecDed(std::size_t k, common::Xoshiro256 &rng)
 gf2::BitVector
 ExtendedHammingCode::encode(const gf2::BitVector &dataword) const
 {
-    const gf2::BitVector inner_cw = inner_.encode(dataword);
+    gf2::BitVector check(checkBits());
+    encodeCheckBitsInto(dataword, check);
     gf2::BitVector codeword(n());
-    bool overall = false;
-    for (std::size_t i = 0; i < inner_cw.size(); ++i) {
-        const bool bit = inner_cw.get(i);
-        codeword.set(i, bit);
-        overall ^= bit;
-    }
-    codeword.set(n() - 1, overall);
+    codeword.assignAt(0, dataword);
+    codeword.assignAt(k(), check);
     return codeword;
+}
+
+void
+ExtendedHammingCode::encodeCheckBitsInto(const gf2::BitVector &dataword,
+                                         gf2::BitVector &check) const
+{
+    assert(dataword.size() == k() && check.size() == checkBits());
+    check.fill(false);
+    for (std::size_t j = 0; j < inner_.p(); ++j)
+        check.set(j, inner_.parityRow(j).dot(dataword));
+    // The overall bit makes the whole codeword's weight even.
+    check.set(inner_.p(), ((dataword.popcount() + check.popcount()) & 1) != 0);
+}
+
+SecondaryClassification
+ExtendedHammingCode::classify(const gf2::BitVector &data,
+                              const gf2::BitVector &check) const
+{
+    assert(data.size() == k() && check.size() == checkBits());
+    const std::uint32_t s = inner_.syndrome(data, check, 0);
+    // Parity of the whole received word: odd means an odd number of
+    // bit errors occurred.
+    const bool overall = ((data.popcount() + check.popcount()) & 1) != 0;
+
+    if (!overall) {
+        // Even parity: clean, or a double error (detected, not
+        // correctable).
+        return {s == 0 ? SecondaryDecodeStatus::NoError
+                       : SecondaryDecodeStatus::DetectedUncorrectable,
+                std::nullopt};
+    }
+    // Odd error count: assume a single error (the SECDED guarantee).
+    // A zero syndrome blames the overall parity bit itself.
+    if (s == 0)
+        return {SecondaryDecodeStatus::CorrectedSingle, n() - 1};
+    if (const auto pos = inner_.syndromeToPosition(s))
+        return {SecondaryDecodeStatus::CorrectedSingle, pos};
+    // Odd-weight error pattern matching no column: >= 3 errors.
+    return {SecondaryDecodeStatus::DetectedUncorrectable, std::nullopt};
 }
 
 SecondaryDecodeResult
@@ -35,49 +70,13 @@ ExtendedHammingCode::decode(const gf2::BitVector &codeword) const
 {
     assert(codeword.size() == n());
     SecondaryDecodeResult result;
-
-    const gf2::BitVector inner_cw = codeword.slice(0, inner_.n());
-    const std::uint32_t s = inner_.syndrome(inner_cw);
-    bool overall = codeword.get(n() - 1);
-    for (std::size_t i = 0; i < inner_.n(); ++i)
-        overall ^= inner_cw.get(i);
-    // `overall` is now the parity of the whole received codeword: 1 means
-    // an odd number of bit errors occurred.
-
-    if (s == 0 && !overall) {
-        result.status = SecondaryDecodeStatus::NoError;
-        result.dataword = inner_cw.slice(0, inner_.k());
-        return result;
-    }
-
-    if (overall) {
-        // Odd error count: assume a single error (the SECDED guarantee).
-        if (s == 0) {
-            // The overall parity bit itself flipped.
-            result.status = SecondaryDecodeStatus::CorrectedSingle;
-            result.correctedPosition = n() - 1;
-            result.dataword = inner_cw.slice(0, inner_.k());
-            return result;
-        }
-        const auto pos = inner_.syndromeToPosition(s);
-        if (pos) {
-            gf2::BitVector fixed = inner_cw;
-            fixed.flip(*pos);
-            result.status = SecondaryDecodeStatus::CorrectedSingle;
-            result.correctedPosition = pos;
-            result.dataword = fixed.slice(0, inner_.k());
-            return result;
-        }
-        // Odd-weight error pattern matching no column: >= 3 errors.
-        result.status = SecondaryDecodeStatus::DetectedUncorrectable;
-        result.dataword = inner_cw.slice(0, inner_.k());
-        return result;
-    }
-
-    // Even parity with nonzero syndrome: a double error. Detected, not
-    // correctable.
-    result.status = SecondaryDecodeStatus::DetectedUncorrectable;
-    result.dataword = inner_cw.slice(0, inner_.k());
+    result.dataword = codeword.slice(0, k());
+    const SecondaryClassification verdict =
+        classify(result.dataword, codeword.slice(k(), n()));
+    result.status = verdict.status;
+    result.correctedPosition = verdict.correctedPosition;
+    if (verdict.correctedPosition && *verdict.correctedPosition < k())
+        result.dataword.flip(*verdict.correctedPosition);
     return result;
 }
 

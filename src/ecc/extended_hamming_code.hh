@@ -38,10 +38,22 @@ struct SecondaryDecodeResult
     gf2::BitVector dataword;
 };
 
+/** Status and corrected position of one secondary decode, without
+ *  the dataword: what the decode core returns. */
+struct SecondaryClassification
+{
+    SecondaryDecodeStatus status = SecondaryDecodeStatus::NoError;
+    /** Corrected codeword position when status is CorrectedSingle. */
+    std::optional<std::size_t> correctedPosition;
+};
+
 /**
  * SECDED code: an inner SEC Hamming code plus one overall parity bit.
  *
  * Codeword layout: [data (k) | inner parity (p) | overall parity (1)].
+ * The check bits are the last checkBits() positions; a memory
+ * controller keeps them apart from the data, so the decode core takes
+ * the two pieces separately.
  */
 class ExtendedHammingCode
 {
@@ -63,7 +75,22 @@ class ExtendedHammingCode
     /** Encode a dataword into a SECDED codeword. */
     gf2::BitVector encode(const gf2::BitVector &dataword) const;
 
-    /** Decode with single-correction / double-detection semantics. */
+    /** Check bits [inner parity | overall parity] of @p dataword into
+     *  @p check (pre-sized checkBits()); no codeword is built. */
+    void encodeCheckBitsInto(const gf2::BitVector &dataword,
+                             gf2::BitVector &check) const;
+
+    /**
+     * The decode core: classify the word made of @p data (k bits) and
+     * @p check (checkBits() bits) with single-correction /
+     * double-detection semantics. The inner syndrome comes from the
+     * parity-row dots, the overall parity from popcounts; nothing is
+     * copied.
+     */
+    SecondaryClassification classify(const gf2::BitVector &data,
+                                     const gf2::BitVector &check) const;
+
+    /** Decode an assembled codeword (split, then classify()). */
     SecondaryDecodeResult decode(const gf2::BitVector &codeword) const;
 
   private:

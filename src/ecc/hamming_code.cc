@@ -92,9 +92,7 @@ HammingCode::encodeInto(const gf2::BitVector &dataword,
 {
     assert(dataword.size() == k_);
     assert(codeword.size() == n());
-    codeword.fill(false);
-    for (std::size_t i = 0; i < k_; ++i)
-        codeword.set(i, dataword.get(i));
+    codeword.assignAt(0, dataword);
     for (std::size_t j = 0; j < p_; ++j)
         codeword.set(k_ + j, parityRows_[j].dot(dataword));
 }
@@ -105,31 +103,21 @@ HammingCode::decodeDataInto(const gf2::BitVector &received,
 {
     assert(data_out.size() == k_);
     data_out.assignPrefix(received);
-    // syndrome() semantics without its data-slice allocation: data_out
-    // already holds the received prefix the parity rows dot against.
-    std::uint32_t s = 0;
-    for (std::size_t j = 0; j < p_; ++j)
-        if (parityRows_[j].dot(data_out) != received.get(k_ + j))
-            s |= std::uint32_t{1} << j;
-    if (s == 0)
-        return;
-    if (const auto pos = syndromeToPosition(s))
+    if (const auto pos = syndromeToPosition(syndrome(received)))
         if (isDataPosition(*pos))
             data_out.flip(*pos);
 }
 
 std::uint32_t
-HammingCode::syndrome(const gf2::BitVector &codeword) const
+HammingCode::syndrome(const gf2::BitVector &data,
+                      const gf2::BitVector &parity,
+                      std::size_t parity_offset) const
 {
-    assert(codeword.size() == n());
-    const gf2::BitVector data = codeword.slice(0, k_);
+    assert(data.size() >= k_ && parity.size() >= parity_offset + p_);
     std::uint32_t s = 0;
-    for (std::size_t j = 0; j < p_; ++j) {
-        const bool parity_mismatch =
-            parityRows_[j].dot(data) != codeword.get(k_ + j);
-        if (parity_mismatch)
+    for (std::size_t j = 0; j < p_; ++j)
+        if (parityRows_[j].dotPrefix(data) != parity.get(parity_offset + j))
             s |= std::uint32_t{1} << j;
-    }
     return s;
 }
 
@@ -156,13 +144,16 @@ HammingCode::syndromeToPosition(std::uint32_t syndrome) const
 DecodeResult
 HammingCode::decode(const gf2::BitVector &codeword) const
 {
+    assert(codeword.size() == n());
     DecodeResult result;
     result.syndrome = syndrome(codeword);
-    gf2::BitVector corrected = codeword;
+    result.dataword = gf2::BitVector(k_);
+    result.dataword.assignPrefix(codeword);
     if (result.syndrome != 0) {
         const auto pos = syndromeToPosition(result.syndrome);
         if (pos) {
-            corrected.flip(*pos);
+            if (isDataPosition(*pos))
+                result.dataword.flip(*pos);
             result.correctedPosition = pos;
         } else {
             // Shortened code: the syndrome matches no column. A real
@@ -170,7 +161,6 @@ HammingCode::decode(const gf2::BitVector &codeword) const
             result.detectedUncorrectable = true;
         }
     }
-    result.dataword = corrected.slice(0, k_);
     return result;
 }
 

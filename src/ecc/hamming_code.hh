@@ -101,7 +101,19 @@ class HammingCode
                         gf2::BitVector &data_out) const;
 
     /** Syndrome of a (possibly erroneous) codeword. */
-    std::uint32_t syndrome(const gf2::BitVector &codeword) const;
+    std::uint32_t syndrome(const gf2::BitVector &codeword) const
+    {
+        return syndrome(codeword, codeword, k_);
+    }
+
+    /**
+     * Syndrome of a word held in two pieces, neither copied: the data
+     * bits are the first k of @p data, and parity bit j is bit
+     * @p parity_offset + j of @p parity.
+     */
+    std::uint32_t syndrome(const gf2::BitVector &data,
+                           const gf2::BitVector &parity,
+                           std::size_t parity_offset) const;
 
     /** Syndrome of an error pattern given by set positions. */
     std::uint32_t

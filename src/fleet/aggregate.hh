@@ -108,6 +108,18 @@ class FleetAggregator
     /** Per-faulty-chip uncorrectable-event quantile. */
     std::size_t uncorrectableQuantile(double q) const;
 
+    /** @name Raw histograms (golden pins hash every bin) */
+    ///@{
+    const common::Histogram &repairBitsHistogram() const
+    {
+        return repairBits_;
+    }
+    const common::Histogram &uncorrectableHistogram() const
+    {
+        return uncorrectablePerChip_;
+    }
+    ///@}
+
     /** Exact equality (every counter and histogram bin) — the
      *  cross-engine / cross-thread identity check of the test tier. */
     bool operator==(const FleetAggregator &other) const;

@@ -92,10 +92,7 @@ bool
 BitVector::dot(const BitVector &other) const
 {
     assert(size_ == other.size_);
-    std::uint64_t acc = 0;
-    for (std::size_t w = 0; w < words_.size(); ++w)
-        acc ^= words_[w] & other.words_[w];
-    return common::parity64(acc) != 0;
+    return dotPrefix(other);
 }
 
 BitVector &
@@ -171,8 +168,17 @@ BitVector::slice(std::size_t begin, std::size_t end) const
 {
     assert(begin <= end && end <= size_);
     BitVector out(end - begin);
-    for (std::size_t i = begin; i < end; ++i)
-        out.set(i - begin, get(i));
+    const std::size_t first = wordIndex(begin);
+    const std::size_t shift = bitOffset(begin);
+    for (std::size_t w = 0; w < out.words_.size(); ++w) {
+        std::uint64_t value = words_[first + w] >> shift;
+        // Bits past size() are zero, so merging in the next word never
+        // reads garbage; the final mask trims what lies past `end`.
+        if (shift != 0 && first + w + 1 < words_.size())
+            value |= words_[first + w + 1] << (64 - shift);
+        out.words_[w] = value;
+    }
+    out.maskTail();
     return out;
 }
 
@@ -183,6 +189,38 @@ BitVector::assignPrefix(const BitVector &src)
     for (std::size_t w = 0; w < words_.size(); ++w)
         words_[w] = src.words_[w];
     maskTail();
+}
+
+void
+BitVector::assignAt(std::size_t begin, const BitVector &src)
+{
+    assert(begin + src.size_ <= size_);
+    const std::size_t shift = bitOffset(begin);
+    std::size_t w = wordIndex(begin);
+    for (std::size_t s = 0; s < src.words_.size(); ++s, ++w) {
+        const std::uint64_t keep =
+            s + 1 == src.words_.size() ? tailMask(src.size_)
+                                       : ~std::uint64_t{0};
+        const std::uint64_t value = src.words_[s];
+        words_[w] = (words_[w] & ~(keep << shift)) | (value << shift);
+        // The source word straddles two destination words.
+        if (shift != 0 && (keep >> (64 - shift)) != 0)
+            words_[w + 1] = (words_[w + 1] & ~(keep >> (64 - shift))) |
+                            (value >> (64 - shift));
+    }
+}
+
+bool
+BitVector::equalsPrefixOf(const BitVector &longer) const
+{
+    assert(size_ <= longer.size_);
+    if (words_.empty())
+        return true;
+    const std::size_t last = words_.size() - 1;
+    for (std::size_t w = 0; w < last; ++w)
+        if (words_[w] != longer.words_[w])
+            return false;
+    return words_[last] == (longer.words_[last] & tailMask(size_));
 }
 
 void

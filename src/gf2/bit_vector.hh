@@ -82,6 +82,20 @@ class BitVector
     /** Inner product mod 2. */
     bool dot(const BitVector &other) const;
 
+    /** Inner product mod 2 with the first size() bits of @p longer
+     *  (which must be at least as long); nothing is copied. Inline:
+     *  syndrome computation calls it once per parity row. */
+    bool dotPrefix(const BitVector &longer) const
+    {
+        assert(size_ <= longer.size_);
+        // This vector's tail bits are zero, so the AND drops every bit
+        // of `longer` past size() without masking.
+        std::uint64_t acc = 0;
+        for (std::size_t w = 0; w < words_.size(); ++w)
+            acc ^= words_[w] & longer.words_[w];
+        return common::parity64(acc) != 0;
+    }
+
     /** In-place XOR (vector addition over GF(2)). */
     BitVector &operator^=(const BitVector &other);
     /** In-place AND (elementwise product). */
@@ -158,7 +172,8 @@ class BitVector
     /** "0"/"1" string, index 0 first; for diagnostics and tests. */
     std::string toString() const;
 
-    /** Extract bits [begin, end) as a new vector. */
+    /** Extract bits [begin, end) as a new vector (word-wise: one
+     *  shift-and-merge per storage word). */
     BitVector slice(std::size_t begin, std::size_t end) const;
 
     /**
@@ -168,6 +183,14 @@ class BitVector
      * round-engine hot paths.
      */
     void assignPrefix(const BitVector &src);
+
+    /** Overwrite bits [begin, begin + src.size()) with @p src, word by
+     *  word; the store counterpart of slice(). */
+    void assignAt(std::size_t begin, const BitVector &src);
+
+    /** True iff this vector equals the first size() bits of @p longer
+     *  (which must be at least as long); nothing is copied. */
+    bool equalsPrefixOf(const BitVector &longer) const;
 
     /** Direct word access for performance-critical consumers. */
     const std::vector<std::uint64_t> &words() const { return words_; }

@@ -70,8 +70,15 @@ MemoryChip::write(std::size_t word, const gf2::BitVector &dataword)
 ChipReadResult
 MemoryChip::read(std::size_t word) const
 {
-    const ecc::DecodeResult decoded = onDieEcc_.decode(storage_.at(word));
-    return ChipReadResult{decoded.dataword};
+    ChipReadResult result{gf2::BitVector(onDieEcc_.k())};
+    readInto(word, result.dataword);
+    return result;
+}
+
+void
+MemoryChip::readInto(std::size_t word, gf2::BitVector &data_out) const
+{
+    onDieEcc_.decodeDataInto(storage_.at(word), data_out);
 }
 
 gf2::BitVector

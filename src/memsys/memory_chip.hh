@@ -84,6 +84,9 @@ class MemoryChip
     /** Normal read: on-die ECC decodes (and possibly miscorrects). */
     ChipReadResult read(std::size_t word) const;
 
+    /** Normal read into @p data_out (pre-sized k) without allocating. */
+    void readInto(std::size_t word, gf2::BitVector &data_out) const;
+
     /** Decode-bypass read: raw stored data bits, no parity, no correction. */
     gf2::BitVector readRaw(std::size_t word) const;
 
@@ -99,7 +102,8 @@ class MemoryChip
     /** Apply a precomputed error mask (for deterministic tests). */
     void corrupt(std::size_t word, const gf2::BitVector &error_mask);
 
-    /** White-box access to the stored codeword (tests/analysis only). */
+    /** White-box access to the stored codeword: tests, fault
+     *  injection, and the controller's in-place scrub comparison. */
     const gf2::BitVector &storedCodeword(std::size_t word) const;
 
   private:

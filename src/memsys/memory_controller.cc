@@ -33,11 +33,9 @@ MemoryController::writeInternal(std::size_t word,
                                 const gf2::BitVector &dataword)
 {
     repair_.onWrite(word, dataword, profile_);
-    if (secondaryEcc_) {
-        const gf2::BitVector codeword = secondaryEcc_->encode(dataword);
-        secondaryCheckBits_.at(word) =
-            codeword.slice(secondaryEcc_->k(), secondaryEcc_->n());
-    }
+    if (secondaryEcc_)
+        secondaryEcc_->encodeCheckBitsInto(dataword,
+                                           secondaryCheckBits_.at(word));
     chip_.write(word, dataword);
 }
 
@@ -46,56 +44,45 @@ MemoryController::read(std::size_t word)
 {
     ++stats_.reads;
     ControllerReadResult result;
+    result.dataword = gf2::BitVector(chip_.datawordBits());
 
     // 1. On-die ECC decode inside the chip.
-    gf2::BitVector data = chip_.read(word).dataword;
+    chip_.readInto(word, result.dataword);
 
     // 2. Bit-repair of profiled positions.
-    stats_.repairedBits += repair_.repair(word, data);
+    stats_.repairedBits += repair_.repair(word, result.dataword);
 
-    // 3. Reactive profiling through the secondary ECC.
-    if (!secondaryEcc_) {
-        result.dataword = std::move(data);
+    // 3. Reactive profiling through the secondary ECC, straight from
+    //    the repaired data and the stored check bits.
+    if (!secondaryEcc_)
         return result;
-    }
-
-    const std::size_t k = secondaryEcc_->k();
-    gf2::BitVector codeword(secondaryEcc_->n());
-    for (std::size_t i = 0; i < k; ++i)
-        codeword.set(i, data.get(i));
-    const gf2::BitVector &check = secondaryCheckBits_.at(word);
-    for (std::size_t i = 0; i < check.size(); ++i)
-        codeword.set(k + i, check.get(i));
-
-    const ecc::SecondaryDecodeResult decoded =
-        secondaryEcc_->decode(codeword);
-    switch (decoded.status) {
+    const ecc::SecondaryClassification verdict = secondaryEcc_->classify(
+        result.dataword, secondaryCheckBits_.at(word));
+    switch (verdict.status) {
       case ecc::SecondaryDecodeStatus::NoError:
-        result.dataword = std::move(data);
         return result;
       case ecc::SecondaryDecodeStatus::CorrectedSingle:
-        if (decoded.correctedPosition && *decoded.correctedPosition < k) {
+        if (*verdict.correctedPosition < secondaryEcc_->k()) {
             // A genuine single data-bit error: correct it and record the
             // bit as at-risk (first-failure reactive identification).
+            const std::size_t bit = *verdict.correctedPosition;
+            result.dataword.flip(bit);
             ++stats_.secondaryCorrections;
-            if (!profile_.isAtRisk(word, *decoded.correctedPosition)) {
-                profile_.markAtRisk(word, *decoded.correctedPosition);
+            if (!profile_.isAtRisk(word, bit)) {
+                profile_.markAtRisk(word, bit);
                 ++stats_.reactiveIdentifications;
-                result.newlyProfiledBit = decoded.correctedPosition;
+                result.newlyProfiledBit = bit;
             }
-            result.dataword = decoded.dataword;
             return result;
         }
         // The decoder blamed a check bit, but check bits live in reliable
         // controller storage: the real error pattern had >= 3 data errors.
         ++stats_.uncorrectableEvents;
-        result.dataword = std::move(data);
         result.corrupt = true;
         return result;
       case ecc::SecondaryDecodeStatus::DetectedUncorrectable:
       default:
         ++stats_.uncorrectableEvents;
-        result.dataword = std::move(data);
         result.corrupt = true;
         return result;
     }
@@ -111,17 +98,17 @@ ControllerReadResult
 MemoryController::scrub(std::size_t word)
 {
     ++stats_.scrubs;
-    // Detect whether the stored codeword currently carries raw *data*
-    // errors: compare the bypass view against the corrected data. Note
-    // that a controller-side scrubber cannot see parity-cell errors (the
-    // bypass path hides parity, section 5.2), so parity-only corruption
-    // persists until the next write — a faithful consequence of on-die
-    // ECC opacity.
-    const gf2::BitVector raw_before = chip_.readRaw(word);
     ControllerReadResult result = read(word);
     if (result.corrupt)
         return result; // cannot scrub what cannot be corrected
-    if (!(raw_before == result.dataword)) {
+    // Detect whether the stored codeword carries raw *data* errors:
+    // compare the bypass view (the stored data bits, which read() left
+    // untouched) against the corrected data, in place. Note that a
+    // controller-side scrubber cannot see parity-cell errors (the
+    // bypass path hides parity, section 5.2), so parity-only corruption
+    // persists until the next write — a faithful consequence of on-die
+    // ECC opacity.
+    if (!result.dataword.equalsPrefixOf(chip_.storedCodeword(word))) {
         // Write the clean value back, resetting accumulated raw errors.
         writeInternal(word, result.dataword);
         ++stats_.scrubWritebacks;

@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "ecc/extended_hamming_code.hh"
+#include "support/memsys_reference.hh"
 
 namespace harp::ecc {
 namespace {
@@ -146,6 +150,90 @@ TEST(ExtendedHamming, TripleErrorsNeverReportNoError)
         EXPECT_NE(r.status, SecondaryDecodeStatus::NoError);
     }
 }
+
+/**
+ * The split-input decode core against the bit-at-a-time reference
+ * decode (support/memsys_reference): every single and double error,
+ * then seeded weight-3 and weight-4 patterns, half of them forced onto
+ * the overall-parity bit. Status, corrected position and dataword must
+ * match, both from classify() on the split pieces and from decode() on
+ * the assembled word; encode and the check-bits path must match the
+ * reference encode.
+ */
+class SecDedCoreEquivalence : public ::testing::TestWithParam<std::size_t>
+{
+  protected:
+    void SetUp() override
+    {
+        rng_ = common::Xoshiro256(0x5EC0DE + GetParam());
+        code_.emplace(ExtendedHammingCode::randomSecDed(GetParam(), rng_));
+    }
+
+    void expectMatches(const std::vector<std::size_t> &errors)
+    {
+        const ExtendedHammingCode &code = *code_;
+        const gf2::BitVector d = gf2::BitVector::random(code.k(), rng_);
+        gf2::BitVector received = test::referenceSecdedEncode(code, d);
+        ASSERT_EQ(code.encode(d), received);
+        gf2::BitVector check(code.checkBits());
+        code.encodeCheckBitsInto(d, check);
+        ASSERT_EQ(check,
+                  test::referenceSlice(received, code.k(), code.n()));
+        for (const std::size_t pos : errors)
+            received.flip(pos);
+
+        const SecondaryDecodeResult want =
+            test::referenceSecdedDecode(code, received);
+        const SecondaryClassification core =
+            code.classify(test::referenceSlice(received, 0, code.k()),
+                          test::referenceSlice(received, code.k(),
+                                               code.n()));
+        EXPECT_EQ(core.status, want.status);
+        EXPECT_EQ(core.correctedPosition, want.correctedPosition);
+        const SecondaryDecodeResult got = code.decode(received);
+        EXPECT_EQ(got.status, want.status);
+        EXPECT_EQ(got.correctedPosition, want.correctedPosition);
+        EXPECT_EQ(got.dataword, want.dataword);
+    }
+
+    common::Xoshiro256 rng_{0};
+    std::optional<ExtendedHammingCode> code_;
+};
+
+TEST_P(SecDedCoreEquivalence, EverySingleAndDoubleError)
+{
+    const std::size_t n = code_->n();
+    for (std::size_t i = 0; i < n; ++i) {
+        SCOPED_TRACE("single " + std::to_string(i));
+        expectMatches({i});
+        for (std::size_t j = i + 1; j < n; ++j) {
+            SCOPED_TRACE("double " + std::to_string(j));
+            expectMatches({i, j});
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+TEST_P(SecDedCoreEquivalence, SeededTripleAndQuadrupleErrors)
+{
+    const std::size_t n = code_->n();
+    for (std::size_t trial = 0; trial < 2000; ++trial) {
+        std::set<std::size_t> positions;
+        if (trial % 2 == 0)
+            positions.insert(n - 1);
+        const std::size_t weight = 3 + trial % 4 / 2;
+        while (positions.size() < weight)
+            positions.insert(rng_.nextBelow(n));
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        expectMatches({positions.begin(), positions.end()});
+        if (HasFailure())
+            return;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(DatawordLengths, SecDedCoreEquivalence,
+                         ::testing::Values(8, 64, 128));
 
 } // namespace
 } // namespace harp::ecc

@@ -10,7 +10,8 @@
  * retention trials — tightening one axis must not worsen the failure
  * count. The cross-engine / cross-thread tests assert exact
  * FleetAggregator equality, the in-memory face of the campaign-level
- * byte-identity acceptance.
+ * byte-identity acceptance. The golden pins fix the absolute output, so
+ * a replay change shared by every engine and thread count still shows.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 
 #include "fault/fault_model.hh"
 #include "fleet/policy.hh"
+#include "support/golden.hh"
 #include "support/property.hh"
 #include "support/seeded_fixture.hh"
 
@@ -268,6 +270,55 @@ TEST(FleetDeterminism, ThreadCountsProduceIdenticalAggregates)
     EXPECT_TRUE(runFleet(config) == single);
     config.threads = 0; // hardware concurrency
     EXPECT_TRUE(runFleet(config) == single);
+}
+
+/** Golden hash of every FleetAggregator counter and histogram bin. */
+std::uint64_t
+goldenOf(const FleetAggregator &agg)
+{
+    std::uint64_t hash = test::kGoldenInit;
+    for (const std::uint64_t counter :
+         {agg.chips(), agg.faultyChips(), agg.faultEvents(),
+          agg.atRiskCells(), agg.failedChips(), agg.uncorrectableEvents(),
+          agg.silentCorruptions(), agg.profiledBits(),
+          agg.repairSpareBits(), agg.repairedBitReads(),
+          agg.scrubWritebacks()})
+        hash = test::goldenMix(hash, counter);
+    for (const common::Histogram *histogram :
+         {&agg.repairBitsHistogram(), &agg.uncorrectableHistogram()}) {
+        hash = test::goldenMix(hash, histogram->numBins());
+        for (std::size_t i = 0; i < histogram->numBins(); ++i)
+            hash = test::goldenMix(hash, histogram->bin(i));
+    }
+    return hash;
+}
+
+/**
+ * Absolute pins on the replay output. Every other fleet test compares
+ * engines or thread counts within one build, so a change to the scalar
+ * memsys read path that all engines share would pass them; these
+ * constants would not.
+ */
+TEST(FleetGolden, HarpUScrubbedBudgetedFleet)
+{
+    FleetConfig config = hotFleet(0x601D);
+    config.policy.scrubInterval = 8;
+    config.policy.repairBudget = 16;
+    const FleetAggregator agg = runFleet(config);
+    ASSERT_GT(agg.failedChips(), 0u);
+    ASSERT_GT(agg.scrubWritebacks(), 0u);
+    EXPECT_TRUE(test::goldenMatches(goldenOf(agg), 0x8E082D1E3C8D16FAULL));
+}
+
+TEST(FleetGolden, UnprofiledUnscrubbedFleet)
+{
+    FleetConfig config = hotFleet(0x601D);
+    config.policy.profiler = ProfilerKind::None;
+    config.policy.activeRounds = 0;
+    config.policy.scrubInterval = 0;
+    const FleetAggregator agg = runFleet(config);
+    ASSERT_GT(agg.failedChips(), 0u);
+    EXPECT_TRUE(test::goldenMatches(goldenOf(agg), 0x81E1FC2CE3243140ULL));
 }
 
 /** A fleet with no fault events is all-clean: zero FIT, zero spares. */

@@ -5,11 +5,46 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/bits.hh"
 #include "common/rng.hh"
 #include "gf2/bit_vector.hh"
 
 namespace harp::gf2 {
 namespace {
+
+/** Per-bit reference for slice(). */
+BitVector
+sliceByBits(const BitVector &v, std::size_t begin, std::size_t end)
+{
+    BitVector out(end - begin);
+    for (std::size_t i = begin; i < end; ++i)
+        out.set(i - begin, v.get(i));
+    return out;
+}
+
+/** True iff every storage bit past size() is zero. */
+bool
+tailIsMasked(const BitVector &v)
+{
+    return v.words().empty() ||
+           (v.words().back() & ~common::tailMask(v.size())) == 0;
+}
+
+/** End offsets worth slicing to from @p begin in a @p size -bit vector:
+ *  empty, to the end, and spans of 1-4 storage words either side of
+ *  every word boundary. */
+std::vector<std::size_t>
+endsFor(std::size_t begin, std::size_t size)
+{
+    std::vector<std::size_t> ends{begin, size};
+    for (const std::size_t span :
+         {1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256})
+        if (begin + span <= size)
+            ends.push_back(begin + span);
+    return ends;
+}
 
 TEST(BitVector, DefaultIsZero)
 {
@@ -130,6 +165,63 @@ TEST(BitVector, SliceExtractsRange)
     EXPECT_TRUE(parity.get(0));
     EXPECT_TRUE(parity.get(6));
     EXPECT_EQ(parity.popcount(), 2u);
+}
+
+/** Word-wise slice() equals the per-bit copy for every size 0-200,
+ *  every begin (aligned or not), and spans of 0 to 4 storage words;
+ *  the result's tail stays masked so == and popcount() are exact. */
+TEST(BitVector, SliceMatchesPerBitReference)
+{
+    common::Xoshiro256 rng(0x511CE);
+    for (std::size_t size = 0; size <= 200; ++size) {
+        const BitVector v = BitVector::random(size, rng);
+        for (std::size_t begin = 0; begin <= size; ++begin) {
+            for (const std::size_t end : endsFor(begin, size)) {
+                const BitVector got = v.slice(begin, end);
+                const BitVector want = sliceByBits(v, begin, end);
+                ASSERT_EQ(got, want) << size << ": [" << begin << ", "
+                                     << end << ")";
+                ASSERT_EQ(got.popcount(), want.popcount());
+                ASSERT_TRUE(tailIsMasked(got));
+            }
+        }
+    }
+}
+
+/** assignAt() is the per-bit store, leaves every other bit alone, and
+ *  keeps the tail masked; equalsPrefixOf() and dotPrefix() agree with
+ *  comparing and dotting against a slice. */
+TEST(BitVector, RangeStoreAndPrefixOpsMatchPerBitReference)
+{
+    common::Xoshiro256 rng(0xA55);
+    for (std::size_t size = 0; size <= 200; ++size) {
+        const BitVector v = BitVector::random(size, rng);
+        for (std::size_t begin = 0; begin <= size; ++begin) {
+            for (const std::size_t end : endsFor(begin, size)) {
+                const BitVector src = BitVector::random(end - begin, rng);
+                BitVector got = v;
+                got.assignAt(begin, src);
+                BitVector want = v;
+                for (std::size_t i = begin; i < end; ++i)
+                    want.set(i, src.get(i - begin));
+                ASSERT_EQ(got, want) << size << ": [" << begin << ", "
+                                     << end << ")";
+                ASSERT_TRUE(tailIsMasked(got));
+            }
+        }
+        for (std::size_t len = 0; len <= size; ++len) {
+            const BitVector prefix = sliceByBits(v, 0, len);
+            ASSERT_TRUE(prefix.equalsPrefixOf(v));
+            const BitVector other = BitVector::random(len, rng);
+            ASSERT_EQ(other.equalsPrefixOf(v), other == prefix);
+            ASSERT_EQ(other.dotPrefix(v), other.dot(prefix));
+            if (len > 0) {
+                BitVector off = prefix;
+                off.flip(rng.nextBelow(len));
+                ASSERT_FALSE(off.equalsPrefixOf(v));
+            }
+        }
+    }
 }
 
 TEST(BitVector, ForEachSetBitAscending)
