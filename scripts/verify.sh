@@ -11,7 +11,10 @@
 #
 #   scripts/verify.sh          # tier-1 + a 10k-chip fleet byte-identity
 #                              # smoke
-#   scripts/verify.sh --full   # additionally: the unit +
+#   scripts/verify.sh --full   # additionally: a reachability audit
+#                              # (no library function that no binary
+#                              # reaches, outside an allowlist of test
+#                              # oracles and seams), the unit +
 #                              # fleet + chaos + overload suites under
 #                              # TSan and ASan+UBSan (-DHARP_SANITIZE),
 #                              # the intra-job scaling check (>= 8 cores
@@ -482,6 +485,117 @@ for variant in t1-scalar t4-sliced64 t4-sliced256; do
         exit 1
     }
 done
+
+# --- Reachability audit (full) --------------------------------------------
+# Every harp:: function the libraries define must be reachable from a
+# shipped binary: harp_run, harpd, harpd_client, bench_micro_kernels and
+# perfbench's harp_bench (built from perfbench/CMakeLists.txt as is).
+# The binaries are linked unoptimized with -ffunction-sections and
+# --gc-sections, so a function survives in a binary only if something
+# it runs can call it. Library text symbols missing from every binary
+# are dead code, unless the allowlist below names them: test oracles
+# and test seams, one line each as "name pattern|reason". A pattern is
+# a substring of the demangled name ('*' matches template arguments).
+# An allowlist line that matches nothing also fails: the symbol became
+# reachable or was deleted, so the line must go.
+if [[ $FULL -eq 1 ]]; then
+    reach_allow=(
+        "harp::gf2::ConstraintSystem::consistent(|oracle: at_risk_reference"
+        "harp::ecc::Gf2m::solveQuadratic(|oracle: bch_dec_code's DEC decoder"
+        "harp::ecc::Gf2m::trace(|oracle: bch_dec_code's DEC decoder"
+        "harp::ecc::HammingCode::parityCheckMatrix(|oracle: H*G = 0 check"
+        "harp::ecc::HammingCode::generatorMatrix(|oracle: H*G = 0 check"
+        "harp::ecc::HammingCode::syndromeOfErrors(|oracle: syndrome check"
+        "harp::gf2::BitMatrix::|oracle: the H*G = 0 and syndrome checks"
+        "harp::common::FairScheduler::grantCount(|seam: fair-share tests"
+        "harp::common::FairScheduler::slotsInUse(|seam: slot-release tests"
+        "harp::common::io::FaultPlan::consumed(|seam: I/O fault tests"
+        "harp::harpd::Client::halfClose(|seam: EOF-mid-request tests"
+        "harp::core::SlicedRoundEngineW<*>::stats(|seam: observe-path tests"
+        "harp::core::SlicedRoundEngineW<*>::lanes(|seam: engine tests"
+        "harp::core::SlicedRoundEngineW<*>::roundsRun(|seam: engine tests"
+        "harp::core::SlicedProfilerGroupW<*>::dirty(|seam: lazy-flush tests"
+        "harp::core::SlicedProfilerGroupW<*>::kind(|seam: grouping tests"
+        "harp::ecc::SlicedBchCodeW<*>::memo(|seam: memo-sharing tests"
+        "harp::gf2::BitVector::fromIndices(|debug accessor: test inputs"
+        "harp::gf2::BitVector::fromUint(|debug accessor: test inputs"
+        "harp::gf2::BitVector::toString|debug accessor: test messages"
+        "harp::gf2::BitVector::toUint(|debug accessor: test checks"
+        "harp::gf2::BitSliceW<*>::clear(|debug accessor: slice tests"
+        "harp::gf2::BitSliceW<*>::extractWord(|debug accessor: lane checks"
+        "harp::gf2::BitSliceW<*>::set(|debug accessor: slice tests"
+        "harp::gf2::laneClearBit|debug accessor: BitSliceW::set's helper"
+    )
+    rdir="build-reach"
+    reach_flags="-O0 -g0 -ffunction-sections -fdata-sections"
+    cmake -B "$rdir/tree" -S . -DCMAKE_BUILD_TYPE=None \
+        -DCMAKE_CXX_FLAGS="$reach_flags" \
+        -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections \
+        -DHARP_BUILD_TESTS=OFF > /dev/null
+    cmake -B "$rdir/perfbench" -S perfbench -DCMAKE_BUILD_TYPE=None \
+        -DCMAKE_CXX_FLAGS="$reach_flags" \
+        -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections > /dev/null
+    if cmake --build "$rdir/tree" --target help |
+        grep bench_micro_kernels > /dev/null; then
+        cmake --build "$rdir/tree" -j --target harp_run harpd \
+            harpd_client bench_micro_kernels > /dev/null
+        cmake --build "$rdir/perfbench" -j --target harp_bench > /dev/null
+        # Defined text symbols, mangled; the harp:: filter works on the
+        # mangled names so std:: instantiations over harp types drop
+        # out and lambdas (_ZZ...) stay with their enclosing function.
+        # Demangling folds constructor/destructor variants together.
+        reach_text() {
+            nm --defined-only "$@" | awk '$2 ~ /^[TtWw]$/ { print $3 }'
+        }
+        reach_text "$rdir"/tree/src/libharp.a \
+                   "$rdir"/tree/src/libharp_runner.a \
+                   "$rdir"/tree/src/libharp_harpd.a |
+            grep -E '^_ZN[KVRO]*4harp' | c++filt | LC_ALL=C sort -u \
+            > "$rdir/lib.txt"
+        reach_text "$rdir"/tree/src/harp_run "$rdir"/tree/src/harpd \
+                   "$rdir"/tree/src/harpd_client \
+                   "$rdir"/tree/bench/bench_micro_kernels \
+                   "$rdir"/perfbench/harp_bench |
+            c++filt | LC_ALL=C sort -u > "$rdir/bin.txt"
+        LC_ALL=C comm -23 "$rdir/lib.txt" "$rdir/bin.txt" \
+            > "$rdir/unreachable.txt"
+        reach_fail=0
+        declare -A reach_hits=()
+        while IFS= read -r sym; do
+            allowed=0
+            for entry in "${reach_allow[@]}"; do
+                pattern="${entry%%|*}"
+                # shellcheck disable=SC2053  # the pattern is a glob
+                if [[ "$sym" == *$pattern* ]]; then
+                    allowed=1
+                    reach_hits[$pattern]=1
+                fi
+            done
+            if [[ $allowed -eq 0 ]]; then
+                echo "verify: unreachable from every binary: $sym" >&2
+                reach_fail=1
+            fi
+        done < "$rdir/unreachable.txt"
+        for entry in "${reach_allow[@]}"; do
+            pattern="${entry%%|*}"
+            if [[ -z "${reach_hits[$pattern]:-}" ]]; then
+                echo "verify: allowlisted '$pattern' is now reachable" \
+                     "or gone; drop it from the allowlist" >&2
+                reach_fail=1
+            fi
+        done
+        [[ $reach_fail -eq 0 ]] || {
+            echo "verify: reachability audit failed (delete the code," \
+                 "or allowlist a test oracle/seam with a reason)" >&2
+            exit 1
+        }
+        echo "verify: reachability audit: $(wc -l < "$rdir/unreachable.txt")" \
+             "unreachable harp:: functions, all allowlisted"
+    else
+        echo "verify: google-benchmark not found, skipping the" \
+             "reachability audit (bench_micro_kernels is not built)"
+    fi
+fi
 
 # --- Sanitizer tier (full) ------------------------------------------------
 # The whole unit suite under TSan (memo sharing + intra-job sharding

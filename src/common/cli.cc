@@ -1,7 +1,5 @@
 #include "common/cli.hh"
 
-#include <cstdlib>
-
 namespace harp::common {
 
 CommandLine::CommandLine(int argc, const char *const *argv)
@@ -38,24 +36,6 @@ CommandLine::getString(const std::string &name, const std::string &def) const
     return it == flags_.end() ? def : it->second;
 }
 
-std::int64_t
-CommandLine::getInt(const std::string &name, std::int64_t def) const
-{
-    const auto it = flags_.find(name);
-    if (it == flags_.end())
-        return def;
-    return std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
-double
-CommandLine::getDouble(const std::string &name, double def) const
-{
-    const auto it = flags_.find(name);
-    if (it == flags_.end())
-        return def;
-    return std::strtod(it->second.c_str(), nullptr);
-}
-
 bool
 CommandLine::getBool(const std::string &name, bool def) const
 {
@@ -63,16 +43,6 @@ CommandLine::getBool(const std::string &name, bool def) const
     if (it == flags_.end())
         return def;
     return it->second != "false" && it->second != "0";
-}
-
-std::vector<std::string>
-CommandLine::flagNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(flags_.size());
-    for (const auto &[name, value] : flags_)
-        names.push_back(name);
-    return names;
 }
 
 } // namespace harp::common

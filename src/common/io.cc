@@ -95,15 +95,6 @@ errnoName(int value)
     return "errno_" + std::to_string(value);
 }
 
-FaultPlan::FaultPlan(FaultPlan &&other) noexcept
-{
-    std::lock_guard<std::mutex> lock(other.mutex_);
-    counters_ = other.counters_;
-    oneShot_ = std::move(other.oneShot_);
-    sticky_ = other.sticky_;
-    stickyFrom_ = other.stickyFrom_;
-}
-
 FaultPlan &
 FaultPlan::operator=(FaultPlan &&other) noexcept
 {
@@ -132,10 +123,8 @@ FaultPlan::injectFrom(Op op, std::size_t index, Fault fault)
     stickyFrom_[static_cast<std::size_t>(op)] = index;
 }
 
-FaultPlan
-FaultPlan::parse(const std::string &spec)
+FaultPlan::FaultPlan(const std::string &spec)
 {
-    FaultPlan plan;
     std::size_t pos = 0;
     while (pos < spec.size()) {
         std::size_t end = spec.find(',', pos);
@@ -192,11 +181,10 @@ FaultPlan::parse(const std::string &spec)
         fault.ec = fromErrno(*value);
 
         if (sticky)
-            plan.injectFrom(*op, index, fault);
+            injectFrom(*op, index, fault);
         else
-            plan.injectAt(*op, index, fault);
+            injectAt(*op, index, fault);
     }
-    return plan;
 }
 
 std::optional<Fault>
@@ -251,27 +239,6 @@ FaultPlan::describe() const
 File::~File()
 {
     (void)close();
-}
-
-File::File(File &&other) noexcept
-    : fd_(other.fd_), path_(std::move(other.path_)), plan_(other.plan_)
-{
-    other.fd_ = -1;
-    other.plan_ = nullptr;
-}
-
-File &
-File::operator=(File &&other) noexcept
-{
-    if (this != &other) {
-        (void)close();
-        fd_ = other.fd_;
-        path_ = std::move(other.path_);
-        plan_ = other.plan_;
-        other.fd_ = -1;
-        other.plan_ = nullptr;
-    }
-    return *this;
 }
 
 std::error_code

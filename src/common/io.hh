@@ -86,7 +86,13 @@ class FaultPlan
 {
   public:
     FaultPlan() = default;
-    FaultPlan(FaultPlan &&other) noexcept;
+
+    /**
+     * Parse the documented spec grammar.
+     * @throws std::runtime_error naming the offending entry.
+     */
+    explicit FaultPlan(const std::string &spec);
+
     FaultPlan &operator=(FaultPlan &&other) noexcept;
     FaultPlan(const FaultPlan &) = delete;
     FaultPlan &operator=(const FaultPlan &) = delete;
@@ -97,12 +103,6 @@ class FaultPlan
     /** Fail every occurrence of @p op from @p index on (sticky —
      *  ENOSPC does not clear by itself). */
     void injectFrom(Op op, std::size_t index, Fault fault);
-
-    /**
-     * Parse the documented spec grammar.
-     * @throws std::runtime_error naming the offending entry.
-     */
-    static FaultPlan parse(const std::string &spec);
 
     /** Consume one occurrence of @p op; the fault to inject, if any. */
     std::optional<Fault> next(Op op);
@@ -134,8 +134,6 @@ class File
     File() = default;
     ~File();
 
-    File(File &&other) noexcept;
-    File &operator=(File &&other) noexcept;
     File(const File &) = delete;
     File &operator=(const File &) = delete;
 

@@ -17,43 +17,7 @@ RunningStat::add(double x)
         max_ = std::max(max_, x);
     }
     ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double n = na + nb;
-    mean_ += delta * nb / n;
-    m2_ += other.m2_ + delta * delta * na * nb / n;
-    count_ += other.count_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-double
-RunningStat::variance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(count_ - 1);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
+    mean_ += (x - mean_) / static_cast<double>(count_);
 }
 
 void

@@ -1,7 +1,8 @@
 /**
  * @file
  * Statistics accumulators used to aggregate Monte-Carlo results: running
- * moments, exact percentiles over retained samples, and integer histograms.
+ * mean and range, exact percentiles over retained samples, and integer
+ * histograms.
  */
 
 #ifndef HARP_COMMON_STATS_HH
@@ -14,7 +15,7 @@
 namespace harp::common {
 
 /**
- * Numerically-stable running mean/variance (Welford's algorithm).
+ * Running count, mean, min and max.
  */
 class RunningStat
 {
@@ -22,17 +23,8 @@ class RunningStat
     /** Fold one observation into the accumulator. */
     void add(double x);
 
-    /** Merge another accumulator (parallel reduction). */
-    void merge(const RunningStat &other);
-
     std::size_t count() const { return count_; }
     double mean() const { return count_ == 0 ? 0.0 : mean_; }
-
-    /** Sample variance (n-1 denominator); 0 when fewer than 2 samples. */
-    double variance() const;
-
-    /** Sample standard deviation. */
-    double stddev() const;
 
     double min() const { return min_; }
     double max() const { return max_; }
@@ -41,7 +33,6 @@ class RunningStat
   private:
     std::size_t count_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
 };

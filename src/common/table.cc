@@ -46,32 +46,11 @@ Table::print(std::ostream &os) const
         print_row(row);
 }
 
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto print_row = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c)
-            os << (c == 0 ? "" : ",") << row[c];
-        os << "\n";
-    };
-    print_row(headers_);
-    for (const auto &row : rows_)
-        print_row(row);
-}
-
 std::string
 formatDouble(double value, int digits)
 {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
-    return buf;
-}
-
-std::string
-formatSci(double value, int digits)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*e", digits, value);
     return buf;
 }
 

@@ -36,9 +36,6 @@ class Table
     /** Render with aligned columns and a header separator. */
     void print(std::ostream &os) const;
 
-    /** Render as CSV (no escaping needed for this project's cell content). */
-    void printCsv(std::ostream &os) const;
-
     std::size_t numRows() const { return rows_.size(); }
     std::size_t numCols() const { return headers_.size(); }
 
@@ -49,9 +46,6 @@ class Table
 
 /** Format a double with @p digits significant decimal digits. */
 std::string formatDouble(double value, int digits = 4);
-
-/** Format a double in scientific notation (e.g.\ 1.23e-05). */
-std::string formatSci(double value, int digits = 2);
 
 } // namespace harp::common
 

@@ -148,9 +148,6 @@ class AtRiskAnalyzer
     std::vector<double>
     perBitErrorProbability(const gf2::BitVector &dataword) const;
 
-    /** Number of at-risk cells in the underlying fault model. */
-    std::size_t numAtRiskCells() const { return cells_.size(); }
-
   private:
     /** Decode outcome of an arbitrary failing-cell mask (no feasibility
      *  check). */

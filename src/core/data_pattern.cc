@@ -4,20 +4,6 @@
 
 namespace harp::core {
 
-std::string
-patternKindName(PatternKind kind)
-{
-    switch (kind) {
-      case PatternKind::Random:
-        return "random";
-      case PatternKind::Charged:
-        return "charged";
-      case PatternKind::Checkered:
-        return "checkered";
-    }
-    return "unknown";
-}
-
 PatternKind
 patternKindFromName(const std::string &name)
 {

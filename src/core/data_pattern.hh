@@ -29,10 +29,8 @@ enum class PatternKind
     Checkered, ///< 0101... base pattern, inverted on odd rounds.
 };
 
-/** Human-readable pattern name ("random", "charged", "checkered"). */
-std::string patternKindName(PatternKind kind);
-
-/** Parse a pattern name; throws std::invalid_argument on bad input. */
+/** Parse a pattern name ("random", "charged", "checkered"); throws
+ *  std::invalid_argument on bad input. */
 PatternKind patternKindFromName(const std::string &name);
 
 /**

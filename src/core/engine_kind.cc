@@ -12,20 +12,6 @@
 
 namespace harp::core {
 
-std::string
-engineKindName(EngineKind kind)
-{
-    switch (kind) {
-      case EngineKind::Scalar:
-        return "scalar";
-      case EngineKind::Sliced64:
-        return "sliced64";
-      case EngineKind::Sliced256:
-        return "sliced256";
-    }
-    return "unknown";
-}
-
 EngineKind
 engineKindFromName(const std::string &name)
 {

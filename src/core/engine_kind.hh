@@ -43,10 +43,8 @@ enum class EngineKind
     Sliced256, ///< 256 ECC words per lane-op (SlicedRoundEngineW<4>).
 };
 
-/** Human-readable engine name ("scalar", "sliced64", "sliced256"). */
-std::string engineKindName(EngineKind kind);
-
-/** Parse an engine name; throws std::invalid_argument on bad input. */
+/** Parse an engine name ("scalar", "sliced64", "sliced256"); throws
+ *  std::invalid_argument on bad input. */
 EngineKind engineKindFromName(const std::string &name);
 
 /** A word set to profile: which engine, how many words and rounds. */

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/bits.hh"
-#include "ecc/sliced_bch.hh"
 #include "ecc/sliced_hamming.hh"
 
 namespace harp::core {
@@ -88,25 +87,6 @@ SlicedRoundEngineW<W>::SlicedRoundEngineW(
     : SlicedRoundEngineW(std::make_unique<ecc::SlicedHammingCodeW<W>>(codes),
                          faults, pattern, seeds)
 {
-}
-
-template <std::size_t W>
-SlicedRoundEngineW<W>::SlicedRoundEngineW(
-    const std::vector<const ecc::BchCode *> &codes,
-    const std::vector<const fault::WordFaultModel *> &faults,
-    PatternKind pattern, const std::vector<std::uint64_t> &seeds)
-    : SlicedRoundEngineW(std::make_unique<ecc::SlicedBchCodeW<W>>(codes),
-                         faults, pattern, seeds)
-{
-}
-
-template <std::size_t W>
-void
-SlicedRoundEngineW<W>::flushObservers()
-{
-    for (auto &group : groups_)
-        if (group != nullptr)
-            group->flushIfDirty();
 }
 
 template <std::size_t W>

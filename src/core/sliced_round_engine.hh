@@ -17,7 +17,7 @@
  * The engine is code-agnostic: it drives any ecc::SlicedCodeW
  * implementation — sliced SEC Hamming (per-lane column arrangements
  * may differ) or sliced t-error BCH (memoized syndrome decoding) —
- * with convenience constructors for both families.
+ * with a convenience constructor for SEC Hamming lanes.
  *
  * Observation dispatch is per slot (slot s of every lane is driven
  * together):
@@ -54,7 +54,6 @@
 #include "core/engine_phase.hh"
 #include "core/profiler.hh"
 #include "core/sliced_profiler_group.hh"
-#include "ecc/bch_general.hh"
 #include "ecc/hamming_code.hh"
 #include "ecc/sliced_code.hh"
 #include "fault/sliced_injector.hh"
@@ -109,23 +108,12 @@ class SlicedRoundEngineW
         const std::vector<const fault::WordFaultModel *> &faults,
         PatternKind pattern, const std::vector<std::uint64_t> &seeds);
 
-    /** Convenience over t-error BCH lanes (1..W*64, all the same code
-     *  function; decoded through the memoized sliced BCH datapath). */
-    SlicedRoundEngineW(
-        const std::vector<const ecc::BchCode *> &codes,
-        const std::vector<const fault::WordFaultModel *> &faults,
-        PatternKind pattern, const std::vector<std::uint64_t> &seeds);
-
     /** Destroying the engine flushes and detaches every lane-native
      *  observer group, so profiles read afterwards are complete. */
     ~SlicedRoundEngineW() = default;
 
     /** Number of live lanes (simulated words). */
     std::size_t lanes() const { return lanes_; }
-
-    /** The sliced datapath driving these lanes (e.g.\ for memo-table
-     *  statistics of a SlicedBchCode). */
-    const ecc::SlicedCodeW<W> &slicedCode() const { return *code_; }
 
     /**
      * Run one profiling round for every lane.
@@ -171,11 +159,6 @@ class SlicedRoundEngineW
     /** Attach a per-phase wall-time sink (null disables; the default).
      *  See core/engine_phase.hh. */
     void setPhaseSink(EnginePhaseSeconds *sink) { phases_ = sink; }
-
-    /** Flush every lane-native observer group's pending state into its
-     *  profilers (reading identified() does this on demand; the engine
-     *  destructor does it unconditionally). */
-    void flushObservers();
 
   private:
     const ecc::SlicedCodeW<W> *code_;

@@ -59,30 +59,12 @@ Gf2m::multiply(Element a, Element b) const
 }
 
 Gf2m::Element
-Gf2m::inverse(Element a) const
-{
-    assert(a != 0);
-    return antilog_[(order() - log(a)) % order()];
-}
-
-Gf2m::Element
 Gf2m::divide(Element a, Element b) const
 {
     assert(b != 0);
     if (a == 0)
         return 0;
     return antilog_[(log(a) + order() - log(b)) % order()];
-}
-
-Gf2m::Element
-Gf2m::power(Element a, std::uint64_t e) const
-{
-    if (e == 0)
-        return 1;
-    if (a == 0)
-        return 0;
-    return antilog_[(static_cast<std::uint64_t>(log(a)) * (e % order())) %
-                    order()];
 }
 
 Gf2m::Element

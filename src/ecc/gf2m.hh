@@ -20,7 +20,7 @@ namespace harp::ecc {
 /**
  * The finite field GF(2^m) with generator alpha (a primitive element).
  *
- * Addition is XOR; multiplication/division/power use discrete-log
+ * Addition is XOR; multiplication/division use discrete-log
  * tables. The zero element has no logarithm; operations handle it
  * explicitly.
  */
@@ -49,12 +49,8 @@ class Gf2m
 
     Element add(Element a, Element b) const { return a ^ b; }
     Element multiply(Element a, Element b) const;
-    /** Multiplicative inverse of nonzero @p a. */
-    Element inverse(Element a) const;
     /** a / b with nonzero @p b. */
     Element divide(Element a, Element b) const;
-    /** a^e with 0^0 defined as 1. */
-    Element power(Element a, std::uint64_t e) const;
 
     /** Trace map Tr(x) = x + x^2 + x^4 + ... + x^(2^(m-1)), in {0,1}. */
     Element trace(Element x) const;

@@ -9,45 +9,15 @@
 namespace harp::ecc {
 
 template <std::size_t W>
-SlicedBchCodeW<W>::SlicedBchCodeW(const std::vector<const BchCode *> &codes,
-                                  bool prewarm,
-                                  std::shared_ptr<SlicedBchMemo> memo)
-    : code_([&codes]() -> const BchCode & {
-          if (codes.empty() || codes[0] == nullptr)
-              throw std::invalid_argument(
-                  "SlicedBchCode: lane count out of range");
-          return *codes[0];
-      }()),
-      memo_(memo ? std::move(memo) : std::make_shared<SlicedBchMemo>())
-{
-    build(codes, prewarm);
-}
-
-template <std::size_t W>
 SlicedBchCodeW<W>::SlicedBchCodeW(const BchCode &code, std::size_t lanes,
                                   bool prewarm,
                                   std::shared_ptr<SlicedBchMemo> memo)
-    : code_(code),
+    : code_(code), lanes_(lanes),
       memo_(memo ? std::move(memo) : std::make_shared<SlicedBchMemo>())
 {
-    build(std::vector<const BchCode *>(lanes, &code), prewarm);
-}
-
-template <std::size_t W>
-void
-SlicedBchCodeW<W>::build(const std::vector<const BchCode *> &codes,
-                         bool prewarm)
-{
-    if (codes.empty() || codes.size() > gf2::BitSliceW<W>::laneCount)
+    if (lanes == 0 || lanes > gf2::BitSliceW<W>::laneCount)
         throw std::invalid_argument(
             "SlicedBchCode: lane count out of range");
-    lanes_ = codes.size();
-    for (const BchCode *code : codes)
-        if (code->k() != code_.k() ||
-            code->generatorPolynomial() != code_.generatorPolynomial())
-            throw std::invalid_argument(
-                "SlicedBchCode: lanes must share one code function "
-                "(equal k and generator polynomial)");
 
     const std::size_t k = code_.k();
     const std::size_t p = code_.p();

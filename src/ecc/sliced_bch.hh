@@ -70,10 +70,9 @@ class SlicedBchCodeW final : public SlicedCodeW<W>
     using Lane = gf2::LaneOf<W>;
 
     /**
-     * Build from one code per lane (1..W*64 entries). All entries must
-     * describe the same code: equal k and equal generator polynomial.
-     * The codes are only read during construction; the fallback
-     * decoder is a private copy, so no references are retained.
+     * The same code in @p lanes lanes (1..W*64). The code is only read
+     * during construction; the fallback decoder is a private copy, so
+     * no reference is retained.
      *
      * @param prewarm Pre-populate the syndrome->action memo with every
      *        error pattern of weight <= t at construction (see
@@ -84,11 +83,6 @@ class SlicedBchCodeW final : public SlicedCodeW<W>
      *        allocates a fresh one. A shared memo that is already
      *        prewarmed skips re-enumeration.
      */
-    explicit SlicedBchCodeW(const std::vector<const BchCode *> &codes,
-                            bool prewarm = true,
-                            std::shared_ptr<SlicedBchMemo> memo = nullptr);
-
-    /** Homogeneous convenience: the same code in @p lanes lanes. */
     SlicedBchCodeW(const BchCode &code, std::size_t lanes,
                    bool prewarm = true,
                    std::shared_ptr<SlicedBchMemo> memo = nullptr);
@@ -105,8 +99,6 @@ class SlicedBchCodeW final : public SlicedCodeW<W>
     std::size_t k() const override { return code_.k(); }
     std::size_t n() const override { return code_.n(); }
     std::size_t lanes() const override { return lanes_; }
-    /** Correction capability t shared by all lanes. */
-    std::size_t t() const { return code_.t(); }
 
     void encode(const gf2::BitSliceW<W> &data,
                 gf2::BitSliceW<W> &codeword) const override;
@@ -114,13 +106,9 @@ class SlicedBchCodeW final : public SlicedCodeW<W>
     /**
      * Per-lane packed power-sum syndromes of a received codeword
      * slice: @p out[b] gets the lane mask of syndrome bit b, where bit
-     * b = j*m + u is bit u of S_{j+1} over GF(2^m) (b <
-     * syndromeBits()).
+     * b = j*m + u is bit u of S_{j+1} over GF(2^m) (b < 2t*m).
      */
     void syndromes(const gf2::BitSliceW<W> &received, Lane *out) const;
-
-    /** Packed syndrome width 2t*m in bits. */
-    std::size_t syndromeBits() const { return syndromeBits_; }
 
     void decodeData(const gf2::BitSliceW<W> &received,
                     gf2::BitSliceW<W> &data_out) const override;
@@ -149,7 +137,6 @@ class SlicedBchCodeW final : public SlicedCodeW<W>
     using MemoKey = SlicedBchMemo::Key;
     using MemoAction = SlicedBchMemo::Action;
 
-    void build(const std::vector<const BchCode *> &codes, bool prewarm);
     void prewarmMemo();
     const MemoAction &lookupAction(const MemoKey &key,
                                    const gf2::BitSliceW<W> &received,
@@ -157,6 +144,7 @@ class SlicedBchCodeW final : public SlicedCodeW<W>
 
     BchCode code_;
     std::size_t lanes_ = 0;
+    /** Packed syndrome width 2t*m in bits. */
     std::size_t syndromeBits_ = 0;
     /** CSR of parity-bit indices per data position: encoding XORs data
      *  lane i into parity lanes parityIdx_[parityOff_[i]..[i+1]). */

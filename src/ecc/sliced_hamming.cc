@@ -9,20 +9,6 @@ template <std::size_t W>
 SlicedHammingCodeW<W>::SlicedHammingCodeW(
     const std::vector<const HammingCode *> &codes)
 {
-    build(codes);
-}
-
-template <std::size_t W>
-SlicedHammingCodeW<W>::SlicedHammingCodeW(const HammingCode &code,
-                                          std::size_t lanes)
-{
-    build(std::vector<const HammingCode *>(lanes, &code));
-}
-
-template <std::size_t W>
-void
-SlicedHammingCodeW<W>::build(const std::vector<const HammingCode *> &codes)
-{
     if (codes.empty() || codes.size() > gf2::BitSliceW<W>::laneCount)
         throw std::invalid_argument(
             "SlicedHammingCode: lane count out of range");
@@ -86,35 +72,6 @@ SlicedHammingCodeW<W>::syndromes(const gf2::BitSliceW<W> &received,
 }
 
 template <std::size_t W>
-typename SlicedHammingCodeW<W>::Lane
-SlicedHammingCodeW<W>::correctionMasks(const Lane *s,
-                                       gf2::BitSliceW<W> &match_out) const
-{
-    assert(match_out.positions() == k_);
-    Lane matched_any{};
-    for (std::size_t i = 0; i < k_; ++i) {
-        const Lane *col = &columnBits_[i * p_];
-        // Lanes whose syndrome equals this lane's column i. Data
-        // columns have weight >= 2, so a zero syndrome can never match
-        // and needs no separate exclusion.
-        Lane match = gf2::laneOnes<Lane>();
-        for (std::size_t j = 0; j < p_; ++j)
-            match &= ~(s[j] ^ col[j]);
-        match_out.lane(i) = match;
-        matched_any |= match;
-    }
-    // Parity columns are the unit vectors e_j, identical in every lane.
-    for (std::size_t j = 0; j < p_; ++j) {
-        Lane match = s[j];
-        for (std::size_t j2 = 0; j2 < p_; ++j2)
-            if (j2 != j)
-                match &= ~s[j2];
-        matched_any |= match;
-    }
-    return matched_any;
-}
-
-template <std::size_t W>
 void
 SlicedHammingCodeW<W>::decodeData(const gf2::BitSliceW<W> &received,
                                   gf2::BitSliceW<W> &data_out) const
@@ -132,78 +89,7 @@ SlicedHammingCodeW<W>::decodeData(const gf2::BitSliceW<W> &received,
     }
 }
 
-template <std::size_t W>
-SlicedExtendedHammingCodeW<W>::SlicedExtendedHammingCodeW(
-    const std::vector<const ExtendedHammingCode *> &codes)
-    : inner_([&codes] {
-          std::vector<const HammingCode *> inner;
-          inner.reserve(codes.size());
-          for (const ExtendedHammingCode *code : codes)
-              inner.push_back(&code->inner());
-          return SlicedHammingCodeW<W>(inner);
-      }())
-{
-}
-
-template <std::size_t W>
-void
-SlicedExtendedHammingCodeW<W>::encode(const gf2::BitSliceW<W> &data,
-                                      gf2::BitSliceW<W> &codeword) const
-{
-    assert(codeword.positions() == n());
-    inner_.encode(data, codeword);
-    Lane overall{};
-    for (std::size_t pos = 0; pos < inner_.n(); ++pos)
-        overall ^= codeword.lane(pos);
-    codeword.lane(n() - 1) = overall;
-}
-
-template <std::size_t W>
-void
-SlicedExtendedHammingCodeW<W>::decodeData(const gf2::BitSliceW<W> &received,
-                                          gf2::BitSliceW<W> &data_out) const
-{
-    Lane corrected{}, detected{};
-    decode(received, data_out, corrected, detected);
-}
-
-template <std::size_t W>
-void
-SlicedExtendedHammingCodeW<W>::decode(const gf2::BitSliceW<W> &received,
-                                      gf2::BitSliceW<W> &data_out,
-                                      Lane &corrected_out,
-                                      Lane &detected_out) const
-{
-    assert(received.positions() == n());
-    assert(data_out.positions() == k());
-
-    Lane s[32];
-    inner_.syndromes(received, s);
-    Lane s_nonzero{};
-    for (std::size_t j = 0; j < inner_.p(); ++j)
-        s_nonzero |= s[j];
-
-    // Parity of the whole received codeword: 1 = odd error count.
-    Lane overall{};
-    for (std::size_t pos = 0; pos < n(); ++pos)
-        overall ^= received.lane(pos);
-
-    gf2::BitSliceW<W> match(k());
-    const Lane matched_any = inner_.correctionMasks(s, match);
-
-    // Odd parity: a single error; correctable iff the syndrome is zero
-    // (the overall bit itself) or matches some column. Even parity with
-    // a nonzero syndrome: a double error — detected, never corrected.
-    corrected_out = overall & (~s_nonzero | matched_any);
-    detected_out = (~overall & s_nonzero) | (overall & s_nonzero & ~matched_any);
-
-    for (std::size_t i = 0; i < k(); ++i)
-        data_out.lane(i) = received.lane(i) ^ (overall & match.lane(i));
-}
-
 template class SlicedHammingCodeW<1>;
 template class SlicedHammingCodeW<4>;
-template class SlicedExtendedHammingCodeW<1>;
-template class SlicedExtendedHammingCodeW<4>;
 
 } // namespace harp::ecc

@@ -1,7 +1,7 @@
 /**
  * @file
- * Bit-sliced evaluation of up to W*64 systematic SEC Hamming codes (and
- * their SECDED extensions) at once.
+ * Bit-sliced evaluation of up to W*64 systematic SEC Hamming codes at
+ * once.
  *
  * Parity-check evaluation over GF(2) is pure linear algebra, so with
  * codewords held in transposed gf2::BitSliceW layout (one lane word per
@@ -18,9 +18,9 @@
  * which is what lets the sliced profiling engine batch both
  * coverage-style workloads (a block of words of one code) and
  * case-study-style workloads (distinct random codes per lane). Results
- * are bit-identical to the scalar HammingCode/ExtendedHammingCode paths
- * at every width; W=4 retires four 64-lane sub-words per lane-op via
- * the auto-vectorized gf2::LaneVec arithmetic.
+ * are bit-identical to the scalar HammingCode path at every width; W=4
+ * retires four 64-lane sub-words per lane-op via the auto-vectorized
+ * gf2::LaneVec arithmetic.
  */
 
 #ifndef HARP_ECC_SLICED_HAMMING_HH
@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ecc/extended_hamming_code.hh"
 #include "ecc/hamming_code.hh"
 #include "ecc/sliced_code.hh"
 #include "gf2/bit_slice.hh"
@@ -56,11 +55,7 @@ class SlicedHammingCodeW final : public SlicedCodeW<W>
      */
     explicit SlicedHammingCodeW(const std::vector<const HammingCode *> &codes);
 
-    /** Homogeneous convenience: the same code in @p lanes lanes. */
-    SlicedHammingCodeW(const HammingCode &code, std::size_t lanes);
-
     std::size_t k() const override { return k_; }
-    std::size_t p() const { return p_; }
     /** Codeword length n = k + p (identical across lanes). */
     std::size_t n() const override { return k_ + p_; }
     /** Number of live lanes. */
@@ -76,21 +71,9 @@ class SlicedHammingCodeW final : public SlicedCodeW<W>
 
     /**
      * Per-lane syndromes of a received codeword slice: @p out[j] gets
-     * the lane mask of syndrome bit j (j < p()).
+     * the lane mask of syndrome bit j (j < p).
      */
     void syndromes(const gf2::BitSliceW<W> &received, Lane *out) const;
-
-    /**
-     * Per-data-position correction masks for precomputed syndrome
-     * lanes @p s (from syndromes()): @p match_out (k positions) gets,
-     * for each data position, the lanes whose syndrome equals that
-     * lane's column there.
-     *
-     * @return Lane mask where the syndrome matched *any* codeword
-     *         column (data or parity) — the correctable-single-error
-     *         lanes among those with a nonzero syndrome.
-     */
-    Lane correctionMasks(const Lane *s, gf2::BitSliceW<W> &match_out) const;
 
     /**
      * Syndrome-decode all lanes to their post-correction *datawords*
@@ -103,8 +86,6 @@ class SlicedHammingCodeW final : public SlicedCodeW<W>
                     gf2::BitSliceW<W> &data_out) const override;
 
   private:
-    void build(const std::vector<const HammingCode *> &codes);
-
     std::size_t k_ = 0;
     std::size_t p_ = 0;
     std::size_t lanes_ = 0;
@@ -112,67 +93,13 @@ class SlicedHammingCodeW final : public SlicedCodeW<W>
     std::vector<Lane> columnBits_;
 };
 
-/**
- * Up to W*64 SECDED (extended Hamming) codes evaluated lane-parallel,
- * mirroring ExtendedHammingCode::decode semantics per lane.
- */
-template <std::size_t W>
-class SlicedExtendedHammingCodeW final : public SlicedCodeW<W>
-{
-  public:
-    using Lane = gf2::LaneOf<W>;
-
-    /** Build from one code per lane (1..W*64 entries, equal k). */
-    explicit SlicedExtendedHammingCodeW(
-        const std::vector<const ExtendedHammingCode *> &codes);
-
-    std::size_t k() const override { return inner_.k(); }
-    /** Codeword length including the overall parity bit. */
-    std::size_t n() const override { return inner_.n() + 1; }
-    std::size_t lanes() const override { return inner_.lanes(); }
-
-    /** Encode all lanes (@p data k positions, @p codeword n positions,
-     *  the last being the overall parity bit). */
-    void encode(const gf2::BitSliceW<W> &data,
-                gf2::BitSliceW<W> &codeword) const override;
-
-    /** SECDED decode to post-correction datawords alone (the
-     *  SlicedCode view; detected-uncorrectable lanes keep the
-     *  uncorrected data, as in the scalar decoder). */
-    void decodeData(const gf2::BitSliceW<W> &received,
-                    gf2::BitSliceW<W> &data_out) const override;
-
-    /**
-     * SECDED decode of all lanes.
-     *
-     * @param received       Received codewords (n positions).
-     * @param data_out       Post-correction datawords (k positions);
-     *                       for detected-uncorrectable lanes this is
-     *                       the uncorrected data, as in the scalar
-     *                       decoder.
-     * @param corrected_out  Lane mask: single error corrected.
-     * @param detected_out   Lane mask: uncorrectable (>= 2 errors)
-     *                       detected.
-     */
-    void decode(const gf2::BitSliceW<W> &received,
-                gf2::BitSliceW<W> &data_out, Lane &corrected_out,
-                Lane &detected_out) const;
-
-  private:
-    SlicedHammingCodeW<W> inner_;
-};
-
-/** The historical 64-lane names. */
+/** The historical 64-lane name. */
 using SlicedHammingCode = SlicedHammingCodeW<1>;
-using SlicedExtendedHammingCode = SlicedExtendedHammingCodeW<1>;
-/** The wide 256-lane variants. */
+/** The wide 256-lane variant. */
 using SlicedHammingCode256 = SlicedHammingCodeW<4>;
-using SlicedExtendedHammingCode256 = SlicedExtendedHammingCodeW<4>;
 
 extern template class SlicedHammingCodeW<1>;
 extern template class SlicedHammingCodeW<4>;
-extern template class SlicedExtendedHammingCodeW<1>;
-extern template class SlicedExtendedHammingCodeW<4>;
 
 } // namespace harp::ecc
 

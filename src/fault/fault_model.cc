@@ -56,25 +56,6 @@ WordFaultModel::makeUniformRber(std::size_t word_bits, double rber,
     return WordFaultModel(word_bits, std::move(faults));
 }
 
-std::vector<std::size_t>
-WordFaultModel::atRiskPositions() const
-{
-    std::vector<std::size_t> positions;
-    positions.reserve(faults_.size());
-    for (const CellFault &f : faults_)
-        positions.push_back(f.position);
-    return positions;
-}
-
-bool
-WordFaultModel::isAtRisk(std::size_t position) const
-{
-    return std::any_of(faults_.begin(), faults_.end(),
-                       [position](const CellFault &f) {
-                           return f.position == position;
-                       });
-}
-
 gf2::BitVector
 WordFaultModel::injectErrors(const gf2::BitVector &stored_codeword,
                              common::Xoshiro256 &rng) const

@@ -72,12 +72,6 @@ class WordFaultModel
     const std::vector<CellFault> &faults() const { return faults_; }
     std::size_t numFaults() const { return faults_.size(); }
 
-    /** Positions of all at-risk cells, ascending. */
-    std::vector<std::size_t> atRiskPositions() const;
-
-    /** True iff @p position is an at-risk cell. */
-    bool isAtRisk(std::size_t position) const;
-
     /**
      * Sample an error mask for one access.
      *

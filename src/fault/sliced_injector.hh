@@ -53,8 +53,6 @@ class SlicedCrnInjectorW
 
     /** Codeword length n shared by all lanes. */
     std::size_t wordBits() const { return wordBits_; }
-    /** Number of live lanes. */
-    std::size_t lanes() const { return lanes_; }
 
     /**
      * Draw this round's Bernoulli trials: for each lane w, one

@@ -98,14 +98,6 @@ FleetAggregator::repairBitsQuantile(double q) const
     return repairBits_.total() == 0 ? 0 : repairBits_.quantileBin(q);
 }
 
-std::size_t
-FleetAggregator::uncorrectableQuantile(double q) const
-{
-    return uncorrectablePerChip_.total() == 0
-               ? 0
-               : uncorrectablePerChip_.quantileBin(q);
-}
-
 bool
 FleetAggregator::operator==(const FleetAggregator &other) const
 {

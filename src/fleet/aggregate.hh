@@ -105,9 +105,6 @@ class FleetAggregator
      */
     std::size_t repairBitsQuantile(double q) const;
 
-    /** Per-faulty-chip uncorrectable-event quantile. */
-    std::size_t uncorrectableQuantile(double q) const;
-
     /** @name Raw histograms (golden pins hash every bin) */
     ///@{
     const common::Histogram &repairBitsHistogram() const

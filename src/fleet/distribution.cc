@@ -5,37 +5,6 @@
 
 namespace harp::fleet {
 
-const char *
-faultModeName(FaultMode mode)
-{
-    switch (mode) {
-      case FaultMode::SingleBit:
-        return "bit";
-      case FaultMode::SingleWord:
-        return "word";
-      case FaultMode::SingleColumn:
-        return "column";
-      case FaultMode::ChipWide:
-        return "chip";
-    }
-    return "?";
-}
-
-FaultMode
-faultModeFromName(const std::string &name)
-{
-    if (name == "bit")
-        return FaultMode::SingleBit;
-    if (name == "word")
-        return FaultMode::SingleWord;
-    if (name == "column")
-        return FaultMode::SingleColumn;
-    if (name == "chip")
-        return FaultMode::ChipWide;
-    throw std::invalid_argument("unknown fault mode '" + name +
-                                "' (bit | word | column | chip)");
-}
-
 double
 FleetDistribution::totalFit() const
 {

@@ -36,12 +36,6 @@ enum class FaultMode
 /** Number of FaultMode values (array sizing). */
 inline constexpr std::size_t kNumFaultModes = 4;
 
-/** Human-readable mode name ("bit", "word", "column", "chip"). */
-const char *faultModeName(FaultMode mode);
-
-/** Parse a mode name; throws std::invalid_argument on bad input. */
-FaultMode faultModeFromName(const std::string &name);
-
 /**
  * One reliability tier of a heterogeneous fleet: a fraction of the
  * chip population whose fault-event rate is scaled by @p rateScale

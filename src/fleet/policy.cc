@@ -123,22 +123,6 @@ runStratum(const FleetConfig &config, const PopulationSampler &sampler,
 
 } // namespace
 
-const char *
-profilerKindName(ProfilerKind kind)
-{
-    switch (kind) {
-      case ProfilerKind::None:
-        return "none";
-      case ProfilerKind::Naive:
-        return "naive";
-      case ProfilerKind::HarpU:
-        return "harp_u";
-      case ProfilerKind::HarpA:
-        return "harp_a";
-    }
-    return "?";
-}
-
 ProfilerKind
 profilerKindFromName(const std::string &name)
 {

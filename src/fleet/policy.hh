@@ -51,10 +51,8 @@ enum class ProfilerKind
     HarpA, ///< HARP-U plus indirect-error prediction.
 };
 
-/** Human-readable profiler name ("none", "naive", "harp_u", "harp_a"). */
-const char *profilerKindName(ProfilerKind kind);
-
-/** Parse a profiler name; throws std::invalid_argument on bad input. */
+/** Parse a profiler name ("none", "naive", "harp_u", "harp_a");
+ *  throws std::invalid_argument on bad input. */
 ProfilerKind profilerKindFromName(const std::string &name);
 
 /** Repair budget meaning "unlimited spare storage". */

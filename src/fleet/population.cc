@@ -166,23 +166,4 @@ PopulationSampler::materialize(const ChipSample &sample) const
     return models;
 }
 
-std::size_t
-PopulationSampler::placeOnChip(mem::MemoryChip &chip,
-                               const ChipSample &sample) const
-{
-    if (chip.numWords() != geometry_.wordsPerChip ||
-        chip.codewordBits() != geometry_.codewordBits)
-        throw std::invalid_argument(
-            "placeOnChip: chip geometry mismatch");
-    std::set<std::pair<std::size_t, std::size_t>> placed;
-    for (const FaultEvent &event : sample.events) {
-        for (const auto &[word, pos] : event.cells) {
-            if (!placed.insert({word, pos}).second)
-                continue;
-            chip.addCellFault(word, {pos, dist_.cellProbability});
-        }
-    }
-    return placed.size();
-}
-
 } // namespace harp::fleet

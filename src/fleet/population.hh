@@ -12,10 +12,9 @@
  * chip draws zero events and costs two RNG taps, which is what makes
  * million-chip fleets cheap.
  *
- * Placement output is a list of (word, codeword position) cells; the
- * materialize helpers dedup them into per-word fault::WordFaultModel
- * objects or place them onto a mem::MemoryChip through its
- * addCellFault hook.
+ * Placement output is a list of (word, codeword position) cells;
+ * materialize() dedups them into per-word fault::WordFaultModel
+ * objects.
  */
 
 #ifndef HARP_FLEET_POPULATION_HH
@@ -29,7 +28,6 @@
 #include "common/rng.hh"
 #include "fault/fault_model.hh"
 #include "fleet/distribution.hh"
-#include "memsys/memory_chip.hh"
 
 namespace harp::fleet {
 
@@ -90,12 +88,6 @@ class PopulationSampler
      */
     std::vector<std::pair<std::size_t, fault::WordFaultModel>>
     materialize(const ChipSample &sample) const;
-
-    /** Place a sample's cells onto @p chip via MemoryChip::addCellFault
-     *  (the chip must have the sampler's geometry).
-     *  @return Number of distinct cells placed. */
-    std::size_t placeOnChip(mem::MemoryChip &chip,
-                            const ChipSample &sample) const;
 
     const FleetDistribution &distribution() const { return dist_; }
     const ChipGeometry &geometry() const { return geometry_; }

@@ -131,14 +131,6 @@ BitVector::andNot(const BitVector &other)
     return *this;
 }
 
-bool
-BitVector::operator<(const BitVector &other) const
-{
-    if (size_ != other.size_)
-        return size_ < other.size_;
-    return words_ < other.words_;
-}
-
 std::vector<std::size_t>
 BitVector::setBits() const
 {

@@ -145,9 +145,6 @@ class BitVector
     }
     bool operator!=(const BitVector &other) const { return !(*this == other); }
 
-    /** Lexicographic order on (size, words); usable as a map key. */
-    bool operator<(const BitVector &other) const;
-
     /** Indices of set bits in ascending order. */
     std::vector<std::size_t> setBits() const;
 

@@ -107,25 +107,6 @@ ConstraintSystem::solveAny() const
     return sol->particular;
 }
 
-std::optional<BitVector>
-ConstraintSystem::solveRandom(common::Xoshiro256 &rng) const
-{
-    BitMatrix a(rows_.size(), numVars_);
-    BitVector b(rows_.size());
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        a.row(r) = rows_[r];
-        b.set(r, rhs_[r]);
-    }
-    auto sol = solve(a, b);
-    if (!sol)
-        return std::nullopt;
-    BitVector x = sol->particular;
-    for (const BitVector &basis : sol->nullspace)
-        if (rng.nextBernoulli(0.5))
-            x ^= basis;
-    return x;
-}
-
 RowDependencies::RowDependencies(const std::vector<BitVector> &rows)
 {
     if (rows.size() > 64)

@@ -28,10 +28,6 @@ struct LinearSolution
     /** Basis of the nullspace of A; the full solution set is
      *  particular + span(nullspace). */
     std::vector<BitVector> nullspace;
-
-    /** Number of distinct solutions is 2^nullspace.size() (may overflow
-     *  for large nullspaces; callers only use small systems). */
-    std::size_t solutionCountLog2() const { return nullspace.size(); }
 };
 
 /**
@@ -47,7 +43,7 @@ std::optional<LinearSolution> solve(const BitMatrix &a, const BitVector &b);
  * Incremental affine-constraint system over GF(2).
  *
  * Collects constraints of the form row · x = rhs and answers consistency /
- * sampling queries. Used to build data patterns subject to per-cell charge
+ * solution queries. Used to build data patterns subject to per-cell charge
  * requirements.
  */
 class ConstraintSystem
@@ -57,7 +53,6 @@ class ConstraintSystem
     explicit ConstraintSystem(std::size_t num_vars);
 
     std::size_t numVars() const { return numVars_; }
-    std::size_t numConstraints() const { return rows_.size(); }
 
     /** Add constraint row · x = rhs. */
     void addConstraint(const BitVector &row, bool rhs);
@@ -70,12 +65,6 @@ class ConstraintSystem
 
     /** One satisfying assignment, if any. */
     std::optional<BitVector> solveAny() const;
-
-    /**
-     * A uniformly random satisfying assignment (random nullspace
-     * combination on top of a particular solution), if any.
-     */
-    std::optional<BitVector> solveRandom(common::Xoshiro256 &rng) const;
 
   private:
     std::size_t numVars_;

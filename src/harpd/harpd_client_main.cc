@@ -41,10 +41,12 @@
  * 5 deadline exceeded (checkpoint kept; `resume` continues it).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -53,6 +55,7 @@
 
 #include <unistd.h>
 
+#include "common/cli.hh"
 #include "harpd/client.hh"
 #include "harpd/protocol.hh"
 
@@ -458,57 +461,68 @@ main(int argc, char **argv)
     std::string out_dir;
     JsonValue overrides = JsonValue::object();
     std::string seed;
-    std::string repeat;
+    std::int64_t repeat = 0;
     std::string tenant;
     std::string priority;
     std::int64_t deadline_ms = 0;
     std::int64_t from = 0;
     bool verbose = false;
     RetryOptions retry;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h")
-            return usage(std::cout, 0);
-        if (arg == "--socket" && i + 1 < argc) {
-            socket_path = argv[++i];
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_dir = argv[++i];
-        } else if (arg == "--seed" && i + 1 < argc) {
-            seed = argv[++i];
-        } else if (arg == "--repeat" && i + 1 < argc) {
-            repeat = argv[++i];
-        } else if (arg == "--tenant" && i + 1 < argc) {
-            tenant = argv[++i];
-        } else if (arg == "--priority" && i + 1 < argc) {
-            priority = argv[++i];
-        } else if (arg == "--deadline-ms" && i + 1 < argc) {
-            deadline_ms = std::stoll(argv[++i]);
-            if (deadline_ms < 1) {
-                std::cerr << "harpd_client: --deadline-ms wants a "
-                             "positive integer\n";
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            // The next token as a whole decimal integer in [lo, hi];
+            // anything else throws std::invalid_argument.
+            const auto integer = [&](auto lo, decltype(lo) hi) {
+                return harp::common::parseIntegerFlag(arg, argv[++i], lo,
+                                                      hi);
+            };
+            constexpr int int_max = std::numeric_limits<int>::max();
+            constexpr std::int64_t i64_max =
+                std::numeric_limits<std::int64_t>::max();
+            if (arg == "--help" || arg == "-h")
+                return usage(std::cout, 0);
+            if (arg == "--socket" && i + 1 < argc) {
+                socket_path = argv[++i];
+            } else if (arg == "--out" && i + 1 < argc) {
+                out_dir = argv[++i];
+            } else if (arg == "--seed" && i + 1 < argc) {
+                // Checked here, sent as text: the daemon takes uint64
+                // seeds as decimal strings.
+                seed = argv[++i];
+                harp::common::parseIntegerFlag<std::uint64_t>(arg, seed);
+            } else if (arg == "--repeat" && i + 1 < argc) {
+                repeat = integer(std::int64_t{1}, std::int64_t{1'000'000});
+            } else if (arg == "--tenant" && i + 1 < argc) {
+                tenant = argv[++i];
+            } else if (arg == "--priority" && i + 1 < argc) {
+                priority = argv[++i];
+            } else if (arg == "--deadline-ms" && i + 1 < argc) {
+                deadline_ms = integer(std::int64_t{1}, i64_max);
+            } else if (arg == "--verbose") {
+                verbose = true;
+            } else if (arg == "--from" && i + 1 < argc) {
+                from = integer(std::int64_t{0}, i64_max);
+            } else if (arg == "--timeout-ms" && i + 1 < argc) {
+                retry.timeoutMs = integer(0, int_max);
+            } else if (arg == "--retries" && i + 1 < argc) {
+                retry.retries = integer(0, int_max);
+            } else if (arg == "--backoff-ms" && i + 1 < argc) {
+                retry.backoffBaseMs = std::max(1, integer(0, int_max));
+            } else if (arg == "--set" && i + 2 < argc) {
+                const std::string name = argv[++i];
+                overrides.set(name, JsonValue(std::string(argv[++i])));
+            } else if (!arg.empty() && arg[0] == '-') {
+                std::cerr << "harpd_client: unknown or incomplete flag '"
+                          << arg << "'\n";
                 return usage(std::cerr, 2);
+            } else {
+                words.push_back(arg);
             }
-        } else if (arg == "--verbose") {
-            verbose = true;
-        } else if (arg == "--from" && i + 1 < argc) {
-            from = std::stoll(argv[++i]);
-        } else if (arg == "--timeout-ms" && i + 1 < argc) {
-            retry.timeoutMs = static_cast<int>(std::stoll(argv[++i]));
-        } else if (arg == "--retries" && i + 1 < argc) {
-            retry.retries = static_cast<int>(std::stoll(argv[++i]));
-        } else if (arg == "--backoff-ms" && i + 1 < argc) {
-            retry.backoffBaseMs =
-                std::max(1, static_cast<int>(std::stoll(argv[++i])));
-        } else if (arg == "--set" && i + 2 < argc) {
-            const std::string name = argv[++i];
-            overrides.set(name, JsonValue(std::string(argv[++i])));
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "harpd_client: unknown or incomplete flag '"
-                      << arg << "'\n";
-            return usage(std::cerr, 2);
-        } else {
-            words.push_back(arg);
         }
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "harpd_client: " << e.what() << "\n";
+        return usage(std::cerr, 2);
     }
     if (socket_path.empty() || words.empty()) {
         std::cerr << "harpd_client: --socket and a verb are required\n";
@@ -559,10 +573,8 @@ main(int argc, char **argv)
             request.set("experiments", experiments);
             if (!seed.empty())
                 request.set("seed", JsonValue(seed));
-            if (!repeat.empty())
-                request.set("repeat",
-                            JsonValue(static_cast<std::int64_t>(
-                                std::stoll(repeat))));
+            if (repeat > 0)
+                request.set("repeat", JsonValue(repeat));
             if (!overrides.members().empty())
                 request.set("overrides", overrides);
             if (!tenant.empty())

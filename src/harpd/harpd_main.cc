@@ -28,13 +28,14 @@
  * write schedules with it.
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/io.hh"
 #include "harpd/server.hh"
 
@@ -114,65 +115,58 @@ main(int argc, char **argv)
     harp::harpd::ServerConfig config;
     harp::common::io::FaultPlan fault_plan;
     bool have_fault_plan = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (arg == "--help" || arg == "-h")
-            return usage(std::cout, 0);
-        if (arg == "--socket" && has_value) {
-            config.socketPath = argv[++i];
-        } else if (arg == "--data" && has_value) {
-            config.dataDir = argv[++i];
-        } else if (arg == "--threads" && has_value) {
-            config.threads = std::strtoul(argv[++i], nullptr, 10);
-        } else if (arg == "--queue" && has_value) {
-            config.clientQueueCapacity =
-                std::strtoul(argv[++i], nullptr, 10);
-            if (config.clientQueueCapacity == 0)
-                config.clientQueueCapacity = 1;
-        } else if (arg == "--max-campaigns" && has_value) {
-            config.maxCampaignsPerTenant =
-                std::strtoul(argv[++i], nullptr, 10);
-        } else if (arg == "--max-jobs" && has_value) {
-            config.maxInflightJobsPerTenant =
-                std::strtoul(argv[++i], nullptr, 10);
-        } else if (arg == "--admission-queue" && has_value) {
-            config.admissionQueueLimit =
-                std::strtoul(argv[++i], nullptr, 10);
-        } else if (arg == "--tenant-weight" && has_value) {
-            const std::string spec = argv[++i];
-            const std::size_t eq = spec.find('=');
-            std::size_t weight = 0;
-            if (eq != std::string::npos && eq > 0)
-                weight = std::strtoul(spec.c_str() + eq + 1, nullptr, 10);
-            if (weight == 0) {
-                std::cerr << "harpd: --tenant-weight wants NAME=W with "
-                             "W >= 1, got '"
-                          << spec << "'\n";
-                return usage(std::cerr, 2);
-            }
-            config.tenantWeights[spec.substr(0, eq)] = weight;
-        } else if (arg == "--default-weight" && has_value) {
-            config.defaultTenantWeight =
-                std::strtoul(argv[++i], nullptr, 10);
-            if (config.defaultTenantWeight == 0)
-                config.defaultTenantWeight = 1;
-        } else if (arg == "--stall-ms" && has_value) {
-            config.stallTimeoutMs = std::strtoul(argv[++i], nullptr, 10);
-        } else if (arg == "--fault-plan" && has_value) {
-            try {
-                fault_plan =
-                    harp::common::io::FaultPlan::parse(argv[++i]);
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const bool has_value = i + 1 < argc;
+            // The next token as a whole decimal size_t; anything else
+            // throws std::invalid_argument.
+            const auto count = [&] {
+                return harp::common::parseIntegerFlag<std::size_t>(
+                    arg, argv[++i]);
+            };
+            if (arg == "--help" || arg == "-h")
+                return usage(std::cout, 0);
+            if (arg == "--socket" && has_value) {
+                config.socketPath = argv[++i];
+            } else if (arg == "--data" && has_value) {
+                config.dataDir = argv[++i];
+            } else if (arg == "--threads" && has_value) {
+                config.threads = count();
+            } else if (arg == "--queue" && has_value) {
+                config.clientQueueCapacity = std::max<std::size_t>(1, count());
+            } else if (arg == "--max-campaigns" && has_value) {
+                config.maxCampaignsPerTenant = count();
+            } else if (arg == "--max-jobs" && has_value) {
+                config.maxInflightJobsPerTenant = count();
+            } else if (arg == "--admission-queue" && has_value) {
+                config.admissionQueueLimit = count();
+            } else if (arg == "--tenant-weight" && has_value) {
+                const std::string spec = argv[++i];
+                const std::size_t eq = spec.find('=');
+                if (eq == std::string::npos || eq == 0)
+                    throw std::invalid_argument(
+                        "--tenant-weight wants NAME=W, got '" + spec + "'");
+                config.tenantWeights[spec.substr(0, eq)] =
+                    harp::common::parseIntegerFlag<std::size_t>(
+                        arg, spec.substr(eq + 1), 1);
+            } else if (arg == "--default-weight" && has_value) {
+                config.defaultTenantWeight =
+                    std::max<std::size_t>(1, count());
+            } else if (arg == "--stall-ms" && has_value) {
+                config.stallTimeoutMs = count();
+            } else if (arg == "--fault-plan" && has_value) {
+                fault_plan = harp::common::io::FaultPlan(argv[++i]);
                 have_fault_plan = true;
-            } catch (const std::exception &e) {
-                std::cerr << "harpd: " << e.what() << "\n";
+            } else {
+                std::cerr << "harpd: unknown or incomplete flag '" << arg
+                          << "'\n";
                 return usage(std::cerr, 2);
             }
-        } else {
-            std::cerr << "harpd: unknown or incomplete flag '" << arg
-                      << "'\n";
-            return usage(std::cerr, 2);
         }
+    } catch (const std::exception &e) {
+        std::cerr << "harpd: " << e.what() << "\n";
+        return usage(std::cerr, 2);
     }
     if (config.socketPath.empty() || config.dataDir.empty()) {
         std::cerr << "harpd: --socket and --data are required\n";

@@ -1,10 +1,6 @@
 #include "memsys/error_profile.hh"
 
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
-#include <string>
 
 namespace harp::mem {
 
@@ -29,36 +25,6 @@ ErrorProfile::markWordBitmap(std::size_t word, const gf2::BitVector &bits)
     bitmaps_.at(word) |= bits;
 }
 
-std::size_t
-ErrorProfile::truncateToBudget(std::size_t max_bits)
-{
-    std::size_t kept = 0, dropped = 0;
-    for (auto &bitmap : bitmaps_) {
-        if (kept >= max_bits && !bitmap.isZero()) {
-            dropped += bitmap.popcount();
-            bitmap.fill(false);
-            continue;
-        }
-        const std::size_t here = bitmap.popcount();
-        if (kept + here <= max_bits) {
-            kept += here;
-            continue;
-        }
-        // Partial word: keep the lowest positions up to the budget.
-        gf2::BitVector truncated(bitmap.size());
-        bitmap.forEachSetBit([&](std::size_t bit) {
-            if (kept < max_bits) {
-                truncated.set(bit, true);
-                ++kept;
-            } else {
-                ++dropped;
-            }
-        });
-        bitmap = std::move(truncated);
-    }
-    return dropped;
-}
-
 bool
 ErrorProfile::isAtRisk(std::size_t word, std::size_t bit) const
 {
@@ -78,68 +44,6 @@ ErrorProfile::totalAtRisk() const
     for (const auto &bitmap : bitmaps_)
         total += bitmap.popcount();
     return total;
-}
-
-void
-ErrorProfile::merge(const ErrorProfile &other)
-{
-    if (other.numWords() != numWords() || other.wordBits_ != wordBits_)
-        throw std::invalid_argument("ErrorProfile::merge: shape mismatch");
-    for (std::size_t w = 0; w < bitmaps_.size(); ++w)
-        bitmaps_[w] |= other.bitmaps_[w];
-}
-
-void
-ErrorProfile::clear()
-{
-    for (auto &bitmap : bitmaps_)
-        bitmap.fill(false);
-}
-
-void
-ErrorProfile::save(std::ostream &os) const
-{
-    os << "harp-profile v1 " << numWords() << " " << wordBits_ << "\n";
-    for (std::size_t w = 0; w < bitmaps_.size(); ++w) {
-        if (bitmaps_[w].isZero())
-            continue;
-        os << w;
-        bitmaps_[w].forEachSetBit(
-            [&](std::size_t bit) { os << " " << bit; });
-        os << "\n";
-    }
-}
-
-ErrorProfile
-ErrorProfile::load(std::istream &is)
-{
-    std::string magic, version;
-    std::size_t num_words = 0, word_bits = 0;
-    if (!(is >> magic >> version >> num_words >> word_bits) ||
-        magic != "harp-profile" || version != "v1") {
-        throw std::invalid_argument("ErrorProfile::load: bad header");
-    }
-    ErrorProfile profile(num_words, word_bits);
-    std::string line;
-    std::getline(is, line); // consume the header's newline
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        std::istringstream fields(line);
-        std::size_t word = 0;
-        if (!(fields >> word) || word >= num_words)
-            throw std::invalid_argument("ErrorProfile::load: bad word");
-        std::size_t bit = 0;
-        while (fields >> bit) {
-            if (bit >= word_bits)
-                throw std::invalid_argument(
-                    "ErrorProfile::load: bad bit");
-            profile.markAtRisk(word, bit);
-        }
-        if (!fields.eof())
-            throw std::invalid_argument("ErrorProfile::load: bad line");
-    }
-    return profile;
 }
 
 } // namespace harp::mem

@@ -9,7 +9,6 @@
 #define HARP_MEMSYS_ERROR_PROFILE_HH
 
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "gf2/bit_vector.hh"
@@ -30,8 +29,6 @@ class ErrorProfile
      */
     ErrorProfile(std::size_t num_words, std::size_t word_bits);
 
-    /** Number of ECC words covered by the profile. */
-    std::size_t numWords() const { return bitmaps_.size(); }
     /** Dataword length (profiled positions are data bits). */
     std::size_t wordBits() const { return wordBits_; }
 
@@ -46,16 +43,6 @@ class ErrorProfile
      */
     void markWordBitmap(std::size_t word, const gf2::BitVector &bits);
 
-    /**
-     * Keep only the first @p max_bits profiled bits in (word, bit)
-     * order and clear the rest — the deterministic tie-break a
-     * budgeted repair mechanism applies when a profile exceeds the
-     * spare capacity it feeds.
-     *
-     * @return Number of profiled bits dropped.
-     */
-    std::size_t truncateToBudget(std::size_t max_bits);
-
     /** True iff (word, bit) has been profiled as at risk. */
     bool isAtRisk(std::size_t word, std::size_t bit) const;
 
@@ -64,29 +51,6 @@ class ErrorProfile
 
     /** Total profiled bit count across all words. */
     std::size_t totalAtRisk() const;
-
-    /** Merge another profile (union). Shapes must match. */
-    void merge(const ErrorProfile &other);
-
-    /** Remove all entries. */
-    void clear();
-
-    /**
-     * Serialize to a line-oriented text format: a header line
-     * `harp-profile v1 <words> <bits>` followed by one
-     * `<word> <bit> [bit...]` line per word with at-risk entries.
-     * Profiles are built once per chip and must survive reboots to keep
-     * feeding the repair mechanism (HARP section 1).
-     */
-    void save(std::ostream &os) const;
-
-    /**
-     * Parse a profile written by save().
-     *
-     * @throws std::invalid_argument on malformed input or shape
-     *         mismatch with the stream header.
-     */
-    static ErrorProfile load(std::istream &is);
 
   private:
     std::size_t wordBits_;

@@ -1,6 +1,5 @@
 #include "memsys/memory_chip.hh"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -23,56 +22,10 @@ MemoryChip::setFaultModel(std::size_t word, fault::WordFaultModel model)
 }
 
 void
-MemoryChip::addCellFault(std::size_t word, const fault::CellFault &cell)
-{
-    if (cell.position >= onDieEcc_.n())
-        throw std::invalid_argument("cell fault position out of range");
-    const fault::WordFaultModel &current = faultModels_.at(word);
-    std::vector<fault::CellFault> faults = current.faults();
-    bool merged = false;
-    for (fault::CellFault &existing : faults) {
-        if (existing.position == cell.position) {
-            existing.probability =
-                std::max(existing.probability, cell.probability);
-            merged = true;
-            break;
-        }
-    }
-    if (!merged)
-        faults.push_back(cell);
-    faultModels_.at(word) = fault::WordFaultModel(
-        onDieEcc_.n(), std::move(faults), current.technology());
-}
-
-std::vector<std::size_t>
-MemoryChip::faultyWords() const
-{
-    std::vector<std::size_t> words;
-    for (std::size_t w = 0; w < faultModels_.size(); ++w)
-        if (faultModels_[w].numFaults() > 0)
-            words.push_back(w);
-    return words;
-}
-
-const fault::WordFaultModel &
-MemoryChip::faultModel(std::size_t word) const
-{
-    return faultModels_.at(word);
-}
-
-void
 MemoryChip::write(std::size_t word, const gf2::BitVector &dataword)
 {
     assert(dataword.size() == onDieEcc_.k());
     storage_.at(word) = onDieEcc_.encode(dataword);
-}
-
-ChipReadResult
-MemoryChip::read(std::size_t word) const
-{
-    ChipReadResult result{gf2::BitVector(onDieEcc_.k())};
-    readInto(word, result.dataword);
-    return result;
 }
 
 void

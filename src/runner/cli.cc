@@ -168,20 +168,16 @@ runnerMain(int argc, const char *const *argv)
 
     // --- Overrides ------------------------------------------------------
     CampaignOptions options;
-    options.seed = static_cast<std::uint64_t>(cli.getInt("seed", 1));
-    const std::int64_t threads = cli.getInt("threads", 0);
-    if (threads < 0 || threads > 4096) {
-        std::cerr << "error: --threads must be in [0, 4096] "
-                     "(0 = hardware concurrency)\n";
+    try {
+        options.seed = cli.getInt<std::uint64_t>("seed", 1);
+        options.threads = cli.getInt<std::size_t>("threads", 0, 0, 4096);
+        options.repeat =
+            cli.getInt<std::size_t>("repeat", 1, 1, 1'000'000);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        printUsage(std::cerr);
         return 2;
     }
-    options.threads = static_cast<std::size_t>(threads);
-    const std::int64_t repeat = cli.getInt("repeat", 1);
-    if (repeat < 1 || repeat > 1'000'000) {
-        std::cerr << "error: --repeat must be in [1, 1000000]\n";
-        return 2;
-    }
-    options.repeat = static_cast<std::size_t>(repeat);
     options.dryRun = cli.getBool("dry-run", false);
     options.noTimings = cli.getBool("no-timings", false);
     options.outDir = cli.getString("out", "results");

@@ -47,16 +47,6 @@ RunContext::getDouble(const std::string &name, double def) const
     return def;
 }
 
-bool
-RunContext::getBool(const std::string &name, bool def) const
-{
-    if (const ParamValue *v = point_.find(name))
-        return v->asBool();
-    if (const std::string *text = findOverride(name))
-        return *text != "false" && *text != "0";
-    return def;
-}
-
 std::string
 RunContext::getString(const std::string &name, const std::string &def) const
 {

@@ -63,8 +63,6 @@ class RunContext
     std::int64_t getInt(const std::string &name, std::int64_t def) const;
     /** Floating-point tunable; axis Int values convert. */
     double getDouble(const std::string &name, double def) const;
-    /** Boolean tunable. */
-    bool getBool(const std::string &name, bool def) const;
     /** String tunable. */
     std::string getString(const std::string &name,
                           const std::string &def) const;

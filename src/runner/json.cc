@@ -464,21 +464,4 @@ JsonValue::parse(const std::string &text)
     return Parser(text).parseDocument();
 }
 
-bool
-JsonValue::operator==(const JsonValue &other) const
-{
-    if (type_ != other.type_)
-        return false;
-    switch (type_) {
-      case JsonType::Null: return true;
-      case JsonType::Bool: return bool_ == other.bool_;
-      case JsonType::Int: return int_ == other.int_;
-      case JsonType::Double: return double_ == other.double_;
-      case JsonType::String: return string_ == other.string_;
-      case JsonType::Array: return array_ == other.array_;
-      case JsonType::Object: return object_ == other.object_;
-    }
-    return false;
-}
-
 } // namespace harp::runner

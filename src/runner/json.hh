@@ -104,8 +104,6 @@ class JsonValue
      */
     static JsonValue parse(const std::string &text);
 
-    bool operator==(const JsonValue &other) const;
-
   private:
     void dumpTo(std::string &out, int indent, int depth) const;
 

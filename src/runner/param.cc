@@ -23,14 +23,6 @@ ParamValue::asDouble() const
     return double_;
 }
 
-bool
-ParamValue::asBool() const
-{
-    if (type_ != Type::Bool)
-        throw std::logic_error("parameter is not a bool");
-    return bool_;
-}
-
 const std::string &
 ParamValue::asString() const
 {
@@ -92,20 +84,6 @@ ParamValue::parseSameType(const std::string &text) const
       case Type::String: return ParamValue(text);
     }
     throw std::invalid_argument("unknown parameter type");
-}
-
-bool
-ParamValue::operator==(const ParamValue &other) const
-{
-    if (type_ != other.type_)
-        return false;
-    switch (type_) {
-      case Type::Int: return int_ == other.int_;
-      case Type::Double: return double_ == other.double_;
-      case Type::Bool: return bool_ == other.bool_;
-      case Type::String: return string_ == other.string_;
-    }
-    return false;
 }
 
 void

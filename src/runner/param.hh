@@ -49,7 +49,6 @@ class ParamValue
      *  (except asDouble, which also accepts Int). */
     std::int64_t asInt() const;
     double asDouble() const;
-    bool asBool() const;
     const std::string &asString() const;
 
     /** Flag-style rendering ("0.5", "128", "true", "random"). */
@@ -64,8 +63,6 @@ class ParamValue
      * @throws std::invalid_argument when @p text does not parse.
      */
     ParamValue parseSameType(const std::string &text) const;
-
-    bool operator==(const ParamValue &other) const;
 
   private:
     Type type_;

@@ -75,69 +75,4 @@ CnfBuilder::addXor(const std::vector<Lit> &lits, bool rhs)
     return addXor(rest, rhs);
 }
 
-bool
-CnfBuilder::addAtMostOne(const std::vector<Lit> &lits)
-{
-    bool ok = true;
-    for (std::size_t i = 0; i < lits.size(); ++i)
-        for (std::size_t j = i + 1; j < lits.size(); ++j)
-            ok = solver_.addClause(~lits[i], ~lits[j]) && ok;
-    return ok;
-}
-
-bool
-CnfBuilder::addExactlyOne(const std::vector<Lit> &lits)
-{
-    bool ok = solver_.addClause(Clause(lits));
-    return addAtMostOne(lits) && ok;
-}
-
-bool
-CnfBuilder::addImplies(Lit a, Lit b)
-{
-    return solver_.addClause(~a, b);
-}
-
-Var
-CnfBuilder::defineAnd(Lit a, Lit b)
-{
-    return defineAnd(std::vector<Lit>{a, b});
-}
-
-Var
-CnfBuilder::defineAnd(const std::vector<Lit> &lits)
-{
-    const Var y = solver_.newVar();
-    const Lit ly = Lit::make(y, true);
-    // y → each literal
-    for (const Lit l : lits)
-        solver_.addClause(~ly, l);
-    // all literals → y
-    Clause back;
-    back.reserve(lits.size() + 1);
-    for (const Lit l : lits)
-        back.push_back(~l);
-    back.push_back(ly);
-    solver_.addClause(std::move(back));
-    return y;
-}
-
-Var
-CnfBuilder::defineOr(const std::vector<Lit> &lits)
-{
-    const Var y = solver_.newVar();
-    const Lit ly = Lit::make(y, true);
-    // each literal → y
-    for (const Lit l : lits)
-        solver_.addClause(~l, ly);
-    // y → some literal
-    Clause fwd;
-    fwd.reserve(lits.size() + 1);
-    fwd.push_back(~ly);
-    for (const Lit l : lits)
-        fwd.push_back(l);
-    solver_.addClause(std::move(fwd));
-    return y;
-}
-
 } // namespace harp::sat

@@ -2,9 +2,9 @@
  * @file
  * Structured constraint encoding on top of the CDCL solver.
  *
- * Provides the encodings HARP's analyses need: XOR (parity) constraints for
- * GF(2) relations between dataword bits and parity/syndrome bits, and small
- * cardinality constraints.
+ * Provides the encoding HARP's analyses need beyond plain clauses: XOR
+ * (parity) constraints for GF(2) relations between dataword bits and
+ * parity/syndrome bits.
  */
 
 #ifndef HARP_SAT_CNF_BUILDER_HH
@@ -45,24 +45,6 @@ class CnfBuilder
      * stays linear.
      */
     bool addXor(const std::vector<Lit> &lits, bool rhs);
-
-    /** At most one of @p lits is true (pairwise encoding). */
-    bool addAtMostOne(const std::vector<Lit> &lits);
-
-    /** Exactly one of @p lits is true. */
-    bool addExactlyOne(const std::vector<Lit> &lits);
-
-    /** a → b. */
-    bool addImplies(Lit a, Lit b);
-
-    /** Define y ↔ (a ∧ b) with a fresh variable y; returns y. */
-    Var defineAnd(Lit a, Lit b);
-
-    /** Define y ↔ (l1 ∧ l2 ∧ ... ∧ ln); returns y. */
-    Var defineAnd(const std::vector<Lit> &lits);
-
-    /** Define y ↔ (l1 ∨ l2 ∨ ... ∨ ln); returns y. */
-    Var defineOr(const std::vector<Lit> &lits);
 
   private:
     /** Direct CNF expansion of an XOR over ≤ chunk-size literals. */

@@ -24,12 +24,6 @@ Solver::newVar()
 }
 
 LBool
-Solver::value(Var v) const
-{
-    return assigns_[static_cast<std::size_t>(v)];
-}
-
-LBool
 Solver::value(Lit l) const
 {
     const LBool v = assigns_[static_cast<std::size_t>(l.var())];
@@ -75,24 +69,6 @@ Solver::addClause(Clause clause)
     attachClause(ci);
     ++numProblemClauses_;
     return true;
-}
-
-bool
-Solver::addClause(Lit a)
-{
-    return addClause(Clause{a});
-}
-
-bool
-Solver::addClause(Lit a, Lit b)
-{
-    return addClause(Clause{a, b});
-}
-
-bool
-Solver::addClause(Lit a, Lit b, Lit c)
-{
-    return addClause(Clause{a, b, c});
 }
 
 void

@@ -46,11 +46,6 @@ class Solver
      */
     bool addClause(Clause clause);
 
-    /** Convenience overloads for short clauses. */
-    bool addClause(Lit a);
-    bool addClause(Lit a, Lit b);
-    bool addClause(Lit a, Lit b, Lit c);
-
     /**
      * Decide satisfiability.
      *
@@ -102,7 +97,6 @@ class Solver
     static constexpr std::uint32_t invalidClause = ~std::uint32_t{0};
 
     LBool value(Lit l) const;
-    LBool value(Var v) const;
 
     void attachClause(std::uint32_t ci);
     void enqueue(Lit l, std::uint32_t reason);

@@ -193,9 +193,8 @@ TEST_F(IoFaultsTest, RealErrorsStillSurfaceWithoutAPlan)
 
 TEST_F(IoFaultsTest, SpecGrammarRoundTrips)
 {
-    FaultPlan plan =
-        FaultPlan::parse("write#4+=ENOSPC/short=10,fsync#0=EIO,"
-                         "rename#1=EACCES");
+    FaultPlan plan("write#4+=ENOSPC/short=10,fsync#0=EIO,"
+                   "rename#1=EACCES");
     // describe() re-serializes the schedule: a chaos failure is
     // reproducible from the logged line alone.
     const std::string described = plan.describe();
@@ -221,8 +220,7 @@ TEST_F(IoFaultsTest, SpecGrammarRoundTrips)
 
 TEST_F(IoFaultsTest, NumericErrnosAndNamesAgree)
 {
-    FaultPlan plan = FaultPlan::parse("write#0=" +
-                                      std::to_string(ENOSPC));
+    FaultPlan plan("write#0=" + std::to_string(ENOSPC));
     const std::optional<Fault> fault = plan.next(Op::Write);
     ASSERT_TRUE(fault.has_value());
     EXPECT_EQ(fault->ec.value(), ENOSPC);
@@ -247,7 +245,7 @@ TEST_F(IoFaultsTest, MalformedSpecsAreRejectedWithTheOffendingEntry)
         EXPECT_THROW(
             {
                 try {
-                    FaultPlan::parse(spec);
+                    FaultPlan plan(spec);
                 } catch (const std::runtime_error &e) {
                     // The message names the entry so a bad --fault-plan
                     // flag is diagnosable.

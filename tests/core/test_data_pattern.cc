@@ -12,9 +12,6 @@ namespace {
 
 TEST(DataPattern, Names)
 {
-    EXPECT_EQ(patternKindName(PatternKind::Random), "random");
-    EXPECT_EQ(patternKindName(PatternKind::Charged), "charged");
-    EXPECT_EQ(patternKindName(PatternKind::Checkered), "checkered");
     EXPECT_EQ(patternKindFromName("random"), PatternKind::Random);
     EXPECT_EQ(patternKindFromName("charged"), PatternKind::Charged);
     EXPECT_EQ(patternKindFromName("checkered"), PatternKind::Checkered);

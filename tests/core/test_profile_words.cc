@@ -134,7 +134,9 @@ checkDriver(const ecc::BchCode *bch)
                                   EngineKind::Sliced256}) {
         for (const std::size_t words : {0, 1, 63, 64, 65, 256, 257}) {
             for (const std::size_t threads : {1, 4}) {
-                SCOPED_TRACE(engineKindName(kind) + " words=" +
+                SCOPED_TRACE("engine=" +
+                             std::to_string(static_cast<int>(kind)) +
+                             " words=" +
                              std::to_string(words) + " threads=" +
                              std::to_string(threads));
                 const WordRun run{kind, words, kRounds, PatternKind::Random,

@@ -587,7 +587,6 @@ TEST(SlicedRoundEngine, BitIdenticalForBchLanes)
                 std::vector<std::unique_ptr<Profiler>> scalar_ps;
                 std::vector<std::unique_ptr<Profiler>> sliced_ps;
                 std::vector<std::unique_ptr<RoundEngine>> scalar_engines;
-                std::vector<const ecc::BchCode *> code_ptrs;
                 std::vector<const fault::WordFaultModel *> fault_ptrs;
                 std::vector<std::uint64_t> lane_seeds;
                 std::vector<std::vector<Profiler *>> sliced_raw(lanes);
@@ -611,13 +610,12 @@ TEST(SlicedRoundEngine, BitIdenticalForBchLanes)
                         std::make_unique<RoundEngine>(
                             code, faults[w], PatternKind::Random,
                             word_seed));
-                    code_ptrs.push_back(&code);
                     fault_ptrs.push_back(&faults[w]);
                     lane_seeds.push_back(word_seed);
                 }
                 SlicedRoundEngine sliced_engine(
-                    code_ptrs, fault_ptrs, PatternKind::Random,
-                    lane_seeds);
+                    std::make_unique<ecc::SlicedBchCode>(code, lanes),
+                    fault_ptrs, PatternKind::Random, lane_seeds);
 
                 for (std::size_t r = 0; r < 16; ++r) {
                     sliced_engine.runRound(sliced_raw);
@@ -741,7 +739,6 @@ TEST(SlicedRoundEngine, Wide256BitIdenticalForBchLanes)
                 fault::WordFaultModel::makeUniformFixedCount(
                     code.n(), 1 + w % 5, 0.25 + 0.25 * (w % 4), rng));
 
-        std::vector<const ecc::BchCode *> code_ptrs;
         std::vector<const fault::WordFaultModel *> fault_ptrs;
         std::vector<std::uint64_t> lane_seeds;
         std::vector<std::unique_ptr<Profiler>> scalar_ps, wide_ps;
@@ -757,12 +754,12 @@ TEST(SlicedRoundEngine, Wide256BitIdenticalForBchLanes)
             wide_raw[w] = {wide_ps[w].get()};
             scalar_engines.push_back(std::make_unique<RoundEngine>(
                 code, faults[w], PatternKind::Random, word_seed));
-            code_ptrs.push_back(&code);
             fault_ptrs.push_back(&faults[w]);
             lane_seeds.push_back(word_seed);
         }
-        SlicedRoundEngine256 wide_engine(code_ptrs, fault_ptrs,
-                                         PatternKind::Random, lane_seeds);
+        SlicedRoundEngine256 wide_engine(
+            std::make_unique<ecc::SlicedBchCode256>(code, lanes),
+            fault_ptrs, PatternKind::Random, lane_seeds);
 
         for (std::size_t r = 0; r < 12; ++r) {
             wide_engine.runRound(wide_raw);

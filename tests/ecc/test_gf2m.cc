@@ -98,31 +98,14 @@ TEST(Gf2m, FieldAxioms)
     }
 }
 
-TEST(Gf2m, InverseAndDivision)
+TEST(Gf2m, Division)
 {
     const Gf2m f(6);
     for (Gf2m::Element a = 1; a < f.size(); ++a) {
-        EXPECT_EQ(f.multiply(a, f.inverse(a)), 1u) << "a=" << a;
+        EXPECT_EQ(f.multiply(a, f.divide(1, a)), 1u) << "a=" << a;
         EXPECT_EQ(f.divide(a, a), 1u);
         EXPECT_EQ(f.divide(0, a), 0u);
     }
-}
-
-TEST(Gf2m, PowerLaws)
-{
-    const Gf2m f(7);
-    common::Xoshiro256 rng(3);
-    for (int trial = 0; trial < 100; ++trial) {
-        const auto a = static_cast<Gf2m::Element>(
-            1 + rng.nextBelow(f.order()));
-        const std::uint64_t e1 = rng.nextBelow(300);
-        const std::uint64_t e2 = rng.nextBelow(300);
-        EXPECT_EQ(f.multiply(f.power(a, e1), f.power(a, e2)),
-                  f.power(a, e1 + e2));
-    }
-    EXPECT_EQ(f.power(0, 0), 1u);
-    EXPECT_EQ(f.power(0, 5), 0u);
-    EXPECT_EQ(f.power(5, 0), 1u);
 }
 
 TEST(Gf2m, TraceIsAdditiveAndBalanced)

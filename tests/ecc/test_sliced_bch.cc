@@ -4,7 +4,7 @@
  * syndrome decoding must be bit-identical per lane to the scalar
  * BchCode, across t, lane counts (including ragged tails) and error
  * weights up to beyond t; the memo must actually memoize; and lane
- * mixing of different code functions must be rejected.
+ * counts outside 1..64 must be rejected.
  */
 
 #include <gtest/gtest.h>
@@ -42,7 +42,6 @@ TEST(SlicedBch, EncodeMatchesScalarIncludingRaggedTails)
             ASSERT_EQ(sliced.k(), code.k());
             ASSERT_EQ(sliced.n(), code.n());
             ASSERT_EQ(sliced.lanes(), lanes);
-            ASSERT_EQ(sliced.t(), t);
 
             const auto datawords = randomWords(lanes, code.k(), rng);
             gf2::BitSlice64 data(code.k());
@@ -227,27 +226,11 @@ TEST(SlicedBch, ZeroSyndromeLanesSkipTheMemo)
         EXPECT_EQ(data_out.extractWord(w), datawords[w]);
 }
 
-TEST(SlicedBch, RejectsMixedLanesAndBadLaneCounts)
+TEST(SlicedBch, RejectsBadLaneCounts)
 {
     const BchCode t2(64, 2);
-    const BchCode t3(64, 3);
-    const BchCode short_k(32, 2);
-
-    EXPECT_THROW(SlicedBchCode(std::vector<const BchCode *>{}),
-                 std::invalid_argument);
     EXPECT_THROW(SlicedBchCode(t2, 0), std::invalid_argument);
     EXPECT_THROW(SlicedBchCode(t2, 65), std::invalid_argument);
-    EXPECT_THROW(
-        SlicedBchCode(std::vector<const BchCode *>{&t2, &t3}),
-        std::invalid_argument);
-    EXPECT_THROW(
-        SlicedBchCode(std::vector<const BchCode *>{&t2, &short_k}),
-        std::invalid_argument);
-    // Distinct instances of the same code function are fine.
-    const BchCode t2_again(64, 2);
-    const SlicedBchCode ok(
-        std::vector<const BchCode *>{&t2, &t2_again});
-    EXPECT_EQ(ok.lanes(), 2u);
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Equivalence tests for the bit-sliced SEC Hamming / SECDED evaluators:
+ * Equivalence tests for the bit-sliced SEC Hamming evaluator:
  * sliced encode and syndrome decode must match the scalar code paths
  * position-for-position across random seeds, code lengths (including
  * shortened codes), heterogeneous per-lane codes, error multiplicities
@@ -89,17 +89,6 @@ TEST(SlicedHamming, MatchesScalarAcrossCodeLengthsAndErrorCounts)
     });
 }
 
-TEST(SlicedHamming, HomogeneousConvenienceConstructor)
-{
-    forEachSeed(2, [](std::uint64_t, common::Xoshiro256 &rng) {
-        const HammingCode code = HammingCode::randomSec(64, rng);
-        const SlicedHammingCode sliced(code, 64);
-        std::vector<HammingCode> codes(64, code);
-        checkLanesAgainstScalar(codes, 2, rng);
-        EXPECT_EQ(sliced.lanes(), 64u);
-    });
-}
-
 TEST(SlicedHamming, SyndromeLanesMatchScalarSyndromes)
 {
     forEachSeed(3, [](std::uint64_t, common::Xoshiro256 &rng) {
@@ -121,7 +110,7 @@ TEST(SlicedHamming, SyndromeLanesMatchScalarSyndromes)
         sliced.syndromes(slice, s);
         for (std::size_t w = 0; w < codes.size(); ++w) {
             std::uint32_t lane_syndrome = 0;
-            for (std::size_t j = 0; j < sliced.p(); ++j)
+            for (std::size_t j = 0; j < codes[w].p(); ++j)
                 if ((s[j] >> w) & 1)
                     lane_syndrome |= std::uint32_t{1} << j;
             ASSERT_EQ(lane_syndrome, codes[w].syndrome(received[w]))
@@ -138,70 +127,6 @@ TEST(SlicedHamming, RejectsMismatchedLanes)
     EXPECT_THROW(SlicedHammingCode({&a, &b}), std::invalid_argument);
     EXPECT_THROW(SlicedHammingCode(std::vector<const HammingCode *>{}),
                  std::invalid_argument);
-}
-
-TEST(SlicedExtendedHamming, MatchesScalarSecdedDecode)
-{
-    forEachSeed(4, [](std::uint64_t, common::Xoshiro256 &rng) {
-        const std::size_t lanes = 29;
-        std::vector<ExtendedHammingCode> codes;
-        for (std::size_t w = 0; w < lanes; ++w)
-            codes.push_back(ExtendedHammingCode::randomSecDed(64, rng));
-        std::vector<const ExtendedHammingCode *> ptrs;
-        for (const ExtendedHammingCode &code : codes)
-            ptrs.push_back(&code);
-        const SlicedExtendedHammingCode sliced(ptrs);
-        const std::size_t k = sliced.k();
-        const std::size_t n = sliced.n();
-
-        std::vector<gf2::BitVector> datawords;
-        for (std::size_t w = 0; w < lanes; ++w)
-            datawords.push_back(gf2::BitVector::random(k, rng));
-        gf2::BitSlice64 data(k);
-        data.gather(datawords);
-        gf2::BitSlice64 codeword(n);
-        sliced.encode(data, codeword);
-        std::vector<gf2::BitVector> encoded(lanes, gf2::BitVector(n));
-        codeword.scatter(encoded);
-
-        // Exercise 0..3 errors per lane: clean, corrected-single,
-        // detected-double and odd >= 3 outcomes all occur.
-        std::vector<gf2::BitVector> received;
-        for (std::size_t w = 0; w < lanes; ++w) {
-            ASSERT_EQ(encoded[w], codes[w].encode(datawords[w]))
-                << "lane " << w;
-            gf2::BitVector corrupted = encoded[w];
-            const std::size_t flips = w % 4;
-            for (std::size_t f = 0; f < flips; ++f)
-                corrupted.flip(rng.nextBelow(n));
-            received.push_back(std::move(corrupted));
-        }
-        gf2::BitSlice64 received_slice(n);
-        received_slice.gather(received);
-        gf2::BitSlice64 decoded(k);
-        std::uint64_t corrected = 0, detected = 0;
-        sliced.decode(received_slice, decoded, corrected, detected);
-        std::vector<gf2::BitVector> post(lanes, gf2::BitVector(k));
-        decoded.scatter(post);
-
-        for (std::size_t w = 0; w < lanes; ++w) {
-            const SecondaryDecodeResult scalar =
-                codes[w].decode(received[w]);
-            ASSERT_EQ(post[w], scalar.dataword) << "lane " << w;
-            ASSERT_EQ((corrected >> w) & 1,
-                      scalar.status ==
-                              SecondaryDecodeStatus::CorrectedSingle
-                          ? 1u
-                          : 0u)
-                << "lane " << w;
-            ASSERT_EQ((detected >> w) & 1,
-                      scalar.status ==
-                              SecondaryDecodeStatus::DetectedUncorrectable
-                          ? 1u
-                          : 0u)
-                << "lane " << w;
-        }
-    });
 }
 
 } // namespace

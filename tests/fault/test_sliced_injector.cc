@@ -51,7 +51,6 @@ TEST(SlicedCrnInjector, MatchesScalarInjectErrorsCrn)
         for (const WordFaultModel &model : models)
             ptrs.push_back(&model);
         SlicedCrnInjector injector(ptrs);
-        ASSERT_EQ(injector.lanes(), lanes);
         ASSERT_EQ(injector.wordBits(), word_bits);
 
         // Per-lane RNGs, plus identically seeded scalar references.

@@ -82,19 +82,19 @@ TEST(FleetAggregator, QuantilesOverFaultyChips)
     EXPECT_EQ(agg.repairBitsQuantile(0.99), 98u);
     EXPECT_EQ(agg.repairBitsQuantile(0.999), 99u);
 
-    // Per-chip failure events drive the uncorrectable quantile the
+    // Per-chip failure events fill the uncorrectable histogram the
     // same way (uncorrectable + silent are summed per chip).
     FleetAggregator events;
     for (std::size_t e = 0; e < 10; ++e)
         events.addChip(outcomeWithSpares(0, e, e));
-    EXPECT_EQ(events.uncorrectableQuantile(0.50), 8u);
+    EXPECT_EQ(events.uncorrectableHistogram().quantileBin(0.50), 8u);
 }
 
 TEST(FleetAggregator, EmptyAndAllCleanQuantilesAreZero)
 {
     FleetAggregator empty;
     EXPECT_EQ(empty.repairBitsQuantile(0.999), 0u);
-    EXPECT_EQ(empty.uncorrectableQuantile(0.999), 0u);
+    EXPECT_EQ(empty.uncorrectableHistogram().total(), 0u);
 
     FleetAggregator clean;
     for (int i = 0; i < 50; ++i)

@@ -65,12 +65,12 @@ hotFleet(std::uint64_t seed)
     return config;
 }
 
-TEST(ProfilerKindNames, RoundTripAndReject)
+TEST(ProfilerKindNames, ParseAndReject)
 {
-    for (const ProfilerKind kind :
-         {ProfilerKind::None, ProfilerKind::Naive, ProfilerKind::HarpU,
-          ProfilerKind::HarpA})
-        EXPECT_EQ(profilerKindFromName(profilerKindName(kind)), kind);
+    EXPECT_EQ(profilerKindFromName("none"), ProfilerKind::None);
+    EXPECT_EQ(profilerKindFromName("naive"), ProfilerKind::Naive);
+    EXPECT_EQ(profilerKindFromName("harp_u"), ProfilerKind::HarpU);
+    EXPECT_EQ(profilerKindFromName("harp_a"), ProfilerKind::HarpA);
     EXPECT_THROW(profilerKindFromName("beep"), std::invalid_argument);
 }
 

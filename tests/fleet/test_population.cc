@@ -15,7 +15,6 @@
 #include <set>
 
 #include "fleet/population.hh"
-#include "memsys/memory_chip.hh"
 #include "support/seeded_fixture.hh"
 #include "support/statistics.hh"
 
@@ -210,52 +209,15 @@ TEST(PopulationSampler, MaterializeDedupsSortsAndPrices)
         const auto models = sampler.materialize(sample);
         std::size_t model_cells = 0;
         for (std::size_t i = 0; i < models.size(); ++i) {
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_LT(models[i - 1].first, models[i].first);
+            }
             EXPECT_LT(models[i].first, kGeometry.wordsPerChip);
             model_cells += models[i].second.numFaults();
         }
         // Dedup across events: model cells == distinct sampled cells.
         EXPECT_EQ(model_cells, sample.distinctCells());
     }
-}
-
-TEST(PopulationSampler, PlaceOnChipMatchesMaterialize)
-{
-    const FleetDistribution dist = hotDistribution();
-    const PopulationSampler sampler(dist, kGeometry, 43800.0, 29);
-    common::Xoshiro256 code_rng(1);
-    const ecc::HammingCode code =
-        ecc::HammingCode::randomSec(64, code_rng);
-    ASSERT_EQ(code.n(), kGeometry.codewordBits);
-
-    std::size_t placed_chips = 0;
-    for (std::size_t chip = 0; chip < 500 && placed_chips < 5; ++chip) {
-        const ChipSample sample = sampler.sample(chip);
-        if (!sample.faulty())
-            continue;
-        ++placed_chips;
-        mem::MemoryChip device(code, kGeometry.wordsPerChip);
-        const std::size_t placed = sampler.placeOnChip(device, sample);
-        EXPECT_EQ(placed, sample.distinctCells());
-
-        const auto models = sampler.materialize(sample);
-        const auto faulty = device.faultyWords();
-        ASSERT_EQ(faulty.size(), models.size());
-        for (std::size_t i = 0; i < models.size(); ++i) {
-            EXPECT_EQ(faulty[i], models[i].first);
-            const fault::WordFaultModel &on_chip =
-                device.faultModel(models[i].first);
-            EXPECT_EQ(on_chip.numFaults(),
-                      models[i].second.numFaults());
-        }
-    }
-    ASSERT_GT(placed_chips, 0u);
-
-    // Geometry mismatch is rejected outright.
-    mem::MemoryChip small(code, 2);
-    EXPECT_THROW(sampler.placeOnChip(small, sampler.sample(0)),
-                 std::invalid_argument);
 }
 
 TEST(FleetDistributionValidation, RejectsNonPhysicalParameters)
@@ -302,10 +264,6 @@ TEST(FleetDistribution, ClosedFormsAreConsistent)
     const FleetDistribution hrm = FleetDistribution::hrmTiers();
     EXPECT_LT(hrm.eventsPerChip(0, 43800.0),
               hrm.eventsPerChip(2, 43800.0));
-
-    for (const char *name : {"bit", "word", "column", "chip"})
-        EXPECT_STREQ(faultModeName(faultModeFromName(name)), name);
-    EXPECT_THROW(faultModeFromName("row"), std::invalid_argument);
 }
 
 } // namespace

@@ -232,15 +232,13 @@ TEST(BitVector, ForEachSetBitAscending)
     EXPECT_EQ(seen, (std::vector<std::size_t>{0, 63, 64, 149}));
 }
 
-TEST(BitVector, ComparisonAndOrdering)
+TEST(BitVector, Comparison)
 {
     const BitVector a = BitVector::fromUint(1, 8);
     const BitVector b = BitVector::fromUint(2, 8);
     EXPECT_NE(a, b);
-    EXPECT_TRUE(a < b);
     const BitVector shorter = BitVector::fromUint(1, 4);
     EXPECT_NE(a, shorter);
-    EXPECT_TRUE(shorter < a);
 }
 
 TEST(BitVector, ToString)

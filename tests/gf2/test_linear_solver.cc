@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <vector>
 
 #include "common/rng.hh"
@@ -132,48 +131,6 @@ TEST(ConstraintSystem, ParityConstraint)
     const auto x = cs.solveAny();
     ASSERT_TRUE(x.has_value());
     EXPECT_TRUE(x->get(2));
-}
-
-TEST(ConstraintSystem, SolveRandomSatisfiesAllConstraints)
-{
-    common::Xoshiro256 rng(23);
-    ConstraintSystem cs(16);
-    BitVector row1(16), row2(16);
-    for (std::size_t i = 0; i < 8; ++i)
-        row1.set(i, true);
-    for (std::size_t i = 4; i < 12; ++i)
-        row2.set(i, true);
-    cs.addConstraint(row1, true);
-    cs.addConstraint(row2, false);
-    for (int trial = 0; trial < 20; ++trial) {
-        const auto x = cs.solveRandom(rng);
-        ASSERT_TRUE(x.has_value());
-        BitVector t1 = *x;
-        t1 &= row1;
-        EXPECT_EQ(t1.popcount() % 2, 1u);
-        BitVector t2 = *x;
-        t2 &= row2;
-        EXPECT_EQ(t2.popcount() % 2, 0u);
-    }
-}
-
-TEST(ConstraintSystem, SolveRandomExploresSolutionSpace)
-{
-    // x0 ^ x1 = 0 has many solutions; random solving should produce at
-    // least two distinct ones over 32 draws.
-    common::Xoshiro256 rng(29);
-    ConstraintSystem cs(8);
-    BitVector row(8);
-    row.set(0, true);
-    row.set(1, true);
-    cs.addConstraint(row, false);
-    std::set<std::vector<std::size_t>> distinct;
-    for (int trial = 0; trial < 32; ++trial) {
-        const auto x = cs.solveRandom(rng);
-        ASSERT_TRUE(x.has_value());
-        distinct.insert(x->setBits());
-    }
-    EXPECT_GE(distinct.size(), 2u);
 }
 
 TEST(ConstraintSystem, EmptySystemAlwaysConsistent)

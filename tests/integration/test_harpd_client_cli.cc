@@ -234,6 +234,49 @@ TEST_F(HarpdClientCliTest, UsageErrorsExitTwo)
     EXPECT_EQ(cli("--help"), 0) << "--help is not an error";
 }
 
+TEST_F(HarpdClientCliTest, MalformedIntegerFlagsExitTwo)
+{
+    // A non-numeric value once escaped std::stoll as an uncaught
+    // exception (abort, exit 134); an overflowing one was narrowed to
+    // int without a word. Both are usage errors, reported before any
+    // connection is tried.
+    const std::string sock = "--socket " + (root_ / "absent.sock").string();
+    EXPECT_EQ(cli(sock + " --deadline-ms abc ping"), 2);
+    EXPECT_NE(stderrText().find("--deadline-ms"), std::string::npos)
+        << stderrText();
+    EXPECT_EQ(cli(sock + " --timeout-ms 99999999999999 ping"), 2);
+    EXPECT_EQ(cli(sock + " --retries 3x ping"), 2);
+    EXPECT_EQ(cli(sock + " --from -1 subscribe c"), 2);
+    EXPECT_EQ(cli(sock + " --repeat 0 submit c quickstart"), 2);
+    EXPECT_EQ(cli(sock + " --seed abc submit c quickstart"), 2);
+    EXPECT_EQ(cli(sock + " --seed 18446744073709551616 submit c quickstart"),
+              2);
+}
+
+TEST_F(HarpdClientCliTest, DaemonRejectsMalformedIntegerFlags)
+{
+    if (daemonBin_.empty() || !fs::exists(daemonBin_))
+        GTEST_SKIP() << "harpd binary not available";
+    // `--max-campaigns abc` once parsed as 0, which means "unlimited":
+    // the quota was silently off. The socket's directory does not
+    // exist, so a daemon that accepted the flags fails to bind (exit
+    // 1) instead of serving.
+    const std::string base = daemonBin_ + " --socket " +
+                             (root_ / "no_dir" / "d.sock").string() +
+                             " --data " + (root_ / "data").string();
+    const auto daemon = [&](const std::string &flags) {
+        return runCommand(base + " " + flags + " > /dev/null 2> " +
+                          (root_ / "err.txt").string());
+    };
+    EXPECT_EQ(daemon("--max-campaigns abc"), 2);
+    EXPECT_NE(stderrText().find("--max-campaigns"), std::string::npos)
+        << stderrText();
+    EXPECT_EQ(daemon("--threads 99999999999999999999"), 2);
+    EXPECT_EQ(daemon("--stall-ms 5s"), 2);
+    EXPECT_EQ(daemon("--tenant-weight gold=x"), 2);
+    EXPECT_EQ(daemon("--max-campaigns 2"), 1) << "valid flags reach bind";
+}
+
 TEST_F(HarpdClientCliTest, MissingDaemonExitsOneQuickly)
 {
     const auto start = std::chrono::steady_clock::now();

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "memsys/error_profile.hh"
 #include "memsys/repair_mechanism.hh"
 
@@ -16,7 +14,6 @@ namespace {
 TEST(ErrorProfile, StartsEmpty)
 {
     const ErrorProfile profile(4, 64);
-    EXPECT_EQ(profile.numWords(), 4u);
     EXPECT_EQ(profile.wordBits(), 64u);
     EXPECT_EQ(profile.totalAtRisk(), 0u);
     EXPECT_FALSE(profile.isAtRisk(0, 0));
@@ -41,92 +38,10 @@ TEST(ErrorProfile, WordBitmap)
               (std::vector<std::size_t>{3, 9}));
 }
 
-TEST(ErrorProfile, MergeUnion)
-{
-    ErrorProfile a(2, 8), b(2, 8);
-    a.markAtRisk(0, 1);
-    b.markAtRisk(0, 2);
-    b.markAtRisk(1, 7);
-    a.merge(b);
-    EXPECT_TRUE(a.isAtRisk(0, 1));
-    EXPECT_TRUE(a.isAtRisk(0, 2));
-    EXPECT_TRUE(a.isAtRisk(1, 7));
-    EXPECT_EQ(a.totalAtRisk(), 3u);
-}
-
-TEST(ErrorProfile, MergeShapeMismatchThrows)
-{
-    ErrorProfile a(2, 8), b(2, 16), c(3, 8);
-    EXPECT_THROW(a.merge(b), std::invalid_argument);
-    EXPECT_THROW(a.merge(c), std::invalid_argument);
-}
-
-TEST(ErrorProfile, ClearResets)
-{
-    ErrorProfile profile(1, 8);
-    profile.markAtRisk(0, 4);
-    profile.clear();
-    EXPECT_EQ(profile.totalAtRisk(), 0u);
-}
-
 TEST(ErrorProfile, OutOfRangeThrows)
 {
     ErrorProfile profile(1, 8);
     EXPECT_THROW(profile.markAtRisk(1, 0), std::out_of_range);
-}
-
-TEST(ErrorProfile, SaveLoadRoundTrip)
-{
-    ErrorProfile profile(5, 64);
-    profile.markAtRisk(0, 0);
-    profile.markAtRisk(0, 63);
-    profile.markAtRisk(3, 17);
-    std::stringstream stream;
-    profile.save(stream);
-    const ErrorProfile loaded = ErrorProfile::load(stream);
-    EXPECT_EQ(loaded.numWords(), 5u);
-    EXPECT_EQ(loaded.wordBits(), 64u);
-    EXPECT_EQ(loaded.totalAtRisk(), 3u);
-    EXPECT_TRUE(loaded.isAtRisk(0, 0));
-    EXPECT_TRUE(loaded.isAtRisk(0, 63));
-    EXPECT_TRUE(loaded.isAtRisk(3, 17));
-    EXPECT_FALSE(loaded.isAtRisk(1, 0));
-}
-
-TEST(ErrorProfile, SaveLoadEmptyProfile)
-{
-    ErrorProfile profile(2, 16);
-    std::stringstream stream;
-    profile.save(stream);
-    const ErrorProfile loaded = ErrorProfile::load(stream);
-    EXPECT_EQ(loaded.numWords(), 2u);
-    EXPECT_EQ(loaded.wordBits(), 16u);
-    EXPECT_EQ(loaded.totalAtRisk(), 0u);
-}
-
-TEST(ErrorProfile, LoadRejectsMalformedInput)
-{
-    auto expect_throw = [](const std::string &text) {
-        std::istringstream stream(text);
-        EXPECT_THROW(ErrorProfile::load(stream), std::invalid_argument)
-            << text;
-    };
-    expect_throw("");
-    expect_throw("not-a-profile v1 2 16\n");
-    expect_throw("harp-profile v2 2 16\n");
-    expect_throw("harp-profile v1 2 16\n9 0\n");   // word out of range
-    expect_throw("harp-profile v1 2 16\n0 99\n");  // bit out of range
-    expect_throw("harp-profile v1 2 16\n0 abc\n"); // non-numeric bit
-}
-
-TEST(ErrorProfile, SaveFormatIsStable)
-{
-    ErrorProfile profile(3, 8);
-    profile.markAtRisk(1, 2);
-    profile.markAtRisk(1, 5);
-    std::stringstream stream;
-    profile.save(stream);
-    EXPECT_EQ(stream.str(), "harp-profile v1 3 8\n1 2 5\n");
 }
 
 TEST(ErrorProfile, MarkWordBitmapOrsIntoExistingEntries)
@@ -144,28 +59,6 @@ TEST(ErrorProfile, MarkWordBitmapOrsIntoExistingEntries)
     EXPECT_THROW(profile.markWordBitmap(1, gf2::BitVector(9)),
                  std::invalid_argument);
     EXPECT_THROW(profile.markWordBitmap(2, bits), std::out_of_range);
-}
-
-TEST(ErrorProfile, TruncateToBudgetKeepsFirstBitsInWordOrder)
-{
-    ErrorProfile profile(3, 8);
-    profile.markAtRisk(0, 6);
-    profile.markAtRisk(1, 1);
-    profile.markAtRisk(1, 4);
-    profile.markAtRisk(2, 0);
-
-    // Budget 2 keeps (0,6) and (1,1) — (word, bit) order — drops 2.
-    EXPECT_EQ(profile.truncateToBudget(2), 2u);
-    EXPECT_EQ(profile.totalAtRisk(), 2u);
-    EXPECT_TRUE(profile.isAtRisk(0, 6));
-    EXPECT_TRUE(profile.isAtRisk(1, 1));
-    EXPECT_FALSE(profile.isAtRisk(1, 4));
-    EXPECT_FALSE(profile.isAtRisk(2, 0));
-
-    // A budget at or above the population is a no-op.
-    EXPECT_EQ(profile.truncateToBudget(2), 0u);
-    EXPECT_EQ(profile.truncateToBudget(99), 0u);
-    EXPECT_EQ(profile.totalAtRisk(), 2u);
 }
 
 TEST(RepairMechanism, RepairsProfiledBitsAfterCapture)

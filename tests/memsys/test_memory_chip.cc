@@ -24,17 +24,19 @@ TEST(MemoryChip, Geometry)
     MemoryChip chip(makeCode(), 8);
     EXPECT_EQ(chip.numWords(), 8u);
     EXPECT_EQ(chip.datawordBits(), 64u);
-    EXPECT_EQ(chip.codewordBits(), 71u);
+    EXPECT_EQ(chip.storedCodeword(7).size(), 71u);
 }
 
 TEST(MemoryChip, WriteReadRoundTrip)
 {
     MemoryChip chip(makeCode(), 4);
     common::Xoshiro256 rng(2);
+    gf2::BitVector read(64);
     for (std::size_t w = 0; w < chip.numWords(); ++w) {
         const gf2::BitVector d = gf2::BitVector::random(64, rng);
         chip.write(w, d);
-        EXPECT_EQ(chip.read(w).dataword, d);
+        chip.readInto(w, read);
+        EXPECT_EQ(read, d);
         EXPECT_EQ(chip.readRaw(w), d);
     }
 }
@@ -52,7 +54,9 @@ TEST(MemoryChip, RawReadExposesUncorrectedErrors)
     mask.set(10, true);
     chip.corrupt(0, mask);
 
-    EXPECT_EQ(chip.read(0).dataword, d);
+    gf2::BitVector read(64);
+    chip.readInto(0, read);
+    EXPECT_EQ(read, d);
     gf2::BitVector expected_raw = d;
     expected_raw.flip(10);
     EXPECT_EQ(chip.readRaw(0), expected_raw);
@@ -125,9 +129,9 @@ TEST(MemoryChip, SetFaultModelValidatesSize)
 TEST(MemoryChip, OutOfRangeWordThrows)
 {
     MemoryChip chip(makeCode(), 2);
-    const gf2::BitVector d(64);
+    gf2::BitVector d(64);
     EXPECT_THROW(chip.write(2, d), std::out_of_range);
-    EXPECT_THROW(chip.read(5), std::out_of_range);
+    EXPECT_THROW(chip.readInto(5, d), std::out_of_range);
     EXPECT_THROW(chip.readRaw(3), std::out_of_range);
 }
 

@@ -20,6 +20,7 @@
 
 #include "common/thread_pool.hh"
 #include "runner/campaign.hh"
+#include "runner/cli.hh"
 #include "runner/registry.hh"
 #include "runner/session.hh"
 
@@ -105,7 +106,7 @@ TEST(Campaign, EmitsSchemaValidJsonlInGridOrder)
         // Lines appear in grid-expansion order.
         EXPECT_EQ(doc.find("point")->asInt(),
                   static_cast<std::int64_t>(index));
-        EXPECT_EQ(*doc.find("params"), points[index].toJson());
+        EXPECT_EQ(doc.find("params")->dump(), points[index].toJson().dump());
         // Every metrics object round-trips schema-valid through text.
         const auto error = validateSchema(spec->schema,
                                           *doc.find("metrics"));
@@ -696,6 +697,40 @@ TEST(CampaignDeterminism, RestoredJobsInjectIntoOrderedStream)
     // Byte- and hash-identical to the all-fresh stream.
     EXPECT_EQ(resumed.bytes(), all_fresh.bytes());
     EXPECT_EQ(outcome.resultHash, fresh_hash);
+}
+
+/**
+ * harp_run's integer flags take only a whole decimal token in range:
+ * anything else is a usage error (exit 2), never a silent default
+ * (`--threads abc` once ran at hardware concurrency, `--seed abc` as
+ * seed 0).
+ */
+TEST(RunnerCli, MalformedIntegerFlagsAreUsageErrors)
+{
+    const fs::path out =
+        fs::temp_directory_path() /
+        ("harp_run_cli_" + std::to_string(::getpid()));
+    const auto run = [&out](std::vector<std::string> flags) {
+        std::vector<std::string> args = {"harp_run", "quickstart",
+                                         "--dry-run", "--out",
+                                         out.string()};
+        args.insert(args.end(), flags.begin(), flags.end());
+        std::vector<const char *> argv;
+        for (const std::string &arg : args)
+            argv.push_back(arg.c_str());
+        return runnerMain(static_cast<int>(argv.size()), argv.data());
+    };
+    EXPECT_EQ(run({"--threads", "4", "--seed", "18446744073709551615",
+                   "--repeat", "2"}),
+              0);
+    EXPECT_EQ(run({"--threads", "abc"}), 2);
+    EXPECT_EQ(run({"--threads", "4x"}), 2);
+    EXPECT_EQ(run({"--threads", "4097"}), 2);
+    EXPECT_EQ(run({"--seed", "abc"}), 2);
+    EXPECT_EQ(run({"--seed", "18446744073709551616"}), 2);
+    EXPECT_EQ(run({"--repeat", "99999999999999999999"}), 2);
+    EXPECT_EQ(run({"--repeat", "0"}), 2);
+    fs::remove_all(out);
 }
 
 } // namespace

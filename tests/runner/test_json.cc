@@ -65,7 +65,7 @@ TEST(Json, ParseDumpRoundTrip)
     const JsonValue parsed = JsonValue::parse(text);
     EXPECT_EQ(parsed.dump(), text);
     // Round trip again through the parsed form.
-    EXPECT_EQ(JsonValue::parse(parsed.dump()), parsed);
+    EXPECT_EQ(JsonValue::parse(parsed.dump()).dump(), parsed.dump());
 }
 
 TEST(Json, ParseDistinguishesIntFromDouble)
@@ -94,7 +94,7 @@ TEST(Json, PrettyPrintNests)
     obj.set("a", std::move(arr));
     EXPECT_EQ(obj.dump(2), "{\n  \"a\": [\n    1\n  ]\n}");
     // Pretty and compact forms parse to the same document.
-    EXPECT_EQ(JsonValue::parse(obj.dump(2)), obj);
+    EXPECT_EQ(JsonValue::parse(obj.dump(2)).dump(), obj.dump());
 }
 
 TEST(Json, ParseUnicodeEscape)

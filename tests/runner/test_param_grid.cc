@@ -18,7 +18,7 @@ TEST(ParamValue, TypedAccessAndRendering)
     EXPECT_DOUBLE_EQ(ParamValue(0.25).asDouble(), 0.25);
     EXPECT_DOUBLE_EQ(ParamValue(std::int64_t{4}).asDouble(), 4.0);
     EXPECT_EQ(ParamValue("random").asString(), "random");
-    EXPECT_TRUE(ParamValue(true).asBool());
+    EXPECT_EQ(ParamValue(true).toString(), "true");
     EXPECT_THROW(ParamValue("x").asInt(), std::logic_error);
 
     EXPECT_EQ(ParamValue(std::int64_t{128}).toString(), "128");
@@ -32,7 +32,7 @@ TEST(ParamValue, ParseSameType)
     EXPECT_DOUBLE_EQ(ParamValue(1.0).parseSameType("0.75").asDouble(),
                      0.75);
     EXPECT_EQ(ParamValue("a").parseSameType("b").asString(), "b");
-    EXPECT_TRUE(ParamValue(false).parseSameType("true").asBool());
+    EXPECT_EQ(ParamValue(false).parseSameType("true").toString(), "true");
     EXPECT_THROW(ParamValue(std::int64_t{1}).parseSameType("abc"),
                  std::invalid_argument);
     EXPECT_THROW(ParamValue(1.0).parseSameType("wat"),

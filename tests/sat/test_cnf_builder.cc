@@ -79,78 +79,6 @@ TEST(CnfBuilder, XorWithNegatedLiterals)
     EXPECT_TRUE(b.solver().modelValue(vars[1]));
 }
 
-TEST(CnfBuilder, AtMostOne)
-{
-    CnfBuilder b;
-    const auto vars = b.newVars(4);
-    std::vector<Lit> lits;
-    for (const Var v : vars)
-        lits.push_back(Lit::make(v, true));
-    b.addAtMostOne(lits);
-    // Force two true -> UNSAT.
-    b.addClause(Clause{lits[0]});
-    b.addClause(Clause{lits[2]});
-    EXPECT_EQ(b.solver().solve(), SolveResult::Unsat);
-}
-
-TEST(CnfBuilder, ExactlyOne)
-{
-    CnfBuilder b;
-    const auto vars = b.newVars(5);
-    std::vector<Lit> lits;
-    for (const Var v : vars)
-        lits.push_back(Lit::make(v, true));
-    b.addExactlyOne(lits);
-    ASSERT_EQ(b.solver().solve(), SolveResult::Sat);
-    int ones = 0;
-    for (const Var v : vars)
-        ones += b.solver().modelValue(v) ? 1 : 0;
-    EXPECT_EQ(ones, 1);
-}
-
-TEST(CnfBuilder, Implication)
-{
-    CnfBuilder b;
-    const auto vars = b.newVars(2);
-    b.addImplies(Lit::make(vars[0], true), Lit::make(vars[1], true));
-    b.addClause(Clause{Lit::make(vars[0], true)});
-    ASSERT_EQ(b.solver().solve(), SolveResult::Sat);
-    EXPECT_TRUE(b.solver().modelValue(vars[1]));
-}
-
-TEST(CnfBuilder, DefineAndSemantics)
-{
-    for (const bool va : {false, true}) {
-        for (const bool vb : {false, true}) {
-            CnfBuilder b;
-            const auto vars = b.newVars(2);
-            const Var y =
-                b.defineAnd(Lit::make(vars[0], true),
-                            Lit::make(vars[1], true));
-            b.addClause(Clause{Lit::make(vars[0], va)});
-            b.addClause(Clause{Lit::make(vars[1], vb)});
-            ASSERT_EQ(b.solver().solve(), SolveResult::Sat);
-            EXPECT_EQ(b.solver().modelValue(y), va && vb);
-        }
-    }
-}
-
-TEST(CnfBuilder, DefineOrSemantics)
-{
-    for (const bool va : {false, true}) {
-        for (const bool vb : {false, true}) {
-            CnfBuilder b;
-            const auto vars = b.newVars(2);
-            const Var y = b.defineOr({Lit::make(vars[0], true),
-                                      Lit::make(vars[1], true)});
-            b.addClause(Clause{Lit::make(vars[0], va)});
-            b.addClause(Clause{Lit::make(vars[1], vb)});
-            ASSERT_EQ(b.solver().solve(), SolveResult::Sat);
-            EXPECT_EQ(b.solver().modelValue(y), va || vb);
-        }
-    }
-}
-
 /**
  * Property: a random GF(2) linear system is SAT-feasible iff the Gaussian
  * elimination solver finds it consistent. This is the exact cross-check

@@ -42,7 +42,7 @@ TEST(Solver, TrivialSat)
 {
     Solver s;
     const Var x = s.newVar();
-    s.addClause(pos(x));
+    s.addClause({pos(x)});
     EXPECT_EQ(s.solve(), SolveResult::Sat);
     EXPECT_TRUE(s.modelValue(x));
 }
@@ -51,8 +51,8 @@ TEST(Solver, TrivialUnsat)
 {
     Solver s;
     const Var x = s.newVar();
-    s.addClause(pos(x));
-    EXPECT_FALSE(s.addClause(neg(x)));
+    s.addClause({pos(x)});
+    EXPECT_FALSE(s.addClause({neg(x)}));
     EXPECT_EQ(s.solve(), SolveResult::Unsat);
 }
 
@@ -96,9 +96,9 @@ TEST(Solver, UnitPropagationChain)
     std::vector<Var> vars;
     for (int i = 0; i < 20; ++i)
         vars.push_back(s.newVar());
-    s.addClause(pos(vars[0]));
+    s.addClause({pos(vars[0])});
     for (int i = 0; i + 1 < 20; ++i)
-        s.addClause(neg(vars[i]), pos(vars[i + 1]));
+        s.addClause({neg(vars[i]), pos(vars[i + 1])});
     ASSERT_EQ(s.solve(), SolveResult::Sat);
     for (const Var v : vars)
         EXPECT_TRUE(s.modelValue(v));
@@ -110,10 +110,10 @@ TEST(Solver, ImplicationCycleWithConflict)
     Solver s;
     const Var x = s.newVar();
     const Var y = s.newVar();
-    s.addClause(pos(x), pos(y));
-    s.addClause(pos(x), neg(y));
-    s.addClause(neg(x), pos(y));
-    s.addClause(neg(x), neg(y));
+    s.addClause({pos(x), pos(y)});
+    s.addClause({pos(x), neg(y)});
+    s.addClause({neg(x), pos(y)});
+    s.addClause({neg(x), neg(y)});
     EXPECT_EQ(s.solve(), SolveResult::Unsat);
 }
 
@@ -135,7 +135,7 @@ TEST(Solver, PigeonholeUnsat)
     for (int h = 0; h < holes; ++h)
         for (int p1 = 0; p1 < pigeons; ++p1)
             for (int p2 = p1 + 1; p2 < pigeons; ++p2)
-                s.addClause(neg(at[p1][h]), neg(at[p2][h]));
+                s.addClause({neg(at[p1][h]), neg(at[p2][h])});
     EXPECT_EQ(s.solve(), SolveResult::Unsat);
 }
 
@@ -156,7 +156,7 @@ TEST(Solver, PigeonholeSatWhenEnoughHoles)
     for (int h = 0; h < holes; ++h)
         for (int p1 = 0; p1 < pigeons; ++p1)
             for (int p2 = p1 + 1; p2 < pigeons; ++p2)
-                s.addClause(neg(at[p1][h]), neg(at[p2][h]));
+                s.addClause({neg(at[p1][h]), neg(at[p2][h])});
     EXPECT_EQ(s.solve(), SolveResult::Sat);
 }
 
@@ -165,7 +165,7 @@ TEST(Solver, AssumptionsRestrictModels)
     Solver s;
     const Var x = s.newVar();
     const Var y = s.newVar();
-    s.addClause(pos(x), pos(y));
+    s.addClause({pos(x), pos(y)});
     EXPECT_EQ(s.solve({neg(x)}), SolveResult::Sat);
     EXPECT_TRUE(s.modelValue(y));
     EXPECT_EQ(s.solve({neg(x), neg(y)}), SolveResult::Unsat);
@@ -270,7 +270,7 @@ TEST(Solver, ConflictBudgetReturnsUnknown)
     for (int h = 0; h < holes; ++h)
         for (int p1 = 0; p1 < pigeons; ++p1)
             for (int p2 = p1 + 1; p2 < pigeons; ++p2)
-                s.addClause(neg(at[p1][h]), neg(at[p2][h]));
+                s.addClause({neg(at[p1][h]), neg(at[p2][h])});
     EXPECT_EQ(s.solve(1), SolveResult::Unknown);
     // And with an unlimited budget it proves UNSAT.
     EXPECT_EQ(s.solve(), SolveResult::Unsat);
@@ -281,8 +281,8 @@ TEST(Solver, StatsAdvance)
     Solver s;
     const Var x = s.newVar();
     const Var y = s.newVar();
-    s.addClause(pos(x), pos(y));
-    s.addClause(neg(x), pos(y));
+    s.addClause({pos(x), pos(y)});
+    s.addClause({neg(x), pos(y)});
     ASSERT_EQ(s.solve(), SolveResult::Sat);
     EXPECT_GE(s.decisions() + s.propagations(), 1u);
 }

@@ -45,7 +45,7 @@ buildPigeonhole(Solver &s, int pigeons, int holes)
     for (int h = 0; h < holes; ++h)
         for (int p1 = 0; p1 < pigeons; ++p1)
             for (int p2 = p1 + 1; p2 < pigeons; ++p2)
-                s.addClause(neg(at[p1][h]), neg(at[p2][h]));
+                s.addClause({neg(at[p1][h]), neg(at[p2][h])});
 }
 
 TEST(SolverStress, Pigeonhole8x7ExercisesReductionAndRestarts)
@@ -88,7 +88,7 @@ TEST(SolverStress, AssumptionSequencesDoNotCorruptState)
     const Var a = s.newVar();
     const Var b = s.newVar();
     const Var c = s.newVar();
-    s.addClause(pos(a), pos(b), pos(c));
+    s.addClause({pos(a), pos(b), pos(c)});
     for (int i = 0; i < 10; ++i) {
         EXPECT_EQ(s.solve({pos(a), neg(b)}), SolveResult::Sat);
         EXPECT_EQ(s.solve({neg(a), neg(b), neg(c)}),
@@ -110,8 +110,8 @@ TEST(SolverStress, LongImplicationChainWithBacktracking)
     for (int i = 0; i < n; ++i)
         vars.push_back(s.newVar());
     for (int i = 0; i + 1 < n; ++i)
-        s.addClause(neg(vars[i]), pos(vars[i + 1]));
-    s.addClause(pos(vars[0]));
+        s.addClause({neg(vars[i]), pos(vars[i + 1])});
+    s.addClause({pos(vars[0])});
     ASSERT_EQ(s.solve(), SolveResult::Sat);
     for (int i = 0; i < n; ++i)
         EXPECT_TRUE(s.modelValue(vars[i]));
@@ -167,7 +167,12 @@ TEST(SolverStress, GraphColoringSatAndUnsat)
             std::vector<Lit> lits;
             for (const Var var : node_color[v])
                 lits.push_back(Lit::make(var, true));
-            b.addExactlyOne(lits);
+            // Exactly one colour: one at-least clause plus pairwise
+            // at-most clauses.
+            b.addClause(lits);
+            for (std::size_t i = 0; i < lits.size(); ++i)
+                for (std::size_t j = i + 1; j < lits.size(); ++j)
+                    b.addClause(Clause{~lits[i], ~lits[j]});
         }
         for (const auto &[u, v] : edges)
             for (int c = 0; c < colors; ++c)
