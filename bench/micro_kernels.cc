@@ -164,10 +164,10 @@ BM_ProfilingRound(benchmark::State &state)
         profiler = std::make_unique<core::HarpAProfiler>(code);
         break;
     }
-    core::RoundEngine engine(code, fm, core::PatternKind::Random, 99);
-    std::vector<core::Profiler *> ps = {profiler.get()};
+    core::RoundEngine engine(code, fm, core::PatternKind::Random, 99,
+                             {profiler.get()});
     for (auto _ : state)
-        engine.runRound(ps);
+        engine.runRound();
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
     state.SetLabel(profiler->name());
 }

@@ -604,13 +604,19 @@ fi
 # primary build/. The unit label includes the harpd protocol,
 # checkpoint, and in-process server suites; the merger/bounded-queue
 # contention stress and the out-of-process kill/resume properties are
-# labeled stress/integration, so they are run explicitly here.
+# labeled stress/integration, so they are run explicitly here. The
+# ASan+UBSan tree also drops RelWithDebInfo's -DNDEBUG, so it is the
+# tier that executes the code's assert()s.
 if [[ $FULL -eq 1 ]]; then
     for san in thread address; do
         sdir="build-tsan"
-        [[ $san == address ]] && sdir="build-asan"
+        san_flags=()
+        if [[ $san == address ]]; then
+            sdir="build-asan"
+            san_flags=(-DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g")
+        fi
         cmake -B "$sdir" -S . -DHARP_SANITIZE="$san" \
-            -DHARP_BUILD_BENCH=OFF > /dev/null
+            -DHARP_BUILD_BENCH=OFF "${san_flags[@]}" > /dev/null
         cmake --build "$sdir" -j
         (cd "$sdir" && ctest -L unit --output-on-failure -j) || {
             echo "verify: unit suite failed under $san sanitizer" >&2

@@ -25,29 +25,12 @@ BeepProfiler::addSuspectedCell(std::size_t codeword_position)
     observedAnyError_ = true;
 }
 
-gf2::BitVector
-BeepProfiler::chooseDataword(std::size_t round,
-                             const gf2::BitVector &suggested,
-                             common::Xoshiro256 &rng)
-{
-    gf2::BitVector out;
-    if (chooseDatawordInto(round, suggested, rng, out))
-        return suggested;
-    return out;
-}
-
 bool
-BeepProfiler::chooseDatawordInto(std::size_t round,
-                                 const gf2::BitVector &suggested,
-                                 common::Xoshiro256 &rng,
-                                 gf2::BitVector &out)
+BeepProfiler::craftDataword(gf2::BitVector &out)
 {
-    (void)rng;
-    (void)round;
-    (void)suggested;
     // Bootstrap phase: random patterns until the first confirmed error.
     if (!observedAnyError_ || suspected_.empty())
-        return true;
+        return false;
 
     // Probe phase: cycle through non-suspected codeword positions and
     // craft a pattern for the first feasible probe target. Crafts are
@@ -70,14 +53,14 @@ BeepProfiler::chooseDatawordInto(std::size_t round,
                 continue;
             out = craftBase_;
             out.set(probe, true);
-            return false;
+            return true;
         }
         if (!craftFeasParity_.get(probe - k_))
             continue;
         out = craftBase_;
-        return false;
+        return true;
     }
-    return true;
+    return false;
 }
 
 void

@@ -34,14 +34,7 @@ class BeepProfiler : public Profiler
 
     std::string name() const override { return "BEEP"; }
 
-    gf2::BitVector chooseDataword(std::size_t round,
-                                  const gf2::BitVector &suggested,
-                                  common::Xoshiro256 &rng) override;
-
-    bool chooseDatawordInto(std::size_t round,
-                            const gf2::BitVector &suggested,
-                            common::Xoshiro256 &rng,
-                            gf2::BitVector &out) override;
+    bool craftDataword(gf2::BitVector &out) override;
 
     void observe(const RoundObservation &obs) override;
 

@@ -22,7 +22,7 @@ PatternGenerator::PatternGenerator(PatternKind kind, std::size_t k,
 {
     switch (kind_) {
       case PatternKind::Random:
-        // Base refreshed lazily in pattern().
+        // Base refreshed lazily in patternView().
         break;
       case PatternKind::Charged:
         base_.fill(true);
@@ -32,14 +32,6 @@ PatternGenerator::PatternGenerator(PatternKind kind, std::size_t k,
             base_.set(i, (i % 2) == 0);
         break;
     }
-}
-
-gf2::BitVector
-PatternGenerator::pattern(std::size_t round)
-{
-    gf2::BitVector out;
-    patternInto(round, out);
-    return out;
 }
 
 } // namespace harp::core

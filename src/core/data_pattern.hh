@@ -49,32 +49,11 @@ class PatternGenerator
 
     PatternKind kind() const { return kind_; }
 
-    /** Dataword for round @p round. Must be called with non-decreasing
-     *  round numbers (the random policy advances its stream). */
-    gf2::BitVector pattern(std::size_t round);
-
     /**
-     * Allocation-free variant of pattern(): writes the round's
-     * dataword into @p out (assigned/resized as needed), consuming the
-     * same RNG stream. Inline: both engines call it once per simulated
-     * word per round.
-     */
-    void patternInto(std::size_t round, gf2::BitVector &out)
-    {
-        advance(round);
-        out = base_;
-        // Charged stays all-ones; random/checkered invert on odd
-        // rounds.
-        if (kind_ != PatternKind::Charged && round % 2 == 1)
-            for (std::size_t w = 0; w < base_.words().size(); ++w)
-                out.setWord(w, ~base_.words()[w]);
-    }
-
-    /**
-     * Zero-copy variant: advances the identical RNG stream and returns
-     * a reference to the round's dataword — the base for even rounds,
-     * its cached inverse for odd rounds — valid until the next call.
-     * The sliced engine reads these straight into its gather, so
+     * Dataword for round @p round: the base for even rounds, its
+     * cached inverse for odd rounds, valid until the next call. Must
+     * be called with non-decreasing round numbers (the random policy
+     * advances its stream). Both engines read it in place, so
      * suggested patterns cost one randomize per two rounds plus one
      * cached inversion, with no per-round copies.
      */

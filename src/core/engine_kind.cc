@@ -43,13 +43,12 @@ laneCount(EngineKind kind)
 }
 
 /** Run every round on @p engine (a temporary: it dies on return). */
-template <typename Engine, typename Profilers>
+template <typename Engine>
 void
-runRounds(Engine &&engine, const Profilers &profilers, std::size_t rounds,
-          const RoundFn &round)
+runRounds(Engine &&engine, std::size_t rounds, const RoundFn &round)
 {
     for (std::size_t r = 0; r < rounds; ++r) {
-        engine.runRound(profilers);
+        engine.runRound();
         round(r);
     }
 }
@@ -64,12 +63,13 @@ runScalar(const WordRun &run, const std::optional<ecc::BchCode> &bch,
         // BchCode decodes through per-instance scratch, so words that
         // may run concurrently each get a copy.
         const ecc::BchCode code = *bch;
-        runRounds(RoundEngine(code, faults, run.pattern, seed),
-                  lanes.profilers.front(), run.rounds, round);
+        runRounds(RoundEngine(code, faults, run.pattern, seed,
+                              lanes.profilers.front()),
+                  run.rounds, round);
     } else {
         runRounds(RoundEngine(*lanes.codes.front(), faults, run.pattern,
-                              seed),
-                  lanes.profilers.front(), run.rounds, round);
+                              seed, lanes.profilers.front()),
+                  run.rounds, round);
     }
 }
 
@@ -84,12 +84,14 @@ runSliced(const WordRun &run,
         // engines never share one datapath instance across workers.
         const ecc::SlicedBchCodeW<W> datapath(*bch);
         runRounds(SlicedRoundEngineW<W>(datapath, lanes.faults,
-                                        run.pattern, lanes.seeds),
-                  lanes.profilers, run.rounds, round);
+                                        run.pattern, lanes.seeds,
+                                        lanes.profilers),
+                  run.rounds, round);
     } else {
         runRounds(SlicedRoundEngineW<W>(lanes.codes, lanes.faults,
-                                        run.pattern, lanes.seeds),
-                  lanes.profilers, run.rounds, round);
+                                        run.pattern, lanes.seeds,
+                                        lanes.profilers),
+                  run.rounds, round);
     }
 }
 

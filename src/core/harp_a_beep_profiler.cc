@@ -11,17 +11,12 @@ HarpABeepProfiler::HarpABeepProfiler(const ecc::HammingCode &code,
 }
 
 bool
-HarpABeepProfiler::chooseDatawordInto(std::size_t round,
-                                      const gf2::BitVector &suggested,
-                                      common::Xoshiro256 &rng,
-                                      gf2::BitVector &out)
+HarpABeepProfiler::craftDataword(gf2::BitVector &out)
 {
     // Active phase: standard worst-case patterns until the direct profile
     // has been stable long enough to believe it is complete; afterwards
     // BEEP's crafted patterns hunt the remaining indirect errors.
-    if (!craftingActive())
-        return true;
-    return BeepProfiler::chooseDatawordInto(round, suggested, rng, out);
+    return craftingActive() && BeepProfiler::craftDataword(out);
 }
 
 void

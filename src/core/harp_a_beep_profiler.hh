@@ -44,10 +44,7 @@ class HarpABeepProfiler : public BeepProfiler
      *  without a new direct error. */
     bool cleanObserveIsNoOp() const override { return false; }
 
-    bool chooseDatawordInto(std::size_t round,
-                            const gf2::BitVector &suggested,
-                            common::Xoshiro256 &rng,
-                            gf2::BitVector &out) override;
+    bool craftDataword(gf2::BitVector &out) override;
 
     void observe(const RoundObservation &obs) override;
 

@@ -35,20 +35,6 @@ class HarpUProfiler : public Profiler
     std::string name() const override { return "HARP-U"; }
     bool usesBypassPath() const override { return true; }
 
-    /** HARP programs the suggested pattern verbatim (HARP-A inherits
-     *  this: its awareness changes predictions, not patterns). */
-    bool chooseDatawordInto(std::size_t round,
-                            const gf2::BitVector &suggested,
-                            common::Xoshiro256 &rng,
-                            gf2::BitVector &out) override
-    {
-        (void)round;
-        (void)suggested;
-        (void)rng;
-        (void)out;
-        return true;
-    }
-
     void observe(const RoundObservation &obs) override;
 
     /** HARP-U's observe is pure positionwise accumulation over the

@@ -25,19 +25,6 @@ class NaiveProfiler : public Profiler
 
     std::string name() const override { return "Naive"; }
 
-    /** Naive programs the suggested pattern verbatim. */
-    bool chooseDatawordInto(std::size_t round,
-                            const gf2::BitVector &suggested,
-                            common::Xoshiro256 &rng,
-                            gf2::BitVector &out) override
-    {
-        (void)round;
-        (void)suggested;
-        (void)rng;
-        (void)out;
-        return true;
-    }
-
     void observe(const RoundObservation &obs) override;
 
     /** Naive's observe is pure positionwise accumulation: lane-native

@@ -1,57 +1,23 @@
 #include "core/profiler.hh"
 
-#include <atomic>
+#include <cassert>
 
 namespace harp::core {
 
-namespace {
-
-/** Monotonic instance-id source; profilers of concurrent experiment
- *  tasks construct in parallel, hence atomic. */
-std::atomic<std::uint64_t> nextProfilerId{1};
-
-} // namespace
-
 Profiler::Profiler(std::size_t k)
-    : k_(k),
-      identified_(k),
-      instanceId_(nextProfilerId.fetch_add(1, std::memory_order_relaxed))
+    : k_(k), identified_(k)
 {
 }
 
 Profiler::~Profiler()
 {
-    // Unregister from a still-attached group so it never flushes into a
-    // dead object (the group flushes the pending lane state first, which
-    // keeps the surviving sibling lanes consistent).
-    if (laneGroup_ != nullptr) {
-        laneGroup_->forget(this);
-        laneGroup_ = nullptr;
-    }
+    assert(laneGroup_ == nullptr && "profiler outlived by its engine");
 }
 
 void
 Profiler::syncLaneState() const
 {
     laneGroup_->flushIfDirty();
-}
-
-gf2::BitVector
-Profiler::chooseDataword(std::size_t round, const gf2::BitVector &suggested,
-                         common::Xoshiro256 &rng)
-{
-    (void)round;
-    (void)rng;
-    return suggested;
-}
-
-bool
-Profiler::chooseDatawordInto(std::size_t round,
-                             const gf2::BitVector &suggested,
-                             common::Xoshiro256 &rng, gf2::BitVector &out)
-{
-    out = chooseDataword(round, suggested, rng);
-    return false;
 }
 
 } // namespace harp::core

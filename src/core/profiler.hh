@@ -16,23 +16,17 @@
 #include <memory>
 #include <string>
 
-#include "common/rng.hh"
 #include "ecc/hamming_code.hh"
 #include "gf2/bit_vector.hh"
 
 namespace harp::core {
 
-class Profiler;
-template <std::size_t W>
-class SlicedProfilerGroupW;
-
 /**
  * Width-erased handle on a lane-native observation accumulator
  * (core/sliced_profiler_group.hh). Profiler carries a plain pointer to
- * whatever group — of any lane width — is currently accumulating its
- * observations in transposed form; the two virtuals are exactly the
- * operations the profiler needs without knowing the width: flush
- * pending lane state on profile reads, and detach on destruction.
+ * the group — of any lane width — accumulating its observations in
+ * transposed form, so profile reads can flush the pending lane state
+ * without knowing the width.
  */
 class LaneObserverGroup
 {
@@ -42,15 +36,6 @@ class LaneObserverGroup
     /** Transpose the accumulated lane state into the wrapped
      *  profilers' members; no-op when clean. */
     virtual void flushIfDirty() = 0;
-
-  protected:
-    friend class Profiler;
-    template <std::size_t W>
-    friend class SlicedProfilerGroupW;
-
-    /** Drop @p profiler from the group (it is being destroyed); the
-     *  pending lane state is flushed first. */
-    virtual void forget(const Profiler *profiler) = 0;
 };
 
 /**
@@ -58,11 +43,11 @@ class LaneObserverGroup
  * form by a SlicedProfilerGroup (core/sliced_profiler_group.hh).
  *
  * A non-None kind is a contract with the sliced engine: the profiler
- * (a) always programs the suggested pattern verbatim, (b) never draws
- * from the profiler RNG in chooseDataword(Into), and (c) its observe()
- * reduces to the position-wise accumulation named by the kind. The
- * engine then skips the per-lane choose calls, feeds the whole slot
- * one lane observation per round, and elides the post/raw scatters.
+ * (a) never crafts a dataword (craftDataword() keeps the default) and
+ * (b) its observe() reduces to the position-wise accumulation named by
+ * the kind. The engine then skips the per-lane craft calls, feeds the
+ * whole slot one lane observation per round, and elides the post/raw
+ * scatters.
  */
 enum class LaneObserveKind
 {
@@ -89,7 +74,6 @@ enum class LaneObserveKind
  */
 struct RoundObservation
 {
-    std::size_t round = 0;
     /** Dataword d the profiler programmed. */
     const gf2::BitVector &writtenData;
     /** Post-correction dataword d' from the normal read path. */
@@ -100,12 +84,17 @@ struct RoundObservation
 
 /**
  * Abstract round-based error profiler.
+ *
+ * An engine binds its profilers at construction and drives them until
+ * it is destroyed: the profilers must outlive the engine, and a
+ * profiler belongs to at most one live engine at a time.
  */
 class Profiler
 {
   public:
     /** @param k Dataword length of the profiled ECC word. */
     explicit Profiler(std::size_t k);
+    /** The profiler must be detached: its engine died first. */
     virtual ~Profiler();
 
     Profiler(const Profiler &) = delete;
@@ -118,35 +107,21 @@ class Profiler
     virtual bool usesBypassPath() const { return false; }
 
     /**
-     * Choose the dataword to program this round.
+     * Craft this round's dataword instead of programming the shared
+     * suggested pattern (identical across profilers, so comparisons
+     * use the same patterns; section 7.1.2).
      *
-     * @param round     0-based round index.
-     * @param suggested The shared data-pattern-policy word for this round;
-     *                  identical across profilers so comparisons use the
-     *                  same patterns (section 7.1.2). Crafting profilers
-     *                  (BEEP) may override it.
-     * @param rng       Profiler-private randomness.
+     * @return true iff the crafted word has been written into @p out
+     *         (copy-assignment reuses its capacity); false (the
+     *         default) programs the suggested pattern, which lets the
+     *         engines share one datapath evaluation between every
+     *         such profiler of a round.
      */
-    virtual gf2::BitVector chooseDataword(std::size_t round,
-                                          const gf2::BitVector &suggested,
-                                          common::Xoshiro256 &rng);
-
-    /**
-     * Allocation-free variant of chooseDataword() used by the round
-     * engines on the hot path.
-     *
-     * @return true iff the profiler programs @p suggested verbatim —
-     *         in that case @p out may be left untouched and the caller
-     *         must use @p suggested (engines exploit this to share one
-     *         datapath evaluation between all suggested-verbatim
-     *         profilers of a round). On false, the chosen word has
-     *         been written into @p out (copy-assignment reuses its
-     *         capacity). The default delegates to chooseDataword().
-     */
-    virtual bool chooseDatawordInto(std::size_t round,
-                                    const gf2::BitVector &suggested,
-                                    common::Xoshiro256 &rng,
-                                    gf2::BitVector &out);
+    virtual bool craftDataword(gf2::BitVector &out)
+    {
+        (void)out;
+        return false;
+    }
 
     /** Observe the outcome of the round the profiler just programmed. */
     virtual void observe(const RoundObservation &obs) = 0;
@@ -191,14 +166,6 @@ class Profiler
 
     /** Dataword length of the profiled ECC word. */
     std::size_t k() const { return k_; }
-
-    /**
-     * Process-unique id of this profiler instance. Distinguishes a
-     * destroyed-and-reallocated profiler from its predecessor even
-     * when the allocator recycles the address — the engines validate
-     * cached per-slot state against it.
-     */
-    std::uint64_t instanceId() const { return instanceId_; }
 
     /** @name Lane-native observation support
      * Internal interface between a profiler and the
@@ -264,9 +231,6 @@ class Profiler
      * within one observe() call.
      */
     gf2::BitVector scratchA_, scratchB_;
-
-  private:
-    const std::uint64_t instanceId_;
 };
 
 } // namespace harp::core

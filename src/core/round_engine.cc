@@ -19,46 +19,57 @@ requireCodec(std::unique_ptr<const ecc::WordCodec> codec)
 
 RoundEngine::RoundEngine(std::unique_ptr<const ecc::WordCodec> codec,
                          const fault::WordFaultModel &faults,
-                         PatternKind pattern, std::uint64_t seed)
+                         PatternKind pattern, std::uint64_t seed,
+                         std::vector<Profiler *> profilers)
     : codec_(requireCodec(std::move(codec))),
       faults_(faults),
       patterns_(pattern, codec_->k(),
                 common::deriveSeed(seed, {0x9A77E2u})),
       crnRng_(common::deriveSeed(seed, {0xC28Bu})),
-      profilerRng_(common::deriveSeed(seed, {0x9120F1u})),
+      profilers_(std::move(profilers)),
       stored_(codec_->n()),
       received_(codec_->n()),
       post_(codec_->k()),
       raw_(codec_->k())
 {
+    if (faults_.wordBits() != codec_->n())
+        throw std::invalid_argument(
+            "RoundEngine: fault model must cover n cells");
+    for (const Profiler *profiler : profilers_)
+        if (profiler->k() != codec_->k())
+            throw std::invalid_argument(
+                "RoundEngine: profiler dataword length differs from k");
 }
 
 RoundEngine::RoundEngine(const ecc::HammingCode &code,
                          const fault::WordFaultModel &faults,
-                         PatternKind pattern, std::uint64_t seed)
+                         PatternKind pattern, std::uint64_t seed,
+                         std::vector<Profiler *> profilers)
     : RoundEngine(std::make_unique<ecc::HammingWordCodec>(code), faults,
-                  pattern, seed)
+                  pattern, seed, std::move(profilers))
 {
 }
 
 RoundEngine::RoundEngine(const ecc::BchCode &code,
                          const fault::WordFaultModel &faults,
-                         PatternKind pattern, std::uint64_t seed)
+                         PatternKind pattern, std::uint64_t seed,
+                         std::vector<Profiler *> profilers)
     : RoundEngine(std::make_unique<ecc::BchWordCodec>(code), faults,
-                  pattern, seed)
+                  pattern, seed, std::move(profilers))
 {
 }
 
 void
-RoundEngine::runRound(const std::vector<Profiler *> &profilers)
+RoundEngine::runRound()
 {
     double *const ph_setup = phases_ ? &phases_->setup : nullptr;
     double *const ph_datapath = phases_ ? &phases_->datapath : nullptr;
     double *const ph_observe = phases_ ? &phases_->observe : nullptr;
 
+    const gf2::BitVector *suggested;
     {
         PhaseScope t(ph_setup);
-        patterns_.patternInto(round_, suggested_);
+        suggested = &patterns_.patternView(round_);
         // One shared uniform variate per at-risk cell (common random
         // numbers).
         uniforms_.resize(faults_.numFaults());
@@ -66,14 +77,13 @@ RoundEngine::runRound(const std::vector<Profiler *> &profilers)
             u = crnRng_.nextDouble();
     }
 
-    for (Profiler *profiler : profilers) {
-        bool verbatim;
+    for (Profiler *profiler : profilers_) {
+        bool crafted;
         {
             PhaseScope t(ph_setup);
-            verbatim = profiler->chooseDatawordInto(
-                round_, suggested_, profilerRng_, written_);
+            crafted = profiler->craftDataword(written_);
         }
-        const gf2::BitVector &written = verbatim ? suggested_ : written_;
+        const gf2::BitVector &written = crafted ? written_ : *suggested;
         {
             PhaseScope t(ph_datapath);
             codec_->encodeInto(written, stored_);
@@ -85,8 +95,7 @@ RoundEngine::runRound(const std::vector<Profiler *> &profilers)
         }
 
         PhaseScope t(ph_observe);
-        const RoundObservation obs{round_, written, post_, raw_};
-        profiler->observe(obs);
+        profiler->observe({written, post_, raw_});
     }
     ++round_;
 }

@@ -42,31 +42,35 @@ class RoundEngine
 {
   public:
     /**
-     * @param codec   The word's on-die ECC code, behind the scalar
-     *                codec interface (the engine takes ownership of
-     *                the adapter; the underlying code must outlive the
-     *                engine).
-     * @param faults  The word's fault model.
-     * @param pattern Shared data-pattern policy for non-crafting profilers.
-     * @param seed    Seed for patterns, common random numbers, and
-     *                profiler-private randomness.
+     * @param codec     The word's on-die ECC code, behind the scalar
+     *                  codec interface (the engine takes ownership of
+     *                  the adapter; the underlying code must outlive
+     *                  the engine).
+     * @param faults    The word's fault model (word length n).
+     * @param pattern   Shared data-pattern policy for non-crafting
+     *                  profilers.
+     * @param seed      Seed for patterns and common random numbers.
+     * @param profilers The profilers every round drives, in order;
+     *                  each must have the code's k and outlive the
+     *                  engine. Throws std::invalid_argument on a null
+     *                  codec or a mismatched fault model or profiler.
      */
     RoundEngine(std::unique_ptr<const ecc::WordCodec> codec,
                 const fault::WordFaultModel &faults, PatternKind pattern,
-                std::uint64_t seed);
+                std::uint64_t seed, std::vector<Profiler *> profilers);
 
     /** Convenience over a SEC Hamming word. */
     RoundEngine(const ecc::HammingCode &code,
                 const fault::WordFaultModel &faults, PatternKind pattern,
-                std::uint64_t seed);
+                std::uint64_t seed, std::vector<Profiler *> profilers);
 
     /** Convenience over a general t-error BCH word. */
     RoundEngine(const ecc::BchCode &code,
                 const fault::WordFaultModel &faults, PatternKind pattern,
-                std::uint64_t seed);
+                std::uint64_t seed, std::vector<Profiler *> profilers);
 
-    /** Run one profiling round for every profiler in @p profilers. */
-    void runRound(const std::vector<Profiler *> &profilers);
+    /** Run one profiling round for every bound profiler. */
+    void runRound();
 
     /** Number of rounds executed so far. */
     std::size_t roundsRun() const { return round_; }
@@ -80,9 +84,8 @@ class RoundEngine
     const fault::WordFaultModel &faults_;
     PatternGenerator patterns_;
     common::Xoshiro256 crnRng_;
-    common::Xoshiro256 profilerRng_;
+    std::vector<Profiler *> profilers_;
     // Round-persistent scratch (capacity reused across rounds).
-    gf2::BitVector suggested_;
     gf2::BitVector written_;
     gf2::BitVector stored_;
     gf2::BitVector received_;

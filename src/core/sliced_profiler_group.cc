@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 
 #include "common/bits.hh"
 
@@ -36,6 +37,11 @@ SlicedProfilerGroupW<W>::SlicedProfilerGroupW(
       direct_(kind == LaneObserveKind::BypassAware ? k : 0),
       laneScratch_(k)
 {
+    for (const Profiler *p : profilers_)
+        if (p->laneGroup_ != nullptr)
+            throw std::invalid_argument(
+                "SlicedProfilerGroup: profiler already bound to a live "
+                "engine");
     const std::size_t lanes = profilers_.size();
     liveMask_ = gf2::laneMaskOf<Lane>(lanes);
     flushScratch_.assign(lanes, gf2::BitVector(k));
@@ -59,13 +65,8 @@ SlicedProfilerGroupW<W>::SlicedProfilerGroupW(
         direct_.gather(seed);
     }
 
-    for (Profiler *p : profilers_) {
-        // A profiler can only feed one group at a time; hand-offs
-        // between engines flush the previous group's pending state.
-        if (p->laneGroup_ != nullptr)
-            p->laneGroup_->forget(p);
+    for (Profiler *p : profilers_)
         p->laneGroup_ = this;
-    }
 }
 
 template <std::size_t W>
@@ -73,20 +74,7 @@ SlicedProfilerGroupW<W>::~SlicedProfilerGroupW()
 {
     flushIfDirty();
     for (Profiler *p : profilers_)
-        if (p != nullptr && p->laneGroup_ == this)
-            p->laneGroup_ = nullptr;
-}
-
-template <std::size_t W>
-void
-SlicedProfilerGroupW<W>::forget(const Profiler *profiler)
-{
-    flushIfDirty();
-    for (Profiler *&p : profilers_)
-        if (p == profiler) {
-            p = nullptr;
-            abandoned_ = true;
-        }
+        p->laneGroup_ = nullptr;
 }
 
 template <std::size_t W>
@@ -146,12 +134,9 @@ SlicedProfilerGroupW<W>::observeLanes(const RoundLaneObservationW<W> &obs)
         dirty_ = true;
     changed &= liveMask_;
     gf2::forEachSetLane(changed, [&](std::size_t lane) {
-        Profiler *profiler = profilers_[lane];
-        if (profiler == nullptr)
-            return;
         extractLane(direct_, lane);
         if (const gf2::BitVector *predicted =
-                profiler->laneDirectGrew(laneScratch_)) {
+                profilers_[lane]->laneDirectGrew(laneScratch_)) {
             // Fold the refreshed predictions into the lane's identified
             // state; the flush unions them with everything else, which
             // matches the scalar profiler's identified_ |= predicted.
@@ -171,8 +156,7 @@ SlicedProfilerGroupW<W>::flushIfDirty()
     dirty_ = false;
     atRisk_.scatterPrefix(k_, flushScratch_);
     for (std::size_t w = 0; w < profilers_.size(); ++w)
-        if (profilers_[w] != nullptr)
-            profilers_[w]->absorbLaneIdentified(flushScratch_[w]);
+        profilers_[w]->absorbLaneIdentified(flushScratch_[w]);
     if (kind_ == LaneObserveKind::PostCorrection)
         return;
     // Bypass: the direct set coincides with the identified set, so the
@@ -181,8 +165,7 @@ SlicedProfilerGroupW<W>::flushIfDirty()
     if (kind_ == LaneObserveKind::BypassAware)
         direct_.scatterPrefix(k_, flushScratch_);
     for (std::size_t w = 0; w < profilers_.size(); ++w)
-        if (profilers_[w] != nullptr)
-            profilers_[w]->absorbLaneDirect(flushScratch_[w]);
+        profilers_[w]->absorbLaneDirect(flushScratch_[w]);
 }
 
 template class SlicedProfilerGroupW<1>;

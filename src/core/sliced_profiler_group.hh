@@ -30,10 +30,11 @@
  * bit-identical to the scalar engine, while throughput-bound runs pay a
  * single transpose at the end.
  *
- * Lifetime: the engine owns its groups; attach/detach is symmetric
- * (group destruction flushes and detaches every profiler, profiler
- * destruction unregisters from its group), so either side may die
- * first.
+ * Lifetime: the engine owns its groups and builds them once, at
+ * construction. A group attaches its profilers for its whole life and
+ * refuses a profiler another group already holds; its destruction
+ * flushes and detaches every profiler, which must therefore outlive
+ * it.
  */
 
 #ifndef HARP_CORE_SLICED_PROFILER_GROUP_HH
@@ -57,7 +58,6 @@ namespace harp::core {
 template <std::size_t W>
 struct RoundLaneObservationW
 {
-    std::size_t round = 0;
     /** Programmed datawords, k positions. */
     const gf2::BitSliceW<W> &written;
     /** Post-correction datawords, k positions. */
@@ -86,7 +86,9 @@ class SlicedProfilerGroupW final : public LaneObserverGroup
      * any lane reporting LaneObserveKind::None, mixed kinds across
      * lanes, or a dataword length disagreeing with @p k. The returned
      * group seeds its lane state from the profilers' current profiles,
-     * so pre-warmed profilers keep their bits.
+     * so pre-warmed profilers keep their bits. Throws
+     * std::invalid_argument if a profiler is already attached to a
+     * live group.
      */
     static std::unique_ptr<SlicedProfilerGroupW>
     tryMake(const std::vector<Profiler *> &lane_profilers, std::size_t k);
@@ -101,12 +103,6 @@ class SlicedProfilerGroupW final : public LaneObserverGroup
 
     /** True iff lane state has accumulated since the last flush. */
     bool dirty() const { return dirty_; }
-
-    /** True iff any wrapped profiler has been destroyed (forgotten):
-     *  the group no longer covers its full slot and must not be
-     *  reused for a new profiler generation — even one that happens
-     *  to land on the same heap addresses. */
-    bool abandoned() const { return abandoned_; }
 
     /**
      * Observe one round for every lane at once. BypassAware groups may
@@ -124,10 +120,6 @@ class SlicedProfilerGroupW final : public LaneObserverGroup
     SlicedProfilerGroupW(const std::vector<Profiler *> &lane_profilers,
                          LaneObserveKind kind, std::size_t k);
 
-    /** Drop @p profiler from the group (it is being destroyed); the
-     *  pending lane state is flushed first. */
-    void forget(const Profiler *profiler) override;
-
     /** Extract lane @p lane of @p slice's first k positions into
      *  laneScratch_. */
     void extractLane(const gf2::BitSliceW<W> &slice, std::size_t lane);
@@ -144,7 +136,6 @@ class SlicedProfilerGroupW final : public LaneObserverGroup
      *  coincide). */
     gf2::BitSliceW<W> direct_;
     bool dirty_ = false;
-    bool abandoned_ = false;
 
     // Flush/extraction scratch (no allocations after construction).
     std::vector<gf2::BitVector> flushScratch_;

@@ -1,6 +1,5 @@
 #include "core/sliced_round_engine.hh"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "common/bits.hh"
@@ -8,29 +7,17 @@
 
 namespace harp::core {
 
-namespace {
-
-/** Reject a null datapath before the delegating ctor dereferences it. */
-template <std::size_t W>
-const ecc::SlicedCodeW<W> &
-requireCode(const std::unique_ptr<const ecc::SlicedCodeW<W>> &code)
-{
-    if (code == nullptr)
-        throw std::invalid_argument("SlicedRoundEngine: null sliced code");
-    return *code;
-}
-
-} // namespace
-
 template <std::size_t W>
 SlicedRoundEngineW<W>::SlicedRoundEngineW(
     const ecc::SlicedCodeW<W> &code,
     const std::vector<const fault::WordFaultModel *> &faults,
-    PatternKind pattern, const std::vector<std::uint64_t> &seeds)
+    PatternKind pattern, const std::vector<std::uint64_t> &seeds,
+    std::vector<std::vector<Profiler *>> profilers)
     : code_(&code),
       lanes_(faults.size()),
       k_(code.k()),
       injector_(faults),
+      profilers_(std::move(profilers)),
       written_(k_),
       stored_(code.n()),
       received_(code.n()),
@@ -39,23 +26,33 @@ SlicedRoundEngineW<W>::SlicedRoundEngineW(
       sReceived_(code.n()),
       sPost_(k_)
 {
-    if (seeds.size() != lanes_ || lanes_ > code.lanes())
-        throw std::invalid_argument(
-            "SlicedRoundEngine: codes/faults/seeds lane counts differ");
+    if (seeds.size() != lanes_ || profilers_.size() != lanes_ ||
+        lanes_ > code.lanes())
+        throw std::invalid_argument("SlicedRoundEngine: "
+                                    "codes/faults/seeds/profilers lane "
+                                    "counts differ");
     if (injector_.wordBits() != code.n())
         throw std::invalid_argument(
             "SlicedRoundEngine: fault models must cover n cells");
+    const std::size_t slots = profilers_.empty() ? 0 : profilers_[0].size();
+    for (const std::vector<Profiler *> &lane : profilers_) {
+        if (lane.size() != slots)
+            throw std::invalid_argument(
+                "SlicedRoundEngine: lanes pass different profiler counts");
+        for (const Profiler *profiler : lane)
+            if (profiler->k() != k_)
+                throw std::invalid_argument(
+                    "SlicedRoundEngine: profiler dataword length "
+                    "differs from k");
+    }
 
     patterns_.reserve(lanes_);
     crnRngs_.reserve(lanes_);
-    profilerRngs_.reserve(lanes_);
     for (std::size_t w = 0; w < lanes_; ++w) {
         // Identical child-stream derivation to RoundEngine's members.
         patterns_.emplace_back(pattern, k_,
                                common::deriveSeed(seeds[w], {0x9A77E2u}));
         crnRngs_.emplace_back(common::deriveSeed(seeds[w], {0xC28Bu}));
-        profilerRngs_.emplace_back(
-            common::deriveSeed(seeds[w], {0x9120F1u}));
     }
     liveMask_ = gf2::laneMaskOf<Lane>(lanes_);
     suggestedViews_.assign(lanes_, nullptr);
@@ -64,82 +61,48 @@ SlicedRoundEngineW<W>::SlicedRoundEngineW(
     rawVec_.assign(lanes_, gf2::BitVector(k_));
     postSuggestedVec_.assign(lanes_, gf2::BitVector(k_));
     rawSuggestedVec_.assign(lanes_, gf2::BitVector(k_));
-}
 
-template <std::size_t W>
-SlicedRoundEngineW<W>::SlicedRoundEngineW(
-    std::unique_ptr<const ecc::SlicedCodeW<W>> code,
-    const std::vector<const fault::WordFaultModel *> &faults,
-    PatternKind pattern, const std::vector<std::uint64_t> &seeds)
-    : SlicedRoundEngineW(requireCode(code), faults, pattern, seeds)
-{
-    if (faults.size() != code->lanes())
-        throw std::invalid_argument(
-            "SlicedRoundEngine: codes/faults/seeds lane counts differ");
-    owned_ = std::move(code);
+    groups_.resize(slots);
+    slotCleanNoOp_.assign(slots, 1);
+    slotNeedsRaw_.assign(slots, 0);
+    std::vector<Profiler *> slot_profilers(lanes_);
+    for (std::size_t s = 0; s < slots; ++s) {
+        for (std::size_t w = 0; w < lanes_; ++w) {
+            slot_profilers[w] = profilers_[w][s];
+            if (!slot_profilers[w]->cleanObserveIsNoOp())
+                slotCleanNoOp_[s] = 0;
+            if (slot_profilers[w]->usesBypassPath())
+                slotNeedsRaw_[s] = 1;
+        }
+        groups_[s] = SlicedProfilerGroupW<W>::tryMake(slot_profilers, k_);
+    }
 }
 
 template <std::size_t W>
 SlicedRoundEngineW<W>::SlicedRoundEngineW(
     const std::vector<const ecc::HammingCode *> &codes,
     const std::vector<const fault::WordFaultModel *> &faults,
-    PatternKind pattern, const std::vector<std::uint64_t> &seeds)
+    PatternKind pattern, const std::vector<std::uint64_t> &seeds,
+    std::vector<std::vector<Profiler *>> profilers)
     : SlicedRoundEngineW(std::make_unique<ecc::SlicedHammingCodeW<W>>(codes),
-                         faults, pattern, seeds)
+                         faults, pattern, seeds, std::move(profilers))
 {
 }
 
 template <std::size_t W>
-void
-SlicedRoundEngineW<W>::ensureGroups(
-    const std::vector<std::vector<Profiler *>> &profilers)
+SlicedRoundEngineW<W>::SlicedRoundEngineW(
+    std::unique_ptr<const ecc::SlicedCodeW<W>> hamming,
+    const std::vector<const fault::WordFaultModel *> &faults,
+    PatternKind pattern, const std::vector<std::uint64_t> &seeds,
+    std::vector<std::vector<Profiler *>> profilers)
+    : SlicedRoundEngineW(*hamming, faults, pattern, seeds,
+                         std::move(profilers))
 {
-    if (profilers == groupedFor_) {
-        // Pointer identity alone is not proof of the same profiler
-        // generation: a destroyed set reallocated at the same heap
-        // addresses compares equal. Grouped slots detect this through
-        // abandoned() (a destroyed profiler marks its group); scalar
-        // slots revalidate their profilers' instance ids, which the
-        // cached slotNeedsRaw_/slotCleanNoOp_ flags were computed for.
-        bool stale = false;
-        std::size_t id_idx = 0;
-        for (std::size_t s = 0; s < groups_.size() && !stale; ++s) {
-            if (groups_[s] != nullptr) {
-                stale = groups_[s]->abandoned();
-                continue;
-            }
-            for (std::size_t w = 0; w < lanes_ && !stale; ++w)
-                stale = profilers[w][s]->instanceId() !=
-                        scalarSlotIds_[id_idx++];
-        }
-        if (!stale)
-            return;
-    }
-    // Group destruction flushes any pending lane state of a previous
-    // profiler generation before the rebuild.
-    groups_.clear();
-    groupedFor_ = profilers;
-    const std::size_t slots = profilers.empty() ? 0 : profilers[0].size();
-    groups_.resize(slots);
-    slotCleanNoOp_.assign(slots, 1);
-    slotNeedsRaw_.assign(slots, 0);
-    scalarSlotIds_.clear();
-    std::vector<Profiler *> slot_profilers(lanes_);
-    for (std::size_t s = 0; s < slots; ++s) {
-        for (std::size_t w = 0; w < lanes_; ++w) {
-            assert(profilers[w].size() == slots);
-            slot_profilers[w] = profilers[w][s];
-            if (!profilers[w][s]->cleanObserveIsNoOp())
-                slotCleanNoOp_[s] = 0;
-            if (profilers[w][s]->usesBypassPath())
-                slotNeedsRaw_[s] = 1;
-        }
-        groups_[s] = SlicedProfilerGroupW<W>::tryMake(slot_profilers, k_);
-        if (groups_[s] == nullptr)
-            for (std::size_t w = 0; w < lanes_; ++w)
-                scalarSlotIds_.push_back(
-                    profilers[w][s]->instanceId());
-    }
+    if (faults.size() != hamming->lanes())
+        throw std::invalid_argument("SlicedRoundEngine: "
+                                    "codes/faults/seeds/profilers lane "
+                                    "counts differ");
+    hamming_ = std::move(hamming);
 }
 
 template <std::size_t W>
@@ -168,13 +131,8 @@ SlicedRoundEngineW<W>::runSuggestedDatapath()
 
 template <std::size_t W>
 void
-SlicedRoundEngineW<W>::runRound(
-    const std::vector<std::vector<Profiler *>> &profilers)
+SlicedRoundEngineW<W>::runRound()
 {
-    assert(profilers.size() == lanes_);
-    const std::size_t slots = profilers.empty() ? 0 : profilers[0].size();
-    ensureGroups(profilers);
-
     double *const ph_setup = phases_ ? &phases_->setup : nullptr;
     double *const ph_datapath = phases_ ? &phases_->datapath : nullptr;
     double *const ph_observe = phases_ ? &phases_->observe : nullptr;
@@ -191,12 +149,11 @@ SlicedRoundEngineW<W>::runRound(
     bool suggested_ready = false; // suggested slices valid
     bool suggested_post_scattered = false;
     bool suggested_raw_scattered = false;
-    bool lane_verbatim[gf2::BitSliceW<W>::laneCount];
-    for (std::size_t s = 0; s < slots; ++s) {
+    bool lane_crafted[gf2::BitSliceW<W>::laneCount];
+    for (std::size_t s = 0; s < groups_.size(); ++s) {
         if (SlicedProfilerGroupW<W> *group = groups_[s].get()) {
-            // Lane-native slot: its profilers program the suggested
-            // pattern verbatim and never draw profiler randomness (the
-            // LaneObserveKind contract), so the choose calls are
+            // Lane-native slot: its profilers never craft (the
+            // LaneObserveKind contract), so the craft calls are
             // skipped and the observation never leaves transposed
             // form — no scatter, no virtual observe calls.
             if (!suggested_ready) {
@@ -205,8 +162,7 @@ SlicedRoundEngineW<W>::runRound(
                 suggested_ready = true;
             }
             PhaseScope t(ph_observe);
-            group->observeLanes(
-                {round_, sWritten_, sPost_, sReceived_});
+            group->observeLanes({sWritten_, sPost_, sReceived_});
             ++stats_.laneObserveSlotRounds;
             continue;
         }
@@ -215,11 +171,9 @@ SlicedRoundEngineW<W>::runRound(
         {
             PhaseScope t(ph_setup);
             for (std::size_t w = 0; w < lanes_; ++w) {
-                assert(profilers[w].size() == slots);
-                lane_verbatim[w] = profilers[w][s]->chooseDatawordInto(
-                    round_, *suggestedViews_[w], profilerRngs_[w],
-                    writtenVec_[w]);
-                verbatim = verbatim && lane_verbatim[w];
+                lane_crafted[w] =
+                    profilers_[w][s]->craftDataword(writtenVec_[w]);
+                verbatim = verbatim && !lane_crafted[w];
             }
         }
 
@@ -263,18 +217,17 @@ SlicedRoundEngineW<W>::runRound(
                     ++stats_.cleanObserveSkips;
                     continue;
                 }
-                const RoundObservation obs{round_, *suggestedViews_[w],
+                profilers_[w][s]->observe({*suggestedViews_[w],
                                            postSuggestedVec_[w],
-                                           rawSuggestedVec_[w]};
-                profilers[w][s]->observe(obs);
+                                           rawSuggestedVec_[w]});
                 ++stats_.scalarObserveCalls;
             }
         } else {
             // Mixed slot: materialize the suggested word into the
-            // lanes whose profiler left the output buffer untouched.
+            // lanes whose profiler did not craft one.
             const bool need_raw = slotNeedsRaw_[s] != 0;
             for (std::size_t w = 0; w < lanes_; ++w)
-                if (lane_verbatim[w])
+                if (!lane_crafted[w])
                     writtenVec_[w] = *suggestedViews_[w];
             // The sliced datapath: W*64 words per lane-op.
             {
@@ -302,9 +255,8 @@ SlicedRoundEngineW<W>::runRound(
                     ++stats_.cleanObserveSkips;
                     continue;
                 }
-                const RoundObservation obs{round_, writtenVec_[w],
-                                           postVec_[w], rawVec_[w]};
-                profilers[w][s]->observe(obs);
+                profilers_[w][s]->observe(
+                    {writtenVec_[w], postVec_[w], rawVec_[w]});
                 ++stats_.scalarObserveCalls;
             }
         }

@@ -29,8 +29,8 @@
  *    scatters are elided entirely. Profile extraction transposes once
  *    on demand (reading identified() flushes), not once per round.
  *  - Crafting slots (BEEP, HARP-A+BEEP) keep the scalar path: per-lane
- *    dataword choice, a sliced datapath over the gathered lanes, one
- *    scatter pair, and per-lane virtual observe() calls.
+ *    craftDataword() calls, a sliced datapath over the gathered lanes,
+ *    one scatter pair, and per-lane virtual observe() calls.
  *  - Scalar slots that programmed the suggested pattern verbatim in
  *    every lane share a single suggested-datapath evaluation per round
  *    (common random numbers fix the trials within a round), with the
@@ -72,8 +72,8 @@ class SlicedRoundEngineW
     using Lane = gf2::LaneOf<W>;
 
     /**
-     * Generic non-owning form over any sliced code block: @p code must
-     * outlive the engine and may be *shared* by several engines (e.g.
+     * Generic form over any sliced code block: @p code must outlive
+     * the engine and may be *shared* by several engines (e.g.
      * consecutive blocks of one BCH workload amortizing one
      * syndrome-memo warm-up — but not concurrently; see
      * ecc/sliced_bch.hh, whose copies share the memo thread-safely).
@@ -81,32 +81,37 @@ class SlicedRoundEngineW
      * code.lanes(): surplus code lanes stay zeroed by gather() and
      * cost nothing.
      *
-     * @param code    The lanes' sliced ECC datapath.
-     * @param faults  One fault model per live lane (word length n).
-     * @param pattern Shared data-pattern policy for non-crafting
-     *                profilers.
-     * @param seeds   One seed per lane, used exactly as RoundEngine
-     *                uses its seed (same child-stream derivation).
+     * @param code      The lanes' sliced ECC datapath.
+     * @param faults    One fault model per live lane (word length n).
+     * @param pattern   Shared data-pattern policy for non-crafting
+     *                  profilers.
+     * @param seeds     One seed per lane, used exactly as RoundEngine
+     *                  uses its seed (same child-stream derivation).
+     * @param profilers profilers[w] is lane w's profiler set; every
+     *                  lane passes the same number of profilers, each
+     *                  with the code's k (slot s of every lane is
+     *                  driven together). The profilers must outlive
+     *                  the engine and belong to no other live engine.
+     *
+     * Throws std::invalid_argument on inconsistent lane counts, a
+     * ragged or wrong-k profiler set, or a profiler already bound to
+     * a live engine's observer group.
      */
     SlicedRoundEngineW(
         const ecc::SlicedCodeW<W> &code,
         const std::vector<const fault::WordFaultModel *> &faults,
-        PatternKind pattern, const std::vector<std::uint64_t> &seeds);
+        PatternKind pattern, const std::vector<std::uint64_t> &seeds,
+        std::vector<std::vector<Profiler *>> profilers);
 
-    /** Owning form: like above, but the engine keeps the datapath
-     *  alive; requires exactly one fault model per code lane. */
-    SlicedRoundEngineW(
-        std::unique_ptr<const ecc::SlicedCodeW<W>> code,
-        const std::vector<const fault::WordFaultModel *> &faults,
-        PatternKind pattern, const std::vector<std::uint64_t> &seeds);
-
-    /** Convenience over SEC Hamming lanes (1..W*64, equal k; the
-     *  arrangements may differ, so heterogeneous-code workloads like
-     *  the Fig. 10 case study slice too). */
+    /** Convenience over SEC Hamming lanes (1..W*64 codes, one per
+     *  fault model, equal k; the arrangements may differ, so
+     *  heterogeneous-code workloads like the Fig. 10 case study slice
+     *  too). */
     SlicedRoundEngineW(
         const std::vector<const ecc::HammingCode *> &codes,
         const std::vector<const fault::WordFaultModel *> &faults,
-        PatternKind pattern, const std::vector<std::uint64_t> &seeds);
+        PatternKind pattern, const std::vector<std::uint64_t> &seeds,
+        std::vector<std::vector<Profiler *>> profilers);
 
     /** Destroying the engine flushes and detaches every lane-native
      *  observer group, so profiles read afterwards are complete. */
@@ -115,17 +120,8 @@ class SlicedRoundEngineW
     /** Number of live lanes (simulated words). */
     std::size_t lanes() const { return lanes_; }
 
-    /**
-     * Run one profiling round for every lane.
-     *
-     * @param profilers profilers[w] is lane w's profiler set; every
-     *                  lane must pass the same number of profilers
-     *                  (slot s of every lane is driven together). Pass
-     *                  the same sets every round — a change flushes
-     *                  and rebuilds the lane-native observer groups.
-     */
-    void
-    runRound(const std::vector<std::vector<Profiler *>> &profilers);
+    /** Run one profiling round for every lane's bound profilers. */
+    void runRound();
 
     /** Number of rounds executed so far. */
     std::size_t roundsRun() const { return round_; }
@@ -161,20 +157,24 @@ class SlicedRoundEngineW
     void setPhaseSink(EnginePhaseSeconds *sink) { phases_ = sink; }
 
   private:
+    /** The Hamming convenience form: owns its datapath in hamming_. */
+    SlicedRoundEngineW(
+        std::unique_ptr<const ecc::SlicedCodeW<W>> hamming,
+        const std::vector<const fault::WordFaultModel *> &faults,
+        PatternKind pattern, const std::vector<std::uint64_t> &seeds,
+        std::vector<std::vector<Profiler *>> profilers);
+
     const ecc::SlicedCodeW<W> *code_;
-    /** Set by the owning constructors; null when the caller shares the
-     *  datapath across engines. */
-    std::unique_ptr<const ecc::SlicedCodeW<W>> owned_;
+    /** Set by the Hamming convenience constructor; null when the
+     *  caller owns (and may share) the datapath. */
+    std::unique_ptr<const ecc::SlicedCodeW<W>> hamming_;
     std::size_t lanes_;
     std::size_t k_;
     fault::SlicedCrnInjectorW<W> injector_;
     std::vector<PatternGenerator> patterns_;
     std::vector<common::Xoshiro256> crnRngs_;
-    std::vector<common::Xoshiro256> profilerRngs_;
-
-    /** (Re)build groups_ for @p profilers; cached until the passed
-     *  profiler sets change identity. */
-    void ensureGroups(const std::vector<std::vector<Profiler *>> &profilers);
+    /** profilers_[w][s]: lane w's slot-s profiler. */
+    std::vector<std::vector<Profiler *>> profilers_;
 
     /** Run gather -> encode -> inject -> decode for one profiler
      *  slot's chosen datawords into the mixed-slot slices
@@ -200,9 +200,9 @@ class SlicedRoundEngineW
     gf2::BitSliceW<W> sReceived_;
     gf2::BitSliceW<W> sPost_;
     /** Per-lane zero-copy views of the round's suggested pattern
-     *  (PatternGenerator::patternView): consumed by the gather, the
-     *  choose calls and verbatim observations without materializing
-     *  per-round copies. */
+     *  (PatternGenerator::patternView): consumed by the gather and
+     *  verbatim observations without materializing per-round
+     *  copies. */
     std::vector<const gf2::BitVector *> suggestedViews_;
     std::vector<gf2::BitVector> writtenVec_;
     std::vector<gf2::BitVector> postVec_;
@@ -215,22 +215,13 @@ class SlicedRoundEngineW
     std::vector<gf2::BitVector> postSuggestedVec_;
     std::vector<gf2::BitVector> rawSuggestedVec_;
 
-    /** Lane-native observer per slot (null = scalar slot), cached for
-     *  the profiler sets in groupedFor_. */
+    /** Lane-native observer per slot (null = scalar slot). */
     std::vector<std::unique_ptr<SlicedProfilerGroupW<W>>> groups_;
-    std::vector<std::vector<Profiler *>> groupedFor_;
     /** Per scalar slot: every lane's profiler declared clean observes
      *  no-ops, enabling the clean-lane elision. */
     std::vector<char> slotCleanNoOp_;
-    /** Per slot: any lane's profiler reads the decode-bypass path
-     *  (constant per profiler generation, cached off the hot path). */
+    /** Per slot: any lane's profiler reads the decode-bypass path. */
     std::vector<char> slotNeedsRaw_;
-    /** Instance ids of every scalar (group-less) slot's profilers,
-     *  slot-major: the cached per-slot flags above are only valid for
-     *  these exact instances, not merely these addresses (group slots
-     *  detect generation changes via the group's abandoned() flag
-     *  instead). */
-    std::vector<std::uint64_t> scalarSlotIds_;
     /** Mask of live lanes (dead-lane slice bits are garbage). */
     Lane liveMask_{};
 

@@ -76,10 +76,9 @@ makeQuickstart()
         core::HarpUProfiler harp(on_die.k());
         core::RoundEngine engine(on_die, faults,
                                  core::PatternKind::Random,
-                                 ctx.seed() + 2);
-        std::vector<core::Profiler *> profilers = {&naive, &harp};
+                                 ctx.seed() + 2, {&naive, &harp});
         for (std::size_t r = 0; r < rounds; ++r)
-            engine.runRound(profilers);
+            engine.runRound();
 
         const core::AtRiskAnalyzer analyzer(on_die, faults);
         const auto coverage = [&](const core::Profiler &p) {
@@ -382,7 +381,7 @@ makeRetentionCaseStudy()
                 core::PatternKind::Random, 64,
                 common::deriveSeed(seed, {0xACF1u, w}));
             for (std::size_t r = 0; r < active_rounds; ++r) {
-                const gf2::BitVector pattern = patterns.pattern(r);
+                const gf2::BitVector &pattern = patterns.patternView(r);
                 controller.write(w, pattern);
                 chip.retentionTick(w, retention_rng);
                 gf2::BitVector raw = controller.readRaw(w);
@@ -497,7 +496,7 @@ makeSecondaryEccSizing()
                                                    &harp_u, &harp_a};
         core::RoundEngine engine(on_die, faults,
                                  core::PatternKind::Random,
-                                 ctx.seed() + 2);
+                                 ctx.seed() + 2, profilers);
 
         // Checkpoints: round 0, the first 8 rounds, powers of two, and
         // the final round.
@@ -509,7 +508,7 @@ makeSecondaryEccSizing()
             capability[p].push_back(
                 analyzer.maxSimultaneousErrors(empty));
         for (std::size_t r = 0; r < rounds; ++r) {
-            engine.runRound(profilers);
+            engine.runRound();
             const bool checkpoint =
                 (r + 1) <= 8 || ((r + 1) & r) == 0 || r + 1 == rounds;
             if (!checkpoint)

@@ -175,7 +175,7 @@ makeDecOnDieEcc()
                 common::deriveSeed(ctx.seed(), {0x113Cu, n, w}));
             gf2::BitVector identified(code.k());
             for (std::size_t r = 0; r < rounds; ++r) {
-                const gf2::BitVector d = patterns.pattern(r);
+                const gf2::BitVector &d = patterns.patternView(r);
                 const gf2::BitVector stored = code.encode(d);
                 gf2::BitVector received = stored;
                 received ^= fm.injectErrors(stored, inject_rng);

@@ -277,15 +277,17 @@ driveFleetSliced(PerfFleet &fleet, const PerfWorkload &workload,
         if (workload.bch) {
             round_engine = std::make_unique<core::SlicedRoundEngineW<W>>(
                 *datapaths.sharedBch, fault_ptrs,
-                core::PatternKind::Random, seeds);
+                core::PatternKind::Random, seeds,
+                std::move(lane_profilers));
         } else {
             round_engine = std::make_unique<core::SlicedRoundEngineW<W>>(
                 *datapaths.slicedHamming[begin / lanes], fault_ptrs,
-                core::PatternKind::Random, seeds);
+                core::PatternKind::Random, seeds,
+                std::move(lane_profilers));
         }
         round_engine->setPhaseSink(phases);
         for (std::size_t r = 0; r < workload.rounds; ++r)
-            round_engine->runRound(lane_profilers);
+            round_engine->runRound();
     }
     if (datapaths.sharedBch != nullptr) {
         stats.memoHits = datapaths.sharedBch->memoHits();
@@ -309,14 +311,16 @@ driveFleet(PerfFleet &fleet, const PerfWorkload &workload,
                 if (word->hamming != nullptr)
                     round_engine = std::make_unique<core::RoundEngine>(
                         *word->hamming, word->faults,
-                        core::PatternKind::Random, word->engineSeed);
+                        core::PatternKind::Random, word->engineSeed,
+                        word->raw);
                 else
                     round_engine = std::make_unique<core::RoundEngine>(
                         *word->bch, word->faults,
-                        core::PatternKind::Random, word->engineSeed);
+                        core::PatternKind::Random, word->engineSeed,
+                        word->raw);
                 round_engine->setPhaseSink(phases);
                 for (std::size_t r = 0; r < workload.rounds; ++r)
-                    round_engine->runRound(word->raw);
+                    round_engine->runRound();
             }
         }
     } else if (engine == core::EngineKind::Sliced256) {

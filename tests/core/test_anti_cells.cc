@@ -45,11 +45,10 @@ TEST(AntiCells, ChargedPatternIsHarmlessToAntiCells)
     const fault::WordFaultModel fm(
         code.n(), {{5, 1.0}, {30, 1.0}},
         fault::CellTechnology::AntiCell);
-    RoundEngine engine(code, fm, PatternKind::Charged, 3);
     HarpUProfiler harp(code.k());
-    std::vector<Profiler *> ps = {&harp};
+    RoundEngine engine(code, fm, PatternKind::Charged, 3, {&harp});
     for (int r = 0; r < 16; ++r)
-        engine.runRound(ps);
+        engine.runRound();
     EXPECT_TRUE(harp.identified().isZero());
 }
 
@@ -62,11 +61,11 @@ TEST(AntiCells, InvertingPatternsStillCoverEverything)
         const fault::WordFaultModel fm =
             antiModel(code, 4, 1.0, seed + 100);
         const AtRiskAnalyzer analyzer(code, fm);
-        RoundEngine engine(code, fm, PatternKind::Random, seed + 200);
         HarpUProfiler harp(code.k());
-        std::vector<Profiler *> ps = {&harp};
+        RoundEngine engine(code, fm, PatternKind::Random, seed + 200,
+                           {&harp});
         for (int r = 0; r < 2; ++r)
-            engine.runRound(ps);
+            engine.runRound();
         gf2::BitVector covered = harp.identified();
         covered &= analyzer.directAtRisk();
         EXPECT_EQ(covered.popcount(),
@@ -124,10 +123,10 @@ TEST(AntiCells, NaiveAndHarpOrderingUnchanged)
         const AtRiskAnalyzer analyzer(code, fm);
         NaiveProfiler naive(code.k());
         HarpUProfiler harp(code.k());
-        RoundEngine engine(code, fm, PatternKind::Random, seed + 200);
-        std::vector<Profiler *> ps = {&naive, &harp};
+        RoundEngine engine(code, fm, PatternKind::Random, seed + 200,
+                           {&naive, &harp});
         for (int r = 0; r < 32; ++r)
-            engine.runRound(ps);
+            engine.runRound();
         gf2::BitVector n_cov = naive.identified();
         n_cov &= analyzer.directAtRisk();
         gf2::BitVector h_cov = harp.identified();

@@ -26,12 +26,9 @@ TEST(BeepDetails, NoCraftingBeforeFirstError)
 {
     const ecc::HammingCode code = makeCode();
     BeepProfiler beep(code);
-    common::Xoshiro256 rng(2);
-    for (std::size_t r = 0; r < 5; ++r) {
-        const gf2::BitVector suggested =
-            gf2::BitVector::random(64, rng);
-        EXPECT_EQ(beep.chooseDataword(r, suggested, rng), suggested);
-    }
+    gf2::BitVector out;
+    for (std::size_t r = 0; r < 5; ++r)
+        EXPECT_FALSE(beep.craftDataword(out)) << "round " << r;
     EXPECT_TRUE(beep.suspectedCells().empty());
 }
 
@@ -42,9 +39,8 @@ TEST(BeepDetails, CraftedPatternChargesParitySuspects)
     // Suspect one data cell and one parity cell.
     beep.addSuspectedCell(12);
     beep.addSuspectedCell(66); // parity position (>= 64)
-    common::Xoshiro256 rng(4);
-    const gf2::BitVector suggested(64);
-    const gf2::BitVector chosen = beep.chooseDataword(0, suggested, rng);
+    gf2::BitVector chosen;
+    ASSERT_TRUE(beep.craftDataword(chosen));
     EXPECT_TRUE(chosen.get(12));
     // The parity cell must be charged under the crafted dataword.
     const gf2::BitVector codeword = code.encode(chosen);
@@ -58,12 +54,12 @@ TEST(BeepDetails, ProbeCursorCyclesThroughPositions)
     const ecc::HammingCode code = makeCode(5);
     BeepProfiler beep(code);
     beep.addSuspectedCell(3);
-    common::Xoshiro256 rng(6);
-    const gf2::BitVector suggested(64);
+    gf2::BitVector chosen;
     std::set<std::vector<std::size_t>> distinct;
-    for (std::size_t r = 0; r < 8; ++r)
-        distinct.insert(
-            beep.chooseDataword(r, suggested, rng).setBits());
+    for (std::size_t r = 0; r < 8; ++r) {
+        ASSERT_TRUE(beep.craftDataword(chosen)) << "round " << r;
+        distinct.insert(chosen.setBits());
+    }
     EXPECT_GE(distinct.size(), 6u);
 }
 
@@ -93,7 +89,7 @@ TEST(BeepDetails, PrecomputeAddsPairTargets)
     gf2::BitVector post = written;
     post.flip(a);
     post.flip(b);
-    const RoundObservation obs{0, written, post, written};
+    const RoundObservation obs{written, post, written};
     beep.observe(obs);
     EXPECT_TRUE(beep.identified().get(target));
 }
@@ -103,7 +99,7 @@ TEST(BeepDetails, ObservationOfNothingChangesNothing)
     const ecc::HammingCode code = makeCode(9);
     BeepProfiler beep(code);
     gf2::BitVector written(64);
-    const RoundObservation obs{0, written, written, written};
+    const RoundObservation obs{written, written, written};
     beep.observe(obs);
     EXPECT_TRUE(beep.identified().isZero());
     EXPECT_TRUE(beep.suspectedCells().empty());
@@ -118,8 +114,7 @@ TEST(HybridDetails, CraftingEngagesAfterStabilityWindow)
     // Rounds with no direct errors: window counts up.
     gf2::BitVector written(64);
     for (int r = 0; r < 4; ++r) {
-        const RoundObservation obs{static_cast<std::size_t>(r), written,
-                                   written, written};
+        const RoundObservation obs{written, written, written};
         hybrid.observe(obs);
     }
     EXPECT_TRUE(hybrid.craftingActive());
@@ -127,7 +122,7 @@ TEST(HybridDetails, CraftingEngagesAfterStabilityWindow)
     // A fresh direct error resets the window.
     gf2::BitVector raw = written;
     raw.flip(20);
-    const RoundObservation with_error{5, written, written, raw};
+    const RoundObservation with_error{written, written, raw};
     hybrid.observe(with_error);
     EXPECT_FALSE(hybrid.craftingActive());
     EXPECT_TRUE(hybrid.identifiedDirect().get(20));
@@ -135,8 +130,7 @@ TEST(HybridDetails, CraftingEngagesAfterStabilityWindow)
 
     // Re-observing the same (already known) direct error does not reset.
     for (int r = 0; r < 4; ++r) {
-        const RoundObservation obs{static_cast<std::size_t>(6 + r),
-                                   written, written, raw};
+        const RoundObservation obs{written, written, raw};
         hybrid.observe(obs);
     }
     EXPECT_TRUE(hybrid.craftingActive());
@@ -152,11 +146,10 @@ TEST(HybridDetails, FullRunKeepsDirectCoverageDespiteCrafting)
         fault::WordFaultModel::makeUniformFixedCount(code.n(), 4, 0.75,
                                                      rng);
     HarpABeepProfiler hybrid(code, 4);
-    RoundEngine engine(code, fm, PatternKind::Random, 15);
-    std::vector<Profiler *> ps = {&hybrid};
+    RoundEngine engine(code, fm, PatternKind::Random, 15, {&hybrid});
     std::size_t prev = 0;
     for (int r = 0; r < 64; ++r) {
-        engine.runRound(ps);
+        engine.runRound();
         EXPECT_GE(hybrid.identified().popcount(), prev);
         prev = hybrid.identified().popcount();
     }

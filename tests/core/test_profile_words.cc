@@ -100,11 +100,11 @@ scalarReference(const ecc::BchCode *bch)
         RoundEngine engine =
             bch != nullptr
                 ? RoundEngine(*bch, word->faults, PatternKind::Random,
-                              word->seed)
+                              word->seed, word->raw)
                 : RoundEngine(*word->code, word->faults,
-                              PatternKind::Random, word->seed);
+                              PatternKind::Random, word->seed, word->raw);
         for (std::size_t r = 0; r < kRounds; ++r)
-            engine.runRound(word->raw);
+            engine.runRound();
         auto &profiles = reference.emplace_back();
         for (const Profiler *p : word->raw)
             profiles.push_back(p->identified());

@@ -54,7 +54,7 @@ struct Scenario
           harpU(code.k()),
           harpA(code),
           harpABeep(code),
-          engine(code, faults, PatternKind::Random, seed + 2000)
+          engine(code, faults, PatternKind::Random, seed + 2000, all())
     {
     }
 
@@ -67,9 +67,8 @@ struct Scenario
     void
     run(std::size_t rounds)
     {
-        auto profilers = all();
         for (std::size_t r = 0; r < rounds; ++r)
-            engine.runRound(profilers);
+            engine.runRound();
     }
 };
 
@@ -154,10 +153,10 @@ TEST(Profilers, NaiveCannotSeeLoneCellFailures)
     const fault::WordFaultModel faults(code.n(), {{17, 1.0}});
     NaiveProfiler naive(code.k());
     HarpUProfiler harp(code.k());
-    RoundEngine engine(code, faults, PatternKind::Random, 61);
-    std::vector<Profiler *> ps = {&naive, &harp};
+    RoundEngine engine(code, faults, PatternKind::Random, 61,
+                       {&naive, &harp});
     for (int r = 0; r < 32; ++r)
-        engine.runRound(ps);
+        engine.runRound();
     EXPECT_TRUE(naive.identified().isZero());
     EXPECT_EQ(harp.identified().setBits(),
               (std::vector<std::size_t>{17}));
@@ -193,10 +192,9 @@ TEST(Profilers, HarpFasterThanNaive)
         Scenario s(seed, 3, 0.5);
         const AtRiskAnalyzer analyzer(s.code, s.faults);
         const std::size_t target = analyzer.directAtRisk().popcount();
-        auto profilers = s.all();
         std::size_t harp_done = 129, naive_done = 129;
         for (std::size_t r = 0; r < 128; ++r) {
-            s.engine.runRound(profilers);
+            s.engine.runRound();
             gf2::BitVector h = s.harpU.identified();
             h &= analyzer.directAtRisk();
             if (h.popcount() == target && harp_done > 128)
@@ -264,11 +262,8 @@ TEST(Profilers, HarpADirectCoverageEqualsHarpU)
 TEST(Profilers, BeepStartsWithSuggestedPattern)
 {
     Scenario s(150, 2, 0.5);
-    common::Xoshiro256 rng(1);
-    const gf2::BitVector suggested = gf2::BitVector::random(64, rng);
-    const gf2::BitVector chosen =
-        s.beep.chooseDataword(0, suggested, rng);
-    EXPECT_EQ(chosen, suggested);
+    gf2::BitVector out;
+    EXPECT_FALSE(s.beep.craftDataword(out));
 }
 
 TEST(Profilers, BeepCraftsChargedPatternsAfterConfirmation)
@@ -276,10 +271,8 @@ TEST(Profilers, BeepCraftsChargedPatternsAfterConfirmation)
     Scenario s(151, 2, 0.5);
     s.beep.addSuspectedCell(5);
     s.beep.addSuspectedCell(9);
-    common::Xoshiro256 rng(2);
-    const gf2::BitVector suggested(64); // all zeros
-    const gf2::BitVector chosen =
-        s.beep.chooseDataword(1, suggested, rng);
+    gf2::BitVector chosen;
+    ASSERT_TRUE(s.beep.craftDataword(chosen));
     // Crafted pattern must charge the suspected data cells.
     EXPECT_TRUE(chosen.get(5));
     EXPECT_TRUE(chosen.get(9));
@@ -296,7 +289,7 @@ TEST(Profilers, BeepObservationUpdatesSuspects)
     post.flip(7);
     post.flip(21);
     const gf2::BitVector raw = written;
-    const RoundObservation obs{0, written, post, raw};
+    const RoundObservation obs{written, post, raw};
     s.beep.observe(obs);
     EXPECT_TRUE(s.beep.identified().get(7));
     EXPECT_TRUE(s.beep.identified().get(21));

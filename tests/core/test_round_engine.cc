@@ -28,12 +28,11 @@ TEST(RoundEngine, RoundCounterAdvances)
     const fault::WordFaultModel fm =
         fault::WordFaultModel::makeUniformFixedCount(code.n(), 2, 0.5,
                                                      rng);
-    RoundEngine engine(code, fm, PatternKind::Random, 7);
     NaiveProfiler naive(code.k());
-    std::vector<Profiler *> ps = {&naive};
+    RoundEngine engine(code, fm, PatternKind::Random, 7, {&naive});
     EXPECT_EQ(engine.roundsRun(), 0u);
-    engine.runRound(ps);
-    engine.runRound(ps);
+    engine.runRound();
+    engine.runRound();
     EXPECT_EQ(engine.roundsRun(), 2u);
 }
 
@@ -46,11 +45,10 @@ TEST(RoundEngine, DeterministicForFixedSeed)
                                                      rng);
 
     auto run = [&](std::uint64_t seed) {
-        RoundEngine engine(code, fm, PatternKind::Random, seed);
         HarpUProfiler harp(code.k());
-        std::vector<Profiler *> ps = {&harp};
+        RoundEngine engine(code, fm, PatternKind::Random, seed, {&harp});
         for (int r = 0; r < 32; ++r)
-            engine.runRound(ps);
+            engine.runRound();
         return harp.identified();
     };
     EXPECT_EQ(run(11), run(11));
@@ -68,11 +66,10 @@ TEST(RoundEngine, DifferentSeedsDifferentHistories)
     int distinct = 0;
     std::optional<gf2::BitVector> prev;
     for (std::uint64_t seed = 0; seed < 8; ++seed) {
-        RoundEngine engine(code, fm, PatternKind::Random, seed);
         HarpUProfiler harp(code.k());
-        std::vector<Profiler *> ps = {&harp};
+        RoundEngine engine(code, fm, PatternKind::Random, seed, {&harp});
         for (int r = 0; r < 4; ++r)
-            engine.runRound(ps);
+            engine.runRound();
         if (prev && !(harp.identified() == *prev))
             ++distinct;
         prev = harp.identified();
@@ -89,12 +86,12 @@ TEST(RoundEngine, IdenticalProfilersGetIdenticalObservations)
     const fault::WordFaultModel fm =
         fault::WordFaultModel::makeUniformFixedCount(code.n(), 4, 0.5,
                                                      rng);
-    RoundEngine engine(code, fm, PatternKind::Random, 13);
     HarpUProfiler a(code.k()), b(code.k());
     NaiveProfiler naive(code.k());
-    std::vector<Profiler *> ps = {&a, &naive, &b};
+    RoundEngine engine(code, fm, PatternKind::Random, 13,
+                       {&a, &naive, &b});
     for (int r = 0; r < 32; ++r) {
-        engine.runRound(ps);
+        engine.runRound();
         EXPECT_EQ(a.identified(), b.identified()) << "round " << r;
     }
 }
@@ -110,16 +107,15 @@ TEST(RoundEngine, CrnMakesNaiveObservationsSubsetOfHarp)
     const fault::WordFaultModel fm =
         fault::WordFaultModel::makeUniformFixedCount(code.n(), 3, 0.5,
                                                      rng);
-    RoundEngine engine(code, fm, PatternKind::Random, 17);
     NaiveProfiler naive(code.k());
     HarpUProfiler harp(code.k());
-    std::vector<Profiler *> ps = {&naive, &harp};
+    RoundEngine engine(code, fm, PatternKind::Random, 17, {&naive, &harp});
     gf2::BitVector direct_gt(code.k());
     for (const auto &f : fm.faults())
         if (f.position < code.k())
             direct_gt.set(f.position, true);
     for (int r = 0; r < 64; ++r)
-        engine.runRound(ps);
+        engine.runRound();
     gf2::BitVector naive_direct = naive.identified();
     naive_direct &= direct_gt;
     gf2::BitVector overlap = naive_direct;
@@ -136,12 +132,34 @@ TEST(RoundEngine, ChargedPatternOnlyExcitesChargedCells)
     const ecc::HammingCode code = makeCode(7);
     const fault::WordFaultModel fm(code.n(),
                                    {{2, 1.0}, {40, 1.0}});
-    RoundEngine engine(code, fm, PatternKind::Charged, 19);
     HarpUProfiler harp(code.k());
-    std::vector<Profiler *> ps = {&harp};
-    engine.runRound(ps);
+    RoundEngine engine(code, fm, PatternKind::Charged, 19, {&harp});
+    engine.runRound();
     EXPECT_EQ(harp.identified().setBits(),
               (std::vector<std::size_t>{2, 40}));
+}
+
+TEST(RoundEngine, RejectsMismatchedFaultModelAndProfilers)
+{
+    // A fault model for a wider word would inject past the codeword,
+    // and a profiler of another dataword length would misread every
+    // observation: both are rejected up front, in every build type.
+    const ecc::HammingCode code = makeCode(8);
+    common::Xoshiro256 rng(8);
+    const fault::WordFaultModel wide =
+        fault::WordFaultModel::makeUniformFixedCount(code.n() + 128, 3,
+                                                     0.5, rng);
+    const fault::WordFaultModel fits =
+        fault::WordFaultModel::makeUniformFixedCount(code.n(), 3, 0.5,
+                                                     rng);
+    HarpUProfiler harp(code.k());
+    HarpUProfiler short_k(code.k() / 2);
+    EXPECT_THROW(RoundEngine(code, wide, PatternKind::Random, 1, {&harp}),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        RoundEngine(code, fits, PatternKind::Random, 1, {&harp, &short_k}),
+        std::invalid_argument);
+    EXPECT_NO_THROW(RoundEngine(code, fits, PatternKind::Random, 1, {&harp}));
 }
 
 } // namespace

@@ -3,7 +3,8 @@
  * Unit tests for the lane-native observation subsystem
  * (core/sliced_profiler_group.hh): group formation rules, lazy
  * flush-on-read semantics, equivalence with scalar observe() calls for
- * every lane-native profiler kind, and attach/detach lifetime safety.
+ * every lane-native profiler kind, and flush-and-detach on group
+ * destruction.
  */
 
 #include <gtest/gtest.h>
@@ -41,10 +42,7 @@ struct LaneRound
         received.gather(r);
     }
 
-    RoundLaneObservation obs(std::size_t round) const
-    {
-        return {round, written, post, received};
-    }
+    RoundLaneObservation obs() const { return {written, post, received}; }
 
     gf2::BitSlice64 written;
     gf2::BitSlice64 post;
@@ -128,7 +126,7 @@ TEST(SlicedProfilerGroup, FlushOnReadMatchesScalarObserve)
             // positions (incl. none), exercising growth and repeats.
             gf2::BitVector p = written.back();
             gf2::BitVector r(n);
-            r.assignPrefix(written.back());
+            r.assignAt(0, written.back());
             for (std::size_t e = rng.nextBelow(3); e > 0; --e)
                 p.flip(rng.nextBelow(kBits));
             for (std::size_t e = rng.nextBelow(3); e > 0; --e)
@@ -137,16 +135,15 @@ TEST(SlicedProfilerGroup, FlushOnReadMatchesScalarObserve)
             received.push_back(std::move(r));
         }
         lanes.load(written, post, received);
-        naive_group->observeLanes(lanes.obs(round));
-        harpu_group->observeLanes(lanes.obs(round));
-        harpa_group->observeLanes(lanes.obs(round));
+        naive_group->observeLanes(lanes.obs());
+        harpu_group->observeLanes(lanes.obs());
+        harpa_group->observeLanes(lanes.obs());
 
         std::vector<gf2::BitVector> raw;
         for (std::size_t w = 0; w < 2; ++w)
             raw.push_back(received[w].slice(0, kBits));
         for (std::size_t w = 0; w < 2; ++w) {
-            const RoundObservation obs{round, written[w], post[w],
-                                       raw[w]};
+            const RoundObservation obs{written[w], post[w], raw[w]};
             (w == 0 ? naive_ref0 : naive_ref1).observe(obs);
             (w == 0 ? harpu_ref0 : harpu_ref1).observe(obs);
             (w == 0 ? harpa_ref0 : harpa_ref1).observe(obs);
@@ -182,7 +179,7 @@ TEST(SlicedProfilerGroup, LazyFlushOnlyOnRead)
     post.flip(7);
     gf2::BitVector received(kBits + 5);
     lanes.load({written}, {post}, {received});
-    group->observeLanes(lanes.obs(0));
+    group->observeLanes(lanes.obs());
     EXPECT_TRUE(group->dirty());
 
     // Reading the profile flushes; the flushed state sticks.
@@ -203,70 +200,10 @@ TEST(SlicedProfilerGroup, GroupDestructionFlushesAndDetaches)
         gf2::BitVector post = written;
         post.flip(3);
         lanes.load({written}, {post}, {written});
-        group->observeLanes(lanes.obs(0));
+        group->observeLanes(lanes.obs());
         // No read before destruction: the dtor must flush.
     }
     EXPECT_TRUE(lane.identified().get(3));
-}
-
-TEST(SlicedProfilerGroup, ProfilerDestructionIsSafe)
-{
-    common::Xoshiro256 rng(5);
-    auto doomed = std::make_unique<NaiveProfiler>(kBits);
-    NaiveProfiler survivor(kBits);
-    auto group = SlicedProfilerGroup::tryMake(
-        {doomed.get(), &survivor}, kBits);
-    ASSERT_NE(group, nullptr);
-
-    LaneRound lanes(kBits);
-    gf2::BitVector w0 = gf2::BitVector::random(kBits, rng);
-    gf2::BitVector w1 = gf2::BitVector::random(kBits, rng);
-    gf2::BitVector p0 = w0, p1 = w1;
-    p0.flip(1);
-    p1.flip(2);
-    lanes.load({w0, w1}, {p0, p1}, {w0, w1});
-    group->observeLanes(lanes.obs(0));
-
-    // Destroying a wrapped profiler mid-run unregisters it; further
-    // observation and flushing must leave the survivor correct.
-    doomed.reset();
-    p1.flip(9);
-    lanes.load({w0, w1}, {p0, p1}, {w0, w1});
-    group->observeLanes(lanes.obs(1));
-    EXPECT_TRUE(survivor.identified().get(2));
-    EXPECT_TRUE(survivor.identified().get(9));
-    group.reset();
-    EXPECT_EQ(survivor.identified().popcount(), 2u);
-}
-
-TEST(SlicedProfilerGroup, ReattachHandsOffCleanly)
-{
-    // A second group over the same profiler flushes the first group's
-    // pending state; destroying the stale first group later must not
-    // clobber the new attachment.
-    common::Xoshiro256 rng(6);
-    NaiveProfiler lane(kBits);
-    auto first = SlicedProfilerGroup::tryMake({&lane}, kBits);
-    ASSERT_NE(first, nullptr);
-
-    LaneRound lanes(kBits);
-    gf2::BitVector written = gf2::BitVector::random(kBits, rng);
-    gf2::BitVector post = written;
-    post.flip(4);
-    lanes.load({written}, {post}, {written});
-    first->observeLanes(lanes.obs(0));
-
-    auto second = SlicedProfilerGroup::tryMake({&lane}, kBits);
-    ASSERT_NE(second, nullptr);
-    // The hand-off flushed round 0.
-    EXPECT_TRUE(lane.identified().get(4));
-    first.reset();
-
-    post.flip(11);
-    lanes.load({written}, {post}, {written});
-    second->observeLanes(lanes.obs(1));
-    EXPECT_TRUE(lane.identified().get(11));
-    EXPECT_EQ(lane.identified().popcount(), 2u);
 }
 
 } // namespace

@@ -63,33 +63,30 @@ checkEngineEquivalence(const std::vector<ecc::HammingCode> &codes,
     std::vector<const ecc::HammingCode *> code_ptrs;
     std::vector<const fault::WordFaultModel *> fault_ptrs;
     std::vector<std::uint64_t> lane_seeds;
+    std::vector<std::vector<Profiler *>> sliced_raw(lanes);
+    std::vector<std::vector<Profiler *>> scalar_raw(lanes);
     for (std::size_t w = 0; w < lanes; ++w) {
         const std::uint64_t word_seed = common::deriveSeed(seed, {w});
         scalar_sets.push_back(makeProfilerSet(codes[w]));
-        scalar_engines.push_back(std::make_unique<RoundEngine>(
-            codes[w], faults[w], pattern, word_seed));
         sliced_sets.push_back(makeProfilerSet(codes[w]));
+        for (auto &p : sliced_sets[w])
+            sliced_raw[w].push_back(p.get());
+        for (auto &p : scalar_sets[w])
+            scalar_raw[w].push_back(p.get());
+        scalar_engines.push_back(std::make_unique<RoundEngine>(
+            codes[w], faults[w], pattern, word_seed, scalar_raw[w]));
         code_ptrs.push_back(&codes[w]);
         fault_ptrs.push_back(&faults[w]);
         lane_seeds.push_back(word_seed);
     }
     SlicedRoundEngine sliced_engine(code_ptrs, fault_ptrs, pattern,
-                                    lane_seeds);
+                                    lane_seeds, sliced_raw);
     ASSERT_EQ(sliced_engine.lanes(), lanes);
 
-    std::vector<std::vector<Profiler *>> sliced_raw(lanes);
-    std::vector<std::vector<Profiler *>> scalar_raw(lanes);
-    for (std::size_t w = 0; w < lanes; ++w) {
-        for (auto &p : sliced_sets[w])
-            sliced_raw[w].push_back(p.get());
-        for (auto &p : scalar_sets[w])
-            scalar_raw[w].push_back(p.get());
-    }
-
     for (std::size_t r = 0; r < rounds; ++r) {
-        sliced_engine.runRound(sliced_raw);
+        sliced_engine.runRound();
         for (std::size_t w = 0; w < lanes; ++w)
-            scalar_engines[w]->runRound(scalar_raw[w]);
+            scalar_engines[w]->runRound();
         for (std::size_t w = 0; w < lanes; ++w) {
             for (std::size_t s = 0; s < scalar_raw[w].size(); ++s) {
                 ASSERT_EQ(sliced_raw[w][s]->identified(),
@@ -307,18 +304,20 @@ TEST(SlicedRoundEngine, MixedProfilerTypesWithinASlotStayBitIdentical)
             for (auto &p : sliced_sets[w])
                 sliced_raw[w].push_back(p.get());
             scalar_engines.push_back(std::make_unique<RoundEngine>(
-                codes[w], faults[w], PatternKind::Random, word_seed));
+                codes[w], faults[w], PatternKind::Random, word_seed,
+                scalar_raw[w]));
             code_ptrs.push_back(&codes[w]);
             fault_ptrs.push_back(&faults[w]);
             lane_seeds.push_back(word_seed);
         }
         SlicedRoundEngine sliced_engine(code_ptrs, fault_ptrs,
-                                        PatternKind::Random, lane_seeds);
+                                        PatternKind::Random, lane_seeds,
+                                        sliced_raw);
 
         for (std::size_t r = 0; r < 20; ++r) {
-            sliced_engine.runRound(sliced_raw);
+            sliced_engine.runRound();
             for (std::size_t w = 0; w < lanes; ++w) {
-                scalar_engines[w]->runRound(scalar_raw[w]);
+                scalar_engines[w]->runRound();
                 for (std::size_t s = 0; s < 2; ++s)
                     ASSERT_EQ(sliced_raw[w][s]->identified(),
                               scalar_raw[w][s]->identified())
@@ -373,9 +372,9 @@ TEST(SlicedRoundEngine, LaneNativeSlotsElideScattersAndObserves)
                 raw[w].push_back(p.get());
         }
         SlicedRoundEngine engine(code_ptrs, fault_ptrs,
-                                 PatternKind::Random, seeds);
+                                 PatternKind::Random, seeds, raw);
         for (std::size_t r = 0; r < 16; ++r) {
-            engine.runRound(raw);
+            engine.runRound();
             // Per-round profile reads flush the observer groups but
             // must not bring the per-round scatters back.
             ASSERT_GT(raw[0][0]->identified().size(), 0u);
@@ -404,10 +403,10 @@ TEST(SlicedRoundEngine, LaneNativeSlotsElideScattersAndObserves)
                 raw[w].push_back(p.get());
         }
         SlicedRoundEngine engine(code_ptrs, fault_ptrs,
-                                 PatternKind::Random, seeds);
+                                 PatternKind::Random, seeds, raw);
         const std::size_t rounds = 16;
         for (std::size_t r = 0; r < rounds; ++r)
-            engine.runRound(raw);
+            engine.runRound();
         const SlicedRoundEngine::Stats &stats = engine.stats();
         EXPECT_GT(stats.postScatters, 0u);
         EXPECT_LE(stats.postScatters, rounds);
@@ -419,48 +418,6 @@ TEST(SlicedRoundEngine, LaneNativeSlotsElideScattersAndObserves)
                   rounds * lanes);
         EXPECT_EQ(stats.laneObserveSlotRounds, rounds * 3u);
     }
-}
-
-/**
- * Regression: the engine caches observer groups per profiler
- * generation by pointer identity, but a destroyed profiler set
- * reallocated at the same addresses must NOT revive the old groups
- * (whose lanes were nulled on destruction) — that would silently
- * drop every observation of the new generation. Placement new forces
- * the exact address-reuse deterministically.
- */
-TEST(SlicedRoundEngine, ReallocatedProfilersAtSameAddressObserveAgain)
-{
-    common::Xoshiro256 rng(31);
-    const ecc::HammingCode code = ecc::HammingCode::randomSec(64, rng);
-    const fault::WordFaultModel faults =
-        fault::WordFaultModel::makeUniformFixedCount(code.n(), 3, 1.0,
-                                                     rng);
-    const std::vector<const ecc::HammingCode *> codes = {&code};
-    const std::vector<const fault::WordFaultModel *> fault_ptrs = {
-        &faults};
-    SlicedRoundEngine engine(codes, fault_ptrs, PatternKind::Charged,
-                             {5});
-
-    alignas(NaiveProfiler) unsigned char slot[sizeof(NaiveProfiler)];
-    auto *gen1 = new (slot) NaiveProfiler(64);
-    std::vector<std::vector<Profiler *>> raw = {{gen1}};
-    for (std::size_t r = 0; r < 8; ++r)
-        engine.runRound(raw);
-    const bool gen1_found = !gen1->identified().isZero();
-    gen1->~NaiveProfiler();
-
-    // Same address, same pointer vector — a fresh profiler.
-    auto *gen2 = new (slot) NaiveProfiler(64);
-    ASSERT_TRUE(gen2->identified().isZero());
-    for (std::size_t r = 0; r < 8; ++r)
-        engine.runRound(raw);
-    // Three always-failing cells under the charged pattern identify
-    // bits for generation 1; generation 2 sees the same fault model,
-    // so dropping its observations (the bug) leaves it empty.
-    EXPECT_TRUE(gen1_found);
-    EXPECT_FALSE(gen2->identified().isZero());
-    gen2->~NaiveProfiler();
 }
 
 TEST(SlicedRoundEngine, RejectsInconsistentLaneCounts)
@@ -475,12 +432,78 @@ TEST(SlicedRoundEngine, RejectsInconsistentLaneCounts)
     const std::vector<const ecc::HammingCode *> one_code = {&code};
     const std::vector<const fault::WordFaultModel *> one_fault = {
         &faults};
+    const std::vector<const fault::WordFaultModel *> two_faults = {
+        &faults, &faults};
+    NaiveProfiler a(64), b(64), c(64), d(64), short_k(32);
     EXPECT_THROW(SlicedRoundEngine(two_codes, one_fault,
-                                   PatternKind::Random, {1, 2}),
+                                   PatternKind::Random, {1, 2}, {{&a}}),
                  std::invalid_argument);
     EXPECT_THROW(SlicedRoundEngine(one_code, one_fault,
-                                   PatternKind::Random, {1, 2}),
+                                   PatternKind::Random, {1, 2}, {{&a}}),
                  std::invalid_argument);
+    // One profiler set per lane.
+    EXPECT_THROW(SlicedRoundEngine(one_code, one_fault,
+                                   PatternKind::Random, {1},
+                                   {{&a}, {&b}}),
+                 std::invalid_argument);
+    // Ragged slots: every lane passes the same number of profilers.
+    EXPECT_THROW(SlicedRoundEngine(two_codes, two_faults,
+                                   PatternKind::Random, {1, 2},
+                                   {{&a, &b}, {&c}}),
+                 std::invalid_argument);
+    // Every profiler profiles the code's k data bits.
+    EXPECT_THROW(SlicedRoundEngine(two_codes, two_faults,
+                                   PatternKind::Random, {1, 2},
+                                   {{&a}, {&short_k}}),
+                 std::invalid_argument);
+    // The rejected engines left every profiler unbound.
+    EXPECT_NO_THROW(SlicedRoundEngine(two_codes, two_faults,
+                                      PatternKind::Random, {1, 2},
+                                      {{&a, &b}, {&c, &d}}));
+}
+
+/**
+ * A profiler belongs to at most one live engine: binding it while
+ * another engine holds it throws, and once that engine is gone a new
+ * engine binds it and extends the profile it left.
+ */
+TEST(SlicedRoundEngine, ProfilerBindsToOneLiveEngineAtATime)
+{
+    common::Xoshiro256 rng(31);
+    const ecc::HammingCode code = ecc::HammingCode::randomSec(64, rng);
+    const fault::WordFaultModel faults =
+        fault::WordFaultModel::makeUniformFixedCount(code.n(), 6, 0.5,
+                                                     rng);
+    const std::vector<const ecc::HammingCode *> codes = {&code};
+    const std::vector<const fault::WordFaultModel *> fault_ptrs = {
+        &faults};
+    const auto run = [&](std::uint64_t seed, Profiler &profiler) {
+        SlicedRoundEngine engine(codes, fault_ptrs, PatternKind::Random,
+                                 {seed}, {{&profiler}});
+        for (std::size_t r = 0; r < 8; ++r)
+            engine.runRound();
+    };
+
+    NaiveProfiler naive(64);
+    {
+        SlicedRoundEngine holder(codes, fault_ptrs, PatternKind::Random,
+                                 {5}, {{&naive}});
+        EXPECT_THROW(SlicedRoundEngine(codes, fault_ptrs,
+                                       PatternKind::Random, {6},
+                                       {{&naive}}),
+                     std::invalid_argument);
+        for (std::size_t r = 0; r < 8; ++r)
+            holder.runRound();
+    }
+    const gf2::BitVector first = naive.identified();
+    ASSERT_FALSE(first.isZero());
+
+    run(6, naive);
+    NaiveProfiler fresh(64);
+    run(6, fresh);
+    gf2::BitVector expected = first;
+    expected |= fresh.identified();
+    EXPECT_EQ(naive.identified(), expected);
 }
 
 /**
@@ -523,17 +546,18 @@ TEST(SlicedRoundEngine, SharedBchDatapathAcrossBlocksStaysBitIdentical)
             fault_ptrs.push_back(&faults[w]);
 
         SlicedRoundEngine engine(sliced, fault_ptrs,
-                                 PatternKind::Random, seeds);
+                                 PatternKind::Random, seeds, sliced_raw);
         ASSERT_EQ(engine.lanes(), block);
         std::vector<std::unique_ptr<RoundEngine>> refs;
         for (std::size_t w = 0; w < block; ++w)
             refs.push_back(std::make_unique<RoundEngine>(
-                code, faults[w], PatternKind::Random, seeds[w]));
+                code, faults[w], PatternKind::Random, seeds[w],
+                scalar_raw[w]));
 
         for (std::size_t r = 0; r < 12; ++r) {
-            engine.runRound(sliced_raw);
+            engine.runRound();
             for (std::size_t w = 0; w < block; ++w) {
-                refs[w]->runRound(scalar_raw[w]);
+                refs[w]->runRound();
                 ASSERT_EQ(sliced_raw[w][0]->identified(),
                           scalar_raw[w][0]->identified())
                     << "block of " << block << ", round " << r
@@ -556,7 +580,8 @@ TEST(SlicedRoundEngine, SharedBchDatapathAcrossBlocksStaysBitIdentical)
         many_ptrs.push_back(&fm);
     EXPECT_THROW(SlicedRoundEngine(sliced, many_ptrs,
                                    PatternKind::Random,
-                                   std::vector<std::uint64_t>(9, 1)),
+                                   std::vector<std::uint64_t>(9, 1),
+                                   std::vector<std::vector<Profiler *>>(9)),
                  std::invalid_argument);
 }
 
@@ -609,18 +634,19 @@ TEST(SlicedRoundEngine, BitIdenticalForBchLanes)
                     scalar_engines.push_back(
                         std::make_unique<RoundEngine>(
                             code, faults[w], PatternKind::Random,
-                            word_seed));
+                            word_seed, scalar_raw[w]));
                     fault_ptrs.push_back(&faults[w]);
                     lane_seeds.push_back(word_seed);
                 }
-                SlicedRoundEngine sliced_engine(
-                    std::make_unique<ecc::SlicedBchCode>(code, lanes),
-                    fault_ptrs, PatternKind::Random, lane_seeds);
+                const ecc::SlicedBchCode sliced(code, lanes);
+                SlicedRoundEngine sliced_engine(sliced, fault_ptrs,
+                                                PatternKind::Random,
+                                                lane_seeds, sliced_raw);
 
                 for (std::size_t r = 0; r < 16; ++r) {
-                    sliced_engine.runRound(sliced_raw);
+                    sliced_engine.runRound();
                     for (std::size_t w = 0; w < lanes; ++w)
-                        scalar_engines[w]->runRound(scalar_raw[w]);
+                        scalar_engines[w]->runRound();
                     for (std::size_t w = 0; w < lanes; ++w)
                         for (std::size_t s = 0; s < 2; ++s)
                             ASSERT_EQ(sliced_raw[w][s]->identified(),
@@ -675,7 +701,8 @@ TEST(SlicedRoundEngine, Wide256BitIdenticalToNarrowBlocksAndScalar)
             for (auto &p : wide_sets[w])
                 wide_raw[w].push_back(p.get());
             scalar_engines.push_back(std::make_unique<RoundEngine>(
-                codes[w], faults[w], PatternKind::Random, word_seed));
+                codes[w], faults[w], PatternKind::Random, word_seed,
+                scalar_raw[w]));
             code_ptrs.push_back(&codes[w]);
             fault_ptrs.push_back(&faults[w]);
             lane_seeds.push_back(word_seed);
@@ -683,11 +710,11 @@ TEST(SlicedRoundEngine, Wide256BitIdenticalToNarrowBlocksAndScalar)
 
         // One wide engine over all 100 lanes...
         SlicedRoundEngine256 wide_engine(code_ptrs, fault_ptrs,
-                                         PatternKind::Random, lane_seeds);
+                                         PatternKind::Random, lane_seeds,
+                                         wide_raw);
         ASSERT_EQ(wide_engine.lanes(), lanes);
         // ...versus the narrow engines over the 64/36 block partition.
         std::vector<std::unique_ptr<SlicedRoundEngine>> narrow_engines;
-        std::vector<std::vector<std::vector<Profiler *>>> narrow_blocks;
         for (std::size_t begin = 0; begin < lanes; begin += 64) {
             const std::size_t end = std::min(lanes, begin + 64);
             const auto b = static_cast<std::ptrdiff_t>(begin);
@@ -699,17 +726,17 @@ TEST(SlicedRoundEngine, Wide256BitIdenticalToNarrowBlocksAndScalar)
                     fault_ptrs.begin() + b, fault_ptrs.begin() + e),
                 PatternKind::Random,
                 std::vector<std::uint64_t>(lane_seeds.begin() + b,
-                                           lane_seeds.begin() + e)));
-            narrow_blocks.emplace_back(narrow_raw.begin() + b,
-                                       narrow_raw.begin() + e);
+                                           lane_seeds.begin() + e),
+                std::vector<std::vector<Profiler *>>(
+                    narrow_raw.begin() + b, narrow_raw.begin() + e)));
         }
 
         for (std::size_t r = 0; r < 16; ++r) {
-            wide_engine.runRound(wide_raw);
-            for (std::size_t blk = 0; blk < narrow_engines.size(); ++blk)
-                narrow_engines[blk]->runRound(narrow_blocks[blk]);
+            wide_engine.runRound();
+            for (auto &narrow : narrow_engines)
+                narrow->runRound();
             for (std::size_t w = 0; w < lanes; ++w)
-                scalar_engines[w]->runRound(scalar_raw[w]);
+                scalar_engines[w]->runRound();
             for (std::size_t w = 0; w < lanes; ++w) {
                 for (std::size_t s = 0; s < scalar_raw[w].size(); ++s) {
                     ASSERT_EQ(wide_raw[w][s]->identified(),
@@ -753,18 +780,20 @@ TEST(SlicedRoundEngine, Wide256BitIdenticalForBchLanes)
             scalar_raw[w] = {scalar_ps[w].get()};
             wide_raw[w] = {wide_ps[w].get()};
             scalar_engines.push_back(std::make_unique<RoundEngine>(
-                code, faults[w], PatternKind::Random, word_seed));
+                code, faults[w], PatternKind::Random, word_seed,
+                scalar_raw[w]));
             fault_ptrs.push_back(&faults[w]);
             lane_seeds.push_back(word_seed);
         }
-        SlicedRoundEngine256 wide_engine(
-            std::make_unique<ecc::SlicedBchCode256>(code, lanes),
-            fault_ptrs, PatternKind::Random, lane_seeds);
+        const ecc::SlicedBchCode256 sliced(code, lanes);
+        SlicedRoundEngine256 wide_engine(sliced, fault_ptrs,
+                                         PatternKind::Random, lane_seeds,
+                                         wide_raw);
 
         for (std::size_t r = 0; r < 12; ++r) {
-            wide_engine.runRound(wide_raw);
+            wide_engine.runRound();
             for (std::size_t w = 0; w < lanes; ++w) {
-                scalar_engines[w]->runRound(scalar_raw[w]);
+                scalar_engines[w]->runRound();
                 ASSERT_EQ(wide_raw[w][0]->identified(),
                           scalar_raw[w][0]->identified())
                     << "round " << r << ", lane " << w;

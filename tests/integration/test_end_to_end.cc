@@ -53,7 +53,7 @@ runActivePhase(System &sys, std::size_t word, std::size_t rounds,
                                     common::deriveSeed(seed, {1}));
     common::Xoshiro256 retention(common::deriveSeed(seed, {2}));
     for (std::size_t r = 0; r < rounds; ++r) {
-        const gf2::BitVector pattern = patterns.pattern(r);
+        const gf2::BitVector &pattern = patterns.patternView(r);
         sys.controller.write(word, pattern);
         sys.chip.retentionTick(word, retention);
         gf2::BitVector raw = sys.controller.readRaw(word);
@@ -178,7 +178,7 @@ TEST(EndToEnd, NaiveDrivenRepairLeavesResidualRisk)
                 common::deriveSeed(seed, {3}));
             common::Xoshiro256 retention(common::deriveSeed(seed, {4}));
             for (std::size_t r = 0; r < 8; ++r) {
-                const gf2::BitVector pattern = patterns.pattern(r);
+                const gf2::BitVector &pattern = patterns.patternView(r);
                 sys.controller.write(0, pattern);
                 sys.chip.retentionTick(0, retention);
                 gf2::BitVector observed =

@@ -133,10 +133,9 @@ TEST_P(PaperInvariants, ProfilerSoundnessAfterProfiling)
     core::HarpUProfiler harp_u(code.k());
     core::HarpAProfiler harp_a(code);
     core::RoundEngine engine(code, fm, core::PatternKind::Random,
-                             caseSeed() + 5);
-    std::vector<core::Profiler *> ps = {&naive, &harp_u, &harp_a};
+                             caseSeed() + 5, {&naive, &harp_u, &harp_a});
     for (int r = 0; r < 48; ++r)
-        engine.runRound(ps);
+        engine.runRound();
 
     // Naive only reports observed post-correction errors.
     {
@@ -176,11 +175,10 @@ TEST_P(PaperInvariants, HarpCoverageMonotoneAndComplete)
     const core::AtRiskAnalyzer analyzer(code, fm);
     core::HarpUProfiler harp(code.k());
     core::RoundEngine engine(code, fm, core::PatternKind::Random,
-                             caseSeed() + 7);
-    std::vector<core::Profiler *> ps = {&harp};
+                             caseSeed() + 7, {&harp});
     std::size_t prev = 0;
     for (int r = 0; r < 96; ++r) {
-        engine.runRound(ps);
+        engine.runRound();
         const std::size_t now = harp.identified().popcount();
         EXPECT_GE(now, prev);
         prev = now;
