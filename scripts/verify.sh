@@ -107,6 +107,27 @@ done
     exit 1
 }
 
+# A degenerate campaign (zero profiling rounds) must end in an error
+# event on its own stream while the daemon stays up: it answers ping and
+# then serves the byte-identical smoke campaign below.
+if ./build/src/harpd_client --socket "$harpd_root/d.sock" \
+    submit zero_rounds fig06_direct_coverage --set rounds 0 \
+    > /dev/null 2> "$harpd_root/zero_rounds.err"; then
+    echo "verify: harpd accepted a zero-round campaign as done" >&2
+    exit 1
+fi
+grep -q '"code":"campaign_failed"' "$harpd_root/zero_rounds.err" || {
+    echo "verify: zero-round campaign did not end in an error event" >&2
+    cat "$harpd_root/zero_rounds.err" >&2 || true
+    exit 1
+}
+./build/src/harpd_client --socket "$harpd_root/d.sock" ping \
+    > /dev/null 2>&1 || {
+    echo "verify: harpd stopped answering after a failed campaign" >&2
+    cat "$harpd_root/daemon.log" >&2 || true
+    exit 1
+}
+
 ./build/src/harp_run quickstart --seed 3 --threads 2 --repeat 4 \
     --no-timings --out "$harpd_root/batch" > /dev/null
 ./build/src/harpd_client --socket "$harpd_root/d.sock" \

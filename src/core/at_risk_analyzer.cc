@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <set>
 #include <stdexcept>
 
 #include "fault/cell.hh"
@@ -119,7 +118,7 @@ AtRiskAnalyzer::maxSimultaneousErrors(const gf2::BitVector &profile) const
 std::size_t
 AtRiskAnalyzer::unsafeBitsAfterReactive(const gf2::BitVector &profile) const
 {
-    std::set<std::uint16_t> unsafe;
+    gf2::BitVector unsafe(code_.k());
     for (const ErrorPatternOutcome &outcome : outcomes_) {
         std::size_t count = 0;
         for (const std::uint16_t pos : outcome.postErrors)
@@ -130,18 +129,16 @@ AtRiskAnalyzer::unsafeBitsAfterReactive(const gf2::BitVector &profile) const
                       // secondary SEC and reactively profiled
         for (const std::uint16_t pos : outcome.postErrors)
             if (!profile.get(pos))
-                unsafe.insert(pos);
+                unsafe.set(pos, true);
     }
-    return unsafe.size();
+    return unsafe.popcount();
 }
 
 std::size_t
 AtRiskAnalyzer::unidentifiedAtRisk(const gf2::BitVector &profile) const
 {
-    gf2::BitVector missed = postCorrectionAtRisk_;
-    gf2::BitVector overlap = missed;
-    overlap &= profile;
-    return missed.popcount() - overlap.popcount();
+    return postCorrectionAtRisk_.popcount() -
+           postCorrectionAtRisk_.intersectionCount(profile);
 }
 
 std::vector<double>

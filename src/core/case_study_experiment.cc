@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "common/rng.hh"
 #include "core/at_risk_analyzer.hh"
@@ -13,6 +14,18 @@
 namespace harp::core {
 
 namespace {
+
+/**
+ * One profile and the residual counts derived from it — pure functions
+ * of the profile and the sample's fixed ground truth, so a round whose
+ * profile equals the last one reuses them unchanged.
+ */
+struct ProfileResiduals
+{
+    gf2::BitVector profile;
+    std::uint64_t before = 0;
+    std::uint64_t after = 0;
+};
 
 /**
  * One Monte-Carlo sample of the case study: its own random code, fault
@@ -45,6 +58,7 @@ struct SampleSim
         profilers.push_back(std::make_unique<HarpAProfiler>(code));
         for (auto &p : profilers)
             raw.push_back(p.get());
+        last.resize(profilers.size());
         localBefore.assign(profilers.size(),
                            std::vector<std::uint64_t>(config.rounds, 0));
         localAfter = localBefore;
@@ -55,8 +69,14 @@ struct SampleSim
     {
         for (std::size_t pi = 0; pi < raw.size(); ++pi) {
             const gf2::BitVector &ident = raw[pi]->identified();
-            localBefore[pi][r] = analyzer.unidentifiedAtRisk(ident);
-            localAfter[pi][r] = analyzer.unsafeBitsAfterReactive(ident);
+            ProfileResiduals &m = last[pi];
+            if (ident != m.profile) {
+                m.profile = ident;
+                m.before = analyzer.unidentifiedAtRisk(ident);
+                m.after = analyzer.unsafeBitsAfterReactive(ident);
+            }
+            localBefore[pi][r] = m.before;
+            localAfter[pi][r] = m.after;
         }
     }
 
@@ -68,6 +88,9 @@ struct SampleSim
     std::uint64_t engineSeed;
     std::vector<std::unique_ptr<Profiler>> profilers;
     std::vector<Profiler *> raw;
+    /** Per profiler: the profile seen last round and its residuals
+     *  (empty until the first round). */
+    std::vector<ProfileResiduals> last;
     std::vector<std::vector<std::uint64_t>> localBefore;
     std::vector<std::vector<std::uint64_t>> localAfter;
 };
@@ -94,6 +117,11 @@ binomialPmf(std::size_t n, std::size_t trials, double p)
 CaseStudyResult
 runCaseStudyExperiment(const CaseStudyConfig &config)
 {
+    if (config.rounds == 0 || config.samplesPerCellCount == 0 ||
+        config.maxConditionedCells == 0)
+        throw std::invalid_argument(
+            "case study: rounds, samples per cell count and conditioned "
+            "cells must be positive");
     CaseStudyResult result;
     result.config = config;
     result.profilerNames = {"Naive", "BEEP", "HARP-U", "HARP-A"};

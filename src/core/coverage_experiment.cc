@@ -1,6 +1,7 @@
 #include "core/coverage_experiment.hh"
 
 #include <memory>
+#include <stdexcept>
 
 #include "common/rng.hh"
 #include "core/at_risk_analyzer.hh"
@@ -25,13 +26,19 @@ struct WordStats
     std::array<double, maxTrackedBound> roundsToBound{};
 };
 
-std::size_t
-countIntersection(const gf2::BitVector &a, const gf2::BitVector &b)
+/**
+ * One profile and the round statistics derived from it. Every field is
+ * a pure function of the profile and the word's fixed ground truth, so
+ * a round whose profile equals the last one reuses them unchanged.
+ */
+struct ProfileMetrics
 {
-    gf2::BitVector tmp = a;
-    tmp &= b;
-    return tmp.popcount();
-}
+    gf2::BitVector profile;
+    std::size_t directFound = 0;
+    std::size_t indirectMissed = 0;
+    std::size_t falsePositives = 0;
+    std::size_t maxSimul = 0;
+};
 
 /**
  * Everything one simulated ECC word carries through a coverage run:
@@ -56,10 +63,14 @@ struct WordSim
         for (auto &p : profilers)
             raw.push_back(p.get());
 
-        directTotal = analyzer.directAtRisk().popcount();
         indirectTotal = analyzer.indirectAtRisk().popcount();
         anyGt = analyzer.directAtRisk();
         anyGt |= analyzer.indirectAtRisk();
+
+        // Every profile starts empty: the "0 rounds of profiling" state.
+        ProfileMetrics initial;
+        measure(initial, gf2::BitVector(code.k()));
+        last.assign(profilers.size(), initial);
 
         stats.resize(profilers.size());
         for (auto &s : stats) {
@@ -67,18 +78,12 @@ struct WordSim
             s.indirectMissed.assign(config.rounds, 0);
             s.falsePositives.assign(config.rounds, 0);
             s.bootstrapRound = static_cast<double>(config.rounds + 1);
-            for (auto &r : s.roundsToBound)
-                r = static_cast<double>(config.rounds + 1);
-        }
-
-        // Check the "0 rounds of profiling" bound state first.
-        const gf2::BitVector empty_profile(code.k());
-        const std::size_t initial_max =
-            analyzer.maxSimultaneousErrors(empty_profile);
-        for (auto &s : stats)
             for (std::size_t x = 1; x <= maxTrackedBound; ++x)
-                if (initial_max <= x)
-                    s.roundsToBound[x - 1] = 0.0;
+                s.roundsToBound[x - 1] =
+                    initial.maxSimul <= x
+                        ? 0.0
+                        : static_cast<double>(config.rounds + 1);
+        }
     }
 
     static fault::WordFaultModel makeFaults(const CoverageConfig &config,
@@ -91,47 +96,51 @@ struct WordSim
             config.perBitProbability, fault_rng);
     }
 
+    /** Make @p m describe @p profile, recomputing only when the profile
+     *  differs from the one @p m already describes. */
+    void measure(ProfileMetrics &m, const gf2::BitVector &profile) const
+    {
+        if (profile == m.profile)
+            return;
+        m.profile = profile;
+        m.directFound = profile.intersectionCount(analyzer.directAtRisk());
+        m.indirectMissed =
+            indirectTotal -
+            profile.intersectionCount(analyzer.indirectAtRisk());
+        m.falsePositives =
+            profile.popcount() - profile.intersectionCount(anyGt);
+        m.maxSimul = analyzer.maxSimultaneousErrors(profile);
+    }
+
     /** Record every profiler's state after round index @p r. */
     void accumulateRound(const CoverageConfig &config, std::size_t r)
     {
-        const gf2::BitVector &direct_gt = analyzer.directAtRisk();
-        const gf2::BitVector &indirect_gt = analyzer.indirectAtRisk();
         for (std::size_t pi = 0; pi < raw.size(); ++pi) {
-            const gf2::BitVector &ident = raw[pi]->identified();
-            const std::size_t direct_found =
-                countIntersection(ident, direct_gt);
-            const std::size_t indirect_found =
-                countIntersection(ident, indirect_gt);
-            stats[pi].directIdentified[r] = direct_found;
-            stats[pi].indirectMissed[r] = indirectTotal - indirect_found;
-            stats[pi].falsePositives[r] =
-                ident.popcount() - countIntersection(ident, anyGt);
-            if (direct_found > 0 &&
-                stats[pi].bootstrapRound >
-                    static_cast<double>(config.rounds)) {
-                stats[pi].bootstrapRound = static_cast<double>(r + 1);
-            }
-            const std::size_t max_simul =
-                analyzer.maxSimultaneousErrors(ident);
+            ProfileMetrics &m = last[pi];
+            measure(m, raw[pi]->identified());
+            WordStats &s = stats[pi];
+            s.directIdentified[r] = m.directFound;
+            s.indirectMissed[r] = m.indirectMissed;
+            s.falsePositives[r] = m.falsePositives;
+            if (m.directFound > 0 &&
+                s.bootstrapRound > static_cast<double>(config.rounds))
+                s.bootstrapRound = static_cast<double>(r + 1);
             for (std::size_t x = 1; x <= maxTrackedBound; ++x) {
-                if (max_simul <= x &&
-                    stats[pi].roundsToBound[x - 1] >
+                if (m.maxSimul <= x &&
+                    s.roundsToBound[x - 1] >
                         static_cast<double>(config.rounds)) {
-                    stats[pi].roundsToBound[x - 1] =
-                        static_cast<double>(r + 1);
+                    s.roundsToBound[x - 1] = static_cast<double>(r + 1);
                 }
             }
-            if (r + 1 == config.rounds) {
-                stats[pi].maxSimulFinal =
-                    static_cast<std::int64_t>(max_simul);
-            }
+            if (r + 1 == config.rounds)
+                s.maxSimulFinal = static_cast<std::int64_t>(m.maxSimul);
         }
     }
 
     /** Merge into the experiment aggregates; caller holds the mutex. */
     void merge(const CoverageConfig &config, CoverageResult &result) const
     {
-        result.totalDirectAtRisk += directTotal;
+        result.totalDirectAtRisk += analyzer.directAtRisk().popcount();
         result.totalIndirectAtRisk += indirectTotal;
         result.numWords += 1;
         for (std::size_t pi = 0; pi < stats.size(); ++pi) {
@@ -154,8 +163,9 @@ struct WordSim
     std::vector<std::unique_ptr<Profiler>> profilers;
     std::vector<Profiler *> raw;
     gf2::BitVector anyGt;
-    std::size_t directTotal = 0;
     std::size_t indirectTotal = 0;
+    /** Per profiler: the profile seen last round and its statistics. */
+    std::vector<ProfileMetrics> last;
     std::vector<WordStats> stats;
 };
 
@@ -191,6 +201,11 @@ CoverageResult::missedIndirectPerWord(std::size_t profiler,
 CoverageResult
 runCoverageExperiment(const CoverageConfig &config)
 {
+    if (config.rounds == 0 || config.numCodes == 0 ||
+        config.wordsPerCode == 0)
+        throw std::invalid_argument(
+            "coverage experiment: rounds, codes and words per code must "
+            "be positive");
     CoverageResult result;
     result.config = config;
 

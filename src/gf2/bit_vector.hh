@@ -77,6 +77,18 @@ class BitVector
     /** Number of set bits. */
     std::size_t popcount() const;
 
+    /** Number of bits set in both vectors: `(a & b).popcount()`
+     *  without the copy. */
+    std::size_t intersectionCount(const BitVector &other) const
+    {
+        assert(size_ == other.size_);
+        std::size_t count = 0;
+        for (std::size_t w = 0; w < words_.size(); ++w)
+            count += static_cast<std::size_t>(
+                std::popcount(words_[w] & other.words_[w]));
+        return count;
+    }
+
     bool isZero() const;
 
     /** Inner product mod 2. */

@@ -82,9 +82,7 @@ makeQuickstart()
 
         const core::AtRiskAnalyzer analyzer(on_die, faults);
         const auto coverage = [&](const core::Profiler &p) {
-            gf2::BitVector covered = p.identified();
-            covered &= analyzer.directAtRisk();
-            return covered.popcount();
+            return p.identified().intersectionCount(analyzer.directAtRisk());
         };
         JsonValue metrics = JsonValue::object();
         metrics.set("direct_at_risk",

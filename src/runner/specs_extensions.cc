@@ -470,9 +470,9 @@ makeLowProbability()
             for (const TierWord &sim : done) {
                 const core::AtRiskAnalyzer analyzer(sim.code, sim.faults);
                 const std::size_t total = analyzer.directAtRisk().popcount();
-                gf2::BitVector covered = sim.harp->identified();
-                covered &= analyzer.directAtRisk();
-                const std::size_t found = covered.popcount();
+                const std::size_t found =
+                    sim.harp->identified().intersectionCount(
+                        analyzer.directAtRisk());
                 direct_total += total;
                 direct_found += found;
                 missed_bits += total - found;

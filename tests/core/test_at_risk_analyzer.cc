@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/rng.hh"
 #include "core/at_risk_analyzer.hh"
@@ -242,6 +244,64 @@ TEST(AtRiskAnalyzer, UnidentifiedAtRiskCounts)
     EXPECT_EQ(analyzer.unidentifiedAtRisk(profile), total);
     profile = analyzer.postCorrectionAtRisk();
     EXPECT_EQ(analyzer.unidentifiedAtRisk(profile), 0u);
+}
+
+/**
+ * Property: the three profile queries agree with a brute-force count
+ * over outcomes() — per outcome, the post-correction errors the profile
+ * leaves uncovered — for random profiles on random words. Profiles mix
+ * uniform noise with random subsets of the at-risk bits, so they range
+ * from empty to full coverage of the ground truth.
+ */
+TEST(AtRiskAnalyzer, ProfileQueriesMatchBruteForceOverOutcomes)
+{
+    std::size_t unsafe_seen = 0;
+    test::forEachSeed(120, [&](std::uint64_t, common::Xoshiro256 &rng) {
+        const std::size_t ks[] = {16, 32, 64, 128};
+        const std::size_t k = ks[rng.nextBelow(4)];
+        const ecc::HammingCode code = ecc::HammingCode::randomSec(k, rng);
+        const double probs[] = {0.25, 0.5, 1.0};
+        const fault::WordFaultModel fm =
+            fault::WordFaultModel::makeUniformFixedCount(
+                code.n(), 2 + rng.nextBelow(6), probs[rng.nextBelow(3)],
+                rng);
+        const AtRiskAnalyzer analyzer(code, fm);
+
+        for (int trial = 0; trial < 8; ++trial) {
+            gf2::BitVector profile = gf2::BitVector::random(k, rng);
+            if (trial % 2 == 0)
+                profile &= gf2::BitVector::random(k, rng); // sparse
+            gf2::BitVector kept = analyzer.postCorrectionAtRisk();
+            kept &= gf2::BitVector::random(k, rng);
+            if (trial % 4 == 1)
+                profile = kept; // some ground truth, nothing else
+            if (trial == 0)
+                profile = gf2::BitVector(k);
+
+            std::size_t max_uncovered = 0;
+            std::set<std::uint16_t> unsafe;
+            std::set<std::uint16_t> unidentified;
+            for (const ErrorPatternOutcome &outcome : analyzer.outcomes()) {
+                std::vector<std::uint16_t> uncovered;
+                for (const std::uint16_t pos : outcome.postErrors)
+                    if (!profile.get(pos))
+                        uncovered.push_back(pos);
+                max_uncovered = std::max(max_uncovered, uncovered.size());
+                unidentified.insert(uncovered.begin(), uncovered.end());
+                if (uncovered.size() >= 2)
+                    unsafe.insert(uncovered.begin(), uncovered.end());
+            }
+            unsafe_seen += unsafe.size();
+            EXPECT_EQ(analyzer.maxSimultaneousErrors(profile),
+                      max_uncovered);
+            EXPECT_EQ(analyzer.unsafeBitsAfterReactive(profile),
+                      unsafe.size());
+            EXPECT_EQ(analyzer.unidentifiedAtRisk(profile),
+                      unidentified.size());
+        }
+    });
+    // The sweep must reach words with multi-error unsafe bits.
+    EXPECT_GT(unsafe_seen, 50u);
 }
 
 TEST(AtRiskAnalyzer, PerBitProbabilityMatchesMonteCarlo)

@@ -3,7 +3,10 @@
  * Thread-count and seed determinism for the remaining experiment
  * drivers (Fig. 4 and the Fig. 10 case study): results must be exact
  * functions of the seed, independent of parallel scheduling — the
- * property that makes every bench output reproducible.
+ * property that makes every bench output reproducible. The coverage
+ * (Figs. 6-9) and case-study aggregates are also pinned to absolute
+ * golden hashes, so a change to the per-round bookkeeping that moves
+ * any output byte fails here, not only in the benchmark pins.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "core/case_study_experiment.hh"
+#include "core/coverage_experiment.hh"
 #include "core/fig4_experiment.hh"
 #include "support/golden.hh"
 
@@ -65,6 +69,38 @@ hashOf(const CaseStudyResult &result)
     }
     for (const std::size_t rounds : result.roundsToZeroAfter)
         hash = test::goldenMix(hash, rounds);
+    return hash;
+}
+
+/**
+ * Golden hash of every coverage aggregate: ground-truth totals, the
+ * per-round sums, the bootstrap and bound-quantile sample sets and the
+ * final simultaneous-error histogram.
+ */
+std::uint64_t
+hashOf(const CoverageResult &result)
+{
+    std::uint64_t hash = test::goldenMix(test::kGoldenInit,
+                                         result.totalDirectAtRisk);
+    hash = test::goldenMix(hash, result.totalIndirectAtRisk);
+    hash = test::goldenMix(hash, result.numWords);
+    hash = test::goldenMix(hash, result.profilers.size());
+    for (const ProfilerAggregate &agg : result.profilers) {
+        hash = test::goldenMix(hash, agg.name.size());
+        hash = test::goldenMix(hash, agg.name);
+        hash = test::goldenMix(hash, test::goldenOf(agg.directIdentifiedSum));
+        hash = test::goldenMix(hash, test::goldenOf(agg.indirectMissedSum));
+        hash = test::goldenMix(hash, test::goldenOf(agg.falsePositiveSum));
+        hash = test::goldenMix(
+            hash, test::goldenOf(agg.bootstrapRounds.sortedSamples()));
+        hash = test::goldenMix(hash, agg.maxSimultaneousFinal.numBins());
+        for (std::size_t bin = 0; bin < agg.maxSimultaneousFinal.numBins();
+             ++bin)
+            hash = test::goldenMix(hash, agg.maxSimultaneousFinal.bin(bin));
+        for (const common::PercentileTracker &bound : agg.roundsToBound)
+            hash = test::goldenMix(hash,
+                                   test::goldenOf(bound.sortedSamples()));
+    }
     return hash;
 }
 
@@ -173,6 +209,49 @@ TEST(ExperimentDeterminism, CaseStudyRepeatableForFixedSeed)
     ASSERT_EQ(a.series.size(), b.series.size());
     for (std::size_t s = 0; s < a.series.size(); ++s)
         EXPECT_EQ(a.series[s].berBefore, b.series[s].berBefore);
+}
+
+/**
+ * Absolute pin of a small Figs. 6-9 cell with the HARP-A+BEEP hybrid:
+ * both ends of the engine range must reproduce the same bytes.
+ */
+TEST(ExperimentDeterminism, CoverageGolden)
+{
+    CoverageConfig config;
+    config.numCodes = 3;
+    config.wordsPerCode = 10;
+    config.rounds = 24;
+    config.numPreCorrectionErrors = 4;
+    config.perBitProbability = 0.5;
+    config.includeHarpABeep = true;
+    config.seed = 2024;
+    config.threads = 2;
+    for (const EngineKind engine :
+         {EngineKind::Scalar, EngineKind::Sliced256}) {
+        config.engine = engine;
+        EXPECT_TRUE(test::goldenMatches(hashOf(runCoverageExperiment(config)),
+                                        0x0EB39FF6802CD172ULL))
+            << "engine " << static_cast<int>(engine);
+    }
+}
+
+/** Absolute pin of a small Fig. 10 facet. */
+TEST(ExperimentDeterminism, CaseStudyGolden)
+{
+    CaseStudyConfig config;
+    config.perBitProbability = 0.75;
+    config.samplesPerCellCount = 4;
+    config.maxConditionedCells = 4;
+    config.rounds = 24;
+    config.seed = 2024;
+    config.threads = 2;
+    for (const EngineKind engine :
+         {EngineKind::Scalar, EngineKind::Sliced256}) {
+        config.engine = engine;
+        EXPECT_TRUE(test::goldenMatches(
+            hashOf(runCaseStudyExperiment(config)), 0x8F5C867C21AC1666ULL))
+            << "engine " << static_cast<int>(engine);
+    }
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "core/case_study_experiment.hh"
 #include "core/coverage_experiment.hh"
@@ -157,6 +158,32 @@ TEST(CoverageExperiment, ProbabilityOneIsInstantForHarp)
     // Pattern + inverse charge every cell within two rounds: full direct
     // coverage for HARP by round index 1.
     EXPECT_DOUBLE_EQ(result.directCoverage(2, 1), 1.0);
+}
+
+/** An empty sweep cell is a job error, not a crash or a 0/0 metric. */
+TEST(CoverageExperiment, ZeroSizedConfigThrows)
+{
+    for (const auto zero :
+         {&CoverageConfig::rounds, &CoverageConfig::numCodes,
+          &CoverageConfig::wordsPerCode}) {
+        CoverageConfig config = smallCoverageConfig();
+        config.*zero = 0;
+        EXPECT_THROW(runCoverageExperiment(config), std::invalid_argument);
+    }
+}
+
+TEST(CaseStudy, ZeroSizedConfigThrows)
+{
+    for (const auto zero :
+         {&CaseStudyConfig::rounds, &CaseStudyConfig::samplesPerCellCount,
+          &CaseStudyConfig::maxConditionedCells}) {
+        CaseStudyConfig config;
+        config.samplesPerCellCount = 2;
+        config.maxConditionedCells = 2;
+        config.rounds = 4;
+        config.*zero = 0;
+        EXPECT_THROW(runCaseStudyExperiment(config), std::invalid_argument);
+    }
 }
 
 TEST(CaseStudy, ShapesAndHeadlineOrdering)

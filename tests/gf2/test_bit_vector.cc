@@ -127,6 +127,33 @@ TEST(BitVector, AndOrSemantics)
     EXPECT_EQ(or_v.toUint(), 0b1110u);
 }
 
+/** intersectionCount() equals the copy-AND-popcount form at lengths
+ *  that start, fill and straddle storage words, for sparse, dense and
+ *  uniform operands. */
+TEST(BitVector, IntersectionCountMatchesCopyForm)
+{
+    common::Xoshiro256 rng(0x1A7E);
+    for (const std::size_t size : {1, 63, 64, 65, 128, 247}) {
+        for (int trial = 0; trial < 50; ++trial) {
+            BitVector a = BitVector::random(size, rng);
+            BitVector b = BitVector::random(size, rng);
+            if (trial % 3 == 1)
+                a &= BitVector::random(size, rng); // sparse
+            if (trial % 3 == 2)
+                b |= BitVector::random(size, rng); // dense
+            BitVector both = a;
+            both &= b;
+            ASSERT_EQ(a.intersectionCount(b), both.popcount())
+                << size << " trial " << trial;
+            ASSERT_EQ(b.intersectionCount(a), both.popcount());
+        }
+        BitVector full(size);
+        full.fill(true);
+        EXPECT_EQ(full.intersectionCount(full), size);
+        EXPECT_EQ(full.intersectionCount(BitVector(size)), 0u);
+    }
+}
+
 TEST(BitVector, DotProduct)
 {
     const BitVector a = BitVector::fromUint(0b1101, 4);

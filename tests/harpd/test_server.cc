@@ -521,6 +521,27 @@ TEST_F(ServerTest, WireFaultsGetStructuredErrorsAndNeverKillTheServer)
     EXPECT_EQ(survivor.request(ping).find("type")->asString(), "pong");
 }
 
+/** A degenerate built-in experiment (zero profiling rounds) fails as
+ *  a job error on its own campaign; the daemon keeps serving. */
+TEST_F(ServerTest, ZeroRoundSubmitFailsTheCampaignNotTheServer)
+{
+    config_.registry = &runner::builtinRegistry();
+    startServer();
+    for (const char *experiment :
+         {"fig06_direct_coverage", "fig10_case_study"}) {
+        Client client(config_.socketPath);
+        const StreamedCampaign streamed = streamSubmit(
+            client, submitRequest(std::string("r0_") + experiment,
+                                  {experiment}, 1, 1, {{"rounds", "0"}}));
+        EXPECT_FALSE(streamed.done) << experiment;
+        EXPECT_EQ(streamed.errorCode, errc::campaignFailed) << experiment;
+    }
+    Client survivor(config_.socketPath);
+    JsonValue ping = JsonValue::object();
+    ping.set("verb", JsonValue("ping"));
+    EXPECT_EQ(survivor.request(ping).find("type")->asString(), "pong");
+}
+
 TEST_F(ServerTest, ConnectionsAreReapedNotLeaked)
 {
     startServer();
