@@ -1,7 +1,5 @@
 #include "common/rng.hh"
 
-#include <algorithm>
-
 namespace harp::common {
 
 std::uint64_t
@@ -35,17 +33,6 @@ Xoshiro256::nextBelow(std::uint64_t bound)
         if (r >= threshold)
             return r % bound;
     }
-}
-
-bool
-Xoshiro256::nextBernoulli(double p)
-{
-    p = std::clamp(p, 0.0, 1.0);
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
 }
 
 std::uint64_t

@@ -12,6 +12,7 @@
 #ifndef HARP_COMMON_RNG_HH
 #define HARP_COMMON_RNG_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 
@@ -72,8 +73,18 @@ class Xoshiro256
         return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
     }
 
-    /** Bernoulli trial with success probability @p p (clamped to [0,1]). */
-    bool nextBernoulli(double p);
+    /** Bernoulli trial with success probability @p p (clamped to [0,1]).
+     *  Inline for the same reason as operator(): the wasted-storage
+     *  Monte Carlo draws one trial per simulated bit. */
+    bool nextBernoulli(double p)
+    {
+        p = std::clamp(p, 0.0, 1.0);
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return nextDouble() < p;
+    }
 
   private:
     static std::uint64_t rotl(std::uint64_t x, int k)

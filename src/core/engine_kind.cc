@@ -114,8 +114,8 @@ profileWords(const WordRun &run, const BuildWordsFn &build,
     std::optional<ecc::BchCode> bch;
     if (run.bch != nullptr)
         bch.emplace(*run.bch);
-    // One prewarmed BCH datapath for the whole run: every block's copy
-    // amortizes the same syndrome memo (see ecc/sliced_bch.hh).
+    // One BCH datapath for the whole run: every block's copy reads and
+    // fills the same syndrome memo (see ecc/sliced_bch.hh).
     std::optional<ecc::SlicedBchCodeW<1>> bch64;
     std::optional<ecc::SlicedBchCodeW<4>> bch256;
     if (bch && run.words > 0) {

@@ -97,8 +97,8 @@ std::size_t wordBlockCount(const WordRun &run);
  *    serialized, after the block's engine is destroyed (which flushes
  *    every profiler's identified()); it merges and frees the block.
  *
- * BCH words share one prewarmed sliced datapath whose syndrome memo
- * every block's copy reads and extends. Per-word seeds fix every
+ * BCH words share one sliced datapath whose syndrome memo every
+ * block's copy reads and extends on a miss. Per-word seeds fix every
  * outcome, so results are byte-identical under any engine and thread
  * count. An exception from a callback fails the whole call.
  */

@@ -74,9 +74,9 @@ class SlicedRoundEngineW
     /**
      * Generic form over any sliced code block: @p code must outlive
      * the engine and may be *shared* by several engines (e.g.
-     * consecutive blocks of one BCH workload amortizing one
-     * syndrome-memo warm-up — but not concurrently; see
-     * ecc/sliced_bch.hh, whose copies share the memo thread-safely).
+     * consecutive blocks of one BCH workload filling one syndrome
+     * memo — but not concurrently; see ecc/sliced_bch.hh, whose
+     * copies share the memo thread-safely).
      * The engine drives faults.size() lanes, which may be fewer than
      * code.lanes(): surplus code lanes stay zeroed by gather() and
      * cost nothing.

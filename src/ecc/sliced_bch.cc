@@ -9,11 +9,8 @@
 namespace harp::ecc {
 
 template <std::size_t W>
-SlicedBchCodeW<W>::SlicedBchCodeW(const BchCode &code, std::size_t lanes,
-                                  bool prewarm,
-                                  std::shared_ptr<SlicedBchMemo> memo)
-    : code_(code), lanes_(lanes),
-      memo_(memo ? std::move(memo) : std::make_shared<SlicedBchMemo>())
+SlicedBchCodeW<W>::SlicedBchCodeW(const BchCode &code, std::size_t lanes)
+    : code_(code), lanes_(lanes), memo_(std::make_shared<SlicedBchMemo>())
 {
     if (lanes == 0 || lanes > gf2::BitSliceW<W>::laneCount)
         throw std::invalid_argument(
@@ -57,63 +54,6 @@ SlicedBchCodeW<W>::SlicedBchCodeW(const BchCode &code, std::size_t lanes,
 
     synScratch_.assign(syndromeBits_, Lane{});
     wordScratch_ = gf2::BitVector(code_.n());
-
-    if (prewarm && !memo_->prewarmed())
-        prewarmMemo();
-}
-
-template <std::size_t W>
-void
-SlicedBchCodeW<W>::prewarmMemo()
-{
-    const std::size_t n = code_.n();
-    const std::size_t t = code_.t();
-
-    // Entry count sum_{w=1..t} C(n, w); bail out beyond the cap before
-    // enumerating anything.
-    std::size_t total = 0;
-    for (std::size_t w = 1; w <= t; ++w) {
-        std::size_t choose = 1;
-        for (std::size_t i = 0; i < w; ++i)
-            choose = choose * (n - i) / (i + 1);
-        total += choose;
-        if (total > prewarmEntryCap)
-            return;
-    }
-    memo_->reserve(total);
-
-    // Depth-first enumeration of error-position subsets of size 1..t.
-    // Every weight <= t pattern is corrected exactly (minimum distance
-    // >= 2t+1), so its memo action is its own data-bit flips and its
-    // syndrome is the XOR of the per-position packed-syndrome columns
-    // — identical to what a scalar-decode fallback would memoize.
-    MemoKey key;
-    MemoAction action;
-    const auto toggle = [&](std::size_t pos) {
-        for (std::uint32_t s = synOff_[pos]; s < synOff_[pos + 1]; ++s)
-            key.words[synIdx_[s] >> 6] ^=
-                std::uint64_t{1} << (synIdx_[s] & 63);
-    };
-    // Subset weight is tracked separately from the data-flip count:
-    // parity-position errors contribute to the syndrome but no flips.
-    const auto recurse = [&](std::size_t first, std::size_t weight,
-                             const auto &self) -> void {
-        if (weight == t)
-            return;
-        for (std::size_t pos = first; pos < n; ++pos) {
-            toggle(pos);
-            const std::uint8_t saved = action.numFlips;
-            if (pos < code_.k())
-                action.flips[action.numFlips++] =
-                    static_cast<std::uint16_t>(pos);
-            memo_->insertOrGet(key, action);
-            self(pos + 1, weight + 1, self);
-            action.numFlips = saved;
-            toggle(pos);
-        }
-    };
-    recurse(0, 0, recurse);
-    memo_->markPrewarmed();
 }
 
 template <std::size_t W>

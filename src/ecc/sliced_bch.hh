@@ -18,10 +18,12 @@
  *
  * The memoization is *exact*: BM + Chien are pure syndrome decoding,
  * so the decode action (which positions to flip, or "detected
- * uncorrectable") is a function of the syndrome alone. Under the
- * repository's fault models each word sees few distinct pre-correction
- * error patterns, so hit rates approach 1 after warm-up and steady
- * state costs ~one hash lookup per erroneous lane.
+ * uncorrectable") is a function of the syndrome alone. The table
+ * starts empty and fills only on misses, so its size is the number of
+ * distinct syndromes a run actually sees — under the repository's
+ * fault models each word sees few distinct pre-correction error
+ * patterns (a k = 64, t = 3 perf fleet: ~1.7K of the 102K correctable
+ * ones), and steady state costs ~one hash lookup per erroneous lane.
  *
  * All lanes must carry the *same* code function: a BCH code is fully
  * determined by (k, t) (there is no per-lane arrangement freedom as in
@@ -70,31 +72,11 @@ class SlicedBchCodeW final : public SlicedCodeW<W>
     using Lane = gf2::LaneOf<W>;
 
     /**
-     * The same code in @p lanes lanes (1..W*64). The code is only read
-     * during construction; the fallback decoder is a private copy, so
-     * no reference is retained.
-     *
-     * @param prewarm Pre-populate the syndrome->action memo with every
-     *        error pattern of weight <= t at construction (see
-     *        memoPrewarmed()). On by default; automatically skipped
-     *        when the enumeration would exceed prewarmEntryCap.
-     * @param memo  Share an existing memo (e.g. across independently
-     *        constructed per-shard datapaths of the same code); null
-     *        allocates a fresh one. A shared memo that is already
-     *        prewarmed skips re-enumeration.
+     * The same code in @p lanes lanes (1..W*64), with an empty memo.
+     * The code is only read during construction; the fallback decoder
+     * is a private copy, so no reference is retained.
      */
-    SlicedBchCodeW(const BchCode &code, std::size_t lanes,
-                   bool prewarm = true,
-                   std::shared_ptr<SlicedBchMemo> memo = nullptr);
-
-    /**
-     * Largest sum_{w=1..t} C(n, w) the construction pre-warm will
-     * enumerate; beyond it the memo starts cold (memoPrewarmed() ==
-     * false) and fills through scalar-decode fallbacks as before. The
-     * cap bounds both construction time and table memory (~100 bytes
-     * per entry).
-     */
-    static constexpr std::size_t prewarmEntryCap = 1u << 17;
+    SlicedBchCodeW(const BchCode &code, std::size_t lanes);
 
     std::size_t k() const override { return code_.k(); }
     std::size_t n() const override { return code_.n(); }
@@ -122,22 +104,11 @@ class SlicedBchCodeW final : public SlicedCodeW<W>
     std::uint64_t memoMisses() const { return memo_->misses(); }
     /** Distinct nonzero syndromes memoized so far. */
     std::size_t memoEntries() const { return memo_->entries(); }
-    /**
-     * True iff construction pre-warmed the memo with every weight <= t
-     * error syndrome. Pre-warming needs no decoder runs — a weight <=
-     * t pattern is corrected exactly (minimum distance >= 2t+1), so
-     * its action is its own data-bit positions and its syndrome is the
-     * XOR of the per-position columns — and eliminates the cold-start
-     * share of the miss rate: the only remaining fallbacks are
-     * uncorrectable (weight > t) patterns.
-     */
-    bool memoPrewarmed() const { return memo_->prewarmed(); }
 
   private:
     using MemoKey = SlicedBchMemo::Key;
     using MemoAction = SlicedBchMemo::Action;
 
-    void prewarmMemo();
     const MemoAction &lookupAction(const MemoKey &key,
                                    const gf2::BitSliceW<W> &received,
                                    std::size_t lane) const;

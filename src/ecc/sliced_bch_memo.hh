@@ -12,6 +12,9 @@
  * copies point at one SlicedBchMemo, so a syndrome any worker has
  * resolved is a hash hit for all of them.
  *
+ * The table starts empty and grows only through insertOrGet() after a
+ * miss, so it holds exactly the distinct syndromes a run has decoded.
+ *
  * Concurrency contract:
  *  - find() takes a shared lock; insertOrGet() takes a unique lock.
  *  - Returned Action pointers/references stay valid for the memo's
@@ -103,13 +106,6 @@ class SlicedBchMemo
         return map_.emplace(key, action).first->second;
     }
 
-    /** Pre-size the table (construction-time convenience). */
-    void reserve(std::size_t entries)
-    {
-        std::unique_lock lock(mutex_);
-        map_.reserve(map_.size() + entries);
-    }
-
     /** Lookups that hit since construction. */
     std::uint64_t hits() const
     {
@@ -127,20 +123,11 @@ class SlicedBchMemo
         return map_.size();
     }
 
-    /** True iff construction pre-warmed every weight <= t syndrome. */
-    bool prewarmed() const
-    {
-        return prewarmed_.load(std::memory_order_relaxed);
-    }
-    /** Mark the pre-warm complete (called once, at construction). */
-    void markPrewarmed() { prewarmed_.store(true, std::memory_order_relaxed); }
-
   private:
     mutable std::shared_mutex mutex_;
     std::unordered_map<Key, Action, KeyHash> map_;
     mutable std::atomic<std::uint64_t> hits_{0};
     mutable std::atomic<std::uint64_t> misses_{0};
-    std::atomic<bool> prewarmed_{false};
 };
 
 } // namespace harp::ecc

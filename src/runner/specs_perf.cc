@@ -103,9 +103,10 @@ struct PerfWord
 };
 
 /** The pre-built sliced datapaths of one fleet at lane width W:
- *  construction (lane-mask tables, BCH syndrome-memo pre-warm) is
+ *  construction (lane-mask tables, BCH parity/syndrome matrices) is
  *  initialization, paid alongside the scalar decoder's own table
- *  construction — the timed loops measure profiling rounds only. */
+ *  construction — the timed loops measure profiling rounds, including
+ *  the BCH memo's scalar-decode fallbacks. */
 template <std::size_t W>
 struct SlicedDatapaths
 {
@@ -175,7 +176,7 @@ struct PerfFleet
                     bchCode.get(), c, w));
         }
         // Scalar fleets never touch the sliced datapaths, so they skip
-        // the build (incl. the BCH syndrome-memo pre-warm).
+        // the build.
         if (engine == core::EngineKind::Sliced64)
             sliced64.build(workload, codes, bchCode.get());
         else if (engine == core::EngineKind::Sliced256)
@@ -237,7 +238,6 @@ struct DriveStats
     std::uint64_t memoHits = 0;
     std::uint64_t memoMisses = 0;
     std::size_t memoEntries = 0;
-    bool memoPrewarmed = false;
 };
 
 /**
@@ -293,7 +293,6 @@ driveFleetSliced(PerfFleet &fleet, const PerfWorkload &workload,
         stats.memoHits = datapaths.sharedBch->memoHits();
         stats.memoMisses = datapaths.sharedBch->memoMisses();
         stats.memoEntries = datapaths.sharedBch->memoEntries();
-        stats.memoPrewarmed = datapaths.sharedBch->memoPrewarmed();
     }
 }
 
@@ -343,7 +342,6 @@ struct EngineMeasurement
     std::uint64_t memoHits = 0;
     std::uint64_t memoMisses = 0;
     std::size_t memoEntries = 0;
-    bool memoPrewarmed = false;
     std::size_t profilersPerWord = 0;
     core::EnginePhaseSeconds phases;
 };
@@ -362,7 +360,6 @@ measureEngine(const PerfWorkload &workload, core::EngineKind engine,
         best.memoHits = stats.memoHits;
         best.memoMisses = stats.memoMisses;
         best.memoEntries = stats.memoEntries;
-        best.memoPrewarmed = stats.memoPrewarmed;
         best.profilersPerWord = fleet.profilersPerWord();
     }
     // Extra instrumented reps for the setup/datapath/observe cost
@@ -435,12 +432,8 @@ makePerfEngineThroughput()
          "Hamming)"},
         {"memo_hit_rate", JsonType::Double,
          "memo_hits / (memo_hits + memo_misses) (null for Hamming)"},
-        {"memo_prewarmed", JsonType::Bool,
-         "syndrome memo pre-populated with all weight <= t error "
-         "syndromes at construction (null for Hamming)"},
         {"memo_entries", JsonType::Int,
-         "distinct syndromes memoized, incl. pre-warm (null for "
-         "Hamming)"},
+         "distinct syndromes memoized (null for Hamming)"},
         {"scalar_setup_seconds", JsonType::Double,
          "scalar pattern/CRN/choose wall seconds (instrumented rep)"},
         {"scalar_datapath_seconds", JsonType::Double,
@@ -548,9 +541,6 @@ makePerfEngineThroughput()
                         ? JsonValue(static_cast<double>(sliced.memoHits) /
                                     static_cast<double>(lookups))
                         : JsonValue());
-        metrics.set("memo_prewarmed", workload.bch
-                                          ? JsonValue(sliced.memoPrewarmed)
-                                          : JsonValue());
         metrics.set("memo_entries", workload.bch
                                         ? JsonValue(sliced.memoEntries)
                                         : JsonValue());

@@ -516,9 +516,9 @@ TEST(SlicedRoundEngine, SharedBchDatapathAcrossBlocksStaysBitIdentical)
 {
     common::Xoshiro256 rng(21);
     const ecc::BchCode code(64, 2);
-    // Shared 8-lane datapath; cold memo so the shared-warm-up
-    // accounting below stays observable.
-    const ecc::SlicedBchCode sliced(code, 8, /*prewarm=*/false);
+    // Shared 8-lane datapath; its memo starts empty, so the shared
+    // fill below stays observable.
+    const ecc::SlicedBchCode sliced(code, 8);
     const std::size_t block_sizes[] = {8, 8, 3}; // ragged tail
 
     std::size_t word = 0;

@@ -56,153 +56,75 @@ TEST(SlicedBch, EncodeMatchesScalarIncludingRaggedTails)
     }
 }
 
-TEST(SlicedBch, DecodeDataMatchesScalarAcrossErrorWeights)
+TEST(SlicedBch, FreshDatapathHasAnEmptyMemo)
 {
-    common::Xoshiro256 rng(2);
+    // The memo fills on demand only: construction enumerates nothing
+    // (all weight <= 3 syndromes of this code would be 102,425 entries).
+    const SlicedBchCodeW<1> sliced(BchCode(64, 3), 64);
+    EXPECT_EQ(sliced.memoEntries(), 0u);
+    EXPECT_EQ(sliced.memoHits(), 0u);
+    EXPECT_EQ(sliced.memoMisses(), 0u);
+}
+
+/** Blocks of 0..t+2 errors per lane (clean, correctable and
+ *  detected-uncorrectable lanes share each block) through a width-W
+ *  datapath: bit-identical to the scalar decoder, one memo entry per
+ *  miss, and a second pass over the same blocks is all hits. */
+template <std::size_t W>
+void
+checkOnDemandMemo(std::uint64_t seed)
+{
+    common::Xoshiro256 rng(seed);
     for (const std::size_t t : {std::size_t{1}, std::size_t{2},
                                 std::size_t{3}}) {
         const BchCode code(64, t);
-        const std::size_t lanes = 23; // ragged (not a full block)
-        // Cold memo: this test pins the fallback bookkeeping (every
-        // miss inserts exactly one entry), so skip the pre-warm.
-        const SlicedBchCode sliced(code, lanes, /*prewarm=*/false);
-        EXPECT_FALSE(sliced.memoPrewarmed());
+        const std::size_t lanes = W * 64 - 5; // ragged tail
+        const SlicedBchCodeW<W> sliced(code, lanes);
 
-        for (int round = 0; round < 8; ++round) {
-            std::vector<gf2::BitVector> received;
+        std::vector<std::vector<gf2::BitVector>> blocks;
+        for (int round = 0; round < 4; ++round) {
+            blocks.emplace_back();
             for (std::size_t w = 0; w < lanes; ++w) {
                 gf2::BitVector c = code.encode(
                     gf2::BitVector::random(code.k(), rng));
-                // 0 .. t+2 errors: clean lanes, correctable lanes and
-                // detected-uncorrectable lanes all share the block.
                 const std::size_t weight = rng.nextBelow(t + 3);
                 for (std::size_t e = 0; e < weight; ++e)
                     c.flip(rng.nextBelow(code.n()));
-                received.push_back(std::move(c));
+                blocks.back().push_back(std::move(c));
             }
-            gf2::BitSlice64 received_slice(code.n());
-            gf2::BitSlice64 data_out(code.k());
-            received_slice.gather(received);
-            sliced.decodeData(received_slice, data_out);
-            for (std::size_t w = 0; w < lanes; ++w)
-                EXPECT_EQ(data_out.extractWord(w),
-                          code.decode(received[w]).dataword)
-                    << "t " << t << ", round " << round << ", lane "
-                    << w;
         }
-        // Every miss inserts exactly one memo entry; repeats hit.
-        EXPECT_EQ(sliced.memoEntries(), sliced.memoMisses());
-        EXPECT_GT(sliced.memoMisses(), 0u);
-    }
-}
-
-TEST(SlicedBch, RepeatedSyndromesHitTheMemo)
-{
-    common::Xoshiro256 rng(3);
-    const BchCode code(64, 2);
-    const std::size_t lanes = 16;
-    // Cold memo, so the first block demonstrably falls back to the
-    // scalar decoder before repeats start hitting.
-    const SlicedBchCode sliced(code, lanes, /*prewarm=*/false);
-
-    std::vector<gf2::BitVector> received;
-    for (std::size_t w = 0; w < lanes; ++w) {
-        gf2::BitVector c =
-            code.encode(gf2::BitVector::random(code.k(), rng));
-        c.flip(rng.nextBelow(code.n()));
-        received.push_back(std::move(c));
-    }
-    gf2::BitSlice64 received_slice(code.n());
-    gf2::BitSlice64 data_out(code.k());
-    received_slice.gather(received);
-
-    sliced.decodeData(received_slice, data_out);
-    const std::uint64_t misses_after_first = sliced.memoMisses();
-    EXPECT_GT(misses_after_first, 0u);
-
-    // The identical block again: pure hits, no new scalar fallbacks.
-    sliced.decodeData(received_slice, data_out);
-    EXPECT_EQ(sliced.memoMisses(), misses_after_first);
-    EXPECT_GE(sliced.memoHits(), misses_after_first);
-    for (std::size_t w = 0; w < lanes; ++w)
-        EXPECT_EQ(data_out.extractWord(w),
-                  code.decode(received[w]).dataword);
-}
-
-TEST(SlicedBch, PrewarmCoversEveryCorrectableSyndrome)
-{
-    common::Xoshiro256 rng(7);
-    for (const std::size_t t : {std::size_t{1}, std::size_t{2},
-                                std::size_t{3}}) {
-        const BchCode code(64, t);
-        const std::size_t lanes = 17;
-        const SlicedBchCode sliced(code, lanes);
-        ASSERT_TRUE(sliced.memoPrewarmed());
-
-        // Entry count = sum_{w=1..t} C(n, w), every weight <= t
-        // syndrome distinct (minimum distance >= 2t+1).
-        std::size_t expected = 0;
-        for (std::size_t w = 1; w <= t; ++w) {
-            std::size_t choose = 1;
-            for (std::size_t i = 0; i < w; ++i)
-                choose = choose * (code.n() - i) / (i + 1);
-            expected += choose;
-        }
-        EXPECT_EQ(sliced.memoEntries(), expected) << "t " << t;
-
-        // Correctable blocks never fall back to the scalar decoder
-        // and still decode bit-identically to it.
-        for (int round = 0; round < 6; ++round) {
-            std::vector<gf2::BitVector> received;
-            for (std::size_t w = 0; w < lanes; ++w) {
-                gf2::BitVector c = code.encode(
-                    gf2::BitVector::random(code.k(), rng));
-                const std::size_t weight = rng.nextBelow(t + 1);
-                for (std::size_t e = 0; e < weight; ++e)
-                    c.flip(rng.nextBelow(code.n()));
-                received.push_back(std::move(c));
+        const auto decodeAll = [&] {
+            for (std::size_t b = 0; b < blocks.size(); ++b) {
+                gf2::BitSliceW<W> received_slice(code.n());
+                gf2::BitSliceW<W> data_out(code.k());
+                received_slice.gather(blocks[b]);
+                sliced.decodeData(received_slice, data_out);
+                for (std::size_t w = 0; w < lanes; ++w)
+                    EXPECT_EQ(data_out.extractWord(w),
+                              code.decode(blocks[b][w]).dataword)
+                        << "W " << W << ", t " << t << ", block " << b
+                        << ", lane " << w;
             }
-            gf2::BitSlice64 received_slice(code.n());
-            gf2::BitSlice64 data_out(code.k());
-            received_slice.gather(received);
-            sliced.decodeData(received_slice, data_out);
-            for (std::size_t w = 0; w < lanes; ++w)
-                EXPECT_EQ(data_out.extractWord(w),
-                          code.decode(received[w]).dataword)
-                    << "t " << t << ", round " << round << ", lane "
-                    << w;
-        }
-        EXPECT_EQ(sliced.memoMisses(), 0u) << "t " << t;
-        EXPECT_GT(sliced.memoHits(), 0u) << "t " << t;
+        };
+
+        decodeAll();
+        const std::uint64_t misses = sliced.memoMisses();
+        const std::uint64_t hits = sliced.memoHits();
+        EXPECT_GT(misses, 0u) << "W " << W << ", t " << t;
+        EXPECT_EQ(sliced.memoEntries(), misses) << "W " << W << ", t " << t;
+
+        decodeAll();
+        EXPECT_EQ(sliced.memoMisses(), misses) << "W " << W << ", t " << t;
+        EXPECT_EQ(sliced.memoEntries(), misses) << "W " << W << ", t " << t;
+        EXPECT_EQ(sliced.memoHits(), 2 * hits + misses)
+            << "W " << W << ", t " << t;
     }
 }
 
-TEST(SlicedBch, PrewarmSkippedBeyondTheEntryCap)
+TEST(SlicedBch, OnDemandMemoMatchesScalarAtEveryWidth)
 {
-    // k=128, t=3 -> n=152: C(152,1)+C(152,2)+C(152,3) ~ 575k entries,
-    // beyond prewarmEntryCap — construction must start cold instead of
-    // stalling, and decoding still works through the fallback path.
-    common::Xoshiro256 rng(8);
-    const BchCode code(128, 3);
-    const SlicedBchCode sliced(code, 4);
-    EXPECT_FALSE(sliced.memoPrewarmed());
-    EXPECT_EQ(sliced.memoEntries(), 0u);
-
-    std::vector<gf2::BitVector> received;
-    for (std::size_t w = 0; w < 4; ++w) {
-        gf2::BitVector c =
-            code.encode(gf2::BitVector::random(code.k(), rng));
-        c.flip(rng.nextBelow(code.n()));
-        received.push_back(std::move(c));
-    }
-    gf2::BitSlice64 received_slice(code.n());
-    gf2::BitSlice64 data_out(code.k());
-    received_slice.gather(received);
-    sliced.decodeData(received_slice, data_out);
-    for (std::size_t w = 0; w < 4; ++w)
-        EXPECT_EQ(data_out.extractWord(w),
-                  code.decode(received[w]).dataword);
-    EXPECT_GT(sliced.memoMisses(), 0u);
+    checkOnDemandMemo<1>(7);
+    checkOnDemandMemo<4>(8);
 }
 
 TEST(SlicedBch, ZeroSyndromeLanesSkipTheMemo)

@@ -32,7 +32,7 @@ TEST(SlicedBchMemo, CopiesShareTheMemo)
 {
     common::Xoshiro256 rng(11);
     const BchCode code(64, 2);
-    const SlicedBchCode original(code, 8, /*prewarm=*/false);
+    const SlicedBchCode original(code, 8);
     const SlicedBchCode copy(original);
     EXPECT_EQ(copy.memo(), original.memo());
 
@@ -52,26 +52,40 @@ TEST(SlicedBchMemo, CopiesShareTheMemo)
     EXPECT_EQ(original.memoEntries(), copy.memoEntries());
 }
 
-TEST(SlicedBchMemo, SharedMemoSkipsRedundantPrewarm)
+TEST(SlicedBchMemo, CopyMadeAfterFillReusesEveryEntry)
 {
+    common::Xoshiro256 rng(13);
     const BchCode code(64, 2);
-    const SlicedBchCode first(code, 4);
-    ASSERT_TRUE(first.memoPrewarmed());
-    const std::size_t entries = first.memoEntries();
-    ASSERT_GT(entries, 0u);
+    const SlicedBchCode first(code, 16);
+    std::vector<gf2::BitVector> received;
+    for (std::size_t w = 0; w < 16; ++w) {
+        gf2::BitVector c =
+            code.encode(gf2::BitVector::random(code.k(), rng));
+        c.flip(rng.nextBelow(code.n()));
+        c.flip(rng.nextBelow(code.n()));
+        received.push_back(std::move(c));
+    }
+    gf2::BitSlice64 received_slice(code.n());
+    gf2::BitSlice64 data_out(code.k());
+    received_slice.gather(received);
+    first.decodeData(received_slice, data_out);
+    const std::uint64_t misses = first.memoMisses();
+    ASSERT_GT(misses, 0u);
 
-    // A second datapath over the already-warm memo must not re-insert
-    // (markPrewarmed gates the duplicate work) and sees every entry.
-    const SlicedBchCode second(code, 16, /*prewarm=*/true, first.memo());
-    EXPECT_EQ(second.memo(), first.memo());
-    EXPECT_TRUE(second.memoPrewarmed());
-    EXPECT_EQ(second.memoEntries(), entries);
+    // A copy taken after the fill shares the filled table: the same
+    // block through it is all hits.
+    const SlicedBchCode second(first);
+    EXPECT_EQ(second.memoEntries(), first.memoEntries());
+    second.decodeData(received_slice, data_out);
+    EXPECT_EQ(second.memoMisses(), misses);
+    for (std::size_t w = 0; w < 16; ++w)
+        EXPECT_EQ(data_out.extractWord(w), code.decode(received[w]).dataword);
 }
 
 TEST(SlicedBchMemo, ConcurrentCopiesHammerSharedMemo)
 {
     // The TSan regression: many pool workers decode through per-worker
-    // *copies* of one cold-memo datapath. Tasks intentionally repeat
+    // *copies* of one fresh (empty-memo) datapath. Tasks intentionally repeat
     // error patterns so distinct workers race find/insertOrGet on the
     // same keys; memoization is exact, so racing winners are
     // interchangeable and every lane must still decode bit-identically
@@ -80,7 +94,7 @@ TEST(SlicedBchMemo, ConcurrentCopiesHammerSharedMemo)
     const std::size_t lanes = 32;
     const std::size_t tasks = 24;
     const std::size_t threads = 8;
-    const SlicedBchCode base(code, lanes, /*prewarm=*/false);
+    const SlicedBchCode base(code, lanes);
 
     // Pre-generate every task's block (and its scalar reference)
     // single-threaded; the parallel section touches only the datapath.
@@ -141,7 +155,7 @@ TEST(SlicedBchMemo, Wide256CopiesShareMemoToo)
     common::Xoshiro256 rng(23);
     const BchCode code(64, 2);
     const std::size_t lanes = 200; // ragged at W=4
-    const SlicedBchCode256 base(code, lanes, /*prewarm=*/false);
+    const SlicedBchCode256 base(code, lanes);
     const std::size_t tasks = 8;
 
     std::vector<std::vector<gf2::BitVector>> blocks(tasks);

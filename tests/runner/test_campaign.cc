@@ -23,6 +23,7 @@
 #include "runner/cli.hh"
 #include "runner/registry.hh"
 #include "runner/session.hh"
+#include "support/golden.hh"
 
 namespace harp::runner {
 namespace {
@@ -366,6 +367,35 @@ TEST(CampaignDeterminism, BchTSweepEngineOverridesHashIdentically)
     EXPECT_EQ(hashes[0], hashes[2]);
     EXPECT_EQ(jsonl_bytes[0], jsonl_bytes[1]);
     EXPECT_EQ(jsonl_bytes[0], jsonl_bytes[2]);
+}
+
+/**
+ * Absolute pin of a small bch_t_sweep (on_die_t 1..3, pre_errors
+ * 2..5). BchTSweepEngineOverridesHashIdentically only compares the
+ * engines with each other, so a change every engine shares (the BCH
+ * decoder, the memo fill policy, the ground-truth enumeration) would
+ * pass it; this constant would not. words = 70 gives each sliced run a
+ * ragged block.
+ */
+TEST(BchGolden, TSweepResultHashUnderEveryEngine)
+{
+    for (const char *engine : {"scalar", "sliced64", "sliced256"}) {
+        const TempDir dir(std::string("bch_golden_") + engine);
+        CampaignOptions options;
+        options.seed = 13;
+        options.threads = 2;
+        options.outDir = dir.str();
+        options.overrides = {
+            {"engine", engine}, {"words", "70"}, {"rounds", "6"}};
+        std::ostringstream log;
+        const CampaignSummary summary =
+            runFast({"bch_t_sweep"}, options, log);
+        ASSERT_EQ(summary.experiments.size(), 1u);
+        EXPECT_EQ(summary.experiments[0].points, 12u);
+        EXPECT_TRUE(test::goldenMatches(summary.experiments[0].resultHash,
+                                        0x3880839C509DDCD7ULL))
+            << "engine " << engine;
+    }
 }
 
 /**
