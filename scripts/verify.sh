@@ -427,15 +427,14 @@ wait "$ovl_pid" || {
 trap - EXIT
 
 # --- Engine equivalence ---------------------------------------------------
-# A seed-fixed campaign must be byte-identical under the scalar,
-# sliced64 and sliced256 profiling engines. One row per case:
+# A seed-fixed campaign must be byte-identical under the scalar and
+# sliced64 profiling engines. One row per case:
 # tag | experiments | overrides.
-#  - engine: 70 words/code exercises a ragged 64+6 sliced block at W=1
-#    and a 70-lane wide block at W=4; fig10 exercises heterogeneous
-#    per-lane codes.
+#  - engine: 70 words/code exercises a ragged 64+6 sliced block; fig10
+#    exercises heterogeneous per-lane codes.
 #  - bch: the memoized sliced BCH datapath is exactly equivalent to the
-#    scalar Berlekamp-Massey decoder at every lane width (70 words/point
-#    exercises a ragged 64 + 6 sliced block).
+#    scalar Berlekamp-Massey decoder (70 words/point exercises a ragged
+#    64 + 6 sliced block).
 #  - elp: heterogeneous per-word codes through the lane-native
 #    observation path (Naive/HARP-U lanes).
 engine_cases=(
@@ -445,21 +444,19 @@ engine_cases=(
 )
 for case in "${engine_cases[@]}"; do
     IFS='|' read -r tag experiments overrides <<< "$case"
-    for engine in scalar sliced64 sliced256; do
+    for engine in scalar sliced64; do
         # shellcheck disable=SC2086  # split the experiment/override lists
         ./build/src/harp_run $experiments $overrides \
             --threads 2 --engine "$engine" \
             --out "$smoke_dir/$tag-$engine" > /dev/null
     done
-    for engine in sliced64 sliced256; do
-        for exp in $experiments; do
-            cmp -s "$smoke_dir/$tag-scalar/$exp.jsonl" \
-                   "$smoke_dir/$tag-$engine/$exp.jsonl" || {
-                echo "verify: $exp.jsonl differs between scalar and" \
-                     "$engine" >&2
-                exit 1
-            }
-        done
+    for exp in $experiments; do
+        cmp -s "$smoke_dir/$tag-scalar/$exp.jsonl" \
+               "$smoke_dir/$tag-sliced64/$exp.jsonl" || {
+            echo "verify: $exp.jsonl differs between scalar and" \
+                 "sliced64" >&2
+            exit 1
+        }
     done
 done
 
@@ -486,9 +483,9 @@ fleet_tests="$(cd build && ctest -L fleet -N | sed -n 's/^Total Tests: //p')"
 }
 
 # A 10k-chip policy sweep must be byte-identical across thread counts
-# and across the scalar/sliced64/sliced256 engines (the fleet CRN
-# contract, end-to-end through harp_run).
-for variant in t1-sliced64 t1-scalar t4-sliced64 t4-sliced256; do
+# and across the scalar/sliced64 engines (the fleet CRN contract,
+# end-to-end through harp_run).
+for variant in t1-sliced64 t1-scalar t4-sliced64; do
     threads="${variant#t}"
     threads="${threads%%-*}"
     engine="${variant#*-}"
@@ -498,7 +495,7 @@ for variant in t1-sliced64 t1-scalar t4-sliced64 t4-sliced256; do
         --profiler harp_u \
         --out "$smoke_dir/fleet-$variant" > /dev/null
 done
-for variant in t1-scalar t4-sliced64 t4-sliced256; do
+for variant in t1-scalar t4-sliced64; do
     cmp -s "$smoke_dir/fleet-t1-sliced64/fleet_policy_sweep.jsonl" \
            "$smoke_dir/fleet-$variant/fleet_policy_sweep.jsonl" || {
         echo "verify: fleet_policy_sweep.jsonl differs" \
@@ -532,20 +529,13 @@ if [[ $FULL -eq 1 ]]; then
         "harp::common::FairScheduler::slotsInUse(|seam: slot-release tests"
         "harp::common::io::FaultPlan::consumed(|seam: I/O fault tests"
         "harp::harpd::Client::halfClose(|seam: EOF-mid-request tests"
-        "harp::core::SlicedRoundEngineW<*>::stats(|seam: observe-path tests"
-        "harp::core::SlicedRoundEngineW<*>::lanes(|seam: engine tests"
-        "harp::core::SlicedRoundEngineW<*>::roundsRun(|seam: engine tests"
-        "harp::core::SlicedProfilerGroupW<*>::dirty(|seam: lazy-flush tests"
-        "harp::core::SlicedProfilerGroupW<*>::kind(|seam: grouping tests"
-        "harp::ecc::SlicedBchCodeW<*>::memo(|seam: memo-sharing tests"
         "harp::gf2::BitVector::fromIndices(|debug accessor: test inputs"
         "harp::gf2::BitVector::fromUint(|debug accessor: test inputs"
         "harp::gf2::BitVector::toString|debug accessor: test messages"
         "harp::gf2::BitVector::toUint(|debug accessor: test checks"
-        "harp::gf2::BitSliceW<*>::clear(|debug accessor: slice tests"
-        "harp::gf2::BitSliceW<*>::extractWord(|debug accessor: lane checks"
-        "harp::gf2::BitSliceW<*>::set(|debug accessor: slice tests"
-        "harp::gf2::laneClearBit|debug accessor: BitSliceW::set's helper"
+        "harp::gf2::BitSlice::clear(|debug accessor: slice tests"
+        "harp::gf2::BitSlice::extractWord(|debug accessor: lane checks"
+        "harp::gf2::BitSlice::set(|debug accessor: slice tests"
     )
     rdir="build-reach"
     reach_flags="-O0 -g0 -ffunction-sections -fdata-sections"
@@ -676,10 +666,9 @@ fi
 
 # --- Fleet acceptance scale (full) ----------------------------------------
 # A million-chip policy sweep completes on one machine with
-# byte-identical JSONL across --threads {1, 4, hw} and across the
-# sliced64/sliced256 engines.
+# byte-identical JSONL across --threads {1, 4, hw}.
 if [[ $FULL -eq 1 ]]; then
-    for variant in t1-sliced64 t4-sliced64 thw-sliced64 thw-sliced256; do
+    for variant in t1-sliced64 t4-sliced64 thw-sliced64; do
         threads="${variant#t}"
         threads="${threads%%-*}"
         [[ "$threads" == "hw" ]] && threads=0
@@ -690,7 +679,7 @@ if [[ $FULL -eq 1 ]]; then
             --profiler harp_u \
             --out "$smoke_dir/fleet1m-$variant" > /dev/null
     done
-    for variant in t4-sliced64 thw-sliced64 thw-sliced256; do
+    for variant in t4-sliced64 thw-sliced64; do
         cmp -s "$smoke_dir/fleet1m-t1-sliced64/fleet_policy_sweep.jsonl" \
                "$smoke_dir/fleet1m-$variant/fleet_policy_sweep.jsonl" || {
             echo "verify: 1M-chip fleet sweep differs" \

@@ -19,9 +19,8 @@ engineKindFromName(const std::string &name)
         return EngineKind::Scalar;
     if (name == "sliced64")
         return EngineKind::Sliced64;
-    if (name == "sliced256")
-        return EngineKind::Sliced256;
-    throw std::invalid_argument("unknown engine kind: " + name);
+    throw std::invalid_argument("unknown engine kind: " + name +
+                                " (expected scalar | sliced64)");
 }
 
 namespace {
@@ -31,15 +30,7 @@ using RoundFn = std::function<void(std::size_t round)>;
 std::size_t
 laneCount(EngineKind kind)
 {
-    switch (kind) {
-      case EngineKind::Scalar:
-        return 1;
-      case EngineKind::Sliced64:
-        return gf2::BitSliceW<1>::laneCount;
-      case EngineKind::Sliced256:
-        return gf2::BitSliceW<4>::laneCount;
-    }
-    return 1;
+    return kind == EngineKind::Scalar ? 1 : gf2::BitSlice::laneCount;
 }
 
 /** Run every round on @p engine (a temporary: it dies on return). */
@@ -73,24 +64,20 @@ runScalar(const WordRun &run, const std::optional<ecc::BchCode> &bch,
     }
 }
 
-template <std::size_t W>
 void
-runSliced(const WordRun &run,
-          const std::optional<ecc::SlicedBchCodeW<W>> &bch,
+runSliced(const WordRun &run, const std::optional<ecc::SlicedBchCode> &bch,
           const WordLanes &lanes, const RoundFn &round)
 {
     if (bch) {
         // The copy shares the memo thread-safely and owns its scratch;
         // engines never share one datapath instance across workers.
-        const ecc::SlicedBchCodeW<W> datapath(*bch);
-        runRounds(SlicedRoundEngineW<W>(datapath, lanes.faults,
-                                        run.pattern, lanes.seeds,
-                                        lanes.profilers),
+        const ecc::SlicedBchCode datapath(*bch);
+        runRounds(SlicedRoundEngine(datapath, lanes.faults, run.pattern,
+                                    lanes.seeds, lanes.profilers),
                   run.rounds, round);
     } else {
-        runRounds(SlicedRoundEngineW<W>(lanes.codes, lanes.faults,
-                                        run.pattern, lanes.seeds,
-                                        lanes.profilers),
+        runRounds(SlicedRoundEngine(lanes.codes, lanes.faults, run.pattern,
+                                    lanes.seeds, lanes.profilers),
                   run.rounds, round);
     }
 }
@@ -116,14 +103,9 @@ profileWords(const WordRun &run, const BuildWordsFn &build,
         bch.emplace(*run.bch);
     // One BCH datapath for the whole run: every block's copy reads and
     // fills the same syndrome memo (see ecc/sliced_bch.hh).
-    std::optional<ecc::SlicedBchCodeW<1>> bch64;
-    std::optional<ecc::SlicedBchCodeW<4>> bch256;
-    if (bch && run.words > 0) {
-        if (run.engine == EngineKind::Sliced64)
-            bch64.emplace(*bch, std::min(lanes, run.words));
-        if (run.engine == EngineKind::Sliced256)
-            bch256.emplace(*bch, std::min(lanes, run.words));
-    }
+    std::optional<ecc::SlicedBchCode> slicedBch;
+    if (bch && run.engine == EngineKind::Sliced64 && run.words > 0)
+        slicedBch.emplace(*bch, std::min(lanes, run.words));
 
     const std::size_t blocks = wordBlockCount(run);
     common::OrderedMerger<std::size_t> released(blocks);
@@ -139,17 +121,10 @@ profileWords(const WordRun &run, const BuildWordsFn &build,
         // flushes lane-native observer groups through raw Profiler
         // pointers, and finish may free those profilers on another
         // thread.
-        switch (run.engine) {
-          case EngineKind::Scalar:
+        if (run.engine == EngineKind::Scalar)
             runScalar(run, bch, words, round);
-            break;
-          case EngineKind::Sliced64:
-            runSliced(run, bch64, words, round);
-            break;
-          case EngineKind::Sliced256:
-            runSliced(run, bch256, words, round);
-            break;
-        }
+        else
+            runSliced(run, slicedBch, words, round);
         released.deposit(block, block,
                          [&](std::size_t done) { finish(done); });
     }, run.threads);

@@ -3,12 +3,11 @@
  * Selection between the scalar and bit-sliced profiling-round engines,
  * and the one driver that runs a word set through the selected engine.
  *
- * All engines execute the exact same simulation — identical seed
+ * Both engines execute the exact same simulation — identical seed
  * derivation, RNG stream consumption and GF(2) arithmetic — so a
- * seed-fixed experiment produces byte-identical results under any of
- * them. The sliced engines simply retire 64 (sliced64) or 256
- * (sliced256, one AVX2 register per lane word) ECC words per word-op
- * on the encode/inject/decode hot path (core/sliced_round_engine.hh).
+ * seed-fixed experiment produces byte-identical results under either.
+ * The sliced engine simply retires 64 ECC words per word-op on the
+ * encode/inject/decode hot path (core/sliced_round_engine.hh).
  */
 
 #ifndef HARP_CORE_ENGINE_KIND_HH
@@ -38,13 +37,12 @@ class Profiler;
 /** Profiling-round engine implementation. */
 enum class EngineKind
 {
-    Scalar,    ///< One ECC word at a time (core/round_engine.hh).
-    Sliced64,  ///< 64 ECC words per lane-op (core/sliced_round_engine.hh).
-    Sliced256, ///< 256 ECC words per lane-op (SlicedRoundEngineW<4>).
+    Scalar,   ///< One ECC word at a time (core/round_engine.hh).
+    Sliced64, ///< 64 ECC words per lane-op (core/sliced_round_engine.hh).
 };
 
-/** Parse an engine name ("scalar", "sliced64", "sliced256"); throws
- *  std::invalid_argument on bad input. */
+/** Parse an engine name ("scalar" or "sliced64"); throws
+ *  std::invalid_argument naming both on bad input. */
 EngineKind engineKindFromName(const std::string &name);
 
 /** A word set to profile: which engine, how many words and rounds. */
@@ -82,7 +80,7 @@ using FinishWordsFn = std::function<void(std::size_t block)>;
 /** @} */
 
 /** Blocks profileWords splits @p run into: one per word (scalar) or
- *  per 64/256 words (sliced), the last one ragged. */
+ *  per 64 words (sliced), the last one ragged. */
 std::size_t wordBlockCount(const WordRun &run);
 
 /**

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "core/sliced_profiler_group.hh"
+
 namespace harp::core {
 
 Profiler::Profiler(std::size_t k)

@@ -21,22 +21,7 @@
 
 namespace harp::core {
 
-/**
- * Width-erased handle on a lane-native observation accumulator
- * (core/sliced_profiler_group.hh). Profiler carries a plain pointer to
- * the group — of any lane width — accumulating its observations in
- * transposed form, so profile reads can flush the pending lane state
- * without knowing the width.
- */
-class LaneObserverGroup
-{
-  public:
-    virtual ~LaneObserverGroup() = default;
-
-    /** Transpose the accumulated lane state into the wrapped
-     *  profilers' members; no-op when clean. */
-    virtual void flushIfDirty() = 0;
-};
+class SlicedProfilerGroup;
 
 /**
  * How a profiler's observe() step can be replayed in transposed lane
@@ -209,8 +194,7 @@ class Profiler
     /** @} */
 
   protected:
-    template <std::size_t W>
-    friend class SlicedProfilerGroupW;
+    friend class SlicedProfilerGroup;
 
     /** Flush the attached group's pending lane observations into this
      *  (and its sibling) profilers' members. */
@@ -218,7 +202,7 @@ class Profiler
 
     /** Group currently accumulating this profiler's observations in
      *  lane form; maintained by the group itself. */
-    LaneObserverGroup *laneGroup_ = nullptr;
+    SlicedProfilerGroup *laneGroup_ = nullptr;
 
     /** Dataword length of the profiled ECC word. */
     std::size_t k_;

@@ -8,13 +8,12 @@
 
 namespace harp::core {
 
-template <std::size_t W>
-std::unique_ptr<SlicedProfilerGroupW<W>>
-SlicedProfilerGroupW<W>::tryMake(const std::vector<Profiler *> &lane_profilers,
-                                 std::size_t k)
+std::unique_ptr<SlicedProfilerGroup>
+SlicedProfilerGroup::tryMake(const std::vector<Profiler *> &lane_profilers,
+                             std::size_t k)
 {
     if (lane_profilers.empty() ||
-        lane_profilers.size() > gf2::BitSliceW<W>::laneCount)
+        lane_profilers.size() > gf2::BitSlice::laneCount)
         return nullptr;
     const LaneObserveKind kind = lane_profilers[0]->laneObserveKind();
     if (kind == LaneObserveKind::None)
@@ -22,12 +21,11 @@ SlicedProfilerGroupW<W>::tryMake(const std::vector<Profiler *> &lane_profilers,
     for (const Profiler *p : lane_profilers)
         if (p->laneObserveKind() != kind || p->k() != k)
             return nullptr;
-    return std::unique_ptr<SlicedProfilerGroupW>(
-        new SlicedProfilerGroupW(lane_profilers, kind, k));
+    return std::unique_ptr<SlicedProfilerGroup>(
+        new SlicedProfilerGroup(lane_profilers, kind, k));
 }
 
-template <std::size_t W>
-SlicedProfilerGroupW<W>::SlicedProfilerGroupW(
+SlicedProfilerGroup::SlicedProfilerGroup(
     const std::vector<Profiler *> &lane_profilers, LaneObserveKind kind,
     std::size_t k)
     : kind_(kind),
@@ -43,7 +41,7 @@ SlicedProfilerGroupW<W>::SlicedProfilerGroupW(
                 "SlicedProfilerGroup: profiler already bound to a live "
                 "engine");
     const std::size_t lanes = profilers_.size();
-    liveMask_ = gf2::laneMaskOf<Lane>(lanes);
+    liveMask_ = common::laneMask(lanes);
     flushScratch_.assign(lanes, gf2::BitVector(k));
 
     // Seed the lane state from the profilers' current profiles, so a
@@ -69,26 +67,23 @@ SlicedProfilerGroupW<W>::SlicedProfilerGroupW(
         p->laneGroup_ = this;
 }
 
-template <std::size_t W>
-SlicedProfilerGroupW<W>::~SlicedProfilerGroupW()
+SlicedProfilerGroup::~SlicedProfilerGroup()
 {
     flushIfDirty();
     for (Profiler *p : profilers_)
         p->laneGroup_ = nullptr;
 }
 
-template <std::size_t W>
 void
-SlicedProfilerGroupW<W>::extractLane(const gf2::BitSliceW<W> &slice,
-                                     std::size_t lane)
+SlicedProfilerGroup::extractLane(const gf2::BitSlice &slice,
+                                 std::size_t lane)
 {
     for (std::size_t pos = 0; pos < k_; ++pos)
         laneScratch_.set(pos, slice.get(pos, lane));
 }
 
-template <std::size_t W>
 void
-SlicedProfilerGroupW<W>::observeLanes(const RoundLaneObservationW<W> &obs)
+SlicedProfilerGroup::observeLanes(const RoundLaneObservation &obs)
 {
     assert(obs.written.positions() == k_ && obs.post.positions() == k_ &&
            obs.received.positions() >= k_);
@@ -98,16 +93,15 @@ SlicedProfilerGroupW<W>::observeLanes(const RoundLaneObservationW<W> &obs)
     // very per-round cost this class elides).
     switch (kind_) {
     case LaneObserveKind::PostCorrection:
-        // identified |= written ^ post, W*64 lanes per position.
-        if (gf2::laneAny(atRisk_.orXorPrefix(obs.written, obs.post, k_) &
-                         liveMask_))
+        // identified |= written ^ post, 64 lanes per position.
+        if ((atRisk_.orXorPrefix(obs.written, obs.post, k_) &
+             liveMask_) != 0)
             dirty_ = true;
         return;
     case LaneObserveKind::Bypass:
         // identified = direct |= written ^ raw (bypass prefix).
-        if (gf2::laneAny(
-                atRisk_.orXorPrefix(obs.written, obs.received, k_) &
-                liveMask_))
+        if ((atRisk_.orXorPrefix(obs.written, obs.received, k_) &
+             liveMask_) != 0)
             dirty_ = true;
         return;
     case LaneObserveKind::BypassAware:
@@ -120,20 +114,23 @@ SlicedProfilerGroupW<W>::observeLanes(const RoundLaneObservationW<W> &obs)
     // HARP-A: accumulate direct mismatches and find the lanes whose
     // direct set grew — only those recompute indirect predictions,
     // exactly when the scalar profiler's popcount check would fire.
-    Lane changed{};
-    Lane any{};
+    std::uint64_t changed = 0;
+    std::uint64_t any = 0;
     for (std::size_t pos = 0; pos < k_; ++pos) {
-        const Lane mismatch =
+        const std::uint64_t mismatch =
             obs.written.lane(pos) ^ obs.received.lane(pos);
         changed |= mismatch & ~direct_.lane(pos);
         direct_.lane(pos) |= mismatch;
         atRisk_.lane(pos) |= mismatch;
         any |= mismatch;
     }
-    if (gf2::laneAny(any & liveMask_))
+    if ((any & liveMask_) != 0)
         dirty_ = true;
     changed &= liveMask_;
-    gf2::forEachSetLane(changed, [&](std::size_t lane) {
+    while (changed != 0) {
+        const auto lane =
+            static_cast<std::size_t>(std::countr_zero(changed));
+        changed &= changed - 1;
         extractLane(direct_, lane);
         if (const gf2::BitVector *predicted =
                 profilers_[lane]->laneDirectGrew(laneScratch_)) {
@@ -141,15 +138,14 @@ SlicedProfilerGroupW<W>::observeLanes(const RoundLaneObservationW<W> &obs)
             // state; the flush unions them with everything else, which
             // matches the scalar profiler's identified_ |= predicted.
             predicted->forEachSetBit([&](std::size_t pos) {
-                gf2::laneSetBit(atRisk_.lane(pos), lane);
+                atRisk_.lane(pos) |= std::uint64_t{1} << lane;
             });
         }
-    });
+    }
 }
 
-template <std::size_t W>
 void
-SlicedProfilerGroupW<W>::flushIfDirty()
+SlicedProfilerGroup::flushIfDirty()
 {
     if (!dirty_)
         return;
@@ -167,8 +163,5 @@ SlicedProfilerGroupW<W>::flushIfDirty()
     for (std::size_t w = 0; w < profilers_.size(); ++w)
         profilers_[w]->absorbLaneDirect(flushScratch_[w]);
 }
-
-template class SlicedProfilerGroupW<1>;
-template class SlicedProfilerGroupW<4>;
 
 } // namespace harp::core

@@ -7,9 +7,8 @@
 
 namespace harp::core {
 
-template <std::size_t W>
-SlicedRoundEngineW<W>::SlicedRoundEngineW(
-    const ecc::SlicedCodeW<W> &code,
+SlicedRoundEngine::SlicedRoundEngine(
+    const ecc::SlicedCode &code,
     const std::vector<const fault::WordFaultModel *> &faults,
     PatternKind pattern, const std::vector<std::uint64_t> &seeds,
     std::vector<std::vector<Profiler *>> profilers)
@@ -54,7 +53,7 @@ SlicedRoundEngineW<W>::SlicedRoundEngineW(
                                common::deriveSeed(seeds[w], {0x9A77E2u}));
         crnRngs_.emplace_back(common::deriveSeed(seeds[w], {0xC28Bu}));
     }
-    liveMask_ = gf2::laneMaskOf<Lane>(lanes_);
+    liveMask_ = common::laneMask(lanes_);
     suggestedViews_.assign(lanes_, nullptr);
     writtenVec_.resize(lanes_);
     postVec_.assign(lanes_, gf2::BitVector(k_));
@@ -74,29 +73,27 @@ SlicedRoundEngineW<W>::SlicedRoundEngineW(
             if (slot_profilers[w]->usesBypassPath())
                 slotNeedsRaw_[s] = 1;
         }
-        groups_[s] = SlicedProfilerGroupW<W>::tryMake(slot_profilers, k_);
+        groups_[s] = SlicedProfilerGroup::tryMake(slot_profilers, k_);
     }
 }
 
-template <std::size_t W>
-SlicedRoundEngineW<W>::SlicedRoundEngineW(
+SlicedRoundEngine::SlicedRoundEngine(
     const std::vector<const ecc::HammingCode *> &codes,
     const std::vector<const fault::WordFaultModel *> &faults,
     PatternKind pattern, const std::vector<std::uint64_t> &seeds,
     std::vector<std::vector<Profiler *>> profilers)
-    : SlicedRoundEngineW(std::make_unique<ecc::SlicedHammingCodeW<W>>(codes),
-                         faults, pattern, seeds, std::move(profilers))
+    : SlicedRoundEngine(std::make_unique<ecc::SlicedHammingCode>(codes),
+                        faults, pattern, seeds, std::move(profilers))
 {
 }
 
-template <std::size_t W>
-SlicedRoundEngineW<W>::SlicedRoundEngineW(
-    std::unique_ptr<const ecc::SlicedCodeW<W>> hamming,
+SlicedRoundEngine::SlicedRoundEngine(
+    std::unique_ptr<const ecc::SlicedCode> hamming,
     const std::vector<const fault::WordFaultModel *> &faults,
     PatternKind pattern, const std::vector<std::uint64_t> &seeds,
     std::vector<std::vector<Profiler *>> profilers)
-    : SlicedRoundEngineW(*hamming, faults, pattern, seeds,
-                         std::move(profilers))
+    : SlicedRoundEngine(*hamming, faults, pattern, seeds,
+                        std::move(profilers))
 {
     if (faults.size() != hamming->lanes())
         throw std::invalid_argument("SlicedRoundEngine: "
@@ -105,9 +102,8 @@ SlicedRoundEngineW<W>::SlicedRoundEngineW(
     hamming_ = std::move(hamming);
 }
 
-template <std::size_t W>
 void
-SlicedRoundEngineW<W>::runDatapath(const std::vector<gf2::BitVector> &written)
+SlicedRoundEngine::runDatapath(const std::vector<gf2::BitVector> &written)
 {
     written_.gather(written);
     code_->encode(written_, stored_);
@@ -117,9 +113,8 @@ SlicedRoundEngineW<W>::runDatapath(const std::vector<gf2::BitVector> &written)
     ++stats_.mixedDatapathRuns;
 }
 
-template <std::size_t W>
 void
-SlicedRoundEngineW<W>::runSuggestedDatapath()
+SlicedRoundEngine::runSuggestedDatapath()
 {
     sWritten_.gather(suggestedViews_.data(), lanes_);
     code_->encode(sWritten_, stored_);
@@ -129,9 +124,8 @@ SlicedRoundEngineW<W>::runSuggestedDatapath()
     ++stats_.suggestedDatapathRuns;
 }
 
-template <std::size_t W>
 void
-SlicedRoundEngineW<W>::runRound()
+SlicedRoundEngine::runRound()
 {
     double *const ph_setup = phases_ ? &phases_->setup : nullptr;
     double *const ph_datapath = phases_ ? &phases_->datapath : nullptr;
@@ -149,9 +143,9 @@ SlicedRoundEngineW<W>::runRound()
     bool suggested_ready = false; // suggested slices valid
     bool suggested_post_scattered = false;
     bool suggested_raw_scattered = false;
-    bool lane_crafted[gf2::BitSliceW<W>::laneCount];
+    bool lane_crafted[gf2::BitSlice::laneCount];
     for (std::size_t s = 0; s < groups_.size(); ++s) {
-        if (SlicedProfilerGroupW<W> *group = groups_[s].get()) {
+        if (SlicedProfilerGroup *group = groups_[s].get()) {
             // Lane-native slot: its profilers never craft (the
             // LaneObserveKind contract), so the craft calls are
             // skipped and the observation never leaves transposed
@@ -193,14 +187,14 @@ SlicedRoundEngineW<W>::runRound()
             // Lanes whose read was clean observe nothing a
             // clean-no-op profiler would act on: when the whole slot
             // is clean the scatters are skipped outright.
-            Lane dirty = liveMask_;
+            std::uint64_t dirty = liveMask_;
             if (slotCleanNoOp_[s] != 0) {
                 dirty = sWritten_.diffLanesPrefix(sPost_, k_);
                 if (need_raw)
                     dirty |= sWritten_.diffLanesPrefix(sReceived_, k_);
                 dirty &= liveMask_;
             }
-            if (gf2::laneAny(dirty)) {
+            if (dirty != 0) {
                 if (!suggested_post_scattered) {
                     sPost_.scatter(postSuggestedVec_);
                     ++stats_.postScatters;
@@ -213,7 +207,7 @@ SlicedRoundEngineW<W>::runRound()
                 }
             }
             for (std::size_t w = 0; w < lanes_; ++w) {
-                if (!gf2::laneTestBit(dirty, w)) {
+                if (((dirty >> w) & 1) == 0) {
                     ++stats_.cleanObserveSkips;
                     continue;
                 }
@@ -229,20 +223,20 @@ SlicedRoundEngineW<W>::runRound()
             for (std::size_t w = 0; w < lanes_; ++w)
                 if (!lane_crafted[w])
                     writtenVec_[w] = *suggestedViews_[w];
-            // The sliced datapath: W*64 words per lane-op.
+            // The sliced datapath: 64 words per lane-op.
             {
                 PhaseScope t(ph_datapath);
                 runDatapath(writtenVec_);
             }
             PhaseScope t(ph_observe);
-            Lane dirty = liveMask_;
+            std::uint64_t dirty = liveMask_;
             if (slotCleanNoOp_[s] != 0) {
                 dirty = written_.diffLanesPrefix(post_, k_);
                 if (need_raw)
                     dirty |= written_.diffLanesPrefix(received_, k_);
                 dirty &= liveMask_;
             }
-            if (gf2::laneAny(dirty)) {
+            if (dirty != 0) {
                 post_.scatter(postVec_);
                 ++stats_.postScatters;
                 if (need_raw) {
@@ -251,7 +245,7 @@ SlicedRoundEngineW<W>::runRound()
                 }
             }
             for (std::size_t w = 0; w < lanes_; ++w) {
-                if (!gf2::laneTestBit(dirty, w)) {
+                if (((dirty >> w) & 1) == 0) {
                     ++stats_.cleanObserveSkips;
                     continue;
                 }
@@ -263,8 +257,5 @@ SlicedRoundEngineW<W>::runRound()
     }
     ++round_;
 }
-
-template class SlicedRoundEngineW<1>;
-template class SlicedRoundEngineW<4>;
 
 } // namespace harp::core

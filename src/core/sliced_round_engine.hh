@@ -1,6 +1,6 @@
 /**
  * @file
- * Bit-sliced profiling-round engine: W*64 independent ECC words per
+ * Bit-sliced profiling-round engine: 64 independent ECC words per
  * lane-operation.
  *
  * Drop-in sibling of core/round_engine.hh. Each lane simulates one ECC
@@ -8,13 +8,12 @@
  * derived from per-lane seeds with the *same* derivation constants as
  * the scalar RoundEngine, so every per-word outcome (written /
  * post-correction / raw data, and therefore every profiler's
- * identified set) is bit-identical to running W*64 scalar engines, at
- * any width. What changes is the cost: the encode -> inject ->
- * syndrome-decode datapath runs on transposed gf2::BitSliceW lanes,
- * retiring 64 (W=1) or 256 (W=4, one AVX2 register per lane word)
+ * identified set) is bit-identical to running 64 scalar engines. What
+ * changes is the cost: the encode -> inject -> syndrome-decode
+ * datapath runs on transposed gf2::BitSlice lanes, retiring 64
  * profiling rounds per word-op instead of one.
  *
- * The engine is code-agnostic: it drives any ecc::SlicedCodeW
+ * The engine is code-agnostic: it drives any ecc::SlicedCode
  * implementation — sliced SEC Hamming (per-lane column arrangements
  * may differ) or sliced t-error BCH (memoized syndrome decoding) —
  * with a convenience constructor for SEC Hamming lanes.
@@ -25,7 +24,7 @@
  *  - Slots whose profilers share a lane-native observe form
  *    (core/sliced_profiler_group.hh) never leave transposed layout —
  *    the slot consumes the suggested-pattern datapath slices directly,
- *    one XOR+OR per bit position for all W*64 words, and the post/raw
+ *    one XOR+OR per bit position for all 64 words, and the post/raw
  *    scatters are elided entirely. Profile extraction transposes once
  *    on demand (reading identified() flushes), not once per round.
  *  - Crafting slots (BEEP, HARP-A+BEEP) keep the scalar path: per-lane
@@ -58,18 +57,15 @@
 #include "ecc/sliced_code.hh"
 #include "fault/sliced_injector.hh"
 #include "gf2/bit_slice.hh"
-#include "gf2/lane.hh"
 
 namespace harp::core {
 
 /**
- * Executes profiling rounds for up to W*64 simulated ECC words at once.
+ * Executes profiling rounds for up to 64 simulated ECC words at once.
  */
-template <std::size_t W>
-class SlicedRoundEngineW
+class SlicedRoundEngine
 {
   public:
-    using Lane = gf2::LaneOf<W>;
 
     /**
      * Generic form over any sliced code block: @p code must outlive
@@ -97,17 +93,17 @@ class SlicedRoundEngineW
      * ragged or wrong-k profiler set, or a profiler already bound to
      * a live engine's observer group.
      */
-    SlicedRoundEngineW(
-        const ecc::SlicedCodeW<W> &code,
+    SlicedRoundEngine(
+        const ecc::SlicedCode &code,
         const std::vector<const fault::WordFaultModel *> &faults,
         PatternKind pattern, const std::vector<std::uint64_t> &seeds,
         std::vector<std::vector<Profiler *>> profilers);
 
-    /** Convenience over SEC Hamming lanes (1..W*64 codes, one per
+    /** Convenience over SEC Hamming lanes (1..64 codes, one per
      *  fault model, equal k; the arrangements may differ, so
      *  heterogeneous-code workloads like the Fig. 10 case study slice
      *  too). */
-    SlicedRoundEngineW(
+    SlicedRoundEngine(
         const std::vector<const ecc::HammingCode *> &codes,
         const std::vector<const fault::WordFaultModel *> &faults,
         PatternKind pattern, const std::vector<std::uint64_t> &seeds,
@@ -115,7 +111,7 @@ class SlicedRoundEngineW
 
     /** Destroying the engine flushes and detaches every lane-native
      *  observer group, so profiles read afterwards are complete. */
-    ~SlicedRoundEngineW() = default;
+    ~SlicedRoundEngine() = default;
 
     /** Number of live lanes (simulated words). */
     std::size_t lanes() const { return lanes_; }
@@ -158,19 +154,19 @@ class SlicedRoundEngineW
 
   private:
     /** The Hamming convenience form: owns its datapath in hamming_. */
-    SlicedRoundEngineW(
-        std::unique_ptr<const ecc::SlicedCodeW<W>> hamming,
+    SlicedRoundEngine(
+        std::unique_ptr<const ecc::SlicedCode> hamming,
         const std::vector<const fault::WordFaultModel *> &faults,
         PatternKind pattern, const std::vector<std::uint64_t> &seeds,
         std::vector<std::vector<Profiler *>> profilers);
 
-    const ecc::SlicedCodeW<W> *code_;
+    const ecc::SlicedCode *code_;
     /** Set by the Hamming convenience constructor; null when the
      *  caller owns (and may share) the datapath. */
-    std::unique_ptr<const ecc::SlicedCodeW<W>> hamming_;
+    std::unique_ptr<const ecc::SlicedCode> hamming_;
     std::size_t lanes_;
     std::size_t k_;
-    fault::SlicedCrnInjectorW<W> injector_;
+    fault::SlicedCrnInjector injector_;
     std::vector<PatternGenerator> patterns_;
     std::vector<common::Xoshiro256> crnRngs_;
     /** profilers_[w][s]: lane w's slot-s profiler. */
@@ -189,16 +185,16 @@ class SlicedRoundEngineW
     void runSuggestedDatapath();
 
     // Round-persistent scratch: no allocations on the hot path.
-    gf2::BitSliceW<W> written_;
-    gf2::BitSliceW<W> stored_;
-    gf2::BitSliceW<W> received_;
-    gf2::BitSliceW<W> post_;
+    gf2::BitSlice written_;
+    gf2::BitSlice stored_;
+    gf2::BitSlice received_;
+    gf2::BitSlice post_;
     /** Suggested-pattern datapath slices, computed at most once per
      *  round and consumed in transposed form by every lane-native slot
      *  (and scattered lazily for scalar verbatim slots). */
-    gf2::BitSliceW<W> sWritten_;
-    gf2::BitSliceW<W> sReceived_;
-    gf2::BitSliceW<W> sPost_;
+    gf2::BitSlice sWritten_;
+    gf2::BitSlice sReceived_;
+    gf2::BitSlice sPost_;
     /** Per-lane zero-copy views of the round's suggested pattern
      *  (PatternGenerator::patternView): consumed by the gather and
      *  verbatim observations without materializing per-round
@@ -216,28 +212,20 @@ class SlicedRoundEngineW
     std::vector<gf2::BitVector> rawSuggestedVec_;
 
     /** Lane-native observer per slot (null = scalar slot). */
-    std::vector<std::unique_ptr<SlicedProfilerGroupW<W>>> groups_;
+    std::vector<std::unique_ptr<SlicedProfilerGroup>> groups_;
     /** Per scalar slot: every lane's profiler declared clean observes
      *  no-ops, enabling the clean-lane elision. */
     std::vector<char> slotCleanNoOp_;
     /** Per slot: any lane's profiler reads the decode-bypass path. */
     std::vector<char> slotNeedsRaw_;
     /** Mask of live lanes (dead-lane slice bits are garbage). */
-    Lane liveMask_{};
+    std::uint64_t liveMask_ = 0;
 
     Stats stats_;
     EnginePhaseSeconds *phases_ = nullptr;
 
     std::size_t round_ = 0;
 };
-
-/** The historical 64-lane name. */
-using SlicedRoundEngine = SlicedRoundEngineW<1>;
-/** The wide 256-lane variant. */
-using SlicedRoundEngine256 = SlicedRoundEngineW<4>;
-
-extern template class SlicedRoundEngineW<1>;
-extern template class SlicedRoundEngineW<4>;
 
 } // namespace harp::core
 

@@ -8,11 +8,10 @@
 
 namespace harp::ecc {
 
-template <std::size_t W>
-SlicedBchCodeW<W>::SlicedBchCodeW(const BchCode &code, std::size_t lanes)
+SlicedBchCode::SlicedBchCode(const BchCode &code, std::size_t lanes)
     : code_(code), lanes_(lanes), memo_(std::make_shared<SlicedBchMemo>())
 {
-    if (lanes == 0 || lanes > gf2::BitSliceW<W>::laneCount)
+    if (lanes == 0 || lanes > gf2::BitSlice::laneCount)
         throw std::invalid_argument(
             "SlicedBchCode: lane count out of range");
 
@@ -52,52 +51,49 @@ SlicedBchCodeW<W>::SlicedBchCodeW(const BchCode &code, std::size_t lanes)
         synOff_[pos + 1] = static_cast<std::uint32_t>(synIdx_.size());
     }
 
-    synScratch_.assign(syndromeBits_, Lane{});
+    synScratch_.assign(syndromeBits_, 0);
     wordScratch_ = gf2::BitVector(code_.n());
 }
 
-template <std::size_t W>
 void
-SlicedBchCodeW<W>::encode(const gf2::BitSliceW<W> &data,
-                          gf2::BitSliceW<W> &codeword) const
+SlicedBchCode::encode(const gf2::BitSlice &data,
+                      gf2::BitSlice &codeword) const
 {
     const std::size_t k = code_.k();
     const std::size_t p = code_.p();
     assert(data.positions() == k && codeword.positions() == n());
     for (std::size_t j = 0; j < p; ++j)
-        codeword.lane(k + j) = Lane{};
+        codeword.lane(k + j) = 0;
     for (std::size_t i = 0; i < k; ++i) {
-        const Lane d = data.lane(i);
+        const std::uint64_t d = data.lane(i);
         codeword.lane(i) = d;
-        if (!gf2::laneAny(d))
+        if (d == 0)
             continue;
         for (std::uint32_t r = parityOff_[i]; r < parityOff_[i + 1]; ++r)
             codeword.lane(k + parityIdx_[r]) ^= d;
     }
 }
 
-template <std::size_t W>
 void
-SlicedBchCodeW<W>::syndromes(const gf2::BitSliceW<W> &received,
-                             Lane *out) const
+SlicedBchCode::syndromes(const gf2::BitSlice &received,
+                         std::uint64_t *out) const
 {
     assert(received.positions() >= n());
     for (std::size_t b = 0; b < syndromeBits_; ++b)
-        out[b] = Lane{};
+        out[b] = 0;
     for (std::size_t pos = 0; pos < n(); ++pos) {
-        const Lane r = received.lane(pos);
-        if (!gf2::laneAny(r))
+        const std::uint64_t r = received.lane(pos);
+        if (r == 0)
             continue;
         for (std::uint32_t s = synOff_[pos]; s < synOff_[pos + 1]; ++s)
             out[synIdx_[s]] ^= r;
     }
 }
 
-template <std::size_t W>
-const typename SlicedBchCodeW<W>::MemoAction &
-SlicedBchCodeW<W>::lookupAction(const MemoKey &key,
-                                const gf2::BitSliceW<W> &received,
-                                std::size_t lane) const
+const SlicedBchCode::MemoAction &
+SlicedBchCode::lookupAction(const MemoKey &key,
+                            const gf2::BitSlice &received,
+                            std::size_t lane) const
 {
     if (const MemoAction *hit = memo_->find(key))
         return *hit;
@@ -120,10 +116,9 @@ SlicedBchCodeW<W>::lookupAction(const MemoKey &key,
     return memo_->insertOrGet(key, action);
 }
 
-template <std::size_t W>
 void
-SlicedBchCodeW<W>::decodeData(const gf2::BitSliceW<W> &received,
-                              gf2::BitSliceW<W> &data_out) const
+SlicedBchCode::decodeData(const gf2::BitSlice &received,
+                          gf2::BitSlice &data_out) const
 {
     const std::size_t k = code_.k();
     assert(received.positions() >= n());
@@ -135,53 +130,40 @@ SlicedBchCodeW<W>::decodeData(const gf2::BitSliceW<W> &received,
 
     // Lanes beyond lanes_ may hold unspecified bits (ragged tails);
     // never decode them.
-    const Lane live_mask = gf2::laneMaskOf<Lane>(lanes_);
-    Lane nonzero{};
+    std::uint64_t pending = 0;
     for (std::size_t b = 0; b < syndromeBits_; ++b)
-        nonzero |= synScratch_[b];
-    nonzero &= live_mask;
-    if (!gf2::laneAny(nonzero))
+        pending |= synScratch_[b];
+    pending &= common::laneMask(lanes_);
+    if (pending == 0)
         return; // every lane clean: zero syndrome decodes to no flips
 
-    // Resolve erroneous lanes one 64-lane sub-word at a time: extract
-    // each lane's packed syndrome key with one 64x64 transpose per 64
-    // packed bits (t <= 4 with m <= 8 needs exactly one), then walk the
-    // set bits of that sub-word's pending mask.
+    // Resolve erroneous lanes: extract each lane's packed syndrome key
+    // with one 64x64 transpose per 64 packed bits (t <= 4 with m <= 8
+    // needs exactly one), then walk the set bits of the pending mask.
     const std::size_t blocks = (syndromeBits_ + 63) / 64;
-    for (std::size_t sub = 0; sub < W; ++sub) {
-        std::uint64_t pending = gf2::laneWord(nonzero, sub);
-        if (pending == 0)
-            continue;
-        for (std::size_t block = 0; block < blocks; ++block) {
-            std::array<std::uint64_t, 64> &tmp = laneKeyScratch_[block];
-            const std::size_t base = block * 64;
-            const std::size_t live =
-                std::min<std::size_t>(64, syndromeBits_ - base);
-            for (std::size_t r = 0; r < live; ++r)
-                tmp[r] = gf2::laneWord(synScratch_[base + r], sub);
-            for (std::size_t r = live; r < 64; ++r)
-                tmp[r] = 0;
-            gf2::transpose64x64(tmp.data());
-        }
+    for (std::size_t block = 0; block < blocks; ++block) {
+        std::array<std::uint64_t, 64> &tmp = laneKeyScratch_[block];
+        const std::size_t base = block * 64;
+        const std::size_t live =
+            std::min<std::size_t>(64, syndromeBits_ - base);
+        for (std::size_t r = 0; r < live; ++r)
+            tmp[r] = synScratch_[base + r];
+        for (std::size_t r = live; r < 64; ++r)
+            tmp[r] = 0;
+        gf2::transpose64x64(tmp.data());
+    }
 
-        const std::size_t laneBase = sub * 64;
-        while (pending != 0) {
-            const auto sublane = static_cast<std::size_t>(
-                std::countr_zero(pending));
-            pending &= pending - 1;
-            MemoKey key;
-            for (std::size_t block = 0; block < blocks; ++block)
-                key.words[block] = laneKeyScratch_[block][sublane];
-            const MemoAction &action =
-                lookupAction(key, received, laneBase + sublane);
-            const std::uint64_t bit = std::uint64_t{1} << sublane;
-            for (std::uint8_t f = 0; f < action.numFlips; ++f)
-                gf2::laneWordRef(data_out.lane(action.flips[f]), sub) ^= bit;
-        }
+    while (pending != 0) {
+        const auto lane =
+            static_cast<std::size_t>(std::countr_zero(pending));
+        pending &= pending - 1;
+        MemoKey key;
+        for (std::size_t block = 0; block < blocks; ++block)
+            key.words[block] = laneKeyScratch_[block][lane];
+        const MemoAction &action = lookupAction(key, received, lane);
+        for (std::uint8_t f = 0; f < action.numFlips; ++f)
+            data_out.lane(action.flips[f]) ^= std::uint64_t{1} << lane;
     }
 }
-
-template class SlicedBchCodeW<1>;
-template class SlicedBchCodeW<4>;
 
 } // namespace harp::ecc

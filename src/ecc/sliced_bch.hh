@@ -1,17 +1,17 @@
 /**
  * @file
- * Bit-sliced evaluation of up to W*64 t-error-correcting BCH words at
+ * Bit-sliced evaluation of up to 64 t-error-correcting BCH words at
  * once.
  *
  * BCH encoding and power-sum syndrome evaluation are GF(2)-linear, so
  * both become masked XOR-reductions over precomputed per-position
- * matrices in the transposed gf2::BitSliceW layout, exactly like the
+ * matrices in the transposed gf2::BitSlice layout, exactly like the
  * sliced Hamming datapath. What is *not* linear is the correction step
  * (Berlekamp-Massey + Chien search), so the sliced decoder resolves it
  * through a syndrome -> decode-action memo table instead:
  *
  *  - per lane, the packed 2t*m-bit syndrome is extracted with a 64x64
- *    bit transpose (one per 64-lane sub-word) and looked up;
+ *    bit transpose (one per 64 packed bits) and looked up;
  *  - a hit applies the memoized data-bit flips with one XOR per flip;
  *  - a miss falls back to the scalar allocation-free
  *    BchCode::decodeInto and populates the table.
@@ -29,10 +29,10 @@
  * determined by (k, t) (there is no per-lane arrangement freedom as in
  * the random Hamming codes), which is also what makes the shared memo
  * table valid across lanes. Results are bit-identical to the scalar
- * BchCode::decode path per lane at every width.
+ * BchCode::decode path per lane.
  *
  * Thread safety: the memo table (ecc/sliced_bch_memo.hh) is internally
- * synchronized and *shared by copies* — copying a SlicedBchCodeW gives
+ * synchronized and *shared by copies* — copying a SlicedBchCode gives
  * the copy private decode scratch but the same memo, so the per-worker
  * datapath pattern for sharded jobs is simply one copy per worker. The
  * decode scratch itself is per-instance mutable state, so decodeData()
@@ -53,47 +53,44 @@
 #include "ecc/sliced_code.hh"
 #include "gf2/bit_slice.hh"
 #include "gf2/bit_vector.hh"
-#include "gf2/lane.hh"
 
 namespace harp::ecc {
 
 /**
- * Up to W*64 words of one t-error-correcting BCH code evaluated
+ * Up to 64 words of one t-error-correcting BCH code evaluated
  * lane-parallel, with memoized syndrome decoding.
  *
  * Copyable; copies share the syndrome memo (thread-safe) while owning
  * private decode scratch, which makes a copy the unit of per-worker
  * parallelism.
  */
-template <std::size_t W>
-class SlicedBchCodeW final : public SlicedCodeW<W>
+class SlicedBchCode final : public SlicedCode
 {
   public:
-    using Lane = gf2::LaneOf<W>;
 
     /**
-     * The same code in @p lanes lanes (1..W*64), with an empty memo.
+     * The same code in @p lanes lanes (1..64), with an empty memo.
      * The code is only read during construction; the fallback decoder
      * is a private copy, so no reference is retained.
      */
-    SlicedBchCodeW(const BchCode &code, std::size_t lanes);
+    SlicedBchCode(const BchCode &code, std::size_t lanes);
 
     std::size_t k() const override { return code_.k(); }
     std::size_t n() const override { return code_.n(); }
     std::size_t lanes() const override { return lanes_; }
 
-    void encode(const gf2::BitSliceW<W> &data,
-                gf2::BitSliceW<W> &codeword) const override;
+    void encode(const gf2::BitSlice &data,
+                gf2::BitSlice &codeword) const override;
 
     /**
      * Per-lane packed power-sum syndromes of a received codeword
      * slice: @p out[b] gets the lane mask of syndrome bit b, where bit
      * b = j*m + u is bit u of S_{j+1} over GF(2^m) (b < 2t*m).
      */
-    void syndromes(const gf2::BitSliceW<W> &received, Lane *out) const;
+    void syndromes(const gf2::BitSlice &received, std::uint64_t *out) const;
 
-    void decodeData(const gf2::BitSliceW<W> &received,
-                    gf2::BitSliceW<W> &data_out) const override;
+    void decodeData(const gf2::BitSlice &received,
+                    gf2::BitSlice &data_out) const override;
 
     /** The shared syndrome memo (never null). */
     const std::shared_ptr<SlicedBchMemo> &memo() const { return memo_; }
@@ -110,7 +107,7 @@ class SlicedBchCodeW final : public SlicedCodeW<W>
     using MemoAction = SlicedBchMemo::Action;
 
     const MemoAction &lookupAction(const MemoKey &key,
-                                   const gf2::BitSliceW<W> &received,
+                                   const gf2::BitSlice &received,
                                    std::size_t lane) const;
 
     BchCode code_;
@@ -127,20 +124,12 @@ class SlicedBchCodeW final : public SlicedCodeW<W>
 
     // Private decode scratch (per instance; see thread-safety note) and
     // the shared, internally synchronized memo.
-    mutable std::vector<Lane> synScratch_;
+    mutable std::vector<std::uint64_t> synScratch_;
     mutable std::array<std::array<std::uint64_t, 64>, 4> laneKeyScratch_;
     mutable gf2::BitVector wordScratch_;
     mutable BchGeneralDecodeResult decodeScratch_;
     std::shared_ptr<SlicedBchMemo> memo_;
 };
-
-/** The historical 64-lane name. */
-using SlicedBchCode = SlicedBchCodeW<1>;
-/** The wide 256-lane variant. */
-using SlicedBchCode256 = SlicedBchCodeW<4>;
-
-extern template class SlicedBchCodeW<1>;
-extern template class SlicedBchCodeW<4>;
 
 } // namespace harp::ecc
 

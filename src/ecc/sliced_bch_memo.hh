@@ -1,14 +1,14 @@
 /**
  * @file
- * Thread-safe syndrome -> decode-action memo shared by sliced BCH
- * datapaths of every lane width.
+ * Thread-safe syndrome -> decode-action memo shared by the copies of a
+ * sliced BCH datapath.
  *
  * The memo maps a packed power-sum syndrome (a pure function of the
  * pre-correction error pattern) to the data-bit flips the scalar
  * Berlekamp-Massey + Chien decoder would apply. It is the only state a
  * sliced BCH datapath ever *shares*: when one (point, repeat) job is
  * sharded across the ThreadPool, every worker carries its own
- * ecc::SlicedBchCodeW copy (private scratch, private CSR views) but all
+ * ecc::SlicedBchCode copy (private scratch, private CSR views) but all
  * copies point at one SlicedBchMemo, so a syndrome any worker has
  * resolved is a hash hit for all of them.
  *

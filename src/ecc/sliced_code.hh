@@ -1,12 +1,11 @@
 /**
  * @file
- * Code-agnostic interface of the bit-sliced ECC datapath, templated
- * over the lane width.
+ * Code-agnostic interface of the bit-sliced ECC datapath.
  *
  * The sliced round engine (core/sliced_round_engine.hh) drives the
- * encode -> inject -> decode hot path over transposed gf2::BitSliceW
+ * encode -> inject -> decode hot path over transposed gf2::BitSlice
  * lane blocks: one lane word per codeword position, one lane *bit* per
- * independent ECC word (64 bits at W=1, 256 at W=4). Any code family
+ * independent ECC word (up to 64 words per block). Any code family
  * whose encode and syndrome evaluation are GF(2)-linear can implement
  * this interface and ride that datapath — SEC Hamming and SECDED
  * extended Hamming (ecc/sliced_hamming.hh) resolve corrections with a
@@ -14,7 +13,7 @@
  * (ecc/sliced_bch.hh) resolves them through a syndrome -> decode-action
  * memo table backed by the scalar Berlekamp-Massey decoder.
  *
- * Contract shared by all implementations and widths: lanes() words are
+ * Contract shared by all implementations: lanes() words are
  * simulated per block, every lane shares the dataword length k() and
  * codeword length n(), and decodeData() is bit-identical per lane to
  * the matching scalar decoder's post-correction dataword.
@@ -30,19 +29,18 @@
 namespace harp::ecc {
 
 /**
- * Up to W*64 ECC words of one code family evaluated lane-parallel.
+ * Up to 64 ECC words of one code family evaluated lane-parallel.
  */
-template <std::size_t W>
-class SlicedCodeW
+class SlicedCode
 {
   public:
-    virtual ~SlicedCodeW() = default;
+    virtual ~SlicedCode() = default;
 
     /** Dataword length shared by every lane. */
     virtual std::size_t k() const = 0;
     /** Codeword length shared by every lane. */
     virtual std::size_t n() const = 0;
-    /** Number of live lanes (1..W*64). */
+    /** Number of live lanes (1..64). */
     virtual std::size_t lanes() const = 0;
 
     /**
@@ -51,8 +49,8 @@ class SlicedCodeW
      * implementations are systematic), positions [k, n) receive each
      * lane's parity bits.
      */
-    virtual void encode(const gf2::BitSliceW<W> &data,
-                        gf2::BitSliceW<W> &codeword) const = 0;
+    virtual void encode(const gf2::BitSlice &data,
+                        gf2::BitSlice &codeword) const = 0;
 
     /**
      * Syndrome-decode all lanes to their post-correction *datawords*
@@ -60,14 +58,9 @@ class SlicedCodeW
      * the lane's code exactly on the data bits: detected-uncorrectable
      * lanes keep the uncorrected data.
      */
-    virtual void decodeData(const gf2::BitSliceW<W> &received,
-                            gf2::BitSliceW<W> &data_out) const = 0;
+    virtual void decodeData(const gf2::BitSlice &received,
+                            gf2::BitSlice &data_out) const = 0;
 };
-
-/** The historical 64-lane interface name. */
-using SlicedCode = SlicedCodeW<1>;
-/** The wide 256-lane interface. */
-using SlicedCode256 = SlicedCodeW<4>;
 
 } // namespace harp::ecc
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace harp::fault {
 
@@ -30,7 +31,11 @@ WordFaultModel::makeUniformFixedCount(std::size_t word_bits,
                                       std::size_t count, double probability,
                                       common::Xoshiro256 &rng)
 {
-    assert(count <= word_bits);
+    if (count > word_bits)
+        throw std::invalid_argument(
+            "WordFaultModel: " + std::to_string(count) +
+            " at-risk cells do not fit a " + std::to_string(word_bits) +
+            "-bit word");
     // Floyd's algorithm for a uniform distinct sample.
     std::vector<bool> chosen(word_bits, false);
     std::vector<CellFault> faults;

@@ -52,6 +52,7 @@ class WordFaultModel
      * Fixed-count generator: @p count distinct at-risk cells placed
      * uniformly at random, each failing with @p probability. This is the
      * paper's Fig. 4/6-9 workload ("n pre-correction errors per ECC word").
+     * Throws std::invalid_argument if @p count exceeds @p word_bits.
      */
     static WordFaultModel makeUniformFixedCount(std::size_t word_bits,
                                                 std::size_t count,

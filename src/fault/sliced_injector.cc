@@ -6,11 +6,10 @@
 
 namespace harp::fault {
 
-template <std::size_t W>
-SlicedCrnInjectorW<W>::SlicedCrnInjectorW(
+SlicedCrnInjector::SlicedCrnInjector(
     const std::vector<const WordFaultModel *> &models)
 {
-    if (models.empty() || models.size() > gf2::BitSliceW<W>::laneCount)
+    if (models.empty() || models.size() > gf2::BitSlice::laneCount)
         throw std::invalid_argument(
             "SlicedCrnInjector: lane count out of range");
     wordBits_ = models[0]->wordBits();
@@ -21,7 +20,7 @@ SlicedCrnInjectorW<W>::SlicedCrnInjectorW(
             throw std::invalid_argument(
                 "SlicedCrnInjector: lanes must share word length");
         if (model.technology() == CellTechnology::AntiCell)
-            gf2::laneSetBit(antiMask_, w);
+            antiMask_ |= std::uint64_t{1} << w;
         for (const CellFault &fault : model.faults()) {
             entries_.push_back({static_cast<std::uint32_t>(w),
                                 static_cast<std::uint32_t>(fault.position),
@@ -34,54 +33,47 @@ SlicedCrnInjectorW<W>::SlicedCrnInjectorW(
     touchedPositions_.erase(
         std::unique(touchedPositions_.begin(), touchedPositions_.end()),
         touchedPositions_.end());
-    trial_.assign(wordBits_, Lane{});
+    trial_.assign(wordBits_, 0);
 }
 
-template <std::size_t W>
 void
-SlicedCrnInjectorW<W>::drawRound(std::vector<common::Xoshiro256> &rngs)
+SlicedCrnInjector::drawRound(std::vector<common::Xoshiro256> &rngs)
 {
     assert(rngs.size() >= lanes_);
     for (const std::uint32_t pos : touchedPositions_)
-        trial_[pos] = Lane{};
+        trial_[pos] = 0;
     // entries_ is lane-major with each lane's cells in ascending
     // position order (WordFaultModel sorts its faults), so lane w's
     // stream consumption matches the scalar uniforms loop exactly.
     // Each lane's generator is copied into a local (registers) for its
     // run of entries — the trial_ stores would otherwise force the
     // state to be reloaded from memory on every draw — and written
-    // back once per lane. Trials target one precomputed 64-lane
-    // sub-word, so the lane-major walk costs the same at every width.
+    // back once per lane.
     const Entry *entry = entries_.data();
     const Entry *const end = entry + entries_.size();
     while (entry != end) {
         const std::uint32_t lane = entry->lane;
         common::Xoshiro256 rng = rngs[lane];
-        const std::size_t sub = lane / 64;
-        const std::uint64_t bit = std::uint64_t{1} << (lane % 64);
+        const std::uint64_t bit = std::uint64_t{1} << lane;
         do {
             if (rng.nextDouble() < entry->probability)
-                gf2::laneWordRef(trial_[entry->position], sub) |= bit;
+                trial_[entry->position] |= bit;
             ++entry;
         } while (entry != end && entry->lane == lane);
         rngs[lane] = rng;
     }
 }
 
-template <std::size_t W>
 void
-SlicedCrnInjectorW<W>::apply(const gf2::BitSliceW<W> &stored,
-                             gf2::BitSliceW<W> &received) const
+SlicedCrnInjector::apply(const gf2::BitSlice &stored,
+                         gf2::BitSlice &received) const
 {
     assert(stored.positions() == wordBits_);
     assert(received.positions() == wordBits_);
     for (const std::uint32_t pos : touchedPositions_) {
-        const Lane charged = stored.lane(pos) ^ antiMask_;
+        const std::uint64_t charged = stored.lane(pos) ^ antiMask_;
         received.lane(pos) ^= trial_[pos] & charged;
     }
 }
-
-template class SlicedCrnInjectorW<1>;
-template class SlicedCrnInjectorW<4>;
 
 } // namespace harp::fault

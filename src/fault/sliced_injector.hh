@@ -1,6 +1,6 @@
 /**
  * @file
- * Bit-sliced common-random-number fault injection for up to W*64 ECC
+ * Bit-sliced common-random-number fault injection for up to 64 ECC
  * words at once.
  *
  * The scalar profiling loop draws one uniform variate per at-risk cell
@@ -22,33 +22,30 @@
 #include "common/rng.hh"
 #include "fault/fault_model.hh"
 #include "gf2/bit_slice.hh"
-#include "gf2/lane.hh"
 
 namespace harp::fault {
 
 /**
- * Common-random-number fault injector over up to W*64 lanes.
+ * Common-random-number fault injector over up to 64 lanes.
  *
  * One WordFaultModel per lane (equal word length n; at-risk cells,
  * probabilities and cell technologies may differ freely). The word
- * length is whatever the engine's ecc::SlicedCodeW reports — the
+ * length is whatever the engine's ecc::SlicedCode reports — the
  * injector is shared unchanged by the Hamming and BCH datapaths, whose
  * codewords differ in parity width. Per round,
  * drawRound() consumes each lane's RNG exactly as the scalar path
  * would; apply() then flips received bits lane-parallel, any number of
  * times per round (once per profiler).
  */
-template <std::size_t W>
-class SlicedCrnInjectorW
+class SlicedCrnInjector
 {
   public:
-    using Lane = gf2::LaneOf<W>;
 
     /**
-     * Build from one fault model per lane (1..W*64 entries, equal
+     * Build from one fault model per lane (1..64 entries, equal
      * wordBits). The models are only read during construction.
      */
-    explicit SlicedCrnInjectorW(
+    explicit SlicedCrnInjector(
         const std::vector<const WordFaultModel *> &models);
 
     /** Codeword length n shared by all lanes. */
@@ -70,8 +67,8 @@ class SlicedCrnInjectorW
      * drawRound(); may be applied to any number of (stored, received)
      * pairs per round.
      */
-    void apply(const gf2::BitSliceW<W> &stored,
-               gf2::BitSliceW<W> &received) const;
+    void apply(const gf2::BitSlice &stored,
+               gf2::BitSlice &received) const;
 
   private:
     /** One at-risk cell of one lane, flattened lane-major. */
@@ -88,18 +85,10 @@ class SlicedCrnInjectorW
     /** Distinct at-risk positions across all lanes, ascending. */
     std::vector<std::uint32_t> touchedPositions_;
     /** Lane mask of AntiCell lanes: charged = stored ^ antiMask. */
-    Lane antiMask_{};
+    std::uint64_t antiMask_{};
     /** trial_[pos]: lanes whose cell at pos trialed "fail" this round. */
-    std::vector<Lane> trial_;
+    std::vector<std::uint64_t> trial_;
 };
-
-/** The historical 64-lane name. */
-using SlicedCrnInjector = SlicedCrnInjectorW<1>;
-/** The wide 256-lane variant. */
-using SlicedCrnInjector256 = SlicedCrnInjectorW<4>;
-
-extern template class SlicedCrnInjectorW<1>;
-extern template class SlicedCrnInjectorW<4>;
 
 } // namespace harp::fault
 

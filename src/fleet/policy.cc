@@ -49,8 +49,8 @@ makeProfiler(ProfilerKind kind, const ecc::HammingCode &code)
  * filling their profiles (left empty when the policy profiles
  * nothing). Faulty words of *different* chips share lane blocks (each
  * chip contributes few faulty words, so cross-chip batching is what
- * fills 64/256 lanes); per-word seeds make the profiles bit-identical
- * under every engine.
+ * fills 64 lanes); per-word seeds make the profiles bit-identical
+ * under both engines.
  */
 void
 profileSims(std::span<ChipSim> sims, const FleetPolicy &policy,

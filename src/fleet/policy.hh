@@ -7,8 +7,8 @@
  * One policy point fixes a profiler kind, an active-profiling round
  * count, a scrub interval and a per-chip repair budget. The driver
  * samples the chip population (fleet/population.hh), active-profiles
- * every faulty word through the round engines (the sliced engines
- * batch faulty words *across chips* into 64/256-wide lanes), then
+ * every faulty word through the round engines (the sliced engine
+ * batches faulty words *across chips* into 64-wide lanes), then
  * replays field operation on the full memory system — controller
  * reads, CRN retention injection, patrol scrubbing, budgeted repair —
  * and folds each chip into a streaming FleetAggregator.

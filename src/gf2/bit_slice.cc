@@ -27,69 +27,59 @@ transpose64x64(std::uint64_t m[64])
     }
 }
 
-template <std::size_t W>
-BitSliceW<W>::BitSliceW(std::size_t positions)
-    : lanes_(positions, Lane{})
+BitSlice::BitSlice(std::size_t positions)
+    : lanes_(positions, 0)
 {
 }
 
-template <std::size_t W>
 void
-BitSliceW<W>::clear()
+BitSlice::clear()
 {
-    lanes_.assign(lanes_.size(), Lane{});
+    lanes_.assign(lanes_.size(), 0);
 }
 
-template <std::size_t W>
 bool
-BitSliceW<W>::get(std::size_t pos, std::size_t word) const
+BitSlice::get(std::size_t pos, std::size_t word) const
 {
     assert(pos < lanes_.size() && word < laneCount);
-    return laneTestBit(lanes_[pos], word);
+    return (lanes_[pos] >> word) & 1;
 }
 
-template <std::size_t W>
 void
-BitSliceW<W>::set(std::size_t pos, std::size_t word, bool value)
+BitSlice::set(std::size_t pos, std::size_t word, bool value)
 {
     assert(pos < lanes_.size() && word < laneCount);
-    if (value)
-        laneSetBit(lanes_[pos], word);
-    else
-        laneClearBit(lanes_[pos], word);
+    const std::uint64_t bit = std::uint64_t{1} << word;
+    lanes_[pos] = value ? lanes_[pos] | bit : lanes_[pos] & ~bit;
 }
 
-template <std::size_t W>
-typename BitSliceW<W>::Lane
-BitSliceW<W>::orXorPrefix(const BitSliceW &a, const BitSliceW &b,
-                          std::size_t count)
+std::uint64_t
+BitSlice::orXorPrefix(const BitSlice &a, const BitSlice &b,
+                      std::size_t count)
 {
     assert(count <= lanes_.size() && count <= a.lanes_.size() &&
            count <= b.lanes_.size());
-    Lane any{};
+    std::uint64_t any = 0;
     for (std::size_t pos = 0; pos < count; ++pos) {
-        const Lane mismatch = a.lanes_[pos] ^ b.lanes_[pos];
+        const std::uint64_t mismatch = a.lanes_[pos] ^ b.lanes_[pos];
         lanes_[pos] |= mismatch;
         any |= mismatch;
     }
     return any;
 }
 
-template <std::size_t W>
-typename BitSliceW<W>::Lane
-BitSliceW<W>::diffLanesPrefix(const BitSliceW &other,
-                              std::size_t count) const
+std::uint64_t
+BitSlice::diffLanesPrefix(const BitSlice &other, std::size_t count) const
 {
     assert(count <= lanes_.size() && count <= other.lanes_.size());
-    Lane diff{};
+    std::uint64_t diff = 0;
     for (std::size_t pos = 0; pos < count; ++pos)
         diff |= lanes_[pos] ^ other.lanes_[pos];
     return diff;
 }
 
-template <std::size_t W>
 void
-BitSliceW<W>::gather(const std::vector<BitVector> &words)
+BitSlice::gather(const std::vector<BitVector> &words)
 {
     assert(words.size() <= laneCount);
     const BitVector *ptrs[laneCount];
@@ -98,9 +88,8 @@ BitSliceW<W>::gather(const std::vector<BitVector> &words)
     gather(ptrs, words.size());
 }
 
-template <std::size_t W>
 void
-BitSliceW<W>::gather(const BitVector *const *words, std::size_t count)
+BitSlice::gather(const BitVector *const *words, std::size_t count)
 {
     assert(count <= laneCount);
     const std::size_t positions = lanes_.size();
@@ -110,60 +99,50 @@ BitSliceW<W>::gather(const BitVector *const *words, std::size_t count)
         const std::size_t base = b * common::wordBits;
         const std::size_t valid =
             std::min(common::wordBits, positions - base);
-        // One 64x64 transpose per 64-lane sub-word: sub-word s of the
-        // lane words carries bit b*64..b*64+63 of words s*64..s*64+63.
-        for (std::size_t s = 0; s < laneWords; ++s) {
-            const std::size_t wordBase = s * 64;
-            for (std::size_t i = 0; i < 64; ++i) {
-                const std::size_t w = wordBase + i;
-                if (w < count) {
-                    assert(words[w] != nullptr &&
-                           words[w]->size() == positions);
-                    block[i] = words[w]->words()[b];
-                } else {
-                    block[i] = 0;
-                }
+        // One 64x64 transpose per 64 positions: row w carries bits
+        // b*64..b*64+63 of word w.
+        for (std::size_t w = 0; w < 64; ++w) {
+            if (w < count) {
+                assert(words[w] != nullptr &&
+                       words[w]->size() == positions);
+                block[w] = words[w]->words()[b];
+            } else {
+                block[w] = 0;
             }
-            transpose64x64(block);
-            for (std::size_t i = 0; i < valid; ++i)
-                laneWordRef(lanes_[base + i], s) = block[i];
         }
+        transpose64x64(block);
+        for (std::size_t i = 0; i < valid; ++i)
+            lanes_[base + i] = block[i];
     }
 }
 
-template <std::size_t W>
 void
-BitSliceW<W>::scatterPrefix(std::size_t count,
-                            std::vector<BitVector> &words) const
+BitSlice::scatterPrefix(std::size_t count,
+                        std::vector<BitVector> &words) const
 {
     assert(count <= lanes_.size());
     assert(words.size() <= laneCount);
+    if (words.empty())
+        return;
     const std::size_t blocks = common::wordsFor(count);
-    const std::size_t liveSubWords = common::wordsFor(words.size());
     std::uint64_t block[64];
     for (std::size_t b = 0; b < blocks; ++b) {
         const std::size_t base = b * common::wordBits;
         const std::size_t valid = std::min(common::wordBits, count - base);
-        for (std::size_t s = 0; s < liveSubWords; ++s) {
-            const std::size_t wordBase = s * 64;
-            for (std::size_t i = 0; i < valid; ++i)
-                block[i] = laneWord(lanes_[base + i], s);
-            for (std::size_t i = valid; i < common::wordBits; ++i)
-                block[i] = 0;
-            transpose64x64(block);
-            const std::size_t live =
-                std::min<std::size_t>(64, words.size() - wordBase);
-            for (std::size_t i = 0; i < live; ++i) {
-                assert(words[wordBase + i].size() == count);
-                words[wordBase + i].setWord(b, block[i]);
-            }
+        for (std::size_t i = 0; i < valid; ++i)
+            block[i] = lanes_[base + i];
+        for (std::size_t i = valid; i < common::wordBits; ++i)
+            block[i] = 0;
+        transpose64x64(block);
+        for (std::size_t w = 0; w < words.size(); ++w) {
+            assert(words[w].size() == count);
+            words[w].setWord(b, block[w]);
         }
     }
 }
 
-template <std::size_t W>
 BitVector
-BitSliceW<W>::extractWord(std::size_t word) const
+BitSlice::extractWord(std::size_t word) const
 {
     assert(word < laneCount);
     BitVector out(lanes_.size());
@@ -171,8 +150,5 @@ BitSliceW<W>::extractWord(std::size_t word) const
         out.set(pos, get(pos, word));
     return out;
 }
-
-template class BitSliceW<1>;
-template class BitSliceW<4>;
 
 } // namespace harp::gf2

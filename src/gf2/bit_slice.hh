@@ -1,22 +1,18 @@
 /**
  * @file
- * Bit-sliced (transposed) block of equal-length bit vectors, templated
- * over the lane width.
+ * Bit-sliced (transposed) block of up to 64 equal-length bit vectors.
  *
- * A BitSliceW<W> stores one *lane word* of W*64 bits per vector
- * position: lane bit `w` of `lane(pos)` is bit `pos` of word `w`. In
- * this layout a single lane-op (XOR, AND, ...) applies one GF(2)
- * operation to the same position of W*64 independent words at once,
- * which is what the sliced profiling engine exploits to retire 64
- * (W=1) or 256 (W=4, one AVX2 register) profiling rounds per machine
- * operation on the ECC hot path. BitSlice64 and BitSlice256 name the
- * two instantiated widths; W=1 lanes are plain std::uint64_t, so all
- * historical BitSlice64 call sites compile unchanged.
+ * A BitSlice stores one 64-bit *lane word* per vector position: lane
+ * bit `w` of `lane(pos)` is bit `pos` of word `w`. In this layout a
+ * single lane-op (XOR, AND, ...) applies one GF(2) operation to the
+ * same position of 64 independent words at once, which is what the
+ * sliced profiling engine exploits to retire 64 profiling rounds per
+ * machine operation on the ECC hot path.
  *
  * Conversion between the two layouts (row-major gf2::BitVector "words"
- * <-> position-major lanes) is one 64x64 bit-matrix transpose per
- * 64-lane sub-word, implemented blockwise with the classic recursive
- * quadrant swap.
+ * <-> position-major lanes) is one 64x64 bit-matrix transpose per 64
+ * positions, implemented blockwise with the classic recursive quadrant
+ * swap.
  */
 
 #ifndef HARP_GF2_BIT_SLICE_HH
@@ -27,31 +23,24 @@
 #include <vector>
 
 #include "gf2/bit_vector.hh"
-#include "gf2/lane.hh"
 
 namespace harp::gf2 {
 
 /**
- * Transposed block of W*64 lanes over a fixed number of bit positions.
+ * Transposed block of 64 lanes over a fixed number of bit positions.
  *
  * Lanes whose index is >= the number of live words gathered into the
  * slice hold unspecified bits; consumers must only extract the lanes
- * they populated (ragged tails where live words < W*64 are expected).
+ * they populated (ragged tails where live words < 64 are expected).
  */
-template <std::size_t W>
-class BitSliceW
+class BitSlice
 {
   public:
-    /** Lane word: uint64_t at W=1, LaneVec<W> beyond. */
-    using Lane = LaneOf<W>;
-
-    /** Number of 64-lane sub-words per lane word. */
-    static constexpr std::size_t laneWords = W;
     /** Number of lanes a slice can carry. */
-    static constexpr std::size_t laneCount = W * 64;
+    static constexpr std::size_t laneCount = 64;
 
     /** Construct a slice over @p positions bit positions, all zero. */
-    explicit BitSliceW(std::size_t positions = 0);
+    explicit BitSlice(std::size_t positions = 0);
 
     /** Number of bit positions (the length of each sliced word). */
     std::size_t positions() const { return lanes_.size(); }
@@ -60,9 +49,9 @@ class BitSliceW
     void clear();
 
     /** Lane word of @p pos: lane bit w == bit @p pos of word w. */
-    const Lane &lane(std::size_t pos) const { return lanes_[pos]; }
+    std::uint64_t lane(std::size_t pos) const { return lanes_[pos]; }
     /** Mutable lane word of @p pos. */
-    Lane &lane(std::size_t pos) { return lanes_[pos]; }
+    std::uint64_t &lane(std::size_t pos) { return lanes_[pos]; }
 
     /** Bit @p pos of word @p word. */
     bool get(std::size_t pos, std::size_t word) const;
@@ -72,7 +61,7 @@ class BitSliceW
     /**
      * Lane-native mismatch accumulation over the first @p count
      * positions: `lane(p) |= a.lane(p) ^ b.lane(p)`. One XOR + one OR
-     * retires the GF(2) difference of the same position of W*64 word
+     * retires the GF(2) difference of the same position of 64 word
      * pairs — the core reduction of the lane-native observation path
      * (core/sliced_profiler_group.hh). @p count must not exceed the
      * positions of any operand; bits of dead lanes accumulate garbage
@@ -82,8 +71,8 @@ class BitSliceW
      *         any difference between @p a and @p b (dead-lane bits
      *         garbage); an all-zero mask means the call changed nothing.
      */
-    Lane orXorPrefix(const BitSliceW &a, const BitSliceW &b,
-                     std::size_t count);
+    std::uint64_t orXorPrefix(const BitSlice &a, const BitSlice &b,
+                              std::size_t count);
 
     /**
      * Lane mask of words that differ from @p other anywhere in the
@@ -92,7 +81,8 @@ class BitSliceW
      * mask them before use. The engines use this to prove whole slots
      * observed clean reads without ever scattering them.
      */
-    Lane diffLanesPrefix(const BitSliceW &other, std::size_t count) const;
+    std::uint64_t diffLanesPrefix(const BitSlice &other,
+                                  std::size_t count) const;
 
     /**
      * Transpose @p words (each of length positions()) into the lanes:
@@ -125,16 +115,8 @@ class BitSliceW
     BitVector extractWord(std::size_t word) const;
 
   private:
-    std::vector<Lane> lanes_;
+    std::vector<std::uint64_t> lanes_;
 };
-
-/** The historical 64-lane slice: one uint64 lane word per position. */
-using BitSlice64 = BitSliceW<1>;
-/** The wide 256-lane slice: one uint64x4 lane word per position. */
-using BitSlice256 = BitSliceW<4>;
-
-extern template class BitSliceW<1>;
-extern template class BitSliceW<4>;
 
 /**
  * In-place 64x64 bit-matrix transpose: afterwards, bit c of m[r] is

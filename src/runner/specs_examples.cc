@@ -9,6 +9,7 @@
  */
 
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hh"
@@ -346,6 +347,10 @@ makeRetentionCaseStudy()
     spec.run = [](const RunContext &ctx) {
         const auto num_words =
             static_cast<std::size_t>(ctx.getInt("words", 256));
+        // The access loop draws words and scrub slots modulo num_words.
+        if (num_words == 0)
+            throw std::invalid_argument(
+                "retention_case_study: words must be at least 1");
         const double rber = ctx.getDouble("rber", 0.01);
         const double prob = ctx.getDouble("prob", 0.5);
         const auto active_rounds =

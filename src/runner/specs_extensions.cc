@@ -214,10 +214,9 @@ makeDecOnDieEcc()
  * through the round engines: the scaling study HARP section 6.3.2
  * sketches ("significantly more complex on-die ECC"), on the same
  * engine-selectable fast path as the coverage experiments. The sliced
- * engines run the BCH datapath through ecc::SlicedBchCodeW (masked
- * XOR parity/syndromes + memoized correction); `--engine scalar`,
- * `--engine sliced64` and `--engine sliced256` emit byte-identical
- * JSONL for a fixed seed.
+ * engine runs the BCH datapath through ecc::SlicedBchCode (masked
+ * XOR parity/syndromes + memoized correction); `--engine scalar` and
+ * `--engine sliced64` emit byte-identical JSONL for a fixed seed.
  */
 ExperimentSpec
 makeBchTSweep()

@@ -1,7 +1,7 @@
 /**
  * @file
  * Performance experiment: profiling-round throughput of the scalar
- * vs. bit-sliced engines, on a Fig. 6-sized Hamming coverage workload
+ * vs. bit-sliced engine, on a Fig. 6-sized Hamming coverage workload
  * and on a t-error BCH workload (the `bch_t_sweep` extension shape)
  * driven through the memoized sliced BCH datapath.
  *
@@ -102,25 +102,24 @@ struct PerfWord
     std::vector<core::Profiler *> raw;
 };
 
-/** The pre-built sliced datapaths of one fleet at lane width W:
- *  construction (lane-mask tables, BCH parity/syndrome matrices) is
- *  initialization, paid alongside the scalar decoder's own table
- *  construction — the timed loops measure profiling rounds, including
- *  the BCH memo's scalar-decode fallbacks. */
-template <std::size_t W>
+/** The pre-built sliced datapaths of one fleet: construction
+ *  (lane-mask tables, BCH parity/syndrome matrices) is initialization,
+ *  paid alongside the scalar decoder's own table construction — the
+ *  timed loops measure profiling rounds, including the BCH memo's
+ *  scalar-decode fallbacks. */
 struct SlicedDatapaths
 {
     void build(const PerfWorkload &workload,
                const std::vector<ecc::HammingCode> &codes,
                const ecc::BchCode *bch_code)
     {
-        constexpr std::size_t lanes = gf2::BitSliceW<W>::laneCount;
+        constexpr std::size_t lanes = gf2::BitSlice::laneCount;
         const std::size_t words =
             workload.numCodes * workload.wordsPerCode;
         if (workload.bch) {
             // One shared datapath for every block of the fleet.
             if (words > 0)
-                sharedBch = std::make_unique<ecc::SlicedBchCodeW<W>>(
+                sharedBch = std::make_unique<ecc::SlicedBchCode>(
                     *bch_code, std::min(lanes, words));
             return;
         }
@@ -135,7 +134,7 @@ struct SlicedDatapaths
             const std::size_t end =
                 std::min(begin + lanes, flat_codes.size());
             slicedHamming.push_back(
-                std::make_unique<ecc::SlicedHammingCodeW<W>>(
+                std::make_unique<ecc::SlicedHammingCode>(
                     std::vector<const ecc::HammingCode *>(
                         flat_codes.begin() +
                             static_cast<std::ptrdiff_t>(begin),
@@ -144,9 +143,8 @@ struct SlicedDatapaths
         }
     }
 
-    std::unique_ptr<ecc::SlicedBchCodeW<W>> sharedBch;
-    std::vector<std::unique_ptr<ecc::SlicedHammingCodeW<W>>>
-        slicedHamming;
+    std::unique_ptr<ecc::SlicedBchCode> sharedBch;
+    std::vector<std::unique_ptr<ecc::SlicedHammingCode>> slicedHamming;
 };
 
 /** The words of one workload, grouped per code (= per sliced block). */
@@ -178,19 +176,7 @@ struct PerfFleet
         // Scalar fleets never touch the sliced datapaths, so they skip
         // the build.
         if (engine == core::EngineKind::Sliced64)
-            sliced64.build(workload, codes, bchCode.get());
-        else if (engine == core::EngineKind::Sliced256)
-            sliced256.build(workload, codes, bchCode.get());
-    }
-
-    /** The width-W datapath set (one of the two is built per fleet). */
-    template <std::size_t W>
-    SlicedDatapaths<W> &datapaths()
-    {
-        if constexpr (W == 1)
-            return sliced64;
-        else
-            return sliced256;
+            sliced.build(workload, codes, bchCode.get());
     }
 
     /** From the words actually built, so the profiler_rounds metric
@@ -225,8 +211,7 @@ struct PerfFleet
 
     std::vector<ecc::HammingCode> codes;
     std::unique_ptr<ecc::BchCode> bchCode;
-    SlicedDatapaths<1> sliced64;
-    SlicedDatapaths<4> sliced256;
+    SlicedDatapaths sliced;
     std::vector<std::vector<std::unique_ptr<PerfWord>>> words;
 };
 
@@ -240,15 +225,8 @@ struct DriveStats
     std::size_t memoEntries = 0;
 };
 
-/**
- * Drive every word of @p fleet through all rounds with one engine.
- * A non-null @p phases attaches the per-phase wall-time sink to every
- * engine (setup / datapath / observe split); the headline timing reps
- * leave it null so clock reads never contaminate them.
- */
-/** The sliced half of driveFleet at lane width W; fills the memo
- *  fields of @p stats for BCH workloads. */
-template <std::size_t W>
+/** The sliced half of driveFleet; fills the memo fields of @p stats
+ *  for BCH workloads. */
 void
 driveFleetSliced(PerfFleet &fleet, const PerfWorkload &workload,
                  core::EnginePhaseSeconds *phases, DriveStats &stats)
@@ -257,8 +235,8 @@ driveFleetSliced(PerfFleet &fleet, const PerfWorkload &workload,
     // carry their own code, BCH lanes share the one code function
     // (and the fleet's pre-built datapath + memo), so every block
     // is as full as possible.
-    constexpr std::size_t lanes = gf2::BitSliceW<W>::laneCount;
-    SlicedDatapaths<W> &datapaths = fleet.datapaths<W>();
+    constexpr std::size_t lanes = gf2::BitSlice::laneCount;
+    SlicedDatapaths &datapaths = fleet.sliced;
     std::vector<PerfWord *> flat;
     for (auto &code_words : fleet.words)
         for (auto &word : code_words)
@@ -273,14 +251,14 @@ driveFleetSliced(PerfFleet &fleet, const PerfWorkload &workload,
             seeds.push_back(flat[w]->engineSeed);
             lane_profilers.push_back(flat[w]->raw);
         }
-        std::unique_ptr<core::SlicedRoundEngineW<W>> round_engine;
+        std::unique_ptr<core::SlicedRoundEngine> round_engine;
         if (workload.bch) {
-            round_engine = std::make_unique<core::SlicedRoundEngineW<W>>(
+            round_engine = std::make_unique<core::SlicedRoundEngine>(
                 *datapaths.sharedBch, fault_ptrs,
                 core::PatternKind::Random, seeds,
                 std::move(lane_profilers));
         } else {
-            round_engine = std::make_unique<core::SlicedRoundEngineW<W>>(
+            round_engine = std::make_unique<core::SlicedRoundEngine>(
                 *datapaths.slicedHamming[begin / lanes], fault_ptrs,
                 core::PatternKind::Random, seeds,
                 std::move(lane_profilers));
@@ -296,6 +274,12 @@ driveFleetSliced(PerfFleet &fleet, const PerfWorkload &workload,
     }
 }
 
+/**
+ * Drive every word of @p fleet through all rounds with one engine.
+ * A non-null @p phases attaches the per-phase wall-time sink to every
+ * engine (setup / datapath / observe split); the headline timing reps
+ * leave it null so clock reads never contaminate them.
+ */
 DriveStats
 driveFleet(PerfFleet &fleet, const PerfWorkload &workload,
            core::EngineKind engine,
@@ -322,10 +306,8 @@ driveFleet(PerfFleet &fleet, const PerfWorkload &workload,
                     round_engine->runRound();
             }
         }
-    } else if (engine == core::EngineKind::Sliced256) {
-        driveFleetSliced<4>(fleet, workload, phases, stats);
     } else {
-        driveFleetSliced<1>(fleet, workload, phases, stats);
+        driveFleetSliced(fleet, workload, phases, stats);
     }
     const auto stop = std::chrono::steady_clock::now();
     stats.seconds = std::chrono::duration<double>(stop - start).count();
@@ -380,7 +362,7 @@ makePerfEngineThroughput()
     ExperimentSpec spec;
     spec.name = "perf_engine_throughput";
     spec.description =
-        "Profiling-round throughput: scalar vs. sliced64 vs. sliced256 "
+        "Profiling-round throughput: scalar vs. sliced64 "
         "engines on Hamming (Fig. 6-sized) and t-error BCH workloads "
         "(timing fields are machine-dependent)";
     spec.labels = {"bench", "perf"};
@@ -408,23 +390,17 @@ makePerfEngineThroughput()
          "best-of-reps wall time of the scalar profiling loop"},
         {"sliced64_wall_seconds", JsonType::Double,
          "best-of-reps wall time of the sliced64 profiling loop"},
-        {"sliced256_wall_seconds", JsonType::Double,
-         "best-of-reps wall time of the sliced256 profiling loop"},
         {"scalar_rounds_per_sec", JsonType::Double,
          "profiler-rounds/s under the scalar engine"},
         {"sliced64_rounds_per_sec", JsonType::Double,
          "profiler-rounds/s under the sliced64 engine"},
-        {"sliced256_rounds_per_sec", JsonType::Double,
-         "profiler-rounds/s under the sliced256 engine"},
         {"speedup", JsonType::Double,
          "sliced64 throughput / scalar throughput"},
-        {"speedup_256", JsonType::Double,
-         "sliced256 throughput / scalar throughput"},
         {"profiles_match", JsonType::Bool,
-         "all three engines produced identical identified profiles"},
+         "both engines produced identical identified profiles"},
         {"profile_checksum", JsonType::String,
          "FNV-1a over all final identified profiles (deterministic; "
-         "equal for every engine)"},
+         "equal for both engines)"},
         {"memo_hits", JsonType::Int,
          "sliced BCH syndrome-memo hits (null for Hamming)"},
         {"memo_misses", JsonType::Int,
@@ -447,14 +423,6 @@ makePerfEngineThroughput()
          "(instrumented rep)"},
         {"sliced64_observe_seconds", JsonType::Double,
          "sliced64 observation wall seconds — lane observes, scatters "
-         "and scalar observe calls (instrumented rep)"},
-        {"sliced256_setup_seconds", JsonType::Double,
-         "sliced256 pattern/CRN/choose wall seconds (instrumented rep)"},
-        {"sliced256_datapath_seconds", JsonType::Double,
-         "sliced256 gather+encode+inject+decode wall seconds "
-         "(instrumented rep)"},
-        {"sliced256_observe_seconds", JsonType::Double,
-         "sliced256 observation wall seconds — lane observes, scatters "
          "and scalar observe calls (instrumented rep)"},
     };
     spec.run = [](const RunContext &ctx) {
@@ -482,16 +450,12 @@ makePerfEngineThroughput()
             measureEngine(workload, core::EngineKind::Scalar, reps);
         const EngineMeasurement sliced =
             measureEngine(workload, core::EngineKind::Sliced64, reps);
-        const EngineMeasurement sliced256 =
-            measureEngine(workload, core::EngineKind::Sliced256, reps);
         // Degenerate workloads (--words 0, --rounds 0) can time as
         // exactly zero; clamp so the throughput/speedup divisions stay
         // finite (JSON serializes non-finite doubles as null, which
         // would violate the declared schema).
         const double scalar_seconds = std::max(scalar.seconds, 1e-9);
         const double sliced_seconds = std::max(sliced.seconds, 1e-9);
-        const double sliced256_seconds =
-            std::max(sliced256.seconds, 1e-9);
 
         const std::size_t words_total =
             workload.numCodes * workload.wordsPerCode;
@@ -509,21 +473,14 @@ makePerfEngineThroughput()
                     JsonValue(static_cast<std::uint64_t>(profiler_rounds)));
         metrics.set("scalar_wall_seconds", JsonValue(scalar_seconds));
         metrics.set("sliced64_wall_seconds", JsonValue(sliced_seconds));
-        metrics.set("sliced256_wall_seconds",
-                    JsonValue(sliced256_seconds));
         metrics.set("scalar_rounds_per_sec",
                     JsonValue(profiler_rounds / scalar_seconds));
         metrics.set("sliced64_rounds_per_sec",
                     JsonValue(profiler_rounds / sliced_seconds));
-        metrics.set("sliced256_rounds_per_sec",
-                    JsonValue(profiler_rounds / sliced256_seconds));
         metrics.set("speedup",
                     JsonValue(scalar_seconds / sliced_seconds));
-        metrics.set("speedup_256",
-                    JsonValue(scalar_seconds / sliced256_seconds));
         metrics.set("profiles_match",
-                    JsonValue(scalar.checksum == sliced.checksum &&
-                              scalar.checksum == sliced256.checksum));
+                    JsonValue(scalar.checksum == sliced.checksum));
         char hex[17];
         std::snprintf(hex, sizeof(hex), "%016llx",
                       static_cast<unsigned long long>(scalar.checksum));
@@ -556,12 +513,6 @@ makePerfEngineThroughput()
                     JsonValue(sliced.phases.datapath));
         metrics.set("sliced64_observe_seconds",
                     JsonValue(sliced.phases.observe));
-        metrics.set("sliced256_setup_seconds",
-                    JsonValue(sliced256.phases.setup));
-        metrics.set("sliced256_datapath_seconds",
-                    JsonValue(sliced256.phases.datapath));
-        metrics.set("sliced256_observe_seconds",
-                    JsonValue(sliced256.phases.observe));
         return metrics;
     };
     return spec;

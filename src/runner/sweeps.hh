@@ -68,16 +68,15 @@ checkpointsJson(const std::vector<std::size_t> &checkpoints)
 
 /**
  * The profiling-engine selector shared by every spec that drives
- * rounds: `--engine scalar`, `--engine sliced64` or
- * `--engine sliced256`. Results are bit-identical under all three
- * (equal campaign result_hashes); the sliced engines batch 64 or 256
- * ECC words per lane operation on the hot path.
+ * rounds: `--engine scalar` or `--engine sliced64`. Results are
+ * bit-identical under both (equal campaign result_hashes); the sliced
+ * engine batches 64 ECC words per lane operation on the hot path.
  */
 inline TunableSpec
 engineTunable()
 {
     return {"engine", "sliced64",
-            "profiling-round engine: scalar | sliced64 | sliced256 "
+            "profiling-round engine: scalar | sliced64 "
             "(bit-identical results)"};
 }
 

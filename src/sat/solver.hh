@@ -3,8 +3,12 @@
  * Conflict-driven clause-learning (CDCL) SAT solver.
  *
  * This is the repository's substitute for the paper's Z3 dependency (HARP
- * artifact, appendix A.4): it powers BEEP's data-pattern crafting queries
- * and cross-checks the exact at-risk enumeration in tests. Features:
+ * artifact, appendix A.4). Its one experiment is
+ * `beer_reverse_engineering`, which recovers a hidden SEC code's
+ * parity-check columns from miscorrection observations (BEER) through
+ * sat::CnfBuilder; bench_micro_kernels times it on random 3-SAT. BEEP
+ * crafts its data patterns and the at-risk analysis enumerates ground
+ * truth by direct GF(2) evaluation, without the solver. Features:
  * two-literal watching, 1-UIP clause learning, VSIDS-style decaying
  * activities, phase saving, geometric restarts, and learnt-clause deletion.
  */

@@ -44,9 +44,9 @@ struct LaneRound
 
     RoundLaneObservation obs() const { return {written, post, received}; }
 
-    gf2::BitSlice64 written;
-    gf2::BitSlice64 post;
-    gf2::BitSlice64 received;
+    gf2::BitSlice written;
+    gf2::BitSlice post;
+    gf2::BitSlice received;
 };
 
 TEST(SlicedProfilerGroup, FormationRules)

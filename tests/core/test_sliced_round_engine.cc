@@ -660,203 +660,5 @@ TEST(SlicedRoundEngine, BitIdenticalForBchLanes)
     });
 }
 
-/**
- * Wide-lane contract: a single 256-lane (W=4) engine over 100 words
- * must stay per-round bit-identical to both the scalar references and
- * the narrow W=1 engines the experiments would otherwise partition the
- * words into (blocks of 64 + 36 — so the test also pins down that the
- * block partition itself doesn't affect results). 100 lanes exercises
- * two 64-lane sub-words plus a ragged tail at W=4.
- */
-TEST(SlicedRoundEngine, Wide256BitIdenticalToNarrowBlocksAndScalar)
-{
-    forEachSeed(1, [](std::uint64_t seed, common::Xoshiro256 &rng) {
-        const std::size_t lanes = 100;
-        std::vector<ecc::HammingCode> codes;
-        std::vector<fault::WordFaultModel> faults;
-        for (std::size_t w = 0; w < lanes; ++w) {
-            codes.push_back(ecc::HammingCode::randomSec(64, rng));
-            faults.push_back(
-                fault::WordFaultModel::makeUniformFixedCount(
-                    codes[w].n(), 1 + w % 4, 0.5, rng));
-        }
-
-        std::vector<const ecc::HammingCode *> code_ptrs;
-        std::vector<const fault::WordFaultModel *> fault_ptrs;
-        std::vector<std::uint64_t> lane_seeds;
-        std::vector<std::vector<std::unique_ptr<Profiler>>> scalar_sets,
-            narrow_sets, wide_sets;
-        std::vector<std::unique_ptr<RoundEngine>> scalar_engines;
-        std::vector<std::vector<Profiler *>> scalar_raw(lanes),
-            narrow_raw(lanes), wide_raw(lanes);
-        for (std::size_t w = 0; w < lanes; ++w) {
-            const std::uint64_t word_seed = common::deriveSeed(seed, {w});
-            scalar_sets.push_back(makeProfilerSet(codes[w]));
-            narrow_sets.push_back(makeProfilerSet(codes[w]));
-            wide_sets.push_back(makeProfilerSet(codes[w]));
-            for (auto &p : scalar_sets[w])
-                scalar_raw[w].push_back(p.get());
-            for (auto &p : narrow_sets[w])
-                narrow_raw[w].push_back(p.get());
-            for (auto &p : wide_sets[w])
-                wide_raw[w].push_back(p.get());
-            scalar_engines.push_back(std::make_unique<RoundEngine>(
-                codes[w], faults[w], PatternKind::Random, word_seed,
-                scalar_raw[w]));
-            code_ptrs.push_back(&codes[w]);
-            fault_ptrs.push_back(&faults[w]);
-            lane_seeds.push_back(word_seed);
-        }
-
-        // One wide engine over all 100 lanes...
-        SlicedRoundEngine256 wide_engine(code_ptrs, fault_ptrs,
-                                         PatternKind::Random, lane_seeds,
-                                         wide_raw);
-        ASSERT_EQ(wide_engine.lanes(), lanes);
-        // ...versus the narrow engines over the 64/36 block partition.
-        std::vector<std::unique_ptr<SlicedRoundEngine>> narrow_engines;
-        for (std::size_t begin = 0; begin < lanes; begin += 64) {
-            const std::size_t end = std::min(lanes, begin + 64);
-            const auto b = static_cast<std::ptrdiff_t>(begin);
-            const auto e = static_cast<std::ptrdiff_t>(end);
-            narrow_engines.push_back(std::make_unique<SlicedRoundEngine>(
-                std::vector<const ecc::HammingCode *>(
-                    code_ptrs.begin() + b, code_ptrs.begin() + e),
-                std::vector<const fault::WordFaultModel *>(
-                    fault_ptrs.begin() + b, fault_ptrs.begin() + e),
-                PatternKind::Random,
-                std::vector<std::uint64_t>(lane_seeds.begin() + b,
-                                           lane_seeds.begin() + e),
-                std::vector<std::vector<Profiler *>>(
-                    narrow_raw.begin() + b, narrow_raw.begin() + e)));
-        }
-
-        for (std::size_t r = 0; r < 16; ++r) {
-            wide_engine.runRound();
-            for (auto &narrow : narrow_engines)
-                narrow->runRound();
-            for (std::size_t w = 0; w < lanes; ++w)
-                scalar_engines[w]->runRound();
-            for (std::size_t w = 0; w < lanes; ++w) {
-                for (std::size_t s = 0; s < scalar_raw[w].size(); ++s) {
-                    ASSERT_EQ(wide_raw[w][s]->identified(),
-                              scalar_raw[w][s]->identified())
-                        << "wide vs scalar: round " << r << ", lane "
-                        << w << ", profiler " << scalar_raw[w][s]->name();
-                    ASSERT_EQ(wide_raw[w][s]->identified(),
-                              narrow_raw[w][s]->identified())
-                        << "wide vs narrow: round " << r << ", lane "
-                        << w << ", profiler " << scalar_raw[w][s]->name();
-                }
-            }
-        }
-    });
-}
-
-/** Same wide-lane contract for memoized BCH lanes with a ragged tail
- *  (70 lanes: one full sub-word + 6). */
-TEST(SlicedRoundEngine, Wide256BitIdenticalForBchLanes)
-{
-    forEachSeed(1, [](std::uint64_t seed, common::Xoshiro256 &rng) {
-        const ecc::BchCode code(64, 2);
-        const std::size_t lanes = 70;
-        std::vector<fault::WordFaultModel> faults;
-        for (std::size_t w = 0; w < lanes; ++w)
-            faults.push_back(
-                fault::WordFaultModel::makeUniformFixedCount(
-                    code.n(), 1 + w % 5, 0.25 + 0.25 * (w % 4), rng));
-
-        std::vector<const fault::WordFaultModel *> fault_ptrs;
-        std::vector<std::uint64_t> lane_seeds;
-        std::vector<std::unique_ptr<Profiler>> scalar_ps, wide_ps;
-        std::vector<std::unique_ptr<RoundEngine>> scalar_engines;
-        std::vector<std::vector<Profiler *>> scalar_raw(lanes),
-            wide_raw(lanes);
-        for (std::size_t w = 0; w < lanes; ++w) {
-            const std::uint64_t word_seed = common::deriveSeed(seed, {w});
-            scalar_ps.push_back(
-                std::make_unique<HarpUProfiler>(code.k()));
-            wide_ps.push_back(std::make_unique<HarpUProfiler>(code.k()));
-            scalar_raw[w] = {scalar_ps[w].get()};
-            wide_raw[w] = {wide_ps[w].get()};
-            scalar_engines.push_back(std::make_unique<RoundEngine>(
-                code, faults[w], PatternKind::Random, word_seed,
-                scalar_raw[w]));
-            fault_ptrs.push_back(&faults[w]);
-            lane_seeds.push_back(word_seed);
-        }
-        const ecc::SlicedBchCode256 sliced(code, lanes);
-        SlicedRoundEngine256 wide_engine(sliced, fault_ptrs,
-                                         PatternKind::Random, lane_seeds,
-                                         wide_raw);
-
-        for (std::size_t r = 0; r < 12; ++r) {
-            wide_engine.runRound();
-            for (std::size_t w = 0; w < lanes; ++w) {
-                scalar_engines[w]->runRound();
-                ASSERT_EQ(wide_raw[w][0]->identified(),
-                          scalar_raw[w][0]->identified())
-                    << "round " << r << ", lane " << w;
-            }
-        }
-    });
-}
-
-/** The experiment-level tunables accept the wide engine too and stay
- *  byte-identical to scalar (the sliced256 campaign-hash contract). */
-TEST(EngineEquivalence, Sliced256ExperimentAggregatesMatch)
-{
-    CoverageConfig config;
-    config.k = 64;
-    config.numCodes = 2;
-    config.wordsPerCode = 70;
-    config.rounds = 10;
-    config.numPreCorrectionErrors = 3;
-    config.perBitProbability = 0.5;
-    config.includeHarpABeep = true;
-    config.seed = 99;
-    config.threads = 2;
-
-    config.engine = EngineKind::Scalar;
-    const CoverageResult scalar = runCoverageExperiment(config);
-    config.engine = EngineKind::Sliced256;
-    const CoverageResult wide = runCoverageExperiment(config);
-
-    EXPECT_EQ(scalar.totalDirectAtRisk, wide.totalDirectAtRisk);
-    EXPECT_EQ(scalar.totalIndirectAtRisk, wide.totalIndirectAtRisk);
-    ASSERT_EQ(scalar.profilers.size(), wide.profilers.size());
-    for (std::size_t p = 0; p < scalar.profilers.size(); ++p) {
-        const ProfilerAggregate &a = scalar.profilers[p];
-        const ProfilerAggregate &b = wide.profilers[p];
-        EXPECT_EQ(a.directIdentifiedSum, b.directIdentifiedSum) << a.name;
-        EXPECT_EQ(a.indirectMissedSum, b.indirectMissedSum) << a.name;
-        EXPECT_EQ(a.falsePositiveSum, b.falsePositiveSum) << a.name;
-        EXPECT_EQ(a.bootstrapRounds.sortedSamples(),
-                  b.bootstrapRounds.sortedSamples())
-            << a.name;
-    }
-
-    CaseStudyConfig cs;
-    cs.k = 64;
-    cs.perBitProbability = 0.75;
-    cs.maxConditionedCells = 3;
-    cs.samplesPerCellCount = 9;
-    cs.rounds = 12;
-    cs.seed = 17;
-    cs.threads = 2;
-    cs.engine = EngineKind::Scalar;
-    const CaseStudyResult cs_scalar = runCaseStudyExperiment(cs);
-    cs.engine = EngineKind::Sliced256;
-    const CaseStudyResult cs_wide = runCaseStudyExperiment(cs);
-    EXPECT_EQ(cs_scalar.roundsToZeroAfter, cs_wide.roundsToZeroAfter);
-    ASSERT_EQ(cs_scalar.series.size(), cs_wide.series.size());
-    for (std::size_t i = 0; i < cs_scalar.series.size(); ++i) {
-        EXPECT_EQ(cs_scalar.series[i].berBefore,
-                  cs_wide.series[i].berBefore);
-        EXPECT_EQ(cs_scalar.series[i].berAfter,
-                  cs_wide.series[i].berAfter);
-    }
-}
-
 } // namespace
 } // namespace harp::core

@@ -39,9 +39,9 @@ checkLanesAgainstScalar(const std::vector<HammingCode> &codes,
     for (std::size_t w = 0; w < lanes; ++w)
         datawords.push_back(gf2::BitVector::random(k, rng));
 
-    gf2::BitSlice64 data(k);
+    gf2::BitSlice data(k);
     data.gather(datawords);
-    gf2::BitSlice64 codeword(n);
+    gf2::BitSlice codeword(n);
     sliced.encode(data, codeword);
 
     std::vector<gf2::BitVector> received;
@@ -56,9 +56,9 @@ checkLanesAgainstScalar(const std::vector<HammingCode> &codes,
         received.push_back(std::move(corrupted));
     }
 
-    gf2::BitSlice64 received_slice(n);
+    gf2::BitSlice received_slice(n);
     received_slice.gather(received);
-    gf2::BitSlice64 decoded(k);
+    gf2::BitSlice decoded(k);
     sliced.decodeData(received_slice, decoded);
     std::vector<gf2::BitVector> post(lanes, gf2::BitVector(k));
     decoded.scatter(post);
@@ -104,7 +104,7 @@ TEST(SlicedHamming, SyndromeLanesMatchScalarSyndromes)
         for (std::size_t w = 0; w < codes.size(); ++w)
             received.push_back(
                 gf2::BitVector::random(codes[w].n(), rng));
-        gf2::BitSlice64 slice(sliced.n());
+        gf2::BitSlice slice(sliced.n());
         slice.gather(received);
         std::uint64_t s[32] = {};
         sliced.syndromes(slice, s);

@@ -158,6 +158,19 @@ TEST(FaultModel, FixedCountCoversWholeWord)
     EXPECT_EQ(seen.size(), 71u);
 }
 
+TEST(FaultModel, FixedCountRejectsMoreCellsThanTheWordHas)
+{
+    common::Xoshiro256 rng(10);
+    EXPECT_THROW(WordFaultModel::makeUniformFixedCount(71, 72, 0.5, rng),
+                 std::invalid_argument);
+    EXPECT_THROW(WordFaultModel::makeUniformFixedCount(71, 100, 0.5, rng),
+                 std::invalid_argument);
+    // Every cell at risk is the largest valid count.
+    EXPECT_EQ(WordFaultModel::makeUniformFixedCount(71, 71, 0.5, rng)
+                  .numFaults(),
+              71u);
+}
+
 TEST(FaultModel, RberGeneratorDensity)
 {
     common::Xoshiro256 rng(8);

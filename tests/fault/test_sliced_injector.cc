@@ -75,9 +75,9 @@ TEST(SlicedCrnInjector, MatchesScalarInjectErrorsCrn)
                 for (std::size_t w = 0; w < lanes; ++w)
                     stored.push_back(
                         gf2::BitVector::random(word_bits, rng));
-                gf2::BitSlice64 stored_slice(word_bits);
+                gf2::BitSlice stored_slice(word_bits);
                 stored_slice.gather(stored);
-                gf2::BitSlice64 received = stored_slice;
+                gf2::BitSlice received = stored_slice;
                 injector.apply(stored_slice, received);
 
                 std::vector<gf2::BitVector> out(
@@ -135,9 +135,9 @@ TEST(SlicedCrnInjector, MatchesScalarAtBchWordLengths)
             std::vector<gf2::BitVector> stored;
             for (std::size_t w = 0; w < lanes; ++w)
                 stored.push_back(gf2::BitVector::random(word_bits, rng));
-            gf2::BitSlice64 stored_slice(word_bits);
+            gf2::BitSlice stored_slice(word_bits);
             stored_slice.gather(stored);
-            gf2::BitSlice64 received = stored_slice;
+            gf2::BitSlice received = stored_slice;
             injector.apply(stored_slice, received);
             for (std::size_t w = 0; w < lanes; ++w) {
                 gf2::BitVector expected = stored[w];

@@ -241,8 +241,8 @@ TEST(FleetProperty, ProfilingRoundsMonotoneUnderUnlimitedBudget)
     });
 }
 
-/** Scalar, sliced64 and sliced256 runs of the same fleet are exactly
- *  equal — every counter and histogram bin. */
+/** Scalar and sliced64 runs of the same fleet are exactly equal —
+ *  every counter and histogram bin. */
 TEST(FleetDeterminism, EnginesProduceIdenticalAggregates)
 {
     FleetConfig config = hotFleet(0xF1EE7);
@@ -252,8 +252,6 @@ TEST(FleetDeterminism, EnginesProduceIdenticalAggregates)
     ASSERT_GT(scalar.profiledBits(), 0u);
 
     config.engine = core::EngineKind::Sliced64;
-    EXPECT_TRUE(runFleet(config) == scalar);
-    config.engine = core::EngineKind::Sliced256;
     EXPECT_TRUE(runFleet(config) == scalar);
 }
 

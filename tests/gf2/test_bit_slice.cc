@@ -1,12 +1,17 @@
 /**
  * @file
- * Unit tests for the BitSlice64 transposed word block: the 64x64 bit
+ * Unit tests for the BitSlice transposed word block: the 64x64 bit
  * transpose, gather/scatter round trips (including ragged lane counts
- * and non-multiple-of-64 position counts), and prefix scatter.
+ * and non-multiple-of-64 position counts, both gather forms), prefix
+ * scatter, orXorPrefix and diffLanesPrefix against a scalar per-bit
+ * reference, and the ragged-tail live-lane mask.
  */
+
+#include <bit>
 
 #include <gtest/gtest.h>
 
+#include "common/bits.hh"
 #include "gf2/bit_slice.hh"
 #include "support/property.hh"
 #include "support/seeded_fixture.hh"
@@ -45,7 +50,7 @@ TEST(Transpose64, IsAnInvolution)
     });
 }
 
-TEST(BitSlice64, GatherScatterRoundTrips)
+TEST(BitSlice, GatherScatterRoundTrips)
 {
     const std::size_t position_counts[] = {1, 5, 63, 64, 65, 71, 128, 137};
     const std::size_t lane_counts[] = {1, 5, 63, 64};
@@ -56,7 +61,7 @@ TEST(BitSlice64, GatherScatterRoundTrips)
                 for (std::size_t w = 0; w < lanes; ++w)
                     words.push_back(BitVector::random(positions, rng));
 
-                BitSlice64 slice(positions);
+                BitSlice slice(positions);
                 slice.gather(words);
                 // Lane bits match the gathered words...
                 for (std::size_t w = 0; w < lanes; ++w)
@@ -77,27 +82,144 @@ TEST(BitSlice64, GatherScatterRoundTrips)
     });
 }
 
-TEST(BitSlice64, ScatterPrefixExtractsLeadingPositions)
+TEST(BitSlice, BorrowedGatherMatchesOwningGather)
+{
+    forEachSeed(2, [](std::uint64_t, common::Xoshiro256 &rng) {
+        const std::size_t positions = 71;
+        const std::size_t lanes = 61;
+        std::vector<BitVector> words;
+        for (std::size_t w = 0; w < lanes; ++w)
+            words.push_back(BitVector::random(positions, rng));
+        std::vector<const BitVector *> views;
+        for (const BitVector &word : words)
+            views.push_back(&word);
+
+        BitSlice owning(positions);
+        owning.gather(words);
+        BitSlice borrowed(positions);
+        borrowed.gather(views.data(), views.size());
+        for (std::size_t pos = 0; pos < positions; ++pos)
+            ASSERT_EQ(owning.lane(pos), borrowed.lane(pos)) << "pos " << pos;
+    });
+}
+
+TEST(BitSlice, ScatterPrefixExtractsLeadingPositions)
 {
     forEachSeed(3, [](std::uint64_t, common::Xoshiro256 &rng) {
         const std::size_t positions = 71; // (71,64) codeword length
         const std::size_t prefix = 64;
-        std::vector<BitVector> words;
-        for (std::size_t w = 0; w < 10; ++w)
-            words.push_back(BitVector::random(positions, rng));
-        BitSlice64 slice(positions);
-        slice.gather(words);
+        for (const std::size_t lanes : {10, 63}) {
+            std::vector<BitVector> words;
+            for (std::size_t w = 0; w < lanes; ++w)
+                words.push_back(BitVector::random(positions, rng));
+            BitSlice slice(positions);
+            slice.gather(words);
 
-        std::vector<BitVector> out(words.size(), BitVector(prefix));
-        slice.scatterPrefix(prefix, out);
-        for (std::size_t w = 0; w < words.size(); ++w)
-            ASSERT_EQ(out[w], words[w].slice(0, prefix)) << "lane " << w;
+            std::vector<BitVector> out(words.size(), BitVector(prefix));
+            slice.scatterPrefix(prefix, out);
+            for (std::size_t w = 0; w < words.size(); ++w)
+                ASSERT_EQ(out[w], words[w].slice(0, prefix))
+                    << lanes << " lanes, lane " << w;
+        }
     });
 }
 
-TEST(BitSlice64, LaneAccessAndSetBit)
+TEST(BitSlice, OrXorPrefixMatchesScalarReference)
 {
-    BitSlice64 slice(3);
+    forEachSeed(3, [](std::uint64_t, common::Xoshiro256 &rng) {
+        const std::size_t positions = 71;
+        const std::size_t prefix = 64;
+        const std::size_t lanes = 59;
+        std::vector<BitVector> a_words, b_words;
+        for (std::size_t w = 0; w < lanes; ++w) {
+            a_words.push_back(BitVector::random(positions, rng));
+            // Give some word pairs identical prefixes so the returned
+            // mismatch mask has zero lanes to witness.
+            if (w % 3 == 0)
+                b_words.push_back(a_words.back());
+            else
+                b_words.push_back(BitVector::random(positions, rng));
+        }
+
+        BitSlice a(positions), b(positions), acc(prefix);
+        a.gather(a_words);
+        b.gather(b_words);
+        const std::uint64_t changed = acc.orXorPrefix(a, b, prefix);
+
+        for (std::size_t w = 0; w < lanes; ++w) {
+            bool any = false;
+            for (std::size_t pos = 0; pos < prefix; ++pos) {
+                const bool mismatch =
+                    a_words[w].get(pos) != b_words[w].get(pos);
+                any = any || mismatch;
+                ASSERT_EQ(acc.get(pos, w), mismatch)
+                    << "lane " << w << ", pos " << pos;
+            }
+            ASSERT_EQ(((changed >> w) & 1) != 0, any) << "lane " << w;
+        }
+        // Accumulation: a second pass ORs into the existing state.
+        BitSlice ones(prefix);
+        std::vector<BitVector> one_words(lanes, BitVector(prefix));
+        for (auto &word : one_words)
+            for (std::size_t pos = 0; pos < prefix; ++pos)
+                word.set(pos, true);
+        ones.gather(one_words);
+        BitSlice zeros(prefix);
+        zeros.gather(std::vector<BitVector>(lanes, BitVector(prefix)));
+        acc.orXorPrefix(ones, zeros, prefix);
+        for (std::size_t w = 0; w < lanes; ++w)
+            for (std::size_t pos = 0; pos < prefix; ++pos)
+                ASSERT_TRUE(acc.get(pos, w));
+    });
+}
+
+TEST(BitSlice, DiffLanesPrefixMatchesScalarReference)
+{
+    forEachSeed(3, [](std::uint64_t, common::Xoshiro256 &rng) {
+        const std::size_t positions = 71;
+        const std::size_t prefix = 64;
+        const std::size_t lanes = BitSlice::laneCount;
+        std::vector<BitVector> a_words, b_words;
+        for (std::size_t w = 0; w < lanes; ++w) {
+            a_words.push_back(BitVector::random(positions, rng));
+            b_words.push_back(a_words.back());
+        }
+        // Flip one bit in a spread of lanes: some inside the prefix
+        // (must be reported), some beyond it (must not).
+        for (std::size_t w = 0; w < lanes; w += 7)
+            b_words[w].set(w % prefix, !b_words[w].get(w % prefix));
+        for (std::size_t w = 3; w < lanes; w += 11) {
+            const std::size_t pos = prefix + (w % (positions - prefix));
+            if (w % 7 != 0)
+                b_words[w].set(pos, !b_words[w].get(pos));
+        }
+
+        BitSlice a(positions), b(positions);
+        a.gather(a_words);
+        b.gather(b_words);
+        const std::uint64_t diff = a.diffLanesPrefix(b, prefix);
+        for (std::size_t w = 0; w < lanes; ++w) {
+            const bool expect = !(a_words[w].slice(0, prefix) ==
+                                  b_words[w].slice(0, prefix));
+            ASSERT_EQ(((diff >> w) & 1) != 0, expect) << "lane " << w;
+        }
+    });
+}
+
+TEST(BitSlice, RaggedTailMaskSelectsExactlyLiveLanes)
+{
+    for (std::size_t lanes = 0; lanes <= BitSlice::laneCount; ++lanes) {
+        const std::uint64_t mask = common::laneMask(lanes);
+        ASSERT_EQ(static_cast<std::size_t>(std::popcount(mask)), lanes);
+        for (std::size_t w = 0; w < BitSlice::laneCount; ++w)
+            ASSERT_EQ(((mask >> w) & 1) != 0, w < lanes)
+                << lanes << " live lanes, lane " << w;
+    }
+}
+
+TEST(BitSlice, LaneAccessAndSetBit)
+{
+    BitSlice slice(3);
     EXPECT_EQ(slice.positions(), 3u);
     slice.set(2, 63, true);
     slice.set(0, 0, true);

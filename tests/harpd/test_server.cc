@@ -20,6 +20,7 @@
 #include <sstream>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "harpd/client.hh"
@@ -527,12 +528,21 @@ TEST_F(ServerTest, ZeroRoundSubmitFailsTheCampaignNotTheServer)
 {
     config_.registry = &runner::builtinRegistry();
     startServer();
-    for (const char *experiment :
-         {"fig06_direct_coverage", "fig10_case_study"}) {
+    // Each row poisons one job: zero rounds, a zero-word chip (the
+    // retention study's access loop divides by the word count), and
+    // more at-risk cells than a k = 64 codeword has.
+    const std::vector<std::pair<std::string, std::map<std::string,
+                                                      std::string>>>
+        poisons = {{"fig06_direct_coverage", {{"rounds", "0"}}},
+                   {"fig10_case_study", {{"rounds", "0"}}},
+                   {"retention_case_study", {{"words", "0"}}},
+                   {"quickstart", {{"pre_errors", "72"}}}};
+    for (std::size_t i = 0; i < poisons.size(); ++i) {
+        const auto &[experiment, overrides] = poisons[i];
         Client client(config_.socketPath);
         const StreamedCampaign streamed = streamSubmit(
-            client, submitRequest(std::string("r0_") + experiment,
-                                  {experiment}, 1, 1, {{"rounds", "0"}}));
+            client, submitRequest("poison" + std::to_string(i),
+                                  {experiment}, 1, 1, overrides));
         EXPECT_FALSE(streamed.done) << experiment;
         EXPECT_EQ(streamed.errorCode, errc::campaignFailed) << experiment;
     }
