@@ -79,6 +79,13 @@ cmp -s "$smoke_dir/a/quickstart.jsonl" "$smoke_dir/b/quickstart.jsonl" || {
 # Label selectors resolve through the same registry.
 ./build/src/harp_run label:example --dry-run > /dev/null
 
+# A negative count is a job error, never a wrapped loop bound.
+if ./build/src/harp_run fig06_direct_coverage --words -1 --threads 1 \
+    --out "$smoke_dir/negative" > /dev/null 2>&1; then
+    echo "verify: harp_run accepted --words -1" >&2
+    exit 1
+fi
+
 # --- harpd smoke ----------------------------------------------------------
 # The resident service must stream byte-identical results to a batch
 # `harp_run --no-timings` for the same spec/seed, publish the identical
@@ -107,26 +114,31 @@ done
     exit 1
 }
 
-# A degenerate campaign (zero profiling rounds) must end in an error
-# event on its own stream while the daemon stays up: it answers ping and
-# then serves the byte-identical smoke campaign below.
-if ./build/src/harpd_client --socket "$harpd_root/d.sock" \
-    submit zero_rounds fig06_direct_coverage --set rounds 0 \
-    > /dev/null 2> "$harpd_root/zero_rounds.err"; then
-    echo "verify: harpd accepted a zero-round campaign as done" >&2
-    exit 1
-fi
-grep -q '"code":"campaign_failed"' "$harpd_root/zero_rounds.err" || {
-    echo "verify: zero-round campaign did not end in an error event" >&2
-    cat "$harpd_root/zero_rounds.err" >&2 || true
-    exit 1
-}
-./build/src/harpd_client --socket "$harpd_root/d.sock" ping \
-    > /dev/null 2>&1 || {
-    echo "verify: harpd stopped answering after a failed campaign" >&2
-    cat "$harpd_root/daemon.log" >&2 || true
-    exit 1
-}
+# Degenerate campaigns (zero profiling rounds, a negative count) must
+# each end in an error event on their own stream while the daemon stays
+# up: it answers ping after each and then serves the byte-identical
+# smoke campaign below.
+for poison in "zero_rounds fig06_direct_coverage rounds 0" \
+    "negative_count extension_secondary_interleaving accesses -1"; do
+    read -r id experiment knob value <<< "$poison"
+    if ./build/src/harpd_client --socket "$harpd_root/d.sock" \
+        submit "$id" "$experiment" --set "$knob" "$value" \
+        > /dev/null 2> "$harpd_root/$id.err"; then
+        echo "verify: harpd accepted the $id campaign as done" >&2
+        exit 1
+    fi
+    grep -q '"code":"campaign_failed"' "$harpd_root/$id.err" || {
+        echo "verify: $id campaign did not end in an error event" >&2
+        cat "$harpd_root/$id.err" >&2 || true
+        exit 1
+    }
+    ./build/src/harpd_client --socket "$harpd_root/d.sock" ping \
+        > /dev/null 2>&1 || {
+        echo "verify: harpd stopped answering after the $id campaign" >&2
+        cat "$harpd_root/daemon.log" >&2 || true
+        exit 1
+    }
+done
 
 ./build/src/harp_run quickstart --seed 3 --threads 2 --repeat 4 \
     --no-timings --out "$harpd_root/batch" > /dev/null

@@ -43,7 +43,7 @@ sessionOptions(const CheckpointHeader &header)
 }
 
 /** Total (point, repeat) jobs of a submission — also validates the
- *  override *values* (grid expansion parses them).
+ *  override *values* (building each session parses them).
  *  @throws std::exception on invalid values. */
 std::size_t
 countJobs(const std::vector<const runner::ExperimentSpec *> &specs,

@@ -133,15 +133,21 @@ runCampaign(const std::vector<const ExperimentSpec *> &specs,
     if (!options.dryRun && pool_threads > 1)
         pool = std::make_unique<common::ThreadPool>(pool_threads);
 
-    for (const ExperimentSpec *spec : specs) {
-        SessionOptions session_options;
-        session_options.seed = options.seed;
-        session_options.repeat = options.repeat;
-        session_options.overrides = options.overrides;
-        CampaignSession session(*spec, session_options);
+    // Every session is built, and so every override parsed, before any
+    // job runs: a malformed value fails the campaign up front.
+    SessionOptions session_options;
+    session_options.seed = options.seed;
+    session_options.repeat = options.repeat;
+    session_options.overrides = options.overrides;
+    std::vector<CampaignSession> sessions;
+    sessions.reserve(specs.size());
+    for (const ExperimentSpec *spec : specs)
+        sessions.emplace_back(*spec, session_options);
 
+    for (CampaignSession &session : sessions) {
+        const std::string &name = session.spec().name;
         if (options.dryRun) {
-            log << spec->name << ": " << session.points().size()
+            log << name << ": " << session.points().size()
                 << " point(s) x " << options.repeat << " repeat(s)\n";
             for (std::size_t j = 0; j < session.totalJobs(); ++j)
                 log << "  point " << session.jobPoint(j) << " repeat "
@@ -152,7 +158,7 @@ runCampaign(const std::vector<const ExperimentSpec *> &specs,
             continue;
         }
 
-        log << spec->name << ": running " << session.totalJobs()
+        log << name << ": running " << session.totalJobs()
             << " job(s) on " << pool_threads << " thread(s)..."
             << std::flush;
         const auto start = Clock::now();
@@ -161,7 +167,7 @@ runCampaign(const std::vector<const ExperimentSpec *> &specs,
             session.run(pool.get(), pool_threads, sink);
 
         ExperimentRunSummary exp;
-        exp.name = spec->name;
+        exp.name = name;
         exp.points = session.points().size();
         exp.repeats = options.repeat;
         exp.wallSeconds = secondsSince(start);
@@ -182,7 +188,7 @@ runCampaign(const std::vector<const ExperimentSpec *> &specs,
 
         std::filesystem::create_directories(options.outDir);
         exp.jsonlPath = (std::filesystem::path(options.outDir) /
-                         (spec->name + ".jsonl"))
+                         (name + ".jsonl"))
                             .string();
         {
             std::ofstream out(exp.jsonlPath,

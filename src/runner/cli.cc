@@ -88,8 +88,8 @@ listExperiments(const Registry &registry, bool with_schemas)
             }
             for (const TunableSpec &t : spec->tunables)
                 std::cout << "  tunable " << t.name << " (default "
-                          << t.defaultValue << "): " << t.description
-                          << "\n";
+                          << t.defaultValue.toString()
+                          << "): " << t.description << "\n";
             std::cout << "  schema: "
                       << schemaToJson(spec->schema).dump() << "\n";
         }

@@ -1,60 +1,47 @@
 #include "runner/experiment_spec.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <stdexcept>
 
 namespace harp::runner {
 
-const std::string *
-RunContext::findOverride(const std::string &name) const
+const ParamValue &
+RunContext::value(const std::string &name) const
 {
-    const auto it = overrides_.find(name);
-    return it == overrides_.end() ? nullptr : &it->second;
+    if (const ParamValue *v = point_.find(name))
+        return *v;
+    if (const ParamValue *v = tunables_.find(name))
+        return *v;
+    throw std::logic_error("'" + name +
+                           "' is neither an axis nor a declared tunable");
 }
 
 std::int64_t
-RunContext::getInt(const std::string &name, std::int64_t def) const
+RunContext::getInt(const std::string &name) const
 {
-    if (const ParamValue *v = point_.find(name))
-        return v->asInt();
-    if (const std::string *text = findOverride(name)) {
-        std::int64_t i = 0;
-        const auto r =
-            std::from_chars(text->data(), text->data() + text->size(), i);
-        if (r.ec != std::errc() || r.ptr != text->data() + text->size())
-            throw std::invalid_argument("--" + name + "=" + *text +
-                                        ": not an integer");
-        return i;
-    }
-    return def;
+    return value(name).asInt();
+}
+
+std::size_t
+RunContext::getCount(const std::string &name) const
+{
+    const std::int64_t n = getInt(name);
+    if (n < 0)
+        throw std::invalid_argument(name + " must be a count >= 0, got " +
+                                    std::to_string(n));
+    return static_cast<std::size_t>(n);
 }
 
 double
-RunContext::getDouble(const std::string &name, double def) const
+RunContext::getDouble(const std::string &name) const
 {
-    if (const ParamValue *v = point_.find(name))
-        return v->asDouble();
-    if (const std::string *text = findOverride(name)) {
-        double d = 0.0;
-        const auto r =
-            std::from_chars(text->data(), text->data() + text->size(), d);
-        if (r.ec != std::errc() || r.ptr != text->data() + text->size())
-            throw std::invalid_argument("--" + name + "=" + *text +
-                                        ": not a number");
-        return d;
-    }
-    return def;
+    return value(name).asDouble();
 }
 
-std::string
-RunContext::getString(const std::string &name, const std::string &def) const
+const std::string &
+RunContext::getString(const std::string &name) const
 {
-    if (const ParamValue *v = point_.find(name))
-        return v->asString();
-    if (const std::string *text = findOverride(name))
-        return *text;
-    return def;
+    return value(name).asString();
 }
 
 bool

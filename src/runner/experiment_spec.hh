@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,15 +28,17 @@ namespace harp::runner {
 
 /**
  * Everything an experiment's run() callback may depend on for one grid
- * point. Tunable lookup order is: grid-point axis value, then
- * command-line override, then the caller-supplied default.
+ * point. A knob resolves to the point's axis value, else to the
+ * session's resolved tunable (the declared default or its override).
+ * Reading a name that is neither is a spec bug: the getters throw
+ * std::logic_error.
  */
 class RunContext
 {
   public:
     /**
      * @param point     The expanded grid point.
-     * @param overrides Command-line tunable overrides (name -> text).
+     * @param tunables  The spec's tunables, resolved once per session.
      * @param seed      Deterministic per-(point, repeat) seed.
      * @param repeat    0-based repeat index.
      * @param threads   Worker-thread allowance for internally parallel
@@ -46,32 +47,32 @@ class RunContext
      *                  the leftover pool capacity otherwise — heavy
      *                  single-point runs shard their blocks instead).
      */
-    RunContext(const ParamPoint &point,
-               const std::map<std::string, std::string> &overrides,
+    RunContext(const ParamPoint &point, const ParamPoint &tunables,
                std::uint64_t seed, std::size_t repeat, std::size_t threads)
-        : point_(point), overrides_(overrides), seed_(seed),
+        : point_(point), tunables_(tunables), seed_(seed),
           repeat_(repeat), threads_(threads)
     {
     }
 
-    const ParamPoint &point() const { return point_; }
     std::uint64_t seed() const { return seed_; }
     std::size_t repeat() const { return repeat_; }
     std::size_t threads() const { return threads_; }
 
-    /** Integer tunable (axis value -> CLI override -> @p def). */
-    std::int64_t getInt(const std::string &name, std::int64_t def) const;
-    /** Floating-point tunable; axis Int values convert. */
-    double getDouble(const std::string &name, double def) const;
-    /** String tunable. */
-    std::string getString(const std::string &name,
-                          const std::string &def) const;
+    /** Integer knob. */
+    std::int64_t getInt(const std::string &name) const;
+    /** Integer knob that sizes something (words, rounds, chips, ...).
+     *  @throws std::invalid_argument naming the knob when negative. */
+    std::size_t getCount(const std::string &name) const;
+    /** Floating-point knob; Int values convert. */
+    double getDouble(const std::string &name) const;
+    /** String knob. */
+    const std::string &getString(const std::string &name) const;
 
   private:
-    const std::string *findOverride(const std::string &name) const;
+    const ParamValue &value(const std::string &name) const;
 
     const ParamPoint &point_;
-    const std::map<std::string, std::string> &overrides_;
+    const ParamPoint &tunables_;
     std::uint64_t seed_;
     std::size_t repeat_;
     std::size_t threads_;
@@ -85,11 +86,13 @@ struct FieldSpec
     std::string description;
 };
 
-/** One documented non-axis knob (scale parameters like words/rounds). */
+/** One documented non-axis knob (scale parameters like words/rounds):
+ *  the one place its default and type are declared. An override is
+ *  parsed as the default's type. */
 struct TunableSpec
 {
     std::string name;
-    std::string defaultValue;
+    ParamValue defaultValue;
     std::string description;
 };
 

@@ -22,16 +22,16 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-ParamGrid
-gridWithOverrides(const ExperimentSpec &spec,
-                  const std::map<std::string, std::string> &overrides)
+/** @p parse with its std::invalid_argument prefixed by the knob. */
+template <typename Parse>
+auto
+parseOverride(const std::string &name, Parse parse)
 {
-    ParamGrid grid = spec.grid;
-    for (const auto &[name, text] : overrides) {
-        if (grid.findAxis(name) != nullptr)
-            grid = grid.collapsed(name, text);
+    try {
+        return parse();
+    } catch (const std::invalid_argument &e) {
+        throw std::invalid_argument(name + ": " + e.what());
     }
-    return grid;
 }
 
 } // namespace
@@ -53,7 +53,23 @@ CampaignSession::CampaignSession(const ExperimentSpec &spec,
 {
     if (options_.repeat == 0)
         options_.repeat = 1;
-    points_ = gridWithOverrides(spec, options_.overrides).expand();
+    ParamGrid grid = spec.grid;
+    for (const auto &[name, text] : options_.overrides) {
+        if (grid.findAxis(name) != nullptr)
+            grid = parseOverride(
+                name, [&] { return grid.collapsed(name, text); });
+    }
+    points_ = grid.expand();
+    for (const TunableSpec &t : spec.tunables) {
+        const auto it = options_.overrides.find(t.name);
+        tunables_.add(t.name,
+                      it == options_.overrides.end()
+                          ? t.defaultValue
+                          : parseOverride(t.name, [&] {
+                                return t.defaultValue.parseSameType(
+                                    it->second);
+                            }));
+    }
     seeds_.reserve(points_.size() * options_.repeat);
     for (std::size_t p = 0; p < points_.size(); ++p)
         for (std::size_t r = 0; r < options_.repeat; ++r)
@@ -112,7 +128,7 @@ CampaignSession::run(common::ThreadPool *pool, std::size_t poolThreads,
     const auto runOne = [&](std::size_t j, std::size_t inner_threads) {
         const auto start = Clock::now();
         try {
-            const RunContext ctx(points_[jobPoint(j)], options_.overrides,
+            const RunContext ctx(points_[jobPoint(j)], tunables_,
                                  seeds_[j], jobRepeat(j), inner_threads);
             const JsonValue metrics = spec_->run(ctx);
             if (const auto error = validateSchema(spec_->schema, metrics))

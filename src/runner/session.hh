@@ -107,7 +107,8 @@ struct SessionOptions
 {
     std::uint64_t seed = 1;
     std::size_t repeat = 1;
-    /** Tunable/axis overrides (axis matches collapse the grid). */
+    /** Tunable/axis overrides (axis matches collapse the grid; names
+     *  the spec does not declare are ignored). */
     std::map<std::string, std::string> overrides;
 };
 
@@ -121,7 +122,11 @@ class CampaignSession
 {
   public:
     /** Expands @p spec's grid (with overrides applied) into the job
-     *  list. @p spec must outlive the session. */
+     *  list and resolves its tunables: each declared default, replaced
+     *  by its override parsed as the default's type. @p spec must
+     *  outlive the session.
+     *  @throws std::invalid_argument naming the knob when an override
+     *          does not parse. */
     CampaignSession(const ExperimentSpec &spec, SessionOptions options);
 
     const ExperimentSpec &spec() const { return *spec_; }
@@ -189,6 +194,7 @@ class CampaignSession
     const ExperimentSpec *spec_;
     SessionOptions options_;
     std::vector<ParamPoint> points_;
+    ParamPoint tunables_;
     std::vector<std::uint64_t> seeds_;
     std::vector<std::string> restoredLines_;
     std::vector<bool> restored_;

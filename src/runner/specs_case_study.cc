@@ -24,10 +24,10 @@ makeFig10()
     spec.labels = {"bench", "figure"};
     spec.grid = ParamGrid({probabilityAxis()});
     spec.tunables = {
-        {"k", "64", "dataword length of the on-die ECC code"},
-        {"samples", "24", "Monte-Carlo samples per conditioned cell count"},
-        {"max_cells", "5", "largest conditioned at-risk-cell count"},
-        {"rounds", "128", "active-profiling rounds"},
+        {"k", 64, "dataword length of the on-die ECC code"},
+        {"samples", 24, "Monte-Carlo samples per conditioned cell count"},
+        {"max_cells", 5, "largest conditioned at-risk-cell count"},
+        {"rounds", 128, "active-profiling rounds"},
         engineTunable(),
     };
     spec.schema = {
@@ -44,14 +44,11 @@ makeFig10()
     };
     spec.run = [](const RunContext &ctx) {
         core::CaseStudyConfig config;
-        config.k = static_cast<std::size_t>(ctx.getInt("k", 64));
-        config.samplesPerCellCount =
-            static_cast<std::size_t>(ctx.getInt("samples", 24));
-        config.maxConditionedCells =
-            static_cast<std::size_t>(ctx.getInt("max_cells", 5));
-        config.rounds =
-            static_cast<std::size_t>(ctx.getInt("rounds", 128));
-        config.perBitProbability = ctx.getDouble("prob", 0.5);
+        config.k = ctx.getCount("k");
+        config.samplesPerCellCount = ctx.getCount("samples");
+        config.maxConditionedCells = ctx.getCount("max_cells");
+        config.rounds = ctx.getCount("rounds");
+        config.perBitProbability = ctx.getDouble("prob");
         config.seed = ctx.seed();
         config.threads = ctx.threads();
         config.engine = engineFromContext(ctx);

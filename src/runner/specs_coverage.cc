@@ -19,14 +19,14 @@ namespace {
 
 using namespace harp;
 
-/** Coverage config for one (prob, pre_errors) grid point. */
+/** Coverage config from the standard tunables plus the per-bit
+ *  probability and at-risk cell count, each an axis or a tunable. */
 core::CoverageConfig
 coverageConfigFromPoint(const RunContext &ctx)
 {
     core::CoverageConfig config = coverageConfigFromContext(ctx);
-    config.perBitProbability = ctx.getDouble("prob", 0.5);
-    config.numPreCorrectionErrors =
-        static_cast<std::size_t>(ctx.getInt("pre_errors", 2));
+    config.perBitProbability = ctx.getDouble("prob");
+    config.numPreCorrectionErrors = ctx.getCount("pre_errors");
     return config;
 }
 
@@ -269,10 +269,10 @@ makeAblationCodeLength()
     ParamAxis k{"k", {std::size_t{64}, std::size_t{128}}};
     spec.grid = ParamGrid({k, preErrorAxis()});
     spec.tunables = {
-        {"codes", "8", "randomly generated codes per point"},
-        {"words", "24", "simulated ECC words per code"},
-        {"rounds", "128", "active-profiling rounds"},
-        {"prob", "0.5", "per-bit failure probability of at-risk cells"},
+        {"codes", 8, "randomly generated codes per point"},
+        {"words", 24, "simulated ECC words per code"},
+        {"rounds", 128, "active-profiling rounds"},
+        {"prob", 0.5, "per-bit failure probability of at-risk cells"},
         engineTunable(),
     };
     spec.schema = {
@@ -281,12 +281,7 @@ makeAblationCodeLength()
         {"profilers", JsonType::Array, "per profiler: coverage curve"},
     };
     spec.run = [](const RunContext &ctx) {
-        core::CoverageConfig config = coverageConfigFromContext(ctx);
-        config.k =
-            static_cast<std::size_t>(ctx.point().find("k")->asInt());
-        config.perBitProbability = ctx.getDouble("prob", 0.5);
-        config.numPreCorrectionErrors =
-            static_cast<std::size_t>(ctx.getInt("pre_errors", 2));
+        const core::CoverageConfig config = coverageConfigFromPoint(ctx);
         const core::CoverageResult result =
             core::runCoverageExperiment(config);
         const auto checkpoints = roundCheckpoints(config.rounds);
@@ -327,11 +322,12 @@ makeAblationDataPatterns()
     ParamAxis pattern{"pattern", {"random", "charged", "checkered"}};
     spec.grid = ParamGrid({pattern});
     spec.tunables = {
-        {"codes", "8", "randomly generated codes per point"},
-        {"words", "24", "simulated ECC words per code"},
-        {"rounds", "128", "active-profiling rounds"},
-        {"prob", "0.5", "per-bit failure probability of at-risk cells"},
-        {"pre_errors", "4", "at-risk cells per ECC word"},
+        {"k", 64, "dataword length of the on-die ECC code"},
+        {"codes", 8, "randomly generated codes per point"},
+        {"words", 24, "simulated ECC words per code"},
+        {"rounds", 128, "active-profiling rounds"},
+        {"prob", 0.5, "per-bit failure probability of at-risk cells"},
+        {"pre_errors", 4, "at-risk cells per ECC word"},
         engineTunable(),
     };
     spec.schema = {
@@ -340,12 +336,9 @@ makeAblationDataPatterns()
          "Naive and HARP-U coverage curves (the ablation's focus)"},
     };
     spec.run = [](const RunContext &ctx) {
-        core::CoverageConfig config = coverageConfigFromContext(ctx);
-        config.perBitProbability = ctx.getDouble("prob", 0.5);
-        config.numPreCorrectionErrors =
-            static_cast<std::size_t>(ctx.getInt("pre_errors", 4));
-        config.pattern = core::patternKindFromName(
-            ctx.point().find("pattern")->asString());
+        core::CoverageConfig config = coverageConfigFromPoint(ctx);
+        config.pattern =
+            core::patternKindFromName(ctx.getString("pattern"));
         const core::CoverageResult result =
             core::runCoverageExperiment(config);
         const auto checkpoints = roundCheckpoints(config.rounds);

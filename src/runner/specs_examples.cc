@@ -43,9 +43,9 @@ makeQuickstart()
     spec.labels = {"example"};
     spec.grid = ParamGrid();
     spec.tunables = {
-        {"rounds", "32", "profiling rounds"},
-        {"pre_errors", "4", "at-risk cells in the word"},
-        {"prob", "0.5", "per-bit failure probability of at-risk cells"},
+        {"rounds", 32, "profiling rounds"},
+        {"pre_errors", 4, "at-risk cells in the word"},
+        {"prob", 0.5, "per-bit failure probability of at-risk cells"},
     };
     spec.schema = {
         {"direct_at_risk", JsonType::Int, "ground-truth direct bits"},
@@ -59,11 +59,9 @@ makeQuickstart()
          "HARP-U's profile"},
     };
     spec.run = [](const RunContext &ctx) {
-        const auto rounds =
-            static_cast<std::size_t>(ctx.getInt("rounds", 32));
-        const auto pre_errors =
-            static_cast<std::size_t>(ctx.getInt("pre_errors", 4));
-        const double prob = ctx.getDouble("prob", 0.5);
+        const auto rounds = ctx.getCount("rounds");
+        const auto pre_errors = ctx.getCount("pre_errors");
+        const double prob = ctx.getDouble("prob");
 
         common::Xoshiro256 code_rng(ctx.seed());
         const ecc::HammingCode on_die =
@@ -137,7 +135,7 @@ makeBeerReverseEngineering()
     spec.labels = {"example"};
     spec.grid = ParamGrid();
     spec.tunables = {
-        {"k", "8", "dataword length of the hidden code (<= 16)"},
+        {"k", 8, "dataword length of the hidden code (<= 16)"},
     };
     spec.schema = {
         {"experiments", JsonType::Int, "pair experiments run"},
@@ -151,7 +149,7 @@ makeBeerReverseEngineering()
          "UNSAT after blocking the model (BEER's uniqueness check)"},
     };
     spec.run = [](const RunContext &ctx) {
-        const auto k = static_cast<std::size_t>(ctx.getInt("k", 8));
+        const auto k = ctx.getCount("k");
         if (k > 16)
             throw std::runtime_error(
                 "beer_reverse_engineering supports k <= 16 (SAT "
@@ -317,11 +315,11 @@ makeRetentionCaseStudy()
     spec.labels = {"example"};
     spec.grid = ParamGrid();
     spec.tunables = {
-        {"words", "256", "ECC words in the chip"},
-        {"rber", "0.01", "raw bit error rate of the retention regime"},
-        {"prob", "0.5", "per-bit failure probability of at-risk cells"},
-        {"active_rounds", "64", "active-profiling rounds per word"},
-        {"accesses", "20000", "normal-operation accesses"},
+        {"words", 256, "ECC words in the chip"},
+        {"rber", 0.01, "raw bit error rate of the retention regime"},
+        {"prob", 0.5, "per-bit failure probability of at-risk cells"},
+        {"active_rounds", 64, "active-profiling rounds per word"},
+        {"accesses", 20000, "normal-operation accesses"},
     };
     spec.schema = {
         {"at_risk_cells", JsonType::Int, "ground-truth at-risk cells"},
@@ -345,18 +343,15 @@ makeRetentionCaseStudy()
          "profile size / data capacity"},
     };
     spec.run = [](const RunContext &ctx) {
-        const auto num_words =
-            static_cast<std::size_t>(ctx.getInt("words", 256));
+        const auto num_words = ctx.getCount("words");
         // The access loop draws words and scrub slots modulo num_words.
         if (num_words == 0)
             throw std::invalid_argument(
                 "retention_case_study: words must be at least 1");
-        const double rber = ctx.getDouble("rber", 0.01);
-        const double prob = ctx.getDouble("prob", 0.5);
-        const auto active_rounds =
-            static_cast<std::size_t>(ctx.getInt("active_rounds", 64));
-        const auto accesses =
-            static_cast<std::size_t>(ctx.getInt("accesses", 20000));
+        const double rber = ctx.getDouble("rber");
+        const double prob = ctx.getDouble("prob");
+        const auto active_rounds = ctx.getCount("active_rounds");
+        const auto accesses = ctx.getCount("accesses");
         const std::uint64_t seed = ctx.seed();
 
         common::Xoshiro256 code_rng(seed);
@@ -460,9 +455,9 @@ makeSecondaryEccSizing()
     spec.labels = {"example"};
     spec.grid = ParamGrid();
     spec.tunables = {
-        {"pre_errors", "5", "at-risk cells in the word"},
-        {"prob", "0.5", "per-bit failure probability of at-risk cells"},
-        {"rounds", "64", "profiling rounds"},
+        {"pre_errors", 5, "at-risk cells in the word"},
+        {"prob", 0.5, "per-bit failure probability of at-risk cells"},
+        {"rounds", 64, "profiling rounds"},
     };
     spec.schema = {
         {"direct_at_risk", JsonType::Int, "ground-truth direct bits"},
@@ -476,11 +471,9 @@ makeSecondaryEccSizing()
          "checkpoint"},
     };
     spec.run = [](const RunContext &ctx) {
-        const auto pre_errors =
-            static_cast<std::size_t>(ctx.getInt("pre_errors", 5));
-        const double prob = ctx.getDouble("prob", 0.5);
-        const auto rounds =
-            static_cast<std::size_t>(ctx.getInt("rounds", 64));
+        const auto pre_errors = ctx.getCount("pre_errors");
+        const double prob = ctx.getDouble("prob");
+        const auto rounds = ctx.getCount("rounds");
 
         common::Xoshiro256 code_rng(ctx.seed());
         const ecc::HammingCode on_die =

@@ -105,9 +105,9 @@ makeDecOnDieEcc()
     spec.grid = ParamGrid({t_axis, n_axis});
 
     spec.tunables = {
-        {"k", "64", "dataword length of the on-die BCH code"},
-        {"words", "120", "simulated ECC words per point"},
-        {"rounds", "128", "HARP active-profiling rounds"},
+        {"k", 64, "dataword length of the on-die BCH code"},
+        {"words", 120, "simulated ECC words per point"},
+        {"rounds", 128, "HARP active-profiling rounds"},
     };
     spec.schema = {
         {"code", JsonType::String, "(n,k) of the on-die BCH code"},
@@ -130,15 +130,11 @@ makeDecOnDieEcc()
         {"words", JsonType::Int, "simulated words"},
     };
     spec.run = [](const RunContext &ctx) {
-        const auto t = static_cast<std::size_t>(
-            ctx.point().find("on_die_t")->asInt());
-        const auto n = static_cast<std::size_t>(
-            ctx.point().find("pre_errors")->asInt());
-        const auto k = static_cast<std::size_t>(ctx.getInt("k", 64));
-        const auto words =
-            static_cast<std::size_t>(ctx.getInt("words", 120));
-        const auto rounds =
-            static_cast<std::size_t>(ctx.getInt("rounds", 128));
+        const auto t = ctx.getCount("on_die_t");
+        const auto n = ctx.getCount("pre_errors");
+        const auto k = ctx.getCount("k");
+        const auto words = ctx.getCount("words");
+        const auto rounds = ctx.getCount("rounds");
         const ecc::BchCode code(k, t);
 
         std::size_t worst_empty_all = 0, worst_direct_all = 0;
@@ -238,10 +234,10 @@ makeBchTSweep()
     spec.grid = ParamGrid({t_axis, n_axis});
 
     spec.tunables = {
-        {"k", "64", "dataword length of the on-die BCH code"},
-        {"words", "64", "simulated ECC words per point"},
-        {"rounds", "64", "active-profiling rounds"},
-        {"prob", "0.5", "per-bit failure probability of at-risk cells"},
+        {"k", 64, "dataword length of the on-die BCH code"},
+        {"words", 64, "simulated ECC words per point"},
+        {"rounds", 64, "active-profiling rounds"},
+        {"prob", 0.5, "per-bit failure probability of at-risk cells"},
         engineTunable(),
     };
     spec.schema = {
@@ -265,16 +261,12 @@ makeBchTSweep()
          "errors (the generalized HARP bound)"},
     };
     spec.run = [](const RunContext &ctx) {
-        const auto t = static_cast<std::size_t>(
-            ctx.point().find("on_die_t")->asInt());
-        const auto n_errors = static_cast<std::size_t>(
-            ctx.point().find("pre_errors")->asInt());
-        const auto k = static_cast<std::size_t>(ctx.getInt("k", 64));
-        const auto words =
-            static_cast<std::size_t>(ctx.getInt("words", 64));
-        const auto rounds =
-            static_cast<std::size_t>(ctx.getInt("rounds", 64));
-        const double prob = ctx.getDouble("prob", 0.5);
+        const auto t = ctx.getCount("on_die_t");
+        const auto n_errors = ctx.getCount("pre_errors");
+        const auto k = ctx.getCount("k");
+        const auto words = ctx.getCount("words");
+        const auto rounds = ctx.getCount("rounds");
+        const double prob = ctx.getDouble("prob");
         const core::EngineKind engine = engineFromContext(ctx);
 
         const ecc::BchCode code(k, t);
@@ -390,9 +382,9 @@ makeLowProbability()
     spec.grid = ParamGrid({p_low, rounds});
 
     spec.tunables = {
-        {"words", "150", "simulated ECC words per point"},
-        {"normal_cells", "3", "at-risk cells at p = 0.5 per word"},
-        {"low_cells", "2", "low-probability at-risk cells per word"},
+        {"words", 150, "simulated ECC words per point"},
+        {"normal_cells", 3, "at-risk cells at p = 0.5 per word"},
+        {"low_cells", 2, "low-probability at-risk cells per word"},
         engineTunable(),
     };
     spec.schema = {
@@ -405,15 +397,11 @@ makeLowProbability()
         {"words", JsonType::Int, "simulated words"},
     };
     spec.run = [](const RunContext &ctx) {
-        const double p_low_v = ctx.point().find("p_low")->asDouble();
-        const auto rounds_v = static_cast<std::size_t>(
-            ctx.point().find("rounds")->asInt());
-        const auto words =
-            static_cast<std::size_t>(ctx.getInt("words", 150));
-        const auto n_normal =
-            static_cast<std::size_t>(ctx.getInt("normal_cells", 3));
-        const auto n_low =
-            static_cast<std::size_t>(ctx.getInt("low_cells", 2));
+        const double p_low_v = ctx.getDouble("p_low");
+        const auto rounds_v = ctx.getCount("rounds");
+        const auto words = ctx.getCount("words");
+        const auto n_normal = ctx.getCount("normal_cells");
+        const auto n_low = ctx.getCount("low_cells");
 
         const core::EngineKind engine_kind = engineFromContext(ctx);
 
@@ -509,10 +497,10 @@ makeSecondaryInterleaving()
     spec.grid = ParamGrid();
 
     spec.tunables = {
-        {"pairs", "40", "pairs of on-die (71,64) words"},
-        {"accesses", "2000", "accesses simulated per pair"},
-        {"prob", "0.5", "per-bit failure probability of at-risk cells"},
-        {"pre_errors", "4", "at-risk cells per on-die word"},
+        {"pairs", 40, "pairs of on-die (71,64) words"},
+        {"accesses", 2000, "accesses simulated per pair"},
+        {"prob", 0.5, "per-bit failure probability of at-risk cells"},
+        {"pre_errors", 4, "at-risk cells per on-die word"},
     };
     spec.schema = {
         {"accesses_total", JsonType::Int, "pairs x accesses"},
@@ -528,13 +516,10 @@ makeSecondaryInterleaving()
          "DEC BCH secondary: any failure (expect 0)"},
     };
     spec.run = [](const RunContext &ctx) {
-        const auto pairs =
-            static_cast<std::size_t>(ctx.getInt("pairs", 40));
-        const auto accesses =
-            static_cast<std::size_t>(ctx.getInt("accesses", 2000));
-        const double prob = ctx.getDouble("prob", 0.5);
-        const auto n_cells =
-            static_cast<std::size_t>(ctx.getInt("pre_errors", 4));
+        const auto pairs = ctx.getCount("pairs");
+        const auto accesses = ctx.getCount("accesses");
+        const double prob = ctx.getDouble("prob");
+        const auto n_cells = ctx.getCount("pre_errors");
 
         common::Xoshiro256 setup_rng(ctx.seed());
         const ecc::ExtendedHammingCode secded =

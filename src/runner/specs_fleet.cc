@@ -35,15 +35,15 @@ std::vector<TunableSpec>
 fleetShapeTunables()
 {
     return {
-        {"chips", "125000", "simulated chips per grid point"},
-        {"words_per_chip", "128", "ECC words per chip"},
-        {"device_hours", "43800",
+        {"chips", 125000, "simulated chips per grid point"},
+        {"words_per_chip", 128, "ECC words per chip"},
+        {"device_hours", 43800.0,
          "field exposure per chip (Poisson window; 43800 h = 5 y)"},
-        {"cell_prob", "0.5",
+        {"cell_prob", 0.5,
          "per-access failure probability of placed at-risk cells"},
-        {"fit_scale", "1",
+        {"fit_scale", 1.0,
          "multiplier on every mode FIT rate (inflate for small fleets)"},
-        {"fleet_seed", "0",
+        {"fleet_seed", 0,
          "fixed population seed shared by every grid point for paired "
          "policy comparisons (0 = per-point campaign seed)"},
     };
@@ -52,17 +52,17 @@ fleetShapeTunables()
 std::uint64_t
 fleetSeedFromContext(const RunContext &ctx)
 {
-    const std::int64_t pinned = ctx.getInt("fleet_seed", 0);
-    return pinned > 0 ? static_cast<std::uint64_t>(pinned) : ctx.seed();
+    const std::size_t pinned = ctx.getCount("fleet_seed");
+    return pinned > 0 ? pinned : ctx.seed();
 }
 
 fleet::FleetDistribution
 distributionFromContext(const RunContext &ctx)
 {
     fleet::FleetDistribution dist =
-        fleet::FleetDistribution::preset(ctx.getString("dist", "ddr4"));
-    dist.cellProbability = ctx.getDouble("cell_prob", 0.5);
-    const double fit_scale = ctx.getDouble("fit_scale", 1.0);
+        fleet::FleetDistribution::preset(ctx.getString("dist"));
+    dist.cellProbability = ctx.getDouble("cell_prob");
+    const double fit_scale = ctx.getDouble("fit_scale");
     for (double &fit : dist.modeFit)
         fit *= fit_scale;
     dist.validate();
@@ -74,22 +74,19 @@ runPolicySweepPoint(const RunContext &ctx)
 {
     fleet::FleetConfig config;
     config.distribution = distributionFromContext(ctx);
-    config.wordsPerChip =
-        static_cast<std::size_t>(ctx.getInt("words_per_chip", 128));
-    config.deviceHours = ctx.getDouble("device_hours", 43800.0);
-    config.chips = static_cast<std::size_t>(ctx.getInt("chips", 125000));
-    config.windows = static_cast<std::size_t>(ctx.getInt("windows", 32));
+    config.wordsPerChip = ctx.getCount("words_per_chip");
+    config.deviceHours = ctx.getDouble("device_hours");
+    config.chips = ctx.getCount("chips");
+    config.windows = ctx.getCount("windows");
     config.seed = fleetSeedFromContext(ctx);
     config.threads = ctx.threads();
     config.engine = engineFromContext(ctx);
 
     config.policy.profiler =
-        fleet::profilerKindFromName(ctx.getString("profiler", "harp_u"));
-    config.policy.activeRounds =
-        static_cast<std::size_t>(ctx.getInt("rounds", 32));
-    config.policy.scrubInterval =
-        static_cast<std::size_t>(ctx.getInt("scrub_interval", 8));
-    const std::int64_t budget = ctx.getInt("repair_budget", -1);
+        fleet::profilerKindFromName(ctx.getString("profiler"));
+    config.policy.activeRounds = ctx.getCount("rounds");
+    config.policy.scrubInterval = ctx.getCount("scrub_interval");
+    const std::int64_t budget = ctx.getInt("repair_budget");
     config.policy.repairBudget =
         budget < 0 ? fleet::kUnlimitedBudget
                    : static_cast<std::size_t>(budget);
@@ -125,12 +122,10 @@ JsonValue
 runPopulationStatsPoint(const RunContext &ctx)
 {
     const fleet::FleetDistribution dist = distributionFromContext(ctx);
-    const std::size_t chips =
-        static_cast<std::size_t>(ctx.getInt("chips", 125000));
-    const fleet::ChipGeometry geometry{
-        static_cast<std::size_t>(ctx.getInt("words_per_chip", 128)), 71};
+    const std::size_t chips = ctx.getCount("chips");
+    const fleet::ChipGeometry geometry{ctx.getCount("words_per_chip"), 71};
     const fleet::PopulationSampler sampler(
-        dist, geometry, ctx.getDouble("device_hours", 43800.0),
+        dist, geometry, ctx.getDouble("device_hours"),
         fleetSeedFromContext(ctx));
 
     std::array<std::uint64_t, fleet::kNumFaultModes> mode_counts{};
@@ -224,9 +219,9 @@ registerFleetSpecs(Registry &registry)
             {"dist", "ddr4",
              "field fault distribution preset: ddr4 | hrm (3-tier HRM)"});
         spec.tunables.push_back(
-            {"windows", "32", "operation windows replayed per chip"});
+            {"windows", 32, "operation windows replayed per chip"});
         spec.tunables.push_back(
-            {"rounds", "32", "active-profiling rounds per faulty word"});
+            {"rounds", 32, "active-profiling rounds per faulty word"});
         spec.tunables.push_back(engineTunable());
         spec.schema = {
             {"chips", JsonType::Int, "simulated chips"},

@@ -7,6 +7,7 @@
  */
 
 #include <cmath>
+#include <stdexcept>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -43,7 +44,7 @@ makeFig02()
     spec.grid = ParamGrid({rber, granularity});
 
     spec.tunables = {
-        {"blocks", "4000", "Monte-Carlo blocks per cross-check point"},
+        {"blocks", 4000, "Monte-Carlo blocks per cross-check point"},
     };
     spec.schema = {
         {"expected_waste", JsonType::Double,
@@ -52,11 +53,12 @@ makeFig02()
         {"abs_error", JsonType::Double, "|expected - monte_carlo|"},
     };
     spec.run = [](const RunContext &ctx) {
-        const double rber = ctx.point().find("rber")->asDouble();
-        const auto g = static_cast<std::size_t>(
-            ctx.point().find("granularity")->asInt());
-        const auto blocks =
-            static_cast<std::size_t>(ctx.getInt("blocks", 4000));
+        const double rber = ctx.getDouble("rber");
+        const auto g = ctx.getCount("granularity");
+        const auto blocks = ctx.getCount("blocks");
+        // The simulated fraction divides by the simulated bit count.
+        if (blocks == 0)
+            throw std::invalid_argument("blocks must be at least 1");
         common::Xoshiro256 rng(ctx.seed());
 
         const double expected = core::expectedWastedFraction(g, rber);
@@ -117,8 +119,7 @@ makeTable01()
          "expected wasted fraction at RBER 1e-2"},
     };
     spec.run = [](const RunContext &ctx) {
-        const std::string &name =
-            ctx.point().find("mechanism")->asString();
+        const std::string &name = ctx.getString("mechanism");
         const SurveyRow *row = nullptr;
         for (const SurveyRow &candidate : surveyRows)
             if (name == candidate.mechanismClass)
@@ -157,8 +158,8 @@ makeTable02()
     spec.grid = ParamGrid({n});
 
     spec.tunables = {
-        {"k", "64", "dataword length of the random SEC codes"},
-        {"trials", "400", "random (code, fault placement) trials"},
+        {"k", 64, "dataword length of the random SEC codes"},
+        {"trials", 400, "random (code, fault placement) trials"},
     };
     spec.schema = {
         {"unique_patterns", JsonType::Int, "2^n - 1"},
@@ -171,11 +172,9 @@ makeTable02()
          "mean at-risk count across trials"},
     };
     spec.run = [](const RunContext &ctx) {
-        const auto n = static_cast<std::size_t>(
-            ctx.point().find("pre_errors")->asInt());
-        const auto k = static_cast<std::size_t>(ctx.getInt("k", 64));
-        const auto trials =
-            static_cast<std::size_t>(ctx.getInt("trials", 400));
+        const auto n = ctx.getCount("pre_errors");
+        const auto k = ctx.getCount("k");
+        const auto trials = ctx.getCount("trials");
 
         common::RunningStat at_risk;
         for (std::size_t t = 0; t < trials; ++t) {
@@ -221,10 +220,10 @@ makeFig04()
     spec.grid = ParamGrid({n});
 
     spec.tunables = {
-        {"k", "64", "dataword length of the on-die ECC code"},
-        {"codes", "40", "randomly generated codes"},
-        {"words", "40", "simulated ECC words per code"},
-        {"prob", "0.5", "per-bit failure probability of at-risk cells"},
+        {"k", 64, "dataword length of the on-die ECC code"},
+        {"codes", 40, "randomly generated codes"},
+        {"words", 40, "simulated ECC words per code"},
+        {"prob", 0.5, "per-bit failure probability of at-risk cells"},
     };
     const char *quantiles[] = {"p5", "p25", "median", "p75", "p95"};
     for (const char *q : quantiles)
@@ -239,14 +238,11 @@ makeFig04()
 
     spec.run = [](const RunContext &ctx) {
         core::Fig4Config config;
-        config.k = static_cast<std::size_t>(ctx.getInt("k", 64));
-        config.numCodes =
-            static_cast<std::size_t>(ctx.getInt("codes", 40));
-        config.wordsPerCode =
-            static_cast<std::size_t>(ctx.getInt("words", 40));
-        config.perBitProbability = ctx.getDouble("prob", 0.5);
-        const auto n = static_cast<std::size_t>(
-            ctx.point().find("pre_errors")->asInt());
+        config.k = ctx.getCount("k");
+        config.numCodes = ctx.getCount("codes");
+        config.wordsPerCode = ctx.getCount("words");
+        config.perBitProbability = ctx.getDouble("prob");
+        const auto n = ctx.getCount("pre_errors");
         config.minPreCorrectionErrors = n;
         config.maxPreCorrectionErrors = n;
         config.seed = ctx.seed();

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 
 #include "common/bits.hh"
@@ -28,6 +27,7 @@
 #include "ecc/hamming_code.hh"
 #include "ecc/sliced_bch.hh"
 #include "ecc/sliced_hamming.hh"
+#include "runner/campaign.hh"
 #include "runner/registry.hh"
 #include "runner/sweeps.hh"
 
@@ -369,15 +369,15 @@ makePerfEngineThroughput()
     spec.grid =
         ParamGrid({ParamAxis{"workload", {"hamming", "bch"}}});
     spec.tunables = {
-        {"k", "64", "dataword length of the on-die ECC code"},
-        {"codes", "8", "randomly generated codes (word-count scale for "
+        {"k", 64, "dataword length of the on-die ECC code"},
+        {"codes", 8, "randomly generated codes (word-count scale for "
                        "the BCH workload)"},
-        {"words", "24", "simulated ECC words per code"},
-        {"rounds", "128", "active-profiling rounds"},
-        {"prob", "0.5", "per-bit failure probability of at-risk cells"},
-        {"pre_errors", "4", "at-risk cells per ECC word"},
-        {"t", "3", "correction capability of the BCH workload's code"},
-        {"reps", "3", "measurement repetitions (best-of)"},
+        {"words", 24, "simulated ECC words per code"},
+        {"rounds", 128, "active-profiling rounds"},
+        {"prob", 0.5, "per-bit failure probability of at-risk cells"},
+        {"pre_errors", 4, "at-risk cells per ECC word"},
+        {"t", 3, "correction capability of the BCH workload's code"},
+        {"reps", 3, "measurement repetitions (best-of)"},
     };
     spec.schema = {
         {"words_total", JsonType::Int, "simulated ECC words"},
@@ -427,24 +427,18 @@ makePerfEngineThroughput()
     };
     spec.run = [](const RunContext &ctx) {
         PerfWorkload workload;
-        workload.k = static_cast<std::size_t>(ctx.getInt("k", 64));
-        workload.numCodes =
-            static_cast<std::size_t>(ctx.getInt("codes", 8));
-        workload.wordsPerCode =
-            static_cast<std::size_t>(ctx.getInt("words", 24));
-        workload.rounds =
-            static_cast<std::size_t>(ctx.getInt("rounds", 128));
-        workload.preErrors =
-            static_cast<std::size_t>(ctx.getInt("pre_errors", 4));
-        workload.probability = ctx.getDouble("prob", 0.5);
+        workload.k = ctx.getCount("k");
+        workload.numCodes = ctx.getCount("codes");
+        workload.wordsPerCode = ctx.getCount("words");
+        workload.rounds = ctx.getCount("rounds");
+        workload.preErrors = ctx.getCount("pre_errors");
+        workload.probability = ctx.getDouble("prob");
         workload.seed = ctx.seed();
-        workload.bch =
-            ctx.point().find("workload")->asString() == "bch";
-        workload.bchT = static_cast<std::size_t>(ctx.getInt("t", 3));
+        workload.bch = ctx.getString("workload") == "bch";
+        workload.bchT = ctx.getCount("t");
         // At least one rep: --reps 0 would otherwise report a
         // zero-checksum "match" without measuring anything.
-        const auto reps = std::max<std::size_t>(
-            1, static_cast<std::size_t>(ctx.getInt("reps", 3)));
+        const auto reps = std::max<std::size_t>(1, ctx.getCount("reps"));
 
         const EngineMeasurement scalar =
             measureEngine(workload, core::EngineKind::Scalar, reps);
@@ -481,10 +475,8 @@ makePerfEngineThroughput()
                     JsonValue(scalar_seconds / sliced_seconds));
         metrics.set("profiles_match",
                     JsonValue(scalar.checksum == sliced.checksum));
-        char hex[17];
-        std::snprintf(hex, sizeof(hex), "%016llx",
-                      static_cast<unsigned long long>(scalar.checksum));
-        metrics.set("profile_checksum", JsonValue(std::string(hex)));
+        metrics.set("profile_checksum",
+                    JsonValue(formatResultHash(scalar.checksum)));
         const std::uint64_t lookups =
             sliced.memoHits + sliced.memoMisses;
         metrics.set("memo_hits", workload.bch

@@ -84,7 +84,7 @@ engineTunable()
 inline core::EngineKind
 engineFromContext(const RunContext &ctx)
 {
-    return core::engineKindFromName(ctx.getString("engine", "sliced64"));
+    return core::engineKindFromName(ctx.getString("engine"));
 }
 
 /** The Monte-Carlo scale tunables shared by the coverage-style specs. */
@@ -92,10 +92,10 @@ inline std::vector<TunableSpec>
 coverageTunables()
 {
     return {
-        {"k", "64", "dataword length of the on-die ECC code"},
-        {"codes", "8", "randomly generated codes per point"},
-        {"words", "24", "simulated ECC words per code"},
-        {"rounds", "128", "active-profiling rounds"},
+        {"k", 64, "dataword length of the on-die ECC code"},
+        {"codes", 8, "randomly generated codes per point"},
+        {"words", 24, "simulated ECC words per code"},
+        {"rounds", 128, "active-profiling rounds"},
         engineTunable(),
     };
 }
@@ -105,11 +105,10 @@ inline core::CoverageConfig
 coverageConfigFromContext(const RunContext &ctx)
 {
     core::CoverageConfig config;
-    config.k = static_cast<std::size_t>(ctx.getInt("k", 64));
-    config.numCodes = static_cast<std::size_t>(ctx.getInt("codes", 8));
-    config.wordsPerCode =
-        static_cast<std::size_t>(ctx.getInt("words", 24));
-    config.rounds = static_cast<std::size_t>(ctx.getInt("rounds", 128));
+    config.k = ctx.getCount("k");
+    config.numCodes = ctx.getCount("codes");
+    config.wordsPerCode = ctx.getCount("words");
+    config.rounds = ctx.getCount("rounds");
     config.seed = ctx.seed();
     config.threads = ctx.threads();
     config.engine = engineFromContext(ctx);

@@ -43,13 +43,13 @@ makeTestRegistry()
     for (std::int64_t i = 0; i < 4; ++i)
         axis.values.push_back(runner::ParamValue(i));
     spec.grid = runner::ParamGrid({axis});
-    spec.tunables = {{"delay_ms", "5", "per-job sleep"}};
+    spec.tunables = {{"delay_ms", 5, "per-job sleep"}};
     spec.schema = {{"i_out", JsonType::Int, "echoed index"}};
     spec.run = [](const runner::RunContext &ctx) {
         std::this_thread::sleep_for(
-            std::chrono::milliseconds(ctx.getInt("delay_ms", 5)));
+            std::chrono::milliseconds(ctx.getInt("delay_ms")));
         JsonValue metrics = JsonValue::object();
-        metrics.set("i_out", JsonValue(ctx.getInt("i", -1)));
+        metrics.set("i_out", JsonValue(ctx.getInt("i")));
         return metrics;
     };
     registry.add(std::move(spec));

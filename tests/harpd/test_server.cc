@@ -55,7 +55,7 @@ makeTestRegistry()
         spec.schema = {{"value", JsonType::Int, "seed-derived value"},
                        {"x2", JsonType::Int, "x squared"}};
         spec.run = [](const runner::RunContext &ctx) {
-            const std::int64_t x = ctx.getInt("x", 0);
+            const std::int64_t x = ctx.getInt("x");
             JsonValue metrics = JsonValue::object();
             metrics.set("value",
                         JsonValue(static_cast<std::int64_t>(
@@ -75,13 +75,13 @@ makeTestRegistry()
         for (std::int64_t i = 0; i < 8; ++i)
             axis.values.push_back(runner::ParamValue(i));
         spec.grid = runner::ParamGrid({axis});
-        spec.tunables = {{"delay_ms", "5", "per-job sleep"}};
+        spec.tunables = {{"delay_ms", 5, "per-job sleep"}};
         spec.schema = {{"i_out", JsonType::Int, "echoed index"}};
         spec.run = [](const runner::RunContext &ctx) {
             std::this_thread::sleep_for(std::chrono::milliseconds(
-                ctx.getInt("delay_ms", 5)));
+                ctx.getInt("delay_ms")));
             JsonValue metrics = JsonValue::object();
-            metrics.set("i_out", JsonValue(ctx.getInt("i", -1)));
+            metrics.set("i_out", JsonValue(ctx.getInt("i")));
             return metrics;
         };
         registry.add(std::move(spec));
@@ -522,29 +522,44 @@ TEST_F(ServerTest, WireFaultsGetStructuredErrorsAndNeverKillTheServer)
     EXPECT_EQ(survivor.request(ping).find("type")->asString(), "pong");
 }
 
-/** A degenerate built-in experiment (zero profiling rounds) fails as
- *  a job error on its own campaign; the daemon keeps serving. */
+/** A degenerate built-in experiment (zero profiling rounds, a negative
+ *  count) fails as a job error on its own campaign, a malformed value
+ *  is refused at submit, and the daemon keeps serving. */
 TEST_F(ServerTest, ZeroRoundSubmitFailsTheCampaignNotTheServer)
 {
     config_.registry = &runner::builtinRegistry();
     startServer();
     // Each row poisons one job: zero rounds, a zero-word chip (the
-    // retention study's access loop divides by the word count), and
-    // more at-risk cells than a k = 64 codeword has.
+    // retention study's access loop divides by the word count), more
+    // at-risk cells than a k = 64 codeword has, and a negative count
+    // (once a near-2^64 loop bound that never finished).
     const std::vector<std::pair<std::string, std::map<std::string,
                                                       std::string>>>
         poisons = {{"fig06_direct_coverage", {{"rounds", "0"}}},
                    {"fig10_case_study", {{"rounds", "0"}}},
                    {"retention_case_study", {{"words", "0"}}},
-                   {"quickstart", {{"pre_errors", "72"}}}};
+                   {"quickstart", {{"pre_errors", "72"}}},
+                   {"extension_secondary_interleaving",
+                    {{"accesses", "-1"}}}};
+    const fs::path checkpoints = fs::path(config_.dataDir) / "checkpoints";
     for (std::size_t i = 0; i < poisons.size(); ++i) {
         const auto &[experiment, overrides] = poisons[i];
+        const std::string id = "poison" + std::to_string(i);
         Client client(config_.socketPath);
         const StreamedCampaign streamed = streamSubmit(
-            client, submitRequest("poison" + std::to_string(i),
-                                  {experiment}, 1, 1, overrides));
+            client, submitRequest(id, {experiment}, 1, 1, overrides));
         EXPECT_FALSE(streamed.done) << experiment;
         EXPECT_EQ(streamed.errorCode, errc::campaignFailed) << experiment;
+        EXPECT_FALSE(fs::exists(checkpoints / (id + ".ckpt"))) << experiment;
+    }
+    // A malformed value is refused at submit, before a checkpoint exists.
+    {
+        Client client(config_.socketPath);
+        const StreamedCampaign streamed = streamSubmit(
+            client, submitRequest("malformed", {"fig06_direct_coverage"}, 1,
+                                  1, {{"words", "abc"}}));
+        EXPECT_EQ(streamed.errorCode, errc::badRequest);
+        EXPECT_FALSE(fs::exists(checkpoints / "malformed.ckpt"));
     }
     Client survivor(config_.socketPath);
     JsonValue ping = JsonValue::object();

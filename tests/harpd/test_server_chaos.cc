@@ -68,7 +68,7 @@ makeTestRegistry()
         spec.schema = {{"value", JsonType::Int, "seed-derived value"},
                        {"x2", JsonType::Int, "x squared"}};
         spec.run = [](const runner::RunContext &ctx) {
-            const std::int64_t x = ctx.getInt("x", 0);
+            const std::int64_t x = ctx.getInt("x");
             JsonValue metrics = JsonValue::object();
             metrics.set("value",
                         JsonValue(static_cast<std::int64_t>(
@@ -88,13 +88,13 @@ makeTestRegistry()
         for (std::int64_t i = 0; i < 8; ++i)
             axis.values.push_back(runner::ParamValue(i));
         spec.grid = runner::ParamGrid({axis});
-        spec.tunables = {{"delay_ms", "5", "per-job sleep"}};
+        spec.tunables = {{"delay_ms", 5, "per-job sleep"}};
         spec.schema = {{"i_out", JsonType::Int, "echoed index"}};
         spec.run = [](const runner::RunContext &ctx) {
             std::this_thread::sleep_for(std::chrono::milliseconds(
-                ctx.getInt("delay_ms", 5)));
+                ctx.getInt("delay_ms")));
             JsonValue metrics = JsonValue::object();
-            metrics.set("i_out", JsonValue(ctx.getInt("i", -1)));
+            metrics.set("i_out", JsonValue(ctx.getInt("i")));
             return metrics;
         };
         registry.add(std::move(spec));

@@ -404,7 +404,10 @@ TEST(BchGolden, TSweepResultHashUnderEveryEngine)
  *  - `pre_errors` past the codeword length n = 71 of a k = 64 word;
  *  - `words 0` in the retention study (its access loop draws words
  *    modulo the word count, a division by zero);
- *  - an engine name other than `scalar` or `sliced64`.
+ *  - an engine name other than `scalar` or `sliced64`;
+ *  - `blocks 0` in Fig. 2 (the simulated fraction divides by zero);
+ *  - a negative count, whether a tunable or an axis (it would wrap to
+ *    a near-2^64 loop bound).
  */
 TEST(Campaign, OutOfRangeTunablesFailTheJob)
 {
@@ -429,6 +432,16 @@ TEST(Campaign, OutOfRangeTunablesFailTheJob)
          {{"engine", "sliced256"}, {"codes", "1"}, {"words", "2"},
           {"rounds", "2"}},
          "unknown engine kind: sliced256 (expected scalar | sliced64)"},
+        {"fig02_wasted_storage", {{"blocks", "0"}},
+         "blocks must be at least 1"},
+        {"fig06_direct_coverage", {{"words", "-1"}},
+         "words must be a count >= 0, got -1"},
+        {"fig10_case_study", {{"samples", "-1"}},
+         "samples must be a count >= 0, got -1"},
+        {"extension_low_probability", {{"rounds", "-1"}},
+         "rounds must be a count >= 0, got -1"},
+        {"extension_secondary_interleaving", {{"accesses", "-1"}},
+         "accesses must be a count >= 0, got -1"},
     };
     for (const Case &c : cases) {
         const TempDir dir("bad_" + c.experiment);
@@ -446,6 +459,89 @@ TEST(Campaign, OutOfRangeTunablesFailTheJob)
                 << e.what();
         }
     }
+}
+
+/** A malformed override fails when the session is built, naming the
+ *  knob, before any job could run. */
+TEST(Campaign, MalformedTunableOverrideFailsSessionConstruction)
+{
+    const ExperimentSpec *spec =
+        builtinRegistry().find("fig06_direct_coverage");
+    ASSERT_NE(spec, nullptr);
+    const std::vector<std::pair<std::string, std::string>> malformed = {
+        {"words", "abc"}, {"words", "4x"}, {"prob", "half"}};
+    for (const auto &[name, text] : malformed) {
+        SessionOptions options;
+        options.overrides = {{name, text}};
+        try {
+            const CampaignSession session(*spec, options);
+            ADD_FAILURE() << name << " accepted '" << text << "'";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_EQ(std::string(e.what()).rfind(name + ": ", 0), 0u)
+                << e.what();
+        }
+    }
+}
+
+/**
+ * Every registered experiment runs one point at small scale with no
+ * job error: each axis collapsed to its first value, each declared
+ * scale knob shrunk, every other knob at its declared default. This
+ * proves each knob a run() reads is declared, and each default has the
+ * type its reader asks for.
+ */
+TEST(Campaign, EveryExperimentRunsOnePointAtSmallScale)
+{
+    const std::map<std::string, std::string> small = {
+        {"codes", "1"},        {"words", "2"},
+        {"rounds", "4"},       {"blocks", "10"},
+        {"trials", "2"},       {"samples", "2"},
+        {"max_cells", "2"},    {"chips", "20"},
+        {"windows", "2"},      {"words_per_chip", "4"},
+        {"pairs", "1"},        {"accesses", "4"},
+        {"active_rounds", "4"}, {"reps", "1"},
+    };
+    for (const ExperimentSpec *spec : builtinRegistry().all()) {
+        const TempDir dir("small_" + spec->name);
+        CampaignOptions options;
+        options.threads = 1;
+        options.outDir = dir.str();
+        for (const ParamAxis &axis : spec->grid.axes())
+            options.overrides[axis.name] = axis.values.front().toString();
+        for (const auto &[name, text] : small)
+            if (acceptsOverride({spec}, name))
+                options.overrides[name] = text;
+        std::ostringstream log;
+        try {
+            const CampaignSummary summary =
+                runCampaign({spec}, options, log);
+            ASSERT_EQ(summary.experiments.size(), 1u);
+            EXPECT_EQ(summary.experiments[0].points, 1u) << spec->name;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << spec->name << ": " << e.what();
+        }
+    }
+}
+
+/** The data-pattern ablation declares the `k` it reads, so `--k` is
+ *  accepted and reaches the coverage config. */
+TEST(Campaign, DataPatternAblationTakesItsDeclaredK)
+{
+    const ExperimentSpec *spec =
+        builtinRegistry().find("ablation_data_patterns");
+    ASSERT_NE(spec, nullptr);
+    EXPECT_TRUE(acceptsOverride({spec}, "k"));
+    const auto hashWith = [spec](const std::string &k) {
+        const TempDir dir("patterns_k" + k);
+        CampaignOptions options;
+        options.threads = 1;
+        options.outDir = dir.str();
+        options.overrides = {{"k", k}, {"codes", "1"}, {"words", "2"},
+                             {"rounds", "4"}};
+        std::ostringstream log;
+        return runCampaign({spec}, options, log).experiments[0].resultHash;
+    };
+    EXPECT_NE(hashWith("64"), hashWith("128"));
 }
 
 /** The longest-first scheduling heuristic: scale-like integer params
