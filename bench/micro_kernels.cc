@@ -2,7 +2,9 @@
  * @file
  * google-benchmark microkernels for the performance-critical primitives:
  * ECC encode/decode, fault injection, ground-truth analysis, GF(2)
- * solving, SAT solving, and full profiling rounds per profiler. These
+ * solving, SAT solving, full profiling rounds per profiler, and the
+ * leaf kernels under them (64x64 bit transpose, sliced Bernoulli draws,
+ * the wasted-storage Monte Carlo, BCH encode and Chien search). These
  * are throughput sanity checks for the Monte-Carlo engine, not paper
  * figures.
  */
@@ -17,6 +19,10 @@
 #include "core/harp_profiler.hh"
 #include "core/naive_profiler.hh"
 #include "core/round_engine.hh"
+#include "core/waste_model.hh"
+#include "ecc/bch_general.hh"
+#include "fault/sliced_injector.hh"
+#include "gf2/bit_slice.hh"
 #include "gf2/linear_solver.hh"
 #include "sat/cnf_builder.hh"
 
@@ -172,6 +178,97 @@ BM_ProfilingRound(benchmark::State &state)
     state.SetLabel(profiler->name());
 }
 BENCHMARK(BM_ProfilingRound)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+
+void
+BM_Transpose64x64(benchmark::State &state)
+{
+    common::Xoshiro256 rng(9);
+    std::uint64_t m[64];
+    for (std::uint64_t &row : m)
+        row = rng();
+    for (auto _ : state) {
+        gf2::transpose64x64(m);
+        benchmark::DoNotOptimize(m);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_Transpose64x64);
+
+void
+BM_SlicedCrnDraw(benchmark::State &state)
+{
+    // One round of Bernoulli trials for 64 lanes of 8 at-risk cells at
+    // p = 0.5, the least predictable outcome.
+    std::vector<fault::WordFaultModel> models;
+    std::vector<common::Xoshiro256> rngs;
+    for (std::uint64_t w = 0; w < 64; ++w) {
+        common::Xoshiro256 rng(100 + w);
+        models.push_back(
+            fault::WordFaultModel::makeUniformFixedCount(71, 8, 0.5, rng));
+        rngs.emplace_back(200 + w);
+    }
+    std::vector<const fault::WordFaultModel *> lanes;
+    for (const fault::WordFaultModel &model : models)
+        lanes.push_back(&model);
+    fault::SlicedCrnInjector injector(lanes);
+    for (auto _ : state) {
+        injector.drawRound(rngs);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) * 64 * 8);
+}
+BENCHMARK(BM_SlicedCrnDraw);
+
+void
+BM_WastedFractionMonteCarlo(benchmark::State &state)
+{
+    // 16 blocks of 1024 bits at p = 0.5 (Bernoulli outcomes a branch
+    // predictor cannot learn).
+    common::Xoshiro256 rng(10);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            core::simulateWastedFraction(1024, 0.5, 16, rng));
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) * 1024 * 16);
+}
+BENCHMARK(BM_WastedFractionMonteCarlo);
+
+void
+BM_BchEncode(benchmark::State &state)
+{
+    const ecc::BchCode code(64, 2);
+    common::Xoshiro256 rng(11);
+    const gf2::BitVector d = gf2::BitVector::random(64, rng);
+    gf2::BitVector c(code.n());
+    for (auto _ : state) {
+        code.encodeInto(d, c);
+        benchmark::DoNotOptimize(c);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BchEncode);
+
+void
+BM_BchDecodeWithErrors(benchmark::State &state)
+{
+    // t errors: Berlekamp-Massey plus a full Chien search.
+    const auto t = static_cast<std::size_t>(state.range(0));
+    const ecc::BchCode code(64, t);
+    common::Xoshiro256 rng(12);
+    gf2::BitVector c = code.encode(gf2::BitVector::random(64, rng));
+    for (std::size_t e = 0; e < t; ++e)
+        c.flip(7 * e + 3);
+    ecc::BchGeneralDecodeResult result;
+    for (auto _ : state) {
+        code.decodeInto(c, result);
+        benchmark::DoNotOptimize(result);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BchDecodeWithErrors)->Arg(2)->Arg(4);
 
 } // namespace
 

@@ -13,6 +13,7 @@
 #define HARP_COMMON_RNG_HH
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
 
@@ -46,8 +47,10 @@ class Xoshiro256
     static constexpr result_type max() { return ~result_type{0}; }
 
     /** Next raw 64-bit value. Inline: the profiling engines draw one
-     *  variate per at-risk cell per simulated word per round, so the
-     *  generator step must not cost a function call. */
+     *  per at-risk cell per simulated word per round, and the
+     *  wasted-storage Monte Carlo one per simulated bit, each compared
+     *  against a bernoulliThreshold(), so the generator step must not
+     *  cost a function call. */
     result_type operator()()
     {
         const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
@@ -73,9 +76,10 @@ class Xoshiro256
         return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
     }
 
-    /** Bernoulli trial with success probability @p p (clamped to [0,1]).
-     *  Inline for the same reason as operator(): the wasted-storage
-     *  Monte Carlo draws one trial per simulated bit. */
+    /** Bernoulli trial with success probability @p p (clamped to [0,1]):
+     *  no draw at p <= 0 or p >= 1, else one nextDouble(). Hot loops
+     *  that reuse one p compare raw draws against bernoulliThreshold(p)
+     *  instead. */
     bool nextBernoulli(double p)
     {
         p = std::clamp(p, 0.0, 1.0);
@@ -94,6 +98,28 @@ class Xoshiro256
 
     std::uint64_t s_[4];
 };
+
+/** 2^53: the count of distinct nextDouble() values. */
+inline constexpr std::uint64_t bernoulliScale = std::uint64_t{1} << 53;
+
+/**
+ * Integer form of a Bernoulli trial: for any 64-bit draw x,
+ * `(x >> 11) < bernoulliThreshold(p)` is exactly the decision
+ * `nextDouble() < p` makes from the same x. The threshold is
+ * ceil(p * 2^53), clamped: 0 for p <= 0 or NaN (never succeeds),
+ * 2^53 for p >= 1 (always succeeds). It is exact because p * 2^53 is a
+ * power-of-two scaling (no rounding) and x >> 11 is an integer u, so
+ * u * 2^-53 < p iff u < p * 2^53 iff u < ceil(p * 2^53).
+ */
+inline std::uint64_t
+bernoulliThreshold(double p)
+{
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return bernoulliScale;
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
 
 /**
  * Derive an independent child seed from a parent seed and a list of keys.

@@ -20,13 +20,18 @@ double
 simulateWastedFraction(std::size_t granularity, double rber,
                        std::size_t blocks, common::Xoshiro256 &rng)
 {
+    // nextBernoulli's rule: a sure outcome (p <= 0 or p >= 1) makes no
+    // draw and wastes nothing. Otherwise one draw per bit, counted
+    // branch-free against the exact integer threshold (NaN draws and
+    // never hits, as nextBernoulli does).
+    const std::uint64_t threshold = common::bernoulliThreshold(rber);
+    const bool draws = !(rber <= 0.0) && !(rber >= 1.0);
     std::size_t wasted_bits = 0;
     const std::size_t total_bits = granularity * blocks;
-    for (std::size_t b = 0; b < blocks; ++b) {
+    for (std::size_t b = 0; draws && b < blocks; ++b) {
         std::size_t errors = 0;
         for (std::size_t i = 0; i < granularity; ++i)
-            if (rng.nextBernoulli(rber))
-                ++errors;
+            errors += (rng() >> 11) < threshold;
         if (errors > 0)
             wasted_bits += granularity - errors;
     }

@@ -1,6 +1,7 @@
 #include "ecc/bch_general.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -82,17 +83,13 @@ BchCode::BchCode(std::size_t k, std::size_t t)
             if ((parityMasks_[i] >> j) & 1)
                 parityRows_[j].set(i, true);
 
-    // Decode-time tables: every syndrome term and Chien evaluation
-    // point is a fixed power of alpha, so the hot path is pure lookups.
+    // Decode-time table: every syndrome term is a fixed power of
+    // alpha, so the syndrome pass is pure lookups.
     synAlpha_.assign(n() * 2 * t_, 0);
     for (std::size_t c = 0; c < n(); ++c)
         for (std::size_t j = 0; j < 2 * t_; ++j)
             synAlpha_[c * 2 * t_ + j] =
                 field_.alphaPow(static_cast<std::uint64_t>(j + 1) * c);
-    chienXInv_.assign(n(), 0);
-    for (std::size_t i = 0; i < n(); ++i)
-        chienXInv_[i] = field_.alphaPow(
-            (field_.order() - (i % field_.order())) % field_.order());
 }
 
 std::size_t
@@ -126,15 +123,12 @@ BchCode::encodeInto(const gf2::BitVector &dataword,
 {
     assert(dataword.size() == k_);
     assert(codeword.size() == n());
-    codeword.fill(false);
+    codeword.assignAt(0, dataword);
     std::uint64_t parity = 0;
-    dataword.forEachSetBit([&](std::size_t i) {
-        codeword.set(i, true);
-        parity ^= parityMasks_[i];
-    });
+    dataword.forEachSetBit(
+        [&](std::size_t i) { parity ^= parityMasks_[i]; });
     for (std::size_t j = 0; j < parityBits_; ++j)
-        if ((parity >> j) & 1)
-            codeword.set(k_ + j, true);
+        codeword.set(k_ + j, (parity >> j) & 1);
 }
 
 bool
@@ -197,13 +191,31 @@ BchCode::chienSearch() const
     const std::size_t degree = lambda.size() - 1;
     if (degree == 0)
         return true;
-    // Error at coefficient i <=> Lambda(alpha^{-i}) == 0; Horner over
-    // the precomputed evaluation points.
+    // Error at coefficient i <=> Lambda(alpha^{-i}) == 0. In the log
+    // domain the term lambda_d * alpha^{-i*d} is alpha^(log lambda_d -
+    // i*d): keep one exponent per nonzero coefficient and step it down
+    // by d (mod order) per position, so each evaluation is lookups and
+    // XORs. BM bounds the degree by t <= 8.
+    assert(degree <= t_);
+    const std::uint32_t order = field_.order();
+    std::array<std::uint32_t, 8> exponent{};
+    std::array<std::uint32_t, 8> step{};
+    std::size_t terms = 0;
+    for (std::size_t d = 1; d <= degree; ++d) {
+        if (lambda[d] != 0) {
+            exponent[terms] = field_.log(lambda[d]);
+            step[terms] = static_cast<std::uint32_t>(d);
+            ++terms;
+        }
+    }
     for (std::size_t i = 0; i < n() && roots.size() <= degree; ++i) {
-        const Gf2m::Element x = chienXInv_[i];
-        Gf2m::Element acc = lambda[degree];
-        for (std::size_t d = degree; d-- > 0;)
-            acc = field_.multiply(acc, x) ^ lambda[d];
+        Gf2m::Element acc = lambda[0];
+        for (std::size_t k = 0; k < terms; ++k) {
+            acc ^= field_.antilog(exponent[k]);
+            exponent[k] = exponent[k] >= step[k]
+                              ? exponent[k] - step[k]
+                              : exponent[k] + order - step[k];
+        }
         if (acc == 0)
             roots.push_back(i);
     }

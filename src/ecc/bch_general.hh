@@ -137,8 +137,6 @@ class BchCode
     /** synAlpha_[c * 2t + j] = alpha^((j+1) * c) for coefficient c < n:
      *  the syndrome contribution of an error at coefficient c. */
     std::vector<Gf2m::Element> synAlpha_;
-    /** chienXInv_[i] = alpha^(-i), the Chien evaluation points. */
-    std::vector<Gf2m::Element> chienXInv_;
 
     // Decode scratch (see the thread-safety note in the file comment).
     mutable std::vector<Gf2m::Element> synScratch_;

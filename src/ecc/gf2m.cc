@@ -23,11 +23,12 @@ Gf2m::Gf2m(unsigned m)
         throw std::invalid_argument("Gf2m: m must be in [2, 16]");
     poly_ = primitivePolys[m];
 
-    antilog_.assign(order(), 0);
+    antilog_.assign(2 * order(), 0);
     logTable_.assign(size(), 0);
     Element x = 1;
     for (std::uint32_t i = 0; i < order(); ++i) {
         antilog_[i] = x;
+        antilog_[i + order()] = x;
         logTable_[x] = i;
         // Multiply by alpha (shift) and reduce by the primitive poly.
         x <<= 1;
@@ -43,28 +44,13 @@ Gf2m::alphaPow(std::uint64_t e) const
     return antilog_[e % order()];
 }
 
-std::uint32_t
-Gf2m::log(Element x) const
-{
-    assert(x != 0 && x < size());
-    return logTable_[x];
-}
-
-Gf2m::Element
-Gf2m::multiply(Element a, Element b) const
-{
-    if (a == 0 || b == 0)
-        return 0;
-    return antilog_[(log(a) + log(b)) % order()];
-}
-
 Gf2m::Element
 Gf2m::divide(Element a, Element b) const
 {
     assert(b != 0);
     if (a == 0)
         return 0;
-    return antilog_[(log(a) + order() - log(b)) % order()];
+    return antilog_[log(a) + order() - log(b)];
 }
 
 Gf2m::Element

@@ -12,6 +12,7 @@
 #ifndef HARP_ECC_GF2M_HH
 #define HARP_ECC_GF2M_HH
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -21,8 +22,9 @@ namespace harp::ecc {
  * The finite field GF(2^m) with generator alpha (a primitive element).
  *
  * Addition is XOR; multiplication/division use discrete-log
- * tables. The zero element has no logarithm; operations handle it
- * explicitly.
+ * tables. The antilog table is doubled (2 * order entries), so a sum
+ * of two logs indexes it without a reduction. The zero element has no
+ * logarithm; operations handle it explicitly.
  */
 class Gf2m
 {
@@ -44,11 +46,27 @@ class Gf2m
     /** alpha^e (e taken mod the multiplicative order; e may exceed it). */
     Element alphaPow(std::uint64_t e) const;
 
+    /** alpha^e for e < 2 * order(): a bare doubled-table lookup. */
+    Element antilog(std::uint32_t e) const
+    {
+        assert(e < 2 * order());
+        return antilog_[e];
+    }
+
     /** Discrete log base alpha of nonzero @p x. */
-    std::uint32_t log(Element x) const;
+    std::uint32_t log(Element x) const
+    {
+        assert(x != 0 && x < size());
+        return logTable_[x];
+    }
 
     Element add(Element a, Element b) const { return a ^ b; }
-    Element multiply(Element a, Element b) const;
+    Element multiply(Element a, Element b) const
+    {
+        if (a == 0 || b == 0)
+            return 0;
+        return antilog_[log(a) + log(b)];
+    }
     /** a / b with nonzero @p b. */
     Element divide(Element a, Element b) const;
 
@@ -70,7 +88,8 @@ class Gf2m
   private:
     unsigned m_;
     std::uint32_t poly_;
-    std::vector<Element> antilog_; ///< antilog_[i] = alpha^i
+    /** antilog_[i] = alpha^(i mod order) for i < 2 * order. */
+    std::vector<Element> antilog_;
     std::vector<std::uint32_t> logTable_;
 };
 

@@ -24,7 +24,8 @@ SlicedCrnInjector::SlicedCrnInjector(
         for (const CellFault &fault : model.faults()) {
             entries_.push_back({static_cast<std::uint32_t>(w),
                                 static_cast<std::uint32_t>(fault.position),
-                                fault.probability});
+                                common::bernoulliThreshold(
+                                    fault.probability)});
             touchedPositions_.push_back(
                 static_cast<std::uint32_t>(fault.position));
         }
@@ -56,8 +57,8 @@ SlicedCrnInjector::drawRound(std::vector<common::Xoshiro256> &rngs)
         common::Xoshiro256 rng = rngs[lane];
         const std::uint64_t bit = std::uint64_t{1} << lane;
         do {
-            if (rng.nextDouble() < entry->probability)
-                trial_[entry->position] |= bit;
+            const std::uint64_t hit = (rng() >> 11) < entry->threshold;
+            trial_[entry->position] |= bit & -hit;
             ++entry;
         } while (entry != end && entry->lane == lane);
         rngs[lane] = rng;

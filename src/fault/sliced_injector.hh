@@ -52,10 +52,11 @@ class SlicedCrnInjector
     std::size_t wordBits() const { return wordBits_; }
 
     /**
-     * Draw this round's Bernoulli trials: for each lane w, one
-     * nextDouble() from @p rngs[w] per at-risk cell, in ascending cell
-     * position order — the same stream consumption as
-     * WordFaultModel::injectErrorsCrn fed from a per-word uniform
+     * Draw this round's Bernoulli trials: for each lane w, one 64-bit
+     * draw from @p rngs[w] per at-risk cell, in ascending cell position
+     * order, compared against the cell's common::bernoulliThreshold() —
+     * the same stream consumption and outcomes as
+     * WordFaultModel::injectErrorsCrn fed from a per-word nextDouble()
      * buffer.
      */
     void drawRound(std::vector<common::Xoshiro256> &rngs);
@@ -76,7 +77,8 @@ class SlicedCrnInjector
     {
         std::uint32_t lane = 0;
         std::uint32_t position = 0;
-        double probability = 0.0;
+        /** common::bernoulliThreshold() of the cell's probability. */
+        std::uint64_t threshold = 0;
     };
 
     std::size_t wordBits_ = 0;

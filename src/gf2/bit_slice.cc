@@ -7,24 +7,40 @@
 
 namespace harp::gf2 {
 
+namespace {
+
+/** One stage of the quadrant swap at compile-time step J: element
+ *  (r, c+J) trades places with (r+J, c) for every r, c whose J-bit is
+ *  clear, walking the row blocks [r0, r0+J) directly. */
+template <std::size_t J>
+inline void
+transposeStage(std::uint64_t m[64])
+{
+    // Bits c with (c & J) == 0, e.g. 0x00000000FFFFFFFF for J = 32.
+    constexpr std::uint64_t mask =
+        ~std::uint64_t{0} / ((std::uint64_t{1} << J) + 1);
+    for (std::size_t r0 = 0; r0 < 64; r0 += 2 * J) {
+        for (std::size_t r = r0; r < r0 + J; ++r) {
+            const std::uint64_t t = ((m[r] >> J) ^ m[r + J]) & mask;
+            m[r] ^= t << J;
+            m[r + J] ^= t;
+        }
+    }
+}
+
+} // namespace
+
 void
 transpose64x64(std::uint64_t m[64])
 {
     // Recursive quadrant swap (Hacker's Delight 7-3, adapted to
-    // LSB-first columns): at step j, element (r, c+j) trades places
-    // with (r+j, c) for every r, c whose j-bit is clear.
-    for (std::size_t j = 32; j != 0; j >>= 1) {
-        // Bits c with (c & j) == 0, e.g. 0x00000000FFFFFFFF for j=32.
-        const std::uint64_t mask =
-            ~std::uint64_t{0} / ((std::uint64_t{1} << j) + 1);
-        for (std::size_t r = 0; r < 64; ++r) {
-            if ((r & j) != 0)
-                continue;
-            const std::uint64_t t = ((m[r] >> j) ^ m[r | j]) & mask;
-            m[r] ^= t << j;
-            m[r | j] ^= t;
-        }
-    }
+    // LSB-first columns), one unrolled stage per power of two.
+    transposeStage<32>(m);
+    transposeStage<16>(m);
+    transposeStage<8>(m);
+    transposeStage<4>(m);
+    transposeStage<2>(m);
+    transposeStage<1>(m);
 }
 
 BitSlice::BitSlice(std::size_t positions)

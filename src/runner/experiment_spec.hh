@@ -15,9 +15,11 @@
 #ifndef HARP_RUNNER_EXPERIMENT_SPEC_HH
 #define HARP_RUNNER_EXPERIMENT_SPEC_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,15 @@
 #include "runner/param.hh"
 
 namespace harp::runner {
+
+/**
+ * Thrown by a job that saw RunContext::cancelled(): the session stops
+ * as cancelled and records nothing for the job.
+ */
+struct JobCancelled : std::runtime_error
+{
+    JobCancelled() : std::runtime_error("job cancelled") {}
+};
 
 /**
  * Everything an experiment's run() callback may depend on for one grid
@@ -40,23 +51,31 @@ class RunContext
      * @param point     The expanded grid point.
      * @param tunables  The spec's tunables, resolved once per session.
      * @param seed      Deterministic per-(point, repeat) seed.
-     * @param repeat    0-based repeat index.
      * @param threads   Worker-thread allowance for internally parallel
      *                  experiments (1 when the campaign itself shards
      *                  across at least as many jobs as it has threads;
      *                  the leftover pool capacity otherwise — heavy
      *                  single-point runs shard their blocks instead).
+     * @param cancel    The session's cooperative stop flag, or nullptr.
      */
     RunContext(const ParamPoint &point, const ParamPoint &tunables,
-               std::uint64_t seed, std::size_t repeat, std::size_t threads)
+               std::uint64_t seed, std::size_t threads,
+               const std::atomic<bool> *cancel)
         : point_(point), tunables_(tunables), seed_(seed),
-          repeat_(repeat), threads_(threads)
+          threads_(threads), cancel_(cancel)
     {
     }
 
     std::uint64_t seed() const { return seed_; }
-    std::size_t repeat() const { return repeat_; }
     std::size_t threads() const { return threads_; }
+
+    /** Whether the session was asked to stop. A long job polls this
+     *  at a coarse stride and throws JobCancelled when it is set. */
+    bool cancelled() const
+    {
+        return cancel_ != nullptr &&
+               cancel_->load(std::memory_order_relaxed);
+    }
 
     /** Integer knob. */
     std::int64_t getInt(const std::string &name) const;
@@ -74,8 +93,8 @@ class RunContext
     const ParamPoint &point_;
     const ParamPoint &tunables_;
     std::uint64_t seed_;
-    std::size_t repeat_;
     std::size_t threads_;
+    const std::atomic<bool> *cancel_;
 };
 
 /** One declared top-level field of an experiment's metrics object. */

@@ -125,11 +125,14 @@ CampaignSession::run(common::ThreadPool *pool, std::size_t poolThreads,
     };
 
     std::vector<std::string> freshLines(total);
+    // Set by a job that stopped on the cancel flag; that job never
+    // reaches the merger, so the sink sees only the prefix before it.
+    std::atomic<bool> job_cancelled{false};
     const auto runOne = [&](std::size_t j, std::size_t inner_threads) {
         const auto start = Clock::now();
         try {
             const RunContext ctx(points_[jobPoint(j)], tunables_,
-                                 seeds_[j], jobRepeat(j), inner_threads);
+                                 seeds_[j], inner_threads, cancel);
             const JsonValue metrics = spec_->run(ctx);
             if (const auto error = validateSchema(spec_->schema, metrics))
                 throw std::runtime_error("schema violation: " + *error);
@@ -141,11 +144,15 @@ CampaignSession::run(common::ThreadPool *pool, std::size_t poolThreads,
             line.set("params", points_[jobPoint(j)].toJson());
             line.set("metrics", metrics);
             freshLines[j] = line.dump();
+        } catch (const JobCancelled &) {
+            job_cancelled.store(true);
+            return false;
         } catch (const std::exception &e) {
             errors[j] = e.what();
         }
         job_seconds[j] = secondsSince(start);
         merger.deposit(j, Payload{&freshLines[j], true}, merge);
+        return true;
     };
 
     // Restored jobs enter the merger first: a contiguous restored
@@ -203,31 +210,32 @@ CampaignSession::run(common::ThreadPool *pool, std::size_t poolThreads,
             wave = std::min(poolThreads, rest);
             inner_threads = std::max<std::size_t>(1, poolThreads / wave);
         }
-        const auto finishOne = [&] {
-            if (progress)
+        const auto finishOne = [&](bool finished) {
+            if (progress && finished)
                 progress(completed.fetch_add(1) + 1);
             if (scheduler != nullptr)
                 scheduler->jobDone();
         };
         if (pool == nullptr || poolThreads <= 1 || wave <= 1) {
-            for (std::size_t w = 0; w < wave; ++w) {
-                runOne(remaining[next + w], inner_threads);
-                finishOne();
-            }
+            for (std::size_t w = 0; w < wave; ++w)
+                finishOne(runOne(remaining[next + w], inner_threads));
         } else {
             common::WaitGroup wg;
             wg.add(wave);
             for (std::size_t w = 0; w < wave; ++w) {
                 const std::size_t j = remaining[next + w];
                 pool->submit([&, j, inner_threads] {
-                    runOne(j, inner_threads);
-                    finishOne();
+                    finishOne(runOne(j, inner_threads));
                     wg.done();
                 });
             }
             wg.wait();
         }
         next += wave;
+        if (job_cancelled.load()) {
+            outcome.cancelled = true;
+            break;
+        }
     }
 
     for (std::size_t j = 0; j < total && !outcome.cancelled; ++j) {

@@ -176,7 +176,9 @@ class CampaignSession
      *                    allowance (0 = hardware concurrency).
      * @param sink        Ordered line consumer.
      * @param cancel      Optional cooperative stop flag, checked at
-     *                    wave boundaries (running jobs finish).
+     *                    wave boundaries and handed to every job's
+     *                    RunContext: a long job that polls it stops
+     *                    with JobCancelled and is not recorded.
      * @param progress    Optional callback invoked with the cumulative
      *                    completed-job count as jobs finish.
      * @param scheduler   Optional wave-shape override; nullptr keeps

@@ -554,6 +554,8 @@ makeSecondaryInterleaving()
             common::Xoshiro256 access_rng(
                 common::deriveSeed(ctx.seed(), {pair, 0xACCE55u}));
             for (std::size_t a = 0; a < accesses; ++a) {
+                if (a % 4096 == 0 && ctx.cancelled())
+                    throw JobCancelled();
                 // Fresh write + retention + read per on-die word, with
                 // the ideal repair masking every profiled (direct) bit.
                 gf2::BitVector joined_written(128);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -82,6 +84,94 @@ TEST(Rng, BernoulliFrequency)
         hits += rng.nextBernoulli(0.25) ? 1 : 0;
     // 4-sigma band around 0.25 for 20k trials (sigma ~ 0.0031).
     EXPECT_NEAR(static_cast<double>(hits) / trials, 0.25, 0.013);
+}
+
+/** nextDouble()'s map from one raw draw, for draws chosen by hand. */
+double
+uniformOf(std::uint64_t draw)
+{
+    return static_cast<double>(draw >> 11) * 0x1.0p-53;
+}
+
+TEST(Rng, BernoulliThresholdClampsAndScales)
+{
+    EXPECT_EQ(bernoulliThreshold(0.0), 0u);
+    EXPECT_EQ(bernoulliThreshold(-0.0), 0u);
+    EXPECT_EQ(bernoulliThreshold(-0.25), 0u);
+    EXPECT_EQ(bernoulliThreshold(std::numeric_limits<double>::quiet_NaN()),
+              0u);
+    EXPECT_EQ(
+        bernoulliThreshold(std::numeric_limits<double>::denorm_min()), 1u);
+    EXPECT_EQ(bernoulliThreshold(std::nextafter(0x1.0p-53, 0.0)), 1u);
+    EXPECT_EQ(bernoulliThreshold(0x1.0p-53), 1u);
+    EXPECT_EQ(bernoulliThreshold(std::nextafter(0x1.0p-53, 1.0)), 2u);
+    EXPECT_EQ(bernoulliThreshold(0.5), bernoulliScale / 2);
+    EXPECT_EQ(bernoulliThreshold(std::nextafter(1.0, 0.0)),
+              bernoulliScale - 1);
+    EXPECT_EQ(bernoulliThreshold(1.0), bernoulliScale);
+    EXPECT_EQ(bernoulliThreshold(2.0), bernoulliScale);
+}
+
+TEST(Rng, BernoulliThresholdMatchesNextDoubleOnEdgeProbabilities)
+{
+    const double edges[] = {0.0,
+                            -0.0,
+                            -0.25,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::denorm_min(),
+                            std::nextafter(0x1.0p-53, 0.0),
+                            0x1.0p-53,
+                            std::nextafter(0x1.0p-53, 1.0),
+                            0.5,
+                            std::nextafter(1.0, 0.0),
+                            1.0,
+                            2.0};
+    Xoshiro256 rng(23);
+    for (const double p : edges) {
+        const std::uint64_t threshold = bernoulliThreshold(p);
+        // The 53-bit values on and around the threshold and at both
+        // ends of the range, each with nonzero discarded low bits.
+        std::vector<std::uint64_t> values = {0, 1, 2, bernoulliScale / 2,
+                                             bernoulliScale - 2,
+                                             bernoulliScale - 1};
+        for (const std::uint64_t near : {threshold - 1, threshold,
+                                         threshold + 1})
+            if (near < bernoulliScale)
+                values.push_back(near);
+        std::vector<std::uint64_t> draws;
+        for (const std::uint64_t value : values)
+            draws.push_back((value << 11) | 0x5A5);
+        for (int i = 0; i < 1000; ++i)
+            draws.push_back(rng());
+        for (const std::uint64_t draw : draws)
+            ASSERT_EQ((draw >> 11) < threshold, uniformOf(draw) < p)
+                << "p=" << p << " draw=" << draw;
+    }
+}
+
+TEST(Rng, BernoulliThresholdMatchesNextDoubleOnRandomPairs)
+{
+    // Half the probabilities are uniform; the other half sit on, just
+    // above or just below the value the next draw maps to, where a
+    // rounding slip would show.
+    Xoshiro256 draws(29);
+    Xoshiro256 probs(31);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < (1 << 20); ++i) {
+        Xoshiro256 replay = draws;
+        const double next = replay.nextDouble();
+        double p = probs.nextDouble();
+        if (i % 6 == 1)
+            p = next;
+        else if (i % 6 == 3)
+            p = std::nextafter(next, 1.0);
+        else if (i % 6 == 5)
+            p = std::nextafter(next, 0.0);
+        const bool fast = (draws() >> 11) < bernoulliThreshold(p);
+        if (fast != (next < p) && mismatches++ == 0)
+            ADD_FAILURE() << "first mismatch at p=" << p << " u=" << next;
+    }
+    EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Rng, SplitMixDeterministic)

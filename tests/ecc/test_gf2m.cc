@@ -53,26 +53,45 @@ TEST(Gf2m, LogInvertsAlphaPow)
 
 TEST(Gf2m, MultiplicationAgreesWithPolynomialModel)
 {
-    // Cross-check table multiplication against shift-and-reduce.
-    const Gf2m f(7);
-    const std::uint32_t poly = f.primitivePolynomial();
-    auto slow_mul = [&](std::uint32_t a, std::uint32_t b) {
-        std::uint32_t r = 0;
-        for (int i = 6; i >= 0; --i) {
-            r <<= 1;
-            if (r & f.size())
-                r ^= poly;
-            if ((b >> i) & 1)
-                r ^= a;
-        }
-        return r;
-    };
+    // Cross-check table multiplication (whose log sums reach into the
+    // upper half of the doubled antilog table) and division against
+    // shift-and-reduce, for every supported field: all pairs up to
+    // m = 8, sampled pairs above.
     common::Xoshiro256 rng(1);
-    for (int trial = 0; trial < 500; ++trial) {
-        const auto a = static_cast<Gf2m::Element>(rng.nextBelow(128));
-        const auto b = static_cast<Gf2m::Element>(rng.nextBelow(128));
-        EXPECT_EQ(f.multiply(a, b), slow_mul(a, b))
-            << "a=" << a << " b=" << b;
+    for (unsigned m = 2; m <= 16; ++m) {
+        const Gf2m f(m);
+        const std::uint32_t poly = f.primitivePolynomial();
+        auto slow_mul = [&](std::uint32_t a, std::uint32_t b) {
+            std::uint32_t r = 0;
+            for (int i = static_cast<int>(m) - 1; i >= 0; --i) {
+                r <<= 1;
+                if (r & f.size())
+                    r ^= poly;
+                if ((b >> i) & 1)
+                    r ^= a;
+            }
+            return r;
+        };
+        const auto agrees = [&](Gf2m::Element a, Gf2m::Element b) {
+            const Gf2m::Element product = f.multiply(a, b);
+            return product == slow_mul(a, b) &&
+                   (b == 0 || f.divide(product, b) == a);
+        };
+        if (m <= 8) {
+            for (Gf2m::Element a = 0; a < f.size(); ++a)
+                for (Gf2m::Element b = 0; b < f.size(); ++b)
+                    ASSERT_TRUE(agrees(a, b))
+                        << "m=" << m << " a=" << a << " b=" << b;
+        } else {
+            for (int trial = 0; trial < 20000; ++trial) {
+                const auto a =
+                    static_cast<Gf2m::Element>(rng.nextBelow(f.size()));
+                const auto b =
+                    static_cast<Gf2m::Element>(rng.nextBelow(f.size()));
+                ASSERT_TRUE(agrees(a, b))
+                    << "m=" << m << " a=" << a << " b=" << b;
+            }
+        }
     }
 }
 

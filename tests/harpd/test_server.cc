@@ -431,6 +431,36 @@ TEST_F(ServerTest, CancelStopsACampaignAndRemovesItsCheckpoint)
               errc::unknownCampaign);
 }
 
+/** A job far longer than any wave polls the cancel flag inside its
+ *  own loop: cancel ends the campaign within a second instead of
+ *  waiting out two billion accesses. */
+TEST_F(ServerTest, CancelStopsALongRunningJobWithinASecond)
+{
+    config_.registry = &runner::builtinRegistry();
+    startServer();
+    Client submitter(config_.socketPath);
+    ASSERT_TRUE(submitter.send(
+        submitRequest("long", {"extension_secondary_interleaving"}, 1, 1,
+                      {{"accesses", "2000000000"}})));
+    const std::optional<JsonValue> accepted = submitter.read();
+    ASSERT_TRUE(accepted.has_value());
+    awaitState("long", "running");
+    // Let the job get well into its access loop.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    const auto start = std::chrono::steady_clock::now();
+    Client controller(config_.socketPath);
+    JsonValue cancel = JsonValue::object();
+    cancel.set("verb", JsonValue("cancel"));
+    cancel.set("campaign", JsonValue("long"));
+    EXPECT_EQ(controller.request(cancel).find("type")->asString(), "ok");
+    awaitState("long", "cancelled");
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+    EXPECT_FALSE(fs::exists(fs::path(config_.dataDir) / "checkpoints" /
+                            "long.ckpt"));
+}
+
 TEST_F(ServerTest, ClientDisconnectMidStreamDoesNotAbortTheCampaign)
 {
     startServer();

@@ -395,6 +395,30 @@ TEST(BchGolden, TSweepResultHashUnderEveryEngine)
     }
 }
 
+/** Pins the Fig. 2 wasted-storage Monte Carlo (its branch-free
+ *  Bernoulli counting) over the full 70-point grid. The experiment reads
+ *  no engine knob, so an engine override — as `label:bench --engine`
+ *  passes it — must leave the hash alone. */
+TEST(WasteGolden, Fig02ResultHashUnderEveryEngine)
+{
+    for (const char *engine : {"scalar", "sliced64"}) {
+        const TempDir dir(std::string("waste_golden_") + engine);
+        CampaignOptions options;
+        options.seed = 13;
+        options.threads = 2;
+        options.outDir = dir.str();
+        options.overrides = {{"engine", engine}, {"blocks", "50"}};
+        std::ostringstream log;
+        const CampaignSummary summary =
+            runFast({"fig02_wasted_storage"}, options, log);
+        ASSERT_EQ(summary.experiments.size(), 1u);
+        EXPECT_EQ(summary.experiments[0].points, 70u);
+        EXPECT_TRUE(test::goldenMatches(summary.experiments[0].resultHash,
+                                        0x52973F9359FEAE1FULL))
+            << "engine " << engine;
+    }
+}
+
 /**
  * Tunables that reach the command line and harpd submits must fail the
  * job with a clear message when out of range, never crash the process
