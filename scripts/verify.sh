@@ -186,48 +186,53 @@ wait "$harpd_pid" || {
 }
 trap - EXIT
 
-# A job far longer than any wave (two billion accesses) polls the
-# cancel flag inside its own loop: cancel, then SIGTERM, must let the
-# daemon exit 0 within 2 s instead of waiting the job out. A watchdog
-# SIGKILLs a daemon still alive after 2 s (wait then reports 137).
-long_root="$PWD/$smoke_dir/harpd_long"
-rm -rf "$long_root"
-mkdir -p "$long_root"
-./build/src/harpd --socket "$long_root/d.sock" \
-    --data "$long_root/data" --threads 2 \
-    > "$long_root/daemon.log" 2>&1 &
-long_pid=$!
-trap 'kill -9 "$long_pid" 2> /dev/null || true' EXIT
-for _ in $(seq 1 200); do
-    ./build/src/harpd_client --socket "$long_root/d.sock" ping \
-        > /dev/null 2>&1 && break
-    sleep 0.05
+# Jobs far longer than any wave poll the cancel flag inside their own
+# loops (two billion accesses; a fifty-million-chip fleet, before each
+# stratum): cancel, then SIGTERM, must let the daemon exit 0 within 2 s
+# instead of waiting the job out. A watchdog SIGKILLs a daemon still
+# alive after 2 s (wait then reports 137).
+for long_job in "extension_secondary_interleaving accesses 2000000000" \
+                "fleet_policy_sweep chips 50000000"; do
+    read -r long_exp long_knob long_value <<< "$long_job"
+    long_root="$PWD/$smoke_dir/harpd_long_$long_knob"
+    rm -rf "$long_root"
+    mkdir -p "$long_root"
+    ./build/src/harpd --socket "$long_root/d.sock" \
+        --data "$long_root/data" --threads 2 \
+        > "$long_root/daemon.log" 2>&1 &
+    long_pid=$!
+    trap 'kill -9 "$long_pid" 2> /dev/null || true' EXIT
+    for _ in $(seq 1 200); do
+        ./build/src/harpd_client --socket "$long_root/d.sock" ping \
+            > /dev/null 2>&1 && break
+        sleep 0.05
+    done
+    ./build/src/harpd_client --socket "$long_root/d.sock" \
+        submit long "$long_exp" \
+        --set "$long_knob" "$long_value" > /dev/null 2>&1 &
+    long_client=$!
+    for _ in $(seq 1 200); do
+        ./build/src/harpd_client --socket "$long_root/d.sock" status long \
+            2> /dev/null | grep -q '"state": "running"' && break
+        sleep 0.05
+    done
+    ./build/src/harpd_client --socket "$long_root/d.sock" cancel long \
+        > /dev/null
+    kill -TERM "$long_pid"
+    (sleep 2 && kill -9 "$long_pid" 2> /dev/null) &
+    long_watchdog=$!
+    long_rc=0
+    wait "$long_pid" || long_rc=$?
+    kill "$long_watchdog" 2> /dev/null || true
+    wait "$long_client" 2> /dev/null || true
+    trap - EXIT
+    [[ $long_rc -eq 0 ]] || {
+        echo "verify: harpd exited $long_rc after cancel + SIGTERM of a" \
+             "long $long_exp job (137: still running after 2 s)" >&2
+        cat "$long_root/daemon.log" >&2 || true
+        exit 1
+    }
 done
-./build/src/harpd_client --socket "$long_root/d.sock" \
-    submit long extension_secondary_interleaving \
-    --set accesses 2000000000 > /dev/null 2>&1 &
-long_client=$!
-for _ in $(seq 1 200); do
-    ./build/src/harpd_client --socket "$long_root/d.sock" status long \
-        2> /dev/null | grep -q '"state": "running"' && break
-    sleep 0.05
-done
-./build/src/harpd_client --socket "$long_root/d.sock" cancel long \
-    > /dev/null
-kill -TERM "$long_pid"
-(sleep 2 && kill -9 "$long_pid" 2> /dev/null) &
-long_watchdog=$!
-long_rc=0
-wait "$long_pid" || long_rc=$?
-kill "$long_watchdog" 2> /dev/null || true
-wait "$long_client" 2> /dev/null || true
-trap - EXIT
-[[ $long_rc -eq 0 ]] || {
-    echo "verify: harpd exited $long_rc after cancel + SIGTERM of a" \
-         "long job (137: still running after 2 s)" >&2
-    cat "$long_root/daemon.log" >&2 || true
-    exit 1
-}
 
 # --- Chaos tier smoke -----------------------------------------------------
 # Registration guard first: a mistyped ctest label matches nothing and

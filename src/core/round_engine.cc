@@ -88,7 +88,7 @@ RoundEngine::runRound()
             PhaseScope t(ph_datapath);
             codec_->encodeInto(written, stored_);
             received_.assignPrefix(stored_);
-            received_ ^= faults_.injectErrorsCrn(stored_, uniforms_);
+            faults_.injectErrorsCrn(stored_, uniforms_, received_);
 
             codec_->decodeDataInto(received_, post_);
             raw_.assignPrefix(received_);

@@ -40,9 +40,6 @@ class Gf2m
     /** Multiplicative order 2^m - 1. */
     std::uint32_t order() const { return size() - 1; }
 
-    /** The primitive element alpha (polynomial "x"). */
-    Element alpha() const { return 2; }
-
     /** alpha^e (e taken mod the multiplicative order; e may exceed it). */
     Element alphaPow(std::uint64_t e) const;
 
@@ -60,7 +57,6 @@ class Gf2m
         return logTable_[x];
     }
 
-    Element add(Element a, Element b) const { return a ^ b; }
     Element multiply(Element a, Element b) const
     {
         if (a == 0 || b == 0)

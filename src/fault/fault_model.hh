@@ -90,9 +90,14 @@ class WordFaultModel
      * expose *identical* pre-correction randomness to every profiler
      * (HARP section 7.1.2's fairness requirement) even when profilers
      * write different data patterns.
+     *
+     * The failing cells are XORed into @p target (n bits), so a caller
+     * strikes its received word in place without allocating a mask.
+     * Positions are distinct, so XOR and set agree on a zero target.
      */
-    gf2::BitVector injectErrorsCrn(const gf2::BitVector &stored_codeword,
-                                   const std::vector<double> &uniforms) const;
+    void injectErrorsCrn(const gf2::BitVector &stored_codeword,
+                         const std::vector<double> &uniforms,
+                         gf2::BitVector &target) const;
 
   private:
     std::size_t wordBits_ = 0;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 
 #include "common/ordered_merger.hh"
 #include "common/thread_pool.hh"
@@ -174,29 +175,45 @@ ChipOutcome
 runChipOperation(ChipSim &sim, std::size_t words_per_chip,
                  const FleetPolicy &policy, std::size_t windows)
 {
+    // Compact chip: slot i holds faulty word faultyWords[i].first, in
+    // ascending word order, so writes, FCFS spare capture and scrub
+    // write-backs keep the order a full-size chip would give them. A
+    // fault-free word is never written, struck or read, and its zero
+    // codeword scrubs clean (no write-back, no repaired bit), so
+    // leaving it out moves no reported counter. Every stream below
+    // still derives from the global word index.
+    const std::size_t slots = sim.faultyWords.size();
+    for (std::size_t i = 0; i < slots; ++i) {
+        const std::size_t word = sim.faultyWords[i].first;
+        if (word >= words_per_chip)
+            throw std::out_of_range(
+                "runChipOperation: faulty word " + std::to_string(word) +
+                " is past words_per_chip " +
+                std::to_string(words_per_chip));
+        if (i > 0 && word <= sim.faultyWords[i - 1].first)
+            throw std::invalid_argument(
+                "runChipOperation: faulty words must be strictly "
+                "ascending");
+    }
+
     const std::size_t k = sim.onDie.k();
-    mem::MemoryChip chip(sim.onDie, words_per_chip);
-    for (const auto &[word, model] : sim.faultyWords)
-        chip.setFaultModel(word, model);
+    mem::MemoryChip chip(sim.onDie, slots);
+    for (std::size_t i = 0; i < slots; ++i)
+        chip.setFaultModel(i, sim.faultyWords[i].second);
 
     mem::MemoryController controller(chip, sim.secondary);
     controller.setRepairCapacity(policy.repairBudget);
     if (!sim.profiles.empty()) {
-        for (std::size_t i = 0; i < sim.faultyWords.size(); ++i)
-            controller.profile().markWordBitmap(sim.faultyWords[i].first,
-                                                sim.profiles[i]);
+        for (std::size_t i = 0; i < slots; ++i)
+            controller.profile().markWordBitmap(i, sim.profiles[i]);
     }
 
-    // Initial field contents: fault-free words stay all-zero (their
-    // zero codeword is self-consistent and scrubs clean), so cost
-    // scales with the chip's faults, not its capacity.
-    std::vector<gf2::BitVector> shadow(sim.faultyWords.size());
-    for (std::size_t i = 0; i < sim.faultyWords.size(); ++i) {
-        const std::size_t word = sim.faultyWords[i].first;
-        common::Xoshiro256 data_rng(
-            common::deriveSeed(sim.chipSeed, {kDataDomain, word}));
+    std::vector<gf2::BitVector> shadow(slots);
+    for (std::size_t i = 0; i < slots; ++i) {
+        common::Xoshiro256 data_rng(common::deriveSeed(
+            sim.chipSeed, {kDataDomain, sim.faultyWords[i].first}));
         shadow[i] = gf2::BitVector::random(k, data_rng);
-        controller.write(word, shadow[i]);
+        controller.write(i, shadow[i]);
     }
 
     ChipOutcome out;
@@ -204,27 +221,31 @@ runChipOperation(ChipSim &sim, std::size_t words_per_chip,
     for (const auto &[word, model] : sim.faultyWords)
         out.atRiskCells += model.numFaults();
 
+    // Reused across every (word, window): strikes and reads allocate
+    // nothing.
     std::vector<double> uniforms;
+    gf2::BitVector strike(sim.onDie.n());
+    mem::ControllerReadResult read;
     for (std::size_t w = 0; w < windows; ++w) {
         // Retention strikes: one CRN stream per (chip, word, window),
         // indexed by at-risk cell — identical trials under every
         // policy, so tightening an axis never changes the raw physics.
-        for (const auto &[word, model] : sim.faultyWords) {
+        for (std::size_t i = 0; i < slots; ++i) {
+            const auto &[word, model] = sim.faultyWords[i];
             common::Xoshiro256 crn_rng(common::deriveSeed(
                 sim.chipSeed, {kCrnDomain, word, w}));
             uniforms.resize(model.numFaults());
             for (double &u : uniforms)
                 u = crn_rng.nextDouble();
-            const gf2::BitVector mask = model.injectErrorsCrn(
-                chip.storedCodeword(word), uniforms);
-            if (!mask.isZero())
-                chip.corrupt(word, mask);
+            strike.fill(false);
+            model.injectErrorsCrn(chip.storedCodeword(i), uniforms, strike);
+            if (!strike.isZero())
+                chip.corrupt(i, strike);
         }
         // Application reads of the words that can err.
-        for (std::size_t i = 0; i < sim.faultyWords.size(); ++i) {
-            const mem::ControllerReadResult r =
-                controller.read(sim.faultyWords[i].first);
-            if (!r.corrupt && !(r.dataword == shadow[i]))
+        for (std::size_t i = 0; i < slots; ++i) {
+            controller.readInto(i, read);
+            if (!read.corrupt && !(read.dataword == shadow[i]))
                 ++out.silentCorruptions;
         }
         if (policy.scrubInterval != 0 &&
@@ -242,7 +263,7 @@ runChipOperation(ChipSim &sim, std::size_t words_per_chip,
 }
 
 FleetAggregator
-runFleet(const FleetConfig &config)
+runFleet(const FleetConfig &config, const std::function<bool()> &stop)
 {
     // Probe the code family once: the codeword length n is a
     // deterministic function of k, and the sampler needs it as the
@@ -263,6 +284,10 @@ runFleet(const FleetConfig &config)
     common::parallelFor(
         strata,
         [&](std::size_t s) {
+            // parallelFor keeps the first throw and hands out no
+            // further chunks; workers mid-chunk stop at their next poll.
+            if (stop && stop())
+                throw FleetStopped();
             const std::size_t begin = s * stratum;
             const std::size_t end =
                 std::min(config.chips, begin + stratum);

@@ -9,9 +9,10 @@
  * samples the chip population (fleet/population.hh), active-profiles
  * every faulty word through the round engines (the sliced engine
  * batches faulty words *across chips* into 64-wide lanes), then
- * replays field operation on the full memory system — controller
- * reads, CRN retention injection, patrol scrubbing, budgeted repair —
- * and folds each chip into a streaming FleetAggregator.
+ * replays field operation on a compact memory system holding only the
+ * chip's faulty words — controller reads, CRN retention injection,
+ * patrol scrubbing, budgeted repair — and folds each chip into a
+ * streaming FleetAggregator.
  *
  * Determinism contract: every chip's randomness derives from
  * (fleet seed, chip index) only — never from the policy, the engine
@@ -27,7 +28,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -144,21 +147,39 @@ ChipSim makeChipSim(
 void profileChipScalar(ChipSim &sim, const FleetPolicy &policy);
 
 /**
- * Replay field operation for one chip on the full memory system and
- * return its outcome. sim.profiles (if filled) seeds the error profile
- * before the initial writes, so the repair budget is consumed in
- * (word, bit) order.
+ * Replay field operation for one chip on the memory system and return
+ * its outcome. The chip is compact: one slot per faulty word, so the
+ * replay costs O(faulty words x windows) whatever @p words_per_chip
+ * is, with the outcome a full-size chip would give (fault-free words
+ * stay all-zero and scrub clean). sim.profiles (if filled) seeds the
+ * error profile before the initial writes, so the repair budget is
+ * consumed in (word, bit) order.
+ *
+ * @throws std::out_of_range if a faulty word is >= @p words_per_chip.
+ * @throws std::invalid_argument if sim.faultyWords is not in strictly
+ *         ascending word order.
  */
 ChipOutcome runChipOperation(ChipSim &sim, std::size_t words_per_chip,
                              const FleetPolicy &policy,
                              std::size_t windows);
 
+/** Thrown by runFleet when its stop predicate fires. */
+struct FleetStopped : std::runtime_error
+{
+    FleetStopped() : std::runtime_error("fleet run stopped") {}
+};
+
 /**
  * Full fleet run: sample, profile (batched through the configured
  * engine), operate, aggregate. Deterministic for a given (config minus
  * threads/engine): byte-identical at any thread count and engine kind.
+ *
+ * @p stop, when set, is polled before each stratum (possibly from
+ * several workers at once); once it returns true the run throws
+ * FleetStopped instead of returning a partial aggregate.
  */
-FleetAggregator runFleet(const FleetConfig &config);
+FleetAggregator runFleet(const FleetConfig &config,
+                         const std::function<bool()> &stop = {});
 
 } // namespace harp::fleet
 

@@ -25,7 +25,7 @@ void
 MemoryChip::write(std::size_t word, const gf2::BitVector &dataword)
 {
     assert(dataword.size() == onDieEcc_.k());
-    storage_.at(word) = onDieEcc_.encode(dataword);
+    onDieEcc_.encodeInto(dataword, storage_.at(word));
 }
 
 void

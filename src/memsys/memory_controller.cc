@@ -42,9 +42,19 @@ MemoryController::writeInternal(std::size_t word,
 ControllerReadResult
 MemoryController::read(std::size_t word)
 {
-    ++stats_.reads;
     ControllerReadResult result;
-    result.dataword = gf2::BitVector(chip_.datawordBits());
+    readInto(word, result);
+    return result;
+}
+
+void
+MemoryController::readInto(std::size_t word, ControllerReadResult &result)
+{
+    ++stats_.reads;
+    result.corrupt = false;
+    result.newlyProfiledBit.reset();
+    if (result.dataword.size() != chip_.datawordBits())
+        result.dataword = gf2::BitVector(chip_.datawordBits());
 
     // 1. On-die ECC decode inside the chip.
     chip_.readInto(word, result.dataword);
@@ -55,12 +65,12 @@ MemoryController::read(std::size_t word)
     // 3. Reactive profiling through the secondary ECC, straight from
     //    the repaired data and the stored check bits.
     if (!secondaryEcc_)
-        return result;
+        return;
     const ecc::SecondaryClassification verdict = secondaryEcc_->classify(
         result.dataword, secondaryCheckBits_.at(word));
     switch (verdict.status) {
       case ecc::SecondaryDecodeStatus::NoError:
-        return result;
+        return;
       case ecc::SecondaryDecodeStatus::CorrectedSingle:
         if (*verdict.correctedPosition < secondaryEcc_->k()) {
             // A genuine single data-bit error: correct it and record the
@@ -73,18 +83,18 @@ MemoryController::read(std::size_t word)
                 ++stats_.reactiveIdentifications;
                 result.newlyProfiledBit = bit;
             }
-            return result;
+            return;
         }
         // The decoder blamed a check bit, but check bits live in reliable
         // controller storage: the real error pattern had >= 3 data errors.
         ++stats_.uncorrectableEvents;
         result.corrupt = true;
-        return result;
+        return;
       case ecc::SecondaryDecodeStatus::DetectedUncorrectable:
       default:
         ++stats_.uncorrectableEvents;
         result.corrupt = true;
-        return result;
+        return;
     }
 }
 

@@ -74,6 +74,14 @@ class MemoryController
      */
     ControllerReadResult read(std::size_t word);
 
+    /**
+     * read() into a caller-owned result, so a replay loop reuses one
+     * dataword buffer instead of allocating per read. Every field of
+     * @p result is overwritten: corrupt and newlyProfiledBit are reset
+     * on each call, and dataword is (re)sized to k if needed.
+     */
+    void readInto(std::size_t word, ControllerReadResult &result);
+
     /** Active-profiling read: the chip's decode-bypass raw data path. */
     gf2::BitVector readRaw(std::size_t word) const;
 

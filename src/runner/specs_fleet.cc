@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
 
 #include "fleet/distribution.hh"
 #include "fleet/policy.hh"
@@ -69,6 +70,16 @@ distributionFromContext(const RunContext &ctx)
     return dist;
 }
 
+/** The `chips` knob: a fleet of zero chips has no rate to report. */
+std::size_t
+chipsFromContext(const RunContext &ctx)
+{
+    const std::size_t chips = ctx.getCount("chips");
+    if (chips == 0)
+        throw std::invalid_argument("chips must be at least 1");
+    return chips;
+}
+
 JsonValue
 runPolicySweepPoint(const RunContext &ctx)
 {
@@ -76,8 +87,11 @@ runPolicySweepPoint(const RunContext &ctx)
     config.distribution = distributionFromContext(ctx);
     config.wordsPerChip = ctx.getCount("words_per_chip");
     config.deviceHours = ctx.getDouble("device_hours");
-    config.chips = ctx.getCount("chips");
+    config.chips = chipsFromContext(ctx);
     config.windows = ctx.getCount("windows");
+    if (config.windows == 0)
+        throw std::invalid_argument(
+            "windows must be at least 1 (no field operation is replayed)");
     config.seed = fleetSeedFromContext(ctx);
     config.threads = ctx.threads();
     config.engine = engineFromContext(ctx);
@@ -91,7 +105,12 @@ runPolicySweepPoint(const RunContext &ctx)
         budget < 0 ? fleet::kUnlimitedBudget
                    : static_cast<std::size_t>(budget);
 
-    const fleet::FleetAggregator agg = fleet::runFleet(config);
+    fleet::FleetAggregator agg;
+    try {
+        agg = fleet::runFleet(config, [&ctx] { return ctx.cancelled(); });
+    } catch (const fleet::FleetStopped &) {
+        throw JobCancelled();
+    }
 
     JsonValue metrics = JsonValue::object();
     metrics.set("chips", JsonValue(agg.chips()));
@@ -122,7 +141,7 @@ JsonValue
 runPopulationStatsPoint(const RunContext &ctx)
 {
     const fleet::FleetDistribution dist = distributionFromContext(ctx);
-    const std::size_t chips = ctx.getCount("chips");
+    const std::size_t chips = chipsFromContext(ctx);
     const fleet::ChipGeometry geometry{ctx.getCount("words_per_chip"), 71};
     const fleet::PopulationSampler sampler(
         dist, geometry, ctx.getDouble("device_hours"),

@@ -85,8 +85,8 @@ TEST(SlicedCrnInjector, MatchesScalarInjectErrorsCrn)
                 received.scatter(out);
                 for (std::size_t w = 0; w < lanes; ++w) {
                     gf2::BitVector expected = stored[w];
-                    expected ^= models[w].injectErrorsCrn(stored[w],
-                                                          uniforms[w]);
+                    models[w].injectErrorsCrn(stored[w], uniforms[w],
+                                              expected);
                     ASSERT_EQ(out[w], expected)
                         << "round " << round << ", use " << use
                         << ", lane " << w;
@@ -141,8 +141,9 @@ TEST(SlicedCrnInjector, MatchesScalarAtBchWordLengths)
             injector.apply(stored_slice, received);
             for (std::size_t w = 0; w < lanes; ++w) {
                 gf2::BitVector expected = stored[w];
-                expected ^= models[w].injectErrorsCrn(
-                    stored[w], drawUniforms(models[w], ref_rngs[w]));
+                models[w].injectErrorsCrn(
+                    stored[w], drawUniforms(models[w], ref_rngs[w]),
+                    expected);
                 ASSERT_EQ(received.extractWord(w), expected)
                     << "round " << round << ", lane " << w;
             }

@@ -3,12 +3,13 @@
  * Property and oracle tests for the fleet policy driver.
  *
  * The closed-form oracles run hand-crafted one-chip populations
- * through runChipOperation and check exact outcomes. The monotonicity
- * properties exploit the driver's common-random-numbers contract:
- * every chip's randomness derives from (fleet seed, chip index) only,
- * so two policies see literally the same fleet and the same per-window
- * retention trials — tightening one axis must not worsen the failure
- * count. The cross-engine / cross-thread tests assert exact
+ * through runChipOperation and check exact outcomes; a full-size
+ * replay on the reference memory system checks its compact chip. The
+ * monotonicity properties exploit the driver's common-random-numbers
+ * contract: every chip's randomness derives from (fleet seed, chip
+ * index) only, so two policies see literally the same fleet and the
+ * same per-window retention trials — tightening one axis must not
+ * worsen the failure count. The cross-engine / cross-thread tests assert exact
  * FleetAggregator equality, the in-memory face of the campaign-level
  * byte-identity acceptance. The golden pins fix the absolute output, so
  * a replay change shared by every engine and thread count still shows.
@@ -16,11 +17,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "fault/fault_model.hh"
 #include "fleet/policy.hh"
 #include "support/golden.hh"
+#include "support/memsys_reference.hh"
 #include "support/property.hh"
 #include "support/seeded_fixture.hh"
 
@@ -41,6 +46,93 @@ oneWordChip(std::uint64_t fleet_seed,
                        fault::WordFaultModel(71, std::move(faults)));
     return makeChipSim(fleet_seed, /*chip=*/0, /*k=*/64,
                        std::move(words), /*fault_events=*/1);
+}
+
+/** A chip whose five faulty words are spread over [0, 300), each with
+ *  2..6 leaky cells at p = 0.5 or 1.0 — enough double errors for
+ *  reactive identifications, scrub write-backs and spare contention. */
+ChipSim
+spreadChip(std::uint64_t fleet_seed, common::Xoshiro256 &rng)
+{
+    std::set<std::size_t> words;
+    while (words.size() < 5)
+        words.insert(rng.nextBelow(300));
+    std::vector<std::pair<std::size_t, fault::WordFaultModel>> faulty;
+    for (const std::size_t word : words)
+        faulty.emplace_back(word,
+                            fault::WordFaultModel::makeUniformFixedCount(
+                                71, 2 + rng.nextBelow(5),
+                                rng.nextBelow(2) ? 1.0 : 0.5, rng));
+    return makeChipSim(fleet_seed, /*chip=*/0, /*k=*/64, std::move(faulty),
+                       /*fault_events=*/words.size());
+}
+
+/**
+ * The field replay on a full-size chip: every one of @p words_per_chip
+ * words is present and every scrub pass visits all of them, through
+ * the reference memory system (tests/support). This is the replay the
+ * compact chip of runChipOperation must reproduce counter for counter.
+ * The per-word streams are restated here: data from (chip seed,
+ * {0xDA7A, word}), strikes from (chip seed, {0xC124, word, window}).
+ */
+ChipOutcome
+fullChipReplay(const ChipSim &sim, std::size_t words_per_chip,
+               const FleetPolicy &policy, std::size_t windows)
+{
+    test::ReferenceMemorySystem sys(sim.onDie, words_per_chip,
+                                    sim.secondary);
+    sys.setRepairCapacity(policy.repairBudget);
+    for (std::size_t i = 0; i < sim.profiles.size(); ++i)
+        sys.profile().markWordBitmap(sim.faultyWords[i].first,
+                                     sim.profiles[i]);
+    std::vector<gf2::BitVector> shadow;
+    for (const auto &[word, model] : sim.faultyWords) {
+        common::Xoshiro256 data_rng(
+            common::deriveSeed(sim.chipSeed, {0xDA7Au, word}));
+        shadow.push_back(gf2::BitVector::random(64, data_rng));
+        sys.write(word, shadow.back());
+    }
+
+    ChipOutcome out;
+    out.faultEvents = sim.faultEvents;
+    for (const auto &[word, model] : sim.faultyWords)
+        out.atRiskCells += model.numFaults();
+    for (std::size_t w = 0; w < windows; ++w) {
+        for (const auto &[word, model] : sim.faultyWords) {
+            common::Xoshiro256 crn_rng(
+                common::deriveSeed(sim.chipSeed, {0xC124u, word, w}));
+            std::vector<double> uniforms(model.numFaults());
+            for (double &u : uniforms)
+                u = crn_rng.nextDouble();
+            gf2::BitVector mask(71);
+            model.injectErrorsCrn(sys.storedCodeword(word), uniforms, mask);
+            sys.corrupt(word, mask);
+        }
+        for (std::size_t i = 0; i < sim.faultyWords.size(); ++i) {
+            const mem::ControllerReadResult r =
+                sys.read(sim.faultyWords[i].first);
+            if (!r.corrupt && !(r.dataword == shadow[i]))
+                ++out.silentCorruptions;
+        }
+        if (policy.scrubInterval != 0 &&
+            (w + 1) % policy.scrubInterval == 0)
+            sys.scrubAll();
+    }
+    out.uncorrectableEvents = sys.stats().uncorrectableEvents;
+    out.profiledBits = sys.profile().totalAtRisk();
+    out.repairSpareBits = sys.repairMechanism().spareBitsUsed();
+    out.repairedBitReads = sys.stats().repairedBits;
+    out.scrubWritebacks = sys.stats().scrubWritebacks;
+    return out;
+}
+
+/** Every ChipOutcome counter, for whole-outcome equality checks. */
+std::array<std::size_t, 8>
+countersOf(const ChipOutcome &o)
+{
+    return {o.faultEvents,       o.atRiskCells,      o.profiledBits,
+            o.repairSpareBits,   o.repairedBitReads, o.uncorrectableEvents,
+            o.silentCorruptions, o.scrubWritebacks};
 }
 
 /** Small hot fleet shared by the property tests. */
@@ -178,6 +270,75 @@ TEST(FleetOracle, ProfiledAndRepairedSingleDataCell)
         EXPECT_EQ(outcome.profiledBits, 1u);
         EXPECT_EQ(outcome.repairSpareBits, 1u);
     });
+}
+
+/**
+ * The compact chip holds only the faulty words, so the replay must not
+ * depend on words_per_chip: the same ChipSim at (max faulty word + 1)
+ * and at 4096 words gives the outcome of a full-size chip of (max
+ * faulty word + 1) words, fault-free words interleaved, under every
+ * scrub x budget corner, profiled and unprofiled. Budgets of one and
+ * two spare bits make scrub write-backs contend for the last slot, so
+ * the slot order must be the word order.
+ */
+TEST(FleetProperty, CompactReplayMatchesFullSizeChip)
+{
+    constexpr std::size_t kWindows = 8;
+    std::size_t writebacks = 0, profiled_bits = 0, exhausted = 0;
+    test::forEachSeed(3, [&](std::uint64_t seed, common::Xoshiro256 &rng) {
+        ChipSim sim = spreadChip(seed, rng);
+        const std::size_t tight = sim.faultyWords.back().first + 1;
+        for (const bool profiled : {false, true}) {
+            FleetPolicy policy;
+            policy.profiler =
+                profiled ? ProfilerKind::HarpU : ProfilerKind::None;
+            policy.activeRounds = profiled ? 4 : 0;
+            profileChipScalar(sim, policy);
+            for (const std::size_t scrub :
+                 {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+                for (const std::size_t budget :
+                     {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                      kUnlimitedBudget}) {
+                    SCOPED_TRACE("profiled " + std::to_string(profiled) +
+                                 ", scrub " + std::to_string(scrub) +
+                                 ", budget " + std::to_string(budget));
+                    policy.scrubInterval = scrub;
+                    policy.repairBudget = budget;
+                    const ChipOutcome full =
+                        fullChipReplay(sim, tight, policy, kWindows);
+                    EXPECT_EQ(countersOf(runChipOperation(sim, tight, policy,
+                                                          kWindows)),
+                              countersOf(full));
+                    EXPECT_EQ(countersOf(runChipOperation(sim, 4096, policy,
+                                                          kWindows)),
+                              countersOf(full));
+                    writebacks += full.scrubWritebacks;
+                    profiled_bits += full.profiledBits;
+                    exhausted += budget != kUnlimitedBudget &&
+                               full.repairSpareBits == budget;
+                }
+            }
+        }
+    });
+    // The corners exercise what the slot order must preserve.
+    EXPECT_GT(writebacks, 0u);
+    EXPECT_GT(profiled_bits, 0u);
+    EXPECT_GT(exhausted, 0u);
+}
+
+/** A faulty word at or past words_per_chip is out of range, as on a
+ *  full-size chip; faulty words out of ascending order are rejected. */
+TEST(FleetOracle, FaultyWordPastTheChipThrows)
+{
+    FleetPolicy policy;
+    ChipSim sim = oneWordChip(9, {4, 40}, /*word=*/7);
+    EXPECT_NO_THROW(runChipOperation(sim, 8, policy, 2));
+    EXPECT_THROW(runChipOperation(sim, 7, policy, 2), std::out_of_range);
+
+    ChipSim twice = oneWordChip(9, {4, 40}, /*word=*/2);
+    twice.faultyWords.push_back(twice.faultyWords.front());
+    EXPECT_THROW(runChipOperation(twice, 8, policy, 2),
+                 std::invalid_argument);
 }
 
 /** Tightening the repair budget axis never helps, loosening it never

@@ -438,27 +438,43 @@ TEST_F(ServerTest, CancelStopsALongRunningJobWithinASecond)
 {
     config_.registry = &runner::builtinRegistry();
     startServer();
-    Client submitter(config_.socketPath);
-    ASSERT_TRUE(submitter.send(
-        submitRequest("long", {"extension_secondary_interleaving"}, 1, 1,
-                      {{"accesses", "2000000000"}})));
-    const std::optional<JsonValue> accepted = submitter.read();
-    ASSERT_TRUE(accepted.has_value());
-    awaitState("long", "running");
-    // Let the job get well into its access loop.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // Jobs far longer than the test, each polling the cancel flag in
+    // its own loop: an access loop and a fleet's stratum loop.
+    struct Row
+    {
+        std::string campaign;
+        std::string experiment;
+        std::map<std::string, std::string> overrides;
+    };
+    const std::vector<Row> rows = {
+        {"long", "extension_secondary_interleaving",
+         {{"accesses", "2000000000"}}},
+        {"long_fleet", "fleet_policy_sweep", {{"chips", "50000000"}}},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.experiment);
+        Client submitter(config_.socketPath);
+        ASSERT_TRUE(submitter.send(submitRequest(
+            row.campaign, {row.experiment}, 1, 1, row.overrides)));
+        const std::optional<JsonValue> accepted = submitter.read();
+        ASSERT_TRUE(accepted.has_value());
+        awaitState(row.campaign, "running");
+        // Let the job get well into its loop.
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-    const auto start = std::chrono::steady_clock::now();
-    Client controller(config_.socketPath);
-    JsonValue cancel = JsonValue::object();
-    cancel.set("verb", JsonValue("cancel"));
-    cancel.set("campaign", JsonValue("long"));
-    EXPECT_EQ(controller.request(cancel).find("type")->asString(), "ok");
-    awaitState("long", "cancelled");
-    EXPECT_LT(std::chrono::steady_clock::now() - start,
-              std::chrono::seconds(1));
-    EXPECT_FALSE(fs::exists(fs::path(config_.dataDir) / "checkpoints" /
-                            "long.ckpt"));
+        const auto start = std::chrono::steady_clock::now();
+        Client controller(config_.socketPath);
+        JsonValue cancel = JsonValue::object();
+        cancel.set("verb", JsonValue("cancel"));
+        cancel.set("campaign", JsonValue(row.campaign));
+        EXPECT_EQ(controller.request(cancel).find("type")->asString(),
+                  "ok");
+        awaitState(row.campaign, "cancelled");
+        EXPECT_LT(std::chrono::steady_clock::now() - start,
+                  std::chrono::seconds(1));
+        EXPECT_FALSE(fs::exists(fs::path(config_.dataDir) /
+                                "checkpoints" / (row.campaign + ".ckpt")));
+    }
 }
 
 TEST_F(ServerTest, ClientDisconnectMidStreamDoesNotAbortTheCampaign)

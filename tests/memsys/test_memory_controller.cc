@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hh"
 #include "memsys/memory_controller.hh"
 
@@ -311,6 +313,81 @@ TEST(MemoryController, WithoutSecondaryEccErrorsPassThrough)
     const ControllerReadResult r = rig.controller.read(0);
     EXPECT_NE(r.dataword, d); // errors reach the CPU unchecked
     EXPECT_FALSE(r.corrupt);  // and unreported: no secondary ECC
+}
+
+/**
+ * One result reused across every kind of read must come out exactly as
+ * a fresh read() would: readInto overwrites every field, so no flag of
+ * an earlier read (a newly profiled bit, an uncorrectable verdict) and
+ * no stale dataword survives into the next one.
+ */
+TEST(MemoryController, ReadIntoReusedResultMatchesFreshRead)
+{
+    Rig reused;
+    Rig fresh;
+    const ecc::HammingCode &code = reused.code;
+
+    // Two parity errors the on-die decoder miscorrects into a data bit:
+    // the secondary corrects it and newly profiles the bit.
+    gf2::BitVector indirect(71);
+    for (std::size_t i = 64; i < 71 && indirect.isZero(); ++i)
+        for (std::size_t j = i + 1; j < 71; ++j) {
+            const auto target = code.syndromeToPosition(
+                code.codewordColumn(i) ^ code.codewordColumn(j));
+            if (target && *target < 64) {
+                indirect.set(i, true);
+                indirect.set(j, true);
+                break;
+            }
+        }
+    ASSERT_FALSE(indirect.isZero());
+    // Two data errors the on-die decoder leaves alone: uncorrectable.
+    gf2::BitVector uncorrectable(71);
+    for (std::size_t i = 0; i < 64 && uncorrectable.isZero(); ++i)
+        for (std::size_t j = i + 1; j < 64; ++j) {
+            const auto target = code.syndromeToPosition(
+                code.codewordColumn(i) ^ code.codewordColumn(j));
+            if (!target || *target >= 64) {
+                uncorrectable.set(i, true);
+                uncorrectable.set(j, true);
+                break;
+            }
+        }
+    ASSERT_FALSE(uncorrectable.isZero());
+    const gf2::BitVector clean(71);
+
+    // Start from a result no read could produce.
+    ControllerReadResult result;
+    result.dataword = gf2::BitVector(3);
+    result.corrupt = true;
+    result.newlyProfiledBit = 2;
+
+    common::Xoshiro256 rng(14);
+    std::size_t profiled = 0, corrupt = 0;
+    // The second `indirect` corrects a bit that is already profiled.
+    const std::vector<const gf2::BitVector *> steps = {
+        &clean, &indirect, &clean, &uncorrectable, &clean, &indirect,
+        &clean};
+    for (const gf2::BitVector *mask : steps) {
+        const gf2::BitVector d = gf2::BitVector::random(64, rng);
+        for (Rig *rig : {&reused, &fresh}) {
+            rig->controller.write(0, d);
+            rig->chip.corrupt(0, *mask);
+        }
+        reused.controller.readInto(0, result);
+        const ControllerReadResult expected = fresh.controller.read(0);
+        EXPECT_EQ(result.dataword, expected.dataword);
+        EXPECT_EQ(result.corrupt, expected.corrupt);
+        EXPECT_EQ(result.newlyProfiledBit, expected.newlyProfiledBit);
+        profiled += expected.newlyProfiledBit.has_value();
+        corrupt += expected.corrupt;
+    }
+    EXPECT_EQ(profiled, 1u);
+    EXPECT_EQ(corrupt, 1u);
+    EXPECT_EQ(reused.controller.stats().reads, 7u);
+    EXPECT_EQ(reused.controller.stats().secondaryCorrections,
+              fresh.controller.stats().secondaryCorrections);
+    EXPECT_EQ(reused.controller.profile().totalAtRisk(), 1u);
 }
 
 TEST(MemoryController, ReadRawUsesBypassPath)

@@ -151,8 +151,9 @@ runLockstep(std::size_t k, std::size_t budget, bool with_secondary,
             uniforms.resize(faults[w].numFaults());
             for (double &u : uniforms)
                 u = rng.nextDouble();
-            const gf2::BitVector mask =
-                faults[w].injectErrorsCrn(chip.storedCodeword(w), uniforms);
+            gf2::BitVector mask(chip.storedCodeword(w).size());
+            faults[w].injectErrorsCrn(chip.storedCodeword(w), uniforms,
+                                      mask);
             chip.corrupt(w, mask);
             ref.corrupt(w, mask);
             break;

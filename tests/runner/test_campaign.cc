@@ -466,6 +466,11 @@ TEST(Campaign, OutOfRangeTunablesFailTheJob)
          "rounds must be a count >= 0, got -1"},
         {"extension_secondary_interleaving", {{"accesses", "-1"}},
          "accesses must be a count >= 0, got -1"},
+        {"fleet_policy_sweep", {{"windows", "0"}},
+         "windows must be at least 1"},
+        {"fleet_policy_sweep", {{"chips", "0"}}, "chips must be at least 1"},
+        {"fleet_population_stats", {{"chips", "0"}},
+         "chips must be at least 1"},
     };
     for (const Case &c : cases) {
         const TempDir dir("bad_" + c.experiment);
