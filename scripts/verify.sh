@@ -576,6 +576,11 @@ done
 # a substring of the demangled name ('*' matches template arguments).
 # An allowlist line that matches nothing also fails: the symbol became
 # reachable or was deleted, so the line must go.
+# -fkeep-inline-functions emits every inline member, so accessors
+# defined in class bodies are audited too. It also emits the default,
+# copy and move constructors of every class, which the compiler writes
+# whether or not anything constructs the class that way; those three
+# (a constructor taking nothing or its own class) are not audited.
 if [[ $FULL -eq 1 ]]; then
     reach_allow=(
         "harp::gf2::ConstraintSystem::consistent(|oracle: at_risk_reference"
@@ -596,9 +601,43 @@ if [[ $FULL -eq 1 ]]; then
         "harp::gf2::BitSlice::clear(|debug accessor: slice tests"
         "harp::gf2::BitSlice::extractWord(|debug accessor: lane checks"
         "harp::gf2::BitSlice::set(|debug accessor: slice tests"
+        "harp::gf2::RowDependencies::dependencies(|seam: dependency-span tests"
+        "harp::gf2::operator&(|oracle: support property checks"
+        "harp::gf2::operator^(|oracle: linear-solver span checks"
+        "harp::ecc::BchCode::generatorPolynomial(|oracle: bch_dec_code"
+        "harp::ecc::Gf2m::primitivePolynomial(|seam: field construction tests"
+        "harp::ecc::ExtendedHammingCode::inner(|seam: SECDED layering tests"
+        "harp::ecc::HammingCode::operator==(|oracle: randomSec determinism"
+        "harp::ecc::SlicedBchCode::memo(|seam: shared-memo tests"
+        "RoundEngine::roundsRun(|seam: both engines' round counters"
+        "harp::core::SlicedRoundEngine::lanes(|seam: ragged-block tests"
+        "harp::core::SlicedRoundEngine::stats(|seam: observe-elision counters"
+        "harp::core::SlicedProfilerGroup::dirty(|seam: dirty-lane tests"
+        "harp::core::SlicedProfilerGroup::kind(|seam: group selection tests"
+        "harp::core::PatternGenerator::kind(|seam: pattern kind tests"
+        "harp::core::BeepProfiler::suspectedCells(|seam: BEEP inference tests"
+        "Profiler::identifiedDirect(|seam: HARP direct/indirect split tests"
+        "harp::core::HarpAProfiler::predictedIndirect(|seam: HARP-A tests"
+        "harp::common::Xoshiro256::max(|interface: URBG bound, compile time"
+        "harp::common::Xoshiro256::min(|interface: URBG bound, compile time"
+        "harp::common::io::File::isOpen(|seam: I/O fault tests"
+        "harp::mem::ErrorProfile::wordBits(|accessor: error-profile tests"
+        "harp::mem::MemoryController::profile() const|seam: read-chain tests"
+        "harp::mem::RepairMechanism::capacity(|accessor: spare budget tests"
+        "harp::mem::RepairMechanism::droppedAllocations(|accessor: budget tests"
+        "harp::mem::RepairMechanism::exhausted(|accessor: spare budget tests"
+        "harp::fleet::FleetAggregator::repairBitsHistogram(|seam: policy tests"
+        "harp::fleet::FleetAggregator::uncorrectableHistogram(|seam: fleet tests"
+        "harp::runner::CampaignSession::restoredJobs(|seam: resume tests"
+        "harp::harpd::Backoff::reset(|seam: client retry tests"
+        "harp::harpd::Server::activeConnections(|seam: connection-limit tests"
+        "harp::sat::Solver::conflicts(|seam: solver statistics tests"
+        "harp::sat::Solver::decisions(|seam: solver statistics tests"
+        "harp::sat::Solver::propagations(|seam: solver statistics tests"
     )
     rdir="build-reach"
     reach_flags="-O0 -g0 -ffunction-sections -fdata-sections"
+    reach_flags+=" -fkeep-inline-functions"
     cmake -B "$rdir/tree" -S . -DCMAKE_BUILD_TYPE=None \
         -DCMAKE_CXX_FLAGS="$reach_flags" \
         -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections \
@@ -631,8 +670,20 @@ if [[ $FULL -eq 1 ]]; then
         LC_ALL=C comm -23 "$rdir/lib.txt" "$rdir/bin.txt" \
             > "$rdir/unreachable.txt"
         reach_fail=0
+        reach_special=0
         declare -A reach_hits=()
+        special_re='::([A-Za-z_][A-Za-z0-9_]*)::([A-Za-z_][A-Za-z0-9_]*)[(](.*)[)]$'
         while IFS= read -r sym; do
+            if [[ $sym =~ $special_re &&
+                  ${BASH_REMATCH[1]} == "${BASH_REMATCH[2]}" ]]; then
+                args="${BASH_REMATCH[3]}"
+                cls="${BASH_REMATCH[1]}"
+                if [[ -z $args || $args == *"::$cls const&" ||
+                      $args == *"::$cls&&" ]]; then
+                    reach_special=$((reach_special + 1))
+                    continue
+                fi
+            fi
             allowed=0
             for entry in "${reach_allow[@]}"; do
                 pattern="${entry%%|*}"
@@ -661,7 +712,8 @@ if [[ $FULL -eq 1 ]]; then
             exit 1
         }
         echo "verify: reachability audit: $(wc -l < "$rdir/unreachable.txt")" \
-             "unreachable harp:: functions, all allowlisted"
+             "unreachable harp:: functions ($reach_special default, copy" \
+             "or move constructors), all allowlisted"
     else
         echo "verify: google-benchmark not found, skipping the" \
              "reachability audit (bench_micro_kernels is not built)"

@@ -68,13 +68,6 @@ parity64(std::uint64_t x)
     return std::popcount(x) & 1;
 }
 
-/** True iff @p x is zero or a power of two. */
-constexpr bool
-atMostOneBit(std::uint64_t x)
-{
-    return (x & (x - 1)) == 0;
-}
-
 /** FNV-1a offset basis: the initial value for fnv1a64 hash chains. */
 inline constexpr std::uint64_t fnv1a64Init = 0xCBF29CE484222325ULL;
 

@@ -9,13 +9,7 @@ namespace harp::common {
 void
 RunningStat::add(double x)
 {
-    if (count_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
+    max_ = count_ == 0 ? x : std::max(max_, x);
     ++count_;
     mean_ += (x - mean_) / static_cast<double>(count_);
 }

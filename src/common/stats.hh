@@ -1,7 +1,7 @@
 /**
  * @file
  * Statistics accumulators used to aggregate Monte-Carlo results: running
- * mean and range, exact percentiles over retained samples, and integer
+ * mean and maximum, exact percentiles over retained samples, and integer
  * histograms.
  */
 
@@ -14,26 +14,19 @@
 
 namespace harp::common {
 
-/**
- * Running count, mean, min and max.
- */
+/** Running mean and maximum. */
 class RunningStat
 {
   public:
     /** Fold one observation into the accumulator. */
     void add(double x);
 
-    std::size_t count() const { return count_; }
     double mean() const { return count_ == 0 ? 0.0 : mean_; }
-
-    double min() const { return min_; }
     double max() const { return max_; }
-    double sum() const { return mean_ * static_cast<double>(count_); }
 
   private:
     std::size_t count_ = 0;
     double mean_ = 0.0;
-    double min_ = 0.0;
     double max_ = 0.0;
 };
 

@@ -36,9 +36,6 @@ class Table
     /** Render with aligned columns and a header separator. */
     void print(std::ostream &os) const;
 
-    std::size_t numRows() const { return rows_.size(); }
-    std::size_t numCols() const { return headers_.size(); }
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

@@ -4,9 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "fault/cell.hh"
-#include "gf2/linear_solver.hh"
-
 namespace harp::core {
 
 AtRiskAnalyzer::AtRiskAnalyzer(const ecc::HammingCode &code,
@@ -32,25 +29,10 @@ AtRiskAnalyzer::AtRiskAnalyzer(const ecc::HammingCode &code,
         if (code_.isDataPosition(f.position))
             directAtRisk_.set(f.position, true);
 
-    // A failing pattern is realizable iff some dataword charges every
-    // failing cell while discharging every *deterministic* (p == 1)
-    // at-risk cell outside the pattern — a charged p=1 cell always fails,
-    // so it cannot be excluded from the pattern any other way. The cell
-    // rows are fixed per word; only which rows are constrained, and to
-    // which stored values, changes with the pattern.
-    const gf2::RowDependencies deps(storedValueRows(code_, cells_));
-    std::uint32_t deterministic = 0;
-    for (std::size_t i = 0; i < cells_.size(); ++i)
-        if (cells_[i].probability >= 1.0)
-            deterministic |= std::uint32_t{1} << i;
-    const bool true_cells =
-        faults_.technology() == fault::CellTechnology::TrueCell;
-
+    const PatternFeasibility feasibility(code_, faults_);
     const std::size_t m = cells_.size();
     for (std::uint32_t mask = 1; mask < (std::uint32_t{1} << m); ++mask) {
-        // Charged cells store 1 in true-cells and 0 in anti-cells.
-        const std::uint32_t included = mask | deterministic;
-        if (!deps.consistent(included, true_cells ? mask : included & ~mask))
+        if (!feasibility.feasible(mask))
             continue;
         ErrorPatternOutcome outcome = computeOutcome(mask);
         for (const std::uint16_t pos : outcome.postErrors) {

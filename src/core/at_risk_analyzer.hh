@@ -42,6 +42,7 @@
 #include "ecc/hamming_code.hh"
 #include "fault/fault_model.hh"
 #include "gf2/bit_vector.hh"
+#include "gf2/linear_solver.hh"
 
 namespace harp::core {
 
@@ -80,6 +81,42 @@ storedValueRows(const Code &code, const std::vector<fault::CellFault> &cells)
     }
     return rows;
 }
+
+/**
+ * Which failing patterns of one word some dataword realizes (bit i of a
+ * pattern = cell i of the fault model fails): the dataword must charge
+ * every failing cell while discharging every *deterministic* (p >= 1)
+ * cell outside the pattern — a charged p = 1 cell always fails, so it
+ * cannot be excluded from the pattern any other way. Works for any
+ * code storedValueRows() accepts, on words of at most 32 cells.
+ */
+class PatternFeasibility
+{
+  public:
+    template <typename Code>
+    PatternFeasibility(const Code &code, const fault::WordFaultModel &faults)
+        : deps_(storedValueRows(code, faults.faults())),
+          trueCells_(faults.technology() == fault::CellTechnology::TrueCell)
+    {
+        for (std::size_t i = 0; i < faults.numFaults(); ++i)
+            if (faults.faults()[i].probability >= 1.0)
+                deterministic_ |= std::uint32_t{1} << i;
+    }
+
+    bool feasible(std::uint32_t pattern) const
+    {
+        // Charged cells store 1 in true-cells and 0 in anti-cells.
+        const std::uint32_t constrained = pattern | deterministic_;
+        return deps_.consistent(constrained,
+                                trueCells_ ? pattern
+                                           : constrained & ~pattern);
+    }
+
+  private:
+    gf2::RowDependencies deps_;
+    std::uint32_t deterministic_ = 0;
+    bool trueCells_;
+};
 
 /**
  * Ground-truth at-risk analysis for a single (code, fault model) pair.

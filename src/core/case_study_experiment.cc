@@ -80,6 +80,8 @@ struct SampleSim
         }
     }
 
+    WordInputs inputs() const { return {&code, &faults, engineSeed, raw}; }
+
     ecc::HammingCode code;
     fault::WordFaultModel faults;
     AtRiskAnalyzer analyzer;
@@ -138,41 +140,23 @@ runCaseStudyExperiment(const CaseStudyConfig &config)
     auto after_sum = before_sum;
 
     // Per-sample integer sums are order-insensitive, but the merges
-    // still run in block order so every engine and thread count walks
-    // the aggregates identically. Blocks run straight across
-    // conditioned cell counts: every sample has its own random code
-    // anyway; lanes only share k.
+    // still run in sample order so every engine and thread count walks
+    // the aggregates identically.
     const WordRun run{config.engine, max_n * config.samplesPerCellCount,
                       config.rounds, config.pattern, config.threads};
-    std::vector<std::vector<std::unique_ptr<SampleSim>>> blocks(
-        wordBlockCount(run));
-    const auto build = [&](std::size_t block, std::size_t begin,
-                           std::size_t end, WordLanes &lanes) {
-        for (std::size_t g = begin; g < end; ++g) {
-            const std::size_t n = 1 + g / config.samplesPerCellCount;
-            const std::size_t sample = g % config.samplesPerCellCount;
-            const SampleSim &sim = *blocks[block].emplace_back(
-                std::make_unique<SampleSim>(config, n, sample));
-            lanes.codes.push_back(&sim.code);
-            lanes.faults.push_back(&sim.faults);
-            lanes.seeds.push_back(sim.engineSeed);
-            lanes.profilers.push_back(sim.raw);
-        }
-    };
-    profileWords(
-        run, build,
-        [&](std::size_t block, std::size_t r) {
-            for (auto &sim : blocks[block])
-                sim->accumulateRound(r);
+    profileWords<SampleSim>(
+        run,
+        [&](std::size_t g) {
+            return std::make_unique<SampleSim>(
+                config, 1 + g / config.samplesPerCellCount,
+                g % config.samplesPerCellCount);
         },
-        [&](std::size_t block) {
-            const auto done = std::move(blocks[block]);
-            for (const auto &sim : done) {
-                for (std::size_t pi = 0; pi < num_profilers; ++pi) {
-                    for (std::size_t r = 0; r < config.rounds; ++r) {
-                        before_sum[pi][sim->n][r] += sim->localBefore[pi][r];
-                        after_sum[pi][sim->n][r] += sim->localAfter[pi][r];
-                    }
+        [&](SampleSim &sim, std::size_t r) { sim.accumulateRound(r); },
+        [&](SampleSim &sim) {
+            for (std::size_t pi = 0; pi < num_profilers; ++pi) {
+                for (std::size_t r = 0; r < config.rounds; ++r) {
+                    before_sum[pi][sim.n][r] += sim.localBefore[pi][r];
+                    after_sum[pi][sim.n][r] += sim.localAfter[pi][r];
                 }
             }
         });

@@ -49,9 +49,14 @@ struct ProfileMetrics
 struct WordSim
 {
     WordSim(const CoverageConfig &config, const ecc::HammingCode &code,
-            std::uint64_t fault_seed)
-        : faults(makeFaults(config, code, fault_seed)),
-          analyzer(code, faults)
+            std::size_t code_idx, std::size_t word_idx)
+        : code(code),
+          faults(makeFaults(config, code,
+                            common::deriveSeed(config.seed,
+                                               {0xFA17u, code_idx, word_idx}))),
+          analyzer(code, faults),
+          engineSeed(common::deriveSeed(config.seed,
+                                        {0xE221u, code_idx, word_idx}))
     {
         profilers.push_back(std::make_unique<NaiveProfiler>(code.k()));
         profilers.push_back(std::make_unique<BeepProfiler>(code));
@@ -158,8 +163,12 @@ struct WordSim
         }
     }
 
+    WordInputs inputs() const { return {&code, &faults, engineSeed, raw}; }
+
+    const ecc::HammingCode &code;
     fault::WordFaultModel faults;
     AtRiskAnalyzer analyzer;
+    std::uint64_t engineSeed;
     std::vector<std::unique_ptr<Profiler>> profilers;
     std::vector<Profiler *> raw;
     gf2::BitVector anyGt;
@@ -167,13 +176,6 @@ struct WordSim
     /** Per profiler: the profile seen last round and its statistics. */
     std::vector<ProfileMetrics> last;
     std::vector<WordStats> stats;
-};
-
-/** One lane block's words and the codes they point into. */
-struct CoverageBlock
-{
-    std::vector<std::unique_ptr<ecc::HammingCode>> codes;
-    std::vector<std::unique_ptr<WordSim>> words;
 };
 
 } // namespace
@@ -224,53 +226,29 @@ runCoverageExperiment(const CoverageConfig &config)
 
     // Deterministic per-word streams, independent of scheduling and of
     // the engine: every engine derives the exact same code, fault and
-    // engine seeds per (code_idx, word_idx), and profileWords merges
-    // blocks in block order, so output bytes are fixed by the seed
-    // alone — not by thread count, engine, or completion order.
-    // Blocks run straight across code boundaries — lanes carry their
-    // own code, so blocks stay full even when wordsPerCode is small.
+    // engine seeds per (code_idx, word_idx), and profileWords finishes
+    // words in word order, so output bytes are fixed by the seed alone
+    // — not by thread count, engine, or completion order. Each code is
+    // built once, up front; its words point into it.
+    std::vector<ecc::HammingCode> codes;
+    codes.reserve(config.numCodes);
+    for (std::size_t c = 0; c < config.numCodes; ++c) {
+        common::Xoshiro256 code_rng(
+            common::deriveSeed(config.seed, {0xC0DEu, c}));
+        codes.push_back(ecc::HammingCode::randomSec(config.k, code_rng));
+    }
     const WordRun run{config.engine, config.numCodes * config.wordsPerCode,
                       config.rounds, config.pattern, config.threads};
-    std::vector<CoverageBlock> blocks(wordBlockCount(run));
-    const auto build = [&](std::size_t block, std::size_t begin,
-                           std::size_t end, WordLanes &lanes) {
-        CoverageBlock &b = blocks[block];
-        // Global word indices are consecutive, so the words of one
-        // code are contiguous: materialize each code once per block.
-        std::size_t built_code_idx = config.numCodes; // sentinel
-        for (std::size_t g = begin; g < end; ++g) {
+    profileWords<WordSim>(
+        run,
+        [&](std::size_t g) {
             const std::size_t code_idx = g / config.wordsPerCode;
-            const std::size_t word_idx = g % config.wordsPerCode;
-            if (code_idx != built_code_idx) {
-                common::Xoshiro256 code_rng(common::deriveSeed(
-                    config.seed, {0xC0DEu, code_idx}));
-                b.codes.push_back(std::make_unique<ecc::HammingCode>(
-                    ecc::HammingCode::randomSec(config.k, code_rng)));
-                built_code_idx = code_idx;
-            }
-            const ecc::HammingCode &code = *b.codes.back();
-            b.words.push_back(std::make_unique<WordSim>(
-                config, code,
-                common::deriveSeed(config.seed,
-                                   {0xFA17u, code_idx, word_idx})));
-            lanes.codes.push_back(&code);
-            lanes.faults.push_back(&b.words.back()->faults);
-            lanes.seeds.push_back(common::deriveSeed(
-                config.seed, {0xE221u, code_idx, word_idx}));
-            lanes.profilers.push_back(b.words.back()->raw);
-        }
-    };
-    profileWords(
-        run, build,
-        [&](std::size_t block, std::size_t r) {
-            for (auto &word : blocks[block].words)
-                word->accumulateRound(config, r);
+            return std::make_unique<WordSim>(config, codes[code_idx],
+                                             code_idx,
+                                             g % config.wordsPerCode);
         },
-        [&](std::size_t block) {
-            const CoverageBlock done = std::move(blocks[block]);
-            for (const auto &word : done.words)
-                word->merge(config, result);
-        });
+        [&](WordSim &word, std::size_t r) { word.accumulateRound(config, r); },
+        [&](WordSim &word) { word.merge(config, result); });
     return result;
 }
 

@@ -8,6 +8,9 @@
  * seed-fixed experiment produces byte-identical results under either.
  * The sliced engine simply retires 64 ECC words per word-op on the
  * encode/inject/decode hot path (core/sliced_round_engine.hh).
+ *
+ * Callers hand the driver words one at a time; which words share a
+ * lane block, where they live and which worker runs them is its own.
  */
 
 #ifndef HARP_CORE_ENGINE_KIND_HH
@@ -16,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,57 +56,82 @@ struct WordRun
     std::size_t words = 0;
     std::size_t rounds = 0;
     PatternKind pattern = PatternKind::Random;
-    /** Block shards across this many workers (0 = hardware). */
+    /** Workers the words shard across (0 = hardware). */
     std::size_t threads = 1;
-    /** The words' shared t-error BCH code, copied before any block
-     *  starts (so callbacks may decode through it); null when every
-     *  word brings its own SEC code in WordLanes::codes. */
+    /** The words' shared t-error BCH code, copied before any word is
+     *  made (so callbacks may decode through it); null when every word
+     *  brings its own SEC code. */
     const ecc::BchCode *bch = nullptr;
 };
 
-/** One block's engine inputs, entry i describing word begin + i. */
-struct WordLanes
+/** What the engine reads of one word. The pointees belong to the word
+ *  and live as long as it does. */
+struct WordInputs
 {
-    /** Per-word SEC codes; left empty for WordRun::bch words. */
-    std::vector<const ecc::HammingCode *> codes;
-    std::vector<const fault::WordFaultModel *> faults;
-    std::vector<std::uint64_t> seeds;
+    /** The word's SEC code; null for WordRun::bch words. */
+    const ecc::HammingCode *code = nullptr;
+    const fault::WordFaultModel *faults = nullptr;
+    std::uint64_t seed = 0;
     /** Every word passes the same number of profilers. */
-    std::vector<std::vector<Profiler *>> profilers;
+    std::vector<Profiler *> profilers;
 };
 
-/** @name profileWords callbacks (see there)
- * @{ */
-using BuildWordsFn = std::function<void(std::size_t block, std::size_t begin,
-                                        std::size_t end, WordLanes &lanes)>;
-using WordRoundFn = std::function<void(std::size_t block, std::size_t round)>;
-using FinishWordsFn = std::function<void(std::size_t block)>;
-/** @} */
+namespace detail {
 
-/** Blocks profileWords splits @p run into: one per word (scalar) or
- *  per 64 words (sliced), the last one ragged. */
-std::size_t wordBlockCount(const WordRun &run);
+/** A made word with its type erased: the driver only frees it. */
+using OwnedWord = std::unique_ptr<void, void (*)(void *)>;
+
+/** profileWords over type-erased words: make returns the word and
+ *  fills its inputs; every callback is set. */
+void profileWords(
+    const WordRun &run,
+    const std::function<OwnedWord(std::size_t w, WordInputs &inputs)> &make,
+    const std::function<void(void *word, std::size_t round)> &afterRound,
+    const std::function<void(void *word)> &finish);
+
+} // namespace detail
 
 /**
- * Profile run.words words through run.engine, one lane block at a
- * time, blocks sharded over run.threads workers:
+ * Profile run.words words through run.engine:
  *
- *  - build(block, begin, end, lanes) creates words [begin, end) and
- *    fills @p lanes (the words' state stays the caller's, typically in
- *    a per-block slot, so only in-flight blocks are resident);
- *  - afterRound(block, r), if set, runs after each round r;
- *  - finish(block) runs once per block, in ascending block order and
- *    serialized, after the block's engine is destroyed (which flushes
- *    every profiler's identified()); it merges and frees the block.
+ *  - make(w) builds word w, whose inputs() names what the engine reads
+ *    (see WordInputs); it may run on any worker, concurrently;
+ *  - afterRound(word, r), if set, runs after each round r of the word,
+ *    on the worker profiling it;
+ *  - finish(word) runs once per word, serialized and in ascending word
+ *    order, after the word's engine is gone (which flushes every
+ *    profiler's identified()). The driver frees the word afterwards.
  *
+ * Words run in lane blocks of 1 (scalar) or 64 (sliced) consecutive
+ * words, the blocks sharded over run.threads workers. A worker keeps
+ * one block at a time, so at most lanes × threads words are alive.
  * BCH words share one sliced datapath whose syndrome memo every
  * block's copy reads and extends on a miss. Per-word seeds fix every
  * outcome, so results are byte-identical under any engine and thread
  * count. An exception from a callback fails the whole call.
  */
-void profileWords(const WordRun &run, const BuildWordsFn &build,
-                  const WordRoundFn &afterRound,
-                  const FinishWordsFn &finish);
+template <typename Word>
+void
+profileWords(const WordRun &run,
+             const std::function<std::unique_ptr<Word>(std::size_t w)> &make,
+             const std::function<void(Word &word, std::size_t round)>
+                 &afterRound,
+             const std::function<void(Word &word)> &finish)
+{
+    detail::profileWords(
+        run,
+        [&](std::size_t w, WordInputs &inputs) -> detail::OwnedWord {
+            std::unique_ptr<Word> word = make(w);
+            inputs = word->inputs();
+            return {word.release(),
+                    [](void *p) { delete static_cast<Word *>(p); }};
+        },
+        [&](void *word, std::size_t r) {
+            if (afterRound)
+                afterRound(*static_cast<Word *>(word), r);
+        },
+        [&](void *word) { finish(*static_cast<Word *>(word)); });
+}
 
 } // namespace harp::core
 

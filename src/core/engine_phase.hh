@@ -31,16 +31,6 @@ struct EnginePhaseSeconds
     double setup = 0.0;
     double datapath = 0.0;
     double observe = 0.0;
-
-    double total() const { return setup + datapath + observe; }
-
-    EnginePhaseSeconds &operator+=(const EnginePhaseSeconds &o)
-    {
-        setup += o.setup;
-        datapath += o.datapath;
-        observe += o.observe;
-        return *this;
-    }
 };
 
 /**

@@ -56,6 +56,8 @@ SlicedRoundEngine::SlicedRoundEngine(
     liveMask_ = common::laneMask(lanes_);
     suggestedViews_.assign(lanes_, nullptr);
     writtenVec_.resize(lanes_);
+    for (const gf2::BitVector &written : writtenVec_)
+        writtenViews_.push_back(&written);
     postVec_.assign(lanes_, gf2::BitVector(k_));
     rawVec_.assign(lanes_, gf2::BitVector(k_));
     postSuggestedVec_.assign(lanes_, gf2::BitVector(k_));
@@ -125,6 +127,43 @@ SlicedRoundEngine::runSuggestedDatapath()
 }
 
 void
+SlicedRoundEngine::observeScalarSlot(std::size_t s, ScalarSource &src)
+{
+    const bool need_raw = slotNeedsRaw_[s] != 0;
+    // Lanes whose read was clean observe nothing a clean-no-op
+    // profiler would act on: when the whole slot is clean the scatters
+    // are skipped outright.
+    std::uint64_t dirty = liveMask_;
+    if (slotCleanNoOp_[s] != 0) {
+        dirty = src.written.diffLanesPrefix(src.post, k_);
+        if (need_raw)
+            dirty |= src.written.diffLanesPrefix(src.received, k_);
+        dirty &= liveMask_;
+    }
+    if (dirty != 0) {
+        if (!src.postScattered) {
+            src.post.scatter(src.postVec);
+            ++stats_.postScatters;
+            src.postScattered = true;
+        }
+        if (need_raw && !src.rawScattered) {
+            src.received.scatterPrefix(k_, src.rawVec);
+            ++stats_.rawScatters;
+            src.rawScattered = true;
+        }
+    }
+    for (std::size_t w = 0; w < lanes_; ++w) {
+        if (((dirty >> w) & 1) == 0) {
+            ++stats_.cleanObserveSkips;
+            continue;
+        }
+        profilers_[w][s]->observe(
+            {*src.writtenViews[w], src.postVec[w], src.rawVec[w]});
+        ++stats_.scalarObserveCalls;
+    }
+}
+
+void
 SlicedRoundEngine::runRound()
 {
     double *const ph_setup = phases_ ? &phases_->setup : nullptr;
@@ -141,8 +180,8 @@ SlicedRoundEngine::runRound()
     }
 
     bool suggested_ready = false; // suggested slices valid
-    bool suggested_post_scattered = false;
-    bool suggested_raw_scattered = false;
+    ScalarSource suggested{sWritten_, sPost_, sReceived_, suggestedViews_,
+                           postSuggestedVec_, rawSuggestedVec_};
     bool lane_crafted[gf2::BitSlice::laneCount];
     for (std::size_t s = 0; s < groups_.size(); ++s) {
         if (SlicedProfilerGroup *group = groups_[s].get()) {
@@ -183,43 +222,10 @@ SlicedRoundEngine::runRound()
                 suggested_ready = true;
             }
             PhaseScope t(ph_observe);
-            const bool need_raw = slotNeedsRaw_[s] != 0;
-            // Lanes whose read was clean observe nothing a
-            // clean-no-op profiler would act on: when the whole slot
-            // is clean the scatters are skipped outright.
-            std::uint64_t dirty = liveMask_;
-            if (slotCleanNoOp_[s] != 0) {
-                dirty = sWritten_.diffLanesPrefix(sPost_, k_);
-                if (need_raw)
-                    dirty |= sWritten_.diffLanesPrefix(sReceived_, k_);
-                dirty &= liveMask_;
-            }
-            if (dirty != 0) {
-                if (!suggested_post_scattered) {
-                    sPost_.scatter(postSuggestedVec_);
-                    ++stats_.postScatters;
-                    suggested_post_scattered = true;
-                }
-                if (need_raw && !suggested_raw_scattered) {
-                    sReceived_.scatterPrefix(k_, rawSuggestedVec_);
-                    ++stats_.rawScatters;
-                    suggested_raw_scattered = true;
-                }
-            }
-            for (std::size_t w = 0; w < lanes_; ++w) {
-                if (((dirty >> w) & 1) == 0) {
-                    ++stats_.cleanObserveSkips;
-                    continue;
-                }
-                profilers_[w][s]->observe({*suggestedViews_[w],
-                                           postSuggestedVec_[w],
-                                           rawSuggestedVec_[w]});
-                ++stats_.scalarObserveCalls;
-            }
+            observeScalarSlot(s, suggested);
         } else {
             // Mixed slot: materialize the suggested word into the
             // lanes whose profiler did not craft one.
-            const bool need_raw = slotNeedsRaw_[s] != 0;
             for (std::size_t w = 0; w < lanes_; ++w)
                 if (!lane_crafted[w])
                     writtenVec_[w] = *suggestedViews_[w];
@@ -229,30 +235,9 @@ SlicedRoundEngine::runRound()
                 runDatapath(writtenVec_);
             }
             PhaseScope t(ph_observe);
-            std::uint64_t dirty = liveMask_;
-            if (slotCleanNoOp_[s] != 0) {
-                dirty = written_.diffLanesPrefix(post_, k_);
-                if (need_raw)
-                    dirty |= written_.diffLanesPrefix(received_, k_);
-                dirty &= liveMask_;
-            }
-            if (dirty != 0) {
-                post_.scatter(postVec_);
-                ++stats_.postScatters;
-                if (need_raw) {
-                    received_.scatterPrefix(k_, rawVec_);
-                    ++stats_.rawScatters;
-                }
-            }
-            for (std::size_t w = 0; w < lanes_; ++w) {
-                if (((dirty >> w) & 1) == 0) {
-                    ++stats_.cleanObserveSkips;
-                    continue;
-                }
-                profilers_[w][s]->observe(
-                    {writtenVec_[w], postVec_[w], rawVec_[w]});
-                ++stats_.scalarObserveCalls;
-            }
+            ScalarSource mixed{written_,      post_,   received_,
+                               writtenViews_, postVec_, rawVec_};
+            observeScalarSlot(s, mixed);
         }
     }
     ++round_;

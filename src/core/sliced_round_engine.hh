@@ -178,6 +178,22 @@ class SlicedRoundEngine
      *  slot's observers actually read. */
     void runDatapath(const std::vector<gf2::BitVector> &written);
 
+    /** Where a scalar slot's observations come from: a datapath's
+     *  slices, the lanes' written datawords, the buffers the slices
+     *  scatter into, and whether those hold the slices' outcome yet. */
+    struct ScalarSource
+    {
+        const gf2::BitSlice &written, &post, &received;
+        const std::vector<const gf2::BitVector *> &writtenViews;
+        std::vector<gf2::BitVector> &postVec, &rawVec;
+        bool postScattered = false, rawScattered = false;
+    };
+
+    /** Feed scalar slot @p s the observations in @p src: scatter what
+     *  its profilers read (once per source) and call observe() on
+     *  every lane whose read a clean-no-op slot cannot skip. */
+    void observeScalarSlot(std::size_t s, ScalarSource &src);
+
     /** Evaluate the suggested pattern's datapath into the dedicated
      *  suggested slices (sWritten_/sPost_/sReceived_), which stay
      *  valid for the rest of the round while mixed slots reuse the
@@ -201,6 +217,8 @@ class SlicedRoundEngine
      *  copies. */
     std::vector<const gf2::BitVector *> suggestedViews_;
     std::vector<gf2::BitVector> writtenVec_;
+    /** &writtenVec_[w] per lane: the mixed slots' written views. */
+    std::vector<const gf2::BitVector *> writtenViews_;
     std::vector<gf2::BitVector> postVec_;
     std::vector<gf2::BitVector> rawVec_;
     /** Scalar materialization of the suggested datapath outcome,

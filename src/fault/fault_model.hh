@@ -25,11 +25,6 @@ struct CellFault
 {
     std::size_t position = 0;
     double probability = 0.0;
-
-    bool operator==(const CellFault &o) const
-    {
-        return position == o.position && probability == o.probability;
-    }
 };
 
 /**

@@ -120,10 +120,6 @@ class FleetAggregator
     /** Exact equality (every counter and histogram bin) — the
      *  cross-engine / cross-thread identity check of the test tier. */
     bool operator==(const FleetAggregator &other) const;
-    bool operator!=(const FleetAggregator &other) const
-    {
-        return !(*this == other);
-    }
 
   private:
     std::uint64_t chips_ = 0;

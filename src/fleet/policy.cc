@@ -70,31 +70,32 @@ profileSims(std::span<ChipSim> sims, const FleetPolicy &policy,
             entries.emplace_back(&sim, i);
     }
 
-    // Per block: each word's profile slot and its profiler.
-    using Lane =
-        std::pair<gf2::BitVector *, std::unique_ptr<core::Profiler>>;
-    const core::WordRun run{engine, entries.size(), policy.activeRounds,
-                            core::PatternKind::Random, 1};
-    std::vector<std::vector<Lane>> blocks(core::wordBlockCount(run));
-    const auto build = [&](std::size_t block, std::size_t begin,
-                           std::size_t end, core::WordLanes &lanes) {
-        for (std::size_t j = begin; j < end; ++j) {
-            auto &[sim, i] = entries[j];
+    // Faulty word i of *sim and the profiler that fills its profile.
+    struct FaultyWord
+    {
+        ChipSim *sim;
+        std::size_t i;
+        std::unique_ptr<core::Profiler> profiler;
+
+        core::WordInputs inputs() const
+        {
             const auto &[word, model] = sim->faultyWords[i];
-            const Lane &lane = blocks[block].emplace_back(
-                &sim->profiles[i], makeProfiler(policy.profiler, sim->onDie));
-            lanes.codes.push_back(&sim->onDie);
-            lanes.faults.push_back(&model);
-            lanes.seeds.push_back(
-                common::deriveSeed(sim->chipSeed, {kEngineDomain, word}));
-            lanes.profilers.push_back({lane.second.get()});
+            return {&sim->onDie, &model,
+                    common::deriveSeed(sim->chipSeed, {kEngineDomain, word}),
+                    {profiler.get()}};
         }
     };
-    core::profileWords(run, build, nullptr, [&](std::size_t block) {
-        const std::vector<Lane> done = std::move(blocks[block]);
-        for (const auto &[profile, profiler] : done)
-            *profile = profiler->identified();
-    });
+    const core::WordRun run{engine, entries.size(), policy.activeRounds,
+                            core::PatternKind::Random, 1};
+    core::profileWords<FaultyWord>(
+        run,
+        [&](std::size_t j) {
+            const auto &[sim, i] = entries[j];
+            return std::make_unique<FaultyWord>(
+                FaultyWord{sim, i, makeProfiler(policy.profiler, sim->onDie)});
+        },
+        nullptr,
+        [](FaultyWord &w) { w.sim->profiles[w.i] = w.profiler->identified(); });
 }
 
 FleetAggregator

@@ -89,10 +89,6 @@ class PopulationSampler
     std::vector<std::pair<std::size_t, fault::WordFaultModel>>
     materialize(const ChipSample &sample) const;
 
-    const FleetDistribution &distribution() const { return dist_; }
-    const ChipGeometry &geometry() const { return geometry_; }
-    double deviceHours() const { return deviceHours_; }
-
     /** Expected events per chip of @p tier (the Poisson mean). */
     double eventRate(std::size_t tier) const
     {

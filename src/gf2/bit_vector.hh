@@ -48,7 +48,6 @@ class BitVector
     void randomize(common::Xoshiro256 &rng);
 
     std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
 
     // Single-bit accessors are inline: the profiling engines and the
     // lane-native observation path call them in per-position loops.

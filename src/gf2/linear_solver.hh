@@ -52,8 +52,6 @@ class ConstraintSystem
     /** @param num_vars Number of unknowns (dataword length). */
     explicit ConstraintSystem(std::size_t num_vars);
 
-    std::size_t numVars() const { return numVars_; }
-
     /** Add constraint row · x = rhs. */
     void addConstraint(const BitVector &row, bool rhs);
 

@@ -120,9 +120,6 @@ class Client
      *  bytes) while keeping the read side open. */
     void halfClose();
 
-    /** The raw socket (fault-injection tests only). */
-    int fd() const { return fd_.get(); }
-
   private:
     Fd fd_;
     LineReader reader_;

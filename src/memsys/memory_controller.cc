@@ -10,7 +10,7 @@ MemoryController::MemoryController(
     : chip_(chip),
       secondaryEcc_(std::move(secondary_ecc)),
       profile_(chip.numWords(), chip.datawordBits()),
-      repair_(chip.numWords(), chip.datawordBits())
+      repair_(chip.numWords())
 {
     if (secondaryEcc_) {
         assert(secondaryEcc_->k() == chip.datawordBits());

@@ -115,7 +115,6 @@ class MemoryController
 
     const ControllerStats &stats() const { return stats_; }
 
-    bool hasSecondaryEcc() const { return secondaryEcc_.has_value(); }
 
   private:
     /** Shared write path without application-write accounting. */

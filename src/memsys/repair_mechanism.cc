@@ -2,9 +2,7 @@
 
 namespace harp::mem {
 
-RepairMechanism::RepairMechanism(std::size_t num_words,
-                                 std::size_t word_bits)
-    : wordBits_(word_bits), spares_(num_words)
+RepairMechanism::RepairMechanism(std::size_t num_words) : spares_(num_words)
 {
 }
 

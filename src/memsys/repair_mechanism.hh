@@ -41,13 +41,8 @@ class RepairMechanism
     static constexpr std::size_t kUnlimited =
         std::numeric_limits<std::size_t>::max();
 
-    /**
-     * @param num_words Number of ECC words covered.
-     * @param word_bits Dataword length.
-     */
-    RepairMechanism(std::size_t num_words, std::size_t word_bits);
-
-    std::size_t wordBits() const { return wordBits_; }
+    /** @param num_words Number of ECC words covered. */
+    explicit RepairMechanism(std::size_t num_words);
 
     /**
      * Budget the spare storage to @p max_spare_bits allocated bits
@@ -89,7 +84,6 @@ class RepairMechanism
     std::size_t spareBitsUsed() const;
 
   private:
-    std::size_t wordBits_;
     std::size_t capacity_ = kUnlimited;
     /** Spare bits allocated so far (== spareBitsUsed(), maintained
      *  incrementally for the budget check). */

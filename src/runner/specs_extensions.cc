@@ -24,7 +24,6 @@
 #include "ecc/extended_hamming_code.hh"
 #include "ecc/hamming_code.hh"
 #include "fault/fault_model.hh"
-#include "gf2/linear_solver.hh"
 #include "runner/registry.hh"
 #include "runner/sweeps.hh"
 
@@ -35,8 +34,9 @@ namespace {
 using namespace harp;
 
 /**
- * Ground truth by enumeration of feasible failing subsets through the
- * general decoder (<= 2^numFaults subsets): the worst simultaneous
+ * Ground truth by enumeration of feasible failing subsets (the
+ * analyzer's rule, core::PatternFeasibility) through the general
+ * decoder (<= 2^numFaults subsets): the worst simultaneous
  * post-correction data errors over any subset, in total and restricted
  * to positions where @p unprofiled says the profile misses. Throws
  * std::invalid_argument past AtRiskAnalyzer's default enumeration
@@ -55,13 +55,11 @@ worstFeasibleErrors(const ecc::BchCode &code,
             " exceeds the ground-truth enumeration limit of " +
             std::to_string(core::AtRiskAnalyzer::defaultMaxCells) +
             " at-risk cells per word");
-    // A subset is feasible iff some dataword charges (stores 1 in) every
-    // cell of it.
-    const gf2::RowDependencies deps(core::storedValueRows(code, fm.faults()));
+    const core::PatternFeasibility feasibility(code, fm);
     std::size_t worst_total = 0, worst_unprofiled = 0;
     for (std::uint32_t mask = 1;
          mask < (std::uint32_t{1} << fm.numFaults()); ++mask) {
-        if (!deps.consistent(mask, mask))
+        if (!feasibility.feasible(mask))
             continue;
         std::vector<std::size_t> failing;
         for (std::size_t i = 0; i < fm.numFaults(); ++i)
@@ -276,31 +274,27 @@ makeBchTSweep()
         struct SweepWord
         {
             fault::WordFaultModel faults;
+            std::uint64_t seed;
             std::unique_ptr<core::NaiveProfiler> naive;
             std::unique_ptr<core::HarpUProfiler> harp;
+
+            core::WordInputs inputs() const
+            {
+                return {nullptr, &faults, seed, {naive.get(), harp.get()}};
+            }
         };
         const core::WordRun run{engine, words, rounds,
                                 core::PatternKind::Random, ctx.threads(),
                                 &code};
-        std::vector<std::vector<SweepWord>> blocks(
-            core::wordBlockCount(run));
-        const auto build = [&](std::size_t block, std::size_t begin,
-                               std::size_t end, core::WordLanes &lanes) {
-            blocks[block].reserve(end - begin);
-            for (std::size_t w = begin; w < end; ++w) {
-                common::Xoshiro256 fault_rng(
-                    common::deriveSeed(ctx.seed(), {0xFA17u, w}));
-                SweepWord &sim = blocks[block].emplace_back(SweepWord{
-                    fault::WordFaultModel::makeUniformFixedCount(
-                        code.n(), n_errors, prob, fault_rng),
-                    std::make_unique<core::NaiveProfiler>(code.k()),
-                    std::make_unique<core::HarpUProfiler>(code.k())});
-                lanes.faults.push_back(&sim.faults);
-                lanes.seeds.push_back(
-                    common::deriveSeed(ctx.seed(), {0xE221u, w}));
-                lanes.profilers.push_back(
-                    {sim.naive.get(), sim.harp.get()});
-            }
+        const auto make = [&](std::size_t w) {
+            common::Xoshiro256 fault_rng(
+                common::deriveSeed(ctx.seed(), {0xFA17u, w}));
+            return std::make_unique<SweepWord>(SweepWord{
+                fault::WordFaultModel::makeUniformFixedCount(
+                    code.n(), n_errors, prob, fault_rng),
+                common::deriveSeed(ctx.seed(), {0xE221u, w}),
+                std::make_unique<core::NaiveProfiler>(code.k()),
+                std::make_unique<core::HarpUProfiler>(code.k())});
         };
 
         // Ground truth per word by enumeration of feasible failing
@@ -310,33 +304,30 @@ makeBchTSweep()
         std::size_t full_words = 0;
         std::size_t worst_empty_all = 0, worst_harp_all = 0;
         bool bound_respected = true;
-        core::profileWords(run, build, nullptr, [&](std::size_t block) {
-            const std::vector<SweepWord> done = std::move(blocks[block]);
-            for (const SweepWord &sim : done) {
-                std::set<std::size_t> direct;
-                for (const fault::CellFault &f : sim.faults.faults())
-                    if (f.position < code.k())
-                        direct.insert(f.position);
-                direct_total += direct.size();
-                bool full = true;
-                for (const std::size_t pos : direct) {
-                    naive_found += sim.naive->identified().get(pos) ? 1 : 0;
-                    const bool harp_hit = sim.harp->identified().get(pos);
-                    harp_found += harp_hit ? 1 : 0;
-                    full = full && harp_hit;
-                }
-                if (full)
-                    ++full_words;
-
-                const auto [worst_empty, worst_harp] = worstFeasibleErrors(
-                    code, sim.faults, [&sim](std::size_t e) {
-                        return !sim.harp->identified().get(e);
-                    });
-                worst_empty_all = std::max(worst_empty_all, worst_empty);
-                worst_harp_all = std::max(worst_harp_all, worst_harp);
-                if (full && worst_harp > t)
-                    bound_respected = false;
+        core::profileWords<SweepWord>(run, make, nullptr, [&](SweepWord &sim) {
+            std::set<std::size_t> direct;
+            for (const fault::CellFault &f : sim.faults.faults())
+                if (f.position < code.k())
+                    direct.insert(f.position);
+            direct_total += direct.size();
+            bool full = true;
+            for (const std::size_t pos : direct) {
+                naive_found += sim.naive->identified().get(pos) ? 1 : 0;
+                const bool harp_hit = sim.harp->identified().get(pos);
+                harp_found += harp_hit ? 1 : 0;
+                full = full && harp_hit;
             }
+            if (full)
+                ++full_words;
+
+            const auto [worst_empty, worst_harp] = worstFeasibleErrors(
+                code, sim.faults, [&sim](std::size_t e) {
+                    return !sim.harp->identified().get(e);
+                });
+            worst_empty_all = std::max(worst_empty_all, worst_empty);
+            worst_harp_all = std::max(worst_harp_all, worst_harp);
+            if (full && worst_harp > t)
+                bound_respected = false;
         });
 
         JsonValue metrics = JsonValue::object();
@@ -405,68 +396,57 @@ makeLowProbability()
 
         const core::EngineKind engine_kind = engineFromContext(ctx);
 
-        // Heterogeneous per-word codes (equal k) pack straight into
-        // lane blocks, ragged tail included; per-word seed derivations
-        // are identical under every engine, so each emits
-        // byte-identical JSONL.
+        // Per-word codes (equal k) and seed derivations are identical
+        // under every engine, so each emits byte-identical JSONL.
         struct TierWord
         {
             ecc::HammingCode code;
             fault::WordFaultModel faults;
+            std::uint64_t seed;
             std::unique_ptr<core::HarpUProfiler> harp;
+
+            core::WordInputs inputs() const
+            {
+                return {&code, &faults, seed, {harp.get()}};
+            }
         };
         const core::WordRun run{engine_kind, words, rounds_v,
                                 core::PatternKind::Random, ctx.threads()};
-        std::vector<std::vector<TierWord>> blocks(core::wordBlockCount(run));
-        const auto build = [&](std::size_t block, std::size_t begin,
-                               std::size_t end, core::WordLanes &lanes) {
-            blocks[block].reserve(end - begin);
-            for (std::size_t w = begin; w < end; ++w) {
-                common::Xoshiro256 code_rng(
-                    common::deriveSeed(ctx.seed(), {0xC0DEu, w}));
-                ecc::HammingCode code =
-                    ecc::HammingCode::randomSec(64, code_rng);
+        const auto make = [&](std::size_t w) {
+            common::Xoshiro256 code_rng(
+                common::deriveSeed(ctx.seed(), {0xC0DEu, w}));
+            ecc::HammingCode code = ecc::HammingCode::randomSec(64, code_rng);
 
-                // Mixed fault model: distinct positions, two tiers.
-                common::Xoshiro256 fault_rng(common::deriveSeed(
-                    ctx.seed(),
-                    {0xFA17u, w,
-                     static_cast<std::uint64_t>(p_low_v * 1e6)}));
-                std::vector<fault::CellFault> cells =
-                    fault::WordFaultModel::makeUniformFixedCount(
-                        code.n(), n_normal + n_low, 0.5, fault_rng)
-                        .faults();
-                for (std::size_t i = 0; i < cells.size(); ++i)
-                    cells[i].probability = i < n_normal ? 0.5 : p_low_v;
-                fault::WordFaultModel faults(code.n(), cells);
-                auto harp = std::make_unique<core::HarpUProfiler>(code.k());
-                TierWord &sim = blocks[block].emplace_back(TierWord{
-                    std::move(code), std::move(faults), std::move(harp)});
-                lanes.codes.push_back(&sim.code);
-                lanes.faults.push_back(&sim.faults);
-                lanes.seeds.push_back(
-                    common::deriveSeed(ctx.seed(), {0xE221u, w, rounds_v}));
-                lanes.profilers.push_back({sim.harp.get()});
-            }
+            // Mixed fault model: distinct positions, two tiers.
+            common::Xoshiro256 fault_rng(common::deriveSeed(
+                ctx.seed(),
+                {0xFA17u, w, static_cast<std::uint64_t>(p_low_v * 1e6)}));
+            std::vector<fault::CellFault> cells =
+                fault::WordFaultModel::makeUniformFixedCount(
+                    code.n(), n_normal + n_low, 0.5, fault_rng)
+                    .faults();
+            for (std::size_t i = 0; i < cells.size(); ++i)
+                cells[i].probability = i < n_normal ? 0.5 : p_low_v;
+            fault::WordFaultModel faults(code.n(), cells);
+            return std::make_unique<TierWord>(TierWord{
+                std::move(code), std::move(faults),
+                common::deriveSeed(ctx.seed(), {0xE221u, w, rounds_v}),
+                std::make_unique<core::HarpUProfiler>(64)});
         };
 
         std::size_t direct_total = 0, direct_found = 0;
         std::size_t missed_bits = 0, unsafe_words = 0;
-        core::profileWords(run, build, nullptr, [&](std::size_t block) {
-            const std::vector<TierWord> done = std::move(blocks[block]);
-            for (const TierWord &sim : done) {
-                const core::AtRiskAnalyzer analyzer(sim.code, sim.faults);
-                const std::size_t total = analyzer.directAtRisk().popcount();
-                const std::size_t found =
-                    sim.harp->identified().intersectionCount(
-                        analyzer.directAtRisk());
-                direct_total += total;
-                direct_found += found;
-                missed_bits += total - found;
-                if (analyzer.maxSimultaneousErrors(
-                        sim.harp->identified()) > 1)
-                    ++unsafe_words;
-            }
+        core::profileWords<TierWord>(run, make, nullptr, [&](TierWord &sim) {
+            const core::AtRiskAnalyzer analyzer(sim.code, sim.faults);
+            const std::size_t total = analyzer.directAtRisk().popcount();
+            const std::size_t found =
+                sim.harp->identified().intersectionCount(
+                    analyzer.directAtRisk());
+            direct_total += total;
+            direct_found += found;
+            missed_bits += total - found;
+            if (analyzer.maxSimultaneousErrors(sim.harp->identified()) > 1)
+                ++unsafe_words;
         });
 
         JsonValue metrics = JsonValue::object();

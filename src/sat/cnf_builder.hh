@@ -32,7 +32,6 @@ class CnfBuilder
     Var newVar() { return solver_.newVar(); }
 
     Solver &solver() { return solver_; }
-    const Solver &solver() const { return solver_; }
 
     /** Plain clause passthrough. */
     bool addClause(Clause clause) { return solver_.addClause(std::move(clause)); }

@@ -46,7 +46,6 @@ struct Lit
     }
 
     bool operator==(const Lit &o) const { return code == o.code; }
-    bool operator!=(const Lit &o) const { return code != o.code; }
     bool operator<(const Lit &o) const { return code < o.code; }
 
     /** Index usable for watch lists (0..2·numVars-1). */

@@ -50,15 +50,5 @@ TEST(Bits, Parity64)
     EXPECT_EQ(parity64(~std::uint64_t{0}), 0);
 }
 
-TEST(Bits, AtMostOneBit)
-{
-    EXPECT_TRUE(atMostOneBit(0));
-    EXPECT_TRUE(atMostOneBit(1));
-    EXPECT_TRUE(atMostOneBit(2));
-    EXPECT_TRUE(atMostOneBit(std::uint64_t{1} << 63));
-    EXPECT_FALSE(atMostOneBit(3));
-    EXPECT_FALSE(atMostOneBit(0x11));
-}
-
 } // namespace
 } // namespace harp::common

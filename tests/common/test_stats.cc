@@ -15,8 +15,8 @@ namespace {
 TEST(RunningStat, Empty)
 {
     RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
+    EXPECT_DOUBLE_EQ(s.max(), 0.0);
 }
 
 TEST(RunningStat, KnownMoments)
@@ -24,11 +24,8 @@ TEST(RunningStat, KnownMoments)
     RunningStat s;
     for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
         s.add(x);
-    EXPECT_EQ(s.count(), 8u);
     EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
     EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
 TEST(Percentile, ExactQuantiles)

@@ -2,8 +2,9 @@
  * @file
  * Contract tests for core::profileWords, the one driver behind every
  * engine-selectable experiment: for each engine, ragged and exact word
- * counts, and serial and sharded runs, every block is finished exactly
- * once in block order after all of its rounds, and every profiler's
+ * counts, and serial and sharded runs, every word is made once and
+ * finished once in ascending word order after all of its rounds, at
+ * most lanes × threads words are alive at once, and every profiler's
  * identified() read inside finish equals a hand-rolled per-word scalar
  * RoundEngine loop over the same seeds — for per-word SEC Hamming codes
  * and for one shared BCH code.
@@ -11,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 
 #include "common/rng.hh"
 #include "core/beep_profiler.hh"
@@ -33,20 +36,55 @@ constexpr std::size_t kK = 32;
 constexpr std::size_t kRounds = 3;
 constexpr std::size_t kMaxWords = 257;
 
+/** Counts the words alive at once, from make until the driver frees
+ *  them, and the most ever alive. */
+struct Census
+{
+    std::atomic<std::size_t> live{0};
+    std::atomic<std::size_t> peak{0};
+
+    void enter()
+    {
+        const std::size_t now = ++live;
+        std::size_t seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+    }
+};
+
 /** One word's state; BCH words leave code null and use the shared code. */
 struct Word
 {
+    Word(std::size_t w, Census *census) : index(w), census(census)
+    {
+        if (census != nullptr)
+            census->enter();
+    }
+    ~Word()
+    {
+        if (census != nullptr)
+            --census->live;
+    }
+    Word(const Word &) = delete;
+    Word &operator=(const Word &) = delete;
+
+    WordInputs inputs() const { return {code.get(), &faults, seed, raw}; }
+
+    std::size_t index;
+    Census *census;
     std::unique_ptr<ecc::HammingCode> code;
     fault::WordFaultModel faults;
     std::uint64_t seed = 0;
     std::vector<std::unique_ptr<Profiler>> profilers;
     std::vector<Profiler *> raw;
+    /** Rounds afterRound reported so far. */
+    std::size_t roundsSeen = 0;
 };
 
 std::unique_ptr<Word>
-makeWord(std::size_t w, const ecc::BchCode *bch)
+makeWord(std::size_t w, const ecc::BchCode *bch, Census *census = nullptr)
 {
-    auto word = std::make_unique<Word>();
+    auto word = std::make_unique<Word>(w, census);
     std::size_t n = 0;
     if (bch == nullptr) {
         common::Xoshiro256 code_rng(common::deriveSeed(kSeed, {1, w}));
@@ -71,23 +109,6 @@ makeWord(std::size_t w, const ecc::BchCode *bch)
     for (const auto &p : word->profilers)
         word->raw.push_back(p.get());
     return word;
-}
-
-using Blocks = std::vector<std::vector<std::unique_ptr<Word>>>;
-
-/** A build callback body: create words [begin, end) into @p state. */
-void
-buildWords(Blocks &state, std::size_t block, std::size_t begin,
-           std::size_t end, WordLanes &lanes, const ecc::BchCode *bch)
-{
-    for (std::size_t w = begin; w < end; ++w) {
-        const Word &word = *state[block].emplace_back(makeWord(w, bch));
-        if (word.code)
-            lanes.codes.push_back(word.code.get());
-        lanes.faults.push_back(&word.faults);
-        lanes.seeds.push_back(word.seed);
-        lanes.profilers.push_back(word.raw);
-    }
 }
 
 /** Per-word, per-profiler identified() after a scalar RoundEngine loop. */
@@ -128,68 +149,52 @@ checkDriver(const ecc::BchCode *bch)
                                   threads, bch};
                 const std::size_t lanes =
                     kind == EngineKind::Scalar ? 1 : 64;
-                const std::size_t blocks = wordBlockCount(run);
-                ASSERT_EQ(blocks, (words + lanes - 1) / lanes);
 
-                Blocks state(blocks);
-                std::vector<std::size_t> first(blocks, 0);
-                std::vector<std::size_t> rounds_seen(blocks, 0);
-                std::vector<char> finished_flag(blocks, 0);
-                std::vector<std::size_t> finished;
-                std::vector<int> covered(words, 0);
-
-                const auto build = [&](std::size_t block,
-                                       std::size_t begin, std::size_t end,
-                                       WordLanes &l) {
-                    EXPECT_EQ(begin, block * lanes);
-                    EXPECT_EQ(end, std::min(begin + lanes, words));
-                    first[block] = begin;
-                    buildWords(state, block, begin, end, l, bch);
-                };
-                const auto after_round = [&](std::size_t block,
-                                             std::size_t r) {
-                    EXPECT_EQ(r, rounds_seen[block]);
-                    EXPECT_EQ(finished_flag[block], 0);
-                    ++rounds_seen[block];
-                };
-                const auto finish = [&](std::size_t block) {
-                    // Decoding through the caller's BCH code while
-                    // other blocks run must not race with them.
-                    if (bch != nullptr)
-                        bch->decodeErrorPattern({0, 1});
-                    EXPECT_EQ(rounds_seen[block], kRounds);
-                    finished.push_back(block);
-                    finished_flag[block] = 1;
-                    for (std::size_t i = 0; i < state[block].size();
-                         ++i) {
-                        const std::size_t w = first[block] + i;
-                        ++covered[w];
-                        const Word &word = *state[block][i];
+                Census census;
+                std::vector<std::atomic<int>> made(words);
+                std::size_t finished = 0;
+                profileWords<Word>(
+                    run,
+                    [&](std::size_t w) {
+                        EXPECT_LT(w, words);
+                        ++made[w];
+                        return makeWord(w, bch, &census);
+                    },
+                    [&](Word &word, std::size_t r) {
+                        EXPECT_EQ(r, word.roundsSeen);
+                        ++word.roundsSeen;
+                    },
+                    [&](Word &word) {
+                        // Decoding through the caller's BCH code while
+                        // other words run must not race with them.
+                        if (bch != nullptr)
+                            bch->decodeErrorPattern({0, 1});
+                        EXPECT_EQ(word.index, finished);
+                        ++finished;
+                        EXPECT_EQ(word.roundsSeen, kRounds);
                         for (std::size_t p = 0; p < word.raw.size(); ++p)
                             EXPECT_EQ(word.raw[p]->identified(),
-                                      reference[w][p])
-                                << "word " << w << " profiler " << p;
-                    }
-                    state[block].clear();
-                };
-                profileWords(run, build, after_round, finish);
+                                      reference[word.index][p])
+                                << "word " << word.index << " profiler "
+                                << p;
+                    });
 
-                ASSERT_EQ(finished.size(), blocks);
-                for (std::size_t b = 0; b < blocks; ++b)
-                    EXPECT_EQ(finished[b], b);
+                EXPECT_EQ(finished, words);
                 for (std::size_t w = 0; w < words; ++w)
-                    EXPECT_EQ(covered[w], 1) << "word " << w;
+                    EXPECT_EQ(made[w].load(), 1) << "word " << w;
+                EXPECT_EQ(census.live.load(), 0u);
+                EXPECT_LE(census.peak.load(), lanes * threads);
             }
         }
     }
 }
 
-TEST(ProfileWords, HammingWordsMatchScalarLoopInBlockOrder)
+TEST(ProfileWords, HammingWordsMatchScalarLoopInWordOrder)
 {
     checkDriver(nullptr);
 }
 
-TEST(ProfileWords, SharedBchWordsMatchScalarLoopInBlockOrder)
+TEST(ProfileWords, SharedBchWordsMatchScalarLoopInWordOrder)
 {
     const ecc::BchCode bch(kK, 2);
     checkDriver(&bch);
@@ -199,37 +204,111 @@ TEST(ProfileWords, AfterRoundIsOptional)
 {
     const WordRun run{EngineKind::Sliced64, 70, kRounds,
                       PatternKind::Random, 2};
-    Blocks state(wordBlockCount(run));
     std::size_t finished = 0;
-    profileWords(
-        run,
-        [&](std::size_t block, std::size_t begin, std::size_t end,
-            WordLanes &lanes) {
-            buildWords(state, block, begin, end, lanes, nullptr);
-        },
-        nullptr, [&](std::size_t) { ++finished; });
-    EXPECT_EQ(finished, 2u);
+    profileWords<Word>(
+        run, [](std::size_t w) { return makeWord(w, nullptr); }, nullptr,
+        [&](Word &) { ++finished; });
+    EXPECT_EQ(finished, 70u);
 }
+
+/**
+ * Holds a failing callback until another worker has made a word of a
+ * later block, so that block's worker is waiting for its turn when the
+ * failure lands (serial runs have no such worker and do not wait).
+ */
+class LaterBlockLatch
+{
+  public:
+    LaterBlockLatch(std::size_t failing_word, EngineKind kind,
+                    std::size_t threads)
+        : nextBlock_((failing_word / (kind == EngineKind::Scalar ? 1 : 64) +
+                      1) *
+                     (kind == EngineKind::Scalar ? 1 : 64)),
+          wait_(threads > 1)
+    {
+    }
+
+    void made(std::size_t w)
+    {
+        if (w >= nextBlock_)
+            later_ = true;
+    }
+
+    void await() const
+    {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (wait_ && !later_ && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+    }
+
+  private:
+    std::size_t nextBlock_;
+    bool wait_;
+    std::atomic<bool> later_{false};
+};
 
 TEST(ProfileWords, CallbackExceptionFailsTheCall)
 {
-    for (const std::size_t threads : {1, 4}) {
-        const WordRun run{EngineKind::Scalar, 16, kRounds,
-                          PatternKind::Random, threads};
-        Blocks state(wordBlockCount(run));
-        EXPECT_THROW(profileWords(
-                         run,
-                         [&](std::size_t block, std::size_t begin,
-                             std::size_t end, WordLanes &lanes) {
-                             if (block == 5)
-                                 throw std::invalid_argument("block 5");
-                             buildWords(state, block, begin, end, lanes,
-                                        nullptr);
-                         },
-                         nullptr, [](std::size_t) {}),
-                     std::invalid_argument)
-            << threads << " threads";
+    for (const EngineKind kind : {EngineKind::Scalar, EngineKind::Sliced64}) {
+        for (const std::size_t threads : {1, 4}) {
+            SCOPED_TRACE(std::to_string(threads) + " threads");
+            const WordRun run{kind, 200, kRounds, PatternKind::Random,
+                              threads};
+            Census census;
+            LaterBlockLatch make_latch(130, kind, threads);
+            EXPECT_THROW(profileWords<Word>(
+                             run,
+                             [&](std::size_t w) {
+                                 make_latch.made(w);
+                                 if (w == 130) {
+                                     make_latch.await();
+                                     throw std::invalid_argument("word 130");
+                                 }
+                                 return makeWord(w, nullptr, &census);
+                             },
+                             nullptr, [](Word &) {}),
+                         std::invalid_argument);
+            LaterBlockLatch finish_latch(70, kind, threads);
+            EXPECT_THROW(profileWords<Word>(
+                             run,
+                             [&](std::size_t w) {
+                                 finish_latch.made(w);
+                                 return makeWord(w, nullptr, &census);
+                             },
+                             nullptr,
+                             [&](Word &word) {
+                                 if (word.index == 70) {
+                                     finish_latch.await();
+                                     throw std::runtime_error("word 70");
+                                 }
+                             }),
+                         std::runtime_error);
+            // Every word made is freed, the failed blocks' words too.
+            EXPECT_EQ(census.live.load(), 0u);
+        }
     }
+}
+
+TEST(ProfileWords, CodeMustMatchTheRunsBch)
+{
+    const ecc::BchCode bch(kK, 2);
+    const WordRun bch_run{EngineKind::Scalar, 1, kRounds,
+                          PatternKind::Random, 1, &bch};
+    // A word that brings a SEC code into a shared-BCH run...
+    EXPECT_THROW(profileWords<Word>(
+                     bch_run,
+                     [](std::size_t w) { return makeWord(w, nullptr); },
+                     nullptr, [](Word &) {}),
+                 std::invalid_argument);
+    // ... and one that brings none into a SEC run.
+    const WordRun sec_run{EngineKind::Sliced64, 1, kRounds,
+                          PatternKind::Random, 1};
+    EXPECT_THROW(profileWords<Word>(
+                     sec_run,
+                     [&](std::size_t w) { return makeWord(w, &bch); },
+                     nullptr, [](Word &) {}),
+                 std::invalid_argument);
 }
 
 } // namespace

@@ -65,7 +65,7 @@ TEST(RepairMechanism, RepairsProfiledBitsAfterCapture)
 {
     ErrorProfile profile(1, 16);
     profile.markAtRisk(0, 5);
-    RepairMechanism repair(1, 16);
+    RepairMechanism repair(1);
 
     gf2::BitVector written = gf2::BitVector::fromUint(0xBEEF, 16);
     repair.onWrite(0, written, profile);
@@ -82,7 +82,7 @@ TEST(RepairMechanism, NoSpareNoRepair)
 {
     // A bit profiled after the last write has no captured value yet.
     ErrorProfile profile(1, 16);
-    RepairMechanism repair(1, 16);
+    RepairMechanism repair(1);
     const gf2::BitVector written = gf2::BitVector::fromUint(0x0F0F, 16);
     repair.onWrite(0, written, profile); // profile empty at write time
     profile.markAtRisk(0, 2);
@@ -97,7 +97,7 @@ TEST(RepairMechanism, RepairIsValueAccurate)
     // Repair restores the captured value, it does not blindly flip.
     ErrorProfile profile(1, 8);
     profile.markAtRisk(0, 3);
-    RepairMechanism repair(1, 8);
+    RepairMechanism repair(1);
     gf2::BitVector written(8);
     written.set(3, true);
     repair.onWrite(0, written, profile);
@@ -113,7 +113,7 @@ TEST(RepairMechanism, SpareAccounting)
     profile.markAtRisk(0, 1);
     profile.markAtRisk(1, 2);
     profile.markAtRisk(1, 3);
-    RepairMechanism repair(2, 8);
+    RepairMechanism repair(2);
     const gf2::BitVector d(8);
     repair.onWrite(0, d, profile);
     EXPECT_EQ(repair.spareBitsUsed(), 1u);
@@ -134,7 +134,7 @@ TEST(RepairMechanism, BudgetExhaustionIsFirstComeFirstServed)
     for (const std::size_t bit : {3, 7, 11})
         profile.markAtRisk(0, bit);
     profile.markAtRisk(1, 2);
-    RepairMechanism repair(2, 16);
+    RepairMechanism repair(2);
     repair.setCapacity(2);
     EXPECT_EQ(repair.capacity(), 2u);
     EXPECT_FALSE(repair.exhausted());
@@ -181,7 +181,7 @@ TEST(RepairMechanism, ValueRefreshNeverConsumesBudget)
     // without touching the budget or the dropped counter.
     ErrorProfile profile(1, 8);
     profile.markAtRisk(0, 5);
-    RepairMechanism repair(1, 8);
+    RepairMechanism repair(1);
     repair.setCapacity(1);
 
     gf2::BitVector first(8);
@@ -209,7 +209,7 @@ TEST(RepairMechanism, ShrinkingCapacityDoesNotEvictSpares)
     ErrorProfile profile(1, 8);
     for (const std::size_t bit : {1, 4, 6})
         profile.markAtRisk(0, bit);
-    RepairMechanism repair(1, 8);
+    RepairMechanism repair(1);
     const gf2::BitVector d = gf2::BitVector::fromUint(0xFF, 8);
     repair.onWrite(0, d, profile);
     EXPECT_EQ(repair.spareBitsUsed(), 3u);
@@ -233,7 +233,7 @@ TEST(RepairMechanism, ZeroCapacityCapturesNothing)
 {
     ErrorProfile profile(1, 8);
     profile.markAtRisk(0, 3);
-    RepairMechanism repair(1, 8);
+    RepairMechanism repair(1);
     repair.setCapacity(0);
     EXPECT_TRUE(repair.exhausted());
 

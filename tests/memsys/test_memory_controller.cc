@@ -285,7 +285,6 @@ TEST(MemoryController, ZeroRepairCapacityExposesProfiledBitToSecondary)
 TEST(MemoryController, WithoutSecondaryEccErrorsPassThrough)
 {
     Rig rig(7, /*secondary=*/false);
-    EXPECT_FALSE(rig.controller.hasSecondaryEcc());
     common::Xoshiro256 rng(8);
     const gf2::BitVector d = gf2::BitVector::random(64, rng);
     rig.controller.write(0, d);

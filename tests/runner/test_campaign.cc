@@ -18,7 +18,10 @@
 #include <sstream>
 #include <unistd.h>
 
+#include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "ecc/bch_general.hh"
+#include "fault/fault_model.hh"
 #include "runner/campaign.hh"
 #include "runner/cli.hh"
 #include "runner/registry.hh"
@@ -284,7 +287,7 @@ TEST(CampaignDeterminism, SeedFixedHashesAgreeAcrossShardCounts)
  * last one with heterogeneous per-word codes through the lane-native
  * observation path). 70 words exercise a ragged sliced block (64 + 6
  * lanes), and the multi-thread runs drive the intra-job sharding +
- * ordered block release of core::profileWords.
+ * in-order word finish of core::profileWords.
  */
 TEST(CampaignDeterminism, EngineAndShardOverridesHashIdentically)
 {
@@ -392,6 +395,62 @@ TEST(BchGolden, TSweepResultHashUnderEveryEngine)
         EXPECT_TRUE(test::goldenMatches(summary.experiments[0].resultHash,
                                         0x3880839C509DDCD7ULL))
             << "engine " << engine;
+    }
+}
+
+/**
+ * bch_t_sweep's ground truth against brute force over every dataword,
+ * for small BCH codes whose at-risk cells all fail with p = 1: such a
+ * cell fails whenever it is charged, so each dataword fails exactly its
+ * charged cells. The sweep's worst case must be the worst decode over
+ * those patterns — a pattern that leaves a charged p = 1 cell out is
+ * not realizable. One word per run, so every word is checked.
+ */
+TEST(BchGroundTruth, DeterministicCellsMatchDatawordBruteForce)
+{
+    const ExperimentSpec *spec = builtinRegistry().find("bch_t_sweep");
+    ASSERT_NE(spec, nullptr);
+    struct Shape
+    {
+        std::size_t k, t, cells;
+    };
+    for (const Shape shape : {Shape{6, 1, 8}, Shape{4, 2, 7}}) {
+        const ecc::BchCode code(shape.k, shape.t);
+        ParamPoint point;
+        point.add("on_die_t", ParamValue(shape.t));
+        point.add("pre_errors", ParamValue(shape.cells));
+        ParamPoint tunables;
+        tunables.add("k", ParamValue(shape.k));
+        tunables.add("words", ParamValue(1));
+        tunables.add("rounds", ParamValue(2));
+        tunables.add("prob", ParamValue(1.0));
+        tunables.add("engine", ParamValue("scalar"));
+        for (std::uint64_t seed = 0; seed < 150; ++seed) {
+            // The sweep's fault stream for word 0.
+            common::Xoshiro256 fault_rng(
+                common::deriveSeed(seed, {0xFA17u, 0}));
+            const fault::WordFaultModel faults =
+                fault::WordFaultModel::makeUniformFixedCount(
+                    code.n(), shape.cells, 1.0, fault_rng);
+            std::size_t worst = 0;
+            for (std::uint64_t d = 0; d < (std::uint64_t{1} << shape.k);
+                 ++d) {
+                const gf2::BitVector stored =
+                    code.encode(gf2::BitVector::fromUint(d, shape.k));
+                std::vector<std::size_t> failing;
+                for (const fault::CellFault &cell : faults.faults())
+                    if (stored.get(cell.position))
+                        failing.push_back(cell.position);
+                worst = std::max(worst,
+                                 code.decodeErrorPattern(failing).size());
+            }
+            const RunContext ctx(point, tunables, seed, 1, nullptr);
+            const JsonValue metrics = spec->run(ctx);
+            EXPECT_EQ(metrics.find("max_simul_no_profile")->asInt(),
+                      static_cast<std::int64_t>(worst))
+                << "BCH(" << shape.k << ", t=" << shape.t << ") with "
+                << shape.cells << " cells, seed " << seed;
+        }
     }
 }
 

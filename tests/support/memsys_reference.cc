@@ -137,7 +137,7 @@ ReferenceMemorySystem::ReferenceMemorySystem(
       secondary_(std::move(secondary)),
       storage_(num_words, gf2::BitVector(onDie_.n())),
       profile_(num_words, onDie_.k()),
-      repair_(num_words, onDie_.k())
+      repair_(num_words)
 {
     if (secondary_) {
         assert(secondary_->k() == onDie_.k());
