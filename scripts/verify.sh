@@ -544,24 +544,27 @@ fleet_tests="$(cd build && ctest -L fleet -N | sed -n 's/^Total Tests: //p')"
 
 # A 10k-chip policy sweep must be byte-identical across thread counts
 # and across the scalar/sliced64 engines (the fleet CRN contract,
-# end-to-end through harp_run).
-for variant in t1-sliced64 t1-scalar t4-sliced64; do
-    threads="${variant#t}"
-    threads="${threads%%-*}"
-    engine="${variant#*-}"
-    ./build/src/harp_run fleet_policy_sweep \
-        --seed 17 --threads "$threads" --engine "$engine" \
-        --chips 10000 --fit_scale 50 --windows 6 --rounds 8 \
-        --profiler harp_u \
-        --out "$smoke_dir/fleet-$variant" > /dev/null
-done
-for variant in t1-scalar t4-sliced64; do
-    cmp -s "$smoke_dir/fleet-t1-sliced64/fleet_policy_sweep.jsonl" \
-           "$smoke_dir/fleet-$variant/fleet_policy_sweep.jsonl" || {
-        echo "verify: fleet_policy_sweep.jsonl differs" \
-             "(t1-sliced64 vs $variant)" >&2
-        exit 1
-    }
+# end-to-end through harp_run), under the single-tier DDR4 preset and
+# the three-tier HRM one.
+for dist in ddr4 hrm; do
+    for variant in t1-sliced64 t1-scalar t4-sliced64; do
+        threads="${variant#t}"
+        threads="${threads%%-*}"
+        engine="${variant#*-}"
+        ./build/src/harp_run fleet_policy_sweep \
+            --seed 17 --threads "$threads" --engine "$engine" \
+            --chips 10000 --fit_scale 50 --windows 6 --rounds 8 \
+            --profiler harp_u --dist "$dist" \
+            --out "$smoke_dir/fleet-$dist-$variant" > /dev/null
+    done
+    for variant in t1-scalar t4-sliced64; do
+        cmp -s "$smoke_dir/fleet-$dist-t1-sliced64/fleet_policy_sweep.jsonl" \
+               "$smoke_dir/fleet-$dist-$variant/fleet_policy_sweep.jsonl" || {
+            echo "verify: $dist fleet_policy_sweep.jsonl differs" \
+                 "(t1-sliced64 vs $variant)" >&2
+            exit 1
+        }
+    done
 done
 
 # --- Reachability audit (full) --------------------------------------------
@@ -591,6 +594,8 @@ if [[ $FULL -eq 1 ]]; then
         "harp::ecc::HammingCode::syndromeOfErrors(|oracle: syndrome check"
         "harp::gf2::BitMatrix::|oracle: the H*G = 0 and syndrome checks"
         "harp::common::FairScheduler::grantCount(|seam: fair-share tests"
+        "harp::common::FairScheduler::grantLog(|seam: grant-order share tests"
+        "harp::harpd::Server::fairScheduler(|seam: herd grant-log tests"
         "harp::common::FairScheduler::slotsInUse(|seam: slot-release tests"
         "harp::common::io::FaultPlan::consumed(|seam: I/O fault tests"
         "harp::harpd::Client::halfClose(|seam: EOF-mid-request tests"

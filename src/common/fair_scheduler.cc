@@ -231,6 +231,10 @@ FairScheduler::acquire(std::uint64_t id, std::size_t want,
     if (minActive != ~0ull)
         virtualTime_ = minActive;
     ++grants_;
+    if (grantLog_.size() == kGrantLogSize)
+        grantLog_.pop_front();
+    grantLog_.push_back(
+        {e.tenant, grant.width, virtualTime_, tenants_.size()});
     // The head changed; re-evaluate every waiter's predicate.
     slotFreed_.notify_all();
     return grant;
@@ -267,6 +271,13 @@ FairScheduler::grantCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return grants_;
+}
+
+std::vector<FairScheduler::GrantRecord>
+FairScheduler::grantLog() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return {grantLog_.begin(), grantLog_.end()};
 }
 
 } // namespace harp::common

@@ -38,10 +38,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace harp::common {
 
@@ -113,6 +115,28 @@ class FairScheduler
      *  bounds in tests ("served within K grants of arrival"). */
     std::uint64_t grantCount() const;
 
+    /** One acquire() grant as the grant log keeps it. */
+    struct GrantRecord
+    {
+        std::string tenant;
+        /** Slots granted (the grant's width). */
+        std::size_t slots = 0;
+        /** Virtual time right after the grant. */
+        std::uint64_t virtualTime = 0;
+        /** Tenants with an enrolled campaign when it was granted. */
+        std::size_t tenants = 0;
+    };
+
+    /** Grants the log keeps; older ones are dropped. */
+    static constexpr std::size_t kGrantLogSize = 1024;
+
+    /**
+     * The last kGrantLogSize grants, oldest first. Shares measured on
+     * it count slots in grant order, so a fairness check does not
+     * depend on how long anything took.
+     */
+    std::vector<GrantRecord> grantLog() const;
+
   private:
     struct Tenant
     {
@@ -145,6 +169,7 @@ class FairScheduler
     std::uint64_t nextTicket_ = 1;
     std::uint64_t virtualTime_ = 0;
     std::uint64_t grants_ = 0;
+    std::deque<GrantRecord> grantLog_;
 };
 
 } // namespace harp::common

@@ -87,10 +87,11 @@ SlicedProfilerGroup::observeLanes(const RoundLaneObservation &obs)
 {
     assert(obs.written.positions() == k_ && obs.post.positions() == k_ &&
            obs.received.positions() >= k_);
-    // dirty_ is raised only when a round actually mismatched
-    // somewhere: clean rounds must not force a flush transpose on the
-    // next profile read (per-round readers would otherwise pay the
-    // very per-round cost this class elides).
+    // dirty_ is raised only when a live lane's profile grew: a clean
+    // round, or a mismatch at a cell already identified, must not
+    // force a flush transpose on the next profile read (per-round
+    // readers would otherwise pay the very per-round cost this class
+    // elides).
     switch (kind_) {
     case LaneObserveKind::PostCorrection:
         // identified |= written ^ post, 64 lanes per position.
@@ -114,19 +115,23 @@ SlicedProfilerGroup::observeLanes(const RoundLaneObservation &obs)
     // HARP-A: accumulate direct mismatches and find the lanes whose
     // direct set grew — only those recompute indirect predictions,
     // exactly when the scalar profiler's popcount check would fire.
+    // A lane's identified set grows only with its direct set: a new
+    // mismatch bit is new to direct_ (a subset of atRisk_), and new
+    // predictions come only from lanes whose direct set grew. So the
+    // lanes in `changed` are exactly the ones to flush, and a direct
+    // bit an earlier prediction already identified still flushes, so
+    // identifiedDirect() never goes stale.
     std::uint64_t changed = 0;
-    std::uint64_t any = 0;
     for (std::size_t pos = 0; pos < k_; ++pos) {
         const std::uint64_t mismatch =
             obs.written.lane(pos) ^ obs.received.lane(pos);
         changed |= mismatch & ~direct_.lane(pos);
         direct_.lane(pos) |= mismatch;
         atRisk_.lane(pos) |= mismatch;
-        any |= mismatch;
     }
-    if ((any & liveMask_) != 0)
-        dirty_ = true;
     changed &= liveMask_;
+    if (changed != 0)
+        dirty_ = true;
     while (changed != 0) {
         const auto lane =
             static_cast<std::size_t>(std::countr_zero(changed));

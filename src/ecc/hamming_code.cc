@@ -35,11 +35,18 @@ HammingCode::HammingCode(std::size_t k, std::vector<std::uint32_t> data_cols)
         used[col] = true;
     }
 
+    // Each row word gathers bit j of 64 consecutive columns by shift
+    // and OR: no branch on the (random) column bits.
     parityRows_.assign(p_, gf2::BitVector(k_));
-    for (std::size_t i = 0; i < k_; ++i)
-        for (std::size_t j = 0; j < p_; ++j)
-            if ((dataCols_[i] >> j) & 1)
-                parityRows_[j].set(i, true);
+    for (std::size_t base = 0; base < k_; base += common::wordBits) {
+        const std::size_t end = std::min(k_, base + common::wordBits);
+        for (std::size_t j = 0; j < p_; ++j) {
+            std::uint64_t row = 0;
+            for (std::size_t i = base; i < end; ++i)
+                row |= std::uint64_t{(dataCols_[i] >> j) & 1u} << (i - base);
+            parityRows_[j].setWord(common::wordIndex(base), row);
+        }
+    }
 
     syndromeMap_.assign(limit, -1);
     for (std::size_t i = 0; i < k_; ++i)
@@ -98,12 +105,13 @@ HammingCode::encodeInto(const gf2::BitVector &dataword,
 }
 
 void
-HammingCode::decodeDataInto(const gf2::BitVector &received,
-                            gf2::BitVector &data_out) const
+HammingCode::correctDataInto(const gf2::BitVector &received,
+                             std::uint32_t syndrome,
+                             gf2::BitVector &data_out) const
 {
     assert(data_out.size() == k_);
     data_out.assignPrefix(received);
-    if (const auto pos = syndromeToPosition(syndrome(received)))
+    if (const auto pos = syndromeToPosition(syndrome))
         if (isDataPosition(*pos))
             data_out.flip(*pos);
 }
@@ -114,10 +122,13 @@ HammingCode::syndrome(const gf2::BitVector &data,
                       std::size_t parity_offset) const
 {
     assert(data.size() >= k_ && parity.size() >= parity_offset + p_);
+    // Bit j is row j's parity over the data XOR the stored parity bit,
+    // packed by shift and OR without a branch per mismatch.
     std::uint32_t s = 0;
     for (std::size_t j = 0; j < p_; ++j)
-        if (parityRows_[j].dotPrefix(data) != parity.get(parity_offset + j))
-            s |= std::uint32_t{1} << j;
+        s |= std::uint32_t{parityRows_[j].dotPrefix(data) !=
+                           parity.get(parity_offset + j)}
+             << j;
     return s;
 }
 

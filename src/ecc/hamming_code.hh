@@ -98,7 +98,19 @@ class HammingCode
      * corrections and unmatched (shortened-code) syndromes do not.
      */
     void decodeDataInto(const gf2::BitVector &received,
-                        gf2::BitVector &data_out) const;
+                        gf2::BitVector &data_out) const
+    {
+        correctDataInto(received, syndrome(received), data_out);
+    }
+
+    /**
+     * decodeDataInto() for a caller that already knows the syndrome
+     * of @p received (a memory chip that keeps it current on every
+     * write and cell flip).
+     */
+    void correctDataInto(const gf2::BitVector &received,
+                         std::uint32_t syndrome,
+                         gf2::BitVector &data_out) const;
 
     /** Syndrome of a (possibly erroneous) codeword. */
     std::uint32_t syndrome(const gf2::BitVector &codeword) const

@@ -1,5 +1,6 @@
 #include "ecc/sliced_hamming.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -20,13 +21,20 @@ SlicedHammingCode::SlicedHammingCode(
             throw std::invalid_argument(
                 "SlicedHammingCode: lanes must share k");
 
+    // Parity row j of every lane, 64 positions at a time, is a 64x64
+    // block with one row per lane; its transpose holds one lane mask
+    // per position.
     columnBits_.assign(k_ * p_, 0);
-    for (std::size_t w = 0; w < lanes_; ++w) {
-        for (std::size_t i = 0; i < k_; ++i) {
-            const std::uint32_t col = codes[w]->dataColumn(i);
-            for (std::size_t j = 0; j < p_; ++j)
-                if ((col >> j) & 1)
-                    columnBits_[i * p_ + j] |= std::uint64_t{1} << w;
+    std::uint64_t block[gf2::BitSlice::laneCount];
+    for (std::size_t j = 0; j < p_; ++j) {
+        for (std::size_t base = 0; base < k_; base += common::wordBits) {
+            const std::size_t b = common::wordIndex(base);
+            for (std::size_t w = 0; w < gf2::BitSlice::laneCount; ++w)
+                block[w] = w < lanes_ ? codes[w]->parityRow(j).words()[b] : 0;
+            gf2::transpose64x64(block);
+            const std::size_t valid = std::min(common::wordBits, k_ - base);
+            for (std::size_t i = 0; i < valid; ++i)
+                columnBits_[(base + i) * p_ + j] = block[i];
         }
     }
 }

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/ordered_merger.hh"
+#include "common/recycled_vector.hh"
 #include "common/thread_pool.hh"
 #include "core/harp_profiler.hh"
 #include "core/naive_profiler.hh"
@@ -98,6 +99,123 @@ profileSims(std::span<ChipSim> sims, const FleetPolicy &policy,
         [](FaultyWord &w) { w.sim->profiles[w.i] = w.profiler->identified(); });
 }
 
+/**
+ * The memory system and buffers of the field replay, kept from chip to
+ * chip of a stratum: chip and controller borrow each chip's codes and
+ * are reset in place, so a faulty chip reuses the storage an earlier
+ * one sized instead of allocating its own.
+ */
+class ChipReplay
+{
+  public:
+    explicit ChipReplay(const ChipSim &sim)
+        : chip_(sim.onDie, 0), controller_(chip_, &sim.secondary)
+    {
+    }
+
+    // controller_ refers to chip_.
+    ChipReplay(const ChipReplay &) = delete;
+    ChipReplay &operator=(const ChipReplay &) = delete;
+
+    ChipOutcome run(ChipSim &sim, std::size_t words_per_chip,
+                    const FleetPolicy &policy, std::size_t windows);
+
+  private:
+    mem::MemoryChip chip_;
+    mem::MemoryController controller_;
+    /** Per slot: the dataword the application last wrote. */
+    common::RecycledVector<gf2::BitVector> shadow_;
+    std::vector<double> uniforms_;
+    gf2::BitVector strike_;
+    mem::ControllerReadResult read_;
+};
+
+ChipOutcome
+ChipReplay::run(ChipSim &sim, std::size_t words_per_chip,
+                const FleetPolicy &policy, std::size_t windows)
+{
+    // Compact chip: slot i holds faulty word faultyWords[i].first, in
+    // ascending word order, so writes, FCFS spare capture and scrub
+    // write-backs keep the order a full-size chip would give them. A
+    // fault-free word is never written, struck or read, and its zero
+    // codeword scrubs clean (no write-back, no repaired bit), so
+    // leaving it out moves no reported counter. Every stream below
+    // still derives from the global word index.
+    const std::size_t slots = sim.faultyWords.size();
+    for (std::size_t i = 0; i < slots; ++i) {
+        const std::size_t word = sim.faultyWords[i].first;
+        if (word >= words_per_chip)
+            throw std::out_of_range(
+                "runChipOperation: faulty word " + std::to_string(word) +
+                " is past words_per_chip " +
+                std::to_string(words_per_chip));
+        if (i > 0 && word <= sim.faultyWords[i - 1].first)
+            throw std::invalid_argument(
+                "runChipOperation: faulty words must be strictly "
+                "ascending");
+    }
+
+    const std::size_t k = sim.onDie.k();
+    chip_.reset(sim.onDie, slots);
+    controller_.reset(&sim.secondary);
+    controller_.setRepairCapacity(policy.repairBudget);
+    if (!sim.profiles.empty()) {
+        for (std::size_t i = 0; i < slots; ++i)
+            controller_.profile().markWordBitmap(i, sim.profiles[i]);
+    }
+
+    shadow_.resize(slots);
+    for (std::size_t i = 0; i < slots; ++i) {
+        common::Xoshiro256 data_rng(common::deriveSeed(
+            sim.chipSeed, {kDataDomain, sim.faultyWords[i].first}));
+        shadow_[i].reset(k);
+        shadow_[i].randomize(data_rng);
+        controller_.write(i, shadow_[i]);
+    }
+
+    ChipOutcome out;
+    out.faultEvents = sim.faultEvents;
+    for (const auto &[word, model] : sim.faultyWords)
+        out.atRiskCells += model.numFaults();
+
+    strike_.reset(sim.onDie.n());
+    for (std::size_t w = 0; w < windows; ++w) {
+        // Retention strikes: one CRN stream per (chip, word, window),
+        // indexed by at-risk cell — identical trials under every
+        // policy, so tightening an axis never changes the raw physics.
+        for (std::size_t i = 0; i < slots; ++i) {
+            const auto &[word, model] = sim.faultyWords[i];
+            common::Xoshiro256 crn_rng(common::deriveSeed(
+                sim.chipSeed, {kCrnDomain, word, w}));
+            uniforms_.resize(model.numFaults());
+            for (double &u : uniforms_)
+                u = crn_rng.nextDouble();
+            strike_.fill(false);
+            model.injectErrorsCrn(chip_.storedCodeword(i), uniforms_,
+                                  strike_);
+            if (!strike_.isZero())
+                chip_.corrupt(i, strike_);
+        }
+        // Application reads of the words that can err.
+        for (std::size_t i = 0; i < slots; ++i) {
+            controller_.readInto(i, read_);
+            if (!read_.corrupt && !(read_.dataword == shadow_[i]))
+                ++out.silentCorruptions;
+        }
+        if (policy.scrubInterval != 0 &&
+            (w + 1) % policy.scrubInterval == 0)
+            controller_.scrubAll();
+    }
+
+    const mem::ControllerStats &stats = controller_.stats();
+    out.uncorrectableEvents = stats.uncorrectableEvents;
+    out.profiledBits = controller_.profile().totalAtRisk();
+    out.repairSpareBits = controller_.repairMechanism().spareBitsUsed();
+    out.repairedBitReads = stats.repairedBits;
+    out.scrubWritebacks = stats.scrubWritebacks;
+    return out;
+}
+
 FleetAggregator
 runStratum(const FleetConfig &config, const PopulationSampler &sampler,
            std::size_t begin, std::size_t end)
@@ -115,11 +233,14 @@ runStratum(const FleetConfig &config, const PopulationSampler &sampler,
                                    sample.events.size()));
     }
 
+    if (sims.empty())
+        return agg;
     profileSims(sims, config.policy, config.engine);
 
+    ChipReplay replay(sims.front());
     for (ChipSim &sim : sims)
-        agg.addChip(runChipOperation(sim, config.wordsPerChip,
-                                     config.policy, config.windows));
+        agg.addChip(replay.run(sim, config.wordsPerChip, config.policy,
+                               config.windows));
     return agg;
 }
 
@@ -176,91 +297,8 @@ ChipOutcome
 runChipOperation(ChipSim &sim, std::size_t words_per_chip,
                  const FleetPolicy &policy, std::size_t windows)
 {
-    // Compact chip: slot i holds faulty word faultyWords[i].first, in
-    // ascending word order, so writes, FCFS spare capture and scrub
-    // write-backs keep the order a full-size chip would give them. A
-    // fault-free word is never written, struck or read, and its zero
-    // codeword scrubs clean (no write-back, no repaired bit), so
-    // leaving it out moves no reported counter. Every stream below
-    // still derives from the global word index.
-    const std::size_t slots = sim.faultyWords.size();
-    for (std::size_t i = 0; i < slots; ++i) {
-        const std::size_t word = sim.faultyWords[i].first;
-        if (word >= words_per_chip)
-            throw std::out_of_range(
-                "runChipOperation: faulty word " + std::to_string(word) +
-                " is past words_per_chip " +
-                std::to_string(words_per_chip));
-        if (i > 0 && word <= sim.faultyWords[i - 1].first)
-            throw std::invalid_argument(
-                "runChipOperation: faulty words must be strictly "
-                "ascending");
-    }
-
-    const std::size_t k = sim.onDie.k();
-    mem::MemoryChip chip(sim.onDie, slots);
-    for (std::size_t i = 0; i < slots; ++i)
-        chip.setFaultModel(i, sim.faultyWords[i].second);
-
-    mem::MemoryController controller(chip, sim.secondary);
-    controller.setRepairCapacity(policy.repairBudget);
-    if (!sim.profiles.empty()) {
-        for (std::size_t i = 0; i < slots; ++i)
-            controller.profile().markWordBitmap(i, sim.profiles[i]);
-    }
-
-    std::vector<gf2::BitVector> shadow(slots);
-    for (std::size_t i = 0; i < slots; ++i) {
-        common::Xoshiro256 data_rng(common::deriveSeed(
-            sim.chipSeed, {kDataDomain, sim.faultyWords[i].first}));
-        shadow[i] = gf2::BitVector::random(k, data_rng);
-        controller.write(i, shadow[i]);
-    }
-
-    ChipOutcome out;
-    out.faultEvents = sim.faultEvents;
-    for (const auto &[word, model] : sim.faultyWords)
-        out.atRiskCells += model.numFaults();
-
-    // Reused across every (word, window): strikes and reads allocate
-    // nothing.
-    std::vector<double> uniforms;
-    gf2::BitVector strike(sim.onDie.n());
-    mem::ControllerReadResult read;
-    for (std::size_t w = 0; w < windows; ++w) {
-        // Retention strikes: one CRN stream per (chip, word, window),
-        // indexed by at-risk cell — identical trials under every
-        // policy, so tightening an axis never changes the raw physics.
-        for (std::size_t i = 0; i < slots; ++i) {
-            const auto &[word, model] = sim.faultyWords[i];
-            common::Xoshiro256 crn_rng(common::deriveSeed(
-                sim.chipSeed, {kCrnDomain, word, w}));
-            uniforms.resize(model.numFaults());
-            for (double &u : uniforms)
-                u = crn_rng.nextDouble();
-            strike.fill(false);
-            model.injectErrorsCrn(chip.storedCodeword(i), uniforms, strike);
-            if (!strike.isZero())
-                chip.corrupt(i, strike);
-        }
-        // Application reads of the words that can err.
-        for (std::size_t i = 0; i < slots; ++i) {
-            controller.readInto(i, read);
-            if (!read.corrupt && !(read.dataword == shadow[i]))
-                ++out.silentCorruptions;
-        }
-        if (policy.scrubInterval != 0 &&
-            (w + 1) % policy.scrubInterval == 0)
-            controller.scrubAll();
-    }
-
-    const mem::ControllerStats &stats = controller.stats();
-    out.uncorrectableEvents = stats.uncorrectableEvents;
-    out.profiledBits = controller.profile().totalAtRisk();
-    out.repairSpareBits = controller.repairMechanism().spareBitsUsed();
-    out.repairedBitReads = stats.repairedBits;
-    out.scrubWritebacks = stats.scrubWritebacks;
-    return out;
+    ChipReplay replay(sim);
+    return replay.run(sim, words_per_chip, policy, windows);
 }
 
 FleetAggregator

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <set>
 #include <stdexcept>
 
@@ -17,15 +16,15 @@ constexpr std::uint64_t kPopulationDomain = 0xF1EE7u;
  * Poisson draw by Knuth's product method — exact and cheap for the
  * small event rates of field fleets (lambda well below 1 for realistic
  * device-hours; exp(-lambda) stays comfortably above double underflow
- * for every rate validate() accepts via the count cap below).
+ * for every rate validate() accepts via the count cap below). @p limit
+ * is exp(-lambda), computed once per tier by the sampler.
  */
 std::size_t
-drawPoisson(double lambda, common::Xoshiro256 &rng)
+drawPoisson(double limit, common::Xoshiro256 &rng)
 {
     // Events per chip beyond this are astronomically unlikely at field
     // rates and would only grow the placement work; cap to bound cost.
     constexpr std::size_t kMaxEvents = 64;
-    const double limit = std::exp(-lambda);
     std::size_t count = 0;
     double product = 1.0;
     while (count < kMaxEvents) {
@@ -73,9 +72,10 @@ PopulationSampler::PopulationSampler(FleetDistribution dist,
         throw std::invalid_argument("device hours must be > 0");
 
     double cum = 0.0;
-    for (const ReliabilityTier &tier : dist_.tiers) {
-        cum += tier.fraction;
+    for (std::size_t t = 0; t < dist_.tiers.size(); ++t) {
+        cum += dist_.tiers[t].fraction;
         tierCdf_.push_back(cum);
+        poissonLimit_.push_back(std::exp(-eventRate(t)));
     }
     const auto mix = dist_.modeMix();
     cum = 0.0;
@@ -93,7 +93,7 @@ PopulationSampler::sample(std::size_t chip) const
     ChipSample sample;
     sample.chipIndex = chip;
     sample.tier = drawFromCdf(tierCdf_, rng.nextDouble());
-    const std::size_t events = drawPoisson(eventRate(sample.tier), rng);
+    const std::size_t events = drawPoisson(poissonLimit_[sample.tier], rng);
     sample.events.reserve(events);
     for (std::size_t e = 0; e < events; ++e)
         sample.events.push_back(sampleEvent(rng));
@@ -147,21 +147,27 @@ PopulationSampler::sampleEvent(common::Xoshiro256 &rng) const
 std::vector<std::pair<std::size_t, fault::WordFaultModel>>
 PopulationSampler::materialize(const ChipSample &sample) const
 {
-    std::map<std::size_t, std::set<std::size_t>> by_word;
+    // Every struck (word, position) once, in ascending order.
+    std::vector<std::pair<std::size_t, std::size_t>> cells;
     for (const FaultEvent &event : sample.events)
-        for (const auto &[word, pos] : event.cells)
-            by_word[word].insert(pos);
+        cells.insert(cells.end(), event.cells.begin(), event.cells.end());
+    std::sort(cells.begin(), cells.end());
+    cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
 
     std::vector<std::pair<std::size_t, fault::WordFaultModel>> models;
-    models.reserve(by_word.size());
-    for (const auto &[word, positions] : by_word) {
+    for (std::size_t begin = 0; begin < cells.size();) {
+        const std::size_t word = cells[begin].first;
+        std::size_t end = begin;
+        while (end < cells.size() && cells[end].first == word)
+            ++end;
         std::vector<fault::CellFault> faults;
-        faults.reserve(positions.size());
-        for (const std::size_t pos : positions)
-            faults.push_back({pos, dist_.cellProbability});
+        faults.reserve(end - begin);
+        for (std::size_t c = begin; c < end; ++c)
+            faults.push_back({cells[c].second, dist_.cellProbability});
         models.emplace_back(
             word, fault::WordFaultModel(geometry_.codewordBits,
                                         std::move(faults)));
+        begin = end;
     }
     return models;
 }

@@ -104,6 +104,8 @@ class PopulationSampler
     std::uint64_t fleetSeed_;
     /** Cumulative tier fractions for the tier draw. */
     std::vector<double> tierCdf_;
+    /** exp(-eventRate(tier)) per tier: the Poisson draw's limit. */
+    std::vector<double> poissonLimit_;
     /** Cumulative mode mix for the mode draw. */
     std::array<double, kNumFaultModes> modeCdf_{};
 };

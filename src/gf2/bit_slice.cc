@@ -75,13 +75,13 @@ BitSlice::orXorPrefix(const BitSlice &a, const BitSlice &b,
 {
     assert(count <= lanes_.size() && count <= a.lanes_.size() &&
            count <= b.lanes_.size());
-    std::uint64_t any = 0;
+    std::uint64_t grew = 0;
     for (std::size_t pos = 0; pos < count; ++pos) {
         const std::uint64_t mismatch = a.lanes_[pos] ^ b.lanes_[pos];
+        grew |= mismatch & ~lanes_[pos];
         lanes_[pos] |= mismatch;
-        any |= mismatch;
     }
-    return any;
+    return grew;
 }
 
 std::uint64_t

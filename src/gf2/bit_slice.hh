@@ -67,9 +67,10 @@ class BitSlice
      * positions of any operand; bits of dead lanes accumulate garbage
      * and must be masked or ignored by the consumer.
      *
-     * @return The OR of every per-position mismatch mask — lanes with
-     *         any difference between @p a and @p b (dead-lane bits
-     *         garbage); an all-zero mask means the call changed nothing.
+     * @return Lanes that gained a bit: a mismatch at a position whose
+     *         lane bit was still clear (dead-lane bits garbage). A
+     *         mismatch already accumulated does not count, so an
+     *         all-zero mask means the call changed nothing.
      */
     std::uint64_t orXorPrefix(const BitSlice &a, const BitSlice &b,
                               std::size_t count);

@@ -73,6 +73,14 @@ class BitVector
     /** Set every bit to @p value. */
     void fill(bool value);
 
+    /** Become an all-zero vector of @p size bits, reusing the storage
+     *  already held (no allocation when it is large enough). */
+    void reset(std::size_t size)
+    {
+        size_ = size;
+        words_.assign(common::wordsFor(size), 0);
+    }
+
     /** Number of set bits. */
     std::size_t popcount() const;
 

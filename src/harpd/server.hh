@@ -163,6 +163,10 @@ class Server
     /** Campaigns resumed by start() (for logs/tests). */
     std::size_t resumedCampaigns() const { return resumed_; }
 
+    /** The slot governor every campaign's waves go through (valid
+     *  after start()); its grant log witnesses tenant shares. */
+    const common::FairScheduler &fairScheduler() const { return *fair_; }
+
     /** Currently open client connections (leak witness for tests). */
     std::size_t activeConnections() const
     {

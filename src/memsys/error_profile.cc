@@ -5,9 +5,17 @@
 namespace harp::mem {
 
 ErrorProfile::ErrorProfile(std::size_t num_words, std::size_t word_bits)
-    : wordBits_(word_bits),
-      bitmaps_(num_words, gf2::BitVector(word_bits))
 {
+    reset(num_words, word_bits);
+}
+
+void
+ErrorProfile::reset(std::size_t num_words, std::size_t word_bits)
+{
+    wordBits_ = word_bits;
+    bitmaps_.resize(num_words);
+    for (gf2::BitVector &bitmap : bitmaps_)
+        bitmap.reset(word_bits);
 }
 
 void

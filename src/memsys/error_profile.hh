@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/recycled_vector.hh"
 #include "gf2/bit_vector.hh"
 
 namespace harp::mem {
@@ -31,6 +32,10 @@ class ErrorProfile
 
     /** Dataword length (profiled positions are data bits). */
     std::size_t wordBits() const { return wordBits_; }
+
+    /** Start over as an empty profile of @p num_words words of
+     *  @p word_bits bits, reusing the bitmaps already held. */
+    void reset(std::size_t num_words, std::size_t word_bits);
 
     /** Record that (word, bit) is at risk. Idempotent. */
     void markAtRisk(std::size_t word, std::size_t bit);
@@ -54,7 +59,7 @@ class ErrorProfile
 
   private:
     std::size_t wordBits_;
-    std::vector<gf2::BitVector> bitmaps_;
+    common::RecycledVector<gf2::BitVector> bitmaps_;
 };
 
 } // namespace harp::mem

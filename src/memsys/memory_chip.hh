@@ -18,8 +18,10 @@
 #define HARP_MEMSYS_MEMORY_CHIP_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "common/recycled_vector.hh"
 #include "common/rng.hh"
 #include "ecc/hamming_code.hh"
 #include "fault/fault_model.hh"
@@ -34,15 +36,26 @@ class MemoryChip
 {
   public:
     /**
-     * @param on_die_ecc The chip's proprietary SEC code.
+     * @param on_die_ecc The chip's proprietary SEC code, borrowed: it
+     *                   must outlive the chip (a temporary is refused).
      * @param num_words  Number of addressable ECC words.
      */
-    MemoryChip(ecc::HammingCode on_die_ecc, std::size_t num_words);
+    MemoryChip(const ecc::HammingCode &on_die_ecc, std::size_t num_words);
+    MemoryChip(ecc::HammingCode &&, std::size_t) = delete;
+
+    /**
+     * Start over as a fresh chip of @p num_words zeroed words behind
+     * @p on_die_ecc, with no fault models. Storage the chip already
+     * holds is reused, so a replay loop can run chip after chip on one
+     * object without allocating.
+     */
+    void reset(const ecc::HammingCode &on_die_ecc, std::size_t num_words);
+    void reset(ecc::HammingCode &&, std::size_t) = delete;
 
     /** Number of addressable ECC words. */
     std::size_t numWords() const { return storage_.size(); }
     /** Dataword length k of the on-die ECC code. */
-    std::size_t datawordBits() const { return onDieEcc_.k(); }
+    std::size_t datawordBits() const { return onDieEcc_->k(); }
 
     /** Attach a fault model to word @p word. */
     void setFaultModel(std::size_t word, fault::WordFaultModel model);
@@ -74,8 +87,17 @@ class MemoryChip
     const gf2::BitVector &storedCodeword(std::size_t word) const;
 
   private:
-    ecc::HammingCode onDieEcc_;
-    std::vector<gf2::BitVector> storage_;
+    /** XOR @p error_mask into word @p word and its syndrome. */
+    void flipCells(std::size_t word, const gf2::BitVector &error_mask);
+
+    const ecc::HammingCode *onDieEcc_;
+    common::RecycledVector<gf2::BitVector> storage_;
+    /**
+     * On-die syndrome of each stored codeword, kept current instead of
+     * recomputed per read. Syndromes are linear: a write zeroes it and
+     * flipping cells XORs in their parity-check columns.
+     */
+    std::vector<std::uint32_t> syndromes_;
     std::vector<fault::WordFaultModel> faultModels_;
 };
 

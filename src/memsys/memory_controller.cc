@@ -5,20 +5,31 @@
 namespace harp::mem {
 
 MemoryController::MemoryController(
-    MemoryChip &chip,
-    std::optional<ecc::ExtendedHammingCode> secondary_ecc)
-    : chip_(chip),
-      secondaryEcc_(std::move(secondary_ecc)),
+    MemoryChip &chip, const ecc::ExtendedHammingCode *secondary_ecc)
+    : chip_(chip), secondaryEcc_(secondary_ecc),
       profile_(chip.numWords(), chip.datawordBits()),
       repair_(chip.numWords())
 {
-    if (secondaryEcc_) {
-        assert(secondaryEcc_->k() == chip.datawordBits());
-        const std::size_t check_bits =
-            secondaryEcc_->n() - secondaryEcc_->k();
-        secondaryCheckBits_.assign(chip.numWords(),
-                                   gf2::BitVector(check_bits));
+    reset(secondary_ecc);
+}
+
+void
+MemoryController::reset(const ecc::ExtendedHammingCode *secondary_ecc)
+{
+    const std::size_t words = chip_.numWords();
+    secondaryEcc_ = secondary_ecc;
+    profile_.reset(words, chip_.datawordBits());
+    repair_.reset(words);
+    stats_ = ControllerStats{};
+    if (!secondaryEcc_) {
+        secondaryCheckBits_.resize(0);
+        return;
     }
+    assert(secondaryEcc_->k() == chip_.datawordBits());
+    // Zero check bits match the chip's zeroed words.
+    secondaryCheckBits_.resize(words);
+    for (gf2::BitVector &check : secondaryCheckBits_)
+        check.reset(secondaryEcc_->checkBits());
 }
 
 void
@@ -104,11 +115,12 @@ MemoryController::readRaw(std::size_t word) const
     return chip_.readRaw(word);
 }
 
-ControllerReadResult
+const ControllerReadResult &
 MemoryController::scrub(std::size_t word)
 {
     ++stats_.scrubs;
-    ControllerReadResult result = read(word);
+    ControllerReadResult &result = scrubRead_;
+    readInto(word, result);
     if (result.corrupt)
         return result; // cannot scrub what cannot be corrected
     // Detect whether the stored codeword carries raw *data* errors:

@@ -58,11 +58,20 @@ class MemoryController
   public:
     /**
      * @param chip          The attached memory chip (externally owned).
-     * @param secondary_ecc SECDED code over the chip's dataword length, or
-     *                      std::nullopt to run without reactive profiling.
+     * @param secondary_ecc SECDED code over the chip's dataword length,
+     *                      borrowed (it must outlive the controller),
+     *                      or nullptr to run without reactive profiling.
      */
     MemoryController(MemoryChip &chip,
-                     std::optional<ecc::ExtendedHammingCode> secondary_ecc);
+                     const ecc::ExtendedHammingCode *secondary_ecc);
+
+    /**
+     * Start over on the attached chip's current geometry (call it
+     * after MemoryChip::reset()): empty profile, no spares, unlimited
+     * repair capacity, zero statistics, @p secondary_ecc as the
+     * secondary code. Storage the controller already holds is reused.
+     */
+    void reset(const ecc::ExtendedHammingCode *secondary_ecc);
 
     /** Write a dataword: capture spares, update secondary check bits,
      *  store through the chip's on-die ECC. */
@@ -93,8 +102,10 @@ class MemoryController
      *
      * @return The read outcome (newlyProfiledBit reports a reactive
      *         identification, corrupt reports an unscrubbable word).
+     *         It is held by the controller and overwritten by the next
+     *         scrub, so a scrub pass allocates nothing.
      */
-    ControllerReadResult scrub(std::size_t word);
+    const ControllerReadResult &scrub(std::size_t word);
 
     /** Scrub every word once; returns the number of corrupt words. */
     std::size_t scrubAll();
@@ -121,14 +132,16 @@ class MemoryController
     void writeInternal(std::size_t word, const gf2::BitVector &dataword);
 
     MemoryChip &chip_;
-    std::optional<ecc::ExtendedHammingCode> secondaryEcc_;
+    const ecc::ExtendedHammingCode *secondaryEcc_;
     ErrorProfile profile_;
     RepairMechanism repair_;
     /** Secondary ECC check bits per word, held in reliable controller-side
      *  storage (check-bit storage is assumed error-free, as in the paper's
      *  evaluation of the reactive phase). */
-    std::vector<gf2::BitVector> secondaryCheckBits_;
+    common::RecycledVector<gf2::BitVector> secondaryCheckBits_;
     ControllerStats stats_;
+    /** What scrub() returns. */
+    ControllerReadResult scrubRead_;
 };
 
 } // namespace harp::mem

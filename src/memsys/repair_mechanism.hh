@@ -14,9 +14,9 @@
 
 #include <cstddef>
 #include <limits>
-#include <map>
 #include <vector>
 
+#include "common/recycled_vector.hh"
 #include "gf2/bit_vector.hh"
 #include "memsys/error_profile.hh"
 
@@ -43,6 +43,10 @@ class RepairMechanism
 
     /** @param num_words Number of ECC words covered. */
     explicit RepairMechanism(std::size_t num_words);
+
+    /** Start over with @p num_words words, no spares and no budget,
+     *  reusing the spare storage already held. */
+    void reset(std::size_t num_words);
 
     /**
      * Budget the spare storage to @p max_spare_bits allocated bits
@@ -89,8 +93,15 @@ class RepairMechanism
      *  incrementally for the budget check). */
     std::size_t used_ = 0;
     std::size_t dropped_ = 0;
-    /** Per word: profiled position -> captured value. */
-    std::vector<std::map<std::size_t, bool>> spares_;
+    /** One word's spare slots: which positions hold one, and the
+     *  value each captured (zero outside `allocated`). Both are sized
+     *  to the dataword by the word's first write. */
+    struct Spares
+    {
+        gf2::BitVector allocated;
+        gf2::BitVector value;
+    };
+    common::RecycledVector<Spares> spares_;
 };
 
 } // namespace harp::mem

@@ -359,9 +359,9 @@ makeRetentionCaseStudy()
             ecc::HammingCode::randomSec(64, code_rng);
         mem::MemoryChip chip(on_die, num_words);
         common::Xoshiro256 secondary_rng(seed + 1);
-        mem::MemoryController controller(
-            chip,
-            ecc::ExtendedHammingCode::randomSecDed(64, secondary_rng));
+        const ecc::ExtendedHammingCode secondary =
+            ecc::ExtendedHammingCode::randomSecDed(64, secondary_rng);
+        mem::MemoryController controller(chip, &secondary);
 
         common::Xoshiro256 fault_rng(seed + 2);
         std::size_t total_at_risk = 0;

@@ -314,5 +314,72 @@ TEST(FairSchedulerTest, AbortAndZeroWantNeverGrant)
     fair.leave(blocked);
 }
 
+/** The grant log holds one record per grant, oldest first — tenant,
+ *  width, the virtual time after it and the enrolled tenant count —
+ *  and keeps only the last kGrantLogSize grants. */
+TEST(FairSchedulerTest, GrantLogRecordsGrantsInOrderAndStaysBounded)
+{
+    FairScheduler::Config config;
+    config.slots = 2;
+    FairScheduler fair(config);
+    const std::uint64_t a = fair.enroll("a", 3, PriorityClass::Normal);
+    EXPECT_TRUE(fair.grantLog().empty());
+    ASSERT_EQ(fair.acquire(a, 2).width, 2u);
+    const std::uint64_t b = fair.enroll("b", 1, PriorityClass::Normal);
+    fair.releaseOne(a);
+    ASSERT_EQ(fair.acquire(b, 1).width, 1u);
+
+    auto log = fair.grantLog();
+    ASSERT_EQ(log.size(), 2u);
+    EXPECT_EQ(log[0].tenant, "a");
+    EXPECT_EQ(log[0].slots, 2u);
+    EXPECT_EQ(log[0].tenants, 1u);
+    EXPECT_EQ(log[1].tenant, "b");
+    EXPECT_EQ(log[1].slots, 1u);
+    EXPECT_EQ(log[1].tenants, 2u);
+    EXPECT_GT(log[0].virtualTime, 0u);
+    EXPECT_LE(log[0].virtualTime, log[1].virtualTime);
+
+    fair.releaseOne(a);
+    fair.releaseOne(b);
+    const std::size_t extra = FairScheduler::kGrantLogSize + 5;
+    for (std::size_t i = 0; i < extra; ++i) {
+        ASSERT_EQ(fair.acquire(b, 1).width, 1u);
+        fair.releaseOne(b);
+    }
+    log = fair.grantLog();
+    EXPECT_EQ(log.size(), FairScheduler::kGrantLogSize);
+    EXPECT_EQ(fair.grantCount(), extra + 2);
+    for (const FairScheduler::GrantRecord &record : log)
+        EXPECT_EQ(record.tenant, "b");
+    fair.leave(a);
+    fair.leave(b);
+}
+
+/** Virtual time is the minimum pass over active tenants, not the pass
+ *  of the tenant just granted. A weight-1 tenant's slot costs 100x the
+ *  stride of a weight-100 tenant's, and granting it must not move the
+ *  clock while the heavy tenant, with the lower pass, holds a slot.
+ *  Otherwise every tenant returning from idle would be charged for the
+ *  light tenant's stride. */
+TEST(FairSchedulerTest, LowWeightGrantDoesNotAdvanceVirtualTime)
+{
+    FairScheduler::Config config;
+    config.slots = 2;
+    FairScheduler fair(config);
+    const std::uint64_t heavy =
+        fair.enroll("heavy", 100, PriorityClass::Normal);
+    const std::uint64_t light =
+        fair.enroll("light", 1, PriorityClass::Normal);
+    ASSERT_EQ(fair.acquire(heavy, 1).width, 1u);
+    ASSERT_EQ(fair.acquire(light, 1).width, 1u);
+    const auto log = fair.grantLog();
+    ASSERT_EQ(log.size(), 2u);
+    EXPECT_GT(log[0].virtualTime, 0u);
+    EXPECT_EQ(log[1].virtualTime, log[0].virtualTime);
+    fair.leave(heavy);
+    fair.leave(light);
+}
+
 } // namespace
 } // namespace harp::common

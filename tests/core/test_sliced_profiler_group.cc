@@ -188,6 +188,90 @@ TEST(SlicedProfilerGroup, LazyFlushOnlyOnRead)
     EXPECT_EQ(lane.identified().popcount(), 1u);
 }
 
+/** A mismatch at a cell the lane already identified grows no profile:
+ *  the group stays clean and every profile keeps its state. */
+TEST(SlicedProfilerGroup, RepeatedMismatchAtIdentifiedCellStaysClean)
+{
+    common::Xoshiro256 rng(5);
+    const ecc::HammingCode code = ecc::HammingCode::randomSec(kBits, rng);
+    NaiveProfiler naive(kBits);
+    HarpUProfiler harp_u(kBits);
+    HarpAProfiler harp_a(code);
+    const std::vector<Profiler *> lanes_of = {&naive, &harp_u, &harp_a};
+    std::vector<std::unique_ptr<SlicedProfilerGroup>> groups;
+    for (Profiler *p : lanes_of) {
+        groups.push_back(SlicedProfilerGroup::tryMake({p}, kBits));
+        ASSERT_NE(groups.back(), nullptr);
+    }
+
+    const gf2::BitVector written = gf2::BitVector::random(kBits, rng);
+    gf2::BitVector flipped = written;
+    flipped.flip(7);
+    gf2::BitVector received(code.n());
+    received.assignAt(0, flipped);
+    LaneRound lanes(code.n());
+    lanes.load({written}, {flipped}, {received});
+
+    std::vector<gf2::BitVector> first;
+    for (std::size_t round = 0; round < 3; ++round) {
+        for (auto &group : groups)
+            group->observeLanes(lanes.obs());
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+            EXPECT_EQ(groups[g]->dirty(), round == 0) << "group " << g;
+            if (round == 0)
+                first.push_back(lanes_of[g]->identified());
+            else
+                EXPECT_EQ(lanes_of[g]->identified(), first[g]);
+        }
+        EXPECT_EQ(harp_u.identifiedDirect().popcount(), 1u);
+        EXPECT_EQ(harp_a.identifiedDirect().popcount(), 1u);
+    }
+    EXPECT_TRUE(first[0].get(7));
+}
+
+/** HARP-A: a cell first identified by prediction and later observed
+ *  directly grows only the direct set. The group must still flush, or
+ *  identifiedDirect() would miss the cell. */
+TEST(SlicedProfilerGroup, PredictedCellObservedDirectlyFlushesDirectSet)
+{
+    common::Xoshiro256 rng(6);
+    const ecc::HammingCode code = ecc::HammingCode::randomSec(kBits, rng);
+    // Data cells a, b whose double error miscorrects data bit c.
+    std::size_t a = 0, b = 0, c = kBits;
+    for (std::size_t i = 0; i < kBits && c == kBits; ++i) {
+        for (std::size_t j = i + 1; j < kBits; ++j) {
+            const auto target = code.syndromeToPosition(
+                code.dataColumn(i) ^ code.dataColumn(j));
+            if (target && code.isDataPosition(*target)) {
+                a = i, b = j, c = *target;
+                break;
+            }
+        }
+    }
+    ASSERT_LT(c, kBits);
+
+    HarpAProfiler lane(code), ref(code);
+    auto group = SlicedProfilerGroup::tryMake({&lane}, kBits);
+    ASSERT_NE(group, nullptr);
+    LaneRound lanes(code.n());
+    const gf2::BitVector written(kBits);
+    for (const std::vector<std::size_t> &cells :
+         {std::vector<std::size_t>{a, b}, std::vector<std::size_t>{c}}) {
+        gf2::BitVector raw = written;
+        for (const std::size_t cell : cells)
+            raw.flip(cell);
+        gf2::BitVector received(code.n());
+        received.assignAt(0, raw);
+        lanes.load({written}, {written}, {received});
+        group->observeLanes(lanes.obs());
+        ref.observe({written, written, raw});
+        EXPECT_TRUE(group->dirty());
+        EXPECT_EQ(lane.identifiedDirect(), ref.identifiedDirect());
+        EXPECT_EQ(lane.identified(), ref.identified());
+    }
+    EXPECT_TRUE(lane.identifiedDirect().get(c));
+}
+
 TEST(SlicedProfilerGroup, GroupDestructionFlushesAndDetaches)
 {
     common::Xoshiro256 rng(4);

@@ -212,6 +212,40 @@ TEST(HammingCode, RandomSecColumnsValid)
 }
 
 /**
+ * Oracle for the word-at-a-time parity rows and the packed syndrome:
+ * row j holds bit j of every data column, and the syndrome of any word
+ * equals the XOR of the columns of its set positions
+ * (syndromeOfErrors), split form included. k = 100 and 128 give rows
+ * of two storage words, one of them ragged.
+ */
+TEST(HammingCode, ParityRowsAndSyndromeMatchPerBitDefinition)
+{
+    common::Xoshiro256 rng(23);
+    for (const std::size_t k : {4, 11, 64, 100, 128}) {
+        const HammingCode code = HammingCode::randomSec(k, rng);
+        for (std::size_t j = 0; j < code.p(); ++j) {
+            ASSERT_EQ(code.parityRow(j).size(), k);
+            for (std::size_t i = 0; i < k; ++i)
+                ASSERT_EQ(code.parityRow(j).get(i),
+                          ((code.dataColumn(i) >> j) & 1) != 0)
+                    << "k " << k << ", row " << j << ", column " << i;
+        }
+        for (int trial = 0; trial < 64; ++trial) {
+            const gf2::BitVector word =
+                gf2::BitVector::random(code.n(), rng);
+            const std::uint32_t expected =
+                code.syndromeOfErrors(word.setBits());
+            ASSERT_EQ(code.syndrome(word), expected) << "k " << k;
+            // The same word split into data and a parity piece at an
+            // offset that straddles a storage word.
+            gf2::BitVector parity(code.p() + 61);
+            parity.assignAt(61, word.slice(k, code.n()));
+            ASSERT_EQ(code.syndrome(word, parity, 61), expected);
+        }
+    }
+}
+
+/**
  * Parameterized single-error correction sweep: every single-bit error in
  * every position must be corrected, for representative dataword lengths
  * including the paper's (71,64) and (136,128) configurations.

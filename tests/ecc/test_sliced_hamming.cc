@@ -119,6 +119,48 @@ TEST(SlicedHamming, SyndromeLanesMatchScalarSyndromes)
     });
 }
 
+/**
+ * Oracle for the transposed column build: encoding the unit dataword
+ * e_i in every lane makes parity lane j the mask of lanes whose column
+ * i has bit j set, which is compared with the per-bit definition. k =
+ * 100 and 128 span two 64-position blocks, 37 lanes a ragged block.
+ */
+TEST(SlicedHamming, ColumnMasksMatchPerBitBuild)
+{
+    common::Xoshiro256 rng(31);
+    for (const std::size_t lanes : {1, 37, 64}) {
+        for (const std::size_t k : {64, 100, 128}) {
+            std::vector<HammingCode> codes;
+            for (std::size_t w = 0; w < lanes; ++w)
+                codes.push_back(HammingCode::randomSec(k, rng));
+            std::vector<const HammingCode *> ptrs;
+            for (const HammingCode &code : codes)
+                ptrs.push_back(&code);
+            const SlicedHammingCode sliced(ptrs);
+            const std::size_t p = codes[0].p();
+            const std::uint64_t live =
+                lanes == 64 ? ~std::uint64_t{0}
+                            : (std::uint64_t{1} << lanes) - 1;
+
+            gf2::BitSlice data(k), codeword(sliced.n());
+            for (std::size_t i = 0; i < k; ++i) {
+                data.clear();
+                data.lane(i) = ~std::uint64_t{0};
+                sliced.encode(data, codeword);
+                for (std::size_t j = 0; j < p; ++j) {
+                    std::uint64_t expected = 0;
+                    for (std::size_t w = 0; w < lanes; ++w)
+                        if ((codes[w].dataColumn(i) >> j) & 1)
+                            expected |= std::uint64_t{1} << w;
+                    ASSERT_EQ(codeword.lane(k + j) & live, expected)
+                        << "lanes " << lanes << ", k " << k
+                        << ", column " << i << ", bit " << j;
+                }
+            }
+        }
+    }
+}
+
 TEST(SlicedHamming, RejectsMismatchedLanes)
 {
     common::Xoshiro256 rng(1);

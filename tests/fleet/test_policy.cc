@@ -480,6 +480,44 @@ TEST(FleetGolden, UnprofiledUnscrubbedFleet)
     EXPECT_TRUE(test::goldenMatches(goldenOf(agg), 0x81E1FC2CE3243140ULL));
 }
 
+/** HRM tiers (one Poisson limit per tier), HARP-A predictions, patrol
+ *  scrub and a spare budget small enough to run out. */
+TEST(FleetGolden, HrmHarpAScrubbedBudgetedFleet)
+{
+    FleetConfig config = hotFleet(0x4A2);
+    config.distribution = FleetDistribution::hrmTiers();
+    for (double &fit : config.distribution.modeFit)
+        fit *= 400.0;
+    config.policy.profiler = ProfilerKind::HarpA;
+    config.policy.scrubInterval = 4;
+    config.policy.repairBudget = 6;
+    const FleetAggregator agg = runFleet(config);
+    ASSERT_GT(agg.failedChips(), 0u);
+    ASSERT_GT(agg.scrubWritebacks(), 0u);
+    EXPECT_TRUE(
+        test::goldenMatches(goldenOf(agg), 0x94E02D7046ED1AABULL));
+}
+
+/** k = 128 chips (n = 136): parity rows span two storage words and a
+ *  sliced profiling block spans three 64-position transposes. Both
+ *  engines must land on the one pinned constant. */
+TEST(FleetGolden, K128ChipsUnderBothEngines)
+{
+    FleetConfig config = hotFleet(0x128);
+    config.k = 128;
+    config.chips = 600;
+    config.policy.repairBudget = 12;
+    for (const core::EngineKind engine :
+         {core::EngineKind::Scalar, core::EngineKind::Sliced64}) {
+        config.engine = engine;
+        const FleetAggregator agg = runFleet(config);
+        ASSERT_GT(agg.failedChips(), 0u);
+        ASSERT_GT(agg.profiledBits(), 0u);
+        EXPECT_TRUE(
+            test::goldenMatches(goldenOf(agg), 0xA6474C51B1293E24ULL));
+    }
+}
+
 /** A fleet with no fault events is all-clean: zero FIT, zero spares. */
 TEST(FleetDeterminism, QuietFleetIsAllClean)
 {

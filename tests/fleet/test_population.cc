@@ -127,6 +127,52 @@ TEST(PopulationSampler, EventCountIsPoissonChiSquare)
               chiSquareCritical999(3));
 }
 
+/**
+ * Oracle for the per-tier Poisson limits the sampler caches: each
+ * chip's tier and event count equal a reference draw that evaluates
+ * exp(-eventRate(tier)) per call, over the chip's restated stream
+ * (fleet seed, {0xF1EE7, chip}): tier from the first double, then
+ * Knuth's product method capped at 64 events.
+ */
+TEST(PopulationSampler, CachedPoissonLimitsMatchPerCallExp)
+{
+    for (const char *preset : {"ddr4", "hrm"}) {
+        FleetDistribution dist = FleetDistribution::preset(preset);
+        for (double &fit : dist.modeFit)
+            fit *= 3000.0;
+        const PopulationSampler sampler(dist, kGeometry, 43800.0, 21);
+        std::vector<double> tier_cdf;
+        double cum = 0.0;
+        for (const ReliabilityTier &tier : dist.tiers)
+            tier_cdf.push_back(cum += tier.fraction);
+
+        std::size_t events = 0;
+        for (std::size_t chip = 0; chip < 4000; ++chip) {
+            common::Xoshiro256 rng(
+                common::deriveSeed(21, {0xF1EE7u, chip}));
+            const double u = rng.nextDouble();
+            std::size_t tier = 0;
+            while (tier + 1 < tier_cdf.size() && !(u < tier_cdf[tier]))
+                ++tier;
+            const double limit = std::exp(-sampler.eventRate(tier));
+            std::size_t count = 0;
+            double product = 1.0;
+            while (count < 64) {
+                product *= rng.nextDouble();
+                if (product <= limit)
+                    break;
+                ++count;
+            }
+            const ChipSample sample = sampler.sample(chip);
+            ASSERT_EQ(sample.tier, tier) << preset << " chip " << chip;
+            ASSERT_EQ(sample.events.size(), count)
+                << preset << " chip " << chip;
+            events += count;
+        }
+        EXPECT_GT(events, 1000u) << preset;
+    }
+}
+
 TEST(PopulationSampler, ChipWideCellPlacementIsUniformKs)
 {
     // ChipWide events scatter (word, position) draws over the whole

@@ -157,7 +157,9 @@ TEST(BitSlice, OrXorPrefixMatchesScalarReference)
             }
             ASSERT_EQ(((changed >> w) & 1) != 0, any) << "lane " << w;
         }
-        // Accumulation: a second pass ORs into the existing state.
+        // Accumulation: a second pass ORs into the existing state, and
+        // reports only the lanes that gained a bit — those with a
+        // position the first pass left clear.
         BitSlice ones(prefix);
         std::vector<BitVector> one_words(lanes, BitVector(prefix));
         for (auto &word : one_words)
@@ -166,10 +168,19 @@ TEST(BitSlice, OrXorPrefixMatchesScalarReference)
         ones.gather(one_words);
         BitSlice zeros(prefix);
         zeros.gather(std::vector<BitVector>(lanes, BitVector(prefix)));
-        acc.orXorPrefix(ones, zeros, prefix);
-        for (std::size_t w = 0; w < lanes; ++w)
-            for (std::size_t pos = 0; pos < prefix; ++pos)
+        const BitSlice before = acc;
+        const std::uint64_t grew = acc.orXorPrefix(ones, zeros, prefix);
+        for (std::size_t w = 0; w < lanes; ++w) {
+            bool gained = false;
+            for (std::size_t pos = 0; pos < prefix; ++pos) {
+                gained = gained || !before.get(pos, w);
                 ASSERT_TRUE(acc.get(pos, w));
+            }
+            ASSERT_EQ(((grew >> w) & 1) != 0, gained) << "lane " << w;
+        }
+        // A repeat of the same mismatches sets nothing new.
+        const std::uint64_t live = (std::uint64_t{1} << lanes) - 1;
+        EXPECT_EQ(acc.orXorPrefix(ones, zeros, prefix) & live, 0u);
     });
 }
 

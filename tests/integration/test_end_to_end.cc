@@ -23,6 +23,7 @@ namespace {
 struct System
 {
     ecc::HammingCode onDie;
+    ecc::ExtendedHammingCode secondary;
     mem::MemoryChip chip;
     mem::MemoryController controller;
 
@@ -31,11 +32,12 @@ struct System
               common::Xoshiro256 rng(seed);
               return ecc::HammingCode::randomSec(64, rng);
           }()),
-          chip(onDie, words),
-          controller(chip, [&] {
+          secondary([&] {
               common::Xoshiro256 rng(seed + 1);
               return ecc::ExtendedHammingCode::randomSecDed(64, rng);
-          }())
+          }()),
+          chip(onDie, words),
+          controller(chip, &secondary)
     {
     }
 };

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
+#include "common/rng.hh"
 #include "memsys/error_profile.hh"
 #include "memsys/repair_mechanism.hh"
 
@@ -244,6 +248,81 @@ TEST(RepairMechanism, ZeroCapacityCapturesNothing)
     gf2::BitVector read = d;
     read.flip(3);
     EXPECT_EQ(repair.repair(0, read), 0u);
+}
+
+/**
+ * The mask-and-value spares against the per-bit model they replaced: a
+ * map of captured (position, value) pairs per word, filled in
+ * ascending bit order while the budget lasts. Random profile growth,
+ * writes, capacity changes, reads and resets, over 1..3-storage-word
+ * datawords, must agree on every repaired read and every counter.
+ */
+TEST(RepairMechanism, MatchesPerBitMapModel)
+{
+    common::Xoshiro256 rng(41);
+    for (const std::size_t bits : {8, 64, 71, 136}) {
+        constexpr std::size_t kWords = 3;
+        ErrorProfile profile(kWords, bits);
+        RepairMechanism repair(kWords);
+        std::vector<std::map<std::size_t, bool>> model(kWords);
+        std::size_t capacity = RepairMechanism::kUnlimited;
+        std::size_t used = 0, dropped = 0;
+        for (int op = 0; op < 4000; ++op) {
+            const std::size_t word = rng.nextBelow(kWords);
+            switch (rng.nextBelow(10)) {
+              case 0:
+              case 1:
+                profile.markAtRisk(word, rng.nextBelow(bits));
+                break;
+              case 2:
+              case 3:
+              case 4: {
+                const gf2::BitVector data =
+                    gf2::BitVector::random(bits, rng);
+                repair.onWrite(word, data, profile);
+                profile.wordBitmap(word).forEachSetBit([&](std::size_t b) {
+                    auto it = model[word].find(b);
+                    if (it != model[word].end())
+                        it->second = data.get(b);
+                    else if (used >= capacity)
+                        ++dropped;
+                    else
+                        model[word].emplace(b, data.get(b)), ++used;
+                });
+                break;
+              }
+              case 5:
+                capacity = rng.nextBelow(2) ? RepairMechanism::kUnlimited
+                                            : rng.nextBelow(12);
+                repair.setCapacity(capacity);
+                break;
+              case 6:
+                if (rng.nextBelow(20) == 0) {
+                    repair.reset(kWords);
+                    profile.reset(kWords, bits);
+                    for (auto &spares : model)
+                        spares.clear();
+                    capacity = RepairMechanism::kUnlimited;
+                    used = dropped = 0;
+                }
+                break;
+              default: {
+                gf2::BitVector read = gf2::BitVector::random(bits, rng);
+                gf2::BitVector expected = read;
+                std::size_t changed = 0;
+                for (const auto &[b, value] : model[word]) {
+                    changed += expected.get(b) != value;
+                    expected.set(b, value);
+                }
+                ASSERT_EQ(repair.repair(word, read), changed);
+                ASSERT_EQ(read, expected);
+                break;
+              }
+            }
+            ASSERT_EQ(repair.spareBitsUsed(), used);
+            ASSERT_EQ(repair.droppedAllocations(), dropped);
+        }
+    }
 }
 
 } // namespace

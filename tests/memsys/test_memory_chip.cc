@@ -21,7 +21,8 @@ makeCode(std::uint64_t seed = 1)
 
 TEST(MemoryChip, Geometry)
 {
-    MemoryChip chip(makeCode(), 8);
+    const ecc::HammingCode code = makeCode();
+    MemoryChip chip(code, 8);
     EXPECT_EQ(chip.numWords(), 8u);
     EXPECT_EQ(chip.datawordBits(), 64u);
     EXPECT_EQ(chip.storedCodeword(7).size(), 71u);
@@ -29,7 +30,8 @@ TEST(MemoryChip, Geometry)
 
 TEST(MemoryChip, WriteReadRoundTrip)
 {
-    MemoryChip chip(makeCode(), 4);
+    const ecc::HammingCode code = makeCode();
+    MemoryChip chip(code, 4);
     common::Xoshiro256 rng(2);
     gf2::BitVector read(64);
     for (std::size_t w = 0; w < chip.numWords(); ++w) {
@@ -43,7 +45,8 @@ TEST(MemoryChip, WriteReadRoundTrip)
 
 TEST(MemoryChip, RawReadExposesUncorrectedErrors)
 {
-    MemoryChip chip(makeCode(), 1);
+    const ecc::HammingCode code = makeCode();
+    MemoryChip chip(code, 1);
     common::Xoshiro256 rng(3);
     const gf2::BitVector d = gf2::BitVector::random(64, rng);
     chip.write(0, d);
@@ -64,7 +67,8 @@ TEST(MemoryChip, RawReadExposesUncorrectedErrors)
 
 TEST(MemoryChip, RawReadHidesParityBits)
 {
-    MemoryChip chip(makeCode(), 1);
+    const ecc::HammingCode code = makeCode();
+    MemoryChip chip(code, 1);
     common::Xoshiro256 rng(4);
     const gf2::BitVector d = gf2::BitVector::random(64, rng);
     chip.write(0, d);
@@ -78,7 +82,8 @@ TEST(MemoryChip, RawReadHidesParityBits)
 
 TEST(MemoryChip, ErrorsPersistUntilRewrite)
 {
-    MemoryChip chip(makeCode(), 1);
+    const ecc::HammingCode code = makeCode();
+    MemoryChip chip(code, 1);
     common::Xoshiro256 rng(5);
     const gf2::BitVector d = gf2::BitVector::random(64, rng);
     chip.write(0, d);
@@ -96,7 +101,8 @@ TEST(MemoryChip, ErrorsPersistUntilRewrite)
 
 TEST(MemoryChip, RetentionTickHonoursFaultModel)
 {
-    MemoryChip chip(makeCode(), 1);
+    const ecc::HammingCode code = makeCode();
+    MemoryChip chip(code, 1);
     common::Xoshiro256 rng(6);
     gf2::BitVector d(64);
     d.fill(true); // every data cell charged
@@ -111,7 +117,8 @@ TEST(MemoryChip, RetentionTickHonoursFaultModel)
 
 TEST(MemoryChip, RetentionWithNoFaultModelIsNoop)
 {
-    MemoryChip chip(makeCode(), 2);
+    const ecc::HammingCode code = makeCode();
+    MemoryChip chip(code, 2);
     common::Xoshiro256 rng(7);
     const gf2::BitVector d = gf2::BitVector::random(64, rng);
     chip.write(1, d);
@@ -121,14 +128,16 @@ TEST(MemoryChip, RetentionWithNoFaultModelIsNoop)
 
 TEST(MemoryChip, SetFaultModelValidatesSize)
 {
-    MemoryChip chip(makeCode(), 1);
+    const ecc::HammingCode code = makeCode();
+    MemoryChip chip(code, 1);
     EXPECT_THROW(chip.setFaultModel(0, fault::WordFaultModel(64, {})),
                  std::invalid_argument);
 }
 
 TEST(MemoryChip, OutOfRangeWordThrows)
 {
-    MemoryChip chip(makeCode(), 2);
+    const ecc::HammingCode code = makeCode();
+    MemoryChip chip(code, 2);
     gf2::BitVector d(64);
     EXPECT_THROW(chip.write(2, d), std::out_of_range);
     EXPECT_THROW(chip.readInto(5, d), std::out_of_range);

@@ -17,6 +17,7 @@ namespace {
 struct Rig
 {
     ecc::HammingCode code;
+    ecc::ExtendedHammingCode secondaryCode;
     MemoryChip chip;
     MemoryController controller;
 
@@ -25,15 +26,12 @@ struct Rig
               common::Xoshiro256 rng(seed);
               return ecc::HammingCode::randomSec(64, rng);
           }()),
+          secondaryCode([&] {
+              common::Xoshiro256 rng(seed + 1);
+              return ecc::ExtendedHammingCode::randomSecDed(64, rng);
+          }()),
           chip(code, 4),
-          controller(chip, secondary
-                               ? std::optional<ecc::ExtendedHammingCode>(
-                                     [&] {
-                                         common::Xoshiro256 rng(seed + 1);
-                                         return ecc::ExtendedHammingCode::
-                                             randomSecDed(64, rng);
-                                     }())
-                               : std::nullopt)
+          controller(chip, secondary ? &secondaryCode : nullptr)
     {
     }
 };
@@ -387,6 +385,94 @@ TEST(MemoryController, ReadIntoReusedResultMatchesFreshRead)
     EXPECT_EQ(reused.controller.stats().secondaryCorrections,
               fresh.controller.stats().secondaryCorrections);
     EXPECT_EQ(reused.controller.profile().totalAtRisk(), 1u);
+}
+
+/** Stats and profile counters of a controller, for whole-state
+ *  equality. */
+std::vector<std::size_t>
+countersOf(const MemoryController &c)
+{
+    const ControllerStats &s = c.stats();
+    return {s.reads,
+            s.writes,
+            s.repairedBits,
+            s.secondaryCorrections,
+            s.uncorrectableEvents,
+            s.reactiveIdentifications,
+            s.scrubs,
+            s.scrubWritebacks,
+            c.profile().totalAtRisk(),
+            c.repairMechanism().spareBitsUsed(),
+            c.repairMechanism().droppedAllocations()};
+}
+
+/**
+ * A chip and controller reset onto new codes and a new word count act
+ * exactly like a freshly built pair: one random workload of writes,
+ * raw strikes, reads, scrubs, profiling and a repair budget runs on
+ * both, and every read, stored codeword and counter must agree. The
+ * resets go 64 -> 128 -> 64 data bits and 4 -> 6 -> 2 words, so stale
+ * storage of every size is reused.
+ */
+TEST(MemoryController, ResetPairMatchesFreshPair)
+{
+    common::Xoshiro256 rng(15);
+    Rig reused;
+    for (const auto &[k, words] :
+         {std::pair<std::size_t, std::size_t>{64, 4}, {128, 6}, {64, 2}}) {
+        const ecc::HammingCode code = ecc::HammingCode::randomSec(k, rng);
+        const ecc::ExtendedHammingCode secondary =
+            ecc::ExtendedHammingCode::randomSecDed(k, rng);
+        reused.chip.reset(code, words);
+        reused.controller.reset(&secondary);
+        MemoryChip chip(code, words);
+        MemoryController fresh(chip, &secondary);
+        for (MemoryController *c : {&reused.controller, &fresh})
+            c->setRepairCapacity(5);
+
+        ControllerReadResult got;
+        for (int op = 0; op < 600; ++op) {
+            const std::size_t word = rng.nextBelow(words);
+            switch (rng.nextBelow(6)) {
+              case 0: {
+                const gf2::BitVector d = gf2::BitVector::random(k, rng);
+                reused.controller.write(word, d);
+                fresh.write(word, d);
+                break;
+              }
+              case 1: {
+                gf2::BitVector mask(code.n());
+                for (std::size_t e = 1 + rng.nextBelow(2); e > 0; --e)
+                    mask.flip(rng.nextBelow(code.n()));
+                reused.chip.corrupt(word, mask);
+                chip.corrupt(word, mask);
+                break;
+              }
+              case 2: {
+                const std::size_t bit = rng.nextBelow(k);
+                reused.controller.profile().markAtRisk(word, bit);
+                fresh.profile().markAtRisk(word, bit);
+                break;
+              }
+              case 3:
+                ASSERT_EQ(reused.controller.scrubAll(), fresh.scrubAll());
+                break;
+              default: {
+                reused.controller.readInto(word, got);
+                const ControllerReadResult expected = fresh.read(word);
+                ASSERT_EQ(got.dataword, expected.dataword);
+                ASSERT_EQ(got.corrupt, expected.corrupt);
+                ASSERT_EQ(got.newlyProfiledBit, expected.newlyProfiledBit);
+                break;
+              }
+            }
+            ASSERT_EQ(reused.chip.storedCodeword(word),
+                      chip.storedCodeword(word));
+        }
+        EXPECT_EQ(countersOf(reused.controller), countersOf(fresh));
+        EXPECT_GT(fresh.stats().uncorrectableEvents, 0u);
+        EXPECT_GT(fresh.stats().scrubWritebacks, 0u);
+    }
 }
 
 TEST(MemoryController, ReadRawUsesBypassPath)

@@ -117,7 +117,7 @@ runLockstep(std::size_t k, std::size_t budget, bool with_secondary,
         secondary = ecc::ExtendedHammingCode::randomSecDed(k, rng);
 
     MemoryChip chip(code, kWords);
-    MemoryController controller(chip, secondary);
+    MemoryController controller(chip, secondary ? &*secondary : nullptr);
     test::ReferenceMemorySystem ref(code, kWords, secondary);
     controller.setRepairCapacity(budget);
     ref.setRepairCapacity(budget);

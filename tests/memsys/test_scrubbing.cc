@@ -17,6 +17,7 @@ namespace {
 struct Rig
 {
     ecc::HammingCode code;
+    ecc::ExtendedHammingCode secondary;
     MemoryChip chip;
     MemoryController controller;
 
@@ -25,11 +26,12 @@ struct Rig
               common::Xoshiro256 rng(seed);
               return ecc::HammingCode::randomSec(64, rng);
           }()),
-          chip(code, words),
-          controller(chip, [&] {
+          secondary([&] {
               common::Xoshiro256 rng(seed + 1);
               return ecc::ExtendedHammingCode::randomSecDed(64, rng);
-          }())
+          }()),
+          chip(code, words),
+          controller(chip, &secondary)
     {
     }
 };
