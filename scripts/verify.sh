@@ -486,40 +486,6 @@ wait "$ovl_pid" || {
 }
 trap - EXIT
 
-# --- Engine equivalence ---------------------------------------------------
-# A seed-fixed campaign must be byte-identical under the scalar and
-# sliced64 profiling engines. One row per case:
-# tag | experiments | overrides.
-#  - engine: 70 words/code exercises a ragged 64+6 sliced block; fig10
-#    exercises heterogeneous per-lane codes.
-#  - bch: the memoized sliced BCH datapath is exactly equivalent to the
-#    scalar Berlekamp-Massey decoder (70 words/point exercises a ragged
-#    64 + 6 sliced block).
-#  - elp: heterogeneous per-word codes through the lane-native
-#    observation path (Naive/HARP-U lanes).
-engine_cases=(
-    "engine|fig06_direct_coverage fig10_case_study|--seed 5 --codes 1 --words 70 --rounds 6 --prob 0.5 --pre_errors 3 --samples 5 --max_cells 2"
-    "bch|bch_t_sweep|--seed 9 --words 70 --rounds 6"
-    "elp|extension_low_probability|--seed 11 --words 70 --rounds 8"
-)
-for case in "${engine_cases[@]}"; do
-    IFS='|' read -r tag experiments overrides <<< "$case"
-    for engine in scalar sliced64; do
-        # shellcheck disable=SC2086  # split the experiment/override lists
-        ./build/src/harp_run $experiments $overrides \
-            --threads 2 --engine "$engine" \
-            --out "$smoke_dir/$tag-$engine" > /dev/null
-    done
-    for exp in $experiments; do
-        cmp -s "$smoke_dir/$tag-scalar/$exp.jsonl" \
-               "$smoke_dir/$tag-sliced64/$exp.jsonl" || {
-            echo "verify: $exp.jsonl differs between scalar and" \
-                 "sliced64" >&2
-            exit 1
-        }
-    done
-done
-
 # pre_errors past the 16-cell ground-truth enumeration guard must fail
 # the job, not silently enumerate a truncated subset range.
 if ./build/src/harp_run bch_t_sweep --pre_errors 34 --on_die_t 1 \
@@ -543,28 +509,21 @@ fleet_tests="$(cd build && ctest -L fleet -N | sed -n 's/^Total Tests: //p')"
 }
 
 # A 10k-chip policy sweep must be byte-identical across thread counts
-# and across the scalar/sliced64 engines (the fleet CRN contract,
-# end-to-end through harp_run), under the single-tier DDR4 preset and
-# the three-tier HRM one.
+# (the fleet CRN contract, end-to-end through harp_run), under the
+# single-tier DDR4 preset and the three-tier HRM one.
 for dist in ddr4 hrm; do
-    for variant in t1-sliced64 t1-scalar t4-sliced64; do
-        threads="${variant#t}"
-        threads="${threads%%-*}"
-        engine="${variant#*-}"
+    for threads in 1 4; do
         ./build/src/harp_run fleet_policy_sweep \
-            --seed 17 --threads "$threads" --engine "$engine" \
+            --seed 17 --threads "$threads" \
             --chips 10000 --fit_scale 50 --windows 6 --rounds 8 \
             --profiler harp_u --dist "$dist" \
-            --out "$smoke_dir/fleet-$dist-$variant" > /dev/null
+            --out "$smoke_dir/fleet-$dist-t$threads" > /dev/null
     done
-    for variant in t1-scalar t4-sliced64; do
-        cmp -s "$smoke_dir/fleet-$dist-t1-sliced64/fleet_policy_sweep.jsonl" \
-               "$smoke_dir/fleet-$dist-$variant/fleet_policy_sweep.jsonl" || {
-            echo "verify: $dist fleet_policy_sweep.jsonl differs" \
-                 "(t1-sliced64 vs $variant)" >&2
-            exit 1
-        }
-    done
+    cmp -s "$smoke_dir/fleet-$dist-t1/fleet_policy_sweep.jsonl" \
+           "$smoke_dir/fleet-$dist-t4/fleet_policy_sweep.jsonl" || {
+        echo "verify: $dist fleet_policy_sweep.jsonl differs (t1 vs t4)" >&2
+        exit 1
+    }
 done
 
 # --- Reachability audit (full) --------------------------------------------
@@ -763,7 +722,7 @@ if [[ $FULL -eq 1 ]]; then
             exit 1
         }
         # The fleet statistical/property tier (chi-square/KS sampler
-        # GOF, monotonicity sweeps, cross-engine/thread identity) is
+        # GOF, monotonicity sweeps, reference/thread identity) is
         # labeled integration, so run it explicitly under sanitizers.
         (cd "$sdir" && ctest -L fleet --output-on-failure) || {
             echo "verify: fleet tier failed under $san sanitizer" >&2
@@ -785,22 +744,19 @@ fi
 # A million-chip policy sweep completes on one machine with
 # byte-identical JSONL across --threads {1, 4, hw}.
 if [[ $FULL -eq 1 ]]; then
-    for variant in t1-sliced64 t4-sliced64 thw-sliced64; do
+    for variant in t1 t4 thw; do
         threads="${variant#t}"
-        threads="${threads%%-*}"
         [[ "$threads" == "hw" ]] && threads=0
-        engine="${variant#*-}"
         ./build/src/harp_run fleet_policy_sweep \
-            --seed 29 --threads "$threads" --engine "$engine" \
+            --seed 29 --threads "$threads" \
             --chips 1000000 --fit_scale 20 --windows 8 --rounds 16 \
             --profiler harp_u \
             --out "$smoke_dir/fleet1m-$variant" > /dev/null
     done
-    for variant in t4-sliced64 thw-sliced64; do
-        cmp -s "$smoke_dir/fleet1m-t1-sliced64/fleet_policy_sweep.jsonl" \
+    for variant in t4 thw; do
+        cmp -s "$smoke_dir/fleet1m-t1/fleet_policy_sweep.jsonl" \
                "$smoke_dir/fleet1m-$variant/fleet_policy_sweep.jsonl" || {
-            echo "verify: 1M-chip fleet sweep differs" \
-                 "(t1-sliced64 vs $variant)" >&2
+            echo "verify: 1M-chip fleet sweep differs (t1 vs $variant)" >&2
             exit 1
         }
     done

@@ -9,6 +9,7 @@
 #include "core/beep_profiler.hh"
 #include "core/harp_profiler.hh"
 #include "core/naive_profiler.hh"
+#include "core/profile_words.hh"
 #include "ecc/hamming_code.hh"
 
 namespace harp::core {
@@ -29,8 +30,7 @@ struct ProfileResiduals
 
 /**
  * One Monte-Carlo sample of the case study: its own random code, fault
- * model, profiler set and per-round residual counters. Observation
- * logic is shared by both engines, so results are engine-independent.
+ * model, profiler set and per-round residual counters.
  */
 struct SampleSim
 {
@@ -140,9 +140,9 @@ runCaseStudyExperiment(const CaseStudyConfig &config)
     auto after_sum = before_sum;
 
     // Per-sample integer sums are order-insensitive, but the merges
-    // still run in sample order so every engine and thread count walks
-    // the aggregates identically.
-    const WordRun run{config.engine, max_n * config.samplesPerCellCount,
+    // still run in sample order so every thread count walks the
+    // aggregates identically.
+    const WordRun run{max_n * config.samplesPerCellCount,
                       config.rounds, config.pattern, config.threads};
     profileWords<SampleSim>(
         run,

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/data_pattern.hh"
-#include "core/engine_kind.hh"
 
 namespace harp::core {
 
@@ -42,13 +41,6 @@ struct CaseStudyConfig
     PatternKind pattern = PatternKind::Random;
     std::uint64_t seed = 1;
     std::size_t threads = 0;
-    /**
-     * Profiling-round engine; bit-identical results either way. The
-     * sliced engine batches samples of one conditioned cell count into
-     * 64-lane blocks even though every sample has its own random code
-     * (lanes need only share the dataword length k).
-     */
-    EngineKind engine = EngineKind::Sliced64;
 };
 
 /** One profiler's BER curves for one RBER. */

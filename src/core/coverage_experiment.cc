@@ -9,6 +9,7 @@
 #include "core/harp_a_beep_profiler.hh"
 #include "core/harp_profiler.hh"
 #include "core/naive_profiler.hh"
+#include "core/profile_words.hh"
 #include "ecc/hamming_code.hh"
 
 namespace harp::core {
@@ -42,9 +43,7 @@ struct ProfileMetrics
 
 /**
  * Everything one simulated ECC word carries through a coverage run:
- * ground truth, profiler set, and per-round statistics. Both engines
- * drive words through the identical observation code, so their merged
- * aggregates are byte-identical for a fixed seed.
+ * ground truth, profiler set, and per-round statistics.
  */
 struct WordSim
 {
@@ -224,12 +223,11 @@ runCoverageExperiment(const CoverageConfig &config)
         result.profilers.push_back(std::move(agg));
     }
 
-    // Deterministic per-word streams, independent of scheduling and of
-    // the engine: every engine derives the exact same code, fault and
-    // engine seeds per (code_idx, word_idx), and profileWords finishes
-    // words in word order, so output bytes are fixed by the seed alone
-    // — not by thread count, engine, or completion order. Each code is
-    // built once, up front; its words point into it.
+    // Deterministic per-word streams, independent of scheduling: code,
+    // fault and engine seeds derive from (code_idx, word_idx), and
+    // profileWords finishes words in word order, so output bytes are
+    // fixed by the seed alone — not by thread count or completion
+    // order. Each code is built once, up front; its words point into it.
     std::vector<ecc::HammingCode> codes;
     codes.reserve(config.numCodes);
     for (std::size_t c = 0; c < config.numCodes; ++c) {
@@ -237,7 +235,7 @@ runCoverageExperiment(const CoverageConfig &config)
             common::deriveSeed(config.seed, {0xC0DEu, c}));
         codes.push_back(ecc::HammingCode::randomSec(config.k, code_rng));
     }
-    const WordRun run{config.engine, config.numCodes * config.wordsPerCode,
+    const WordRun run{config.numCodes * config.wordsPerCode,
                       config.rounds, config.pattern, config.threads};
     profileWords<WordSim>(
         run,

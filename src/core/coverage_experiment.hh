@@ -16,7 +16,6 @@
 
 #include "common/stats.hh"
 #include "core/data_pattern.hh"
-#include "core/engine_kind.hh"
 
 namespace harp::core {
 
@@ -42,12 +41,6 @@ struct CoverageConfig
     std::uint64_t seed = 1;
     /** Worker threads; 0 = hardware concurrency. */
     std::size_t threads = 0;
-    /**
-     * Profiling-round engine. Both engines are bit-identical for a
-     * fixed seed (asserted by tests/core/test_sliced_round_engine.cc);
-     * sliced64 batches up to 64 words of a code per lane-op.
-     */
-    EngineKind engine = EngineKind::Sliced64;
 };
 
 /** Largest simultaneous-error bound tracked for Fig. 9b (x = 1..bound). */

@@ -1,4 +1,4 @@
-#include "core/engine_kind.hh"
+#include "core/profile_words.hh"
 
 #include <algorithm>
 #include <atomic>
@@ -9,22 +9,10 @@
 #include <thread>
 
 #include "common/thread_pool.hh"
-#include "core/round_engine.hh"
 #include "core/sliced_round_engine.hh"
 #include "ecc/sliced_bch.hh"
 
 namespace harp::core {
-
-EngineKind
-engineKindFromName(const std::string &name)
-{
-    if (name == "scalar")
-        return EngineKind::Scalar;
-    if (name == "sliced64")
-        return EngineKind::Sliced64;
-    throw std::invalid_argument("unknown engine kind: " + name +
-                                " (expected scalar | sliced64)");
-}
 
 namespace {
 
@@ -40,58 +28,23 @@ struct WordLanes
     std::vector<std::vector<Profiler *>> profilers;
 };
 
-std::size_t
-laneCount(EngineKind kind)
-{
-    return kind == EngineKind::Scalar ? 1 : gf2::BitSlice::laneCount;
-}
-
-/** Run every round on @p engine (a temporary: it dies on return). */
-template <typename Engine>
+/** Run every round of one lane block on its own engine, which is gone
+ *  on return. */
 void
-runRounds(Engine &&engine, std::size_t rounds, const RoundFn &round)
+runBlock(const WordRun &run, const std::optional<ecc::SlicedBchCode> &bch,
+         const WordLanes &lanes, const RoundFn &round)
 {
-    for (std::size_t r = 0; r < rounds; ++r) {
+    // A BCH block decodes through its own copy of the run's datapath:
+    // the copy shares the memo thread-safely and owns its scratch.
+    const std::optional<ecc::SlicedBchCode> datapath = bch;
+    SlicedRoundEngine engine =
+        datapath ? SlicedRoundEngine(*datapath, lanes.faults, run.pattern,
+                                     lanes.seeds, lanes.profilers)
+                 : SlicedRoundEngine(lanes.codes, lanes.faults, run.pattern,
+                                     lanes.seeds, lanes.profilers);
+    for (std::size_t r = 0; r < run.rounds; ++r) {
         engine.runRound();
         round(r);
-    }
-}
-
-void
-runScalar(const WordRun &run, const std::optional<ecc::BchCode> &bch,
-          const WordLanes &lanes, const RoundFn &round)
-{
-    const fault::WordFaultModel &faults = *lanes.faults.front();
-    const std::uint64_t seed = lanes.seeds.front();
-    if (bch) {
-        // BchCode decodes through per-instance scratch, so words that
-        // may run concurrently each get a copy.
-        const ecc::BchCode code = *bch;
-        runRounds(RoundEngine(code, faults, run.pattern, seed,
-                              lanes.profilers.front()),
-                  run.rounds, round);
-    } else {
-        runRounds(RoundEngine(*lanes.codes.front(), faults, run.pattern,
-                              seed, lanes.profilers.front()),
-                  run.rounds, round);
-    }
-}
-
-void
-runSliced(const WordRun &run, const std::optional<ecc::SlicedBchCode> &bch,
-          const WordLanes &lanes, const RoundFn &round)
-{
-    if (bch) {
-        // The copy shares the memo thread-safely and owns its scratch;
-        // engines never share one datapath instance across workers.
-        const ecc::SlicedBchCode datapath(*bch);
-        runRounds(SlicedRoundEngine(datapath, lanes.faults, run.pattern,
-                                    lanes.seeds, lanes.profilers),
-                  run.rounds, round);
-    } else {
-        runRounds(SlicedRoundEngine(lanes.codes, lanes.faults, run.pattern,
-                                    lanes.seeds, lanes.profilers),
-                  run.rounds, round);
     }
 }
 
@@ -104,17 +57,13 @@ detail::profileWords(
     const std::function<void(void *, std::size_t)> &afterRound,
     const std::function<void(void *)> &finish)
 {
-    const std::size_t lanes = laneCount(run.engine);
-    // Blocks copy the BCH code concurrently, so they copy a private
-    // instance: the callbacks may decode through *run.bch meanwhile.
-    std::optional<ecc::BchCode> bch;
-    if (run.bch != nullptr)
-        bch.emplace(*run.bch);
-    // One BCH datapath for the whole run: every block's copy reads and
-    // fills the same syndrome memo (see ecc/sliced_bch.hh).
-    std::optional<ecc::SlicedBchCode> slicedBch;
-    if (bch && run.engine == EngineKind::Sliced64 && run.words > 0)
-        slicedBch.emplace(*bch, std::min(lanes, run.words));
+    constexpr std::size_t lanes = gf2::BitSlice::laneCount;
+    // One BCH datapath for the whole run, built from the caller's code
+    // before any callback runs: every block's copy reads and fills the
+    // same syndrome memo (see ecc/sliced_bch.hh).
+    std::optional<ecc::SlicedBchCode> bch;
+    if (run.bch != nullptr && run.words > 0)
+        bch.emplace(*run.bch, std::min(lanes, run.words));
 
     const std::size_t blocks = (run.words + lanes - 1) / lanes;
     const std::size_t workers = std::min<std::size_t>(
@@ -138,7 +87,7 @@ detail::profileWords(
         for (std::size_t w = begin; w < end; ++w) {
             WordInputs word;
             words.push_back(make(w, word));
-            if ((word.code != nullptr) == bch.has_value())
+            if ((word.code != nullptr) == (run.bch != nullptr))
                 throw std::invalid_argument(
                     "profileWords: a word has a SEC code iff no run.bch");
             if (word.code != nullptr)
@@ -154,10 +103,7 @@ detail::profileWords(
         // The block's engine is gone before its words finish: its
         // destructor flushes lane-native observer groups through raw
         // Profiler pointers, and finish may read those profilers.
-        if (run.engine == EngineKind::Scalar)
-            runScalar(run, bch, inputs, round);
-        else
-            runSliced(run, slicedBch, inputs, round);
+        runBlock(run, bch, inputs, round);
 
         {
             std::unique_lock<std::mutex> lock(mutex);

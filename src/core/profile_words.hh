@@ -1,26 +1,27 @@
 /**
  * @file
- * Selection between the scalar and bit-sliced profiling-round engines,
- * and the one driver that runs a word set through the selected engine.
+ * The one driver that profiles a word set through the bit-sliced
+ * round engine (core/sliced_round_engine.hh), 64 ECC words per lane
+ * operation on the encode/inject/decode hot path.
  *
- * Both engines execute the exact same simulation — identical seed
- * derivation, RNG stream consumption and GF(2) arithmetic — so a
- * seed-fixed experiment produces byte-identical results under either.
- * The sliced engine simply retires 64 ECC words per word-op on the
- * encode/inject/decode hot path (core/sliced_round_engine.hh).
+ * The sliced engine runs the exact simulation of the scalar
+ * core::RoundEngine, word for word — identical seed derivation, RNG
+ * stream consumption and GF(2) arithmetic — and the scalar engine
+ * stays in the tree as the reference it must equal (see
+ * tests/core/test_profile_words.cc and the goldens in
+ * tests/runner/test_campaign.cc).
  *
  * Callers hand the driver words one at a time; which words share a
  * lane block, where they live and which worker runs them is its own.
  */
 
-#ifndef HARP_CORE_ENGINE_KIND_HH
-#define HARP_CORE_ENGINE_KIND_HH
+#ifndef HARP_CORE_PROFILE_WORDS_HH
+#define HARP_CORE_PROFILE_WORDS_HH
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/data_pattern.hh"
@@ -38,21 +39,9 @@ namespace harp::core {
 
 class Profiler;
 
-/** Profiling-round engine implementation. */
-enum class EngineKind
-{
-    Scalar,   ///< One ECC word at a time (core/round_engine.hh).
-    Sliced64, ///< 64 ECC words per lane-op (core/sliced_round_engine.hh).
-};
-
-/** Parse an engine name ("scalar" or "sliced64"); throws
- *  std::invalid_argument naming both on bad input. */
-EngineKind engineKindFromName(const std::string &name);
-
-/** A word set to profile: which engine, how many words and rounds. */
+/** A word set to profile: how many words and rounds. */
 struct WordRun
 {
-    EngineKind engine = EngineKind::Sliced64;
     std::size_t words = 0;
     std::size_t rounds = 0;
     PatternKind pattern = PatternKind::Random;
@@ -92,7 +81,7 @@ void profileWords(
 } // namespace detail
 
 /**
- * Profile run.words words through run.engine:
+ * Profile run.words words:
  *
  *  - make(w) builds word w, whose inputs() names what the engine reads
  *    (see WordInputs); it may run on any worker, concurrently;
@@ -102,13 +91,14 @@ void profileWords(
  *    order, after the word's engine is gone (which flushes every
  *    profiler's identified()). The driver frees the word afterwards.
  *
- * Words run in lane blocks of 1 (scalar) or 64 (sliced) consecutive
- * words, the blocks sharded over run.threads workers. A worker keeps
- * one block at a time, so at most lanes × threads words are alive.
- * BCH words share one sliced datapath whose syndrome memo every
- * block's copy reads and extends on a miss. Per-word seeds fix every
- * outcome, so results are byte-identical under any engine and thread
- * count. An exception from a callback fails the whole call.
+ * Words run in lane blocks of 64 consecutive words, the blocks sharded
+ * over run.threads workers. A worker keeps one block at a time, so at
+ * most 64 × threads words are alive. BCH words share one sliced
+ * datapath whose syndrome memo every block's copy reads and extends on
+ * a miss. Per-word seeds fix every outcome, so results are
+ * byte-identical at any thread count and equal a per-word RoundEngine
+ * loop over the same seeds. An exception from a callback fails the
+ * whole call.
  */
 template <typename Word>
 void
@@ -135,4 +125,4 @@ profileWords(const WordRun &run,
 
 } // namespace harp::core
 
-#endif // HARP_CORE_ENGINE_KIND_HH
+#endif // HARP_CORE_PROFILE_WORDS_HH

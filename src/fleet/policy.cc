@@ -11,6 +11,8 @@
 #include "common/thread_pool.hh"
 #include "core/harp_profiler.hh"
 #include "core/naive_profiler.hh"
+#include "core/profile_words.hh"
+#include "core/round_engine.hh"
 #include "memsys/memory_controller.hh"
 
 namespace harp::fleet {
@@ -46,19 +48,30 @@ makeProfiler(ProfilerKind kind, const ecc::HammingCode &code)
     return nullptr;
 }
 
+bool
+profilesNothing(const FleetPolicy &policy)
+{
+    return policy.profiler == ProfilerKind::None || policy.activeRounds == 0;
+}
+
+/** The profiling seed of faulty word @p word of @p sim. */
+std::uint64_t
+engineSeed(const ChipSim &sim, std::size_t word)
+{
+    return common::deriveSeed(sim.chipSeed, {kEngineDomain, word});
+}
+
 /**
- * Active-profile every faulty word of @p sims through @p engine,
- * filling their profiles (left empty when the policy profiles
- * nothing). Faulty words of *different* chips share lane blocks (each
- * chip contributes few faulty words, so cross-chip batching is what
- * fills 64 lanes); per-word seeds make the profiles bit-identical
- * under both engines.
+ * Active-profile every faulty word of @p sims, filling their profiles
+ * (left empty when the policy profiles nothing). Faulty words of
+ * *different* chips share lane blocks (each chip contributes few
+ * faulty words, so cross-chip batching is what fills 64 lanes);
+ * per-word seeds make the profiles equal profileChipScalar's.
  */
 void
-profileSims(std::span<ChipSim> sims, const FleetPolicy &policy,
-            core::EngineKind engine)
+profileSims(std::span<ChipSim> sims, const FleetPolicy &policy)
 {
-    if (policy.profiler == ProfilerKind::None || policy.activeRounds == 0) {
+    if (profilesNothing(policy)) {
         for (ChipSim &sim : sims)
             sim.profiles.clear();
         return;
@@ -81,12 +94,11 @@ profileSims(std::span<ChipSim> sims, const FleetPolicy &policy,
         core::WordInputs inputs() const
         {
             const auto &[word, model] = sim->faultyWords[i];
-            return {&sim->onDie, &model,
-                    common::deriveSeed(sim->chipSeed, {kEngineDomain, word}),
+            return {&sim->onDie, &model, engineSeed(*sim, word),
                     {profiler.get()}};
         }
     };
-    const core::WordRun run{engine, entries.size(), policy.activeRounds,
+    const core::WordRun run{entries.size(), policy.activeRounds,
                             core::PatternKind::Random, 1};
     core::profileWords<FaultyWord>(
         run,
@@ -235,7 +247,7 @@ runStratum(const FleetConfig &config, const PopulationSampler &sampler,
 
     if (sims.empty())
         return agg;
-    profileSims(sims, config.policy, config.engine);
+    profileSims(sims, config.policy);
 
     ChipReplay replay(sims.front());
     for (ChipSim &sim : sims)
@@ -290,7 +302,18 @@ makeChipSim(
 void
 profileChipScalar(ChipSim &sim, const FleetPolicy &policy)
 {
-    profileSims({&sim, 1}, policy, core::EngineKind::Scalar);
+    sim.profiles.clear();
+    if (profilesNothing(policy))
+        return;
+    for (const auto &[word, model] : sim.faultyWords) {
+        const std::unique_ptr<core::Profiler> profiler =
+            makeProfiler(policy.profiler, sim.onDie);
+        core::RoundEngine engine(sim.onDie, model, core::PatternKind::Random,
+                                 engineSeed(sim, word), {profiler.get()});
+        for (std::size_t r = 0; r < policy.activeRounds; ++r)
+            engine.runRound();
+        sim.profiles.push_back(profiler->identified());
+    }
 }
 
 ChipOutcome

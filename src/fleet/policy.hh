@@ -7,20 +7,21 @@
  * One policy point fixes a profiler kind, an active-profiling round
  * count, a scrub interval and a per-chip repair budget. The driver
  * samples the chip population (fleet/population.hh), active-profiles
- * every faulty word through the round engines (the sliced engine
- * batches faulty words *across chips* into 64-wide lanes), then
+ * every faulty word through core::profileWords (which batches faulty
+ * words *across chips* into 64-wide lanes of the sliced engine), then
  * replays field operation on a compact memory system holding only the
  * chip's faulty words — controller reads, CRN retention injection,
  * patrol scrubbing, budgeted repair — and folds each chip into a
  * streaming FleetAggregator.
  *
  * Determinism contract: every chip's randomness derives from
- * (fleet seed, chip index) only — never from the policy, the engine
- * kind, the thread count or the stratum size. Policies therefore see
- * common random numbers (the same chips with the same per-window cell
- * trials), engines produce bit-identical profiles, and aggregation
- * runs over fixed chip strata merged in index order, so a fleet run is
- * byte-identical at any --threads and under any engine.
+ * (fleet seed, chip index) only — never from the policy, the thread
+ * count, the stratum size or the lane block a faulty word lands in.
+ * Policies therefore see common random numbers (the same chips with
+ * the same per-window cell trials), the batched profiles equal the
+ * chip-by-chip reference (profileChipScalar), and aggregation runs
+ * over fixed chip strata merged in index order, so a fleet run is
+ * byte-identical at any --threads.
  */
 
 #ifndef HARP_FLEET_POLICY_HH
@@ -35,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/engine_kind.hh"
 #include "ecc/extended_hamming_code.hh"
 #include "ecc/hamming_code.hh"
 #include "fault/fault_model.hh"
@@ -93,7 +93,6 @@ struct FleetConfig
     std::uint64_t seed = 1;
     /** Worker threads for the stratum fan-out (0 = hardware). */
     std::size_t threads = 1;
-    core::EngineKind engine = core::EngineKind::Sliced64;
     /** Chips per stratum — the fixed parallel grain. Results are
      *  independent of this only in ordering terms (aggregation is
      *  commutative), but keep it fixed per experiment so strata line
@@ -140,9 +139,11 @@ ChipSim makeChipSim(
     std::size_t fault_events);
 
 /**
- * Active-profile every faulty word of @p sim with the scalar round
- * engine, filling sim.profiles. The sliced stratum path produces
- * bit-identical profiles (same per-word seed derivation).
+ * Active-profile every faulty word of @p sim with the scalar
+ * core::RoundEngine, one word at a time, filling sim.profiles (left
+ * empty when the policy profiles nothing). The reference for the
+ * fleet's batched path, which produces bit-identical profiles from the
+ * same profilers and per-word seeds.
  */
 void profileChipScalar(ChipSim &sim, const FleetPolicy &policy);
 
@@ -170,9 +171,9 @@ struct FleetStopped : std::runtime_error
 };
 
 /**
- * Full fleet run: sample, profile (batched through the configured
- * engine), operate, aggregate. Deterministic for a given (config minus
- * threads/engine): byte-identical at any thread count and engine kind.
+ * Full fleet run: sample, profile (batched across chips), operate,
+ * aggregate. Deterministic for a given (config minus threads):
+ * byte-identical at any thread count.
  *
  * @p stop, when set, is polled before each stratum (possibly from
  * several workers at once); once it returns true the run throws

@@ -28,7 +28,6 @@ makeFig10()
         {"samples", 24, "Monte-Carlo samples per conditioned cell count"},
         {"max_cells", 5, "largest conditioned at-risk-cell count"},
         {"rounds", 128, "active-profiling rounds"},
-        engineTunable(),
     };
     spec.schema = {
         {"checkpoints", JsonType::Array, "log-spaced round numbers"},
@@ -51,7 +50,6 @@ makeFig10()
         config.perBitProbability = ctx.getDouble("prob");
         config.seed = ctx.seed();
         config.threads = ctx.threads();
-        config.engine = engineFromContext(ctx);
 
         const core::CaseStudyResult result =
             core::runCaseStudyExperiment(config);

@@ -273,7 +273,6 @@ makeAblationCodeLength()
         {"words", 24, "simulated ECC words per code"},
         {"rounds", 128, "active-profiling rounds"},
         {"prob", 0.5, "per-bit failure probability of at-risk cells"},
-        engineTunable(),
     };
     spec.schema = {
         {"code", JsonType::String, "(n,k) of the evaluated code"},
@@ -328,7 +327,6 @@ makeAblationDataPatterns()
         {"rounds", 128, "active-profiling rounds"},
         {"prob", 0.5, "per-bit failure probability of at-risk cells"},
         {"pre_errors", 4, "at-risk cells per ECC word"},
-        engineTunable(),
     };
     spec.schema = {
         {"checkpoints", JsonType::Array, "log-spaced round numbers"},

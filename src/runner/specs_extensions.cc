@@ -3,7 +3,7 @@
  * Experiment specs for the extension studies beyond the paper's
  * evaluation: stronger (t-error-correcting) on-die ECC — both the
  * exact small-word bound study and the Monte-Carlo `bch_t_sweep` on
- * the engine-selectable fast path — low-probability errors vs. the
+ * the sliced profiling path — low-probability errors vs. the
  * active phase, and secondary ECC words interleaved across on-die
  * words.
  */
@@ -20,6 +20,7 @@
 #include "core/data_pattern.hh"
 #include "core/harp_profiler.hh"
 #include "core/naive_profiler.hh"
+#include "core/profile_words.hh"
 #include "ecc/bch_general.hh"
 #include "ecc/extended_hamming_code.hh"
 #include "ecc/hamming_code.hh"
@@ -32,6 +33,17 @@ namespace harp::runner {
 namespace {
 
 using namespace harp;
+
+/** The `words` knob: zero simulated words would report full coverage
+ *  and a respected bound from no evidence at all. */
+std::size_t
+wordsFromContext(const RunContext &ctx)
+{
+    const std::size_t words = ctx.getCount("words");
+    if (words == 0)
+        throw std::invalid_argument("words must be at least 1");
+    return words;
+}
 
 /**
  * Ground truth by enumeration of feasible failing subsets (the
@@ -131,7 +143,7 @@ makeDecOnDieEcc()
         const auto t = ctx.getCount("on_die_t");
         const auto n = ctx.getCount("pre_errors");
         const auto k = ctx.getCount("k");
-        const auto words = ctx.getCount("words");
+        const auto words = wordsFromContext(ctx);
         const auto rounds = ctx.getCount("rounds");
         const ecc::BchCode code(k, t);
 
@@ -207,10 +219,10 @@ makeDecOnDieEcc()
  * Monte-Carlo sweep of the on-die code's correction capability t
  * through the round engines: the scaling study HARP section 6.3.2
  * sketches ("significantly more complex on-die ECC"), on the same
- * engine-selectable fast path as the coverage experiments. The sliced
+ * sliced profiling path as the coverage experiments. The sliced
  * engine runs the BCH datapath through ecc::SlicedBchCode (masked
- * XOR parity/syndromes + memoized correction); `--engine scalar` and
- * `--engine sliced64` emit byte-identical JSONL for a fixed seed.
+ * XOR parity/syndromes + memoized correction), bit-identical to the
+ * scalar Berlekamp-Massey decoder.
  */
 ExperimentSpec
 makeBchTSweep()
@@ -236,7 +248,6 @@ makeBchTSweep()
         {"words", 64, "simulated ECC words per point"},
         {"rounds", 64, "active-profiling rounds"},
         {"prob", 0.5, "per-bit failure probability of at-risk cells"},
-        engineTunable(),
     };
     spec.schema = {
         {"code", JsonType::String, "(n,k) of the on-die BCH code"},
@@ -262,15 +273,13 @@ makeBchTSweep()
         const auto t = ctx.getCount("on_die_t");
         const auto n_errors = ctx.getCount("pre_errors");
         const auto k = ctx.getCount("k");
-        const auto words = ctx.getCount("words");
+        const auto words = wordsFromContext(ctx);
         const auto rounds = ctx.getCount("rounds");
         const double prob = ctx.getDouble("prob");
-        const core::EngineKind engine = engineFromContext(ctx);
 
         const ecc::BchCode code(k, t);
 
-        // Per-word state with the standard per-word seed derivations;
-        // every engine consumes the identical per-word streams.
+        // Per-word state with the standard per-word seed derivations.
         struct SweepWord
         {
             fault::WordFaultModel faults;
@@ -283,9 +292,8 @@ makeBchTSweep()
                 return {nullptr, &faults, seed, {naive.get(), harp.get()}};
             }
         };
-        const core::WordRun run{engine, words, rounds,
-                                core::PatternKind::Random, ctx.threads(),
-                                &code};
+        const core::WordRun run{words, rounds, core::PatternKind::Random,
+                                ctx.threads(), &code};
         const auto make = [&](std::size_t w) {
             common::Xoshiro256 fault_rng(
                 common::deriveSeed(ctx.seed(), {0xFA17u, w}));
@@ -376,7 +384,6 @@ makeLowProbability()
         {"words", 150, "simulated ECC words per point"},
         {"normal_cells", 3, "at-risk cells at p = 0.5 per word"},
         {"low_cells", 2, "low-probability at-risk cells per word"},
-        engineTunable(),
     };
     spec.schema = {
         {"direct_coverage", JsonType::Double,
@@ -390,14 +397,11 @@ makeLowProbability()
     spec.run = [](const RunContext &ctx) {
         const double p_low_v = ctx.getDouble("p_low");
         const auto rounds_v = ctx.getCount("rounds");
-        const auto words = ctx.getCount("words");
+        const auto words = wordsFromContext(ctx);
         const auto n_normal = ctx.getCount("normal_cells");
         const auto n_low = ctx.getCount("low_cells");
 
-        const core::EngineKind engine_kind = engineFromContext(ctx);
-
-        // Per-word codes (equal k) and seed derivations are identical
-        // under every engine, so each emits byte-identical JSONL.
+        // Per-word codes (equal k) and seed derivations.
         struct TierWord
         {
             ecc::HammingCode code;
@@ -410,8 +414,8 @@ makeLowProbability()
                 return {&code, &faults, seed, {harp.get()}};
             }
         };
-        const core::WordRun run{engine_kind, words, rounds_v,
-                                core::PatternKind::Random, ctx.threads()};
+        const core::WordRun run{words, rounds_v, core::PatternKind::Random,
+                                ctx.threads()};
         const auto make = [&](std::size_t w) {
             common::Xoshiro256 code_rng(
                 common::deriveSeed(ctx.seed(), {0xC0DEu, w}));

@@ -11,7 +11,7 @@
  * chi-square statistic the test tier bounds.
  *
  * Both experiments derive all randomness from ctx.seed(), so campaign
- * JSONL is byte-identical at any --threads and under every engine.
+ * JSONL is byte-identical at any --threads.
  */
 
 #include <algorithm>
@@ -23,7 +23,6 @@
 #include "fleet/policy.hh"
 #include "fleet/population.hh"
 #include "runner/registry.hh"
-#include "runner/sweeps.hh"
 
 namespace harp::runner {
 
@@ -94,7 +93,6 @@ runPolicySweepPoint(const RunContext &ctx)
             "windows must be at least 1 (no field operation is replayed)");
     config.seed = fleetSeedFromContext(ctx);
     config.threads = ctx.threads();
-    config.engine = engineFromContext(ctx);
 
     config.policy.profiler =
         fleet::profilerKindFromName(ctx.getString("profiler"));
@@ -241,7 +239,6 @@ registerFleetSpecs(Registry &registry)
             {"windows", 32, "operation windows replayed per chip"});
         spec.tunables.push_back(
             {"rounds", 32, "active-profiling rounds per faulty word"});
-        spec.tunables.push_back(engineTunable());
         spec.schema = {
             {"chips", JsonType::Int, "simulated chips"},
             {"faulty_chips", JsonType::Int,

@@ -29,13 +29,19 @@
 #include "ecc/sliced_hamming.hh"
 #include "runner/campaign.hh"
 #include "runner/registry.hh"
-#include "runner/sweeps.hh"
 
 namespace harp::runner {
 
 namespace {
 
 using namespace harp;
+
+/** The two engines this experiment times against each other. */
+enum class Engine
+{
+    Scalar,   ///< core::RoundEngine, one word at a time.
+    Sliced64, ///< core::SlicedRoundEngine, 64 words per lane-op.
+};
 
 /** Scale of one throughput measurement (Fig. 6 defaults). */
 struct PerfWorkload
@@ -150,7 +156,7 @@ struct SlicedDatapaths
 /** The words of one workload, grouped per code (= per sliced block). */
 struct PerfFleet
 {
-    PerfFleet(const PerfWorkload &workload, core::EngineKind engine)
+    PerfFleet(const PerfWorkload &workload, Engine engine)
     {
         if (workload.bch) {
             // A BCH code is fully determined by (k, t): one shared
@@ -175,7 +181,7 @@ struct PerfFleet
         }
         // Scalar fleets never touch the sliced datapaths, so they skip
         // the build.
-        if (engine == core::EngineKind::Sliced64)
+        if (engine == Engine::Sliced64)
             sliced.build(workload, codes, bchCode.get());
     }
 
@@ -281,13 +287,12 @@ driveFleetSliced(PerfFleet &fleet, const PerfWorkload &workload,
  * leave it null so clock reads never contaminate them.
  */
 DriveStats
-driveFleet(PerfFleet &fleet, const PerfWorkload &workload,
-           core::EngineKind engine,
+driveFleet(PerfFleet &fleet, const PerfWorkload &workload, Engine engine,
            core::EnginePhaseSeconds *phases = nullptr)
 {
     DriveStats stats;
     const auto start = std::chrono::steady_clock::now();
-    if (engine == core::EngineKind::Scalar) {
+    if (engine == Engine::Scalar) {
         for (auto &code_words : fleet.words) {
             for (auto &word : code_words) {
                 std::unique_ptr<core::RoundEngine> round_engine;
@@ -329,8 +334,7 @@ struct EngineMeasurement
 };
 
 EngineMeasurement
-measureEngine(const PerfWorkload &workload, core::EngineKind engine,
-              std::size_t reps)
+measureEngine(const PerfWorkload &workload, Engine engine, std::size_t reps)
 {
     EngineMeasurement best;
     for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -441,9 +445,9 @@ makePerfEngineThroughput()
         const auto reps = std::max<std::size_t>(1, ctx.getCount("reps"));
 
         const EngineMeasurement scalar =
-            measureEngine(workload, core::EngineKind::Scalar, reps);
+            measureEngine(workload, Engine::Scalar, reps);
         const EngineMeasurement sliced =
-            measureEngine(workload, core::EngineKind::Sliced64, reps);
+            measureEngine(workload, Engine::Sliced64, reps);
         // Degenerate workloads (--words 0, --rounds 0) can time as
         // exactly zero; clamp so the throughput/speedup divisions stay
         // finite (JSON serializes non-finite doubles as null, which

@@ -66,27 +66,6 @@ checkpointsJson(const std::vector<std::size_t> &checkpoints)
     return arr;
 }
 
-/**
- * The profiling-engine selector shared by every spec that drives
- * rounds: `--engine scalar` or `--engine sliced64`. Results are
- * bit-identical under both (equal campaign result_hashes); the sliced
- * engine batches 64 ECC words per lane operation on the hot path.
- */
-inline TunableSpec
-engineTunable()
-{
-    return {"engine", "sliced64",
-            "profiling-round engine: scalar | sliced64 "
-            "(bit-identical results)"};
-}
-
-/** Engine selection from the standard tunable. */
-inline core::EngineKind
-engineFromContext(const RunContext &ctx)
-{
-    return core::engineKindFromName(ctx.getString("engine"));
-}
-
 /** The Monte-Carlo scale tunables shared by the coverage-style specs. */
 inline std::vector<TunableSpec>
 coverageTunables()
@@ -96,7 +75,6 @@ coverageTunables()
         {"codes", 8, "randomly generated codes per point"},
         {"words", 24, "simulated ECC words per code"},
         {"rounds", 128, "active-profiling rounds"},
-        engineTunable(),
     };
 }
 
@@ -111,7 +89,6 @@ coverageConfigFromContext(const RunContext &ctx)
     config.rounds = ctx.getCount("rounds");
     config.seed = ctx.seed();
     config.threads = ctx.threads();
-    config.engine = engineFromContext(ctx);
     return config;
 }
 

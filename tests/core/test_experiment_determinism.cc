@@ -50,60 +50,6 @@ hashOf(const Fig4Result &result)
     return hash;
 }
 
-/** Golden hash of a complete case-study result, every series value. */
-std::uint64_t
-hashOf(const CaseStudyResult &result)
-{
-    std::uint64_t hash = test::goldenMix(test::kGoldenInit,
-                                         result.series.size());
-    for (const CaseStudySeries &series : result.series) {
-        hash = test::goldenMix(hash, series.profiler.size());
-        hash = test::goldenMix(hash, series.profiler);
-        hash = test::goldenMixDouble(hash, series.rber);
-        hash = test::goldenMix(hash, test::goldenOf(series.berBefore));
-        hash = test::goldenMix(hash, test::goldenOf(series.berAfter));
-    }
-    for (const std::string &name : result.profilerNames) {
-        hash = test::goldenMix(hash, name.size());
-        hash = test::goldenMix(hash, name);
-    }
-    for (const std::size_t rounds : result.roundsToZeroAfter)
-        hash = test::goldenMix(hash, rounds);
-    return hash;
-}
-
-/**
- * Golden hash of every coverage aggregate: ground-truth totals, the
- * per-round sums, the bootstrap and bound-quantile sample sets and the
- * final simultaneous-error histogram.
- */
-std::uint64_t
-hashOf(const CoverageResult &result)
-{
-    std::uint64_t hash = test::goldenMix(test::kGoldenInit,
-                                         result.totalDirectAtRisk);
-    hash = test::goldenMix(hash, result.totalIndirectAtRisk);
-    hash = test::goldenMix(hash, result.numWords);
-    hash = test::goldenMix(hash, result.profilers.size());
-    for (const ProfilerAggregate &agg : result.profilers) {
-        hash = test::goldenMix(hash, agg.name.size());
-        hash = test::goldenMix(hash, agg.name);
-        hash = test::goldenMix(hash, test::goldenOf(agg.directIdentifiedSum));
-        hash = test::goldenMix(hash, test::goldenOf(agg.indirectMissedSum));
-        hash = test::goldenMix(hash, test::goldenOf(agg.falsePositiveSum));
-        hash = test::goldenMix(
-            hash, test::goldenOf(agg.bootstrapRounds.sortedSamples()));
-        hash = test::goldenMix(hash, agg.maxSimultaneousFinal.numBins());
-        for (std::size_t bin = 0; bin < agg.maxSimultaneousFinal.numBins();
-             ++bin)
-            hash = test::goldenMix(hash, agg.maxSimultaneousFinal.bin(bin));
-        for (const common::PercentileTracker &bound : agg.roundsToBound)
-            hash = test::goldenMix(hash,
-                                   test::goldenOf(bound.sortedSamples()));
-    }
-    return hash;
-}
-
 /** Pool sizes every experiment must agree across: serial, small, the
  *  full machine, and an oversubscribed pool (8 exceeds 4 cores and, on
  *  wider machines, hw covers the full-width case). Deduplicated — on a
@@ -159,12 +105,12 @@ TEST_P(PoolSizeDeterminism, CaseStudyBitIdenticalToSerialBaseline)
 
     static const std::uint64_t baseline = [config]() mutable {
         config.threads = 1;
-        return hashOf(runCaseStudyExperiment(config));
+        return test::goldenOf(runCaseStudyExperiment(config));
     }();
 
     config.threads = GetParam();
-    EXPECT_TRUE(test::goldenMatches(hashOf(runCaseStudyExperiment(config)),
-                                    baseline))
+    EXPECT_TRUE(test::goldenMatches(
+        test::goldenOf(runCaseStudyExperiment(config)), baseline))
         << "CaseStudy result diverges at pool size " << GetParam();
 }
 
@@ -211,10 +157,8 @@ TEST(ExperimentDeterminism, CaseStudyRepeatableForFixedSeed)
         EXPECT_EQ(a.series[s].berBefore, b.series[s].berBefore);
 }
 
-/**
- * Absolute pin of a small Figs. 6-9 cell with the HARP-A+BEEP hybrid:
- * both engines must reproduce the same bytes.
- */
+/** Absolute pin of a small Figs. 6-9 cell with the HARP-A+BEEP
+ *  hybrid. */
 TEST(ExperimentDeterminism, CoverageGolden)
 {
     CoverageConfig config;
@@ -226,13 +170,8 @@ TEST(ExperimentDeterminism, CoverageGolden)
     config.includeHarpABeep = true;
     config.seed = 2024;
     config.threads = 2;
-    for (const EngineKind engine :
-         {EngineKind::Scalar, EngineKind::Sliced64}) {
-        config.engine = engine;
-        EXPECT_TRUE(test::goldenMatches(hashOf(runCoverageExperiment(config)),
-                                        0x0EB39FF6802CD172ULL))
-            << "engine " << static_cast<int>(engine);
-    }
+    EXPECT_TRUE(test::goldenMatches(
+        test::goldenOf(runCoverageExperiment(config)), 0x0EB39FF6802CD172ULL));
 }
 
 /** Absolute pin of a small Fig. 10 facet. */
@@ -245,13 +184,8 @@ TEST(ExperimentDeterminism, CaseStudyGolden)
     config.rounds = 24;
     config.seed = 2024;
     config.threads = 2;
-    for (const EngineKind engine :
-         {EngineKind::Scalar, EngineKind::Sliced64}) {
-        config.engine = engine;
-        EXPECT_TRUE(test::goldenMatches(
-            hashOf(runCaseStudyExperiment(config)), 0x8F5C867C21AC1666ULL))
-            << "engine " << static_cast<int>(engine);
-    }
+    EXPECT_TRUE(test::goldenMatches(
+        test::goldenOf(runCaseStudyExperiment(config)), 0x8F5C867C21AC1666ULL));
 }
 
 } // namespace

@@ -1,13 +1,13 @@
 /**
  * @file
  * Contract tests for core::profileWords, the one driver behind every
- * engine-selectable experiment: for each engine, ragged and exact word
- * counts, and serial and sharded runs, every word is made once and
- * finished once in ascending word order after all of its rounds, at
- * most lanes × threads words are alive at once, and every profiler's
- * identified() read inside finish equals a hand-rolled per-word scalar
- * RoundEngine loop over the same seeds — for per-word SEC Hamming codes
- * and for one shared BCH code.
+ * profiling experiment: for ragged and exact word counts, and serial
+ * and sharded runs, every word is made once and finished once in
+ * ascending word order after all of its rounds, at most 64 × threads
+ * words are alive at once, and every profiler's identified() read
+ * inside finish equals a hand-rolled per-word scalar RoundEngine loop
+ * over the same seeds (the reference the sliced engine must equal) —
+ * for per-word SEC Hamming codes and for one shared BCH code.
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +20,9 @@
 
 #include "common/rng.hh"
 #include "core/beep_profiler.hh"
-#include "core/engine_kind.hh"
 #include "core/harp_profiler.hh"
 #include "core/naive_profiler.hh"
+#include "core/profile_words.hh"
 #include "core/round_engine.hh"
 #include "ecc/bch_general.hh"
 #include "ecc/hamming_code.hh"
@@ -35,6 +35,7 @@ constexpr std::uint64_t kSeed = 0x9E1D;
 constexpr std::size_t kK = 32;
 constexpr std::size_t kRounds = 3;
 constexpr std::size_t kMaxWords = 257;
+constexpr std::size_t kLanes = 64;
 
 /** Counts the words alive at once, from make until the driver frees
  *  them, and the most ever alive. */
@@ -137,54 +138,46 @@ void
 checkDriver(const ecc::BchCode *bch)
 {
     const auto reference = scalarReference(bch);
-    for (const EngineKind kind : {EngineKind::Scalar, EngineKind::Sliced64}) {
-        for (const std::size_t words : {0, 1, 63, 64, 65, 256, 257}) {
-            for (const std::size_t threads : {1, 4}) {
-                SCOPED_TRACE("engine=" +
-                             std::to_string(static_cast<int>(kind)) +
-                             " words=" +
-                             std::to_string(words) + " threads=" +
-                             std::to_string(threads));
-                const WordRun run{kind, words, kRounds, PatternKind::Random,
-                                  threads, bch};
-                const std::size_t lanes =
-                    kind == EngineKind::Scalar ? 1 : 64;
+    for (const std::size_t words : {0, 1, 63, 64, 65, 256, 257}) {
+        for (const std::size_t threads : {1, 4}) {
+            SCOPED_TRACE("words=" + std::to_string(words) +
+                         " threads=" + std::to_string(threads));
+            const WordRun run{words, kRounds, PatternKind::Random, threads,
+                              bch};
 
-                Census census;
-                std::vector<std::atomic<int>> made(words);
-                std::size_t finished = 0;
-                profileWords<Word>(
-                    run,
-                    [&](std::size_t w) {
-                        EXPECT_LT(w, words);
-                        ++made[w];
-                        return makeWord(w, bch, &census);
-                    },
-                    [&](Word &word, std::size_t r) {
-                        EXPECT_EQ(r, word.roundsSeen);
-                        ++word.roundsSeen;
-                    },
-                    [&](Word &word) {
-                        // Decoding through the caller's BCH code while
-                        // other words run must not race with them.
-                        if (bch != nullptr)
-                            bch->decodeErrorPattern({0, 1});
-                        EXPECT_EQ(word.index, finished);
-                        ++finished;
-                        EXPECT_EQ(word.roundsSeen, kRounds);
-                        for (std::size_t p = 0; p < word.raw.size(); ++p)
-                            EXPECT_EQ(word.raw[p]->identified(),
-                                      reference[word.index][p])
-                                << "word " << word.index << " profiler "
-                                << p;
-                    });
+            Census census;
+            std::vector<std::atomic<int>> made(words);
+            std::size_t finished = 0;
+            profileWords<Word>(
+                run,
+                [&](std::size_t w) {
+                    EXPECT_LT(w, words);
+                    ++made[w];
+                    return makeWord(w, bch, &census);
+                },
+                [&](Word &word, std::size_t r) {
+                    EXPECT_EQ(r, word.roundsSeen);
+                    ++word.roundsSeen;
+                },
+                [&](Word &word) {
+                    // Decoding through the caller's BCH code while other
+                    // words run must not race with them.
+                    if (bch != nullptr)
+                        bch->decodeErrorPattern({0, 1});
+                    EXPECT_EQ(word.index, finished);
+                    ++finished;
+                    EXPECT_EQ(word.roundsSeen, kRounds);
+                    for (std::size_t p = 0; p < word.raw.size(); ++p)
+                        EXPECT_EQ(word.raw[p]->identified(),
+                                  reference[word.index][p])
+                            << "word " << word.index << " profiler " << p;
+                });
 
-                EXPECT_EQ(finished, words);
-                for (std::size_t w = 0; w < words; ++w)
-                    EXPECT_EQ(made[w].load(), 1) << "word " << w;
-                EXPECT_EQ(census.live.load(), 0u);
-                EXPECT_LE(census.peak.load(), lanes * threads);
-            }
+            EXPECT_EQ(finished, words);
+            for (std::size_t w = 0; w < words; ++w)
+                EXPECT_EQ(made[w].load(), 1) << "word " << w;
+            EXPECT_EQ(census.live.load(), 0u);
+            EXPECT_LE(census.peak.load(), kLanes * threads);
         }
     }
 }
@@ -202,8 +195,7 @@ TEST(ProfileWords, SharedBchWordsMatchScalarLoopInWordOrder)
 
 TEST(ProfileWords, AfterRoundIsOptional)
 {
-    const WordRun run{EngineKind::Sliced64, 70, kRounds,
-                      PatternKind::Random, 2};
+    const WordRun run{70, kRounds, PatternKind::Random, 2};
     std::size_t finished = 0;
     profileWords<Word>(
         run, [](std::size_t w) { return makeWord(w, nullptr); }, nullptr,
@@ -219,11 +211,8 @@ TEST(ProfileWords, AfterRoundIsOptional)
 class LaterBlockLatch
 {
   public:
-    LaterBlockLatch(std::size_t failing_word, EngineKind kind,
-                    std::size_t threads)
-        : nextBlock_((failing_word / (kind == EngineKind::Scalar ? 1 : 64) +
-                      1) *
-                     (kind == EngineKind::Scalar ? 1 : 64)),
+    LaterBlockLatch(std::size_t failing_word, std::size_t threads)
+        : nextBlock_((failing_word / kLanes + 1) * kLanes),
           wait_(threads > 1)
     {
     }
@@ -250,51 +239,47 @@ class LaterBlockLatch
 
 TEST(ProfileWords, CallbackExceptionFailsTheCall)
 {
-    for (const EngineKind kind : {EngineKind::Scalar, EngineKind::Sliced64}) {
-        for (const std::size_t threads : {1, 4}) {
-            SCOPED_TRACE(std::to_string(threads) + " threads");
-            const WordRun run{kind, 200, kRounds, PatternKind::Random,
-                              threads};
-            Census census;
-            LaterBlockLatch make_latch(130, kind, threads);
-            EXPECT_THROW(profileWords<Word>(
-                             run,
-                             [&](std::size_t w) {
-                                 make_latch.made(w);
-                                 if (w == 130) {
-                                     make_latch.await();
-                                     throw std::invalid_argument("word 130");
-                                 }
-                                 return makeWord(w, nullptr, &census);
-                             },
-                             nullptr, [](Word &) {}),
-                         std::invalid_argument);
-            LaterBlockLatch finish_latch(70, kind, threads);
-            EXPECT_THROW(profileWords<Word>(
-                             run,
-                             [&](std::size_t w) {
-                                 finish_latch.made(w);
-                                 return makeWord(w, nullptr, &census);
-                             },
-                             nullptr,
-                             [&](Word &word) {
-                                 if (word.index == 70) {
-                                     finish_latch.await();
-                                     throw std::runtime_error("word 70");
-                                 }
-                             }),
-                         std::runtime_error);
-            // Every word made is freed, the failed blocks' words too.
-            EXPECT_EQ(census.live.load(), 0u);
-        }
+    for (const std::size_t threads : {1, 4}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        const WordRun run{200, kRounds, PatternKind::Random, threads};
+        Census census;
+        LaterBlockLatch make_latch(130, threads);
+        EXPECT_THROW(profileWords<Word>(
+                         run,
+                         [&](std::size_t w) {
+                             make_latch.made(w);
+                             if (w == 130) {
+                                 make_latch.await();
+                                 throw std::invalid_argument("word 130");
+                             }
+                             return makeWord(w, nullptr, &census);
+                         },
+                         nullptr, [](Word &) {}),
+                     std::invalid_argument);
+        LaterBlockLatch finish_latch(70, threads);
+        EXPECT_THROW(profileWords<Word>(
+                         run,
+                         [&](std::size_t w) {
+                             finish_latch.made(w);
+                             return makeWord(w, nullptr, &census);
+                         },
+                         nullptr,
+                         [&](Word &word) {
+                             if (word.index == 70) {
+                                 finish_latch.await();
+                                 throw std::runtime_error("word 70");
+                             }
+                         }),
+                     std::runtime_error);
+        // Every word made is freed, the failed blocks' words too.
+        EXPECT_EQ(census.live.load(), 0u);
     }
 }
 
 TEST(ProfileWords, CodeMustMatchTheRunsBch)
 {
     const ecc::BchCode bch(kK, 2);
-    const WordRun bch_run{EngineKind::Scalar, 1, kRounds,
-                          PatternKind::Random, 1, &bch};
+    const WordRun bch_run{1, kRounds, PatternKind::Random, 1, &bch};
     // A word that brings a SEC code into a shared-BCH run...
     EXPECT_THROW(profileWords<Word>(
                      bch_run,
@@ -302,8 +287,7 @@ TEST(ProfileWords, CodeMustMatchTheRunsBch)
                      nullptr, [](Word &) {}),
                  std::invalid_argument);
     // ... and one that brings none into a SEC run.
-    const WordRun sec_run{EngineKind::Sliced64, 1, kRounds,
-                          PatternKind::Random, 1};
+    const WordRun sec_run{1, kRounds, PatternKind::Random, 1};
     EXPECT_THROW(profileWords<Word>(
                      sec_run,
                      [&](std::size_t w) { return makeWord(w, &bch); },

@@ -13,8 +13,6 @@
 #include <memory>
 
 #include "core/beep_profiler.hh"
-#include "core/case_study_experiment.hh"
-#include "core/coverage_experiment.hh"
 #include "core/harp_a_beep_profiler.hh"
 #include "core/harp_profiler.hh"
 #include "core/naive_profiler.hh"
@@ -172,88 +170,6 @@ TEST(SlicedRoundEngine, HandlesFaultFreeLanes)
         checkEngineEquivalence(codes, faults, PatternKind::Charged, 12,
                                seed);
     });
-}
-
-/**
- * Whole-experiment equivalence: the coverage experiment must emit
- * byte-identical aggregates under both engines — the property the
- * runner's `--engine` tunable and campaign result_hash equality rely
- * on. wordsPerCode = 70 forces a ragged second block (64 + 6 lanes).
- */
-TEST(EngineEquivalence, CoverageExperimentAggregatesMatch)
-{
-    CoverageConfig config;
-    config.k = 64;
-    config.numCodes = 2;
-    config.wordsPerCode = 70;
-    config.rounds = 10;
-    config.numPreCorrectionErrors = 3;
-    config.perBitProbability = 0.5;
-    config.includeHarpABeep = true;
-    config.seed = 99;
-    config.threads = 2;
-
-    config.engine = EngineKind::Scalar;
-    const CoverageResult scalar = runCoverageExperiment(config);
-    config.engine = EngineKind::Sliced64;
-    const CoverageResult sliced = runCoverageExperiment(config);
-
-    EXPECT_EQ(scalar.totalDirectAtRisk, sliced.totalDirectAtRisk);
-    EXPECT_EQ(scalar.totalIndirectAtRisk, sliced.totalIndirectAtRisk);
-    EXPECT_EQ(scalar.numWords, sliced.numWords);
-    ASSERT_EQ(scalar.profilers.size(), sliced.profilers.size());
-    for (std::size_t p = 0; p < scalar.profilers.size(); ++p) {
-        const ProfilerAggregate &a = scalar.profilers[p];
-        const ProfilerAggregate &b = sliced.profilers[p];
-        EXPECT_EQ(a.name, b.name);
-        EXPECT_EQ(a.directIdentifiedSum, b.directIdentifiedSum) << a.name;
-        EXPECT_EQ(a.indirectMissedSum, b.indirectMissedSum) << a.name;
-        EXPECT_EQ(a.falsePositiveSum, b.falsePositiveSum) << a.name;
-        EXPECT_EQ(a.bootstrapRounds.sortedSamples(),
-                  b.bootstrapRounds.sortedSamples())
-            << a.name;
-        ASSERT_EQ(a.maxSimultaneousFinal.numBins(),
-                  b.maxSimultaneousFinal.numBins());
-        for (std::size_t bin = 0; bin < a.maxSimultaneousFinal.numBins();
-             ++bin)
-            EXPECT_EQ(a.maxSimultaneousFinal.bin(bin),
-                      b.maxSimultaneousFinal.bin(bin))
-                << a.name << " bin " << bin;
-        for (std::size_t x = 0; x < maxTrackedBound; ++x)
-            EXPECT_EQ(a.roundsToBound[x].sortedSamples(),
-                      b.roundsToBound[x].sortedSamples())
-                << a.name << " bound " << x + 1;
-    }
-}
-
-/** Same property for the Fig. 10 case study, whose sliced blocks carry
- *  a different random code in every lane. */
-TEST(EngineEquivalence, CaseStudyExperimentSeriesMatch)
-{
-    CaseStudyConfig config;
-    config.k = 64;
-    config.perBitProbability = 0.75;
-    config.maxConditionedCells = 3;
-    config.samplesPerCellCount = 9;
-    config.rounds = 12;
-    config.seed = 17;
-    config.threads = 2;
-
-    config.engine = EngineKind::Scalar;
-    const CaseStudyResult scalar = runCaseStudyExperiment(config);
-    config.engine = EngineKind::Sliced64;
-    const CaseStudyResult sliced = runCaseStudyExperiment(config);
-
-    EXPECT_EQ(scalar.roundsToZeroAfter, sliced.roundsToZeroAfter);
-    ASSERT_EQ(scalar.series.size(), sliced.series.size());
-    for (std::size_t i = 0; i < scalar.series.size(); ++i) {
-        EXPECT_EQ(scalar.series[i].profiler, sliced.series[i].profiler);
-        EXPECT_EQ(scalar.series[i].rber, sliced.series[i].rber);
-        // Conditional sums are integers mixed with identical Binomial
-        // weights in identical order: exact double equality holds.
-        EXPECT_EQ(scalar.series[i].berBefore, sliced.series[i].berBefore);
-        EXPECT_EQ(scalar.series[i].berAfter, sliced.series[i].berAfter);
-    }
 }
 
 /**

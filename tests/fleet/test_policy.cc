@@ -9,10 +9,11 @@
  * contract: every chip's randomness derives from (fleet seed, chip
  * index) only, so two policies see literally the same fleet and the
  * same per-window retention trials — tightening one axis must not
- * worsen the failure count. The cross-engine / cross-thread tests assert exact
- * FleetAggregator equality, the in-memory face of the campaign-level
- * byte-identity acceptance. The golden pins fix the absolute output, so
- * a replay change shared by every engine and thread count still shows.
+ * worsen the failure count. The reference and cross-thread tests
+ * assert exact FleetAggregator equality, the in-memory face of the
+ * campaign-level byte-identity acceptance. The golden pins fix the
+ * absolute output, so a replay change shared by every path and thread
+ * count still shows.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "ecc/hamming_code.hh"
 #include "fault/fault_model.hh"
 #include "fleet/policy.hh"
 #include "support/golden.hh"
@@ -402,18 +404,56 @@ TEST(FleetProperty, ProfilingRoundsMonotoneUnderUnlimitedBudget)
     });
 }
 
-/** Scalar and sliced64 runs of the same fleet are exactly equal —
- *  every counter and histogram bin. */
-TEST(FleetDeterminism, EnginesProduceIdenticalAggregates)
+/** The fleet of @p config built chip by chip from the public pieces,
+ *  every faulty chip profiled on its own by the scalar reference. */
+FleetAggregator
+referenceFleet(const FleetConfig &config)
 {
-    FleetConfig config = hotFleet(0xF1EE7);
-    config.engine = core::EngineKind::Scalar;
-    const FleetAggregator scalar = runFleet(config);
-    ASSERT_GT(scalar.faultyChips(), 0u);
-    ASSERT_GT(scalar.profiledBits(), 0u);
+    const std::size_t n = config.k + ecc::HammingCode::minParityBits(config.k);
+    const PopulationSampler sampler(config.distribution,
+                                    {config.wordsPerChip, n},
+                                    config.deviceHours, config.seed);
+    FleetAggregator agg;
+    for (std::size_t chip = 0; chip < config.chips; ++chip) {
+        const ChipSample sample = sampler.sample(chip);
+        if (!sample.faulty()) {
+            agg.addCleanChip();
+            continue;
+        }
+        ChipSim sim = makeChipSim(config.seed, chip, config.k,
+                                  sampler.materialize(sample),
+                                  sample.events.size());
+        profileChipScalar(sim, config.policy);
+        agg.addChip(runChipOperation(sim, config.wordsPerChip, config.policy,
+                                     config.windows));
+    }
+    return agg;
+}
 
-    config.engine = core::EngineKind::Sliced64;
-    EXPECT_TRUE(runFleet(config) == scalar);
+/** runFleet, which profiles faulty words of many chips together in
+ *  64-lane blocks, equals the chip-by-chip reference exactly — every
+ *  counter and histogram bin — under the single-tier DDR4 preset and
+ *  the three-tier HRM one, at 1 and 4 threads. */
+TEST(FleetDeterminism, BatchedFleetMatchesChipByChipReference)
+{
+    for (const bool hrm : {false, true}) {
+        FleetConfig config = hotFleet(0xF1EE7);
+        if (hrm) {
+            config.distribution = FleetDistribution::hrmTiers();
+            for (double &fit : config.distribution.modeFit)
+                fit *= 400.0;
+            config.policy.profiler = ProfilerKind::HarpA;
+        }
+        const FleetAggregator reference = referenceFleet(config);
+        ASSERT_GT(reference.faultyChips(), 0u);
+        ASSERT_GT(reference.profiledBits(), 0u);
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            config.threads = threads;
+            EXPECT_TRUE(runFleet(config) == reference)
+                << (hrm ? "hrm" : "ddr4") << " at " << threads
+                << " threads";
+        }
+    }
 }
 
 /** Thread-count independence: the stratum fan-out merges in index
@@ -454,8 +494,8 @@ goldenOf(const FleetAggregator &agg)
 
 /**
  * Absolute pins on the replay output. Every other fleet test compares
- * engines or thread counts within one build, so a change to the scalar
- * memsys read path that all engines share would pass them; these
+ * paths or thread counts within one build, so a change to the scalar
+ * memsys read path that all of them share would pass them; these
  * constants would not.
  */
 TEST(FleetGolden, HarpUScrubbedBudgetedFleet)
@@ -499,23 +539,17 @@ TEST(FleetGolden, HrmHarpAScrubbedBudgetedFleet)
 }
 
 /** k = 128 chips (n = 136): parity rows span two storage words and a
- *  sliced profiling block spans three 64-position transposes. Both
- *  engines must land on the one pinned constant. */
-TEST(FleetGolden, K128ChipsUnderBothEngines)
+ *  sliced profiling block spans three 64-position transposes. */
+TEST(FleetGolden, K128Chips)
 {
     FleetConfig config = hotFleet(0x128);
     config.k = 128;
     config.chips = 600;
     config.policy.repairBudget = 12;
-    for (const core::EngineKind engine :
-         {core::EngineKind::Scalar, core::EngineKind::Sliced64}) {
-        config.engine = engine;
-        const FleetAggregator agg = runFleet(config);
-        ASSERT_GT(agg.failedChips(), 0u);
-        ASSERT_GT(agg.profiledBits(), 0u);
-        EXPECT_TRUE(
-            test::goldenMatches(goldenOf(agg), 0xA6474C51B1293E24ULL));
-    }
+    const FleetAggregator agg = runFleet(config);
+    ASSERT_GT(agg.failedChips(), 0u);
+    ASSERT_GT(agg.profiledBits(), 0u);
+    EXPECT_TRUE(test::goldenMatches(goldenOf(agg), 0xA6474C51B1293E24ULL));
 }
 
 /** A fleet with no fault events is all-clean: zero FIT, zero spares. */

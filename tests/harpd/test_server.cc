@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "harpd/checkpoint.hh"
 #include "harpd/client.hh"
 #include "harpd/protocol.hh"
 #include "harpd/server.hh"
@@ -598,14 +599,20 @@ TEST_F(ServerTest, ZeroRoundSubmitFailsTheCampaignNotTheServer)
         EXPECT_EQ(streamed.errorCode, errc::campaignFailed) << experiment;
         EXPECT_FALSE(fs::exists(checkpoints / (id + ".ckpt"))) << experiment;
     }
-    // A malformed value is refused at submit, before a checkpoint exists.
-    {
+    // A malformed value, and the retired `engine` selector (now a knob
+    // no experiment declares), are refused at submit, before a
+    // checkpoint exists.
+    const std::vector<std::pair<std::string, std::map<std::string,
+                                                      std::string>>>
+        refused = {{"malformed", {{"words", "abc"}}},
+                   {"engine", {{"engine", "scalar"}}}};
+    for (const auto &[id, overrides] : refused) {
         Client client(config_.socketPath);
         const StreamedCampaign streamed = streamSubmit(
-            client, submitRequest("malformed", {"fig06_direct_coverage"}, 1,
-                                  1, {{"words", "abc"}}));
-        EXPECT_EQ(streamed.errorCode, errc::badRequest);
-        EXPECT_FALSE(fs::exists(checkpoints / "malformed.ckpt"));
+            client,
+            submitRequest(id, {"fig06_direct_coverage"}, 1, 1, overrides));
+        EXPECT_EQ(streamed.errorCode, errc::badRequest) << id;
+        EXPECT_FALSE(fs::exists(checkpoints / (id + ".ckpt"))) << id;
     }
     Client survivor(config_.socketPath);
     JsonValue ping = JsonValue::object();
@@ -683,6 +690,56 @@ TEST_F(ServerTest, GracefulShutdownCheckpointsAndResumes)
               readFile(fs::path(batch) / "slow.jsonl"));
     EXPECT_EQ(readFile(published / "summary.json"),
               readFile(fs::path(batch) / "summary.json"));
+}
+
+/**
+ * A checkpoint written before the `engine` selector was retired still
+ * resumes: its header carries `engine` in its overrides, which the
+ * session ignores like any knob no experiment declares. The campaign
+ * publishes the bytes of a batch run without it, and the checkpoint is
+ * consumed, not set aside as .bad.
+ */
+TEST_F(ServerTest, CheckpointWithRetiredEngineOverrideResumes)
+{
+    config_.registry = &runner::builtinRegistry();
+    const std::map<std::string, std::string> overrides = {
+        {"codes", "1"}, {"words", "70"}, {"rounds", "6"}};
+    CheckpointHeader header;
+    header.campaign = "legacy";
+    header.experiments = {"fig06_direct_coverage"};
+    header.seed = 7;
+    header.overrides = overrides;
+    header.overrides["engine"] = "scalar";
+    const fs::path ckpt =
+        fs::path(config_.dataDir) / "checkpoints" / "legacy.ckpt";
+    fs::create_directories(ckpt.parent_path());
+    {
+        const CheckpointWriter writer(ckpt.string(), header);
+    }
+
+    startServer();
+    EXPECT_EQ(server_->resumedCampaigns(), 1u);
+    awaitState("legacy", "done");
+    EXPECT_FALSE(fs::exists(ckpt));
+    EXPECT_FALSE(fs::exists(ckpt.string() + ".bad"));
+
+    const fs::path batch = root_ / "batch_legacy";
+    runner::CampaignOptions options;
+    options.seed = 7;
+    options.threads = 4;
+    options.noTimings = true;
+    options.outDir = batch.string();
+    options.overrides = overrides;
+    std::ostringstream log;
+    runner::runCampaign(
+        runner::builtinRegistry().select({"fig06_direct_coverage"}), options,
+        log);
+    const fs::path published =
+        fs::path(config_.dataDir) / "results" / "legacy";
+    EXPECT_EQ(readFile(published / "fig06_direct_coverage.jsonl"),
+              readFile(batch / "fig06_direct_coverage.jsonl"));
+    EXPECT_EQ(readFile(published / "summary.json"),
+              readFile(batch / "summary.json"));
 }
 
 TEST_F(ServerTest, SubmitDuringShutdownIsRefused)

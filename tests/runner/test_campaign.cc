@@ -4,7 +4,7 @@
  * schema validity of every emitted metrics object, axis collapsing from
  * overrides, repeats, and the determinism contract — a seed-fixed
  * campaign produces identical result hashes across 1/4/hardware-thread
- * sharding.
+ * sharding, and the hashes of pinned configurations do not move.
  */
 
 #include <gtest/gtest.h>
@@ -14,12 +14,15 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <unistd.h>
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "core/case_study_experiment.hh"
+#include "core/coverage_experiment.hh"
 #include "ecc/bch_general.hh"
 #include "fault/fault_model.hh"
 #include "runner/campaign.hh"
@@ -280,122 +283,198 @@ TEST(CampaignDeterminism, SeedFixedHashesAgreeAcrossShardCounts)
 }
 
 /**
- * The engine × sharding contract behind `--engine`/`--threads`: both
- * engines (scalar, sliced64) at every shard count (1, 4, hardware)
- * must emit byte-identical JSONL (equal result hashes) for a fixed
- * seed over the coverage, case-study and low-probability specs (the
- * last one with heterogeneous per-word codes through the lane-native
- * observation path). 70 words exercise a ragged sliced block (64 + 6
- * lanes), and the multi-thread runs drive the intra-job sharding +
- * in-order word finish of core::profileWords.
+ * The sharding contract behind `--threads`: every shard count (1, 4,
+ * hardware) must emit byte-identical JSONL (equal result hashes) for a
+ * fixed seed over the coverage, case-study and low-probability specs
+ * (the last one with heterogeneous per-word codes through the
+ * lane-native observation path). 70 words exercise a ragged lane block
+ * (64 + 6 lanes), and the multi-thread runs drive the intra-job
+ * sharding + in-order word finish of core::profileWords. The hashes
+ * themselves are pinned in the table below.
  */
-TEST(CampaignDeterminism, EngineAndShardOverridesHashIdentically)
+TEST(CampaignDeterminism, ShardOverridesHashIdentically)
 {
     std::vector<CampaignSummary> runs;
     std::vector<std::string> jsonl_bytes;
-    std::vector<std::string> tags;
-    for (const char *engine : {"scalar", "sliced64"}) {
-        for (const std::size_t threads :
-             {std::size_t{1}, std::size_t{4}, std::size_t{0} /* hw */}) {
-            const std::string tag = std::string(engine) + "_t" +
-                                    std::to_string(threads);
-            const TempDir dir("engine_" + tag);
-            CampaignOptions options;
-            options.seed = 11;
-            options.threads = threads;
-            options.outDir = dir.str();
-            options.overrides = {{"engine", engine}, {"codes", "1"},
-                                 {"words", "70"},    {"rounds", "6"},
-                                 {"prob", "0.5"},    {"pre_errors", "3"},
-                                 {"samples", "5"},   {"max_cells", "2"}};
-            std::ostringstream log;
-            runs.push_back(runFast({"fig06_direct_coverage",
-                                    "fig10_case_study",
-                                    "extension_low_probability"},
-                                   options, log));
-            std::string bytes;
-            for (const ExperimentRunSummary &exp :
-                 runs.back().experiments)
-                bytes += readFile(exp.jsonlPath);
-            jsonl_bytes.push_back(std::move(bytes));
-            tags.push_back(tag);
-        }
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{4}, std::size_t{0} /* hw */}) {
+        const TempDir dir("shard_t" + std::to_string(threads));
+        CampaignOptions options;
+        options.seed = 11;
+        options.threads = threads;
+        options.outDir = dir.str();
+        options.overrides = {{"codes", "1"},      {"words", "70"},
+                             {"rounds", "6"},     {"prob", "0.5"},
+                             {"pre_errors", "3"}, {"samples", "5"},
+                             {"max_cells", "2"}};
+        std::ostringstream log;
+        runs.push_back(runFast({"fig06_direct_coverage", "fig10_case_study",
+                                "extension_low_probability"},
+                               options, log));
+        std::string bytes;
+        for (const ExperimentRunSummary &exp : runs.back().experiments)
+            bytes += readFile(exp.jsonlPath);
+        jsonl_bytes.push_back(std::move(bytes));
     }
-    ASSERT_EQ(runs.size(), 6u);
+    ASSERT_EQ(runs.size(), 3u);
     for (std::size_t r = 1; r < runs.size(); ++r) {
         ASSERT_EQ(runs[r].experiments.size(),
                   runs[0].experiments.size());
         for (std::size_t e = 0; e < runs[0].experiments.size(); ++e)
             EXPECT_EQ(runs[r].experiments[e].resultHash,
                       runs[0].experiments[e].resultHash)
-                << runs[0].experiments[e].name << ": " << tags[r]
-                << " vs " << tags[0];
+                << runs[0].experiments[e].name << " with "
+                << runs[r].threads << " threads";
         EXPECT_EQ(jsonl_bytes[r], jsonl_bytes[0])
-            << tags[r] << " vs " << tags[0];
+            << runs[r].threads << " threads";
     }
 }
 
-/**
- * The BCH extension sweep under `--engine`: scalar and sliced64 runs
- * of bch_t_sweep must emit byte-identical JSONL for a fixed seed — the
- * memoized sliced BCH datapath is exactly equivalent to the scalar
- * Berlekamp-Massey decoder. words = 70 exercises a ragged sliced block
- * (64 + 6 lanes).
- */
-TEST(CampaignDeterminism, BchTSweepEngineOverridesHashIdentically)
+/** The result hash of each experiment of one seeded campaign. */
+std::vector<std::uint64_t>
+campaignHashes(const std::vector<std::string> &selectors, std::uint64_t seed,
+               std::size_t threads,
+               const std::map<std::string, std::string> &overrides)
 {
+    const TempDir dir("golden_" + std::to_string(seed));
+    CampaignOptions options;
+    options.seed = seed;
+    options.threads = threads;
+    options.outDir = dir.str();
+    options.overrides = overrides;
+    std::ostringstream log;
     std::vector<std::uint64_t> hashes;
-    std::vector<std::string> jsonl_bytes;
-    for (const char *engine : {"scalar", "sliced64"}) {
-        const TempDir dir(std::string("bch_engine_") + engine);
-        CampaignOptions options;
-        options.seed = 13;
-        options.threads = 2;
-        options.outDir = dir.str();
-        options.overrides = {{"engine", engine},
-                             {"words", "70"},
-                             {"rounds", "6"},
-                             {"pre_errors", "3"}};
-        std::ostringstream log;
-        const CampaignSummary summary =
-            runFast({"bch_t_sweep"}, options, log);
-        ASSERT_EQ(summary.experiments.size(), 1u);
-        hashes.push_back(summary.experiments[0].resultHash);
-        jsonl_bytes.push_back(
-            readFile(summary.experiments[0].jsonlPath));
+    for (const ExperimentRunSummary &exp :
+         runFast(selectors, options, log).experiments)
+        hashes.push_back(exp.resultHash);
+    return hashes;
+}
+
+/**
+ * Pins of the configurations that compared the scalar engine with the
+ * sliced one while both were selectable: both engines produced each of
+ * these constants, so the sliced path alone must still reproduce them.
+ * Most rows profile 70 words per code or point, a ragged 64 + 6 lane
+ * block. The experiment rows hash every aggregate of one seeded run;
+ * the campaign rows are result hashes in selector order.
+ */
+TEST(EngineGolden, EveryRowMatchesItsPin)
+{
+    struct Row
+    {
+        const char *name;
+        std::function<std::vector<std::uint64_t>()> hashes;
+        std::vector<std::uint64_t> pins;
+    };
+    const std::vector<Row> rows = {
+        {"coverage aggregates, HARP-A+BEEP, 2 codes x 70 words",
+         [] {
+             core::CoverageConfig config;
+             config.numCodes = 2;
+             config.wordsPerCode = 70;
+             config.rounds = 10;
+             config.numPreCorrectionErrors = 3;
+             config.perBitProbability = 0.5;
+             config.includeHarpABeep = true;
+             config.seed = 99;
+             config.threads = 2;
+             return std::vector<std::uint64_t>{
+                 test::goldenOf(core::runCoverageExperiment(config))};
+         },
+         {0xEA8B037A8DBBDF2AULL}},
+        {"case-study series, a random code per lane",
+         [] {
+             core::CaseStudyConfig config;
+             config.perBitProbability = 0.75;
+             config.maxConditionedCells = 3;
+             config.samplesPerCellCount = 9;
+             config.rounds = 12;
+             config.seed = 17;
+             config.threads = 2;
+             return std::vector<std::uint64_t>{
+                 test::goldenOf(core::runCaseStudyExperiment(config))};
+         },
+         {0x97133976C4FFF1A9ULL}},
+        {"fig06 + fig10 + low probability, seed 11",
+         [] {
+             return campaignHashes(
+                 {"fig06_direct_coverage", "fig10_case_study",
+                  "extension_low_probability"},
+                 11, 1,
+                 {{"codes", "1"}, {"words", "70"}, {"rounds", "6"},
+                  {"prob", "0.5"}, {"pre_errors", "3"}, {"samples", "5"},
+                  {"max_cells", "2"}});
+         },
+         {0xEAF879AEF08BBA2AULL, 0xCB6F771B2FE9AA49ULL,
+          0x21163A323EFB745EULL}},
+        {"fig06 + fig10, seed 5",
+         [] {
+             return campaignHashes(
+                 {"fig06_direct_coverage", "fig10_case_study"}, 5, 2,
+                 {{"codes", "1"}, {"words", "70"}, {"rounds", "6"},
+                  {"prob", "0.5"}, {"pre_errors", "3"}, {"samples", "5"},
+                  {"max_cells", "2"}});
+         },
+         {0xDE7504BE7630CB8BULL, 0x8A60981F9F725FD7ULL}},
+        {"bch_t_sweep at 3 cells, seed 13",
+         [] {
+             return campaignHashes(
+                 {"bch_t_sweep"}, 13, 2,
+                 {{"words", "70"}, {"rounds", "6"}, {"pre_errors", "3"}});
+         },
+         {0x409BDF18D1022D56ULL}},
+        {"bch_t_sweep, seed 9",
+         [] {
+             return campaignHashes({"bch_t_sweep"}, 9, 2,
+                                   {{"words", "70"}, {"rounds", "6"}});
+         },
+         {0xDBBC5A5425D5BEDDULL}},
+        {"low probability, seed 11",
+         [] {
+             return campaignHashes({"extension_low_probability"}, 11, 2,
+                                   {{"words", "70"}, {"rounds", "8"}});
+         },
+         {0x30197151F6976EB1ULL}},
+        {"fleet_policy_sweep, 3000 chips, HARP-U",
+         [] {
+             return campaignHashes(
+                 {"fleet_policy_sweep"}, 21, 1,
+                 {{"chips", "3000"}, {"fit_scale", "300"},
+                  {"windows", "6"}, {"rounds", "8"},
+                  {"device_hours", "43800"}, {"profiler", "harp_u"}});
+         },
+         {0x792B1608FFEE2613ULL}},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.name);
+        const std::vector<std::uint64_t> hashes = row.hashes();
+        ASSERT_EQ(hashes.size(), row.pins.size());
+        for (std::size_t i = 0; i < hashes.size(); ++i)
+            EXPECT_TRUE(test::goldenMatches(hashes[i], row.pins[i]))
+                << "hash " << i;
     }
-    ASSERT_EQ(hashes.size(), 2u);
-    EXPECT_EQ(hashes[0], hashes[1]);
-    EXPECT_EQ(jsonl_bytes[0], jsonl_bytes[1]);
 }
 
 /**
  * Absolute pin of a small bch_t_sweep (on_die_t 1..3, pre_errors
- * 2..5). BchTSweepEngineOverridesHashIdentically only compares the
- * engines with each other, so a change every engine shares (the BCH
- * decoder, the memo fill policy, the ground-truth enumeration) would
- * pass it; this constant would not. words = 70 gives each sliced run a
- * ragged block.
+ * 2..5): a change to the BCH decoder, the memo fill policy or the
+ * ground-truth enumeration moves it. words = 70 gives each point a
+ * ragged lane block.
  */
-TEST(BchGolden, TSweepResultHashUnderEveryEngine)
+TEST(BchGolden, TSweepResultHash)
 {
-    for (const char *engine : {"scalar", "sliced64"}) {
-        const TempDir dir(std::string("bch_golden_") + engine);
-        CampaignOptions options;
-        options.seed = 13;
-        options.threads = 2;
-        options.outDir = dir.str();
-        options.overrides = {
-            {"engine", engine}, {"words", "70"}, {"rounds", "6"}};
-        std::ostringstream log;
-        const CampaignSummary summary =
-            runFast({"bch_t_sweep"}, options, log);
-        ASSERT_EQ(summary.experiments.size(), 1u);
-        EXPECT_EQ(summary.experiments[0].points, 12u);
-        EXPECT_TRUE(test::goldenMatches(summary.experiments[0].resultHash,
-                                        0x3880839C509DDCD7ULL))
-            << "engine " << engine;
-    }
+    const TempDir dir("bch_golden");
+    CampaignOptions options;
+    options.seed = 13;
+    options.threads = 2;
+    options.outDir = dir.str();
+    options.overrides = {{"words", "70"}, {"rounds", "6"}};
+    std::ostringstream log;
+    const CampaignSummary summary = runFast({"bch_t_sweep"}, options, log);
+    ASSERT_EQ(summary.experiments.size(), 1u);
+    EXPECT_EQ(summary.experiments[0].points, 12u);
+    EXPECT_TRUE(test::goldenMatches(summary.experiments[0].resultHash,
+                                    0x3880839C509DDCD7ULL));
 }
 
 /**
@@ -424,7 +503,6 @@ TEST(BchGroundTruth, DeterministicCellsMatchDatawordBruteForce)
         tunables.add("words", ParamValue(1));
         tunables.add("rounds", ParamValue(2));
         tunables.add("prob", ParamValue(1.0));
-        tunables.add("engine", ParamValue("scalar"));
         for (std::uint64_t seed = 0; seed < 150; ++seed) {
             // The sweep's fault stream for word 0.
             common::Xoshiro256 fault_rng(
@@ -455,27 +533,22 @@ TEST(BchGroundTruth, DeterministicCellsMatchDatawordBruteForce)
 }
 
 /** Pins the Fig. 2 wasted-storage Monte Carlo (its branch-free
- *  Bernoulli counting) over the full 70-point grid. The experiment reads
- *  no engine knob, so an engine override — as `label:bench --engine`
- *  passes it — must leave the hash alone. */
-TEST(WasteGolden, Fig02ResultHashUnderEveryEngine)
+ *  Bernoulli counting) over the full 70-point grid. */
+TEST(WasteGolden, Fig02ResultHash)
 {
-    for (const char *engine : {"scalar", "sliced64"}) {
-        const TempDir dir(std::string("waste_golden_") + engine);
-        CampaignOptions options;
-        options.seed = 13;
-        options.threads = 2;
-        options.outDir = dir.str();
-        options.overrides = {{"engine", engine}, {"blocks", "50"}};
-        std::ostringstream log;
-        const CampaignSummary summary =
-            runFast({"fig02_wasted_storage"}, options, log);
-        ASSERT_EQ(summary.experiments.size(), 1u);
-        EXPECT_EQ(summary.experiments[0].points, 70u);
-        EXPECT_TRUE(test::goldenMatches(summary.experiments[0].resultHash,
-                                        0x52973F9359FEAE1FULL))
-            << "engine " << engine;
-    }
+    const TempDir dir("waste_golden");
+    CampaignOptions options;
+    options.seed = 13;
+    options.threads = 2;
+    options.outDir = dir.str();
+    options.overrides = {{"blocks", "50"}};
+    std::ostringstream log;
+    const CampaignSummary summary =
+        runFast({"fig02_wasted_storage"}, options, log);
+    ASSERT_EQ(summary.experiments.size(), 1u);
+    EXPECT_EQ(summary.experiments[0].points, 70u);
+    EXPECT_TRUE(test::goldenMatches(summary.experiments[0].resultHash,
+                                    0x52973F9359FEAE1FULL));
 }
 
 /**
@@ -486,8 +559,9 @@ TEST(WasteGolden, Fig02ResultHashUnderEveryEngine)
  *    enumeration (2^pre_errors subsets);
  *  - `pre_errors` past the codeword length n = 71 of a k = 64 word;
  *  - `words 0` in the retention study (its access loop draws words
- *    modulo the word count, a division by zero);
- *  - an engine name other than `scalar` or `sliced64`;
+ *    modulo the word count, a division by zero) and in the three BCH
+ *    and low-probability extensions (zero words once reported full
+ *    coverage and a respected bound);
  *  - `blocks 0` in Fig. 2 (the simulated fraction divides by zero);
  *  - a negative count, whether a tunable or an axis (it would wrap to
  *    a near-2^64 loop bound).
@@ -511,10 +585,11 @@ TEST(Campaign, OutOfRangeTunablesFailTheJob)
          "100 at-risk cells do not fit a 71-bit word"},
         {"retention_case_study", {{"words", "0"}},
          "words must be at least 1"},
-        {"fig06_direct_coverage",
-         {{"engine", "sliced256"}, {"codes", "1"}, {"words", "2"},
-          {"rounds", "2"}},
-         "unknown engine kind: sliced256 (expected scalar | sliced64)"},
+        {"bch_t_sweep", {{"words", "0"}}, "words must be at least 1"},
+        {"extension_low_probability", {{"words", "0"}},
+         "words must be at least 1"},
+        {"extension_dec_on_die_ecc", {{"words", "0"}},
+         "words must be at least 1"},
         {"fig02_wasted_storage", {{"blocks", "0"}},
          "blocks must be at least 1"},
         {"fig06_direct_coverage", {{"words", "-1"}},
@@ -933,15 +1008,16 @@ TEST(CampaignDeterminism, RestoredJobsInjectIntoOrderedStream)
  * harp_run's integer flags take only a whole decimal token in range:
  * anything else is a usage error (exit 2), never a silent default
  * (`--threads abc` once ran at hardware concurrency, `--seed abc` as
- * seed 0).
+ * seed 0). The retired `--engine` selector is an unknown flag.
  */
 TEST(RunnerCli, MalformedIntegerFlagsAreUsageErrors)
 {
     const fs::path out =
         fs::temp_directory_path() /
         ("harp_run_cli_" + std::to_string(::getpid()));
-    const auto run = [&out](std::vector<std::string> flags) {
-        std::vector<std::string> args = {"harp_run", "quickstart",
+    const auto run = [&out](std::vector<std::string> flags,
+                            const std::string &experiment = "quickstart") {
+        std::vector<std::string> args = {"harp_run", experiment,
                                          "--dry-run", "--out",
                                          out.string()};
         args.insert(args.end(), flags.begin(), flags.end());
@@ -960,6 +1036,8 @@ TEST(RunnerCli, MalformedIntegerFlagsAreUsageErrors)
     EXPECT_EQ(run({"--seed", "18446744073709551616"}), 2);
     EXPECT_EQ(run({"--repeat", "99999999999999999999"}), 2);
     EXPECT_EQ(run({"--repeat", "0"}), 2);
+    EXPECT_EQ(run({}, "fig06_direct_coverage"), 0);
+    EXPECT_EQ(run({"--engine", "scalar"}, "fig06_direct_coverage"), 2);
     fs::remove_all(out);
 }
 

@@ -6,6 +6,8 @@
 #include <string_view>
 
 #include "common/bits.hh"
+#include "core/case_study_experiment.hh"
+#include "core/coverage_experiment.hh"
 
 namespace harp::test {
 namespace {
@@ -68,6 +70,50 @@ goldenOf(const std::vector<std::uint64_t> &values)
     std::uint64_t hash = goldenMix(kGoldenInit, values.size());
     for (const std::uint64_t v : values)
         hash = goldenMix(hash, v);
+    return hash;
+}
+
+std::uint64_t
+goldenOf(const core::CaseStudyResult &result)
+{
+    std::uint64_t hash = goldenMix(kGoldenInit, result.series.size());
+    for (const core::CaseStudySeries &series : result.series) {
+        hash = goldenMix(hash, series.profiler.size());
+        hash = goldenMix(hash, series.profiler);
+        hash = goldenMixDouble(hash, series.rber);
+        hash = goldenMix(hash, goldenOf(series.berBefore));
+        hash = goldenMix(hash, goldenOf(series.berAfter));
+    }
+    for (const std::string &name : result.profilerNames) {
+        hash = goldenMix(hash, name.size());
+        hash = goldenMix(hash, name);
+    }
+    for (const std::size_t rounds : result.roundsToZeroAfter)
+        hash = goldenMix(hash, rounds);
+    return hash;
+}
+
+std::uint64_t
+goldenOf(const core::CoverageResult &result)
+{
+    std::uint64_t hash = goldenMix(kGoldenInit, result.totalDirectAtRisk);
+    hash = goldenMix(hash, result.totalIndirectAtRisk);
+    hash = goldenMix(hash, result.numWords);
+    hash = goldenMix(hash, result.profilers.size());
+    for (const core::ProfilerAggregate &agg : result.profilers) {
+        hash = goldenMix(hash, agg.name.size());
+        hash = goldenMix(hash, agg.name);
+        hash = goldenMix(hash, goldenOf(agg.directIdentifiedSum));
+        hash = goldenMix(hash, goldenOf(agg.indirectMissedSum));
+        hash = goldenMix(hash, goldenOf(agg.falsePositiveSum));
+        hash = goldenMix(hash, goldenOf(agg.bootstrapRounds.sortedSamples()));
+        hash = goldenMix(hash, agg.maxSimultaneousFinal.numBins());
+        for (std::size_t bin = 0; bin < agg.maxSimultaneousFinal.numBins();
+             ++bin)
+            hash = goldenMix(hash, agg.maxSimultaneousFinal.bin(bin));
+        for (const common::PercentileTracker &bound : agg.roundsToBound)
+            hash = goldenMix(hash, goldenOf(bound.sortedSamples()));
+    }
     return hash;
 }
 

@@ -17,6 +17,11 @@
 #include "common/bits.hh"
 #include "gf2/bit_vector.hh"
 
+namespace harp::core {
+struct CaseStudyResult;
+struct CoverageResult;
+} // namespace harp::core
+
 namespace harp::test {
 
 /** FNV-1a offset basis; the seed for all hash chains below (the same
@@ -40,6 +45,14 @@ std::uint64_t goldenOf(const std::vector<double> &values);
 
 /** Hash of an integer series, order-sensitive. */
 std::uint64_t goldenOf(const std::vector<std::uint64_t> &values);
+
+/** Hash of a complete case-study result, every series value. */
+std::uint64_t goldenOf(const core::CaseStudyResult &result);
+
+/** Hash of every coverage aggregate: ground-truth totals, the
+ *  per-round sums, the bootstrap and bound-quantile sample sets and the
+ *  final simultaneous-error histogram. */
+std::uint64_t goldenOf(const core::CoverageResult &result);
 
 /**
  * Assertion comparing a computed golden hash to its pinned value,
