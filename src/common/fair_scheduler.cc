@@ -23,6 +23,18 @@ classRank(PriorityClass cls)
     return 1;
 }
 
+/** Multiplier on the tenant weight while a campaign of @p cls runs. */
+std::size_t
+classBoost(PriorityClass cls)
+{
+    switch (cls) {
+    case PriorityClass::Interactive: return 16;
+    case PriorityClass::Normal: return 4;
+    case PriorityClass::Background: return 1;
+    }
+    return 4;
+}
+
 } // namespace
 
 const char *
@@ -52,24 +64,7 @@ FairScheduler::FairScheduler(Config config) : config_(config)
 {
     if (config_.slots == 0)
         config_.slots = 1;
-    if (config_.interactiveBoost == 0)
-        config_.interactiveBoost = 1;
-    if (config_.normalBoost == 0)
-        config_.normalBoost = 1;
-    if (config_.backgroundBoost == 0)
-        config_.backgroundBoost = 1;
     freeSlots_ = config_.slots;
-}
-
-std::size_t
-FairScheduler::classBoost(PriorityClass cls) const
-{
-    switch (cls) {
-    case PriorityClass::Interactive: return config_.interactiveBoost;
-    case PriorityClass::Normal: return config_.normalBoost;
-    case PriorityClass::Background: return config_.backgroundBoost;
-    }
-    return config_.normalBoost;
 }
 
 std::uint64_t

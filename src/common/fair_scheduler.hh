@@ -66,10 +66,6 @@ class FairScheduler
     {
         /** Pool capacity: max slots granted and not yet released. */
         std::size_t slots = 1;
-        /** Per-class multipliers applied on top of the tenant weight. */
-        std::size_t interactiveBoost = 16;
-        std::size_t normalBoost = 4;
-        std::size_t backgroundBoost = 1;
     };
 
     struct Grant
@@ -155,7 +151,6 @@ class FairScheduler
         std::uint64_t ticket = 0; // FIFO order within the tenant
     };
 
-    std::size_t classBoost(PriorityClass cls) const;
     /** Entity id the stride rule serves next; 0 when none waiting. */
     std::uint64_t chooseLocked() const;
 

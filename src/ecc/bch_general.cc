@@ -61,6 +61,8 @@ fieldDegreeFor(std::size_t k, std::size_t t)
 BchCode::BchCode(std::size_t k, std::size_t t)
     : k_(k), t_(t), field_(fieldDegreeFor(k, t))
 {
+    if (k_ == 0)
+        throw std::invalid_argument("BchCode: k must be at least 1");
     if (t_ < 1 || t_ > 8)
         throw std::invalid_argument("BchCode: t must be in [1, 8]");
     generator_ = generatorFor(field_, t_);

@@ -20,6 +20,8 @@ HammingCode::minParityBits(std::size_t k)
 HammingCode::HammingCode(std::size_t k, std::vector<std::uint32_t> data_cols)
     : k_(k), p_(minParityBits(k)), dataCols_(std::move(data_cols))
 {
+    if (k_ == 0)
+        throw std::invalid_argument("HammingCode: k must be at least 1");
     if (dataCols_.size() != k_)
         throw std::invalid_argument("HammingCode: need exactly k columns");
     const std::uint32_t limit = std::uint32_t{1} << p_;

@@ -23,9 +23,8 @@
  * (stride-fair; repeatable), --default-weight the share of everyone
  * else. --stall-ms arms the wedged-campaign watchdog.
  * --fault-plan injects deterministic I/O faults into every durable
- * write (see common/io.hh for the spec grammar) — the chaos tier and
- * the verify.sh chaos smoke drive the daemon through ENOSPC/EIO/torn-
- * write schedules with it.
+ * write (see common/io.hh for the spec grammar) — the chaos tier
+ * drives the daemon through ENOSPC/EIO/torn-write schedules with it.
  */
 
 #include <algorithm>
@@ -193,7 +192,7 @@ main(int argc, char **argv)
         if (server.resumedCampaigns() > 0)
             std::cerr << "harpd: resumed " << server.resumedCampaigns()
                       << " checkpointed campaign(s)\n";
-        // The line the smoke test and the integration tier wait for.
+        // Ready: the socket accepts connections from here on.
         std::cout << "harpd: listening" << std::endl;
         server.serve();
         g_server = nullptr;

@@ -96,8 +96,8 @@ struct ServerConfig
     std::size_t clientQueueCapacity = 256;
     /** Experiment catalogue; nullptr = builtinRegistry(). */
     const runner::Registry *registry = nullptr;
-    /** Fault schedule applied to every durable write (tests/chaos
-     *  smoke); nullptr = no injection. Not owned. */
+    /** Fault schedule applied to every durable write (the chaos
+     *  tier); nullptr = no injection. Not owned. */
     common::io::FaultPlan *ioFaultPlan = nullptr;
     /** Admission control: per-tenant concurrent-campaign cap
      *  (0 = unlimited). */

@@ -1,8 +1,7 @@
 /**
  * @file
- * Standard sweep axes and helpers shared by the experiment specs — the
- * paper's canonical parameter values, previously copy-pasted across the
- * bench binaries as bench/bench_common.hh.
+ * Standard sweep axes and helpers shared by the experiment specs: the
+ * paper's canonical parameter values.
  */
 
 #ifndef HARP_RUNNER_SWEEPS_HH

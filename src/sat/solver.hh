@@ -6,7 +6,7 @@
  * artifact, appendix A.4). Its one experiment is
  * `beer_reverse_engineering`, which recovers a hidden SEC code's
  * parity-check columns from miscorrection observations (BEER) through
- * sat::CnfBuilder; bench_micro_kernels times it on random 3-SAT. BEEP
+ * sat::CnfBuilder; only the tests under tests/sat/ drive it otherwise. BEEP
  * crafts its data patterns and the at-risk analysis enumerates ground
  * truth by direct GF(2) evaluation, without the solver. Features:
  * two-literal watching, 1-UIP clause learning, VSIDS-style decaying

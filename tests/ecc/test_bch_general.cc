@@ -42,6 +42,8 @@ TEST(BchGeneral, RejectsBadT)
 {
     EXPECT_THROW(BchCode(64, 0), std::invalid_argument);
     EXPECT_THROW(BchCode(64, 9), std::invalid_argument);
+    // A zero-bit dataword is no code at all.
+    EXPECT_THROW(BchCode(0, 1), std::invalid_argument);
 }
 
 TEST(BchGeneral, CleanDecode)

@@ -72,6 +72,9 @@ TEST(HammingCode, RejectsBadColumns)
     EXPECT_THROW(HammingCode(2, {0b11, 0}), std::invalid_argument); // zero
     EXPECT_THROW(HammingCode(2, {0b11, 0b1000}),
                  std::invalid_argument);                          // range
+    EXPECT_THROW(HammingCode(0, {}), std::invalid_argument);      // k = 0
+    common::Xoshiro256 rng(1);
+    EXPECT_THROW(HammingCode::randomSec(0, rng), std::invalid_argument);
 }
 
 TEST(HammingCode, SystematicEncodingPreservesData)

@@ -71,37 +71,44 @@ runSelectors(const std::vector<std::string> &selectors,
 
 /**
  * The acceptance contract: fleet_policy_sweep emits byte-identical
- * JSONL for --threads {1, 4, hardware}. The profiler axis is collapsed
+ * JSONL for --threads {1, 4, hardware}, under the single-tier DDR4
+ * preset and the three-tier HRM one. 10000 chips span three 4096-chip
+ * strata, so each point merges several. The profiler axis is collapsed
  * to keep the matrix fast; the repair_budget and scrub axes stay swept.
  */
 TEST(FleetSpec, PolicySweepBytesIdenticalAcrossThreads)
 {
-    std::vector<std::string> bytes;
-    std::vector<std::uint64_t> hashes;
-    std::vector<std::string> tags;
-    for (const std::size_t threads :
-         {std::size_t{1}, std::size_t{4}, std::size_t{0} /* hw */}) {
-        const std::string tag = "t" + std::to_string(threads);
-        const TempDir dir(tag);
-        CampaignOptions options;
-        options.seed = 21;
-        options.threads = threads;
-        options.outDir = dir.str();
-        options.overrides = smallFleetOverrides();
-        options.overrides["profiler"] = "harp_u";
-        const CampaignSummary summary =
-            runSelectors({"fleet_policy_sweep"}, options);
-        ASSERT_EQ(summary.experiments.size(), 1u);
-        // profiler collapsed: scrub {0,8} x budget {16,-1} remain.
-        EXPECT_EQ(summary.experiments[0].points, 4u);
-        hashes.push_back(summary.experiments[0].resultHash);
-        bytes.push_back(readFile(summary.experiments[0].jsonlPath));
-        tags.push_back(tag);
-    }
-    ASSERT_EQ(bytes.size(), 3u);
-    for (std::size_t r = 1; r < bytes.size(); ++r) {
-        EXPECT_EQ(hashes[r], hashes[0]) << tags[r] << " vs " << tags[0];
-        EXPECT_EQ(bytes[r], bytes[0]) << tags[r] << " vs " << tags[0];
+    for (const std::string dist : {"ddr4", "hrm"}) {
+        std::vector<std::string> bytes;
+        std::vector<std::uint64_t> hashes;
+        std::vector<std::string> tags;
+        for (const std::size_t threads :
+             {std::size_t{1}, std::size_t{4}, std::size_t{0} /* hw */}) {
+            const std::string tag = dist + "_t" + std::to_string(threads);
+            const TempDir dir(tag);
+            CampaignOptions options;
+            options.seed = 21;
+            options.threads = threads;
+            options.outDir = dir.str();
+            options.overrides = smallFleetOverrides();
+            options.overrides["chips"] = "10000";
+            options.overrides["fit_scale"] = "50";
+            options.overrides["profiler"] = "harp_u";
+            options.overrides["dist"] = dist;
+            const CampaignSummary summary =
+                runSelectors({"fleet_policy_sweep"}, options);
+            ASSERT_EQ(summary.experiments.size(), 1u);
+            // profiler collapsed: scrub {0,8} x budget {16,-1} remain.
+            EXPECT_EQ(summary.experiments[0].points, 4u);
+            hashes.push_back(summary.experiments[0].resultHash);
+            bytes.push_back(readFile(summary.experiments[0].jsonlPath));
+            tags.push_back(tag);
+        }
+        ASSERT_EQ(bytes.size(), 3u);
+        for (std::size_t r = 1; r < bytes.size(); ++r) {
+            EXPECT_EQ(hashes[r], hashes[0]) << tags[r] << " vs " << tags[0];
+            EXPECT_EQ(bytes[r], bytes[0]) << tags[r] << " vs " << tags[0];
+        }
     }
 }
 

@@ -62,8 +62,7 @@ class HarpdChaosTest : public ::testing::Test
         if (const char *env = std::getenv("HARPD_BIN"))
             binary_ = env;
         if (binary_.empty() || !fs::exists(binary_))
-            GTEST_SKIP() << "harpd binary not found (" << binary_
-                         << ")";
+            FAIL() << "harpd binary not found (" << binary_ << ")";
         static int counter = 0;
         root_ = fs::temp_directory_path() /
                 ("harpd_chaos_" + std::to_string(::getpid()) + "_" +

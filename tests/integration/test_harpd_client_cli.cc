@@ -4,7 +4,9 @@
  * CTest): exit-code contract (0 done, 1 error, 2 usage, 3 cancelled,
  * 4 degraded), malformed-reply handling against a stub daemon, the
  * --timeout-ms/--retries resilience flags bounding a silent daemon,
- * and the degraded exit path against a real fault-injected harpd.
+ * a real harpd serving the bytes of a batch run and exiting 0 on the
+ * shutdown verb, and the degraded exit path against a real
+ * fault-injected harpd.
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +29,9 @@
 #include <unistd.h>
 
 #include "harpd/client.hh"
+#include "runner/campaign.hh"
 #include "runner/json.hh"
+#include "runner/registry.hh"
 
 namespace harp::harpd {
 namespace {
@@ -138,8 +142,9 @@ class HarpdClientCliTest : public ::testing::Test
         daemonBin_ = HARPD_BIN_PATH;
 #endif
         if (client_.empty() || !fs::exists(client_))
-            GTEST_SKIP() << "harpd_client binary not found ("
-                         << client_ << ")";
+            FAIL() << "harpd_client binary not found (" << client_ << ")";
+        if (daemonBin_.empty() || !fs::exists(daemonBin_))
+            FAIL() << "harpd binary not found (" << daemonBin_ << ")";
         static int counter = 0;
         root_ = fs::temp_directory_path() /
                 ("harpd_cli_" + std::to_string(::getpid()) + "_" +
@@ -157,11 +162,9 @@ class HarpdClientCliTest : public ::testing::Test
         fs::remove_all(root_);
     }
 
-    /** Start the real harpd (requires HARPD_BIN_PATH). */
+    /** Start the real harpd. */
     void startDaemon(const std::string &fault_plan = "")
     {
-        ASSERT_FALSE(daemonBin_.empty());
-        ASSERT_TRUE(fs::exists(daemonBin_)) << daemonBin_;
         socket_ = (root_ / "d.sock").string();
         data_ = (root_ / "data").string();
         daemon_ = ::fork();
@@ -255,8 +258,6 @@ TEST_F(HarpdClientCliTest, MalformedIntegerFlagsExitTwo)
 
 TEST_F(HarpdClientCliTest, DaemonRejectsMalformedIntegerFlags)
 {
-    if (daemonBin_.empty() || !fs::exists(daemonBin_))
-        GTEST_SKIP() << "harpd binary not available";
     // `--max-campaigns abc` once parsed as 0, which means "unlimited":
     // the quota was silently off. The socket's directory does not
     // exist, so a daemon that accepted the flags fails to bind (exit
@@ -327,8 +328,6 @@ TEST_F(HarpdClientCliTest, ErrorReplyExitsOne)
 
 TEST_F(HarpdClientCliTest, HappyPathAgainstARealDaemon)
 {
-    if (daemonBin_.empty() || !fs::exists(daemonBin_))
-        GTEST_SKIP() << "harpd binary not available";
     startDaemon();
 
     EXPECT_EQ(cli("--socket " + socket_ + " ping"), 0);
@@ -347,14 +346,24 @@ TEST_F(HarpdClientCliTest, HappyPathAgainstARealDaemon)
                   " --seed 5 --repeat 2 --set rounds 1024 "
                   "submit job1 quickstart"),
               0);
-    EXPECT_TRUE(fs::exists(fs::path(out) / "quickstart.jsonl"));
-    EXPECT_TRUE(fs::exists(fs::path(out) / "summary.json"));
-    // The mirror matches what the daemon published.
+    // The mirror and the daemon's published copy both hold the bytes
+    // of a batch `harp_run --no-timings` of the same campaign.
+    runner::CampaignOptions options;
+    options.seed = 5;
+    options.repeat = 2;
+    options.threads = 2;
+    options.noTimings = true;
+    options.outDir = (root_ / "batch").string();
+    options.overrides = {{"rounds", "1024"}};
+    std::ostringstream log;
+    runner::runCampaign(runner::builtinRegistry().select({"quickstart"}),
+                        options, log);
     const fs::path published = fs::path(data_) / "results" / "job1";
-    EXPECT_EQ(readFile(fs::path(out) / "quickstart.jsonl"),
-              readFile(published / "quickstart.jsonl"));
-    EXPECT_EQ(readFile(fs::path(out) / "summary.json"),
-              readFile(published / "summary.json"));
+    for (const char *file : {"quickstart.jsonl", "summary.json"}) {
+        const std::string batch = readFile(root_ / "batch" / file);
+        EXPECT_EQ(readFile(fs::path(out) / file), batch) << file;
+        EXPECT_EQ(readFile(published / file), batch) << file;
+    }
 
     // Post-hoc subscribe replays the same stream into a fresh mirror.
     const std::string replay = (root_ / "replay").string();
@@ -376,15 +385,17 @@ TEST_F(HarpdClientCliTest, HappyPathAgainstARealDaemon)
     EXPECT_EQ(readFile(fs::path(again) / "quickstart.jsonl"),
               readFile(published / "quickstart.jsonl"));
 
+    // The shutdown verb drains the daemon, which then exits 0.
     EXPECT_EQ(cli("--socket " + socket_ + " shutdown"), 0);
-    ::waitpid(daemon_, nullptr, 0);
+    int wait_status = 0;
+    ASSERT_EQ(::waitpid(daemon_, &wait_status, 0), daemon_);
     daemon_ = -1;
+    ASSERT_TRUE(WIFEXITED(wait_status));
+    EXPECT_EQ(WEXITSTATUS(wait_status), 0);
 }
 
 TEST_F(HarpdClientCliTest, DegradedCampaignExitsFourThenResumes)
 {
-    if (daemonBin_.empty() || !fs::exists(daemonBin_))
-        GTEST_SKIP() << "harpd binary not available";
     // Sticky ENOSPC a few durable writes in: the submit degrades.
     startDaemon("write#6+=ENOSPC");
 

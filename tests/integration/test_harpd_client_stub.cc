@@ -143,8 +143,7 @@ class HarpdClientStubTest : public ::testing::Test
         client_ = HARPD_CLIENT_BIN_PATH;
 #endif
         if (client_.empty() || !fs::exists(client_))
-            GTEST_SKIP() << "harpd_client binary not found ("
-                         << client_ << ")";
+            FAIL() << "harpd_client binary not found (" << client_ << ")";
         static int counter = 0;
         root_ = fs::temp_directory_path() /
                 ("harpd_stub_" + std::to_string(::getpid()) + "_" +

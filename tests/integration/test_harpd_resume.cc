@@ -62,8 +62,7 @@ class HarpdResumeTest : public ::testing::Test
         if (const char *env = std::getenv("HARPD_BIN"))
             binary_ = env;
         if (binary_.empty() || !fs::exists(binary_))
-            GTEST_SKIP() << "harpd binary not found (" << binary_
-                         << ")";
+            FAIL() << "harpd binary not found (" << binary_ << ")";
         root_ = fs::temp_directory_path() /
                 ("harpd_resume_" + std::to_string(::getpid()));
         fs::remove_all(root_);

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iostream>
 #include <map>
 #include <sstream>
 #include <unistd.h>
@@ -564,7 +565,9 @@ TEST(WasteGolden, Fig02ResultHash)
  *    coverage and a respected bound);
  *  - `blocks 0` in Fig. 2 (the simulated fraction divides by zero);
  *  - a negative count, whether a tunable or an axis (it would wrap to
- *    a near-2^64 loop bound).
+ *    a near-2^64 loop bound);
+ *  - `k 0`, a zero-bit dataword (it once reported full coverage, a
+ *    respected bound and a unique BEER solution from nothing).
  */
 TEST(Campaign, OutOfRangeTunablesFailTheJob)
 {
@@ -605,6 +608,13 @@ TEST(Campaign, OutOfRangeTunablesFailTheJob)
         {"fleet_policy_sweep", {{"chips", "0"}}, "chips must be at least 1"},
         {"fleet_population_stats", {{"chips", "0"}},
          "chips must be at least 1"},
+        {"fig06_direct_coverage",
+         {{"k", "0"}, {"codes", "1"}, {"words", "1"}, {"rounds", "4"}},
+         "HammingCode: k must be at least 1"},
+        {"bch_t_sweep", {{"k", "0"}, {"words", "2"}, {"rounds", "2"}},
+         "BchCode: k must be at least 1"},
+        {"beer_reverse_engineering", {{"k", "0"}},
+         "HammingCode: k must be at least 1"},
     };
     for (const Case &c : cases) {
         const TempDir dir("bad_" + c.experiment);
@@ -1039,6 +1049,57 @@ TEST(RunnerCli, MalformedIntegerFlagsAreUsageErrors)
     EXPECT_EQ(run({}, "fig06_direct_coverage"), 0);
     EXPECT_EQ(run({"--engine", "scalar"}, "fig06_direct_coverage"), 2);
     fs::remove_all(out);
+}
+
+/**
+ * The `--list` footer counts what `--list-json` lists. The expected
+ * line is derived from the JSON, never hard-coded, so a new experiment
+ * cannot break this check. The JSON agrees with itself (`count`, and
+ * each `label_counts` entry recounted from the experiments), and every
+ * label it counts resolves as a `label:` selector.
+ */
+TEST(RunnerCli, ListFooterMatchesListJson)
+{
+    const auto capture = [](const std::vector<std::string> &args) {
+        std::vector<const char *> argv;
+        for (const std::string &arg : args)
+            argv.push_back(arg.c_str());
+        std::ostringstream text;
+        std::streambuf *const saved = std::cout.rdbuf(text.rdbuf());
+        const int rc =
+            runnerMain(static_cast<int>(argv.size()), argv.data());
+        std::cout.rdbuf(saved);
+        EXPECT_EQ(rc, 0) << args[1];
+        return text.str();
+    };
+    const std::string listing = capture({"harp_run", "--list"});
+    const JsonValue doc =
+        JsonValue::parse(capture({"harp_run", "--list-json"}));
+    const JsonValue &experiments = *doc.find("experiments");
+    EXPECT_EQ(doc.find("count")->asInt(),
+              static_cast<std::int64_t>(experiments.size()));
+
+    std::map<std::string, std::int64_t> recount;
+    for (std::size_t i = 0; i < experiments.size(); ++i) {
+        const JsonValue &labels = *experiments.at(i).find("labels");
+        for (std::size_t j = 0; j < labels.size(); ++j)
+            ++recount[labels.at(j).asString()];
+    }
+    std::map<std::string, std::int64_t> label_counts;
+    for (const auto &[label, count] : doc.find("label_counts")->members())
+        label_counts[label] = count.asInt();
+    EXPECT_EQ(label_counts, recount);
+
+    const std::string footer =
+        std::to_string(experiments.size()) + " experiments (" +
+        std::to_string(label_counts["bench"]) + " bench, " +
+        std::to_string(label_counts["example"]) + " example)\n";
+    EXPECT_NE(listing.find(footer), std::string::npos)
+        << "expected footer: " << footer << listing;
+
+    // A dry run writes nothing.
+    for (const auto &[label, count] : recount)
+        capture({"harp_run", "label:" + label, "--dry-run"});
 }
 
 } // namespace
