@@ -508,7 +508,7 @@ main(int argc, char **argv)
             } else if (arg == "--retries" && i + 1 < argc) {
                 retry.retries = integer(0, int_max);
             } else if (arg == "--backoff-ms" && i + 1 < argc) {
-                retry.backoffBaseMs = std::max(1, integer(0, int_max));
+                retry.backoffBaseMs = integer(1, int_max);
             } else if (arg == "--set" && i + 2 < argc) {
                 const std::string name = argv[++i];
                 overrides.set(name, JsonValue(std::string(argv[++i])));

@@ -27,11 +27,11 @@
  * drives the daemon through ENOSPC/EIO/torn-write schedules with it.
  */
 
-#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "common/cli.hh"
@@ -118,12 +118,14 @@ main(int argc, char **argv)
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             const bool has_value = i + 1 < argc;
-            // The next token as a whole decimal size_t; anything else
-            // throws std::invalid_argument.
-            const auto count = [&] {
-                return harp::common::parseIntegerFlag<std::size_t>(
-                    arg, argv[++i]);
-            };
+            // The next token as a whole decimal size_t in [lo, hi];
+            // anything else throws std::invalid_argument.
+            const auto count =
+                [&](std::size_t lo = 0,
+                    std::size_t hi = std::numeric_limits<std::size_t>::max()) {
+                    return harp::common::parseIntegerFlag<std::size_t>(
+                        arg, argv[++i], lo, hi);
+                };
             if (arg == "--help" || arg == "-h")
                 return usage(std::cout, 0);
             if (arg == "--socket" && has_value) {
@@ -131,9 +133,10 @@ main(int argc, char **argv)
             } else if (arg == "--data" && has_value) {
                 config.dataDir = argv[++i];
             } else if (arg == "--threads" && has_value) {
-                config.threads = count();
+                // The same cap as harp_run --threads.
+                config.threads = count(0, 4096);
             } else if (arg == "--queue" && has_value) {
-                config.clientQueueCapacity = std::max<std::size_t>(1, count());
+                config.clientQueueCapacity = count(1);
             } else if (arg == "--max-campaigns" && has_value) {
                 config.maxCampaignsPerTenant = count();
             } else if (arg == "--max-jobs" && has_value) {
@@ -150,8 +153,7 @@ main(int argc, char **argv)
                     harp::common::parseIntegerFlag<std::size_t>(
                         arg, spec.substr(eq + 1), 1);
             } else if (arg == "--default-weight" && has_value) {
-                config.defaultTenantWeight =
-                    std::max<std::size_t>(1, count());
+                config.defaultTenantWeight = count(1);
             } else if (arg == "--stall-ms" && has_value) {
                 config.stallTimeoutMs = count();
             } else if (arg == "--fault-plan" && has_value) {

@@ -12,8 +12,6 @@
 
 #include <cerrno>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,21 +19,13 @@
 #include <unistd.h>
 
 #include "common/io.hh"
+#include "support/files.hh"
 
 namespace harp::common::io {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string
-readFile(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
+using test::readFile;
 
 class IoFaultsTest : public ::testing::Test
 {

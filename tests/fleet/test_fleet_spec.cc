@@ -12,19 +12,20 @@
 
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <unistd.h>
 
 #include "runner/campaign.hh"
 #include "runner/registry.hh"
+#include "support/files.hh"
 #include "support/statistics.hh"
 
 namespace harp::runner {
 namespace {
 
 namespace fs = std::filesystem;
+using test::readFile;
 
 class TempDir
 {
@@ -41,16 +42,6 @@ class TempDir
   private:
     fs::path path_;
 };
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
 
 /** Scaled-down but non-trivial fleet overrides. */
 std::map<std::string, std::string>

@@ -10,142 +10,26 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include "harpd/client.hh"
 #include "harpd/protocol.hh"
-#include "harpd/server.hh"
-#include "runner/registry.hh"
+#include "support/harpd_harness.hh"
 
 namespace harp::harpd {
 namespace {
 
-namespace fs = std::filesystem;
-using runner::JsonType;
 using runner::JsonValue;
+using test::submitRequest;
 
-runner::Registry
-makeTestRegistry()
-{
-    runner::Registry registry;
-    runner::ExperimentSpec spec;
-    spec.name = "paced";
-    spec.description = "paced toy metrics";
-    spec.labels = {"toy"};
-    runner::ParamAxis axis;
-    axis.name = "i";
-    for (std::int64_t i = 0; i < 4; ++i)
-        axis.values.push_back(runner::ParamValue(i));
-    spec.grid = runner::ParamGrid({axis});
-    spec.tunables = {{"delay_ms", 5, "per-job sleep"}};
-    spec.schema = {{"i_out", JsonType::Int, "echoed index"}};
-    spec.run = [](const runner::RunContext &ctx) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(ctx.getInt("delay_ms")));
-        JsonValue metrics = JsonValue::object();
-        metrics.set("i_out", JsonValue(ctx.getInt("i")));
-        return metrics;
-    };
-    registry.add(std::move(spec));
-    return registry;
-}
-
-JsonValue
-submitRequest(const std::string &campaign, const std::string &tenant,
-              std::size_t repeat, const std::string &delay_ms = "5")
-{
-    JsonValue request = JsonValue::object();
-    request.set("verb", JsonValue("submit"));
-    request.set("campaign", JsonValue(campaign));
-    JsonValue experiments = JsonValue::array();
-    experiments.push(JsonValue("paced"));
-    request.set("experiments", experiments);
-    request.set("seed", JsonValue("1"));
-    request.set("repeat", JsonValue(repeat));
-    if (!tenant.empty())
-        request.set("tenant", JsonValue(tenant));
-    JsonValue overrides = JsonValue::object();
-    overrides.set("delay_ms", JsonValue(delay_ms));
-    request.set("overrides", overrides);
-    return request;
-}
-
-class AdmissionTest : public ::testing::Test
+class AdmissionTest : public test::ServerFixture
 {
   protected:
-    void SetUp() override
-    {
-        registry_ = makeTestRegistry();
-        static std::atomic<int> counter{0};
-        root_ = fs::temp_directory_path() /
-                ("harpd_adm_t" + std::to_string(::getpid()) + "_" +
-                 std::to_string(counter.fetch_add(1)));
-        fs::remove_all(root_);
-        fs::create_directories(root_);
-        config_.socketPath = (root_ / "d.sock").string();
-        config_.dataDir = (root_ / "data").string();
-        config_.threads = 2;
-        config_.registry = &registry_;
-        config_.shedRetryAfterMs = 123;
-    }
-
-    void TearDown() override
-    {
-        stopServer();
-        fs::remove_all(root_);
-    }
-
-    void startServer()
-    {
-        server_ = std::make_unique<Server>(config_);
-        server_->start();
-        serveThread_ = std::thread([this] { server_->serve(); });
-    }
-
-    void stopServer()
-    {
-        if (server_ != nullptr)
-            server_->requestStop();
-        if (serveThread_.joinable())
-            serveThread_.join();
-        server_.reset();
-    }
-
-    JsonValue status(const std::string &campaign)
-    {
-        Client client(config_.socketPath);
-        JsonValue request = JsonValue::object();
-        request.set("verb", JsonValue("status"));
-        request.set("campaign", JsonValue(campaign));
-        return client.request(request);
-    }
-
-    JsonValue awaitState(const std::string &campaign,
-                         const std::string &state)
-    {
-        for (int i = 0; i < 2000; ++i) {
-            const JsonValue reply = status(campaign);
-            if (reply.find("type")->asString() == "status" &&
-                reply.find("state")->asString() == state)
-                return reply;
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        ADD_FAILURE() << "campaign " << campaign << " never reached "
-                      << state;
-        return JsonValue::object();
-    }
-
-    runner::Registry registry_;
-    fs::path root_;
-    ServerConfig config_;
-    std::unique_ptr<Server> server_;
-    std::thread serveThread_;
+    AdmissionTest() { config_.shedRetryAfterMs = 123; }
 };
 
 void
@@ -167,20 +51,25 @@ TEST_F(AdmissionTest, CampaignQuotaShedsAndReleasesOnCompletion)
 
     // Tenant "acme" occupies its one slot with a long campaign.
     Client holder(config_.socketPath);
-    ASSERT_TRUE(
-        holder.send(submitRequest("held", "acme", 8, "10")));
+    ASSERT_TRUE(holder.send(submitRequest(
+        {.campaign = "held", .experiments = {"paced"}, .seed = 1, .repeat = 8,
+         .overrides = {{"delay_ms", "10"}}, .tenant = "acme"})));
     ASSERT_TRUE(holder.read().has_value()); // accepted
 
     // Second submit from the same tenant: shed, structured.
     {
         Client client(config_.socketPath);
-        expectShed(client.request(submitRequest("more", "acme", 1)),
+        expectShed(client.request(submitRequest(
+            {.campaign = "more", .experiments = {"paced"}, .seed = 1,
+             .repeat = 1, .tenant = "acme"})),
                    123);
     }
     // Another tenant is unaffected — isolation, not a global brake.
     {
         Client client(config_.socketPath);
-        ASSERT_TRUE(client.send(submitRequest("other1", "globex", 1)));
+        ASSERT_TRUE(client.send(submitRequest(
+            {.campaign = "other1", .experiments = {"paced"}, .seed = 1,
+             .repeat = 1, .tenant = "globex"})));
         const std::optional<JsonValue> accepted = client.read();
         ASSERT_TRUE(accepted.has_value());
         EXPECT_EQ(accepted->find("type")->asString(), "accepted");
@@ -192,7 +81,9 @@ TEST_F(AdmissionTest, CampaignQuotaShedsAndReleasesOnCompletion)
     awaitState("held", "done");
     {
         Client client(config_.socketPath);
-        ASSERT_TRUE(client.send(submitRequest("again", "acme", 1)));
+        ASSERT_TRUE(client.send(submitRequest(
+            {.campaign = "again", .experiments = {"paced"}, .seed = 1,
+             .repeat = 1, .tenant = "acme"})));
         const std::optional<JsonValue> accepted = client.read();
         ASSERT_TRUE(accepted.has_value());
         EXPECT_EQ(accepted->find("type")->asString(), "accepted");
@@ -210,23 +101,31 @@ TEST_F(AdmissionTest, JobQuotaPricesTheWholeSubmission)
     // up front — never partially admitted.
     {
         Client client(config_.socketPath);
-        expectShed(client.request(submitRequest("big", "acme", 3)),
+        expectShed(client.request(submitRequest(
+            {.campaign = "big", .experiments = {"paced"}, .seed = 1,
+             .repeat = 3, .tenant = "acme"})),
                    123);
     }
     // 8 jobs fit; another 8 would exceed 10 — shed while the first is
     // in flight, admitted after it drains.
     Client holder(config_.socketPath);
-    ASSERT_TRUE(holder.send(submitRequest("first", "acme", 2, "10")));
+    ASSERT_TRUE(holder.send(submitRequest(
+        {.campaign = "first", .experiments = {"paced"}, .seed = 1, .repeat = 2,
+         .overrides = {{"delay_ms", "10"}}, .tenant = "acme"})));
     ASSERT_TRUE(holder.read().has_value());
     {
         Client client(config_.socketPath);
-        expectShed(client.request(submitRequest("second", "acme", 2)),
+        expectShed(client.request(submitRequest(
+            {.campaign = "second", .experiments = {"paced"}, .seed = 1,
+             .repeat = 2, .tenant = "acme"})),
                    123);
     }
     awaitState("first", "done");
     {
         Client client(config_.socketPath);
-        ASSERT_TRUE(client.send(submitRequest("second", "acme", 2)));
+        ASSERT_TRUE(client.send(submitRequest(
+            {.campaign = "second", .experiments = {"paced"}, .seed = 1,
+             .repeat = 2, .tenant = "acme"})));
         const std::optional<JsonValue> accepted = client.read();
         ASSERT_TRUE(accepted.has_value());
         EXPECT_EQ(accepted->find("type")->asString(), "accepted");
@@ -242,7 +141,8 @@ TEST_F(AdmissionTest, UnlimitedByDefault)
         holders.push_back(
             std::make_unique<Client>(config_.socketPath));
         ASSERT_TRUE(holders.back()->send(submitRequest(
-            "many" + std::to_string(i), "acme", 2, "5")));
+            {.campaign = "many" + std::to_string(i), .experiments = {"paced"},
+             .seed = 1, .repeat = 2, .tenant = "acme"})));
         const std::optional<JsonValue> accepted =
             holders.back()->read();
         ASSERT_TRUE(accepted.has_value());
@@ -260,13 +160,17 @@ TEST_F(AdmissionTest, QueueDisabledByDefaultShedsImmediately)
     config_.maxCampaignsPerTenant = 1;
     startServer();
     Client holder(config_.socketPath);
-    ASSERT_TRUE(holder.send(submitRequest("held", "acme", 8, "10")));
+    ASSERT_TRUE(holder.send(submitRequest(
+        {.campaign = "held", .experiments = {"paced"}, .seed = 1, .repeat = 8,
+         .overrides = {{"delay_ms", "10"}}, .tenant = "acme"})));
     const std::optional<JsonValue> accepted = holder.read();
     ASSERT_TRUE(accepted.has_value());
     ASSERT_EQ(accepted->find("type")->asString(), "accepted");
 
     Client client(config_.socketPath);
-    ASSERT_TRUE(client.send(submitRequest("parked", "acme", 1)));
+    ASSERT_TRUE(client.send(submitRequest(
+        {.campaign = "parked", .experiments = {"paced"}, .seed = 1, .repeat = 1,
+         .tenant = "acme"})));
     const std::optional<JsonValue> reply = client.read();
     ASSERT_TRUE(reply.has_value());
     EXPECT_NE(reply->find("type")->asString(), "queued")
@@ -284,7 +188,9 @@ TEST_F(AdmissionTest, WatchdogFlagsAStalledCampaignAndClearsOnFinish)
     // 300ms per job with a 50ms stall threshold: between completions
     // the campaign is (correctly) flagged as stalled.
     Client client(config_.socketPath);
-    ASSERT_TRUE(client.send(submitRequest("slowpoke", "", 1, "300")));
+    ASSERT_TRUE(client.send(submitRequest(
+        {.campaign = "slowpoke", .experiments = {"paced"}, .seed = 1,
+         .repeat = 1, .overrides = {{"delay_ms", "300"}}})));
     ASSERT_TRUE(client.read().has_value()); // accepted
 
     bool saw_stalled = false;
@@ -317,7 +223,9 @@ TEST_F(AdmissionTest, WatchdogStaysQuietWhenProgressIsSteady)
     config_.watchdogPollMs = 10;
     startServer();
     Client client(config_.socketPath);
-    ASSERT_TRUE(client.send(submitRequest("steady", "", 2, "5")));
+    ASSERT_TRUE(client.send(submitRequest(
+        {.campaign = "steady", .experiments = {"paced"}, .seed = 1,
+         .repeat = 2})));
     bool done = false;
     while (!done) {
         const std::optional<JsonValue> event = client.read();

@@ -11,26 +11,20 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <string>
-#include <thread>
-#include <vector>
-
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include "harpd/client.hh"
-#include "harpd/net.hh"
+#include "support/harpd_harness.hh"
 
 namespace harp::harpd {
 namespace {
 
 namespace fs = std::filesystem;
 using runner::JsonValue;
+using test::StubDaemon;
 
 TEST(BackoffTest, DeterministicUnderAFixedSeed)
 {
@@ -90,84 +84,6 @@ TEST(BackoffTest, SeedsDecorrelateConcurrentClients)
     // Thundering-herd protection: different seeds, different schedules.
     EXPECT_GT(differing, 0);
 }
-
-/**
- * Stub daemon: accepts one connection and then follows a script —
- * stays silent (wedged), or sends a canned reply. Enough to exercise
- * every client deadline without a real harpd.
- */
-class StubDaemon
-{
-  public:
-    explicit StubDaemon(const std::string &reply)
-        : reply_(reply),
-          path_((fs::temp_directory_path() /
-                 ("stub_" + std::to_string(::getpid()) + "_" +
-                  std::to_string(counter_.fetch_add(1)) + ".sock"))
-                    .string())
-    {
-        listenFd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        EXPECT_GE(listenFd_, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path_.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        ::unlink(path_.c_str());
-        EXPECT_EQ(::bind(listenFd_,
-                         reinterpret_cast<sockaddr *>(&addr),
-                         sizeof(addr)),
-                  0);
-        EXPECT_EQ(::listen(listenFd_, 4), 0);
-        acceptor_ = std::thread([this] { run(); });
-    }
-
-    ~StubDaemon()
-    {
-        stop_.store(true);
-        ::shutdown(listenFd_, SHUT_RDWR);
-        ::close(listenFd_);
-        if (acceptor_.joinable())
-            acceptor_.join();
-        ::unlink(path_.c_str());
-    }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    void run()
-    {
-        while (!stop_.load()) {
-            const int fd = ::accept(listenFd_, nullptr, nullptr);
-            if (fd < 0)
-                return;
-            // Read whatever the client sent (ignore content), then
-            // either reply or go silent until the client gives up.
-            char buffer[512];
-            (void)!::recv(fd, buffer, sizeof(buffer), 0);
-            if (!reply_.empty())
-                (void)!::send(fd, reply_.data(), reply_.size(),
-                              MSG_NOSIGNAL);
-            // Hold the connection open (silent) until torn down or
-            // the client closes.
-            while (!stop_.load()) {
-                const ssize_t n =
-                    ::recv(fd, buffer, sizeof(buffer), 0);
-                if (n <= 0)
-                    break;
-            }
-            ::close(fd);
-        }
-    }
-
-    static std::atomic<int> counter_;
-    std::string reply_;
-    std::string path_;
-    int listenFd_ = -1;
-    std::atomic<bool> stop_{false};
-    std::thread acceptor_;
-};
-
-std::atomic<int> StubDaemon::counter_{0};
 
 JsonValue
 pingRequest()

@@ -11,256 +11,34 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <memory>
-#include <sstream>
 #include <thread>
-#include <unistd.h>
 #include <utility>
 #include <vector>
 
 #include "harpd/checkpoint.hh"
 #include "harpd/client.hh"
 #include "harpd/protocol.hh"
-#include "harpd/server.hh"
-#include "runner/campaign.hh"
 #include "runner/registry.hh"
+#include "support/files.hh"
+#include "support/harpd_harness.hh"
 
 namespace harp::harpd {
 namespace {
 
 namespace fs = std::filesystem;
-using runner::JsonType;
 using runner::JsonValue;
+using test::readFile;
+using test::StreamedCampaign;
+using test::streamSubmit;
+using test::submitRequest;
 
-/** Deterministic, fast experiments for the served-vs-batch contract. */
-runner::Registry
-makeTestRegistry()
-{
-    runner::Registry registry;
-    {
-        runner::ExperimentSpec spec;
-        spec.name = "fast";
-        spec.description = "deterministic toy metrics";
-        spec.labels = {"toy"};
-        runner::ParamAxis axis;
-        axis.name = "x";
-        axis.values = {runner::ParamValue(std::int64_t(1)),
-                       runner::ParamValue(std::int64_t(2)),
-                       runner::ParamValue(std::int64_t(3))};
-        spec.grid = runner::ParamGrid({axis});
-        spec.schema = {{"value", JsonType::Int, "seed-derived value"},
-                       {"x2", JsonType::Int, "x squared"}};
-        spec.run = [](const runner::RunContext &ctx) {
-            const std::int64_t x = ctx.getInt("x");
-            JsonValue metrics = JsonValue::object();
-            metrics.set("value",
-                        JsonValue(static_cast<std::int64_t>(
-                            ctx.seed() % 1000003)));
-            metrics.set("x2", JsonValue(x * x));
-            return metrics;
-        };
-        registry.add(std::move(spec));
-    }
-    {
-        runner::ExperimentSpec spec;
-        spec.name = "slow";
-        spec.description = "paced toy metrics for cancel/kill windows";
-        spec.labels = {"toy"};
-        runner::ParamAxis axis;
-        axis.name = "i";
-        for (std::int64_t i = 0; i < 8; ++i)
-            axis.values.push_back(runner::ParamValue(i));
-        spec.grid = runner::ParamGrid({axis});
-        spec.tunables = {{"delay_ms", 5, "per-job sleep"}};
-        spec.schema = {{"i_out", JsonType::Int, "echoed index"}};
-        spec.run = [](const runner::RunContext &ctx) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                ctx.getInt("delay_ms")));
-            JsonValue metrics = JsonValue::object();
-            metrics.set("i_out", JsonValue(ctx.getInt("i")));
-            return metrics;
-        };
-        registry.add(std::move(spec));
-    }
-    return registry;
-}
-
-std::string
-readFile(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
-
-/** Everything one streamed submit produced, reassembled. */
-struct StreamedCampaign
-{
-    std::map<std::string, std::string> jsonl; ///< name -> file bytes
-    std::string summaryBytes;                 ///< summary.json bytes
-    std::map<std::string, std::string> resultHash;
-    bool done = false;
-    bool cancelled = false;
-    std::string errorCode;
-    std::size_t totalJobs = 0;
-    std::size_t restoredJobs = 0;
-};
-
-JsonValue
-submitRequest(const std::string &campaign,
-              const std::vector<std::string> &experiments,
-              std::uint64_t seed, std::size_t repeat,
-              const std::map<std::string, std::string> &overrides = {})
-{
-    JsonValue request = JsonValue::object();
-    request.set("verb", JsonValue("submit"));
-    request.set("campaign", JsonValue(campaign));
-    JsonValue list = JsonValue::array();
-    for (const std::string &name : experiments)
-        list.push(JsonValue(name));
-    request.set("experiments", list);
-    request.set("seed", JsonValue(std::to_string(seed)));
-    request.set("repeat", JsonValue(repeat));
-    if (!overrides.empty()) {
-        JsonValue object = JsonValue::object();
-        for (const auto &[key, value] : overrides)
-            object.set(key, JsonValue(value));
-        request.set("overrides", object);
-    }
-    return request;
-}
-
-/** Drive one submit to completion, reassembling the stream. */
-StreamedCampaign
-streamSubmit(Client &client, const JsonValue &request)
-{
-    StreamedCampaign streamed;
-    EXPECT_TRUE(client.send(request));
-    for (;;) {
-        std::optional<JsonValue> event = client.read();
-        if (!event.has_value())
-            break;
-        const std::string kind = event->find("type")->asString();
-        if (kind == "accepted") {
-            streamed.totalJobs = static_cast<std::size_t>(
-                event->find("total_jobs")->asInt());
-            streamed.restoredJobs = static_cast<std::size_t>(
-                event->find("restored_jobs")->asInt());
-        } else if (kind == "result") {
-            streamed.jsonl[event->find("experiment")->asString()] +=
-                event->find("line")->asString() + "\n";
-        } else if (kind == "experiment_done") {
-            streamed.resultHash[event->find("experiment")->asString()] =
-                event->find("result_hash")->asString();
-        } else if (kind == "summary") {
-            streamed.summaryBytes =
-                event->find("summary")->dump(2) + "\n";
-        } else if (kind == "done") {
-            streamed.done = true;
-            break;
-        } else if (kind == "cancelled") {
-            streamed.cancelled = true;
-            break;
-        } else if (kind == "error") {
-            streamed.errorCode = event->find("code")->asString();
-            break;
-        }
-    }
-    return streamed;
-}
-
-class ServerTest : public ::testing::Test
+class ServerTest : public test::ServerFixture
 {
   protected:
-    void SetUp() override
-    {
-        registry_ = makeTestRegistry();
-        static std::atomic<int> counter{0};
-        const int id = counter.fetch_add(1);
-        root_ = fs::temp_directory_path() /
-                ("harpd_t" + std::to_string(::getpid()) + "_" +
-                 std::to_string(id));
-        fs::remove_all(root_);
-        fs::create_directories(root_);
-        config_.socketPath = (root_ / "d.sock").string();
-        config_.dataDir = (root_ / "data").string();
-        config_.threads = 4;
-        config_.registry = &registry_;
-    }
-
-    void TearDown() override
-    {
-        stopServer();
-        fs::remove_all(root_);
-    }
-
-    void startServer()
-    {
-        server_ = std::make_unique<Server>(config_);
-        server_->start();
-        serveThread_ = std::thread([this] { server_->serve(); });
-    }
-
-    void stopServer()
-    {
-        if (server_ != nullptr)
-            server_->requestStop();
-        if (serveThread_.joinable())
-            serveThread_.join();
-        server_.reset();
-    }
-
-    /** Batch ground truth: same registry, same seed, no timings. */
-    std::string batchDir(const std::vector<std::string> &selectors,
-                         std::uint64_t seed, std::size_t repeat,
-                         std::size_t threads)
-    {
-        const fs::path out =
-            root_ / ("batch_" + std::to_string(batches_++));
-        runner::CampaignOptions options;
-        options.seed = seed;
-        options.threads = threads;
-        options.repeat = repeat;
-        options.noTimings = true;
-        options.outDir = out.string();
-        std::ostringstream log;
-        runner::runCampaign(registry_.select(selectors), options, log);
-        return out.string();
-    }
-
-    /** Poll the status verb until @p state (or fail after ~10 s). */
-    JsonValue awaitState(const std::string &campaign,
-                         const std::string &state)
-    {
-        for (int i = 0; i < 2000; ++i) {
-            Client client(config_.socketPath);
-            JsonValue request = JsonValue::object();
-            request.set("verb", JsonValue("status"));
-            request.set("campaign", JsonValue(campaign));
-            const JsonValue reply = client.request(request);
-            if (reply.find("type")->asString() == "status" &&
-                reply.find("state")->asString() == state)
-                return reply;
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        ADD_FAILURE() << "campaign " << campaign << " never reached "
-                      << state;
-        return JsonValue::object();
-    }
-
-    runner::Registry registry_;
-    fs::path root_;
-    ServerConfig config_;
-    std::unique_ptr<Server> server_;
-    std::thread serveThread_;
-    int batches_ = 0;
+    ServerTest() { config_.threads = 4; }
 };
 
 TEST_F(ServerTest, ServedCampaignIsByteIdenticalToBatch)
@@ -270,7 +48,9 @@ TEST_F(ServerTest, ServedCampaignIsByteIdenticalToBatch)
 
     Client client(config_.socketPath);
     const StreamedCampaign streamed = streamSubmit(
-        client, submitRequest("c1", {"fast", "slow"}, 42, 2));
+        client, submitRequest(
+            {.campaign = "c1", .experiments = {"fast", "slow"}, .seed = 42,
+             .repeat = 2}));
     ASSERT_TRUE(streamed.done);
     EXPECT_EQ(streamed.totalJobs, 3u * 2 + 8u * 2);
     EXPECT_EQ(streamed.restoredJobs, 0u);
@@ -304,7 +84,9 @@ TEST_F(ServerTest, ServedBytesIndependentOfServerThreadCount)
     startServer();
     Client narrow(config_.socketPath);
     const StreamedCampaign one = streamSubmit(
-        narrow, submitRequest("t1", {"fast"}, 7, 3));
+        narrow, submitRequest(
+            {.campaign = "t1", .experiments = {"fast"}, .seed = 7,
+             .repeat = 3}));
     ASSERT_TRUE(one.done);
     stopServer();
 
@@ -313,7 +95,9 @@ TEST_F(ServerTest, ServedBytesIndependentOfServerThreadCount)
     startServer();
     Client wide(config_.socketPath);
     const StreamedCampaign four = streamSubmit(
-        wide, submitRequest("t4", {"fast"}, 7, 3));
+        wide, submitRequest(
+            {.campaign = "t4", .experiments = {"fast"}, .seed = 7,
+             .repeat = 3}));
     ASSERT_TRUE(four.done);
 
     EXPECT_EQ(one.jsonl.at("fast"), four.jsonl.at("fast"));
@@ -331,9 +115,10 @@ TEST_F(ServerTest, ConcurrentTenantsGetIndependentIdenticalStreams)
         tenants.emplace_back([&, t] {
             Client client(config_.socketPath);
             streams[t] = streamSubmit(
-                client, submitRequest("tenant" + std::to_string(t),
-                                      {"fast", "slow"}, 5, 1,
-                                      {{"delay_ms", "1"}}));
+                client, submitRequest(
+                    {.campaign = "tenant" + std::to_string(t),
+                     .experiments = {"fast", "slow"}, .seed = 5, .repeat = 1,
+                     .overrides = {{"delay_ms", "1"}}}));
         });
     for (std::thread &tenant : tenants)
         tenant.join();
@@ -362,8 +147,9 @@ TEST_F(ServerTest, DoubleSubmitIsRejected)
 {
     startServer();
     Client first(config_.socketPath);
-    ASSERT_TRUE(first.send(
-        submitRequest("dup", {"slow"}, 1, 2, {{"delay_ms", "10"}})));
+    ASSERT_TRUE(first.send(submitRequest(
+        {.campaign = "dup", .experiments = {"slow"}, .seed = 1, .repeat = 2,
+         .overrides = {{"delay_ms", "10"}}})));
     const std::optional<JsonValue> accepted = first.read();
     ASSERT_TRUE(accepted.has_value());
     ASSERT_EQ(accepted->find("type")->asString(), "accepted");
@@ -371,7 +157,9 @@ TEST_F(ServerTest, DoubleSubmitIsRejected)
     // While running: rejected.
     Client second(config_.socketPath);
     const JsonValue while_running =
-        second.request(submitRequest("dup", {"fast"}, 1, 1));
+        second.request(submitRequest(
+            {.campaign = "dup", .experiments = {"fast"}, .seed = 1,
+             .repeat = 1}));
     EXPECT_EQ(while_running.find("type")->asString(), "error");
     EXPECT_EQ(while_running.find("code")->asString(),
               errc::duplicateCampaign);
@@ -380,7 +168,9 @@ TEST_F(ServerTest, DoubleSubmitIsRejected)
     // After completion: still rejected (results exist on disk).
     Client third(config_.socketPath);
     const JsonValue after_done =
-        third.request(submitRequest("dup", {"fast"}, 1, 1));
+        third.request(submitRequest(
+            {.campaign = "dup", .experiments = {"fast"}, .seed = 1,
+             .repeat = 1}));
     EXPECT_EQ(after_done.find("code")->asString(),
               errc::duplicateCampaign);
 }
@@ -390,7 +180,8 @@ TEST_F(ServerTest, CancelStopsACampaignAndRemovesItsCheckpoint)
     startServer();
     Client submitter(config_.socketPath);
     ASSERT_TRUE(submitter.send(submitRequest(
-        "victim", {"slow"}, 1, 16, {{"delay_ms", "20"}})));
+        {.campaign = "victim", .experiments = {"slow"}, .seed = 1, .repeat = 16,
+         .overrides = {{"delay_ms", "20"}}})));
     const std::optional<JsonValue> accepted = submitter.read();
     ASSERT_TRUE(accepted.has_value());
 
@@ -456,7 +247,8 @@ TEST_F(ServerTest, CancelStopsALongRunningJobWithinASecond)
         SCOPED_TRACE(row.experiment);
         Client submitter(config_.socketPath);
         ASSERT_TRUE(submitter.send(submitRequest(
-            row.campaign, {row.experiment}, 1, 1, row.overrides)));
+            {.campaign = row.campaign, .experiments = {row.experiment},
+             .seed = 1, .repeat = 1, .overrides = row.overrides})));
         const std::optional<JsonValue> accepted = submitter.read();
         ASSERT_TRUE(accepted.has_value());
         awaitState(row.campaign, "running");
@@ -486,7 +278,8 @@ TEST_F(ServerTest, ClientDisconnectMidStreamDoesNotAbortTheCampaign)
     {
         Client client(config_.socketPath);
         ASSERT_TRUE(client.send(submitRequest(
-            "orphan", {"slow"}, 9, 4, {{"delay_ms", "5"}})));
+            {.campaign = "orphan", .experiments = {"slow"}, .seed = 9,
+             .repeat = 4, .overrides = {{"delay_ms", "5"}}})));
         // Read just the acceptance plus one result, then vanish.
         ASSERT_TRUE(client.read().has_value());
         ASSERT_TRUE(client.read().has_value());
@@ -528,7 +321,9 @@ TEST_F(ServerTest, WireFaultsGetStructuredErrorsAndNeverKillTheServer)
         // Unknown experiment in a submit.
         Client client(config_.socketPath);
         const JsonValue reply =
-            client.request(submitRequest("x1", {"no_such"}, 1, 1));
+            client.request(submitRequest(
+                {.campaign = "x1", .experiments = {"no_such"}, .seed = 1,
+                 .repeat = 1}));
         EXPECT_EQ(reply.find("code")->asString(),
                   errc::unknownExperiment);
     }
@@ -536,7 +331,8 @@ TEST_F(ServerTest, WireFaultsGetStructuredErrorsAndNeverKillTheServer)
         // Unknown override: batch-CLI parity says reject up front.
         Client client(config_.socketPath);
         const JsonValue reply = client.request(submitRequest(
-            "x2", {"fast"}, 1, 1, {{"bogus_knob", "3"}}));
+            {.campaign = "x2", .experiments = {"fast"}, .seed = 1, .repeat = 1,
+             .overrides = {{"bogus_knob", "3"}}}));
         EXPECT_EQ(reply.find("code")->asString(), errc::badRequest);
     }
     {
@@ -594,7 +390,9 @@ TEST_F(ServerTest, ZeroRoundSubmitFailsTheCampaignNotTheServer)
         const std::string id = "poison" + std::to_string(i);
         Client client(config_.socketPath);
         const StreamedCampaign streamed = streamSubmit(
-            client, submitRequest(id, {experiment}, 1, 1, overrides));
+            client, submitRequest(
+                {.campaign = id, .experiments = {experiment}, .seed = 1,
+                 .repeat = 1, .overrides = overrides}));
         EXPECT_FALSE(streamed.done) << experiment;
         EXPECT_EQ(streamed.errorCode, errc::campaignFailed) << experiment;
         EXPECT_FALSE(fs::exists(checkpoints / (id + ".ckpt"))) << experiment;
@@ -609,8 +407,9 @@ TEST_F(ServerTest, ZeroRoundSubmitFailsTheCampaignNotTheServer)
     for (const auto &[id, overrides] : refused) {
         Client client(config_.socketPath);
         const StreamedCampaign streamed = streamSubmit(
-            client,
-            submitRequest(id, {"fig06_direct_coverage"}, 1, 1, overrides));
+            client, submitRequest(
+                {.campaign = id, .experiments = {"fig06_direct_coverage"},
+                 .seed = 1, .repeat = 1, .overrides = overrides}));
         EXPECT_EQ(streamed.errorCode, errc::badRequest) << id;
         EXPECT_FALSE(fs::exists(checkpoints / (id + ".ckpt"))) << id;
     }
@@ -640,7 +439,9 @@ TEST_F(ServerTest, ListMatchesRegistryToJsonAndShowsCampaigns)
     startServer();
     Client client(config_.socketPath);
     const StreamedCampaign streamed =
-        streamSubmit(client, submitRequest("seen", {"fast"}, 1, 1));
+        streamSubmit(client, submitRequest(
+            {.campaign = "seen", .experiments = {"fast"}, .seed = 1,
+             .repeat = 1}));
     ASSERT_TRUE(streamed.done);
 
     JsonValue list = JsonValue::object();
@@ -665,8 +466,9 @@ TEST_F(ServerTest, GracefulShutdownCheckpointsAndResumes)
         batchDir({"slow"}, 3, 8, 4); // 64 jobs of ~10ms
 
     Client client(config_.socketPath);
-    ASSERT_TRUE(client.send(submitRequest("night", {"slow"}, 3, 8,
-                                          {{"delay_ms", "10"}})));
+    ASSERT_TRUE(client.send(submitRequest(
+        {.campaign = "night", .experiments = {"slow"}, .seed = 3, .repeat = 8,
+         .overrides = {{"delay_ms", "10"}}})));
     ASSERT_TRUE(client.read().has_value()); // accepted
     ASSERT_TRUE(client.read().has_value()); // first result arrived
 
@@ -723,17 +525,8 @@ TEST_F(ServerTest, CheckpointWithRetiredEngineOverrideResumes)
     EXPECT_FALSE(fs::exists(ckpt));
     EXPECT_FALSE(fs::exists(ckpt.string() + ".bad"));
 
-    const fs::path batch = root_ / "batch_legacy";
-    runner::CampaignOptions options;
-    options.seed = 7;
-    options.threads = 4;
-    options.noTimings = true;
-    options.outDir = batch.string();
-    options.overrides = overrides;
-    std::ostringstream log;
-    runner::runCampaign(
-        runner::builtinRegistry().select({"fig06_direct_coverage"}), options,
-        log);
+    const fs::path batch =
+        batchDir({"fig06_direct_coverage"}, 7, 1, 4, overrides);
     const fs::path published =
         fs::path(config_.dataDir) / "results" / "legacy";
     EXPECT_EQ(readFile(published / "fig06_direct_coverage.jsonl"),
@@ -751,7 +544,9 @@ TEST_F(ServerTest, SubmitDuringShutdownIsRefused)
     server_->requestStop();
     // The reply is either a structured shutting_down error or a closed
     // socket, depending on how far the drain got — both are clean.
-    if (client.send(submitRequest("late", {"fast"}, 1, 1))) {
+    if (client.send(submitRequest(
+            {.campaign = "late", .experiments = {"fast"}, .seed = 1,
+             .repeat = 1}))) {
         try {
             const std::optional<JsonValue> reply = client.read();
             if (reply.has_value() &&

@@ -14,24 +14,16 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <map>
-#include <memory>
-#include <sstream>
-#include <thread>
-#include <unistd.h>
+#include <string>
 #include <vector>
 
 #include "common/io.hh"
 #include "harpd/client.hh"
 #include "harpd/protocol.hh"
-#include "harpd/server.hh"
-#include "runner/campaign.hh"
-#include "runner/registry.hh"
+#include "support/files.hh"
+#include "support/harpd_harness.hh"
 
 namespace harp::harpd {
 namespace {
@@ -40,8 +32,11 @@ namespace fs = std::filesystem;
 using common::io::Fault;
 using common::io::FaultPlan;
 using common::io::Op;
-using runner::JsonType;
 using runner::JsonValue;
+using test::readFile;
+using test::StreamedCampaign;
+using test::streamSubmit;
+using test::submitRequest;
 
 Fault
 fault(int err, std::size_t short_bytes = std::string::npos)
@@ -49,233 +44,13 @@ fault(int err, std::size_t short_bytes = std::string::npos)
     return {std::error_code(err, std::generic_category()), short_bytes};
 }
 
-/** Deterministic, fast experiments (mirrors test_server.cc). */
-runner::Registry
-makeTestRegistry()
-{
-    runner::Registry registry;
-    {
-        runner::ExperimentSpec spec;
-        spec.name = "fast";
-        spec.description = "deterministic toy metrics";
-        spec.labels = {"toy"};
-        runner::ParamAxis axis;
-        axis.name = "x";
-        axis.values = {runner::ParamValue(std::int64_t(1)),
-                       runner::ParamValue(std::int64_t(2)),
-                       runner::ParamValue(std::int64_t(3))};
-        spec.grid = runner::ParamGrid({axis});
-        spec.schema = {{"value", JsonType::Int, "seed-derived value"},
-                       {"x2", JsonType::Int, "x squared"}};
-        spec.run = [](const runner::RunContext &ctx) {
-            const std::int64_t x = ctx.getInt("x");
-            JsonValue metrics = JsonValue::object();
-            metrics.set("value",
-                        JsonValue(static_cast<std::int64_t>(
-                            ctx.seed() % 1000003)));
-            metrics.set("x2", JsonValue(x * x));
-            return metrics;
-        };
-        registry.add(std::move(spec));
-    }
-    {
-        runner::ExperimentSpec spec;
-        spec.name = "slow";
-        spec.description = "paced toy metrics";
-        spec.labels = {"toy"};
-        runner::ParamAxis axis;
-        axis.name = "i";
-        for (std::int64_t i = 0; i < 8; ++i)
-            axis.values.push_back(runner::ParamValue(i));
-        spec.grid = runner::ParamGrid({axis});
-        spec.tunables = {{"delay_ms", 5, "per-job sleep"}};
-        spec.schema = {{"i_out", JsonType::Int, "echoed index"}};
-        spec.run = [](const runner::RunContext &ctx) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                ctx.getInt("delay_ms")));
-            JsonValue metrics = JsonValue::object();
-            metrics.set("i_out", JsonValue(ctx.getInt("i")));
-            return metrics;
-        };
-        registry.add(std::move(spec));
-    }
-    return registry;
-}
-
-std::string
-readFile(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
-
-/** One streamed submit, reassembled, including the raw seq'd lines. */
-struct Streamed
-{
-    std::map<std::string, std::string> jsonl;
-    std::string summaryBytes;
-    bool done = false;
-    bool degraded = false;
-    std::string degradedErrno;
-    bool degradedRetriable = false;
-    std::vector<std::string> seqLines; ///< raw wire lines with a seq
-    std::size_t results = 0;
-};
-
-JsonValue
-submitRequest(const std::string &campaign,
-              const std::vector<std::string> &experiments,
-              std::uint64_t seed, std::size_t repeat,
-              const std::map<std::string, std::string> &overrides = {})
-{
-    JsonValue request = JsonValue::object();
-    request.set("verb", JsonValue("submit"));
-    request.set("campaign", JsonValue(campaign));
-    JsonValue list = JsonValue::array();
-    for (const std::string &name : experiments)
-        list.push(JsonValue(name));
-    request.set("experiments", list);
-    request.set("seed", JsonValue(std::to_string(seed)));
-    request.set("repeat", JsonValue(repeat));
-    if (!overrides.empty()) {
-        JsonValue object = JsonValue::object();
-        for (const auto &[key, value] : overrides)
-            object.set(key, JsonValue(value));
-        request.set("overrides", object);
-    }
-    return request;
-}
-
-Streamed
-streamSubmit(Client &client, const JsonValue &request)
-{
-    Streamed streamed;
-    EXPECT_TRUE(client.send(request));
-    for (;;) {
-        std::string raw;
-        std::optional<JsonValue> event = client.read(&raw);
-        if (!event.has_value())
-            break;
-        if (event->find("seq") != nullptr)
-            streamed.seqLines.push_back(raw + "\n");
-        const std::string kind = event->find("type")->asString();
-        if (kind == "result") {
-            ++streamed.results;
-            streamed.jsonl[event->find("experiment")->asString()] +=
-                event->find("line")->asString() + "\n";
-        } else if (kind == "summary") {
-            streamed.summaryBytes =
-                event->find("summary")->dump(2) + "\n";
-        } else if (kind == "done") {
-            streamed.done = true;
-            break;
-        } else if (kind == "degraded") {
-            streamed.degraded = true;
-            streamed.degradedErrno =
-                event->find("errno_name")->asString();
-            streamed.degradedRetriable =
-                event->find("retriable")->asBool();
-            // Terminal: nothing follows the degraded event (the
-            // connection stays open for further requests).
-            break;
-        } else if (kind == "cancelled" || kind == "error") {
-            break;
-        }
-    }
-    return streamed;
-}
-
-class ServerChaosTest : public ::testing::Test
+class ServerChaosTest : public test::ServerFixture
 {
   protected:
-    void SetUp() override
-    {
-        registry_ = makeTestRegistry();
-        static std::atomic<int> counter{0};
-        const int id = counter.fetch_add(1);
-        root_ = fs::temp_directory_path() /
-                ("harpd_chaos_t" + std::to_string(::getpid()) + "_" +
-                 std::to_string(id));
-        fs::remove_all(root_);
-        fs::create_directories(root_);
-        config_.socketPath = (root_ / "d.sock").string();
-        config_.dataDir = (root_ / "data").string();
-        config_.threads = 2;
-        config_.registry = &registry_;
-        config_.ioFaultPlan = &plan_;
-    }
-
-    void TearDown() override
-    {
-        stopServer();
-        fs::remove_all(root_);
-    }
-
-    void startServer()
-    {
-        server_ = std::make_unique<Server>(config_);
-        server_->start();
-        serveThread_ = std::thread([this] { server_->serve(); });
-    }
-
-    void stopServer()
-    {
-        if (server_ != nullptr)
-            server_->requestStop();
-        if (serveThread_.joinable())
-            serveThread_.join();
-        server_.reset();
-    }
+    ServerChaosTest() { config_.ioFaultPlan = &plan_; }
 
     /** The fault cleared (space freed, disk replaced): empty plan. */
     void clearFaults() { plan_ = FaultPlan(); }
-
-    std::string batchDir(const std::vector<std::string> &selectors,
-                         std::uint64_t seed, std::size_t repeat)
-    {
-        const fs::path out =
-            root_ / ("batch_" + std::to_string(batches_++));
-        runner::CampaignOptions options;
-        options.seed = seed;
-        options.threads = 2;
-        options.repeat = repeat;
-        options.noTimings = true;
-        options.outDir = out.string();
-        std::ostringstream log;
-        runner::runCampaign(registry_.select(selectors), options, log);
-        return out.string();
-    }
-
-    JsonValue awaitState(const std::string &campaign,
-                         const std::string &state)
-    {
-        for (int i = 0; i < 2000; ++i) {
-            Client client(config_.socketPath);
-            JsonValue request = JsonValue::object();
-            request.set("verb", JsonValue("status"));
-            request.set("campaign", JsonValue(campaign));
-            const JsonValue reply = client.request(request);
-            if (reply.find("type")->asString() == "status" &&
-                reply.find("state")->asString() == state)
-                return reply;
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        ADD_FAILURE() << "campaign " << campaign << " never reached "
-                      << state;
-        return JsonValue::object();
-    }
-
-    JsonValue resumeVerb(const std::string &campaign)
-    {
-        Client client(config_.socketPath);
-        JsonValue request = JsonValue::object();
-        request.set("verb", JsonValue("resume"));
-        request.set("campaign", JsonValue(campaign));
-        return client.request(request);
-    }
 
     void expectPublishedMatchesBatch(const std::string &campaign,
                                      const std::string &batch,
@@ -289,19 +64,7 @@ class ServerChaosTest : public ::testing::Test
                   readFile(fs::path(batch) / "summary.json"));
     }
 
-    fs::path checkpoint(const std::string &campaign) const
-    {
-        return fs::path(config_.dataDir) / "checkpoints" /
-               (campaign + ".ckpt");
-    }
-
-    runner::Registry registry_;
-    fs::path root_;
     FaultPlan plan_;
-    ServerConfig config_;
-    std::unique_ptr<Server> server_;
-    std::thread serveThread_;
-    int batches_ = 0;
 };
 
 // Durable-write op order with one campaign in flight: open#0 +
@@ -316,11 +79,13 @@ TEST_F(ServerChaosTest, EnospcMidCampaignDegradesThenResumeVerbCompletes)
     // would everything after — the filesystem is full until cleared.
     plan_.injectFrom(Op::Write, 5, fault(ENOSPC));
     startServer();
-    const std::string batch = batchDir({"fast"}, 42, 2); // 6 jobs
+    const std::string batch = batchDir({"fast"}, 42, 2, 2); // 6 jobs
 
     Client client(config_.socketPath);
-    const Streamed streamed =
-        streamSubmit(client, submitRequest("c1", {"fast"}, 42, 2));
+    const StreamedCampaign streamed =
+        streamSubmit(client, submitRequest(
+            {.campaign = "c1", .experiments = {"fast"}, .seed = 42,
+             .repeat = 2}));
     EXPECT_FALSE(streamed.done);
     ASSERT_TRUE(streamed.degraded);
     EXPECT_EQ(streamed.degradedErrno, "ENOSPC");
@@ -340,7 +105,7 @@ TEST_F(ServerChaosTest, EnospcMidCampaignDegradesThenResumeVerbCompletes)
 
     // Space frees up; the resume verb finishes the campaign.
     clearFaults();
-    const JsonValue reply = resumeVerb("c1");
+    const JsonValue reply = request("resume", "c1");
     ASSERT_EQ(reply.find("type")->asString(), "ok");
     EXPECT_TRUE(reply.find("resuming")->asBool());
     awaitState("c1", "done");
@@ -353,11 +118,13 @@ TEST_F(ServerChaosTest, FsyncEioDegradesAsNotRetriable)
     // fsync#2 = the second checkpoint record's durability barrier.
     plan_.injectAt(Op::Fsync, 2, fault(EIO));
     startServer();
-    const std::string batch = batchDir({"fast"}, 7, 2);
+    const std::string batch = batchDir({"fast"}, 7, 2, 2);
 
     Client client(config_.socketPath);
-    const Streamed streamed =
-        streamSubmit(client, submitRequest("c2", {"fast"}, 7, 2));
+    const StreamedCampaign streamed =
+        streamSubmit(client, submitRequest(
+            {.campaign = "c2", .experiments = {"fast"}, .seed = 7,
+             .repeat = 2}));
     ASSERT_TRUE(streamed.degraded);
     EXPECT_EQ(streamed.degradedErrno, "EIO");
     EXPECT_FALSE(streamed.degradedRetriable)
@@ -368,7 +135,7 @@ TEST_F(ServerChaosTest, FsyncEioDegradesAsNotRetriable)
     EXPECT_FALSE(status.find("retriable")->asBool());
 
     clearFaults();
-    ASSERT_EQ(resumeVerb("c2").find("type")->asString(), "ok");
+    ASSERT_EQ(request("resume", "c2").find("type")->asString(), "ok");
     awaitState("c2", "done");
     expectPublishedMatchesBatch("c2", batch, "fast");
 }
@@ -377,11 +144,13 @@ TEST_F(ServerChaosTest, PublishRenameFailureDegradesWithAllJobsDurable)
 {
     plan_.injectAt(Op::Rename, 0, fault(ENOSPC));
     startServer();
-    const std::string batch = batchDir({"fast"}, 3, 2);
+    const std::string batch = batchDir({"fast"}, 3, 2, 2);
 
     Client client(config_.socketPath);
-    const Streamed streamed =
-        streamSubmit(client, submitRequest("c3", {"fast"}, 3, 2));
+    const StreamedCampaign streamed =
+        streamSubmit(client, submitRequest(
+            {.campaign = "c3", .experiments = {"fast"}, .seed = 3,
+             .repeat = 2}));
     ASSERT_TRUE(streamed.degraded);
     // Every job finished and was durably checkpointed before the
     // publish failed...
@@ -390,7 +159,7 @@ TEST_F(ServerChaosTest, PublishRenameFailureDegradesWithAllJobsDurable)
     EXPECT_TRUE(fs::exists(checkpoint("c3")));
     // ...so the resume recomputes nothing and just republishes.
     clearFaults();
-    ASSERT_EQ(resumeVerb("c3").find("type")->asString(), "ok");
+    ASSERT_EQ(request("resume", "c3").find("type")->asString(), "ok");
     const JsonValue status = awaitState("c3", "done");
     EXPECT_EQ(static_cast<std::size_t>(
                   status.find("completed_jobs")->asInt()),
@@ -404,11 +173,13 @@ TEST_F(ServerChaosTest, InjectedShortWriteTearsTheCheckpointTail)
     // then fail — exactly the torn tail a crashed write leaves.
     plan_.injectAt(Op::Write, 2, fault(EIO, 10));
     startServer();
-    const std::string batch = batchDir({"fast"}, 11, 2);
+    const std::string batch = batchDir({"fast"}, 11, 2, 2);
 
     Client client(config_.socketPath);
-    const Streamed streamed =
-        streamSubmit(client, submitRequest("c4", {"fast"}, 11, 2));
+    const StreamedCampaign streamed =
+        streamSubmit(client, submitRequest(
+            {.campaign = "c4", .experiments = {"fast"}, .seed = 11,
+             .repeat = 2}));
     ASSERT_TRUE(streamed.degraded);
     EXPECT_EQ(streamed.results, 0u)
         << "the record never became durable, so the client never saw "
@@ -423,7 +194,7 @@ TEST_F(ServerChaosTest, InjectedShortWriteTearsTheCheckpointTail)
     // Resume truncate-recovers the tail and recomputes the lost job —
     // never a .bad file, never an abort.
     clearFaults();
-    ASSERT_EQ(resumeVerb("c4").find("type")->asString(), "ok");
+    ASSERT_EQ(request("resume", "c4").find("type")->asString(), "ok");
     awaitState("c4", "done");
     EXPECT_FALSE(fs::exists(checkpoint("c4").string() + ".bad"));
     expectPublishedMatchesBatch("c4", batch, "fast");
@@ -444,19 +215,22 @@ TEST_F(ServerChaosTest, ResumeVerbGuardsItsPreconditions)
     // Done campaign: not degraded, nothing to resume.
     {
         Client client(config_.socketPath);
-        const Streamed streamed =
-            streamSubmit(client, submitRequest("ok1", {"fast"}, 1, 1));
+        const StreamedCampaign streamed =
+            streamSubmit(client, submitRequest(
+                {.campaign = "ok1", .experiments = {"fast"}, .seed = 1,
+                 .repeat = 1}));
         ASSERT_TRUE(streamed.done);
-        EXPECT_EQ(resumeVerb("ok1").find("code")->asString(),
+        EXPECT_EQ(request("resume", "ok1").find("code")->asString(),
                   errc::notDegraded);
     }
     // Running campaign: same guard.
     {
         Client client(config_.socketPath);
         ASSERT_TRUE(client.send(submitRequest(
-            "run1", {"slow"}, 1, 4, {{"delay_ms", "20"}})));
+            {.campaign = "run1", .experiments = {"slow"}, .seed = 1,
+             .repeat = 4, .overrides = {{"delay_ms", "20"}}})));
         ASSERT_TRUE(client.read().has_value()); // accepted
-        EXPECT_EQ(resumeVerb("run1").find("code")->asString(),
+        EXPECT_EQ(request("resume", "run1").find("code")->asString(),
                   errc::notDegraded);
         // Let it finish so teardown is clean.
         awaitState("run1", "done");
@@ -467,11 +241,13 @@ TEST_F(ServerChaosTest, DegradedCampaignAutoResumesOnDaemonRestart)
 {
     plan_.injectFrom(Op::Write, 5, fault(ENOSPC));
     startServer();
-    const std::string batch = batchDir({"fast"}, 21, 2);
+    const std::string batch = batchDir({"fast"}, 21, 2, 2);
     {
         Client client(config_.socketPath);
-        const Streamed streamed = streamSubmit(
-            client, submitRequest("c5", {"fast"}, 21, 2));
+        const StreamedCampaign streamed = streamSubmit(
+            client, submitRequest(
+                {.campaign = "c5", .experiments = {"fast"}, .seed = 21,
+                 .repeat = 2}));
         ASSERT_TRUE(streamed.degraded);
     }
     awaitState("c5", "degraded");
@@ -495,8 +271,10 @@ TEST_F(ServerChaosTest, CancelledDegradedCampaignStaysGoneAcrossRestart)
     startServer();
     {
         Client client(config_.socketPath);
-        const Streamed streamed = streamSubmit(
-            client, submitRequest("c9", {"fast"}, 21, 2));
+        const StreamedCampaign streamed = streamSubmit(
+            client, submitRequest(
+                {.campaign = "c9", .experiments = {"fast"}, .seed = 21,
+                 .repeat = 2}));
         ASSERT_TRUE(streamed.degraded);
     }
     awaitState("c9", "degraded");
@@ -516,7 +294,8 @@ TEST_F(ServerChaosTest, CancelledDegradedCampaignStaysGoneAcrossRestart)
     const JsonValue status = awaitState("c9", "cancelled");
     EXPECT_EQ(status.find("errno_name"), nullptr);
     EXPECT_FALSE(fs::exists(checkpoint("c9")));
-    EXPECT_EQ(resumeVerb("c9").find("code")->asString(), errc::notDegraded);
+    EXPECT_EQ(request("resume", "c9").find("code")->asString(),
+              errc::notDegraded);
     stopServer();
 
     // The next daemon generation has nothing to bring back.
@@ -536,7 +315,9 @@ TEST_F(ServerChaosTest, ResumedCampaignsReportTheirTotalAtOnce)
     for (const char *id : {"t1", "t2"}) {
         Client client(config_.socketPath);
         ASSERT_TRUE(
-            streamSubmit(client, submitRequest(id, {"fast"}, 4, 2))
+            streamSubmit(client, submitRequest(
+                {.campaign = id, .experiments = {"fast"}, .seed = 4,
+                 .repeat = 2}))
                 .degraded);
         awaitState(id, "degraded");
     }
@@ -552,7 +333,7 @@ TEST_F(ServerChaosTest, ResumedCampaignsReportTheirTotalAtOnce)
     // Both the resume verb and the restart price the campaign at
     // admission, so `status` never reports 0 jobs in between.
     clearFaults();
-    ASSERT_EQ(resumeVerb("t2").find("type")->asString(), "ok");
+    ASSERT_EQ(request("resume", "t2").find("type")->asString(), "ok");
     EXPECT_EQ(totalOf("t2"), 6);
     awaitState("t2", "done");
     stopServer();
@@ -568,8 +349,10 @@ TEST_F(ServerChaosTest, SubscribeReplaysTheStreamByteIdentically)
 {
     startServer();
     Client submitter(config_.socketPath);
-    const Streamed streamed =
-        streamSubmit(submitter, submitRequest("sub1", {"fast"}, 9, 2));
+    const StreamedCampaign streamed =
+        streamSubmit(submitter, submitRequest(
+            {.campaign = "sub1", .experiments = {"fast"}, .seed = 9,
+             .repeat = 2}));
     ASSERT_TRUE(streamed.done);
     ASSERT_FALSE(streamed.seqLines.empty());
 
@@ -632,7 +415,8 @@ TEST_F(ServerChaosTest, LiveSubscriberFollowsARunningCampaign)
     startServer();
     Client submitter(config_.socketPath);
     ASSERT_TRUE(submitter.send(submitRequest(
-        "live1", {"slow"}, 5, 2, {{"delay_ms", "10"}})));
+        {.campaign = "live1", .experiments = {"slow"}, .seed = 5, .repeat = 2,
+         .overrides = {{"delay_ms", "10"}}})));
     std::optional<JsonValue> accepted = submitter.read();
     ASSERT_TRUE(accepted.has_value());
 
@@ -662,8 +446,8 @@ TEST_F(ServerChaosTest, LiveSubscriberFollowsARunningCampaign)
     EXPECT_TRUE(saw_done_event);
 
     // The original submit stream was untouched by the subscriber.
-    const Streamed rest = [&] {
-        Streamed streamed;
+    const StreamedCampaign rest = [&] {
+        StreamedCampaign streamed;
         for (;;) {
             std::string raw;
             std::optional<JsonValue> event = submitter.read(&raw);

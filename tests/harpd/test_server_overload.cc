@@ -13,254 +13,45 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <memory>
-#include <sstream>
+#include <string>
 #include <thread>
-#include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "harpd/client.hh"
 #include "harpd/protocol.hh"
-#include "harpd/server.hh"
-#include "runner/campaign.hh"
-#include "runner/registry.hh"
+#include "support/files.hh"
+#include "support/harpd_harness.hh"
 
 namespace harp::harpd {
 namespace {
 
 namespace fs = std::filesystem;
-using runner::JsonType;
 using runner::JsonValue;
+using test::readFile;
+using test::StreamedCampaign;
+using test::streamSubmit;
+using test::submitRequest;
 
-runner::Registry
-makeTestRegistry()
-{
-    runner::Registry registry;
-    {
-        runner::ExperimentSpec spec;
-        spec.name = "paced";
-        spec.description = "paced toy metrics";
-        spec.labels = {"toy"};
-        runner::ParamAxis axis;
-        axis.name = "i";
-        for (std::int64_t i = 0; i < 4; ++i)
-            axis.values.push_back(runner::ParamValue(i));
-        spec.grid = runner::ParamGrid({axis});
-        spec.tunables = {{"delay_ms", 5, "per-job sleep"}};
-        spec.schema = {{"i_out", JsonType::Int, "echoed index"}};
-        spec.run = [](const runner::RunContext &ctx) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                ctx.getInt("delay_ms")));
-            JsonValue metrics = JsonValue::object();
-            metrics.set("i_out", JsonValue(ctx.getInt("i")));
-            return metrics;
-        };
-        registry.add(std::move(spec));
-    }
-    {
-        runner::ExperimentSpec spec;
-        spec.name = "fast";
-        spec.description = "deterministic toy metrics";
-        spec.labels = {"toy"};
-        runner::ParamAxis axis;
-        axis.name = "x";
-        axis.values = {runner::ParamValue(std::int64_t(1)),
-                       runner::ParamValue(std::int64_t(2)),
-                       runner::ParamValue(std::int64_t(3))};
-        spec.grid = runner::ParamGrid({axis});
-        spec.schema = {{"value", JsonType::Int, "seed-derived value"}};
-        spec.run = [](const runner::RunContext &ctx) {
-            JsonValue metrics = JsonValue::object();
-            metrics.set("value",
-                        JsonValue(static_cast<std::int64_t>(
-                            ctx.seed() % 1000003)));
-            return metrics;
-        };
-        registry.add(std::move(spec));
-    }
-    return registry;
-}
-
-std::string
-readFile(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
-
-JsonValue
-submitRequest(const std::string &campaign, const std::string &tenant,
-              std::size_t repeat, const std::string &delay_ms = "5",
-              const std::string &priority = "",
-              std::int64_t deadline_ms = 0,
-              const std::string &experiment = "paced")
-{
-    JsonValue request = JsonValue::object();
-    request.set("verb", JsonValue("submit"));
-    request.set("campaign", JsonValue(campaign));
-    JsonValue experiments = JsonValue::array();
-    experiments.push(JsonValue(experiment));
-    request.set("experiments", experiments);
-    request.set("seed", JsonValue("7"));
-    request.set("repeat", JsonValue(repeat));
-    if (!tenant.empty())
-        request.set("tenant", JsonValue(tenant));
-    if (!priority.empty())
-        request.set("priority", JsonValue(priority));
-    if (deadline_ms > 0)
-        request.set("deadline_ms", JsonValue(deadline_ms));
-    if (experiment == "paced") {
-        JsonValue overrides = JsonValue::object();
-        overrides.set("delay_ms", JsonValue(delay_ms));
-        request.set("overrides", overrides);
-    }
-    return request;
-}
-
-/** One streamed campaign, reassembled; terminal kind recorded. */
-struct Streamed
-{
-    std::map<std::string, std::string> jsonl;
-    std::vector<std::string> kinds; ///< event kinds in arrival order
-    std::string terminal;
-    std::size_t completedAtDeadline = 0;
-    bool resumableAtDeadline = false;
-};
-
-Streamed
-streamToEnd(Client &client, const JsonValue &request)
-{
-    Streamed streamed;
-    EXPECT_TRUE(client.send(request));
-    for (;;) {
-        const std::optional<JsonValue> event = client.read();
-        if (!event.has_value())
-            break;
-        const std::string kind = event->find("type")->asString();
-        streamed.kinds.push_back(kind);
-        if (kind == "result") {
-            streamed.jsonl[event->find("experiment")->asString()] +=
-                event->find("line")->asString() + "\n";
-        } else if (kind == "deadline_exceeded") {
-            streamed.terminal = kind;
-            streamed.completedAtDeadline = static_cast<std::size_t>(
-                event->find("completed_jobs")->asInt());
-            streamed.resumableAtDeadline =
-                event->find("resumable")->asBool();
-            break;
-        } else if (kind == "done" || kind == "cancelled" ||
-                   kind == "error" || kind == "degraded") {
-            streamed.terminal = kind;
-            break;
-        }
-    }
-    return streamed;
-}
-
-class ServerOverloadTest : public ::testing::Test
+class ServerOverloadTest : public test::ServerFixture
 {
   protected:
-    void SetUp() override
+    ServerOverloadTest()
     {
-        registry_ = makeTestRegistry();
-        static std::atomic<int> counter{0};
-        root_ = fs::temp_directory_path() /
-                ("harpd_ovl_t" + std::to_string(::getpid()) + "_" +
-                 std::to_string(counter.fetch_add(1)));
-        fs::remove_all(root_);
-        fs::create_directories(root_);
-        config_.socketPath = (root_ / "d.sock").string();
-        config_.dataDir = (root_ / "data").string();
-        config_.threads = 2;
-        config_.registry = &registry_;
         config_.shedRetryAfterMs = 100;
         config_.watchdogPollMs = 10;
+        awaitPolls_ = 4000;
     }
-
-    void TearDown() override
-    {
-        stopServer();
-        fs::remove_all(root_);
-    }
-
-    void startServer()
-    {
-        server_ = std::make_unique<Server>(config_);
-        server_->start();
-        serveThread_ = std::thread([this] { server_->serve(); });
-    }
-
-    void stopServer()
-    {
-        if (server_ != nullptr)
-            server_->requestStop();
-        if (serveThread_.joinable())
-            serveThread_.join();
-        server_.reset();
-    }
-
-    JsonValue request(const std::string &verb,
-                      const std::string &campaign)
-    {
-        Client client(config_.socketPath);
-        JsonValue req = JsonValue::object();
-        req.set("verb", JsonValue(verb));
-        req.set("campaign", JsonValue(campaign));
-        return client.request(req);
-    }
-
-    JsonValue awaitState(const std::string &campaign,
-                         const std::string &state)
-    {
-        for (int i = 0; i < 4000; ++i) {
-            const JsonValue reply = request("status", campaign);
-            if (reply.find("type")->asString() == "status" &&
-                reply.find("state")->asString() == state)
-                return reply;
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        ADD_FAILURE() << campaign << " never reached " << state;
-        return JsonValue::object();
-    }
-
-    /** Batch ground truth for the paced experiment. */
-    std::string batchDir(std::size_t repeat, const std::string &delay)
-    {
-        const fs::path out =
-            root_ / ("batch_" + std::to_string(batches_++));
-        runner::CampaignOptions options;
-        options.seed = 7;
-        options.threads = 2;
-        options.repeat = repeat;
-        options.noTimings = true;
-        options.outDir = out.string();
-        options.overrides = {{"delay_ms", delay}};
-        std::ostringstream log;
-        runner::runCampaign(registry_.select({"paced"}), options, log);
-        return out.string();
-    }
-
-    runner::Registry registry_;
-    fs::path root_;
-    ServerConfig config_;
-    std::unique_ptr<Server> server_;
-    std::thread serveThread_;
-    int batches_ = 0;
 };
 
 TEST_F(ServerOverloadTest, ThunderingHerdFollowsWeightsWithExactBytes)
 {
     config_.tenantWeights = {{"heavy", 3}, {"l1", 1}, {"l2", 1}};
     startServer();
-    const std::string batch = batchDir(3, "10"); // 12 jobs, same spec
+    const std::string batch = // 12 jobs, same spec
+        batchDir({"paced"}, 7, 3, 2, {{"delay_ms", "10"}});
 
     // Three tenants with 3:1:1 weights on a 2-slot pool, each
     // submitting three 12-job campaigns at once. With three campaigns
@@ -268,17 +59,21 @@ TEST_F(ServerOverloadTest, ThunderingHerdFollowsWeightsWithExactBytes)
     // sits between waves, another one waits for a grant.
     constexpr int kTenants = 3, kCampaigns = 3;
     const char *tenants[kTenants] = {"heavy", "l1", "l2"};
-    Streamed streams[kTenants][kCampaigns];
+    StreamedCampaign streams[kTenants][kCampaigns];
     std::vector<std::thread> clients;
     for (int t = 0; t < kTenants; ++t)
         for (int c = 0; c < kCampaigns; ++c)
             clients.emplace_back([&, t, c] {
                 Client client(config_.socketPath);
-                streams[t][c] = streamToEnd(
-                    client,
-                    submitRequest("herd_" + std::string(tenants[t]) +
-                                      std::to_string(c),
-                                  tenants[t], 3, "10"));
+                const std::string id =
+                    "herd_" + std::string(tenants[t]) + std::to_string(c);
+                streams[t][c] = streamSubmit(
+                    client, submitRequest({.campaign = id,
+                                           .experiments = {"paced"},
+                                           .seed = 7,
+                                           .repeat = 3,
+                                           .overrides = {{"delay_ms", "10"}},
+                                           .tenant = tenants[t]}));
             });
     for (std::thread &client : clients)
         client.join();
@@ -328,13 +123,16 @@ TEST_F(ServerOverloadTest, ThunderingHerdFollowsWeightsWithExactBytes)
 TEST_F(ServerOverloadTest, DeadlineParksResumableThenBytesStillExact)
 {
     startServer();
-    const std::string batch = batchDir(6, "20"); // 24 jobs
+    const std::string batch = // 24 jobs
+        batchDir({"paced"}, 7, 6, 2, {{"delay_ms", "20"}});
 
     // ~480ms of work against a 120ms deadline: the watchdog fires
     // mid-run, the wave boundary cancels cooperatively.
     Client client(config_.socketPath);
-    const Streamed streamed = streamToEnd(
-        client, submitRequest("dl", "", 6, "20", "", 120));
+    const StreamedCampaign streamed = streamSubmit(
+        client, submitRequest(
+            {.campaign = "dl", .experiments = {"paced"}, .seed = 7, .repeat = 6,
+             .overrides = {{"delay_ms", "20"}}, .deadlineMs = 120}));
     ASSERT_EQ(streamed.terminal, "deadline_exceeded");
     EXPECT_TRUE(streamed.resumableAtDeadline);
     EXPECT_LT(streamed.completedAtDeadline, 24u)
@@ -366,8 +164,11 @@ TEST_F(ServerOverloadTest, CancelledDeadlineExceededCampaignStaysGone)
 {
     startServer();
     Client client(config_.socketPath);
-    const Streamed streamed = streamToEnd(
-        client, submitRequest("dlc", "", 6, "20", "", 120));
+    const StreamedCampaign streamed = streamSubmit(
+        client, submitRequest(
+            {.campaign = "dlc", .experiments = {"paced"}, .seed = 7,
+             .repeat = 6, .overrides = {{"delay_ms", "20"}},
+             .deadlineMs = 120}));
     ASSERT_EQ(streamed.terminal, "deadline_exceeded");
     awaitState("dlc", "deadline_exceeded");
     const fs::path ckpt =
@@ -401,8 +202,10 @@ TEST_F(ServerOverloadTest, DeadlineCancelReleasesQuotaToParkedWork)
     // "held" occupies acme's only campaign slot and will blow a 150ms
     // deadline long before its ~480ms of work completes.
     Client holder(config_.socketPath);
-    ASSERT_TRUE(holder.send(
-        submitRequest("held", "acme", 6, "20", "", 150)));
+    ASSERT_TRUE(holder.send(submitRequest(
+        {.campaign = "held", .experiments = {"paced"}, .seed = 7, .repeat = 6,
+         .overrides = {{"delay_ms", "20"}}, .tenant = "acme",
+         .deadlineMs = 150})));
     // Admitted before the next submit arrives, or "parked" could take
     // the slot instead.
     const std::optional<JsonValue> held = holder.read();
@@ -412,7 +215,9 @@ TEST_F(ServerOverloadTest, DeadlineCancelReleasesQuotaToParkedWork)
     // "parked" from the same tenant lands in the admission queue: the
     // stream leads with `queued` carrying position + retry estimate.
     Client waiter(config_.socketPath);
-    ASSERT_TRUE(waiter.send(submitRequest("parked", "acme", 1, "5")));
+    ASSERT_TRUE(waiter.send(submitRequest(
+        {.campaign = "parked", .experiments = {"paced"}, .seed = 7, .repeat = 1,
+         .tenant = "acme"})));
     const std::optional<JsonValue> queued = waiter.read();
     ASSERT_TRUE(queued.has_value());
     ASSERT_EQ(queued->find("type")->asString(), "queued")
@@ -451,20 +256,26 @@ TEST_F(ServerOverloadTest, QueueIsBoundedCancellableAndOrderRefreshed)
     startServer();
 
     Client holder(config_.socketPath);
-    ASSERT_TRUE(holder.send(submitRequest("held", "acme", 6, "40")));
+    ASSERT_TRUE(holder.send(submitRequest(
+        {.campaign = "held", .experiments = {"paced"}, .seed = 7, .repeat = 6,
+         .overrides = {{"delay_ms", "40"}}, .tenant = "acme"})));
     const std::optional<JsonValue> held = holder.read();
     ASSERT_TRUE(held.has_value());
     ASSERT_EQ(held->find("type")->asString(), "accepted") << held->dump();
 
     Client first(config_.socketPath);
-    ASSERT_TRUE(first.send(submitRequest("q1", "acme", 1)));
+    ASSERT_TRUE(first.send(submitRequest(
+        {.campaign = "q1", .experiments = {"paced"}, .seed = 7, .repeat = 1,
+         .tenant = "acme"})));
     std::optional<JsonValue> event = first.read();
     ASSERT_TRUE(event.has_value());
     ASSERT_EQ(event->find("type")->asString(), "queued");
     EXPECT_EQ(event->find("position")->asInt(), 0);
 
     Client second(config_.socketPath);
-    ASSERT_TRUE(second.send(submitRequest("q2", "acme", 1)));
+    ASSERT_TRUE(second.send(submitRequest(
+        {.campaign = "q2", .experiments = {"paced"}, .seed = 7, .repeat = 1,
+         .tenant = "acme"})));
     event = second.read();
     ASSERT_TRUE(event.has_value());
     ASSERT_EQ(event->find("type")->asString(), "queued");
@@ -476,7 +287,9 @@ TEST_F(ServerOverloadTest, QueueIsBoundedCancellableAndOrderRefreshed)
     {
         Client third(config_.socketPath);
         const JsonValue shed =
-            third.request(submitRequest("q3", "acme", 1));
+            third.request(submitRequest(
+                {.campaign = "q3", .experiments = {"paced"}, .seed = 7,
+                 .repeat = 1, .tenant = "acme"}));
         ASSERT_EQ(shed.find("type")->asString(), "error");
         EXPECT_EQ(shed.find("code")->asString(), errc::quotaExceeded);
     }
@@ -508,7 +321,9 @@ TEST_F(ServerOverloadTest, ImpossibleSubmissionIsShedNotParked)
     // the queue forever, so it must shed immediately even with room.
     Client client(config_.socketPath);
     const JsonValue reply =
-        client.request(submitRequest("never", "acme", 6));
+        client.request(submitRequest(
+            {.campaign = "never", .experiments = {"paced"}, .seed = 7,
+             .repeat = 6, .tenant = "acme"}));
     ASSERT_EQ(reply.find("type")->asString(), "error") << reply.dump();
     EXPECT_EQ(reply.find("code")->asString(), errc::quotaExceeded);
     EXPECT_TRUE(reply.find("retriable")->asBool());
@@ -518,8 +333,9 @@ TEST_F(ServerOverloadTest, ProgressHeartbeatsAreReplayableAtStableSeqs)
 {
     startServer();
     Client client(config_.socketPath);
-    JsonValue request = submitRequest("prog", "", 2, "5", "", 0, "fast");
-    Streamed live;
+    JsonValue request = submitRequest(
+        {.campaign = "prog", .experiments = {"fast"}, .seed = 7, .repeat = 2});
+    StreamedCampaign live;
     std::vector<std::pair<std::int64_t, std::int64_t>> liveTicks;
     {
         EXPECT_TRUE(client.send(request));

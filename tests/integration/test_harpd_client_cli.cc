@@ -11,212 +11,32 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 
-#include <fcntl.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
-#include "harpd/client.hh"
-#include "runner/campaign.hh"
-#include "runner/json.hh"
-#include "runner/registry.hh"
+#include "support/files.hh"
+#include "support/harpd_harness.hh"
 
 namespace harp::harpd {
 namespace {
 
 namespace fs = std::filesystem;
-using runner::JsonValue;
+using test::readFile;
+using test::runCommand;
+using test::StubDaemon;
 
-std::string
-readFile(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
-
-/** Run a command line; its exit code (or -1 on signal/exec failure). */
-int
-runCommand(const std::string &command)
-{
-    const int status = std::system(command.c_str());
-    if (status < 0 || !WIFEXITED(status))
-        return -1;
-    return WEXITSTATUS(status);
-}
-
-/** One-connection scripted daemon (same shape as test_client_retry's,
- *  but reused by a separate process — the CLI under test). */
-class StubDaemon
-{
-  public:
-    explicit StubDaemon(const std::string &reply)
-        : reply_(reply),
-          path_((fs::temp_directory_path() /
-                 ("cli_stub_" + std::to_string(::getpid()) + "_" +
-                  std::to_string(counter_.fetch_add(1)) + ".sock"))
-                    .string())
-    {
-        listenFd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        EXPECT_GE(listenFd_, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path_.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        ::unlink(path_.c_str());
-        EXPECT_EQ(::bind(listenFd_,
-                         reinterpret_cast<sockaddr *>(&addr),
-                         sizeof(addr)),
-                  0);
-        EXPECT_EQ(::listen(listenFd_, 8), 0);
-        acceptor_ = std::thread([this] { run(); });
-    }
-
-    ~StubDaemon()
-    {
-        stop_.store(true);
-        ::shutdown(listenFd_, SHUT_RDWR);
-        ::close(listenFd_);
-        if (acceptor_.joinable())
-            acceptor_.join();
-        ::unlink(path_.c_str());
-    }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    void run()
-    {
-        while (!stop_.load()) {
-            const int fd = ::accept(listenFd_, nullptr, nullptr);
-            if (fd < 0)
-                return;
-            char buffer[4096];
-            (void)!::recv(fd, buffer, sizeof(buffer), 0);
-            if (!reply_.empty())
-                (void)!::send(fd, reply_.data(), reply_.size(),
-                              MSG_NOSIGNAL);
-            while (!stop_.load()) {
-                const ssize_t n =
-                    ::recv(fd, buffer, sizeof(buffer), 0);
-                if (n <= 0)
-                    break;
-            }
-            ::close(fd);
-        }
-    }
-
-    static std::atomic<int> counter_;
-    std::string reply_;
-    std::string path_;
-    int listenFd_ = -1;
-    std::atomic<bool> stop_{false};
-    std::thread acceptor_;
-};
-
-std::atomic<int> StubDaemon::counter_{0};
-
-class HarpdClientCliTest : public ::testing::Test
+class HarpdClientCliTest : public test::DaemonFixture
 {
   protected:
-    void SetUp() override
+    HarpdClientCliTest()
+        : DaemonFixture(
+              {.harpd = HARPD_BIN_PATH, .client = HARPD_CLIENT_BIN_PATH})
     {
-#ifdef HARPD_CLIENT_BIN_PATH
-        client_ = HARPD_CLIENT_BIN_PATH;
-#endif
-#ifdef HARPD_BIN_PATH
-        daemonBin_ = HARPD_BIN_PATH;
-#endif
-        if (client_.empty() || !fs::exists(client_))
-            FAIL() << "harpd_client binary not found (" << client_ << ")";
-        if (daemonBin_.empty() || !fs::exists(daemonBin_))
-            FAIL() << "harpd binary not found (" << daemonBin_ << ")";
-        static int counter = 0;
-        root_ = fs::temp_directory_path() /
-                ("harpd_cli_" + std::to_string(::getpid()) + "_" +
-                 std::to_string(counter++));
-        fs::remove_all(root_);
-        fs::create_directories(root_);
     }
-
-    void TearDown() override
-    {
-        if (daemon_ > 0) {
-            ::kill(daemon_, SIGKILL);
-            ::waitpid(daemon_, nullptr, 0);
-        }
-        fs::remove_all(root_);
-    }
-
-    /** Start the real harpd. */
-    void startDaemon(const std::string &fault_plan = "")
-    {
-        socket_ = (root_ / "d.sock").string();
-        data_ = (root_ / "data").string();
-        daemon_ = ::fork();
-        ASSERT_GE(daemon_, 0);
-        if (daemon_ == 0) {
-            const int null = ::open("/dev/null", O_RDWR);
-            ::dup2(null, 0);
-            ::dup2(null, 1);
-            ::dup2(null, 2);
-            if (fault_plan.empty())
-                ::execl(daemonBin_.c_str(), "harpd", "--socket",
-                        socket_.c_str(), "--data", data_.c_str(),
-                        "--threads", "2", nullptr);
-            else
-                ::execl(daemonBin_.c_str(), "harpd", "--socket",
-                        socket_.c_str(), "--data", data_.c_str(),
-                        "--threads", "2", "--fault-plan",
-                        fault_plan.c_str(), nullptr);
-            ::_exit(127);
-        }
-        for (int i = 0; i < 2000; ++i) {
-            try {
-                Client probe(socket_);
-                JsonValue ping = JsonValue::object();
-                ping.set("verb", JsonValue("ping"));
-                if (probe.request(ping).find("type")->asString() ==
-                    "pong")
-                    return;
-            } catch (const std::exception &) {
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        FAIL() << "daemon never came up";
-    }
-
-    /** The CLI under test, output captured to files under root_. */
-    int cli(const std::string &args)
-    {
-        return runCommand(client_ + " " + args + " > " +
-                          (root_ / "out.txt").string() + " 2> " +
-                          (root_ / "err.txt").string());
-    }
-
-    std::string stdoutText() { return readFile(root_ / "out.txt"); }
-    std::string stderrText() { return readFile(root_ / "err.txt"); }
-
-    std::string client_;
-    std::string daemonBin_;
-    fs::path root_;
-    std::string socket_;
-    std::string data_;
-    pid_t daemon_ = -1;
 };
 
 TEST_F(HarpdClientCliTest, UsageErrorsExitTwo)
@@ -254,6 +74,8 @@ TEST_F(HarpdClientCliTest, MalformedIntegerFlagsExitTwo)
     EXPECT_EQ(cli(sock + " --seed abc submit c quickstart"), 2);
     EXPECT_EQ(cli(sock + " --seed 18446744073709551616 submit c quickstart"),
               2);
+    // A zero base delay once ran as 1 ms without a word.
+    EXPECT_EQ(cli(sock + " --backoff-ms 0 ping"), 2);
 }
 
 TEST_F(HarpdClientCliTest, DaemonRejectsMalformedIntegerFlags)
@@ -275,6 +97,12 @@ TEST_F(HarpdClientCliTest, DaemonRejectsMalformedIntegerFlags)
     EXPECT_EQ(daemon("--threads 99999999999999999999"), 2);
     EXPECT_EQ(daemon("--stall-ms 5s"), 2);
     EXPECT_EQ(daemon("--tenant-weight gold=x"), 2);
+    // Zero queue capacity and zero default weight once ran as 1 without
+    // a word; --threads shares harp_run's [0, 4096]. (No daemon here
+    // can bind, so none starts a pool.)
+    EXPECT_EQ(daemon("--queue 0"), 2);
+    EXPECT_EQ(daemon("--default-weight 0"), 2);
+    EXPECT_EQ(daemon("--threads 4097"), 2);
     EXPECT_EQ(daemon("--max-campaigns 2"), 1) << "valid flags reach bind";
 }
 
@@ -348,19 +176,11 @@ TEST_F(HarpdClientCliTest, HappyPathAgainstARealDaemon)
               0);
     // The mirror and the daemon's published copy both hold the bytes
     // of a batch `harp_run --no-timings` of the same campaign.
-    runner::CampaignOptions options;
-    options.seed = 5;
-    options.repeat = 2;
-    options.threads = 2;
-    options.noTimings = true;
-    options.outDir = (root_ / "batch").string();
-    options.overrides = {{"rounds", "1024"}};
-    std::ostringstream log;
-    runner::runCampaign(runner::builtinRegistry().select({"quickstart"}),
-                        options, log);
+    const fs::path batch_dir =
+        batchGroundTruth(5, 2, {{"rounds", "1024"}});
     const fs::path published = fs::path(data_) / "results" / "job1";
     for (const char *file : {"quickstart.jsonl", "summary.json"}) {
-        const std::string batch = readFile(root_ / "batch" / file);
+        const std::string batch = readFile(batch_dir / file);
         EXPECT_EQ(readFile(fs::path(out) / file), batch) << file;
         EXPECT_EQ(readFile(published / file), batch) << file;
     }
@@ -410,9 +230,7 @@ TEST_F(HarpdClientCliTest, DegradedCampaignExitsFourThenResumes)
     // the error-free resume verb is 0 — the *resume* is accepted —
     // so check status instead). Restart without the fault: the
     // checkpoint finishes the campaign.
-    ::kill(daemon_, SIGKILL);
-    ::waitpid(daemon_, nullptr, 0);
-    daemon_ = -1;
+    killDaemon();
     startDaemon();
     for (int i = 0; i < 2000; ++i) {
         if (cli("--socket " + socket_ + " status dcamp") == 0 &&

@@ -10,162 +10,22 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <mutex>
-#include <sstream>
 #include <string>
-#include <thread>
 
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <sys/wait.h>
-#include <unistd.h>
+#include "support/harpd_harness.hh"
 
 namespace harp::harpd {
 namespace {
 
-namespace fs = std::filesystem;
+using test::StubDaemon;
 
-std::string
-readFile(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
-
-int
-runCommand(const std::string &command)
-{
-    const int status = std::system(command.c_str());
-    if (status < 0 || !WIFEXITED(status))
-        return -1;
-    return WEXITSTATUS(status);
-}
-
-/** One-connection scripted daemon: replies with a fixed event script
- *  and records the first request line for wire-format assertions. */
-class StubDaemon
-{
-  public:
-    explicit StubDaemon(const std::string &reply)
-        : reply_(reply),
-          path_((fs::temp_directory_path() /
-                 ("ovl_stub_" + std::to_string(::getpid()) + "_" +
-                  std::to_string(counter_.fetch_add(1)) + ".sock"))
-                    .string())
-    {
-        listenFd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        EXPECT_GE(listenFd_, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path_.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        ::unlink(path_.c_str());
-        EXPECT_EQ(::bind(listenFd_,
-                         reinterpret_cast<sockaddr *>(&addr),
-                         sizeof(addr)),
-                  0);
-        EXPECT_EQ(::listen(listenFd_, 8), 0);
-        acceptor_ = std::thread([this] { run(); });
-    }
-
-    ~StubDaemon()
-    {
-        stop_.store(true);
-        ::shutdown(listenFd_, SHUT_RDWR);
-        ::close(listenFd_);
-        if (acceptor_.joinable())
-            acceptor_.join();
-        ::unlink(path_.c_str());
-    }
-
-    const std::string &path() const { return path_; }
-
-    std::string firstRequest() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return firstRequest_;
-    }
-
-  private:
-    void run()
-    {
-        while (!stop_.load()) {
-            const int fd = ::accept(listenFd_, nullptr, nullptr);
-            if (fd < 0)
-                return;
-            char buffer[8192];
-            const ssize_t got = ::recv(fd, buffer, sizeof(buffer), 0);
-            if (got > 0) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (firstRequest_.empty())
-                    firstRequest_.assign(buffer,
-                                         static_cast<std::size_t>(got));
-            }
-            if (!reply_.empty())
-                (void)!::send(fd, reply_.data(), reply_.size(),
-                              MSG_NOSIGNAL);
-            while (!stop_.load()) {
-                const ssize_t n =
-                    ::recv(fd, buffer, sizeof(buffer), 0);
-                if (n <= 0)
-                    break;
-            }
-            ::close(fd);
-        }
-    }
-
-    static std::atomic<int> counter_;
-    std::string reply_;
-    std::string path_;
-    int listenFd_ = -1;
-    std::atomic<bool> stop_{false};
-    std::thread acceptor_;
-    mutable std::mutex mutex_;
-    std::string firstRequest_;
-};
-
-std::atomic<int> StubDaemon::counter_{0};
-
-class HarpdClientStubTest : public ::testing::Test
+class HarpdClientStubTest : public test::DaemonFixture
 {
   protected:
-    void SetUp() override
+    HarpdClientStubTest()
+        : DaemonFixture({.client = HARPD_CLIENT_BIN_PATH})
     {
-#ifdef HARPD_CLIENT_BIN_PATH
-        client_ = HARPD_CLIENT_BIN_PATH;
-#endif
-        if (client_.empty() || !fs::exists(client_))
-            FAIL() << "harpd_client binary not found (" << client_ << ")";
-        static int counter = 0;
-        root_ = fs::temp_directory_path() /
-                ("harpd_stub_" + std::to_string(::getpid()) + "_" +
-                 std::to_string(counter++));
-        fs::remove_all(root_);
-        fs::create_directories(root_);
     }
-
-    void TearDown() override { fs::remove_all(root_); }
-
-    int cli(const std::string &args)
-    {
-        return runCommand(client_ + " " + args + " > " +
-                          (root_ / "out.txt").string() + " 2> " +
-                          (root_ / "err.txt").string());
-    }
-
-    std::string stdoutText() { return readFile(root_ / "out.txt"); }
-    std::string stderrText() { return readFile(root_ / "err.txt"); }
-
-    std::string client_;
-    fs::path root_;
 };
 
 /** A stream a *future* daemon might send: heartbeats, an unknown

@@ -11,29 +11,25 @@
 
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <map>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include <fcntl.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include "harpd/client.hh"
-#include "runner/campaign.hh"
 #include "runner/json.hh"
-#include "runner/registry.hh"
+#include "support/files.hh"
+#include "support/harpd_harness.hh"
 
 namespace harp::harpd {
 namespace {
 
 namespace fs = std::filesystem;
-using runner::JsonType;
 using runner::JsonValue;
+using test::readFile;
+using test::submitRequest;
 
 constexpr std::uint64_t kSeed = 23;
 constexpr std::size_t kRepeat = 32; // quickstart grid is 1 point
@@ -41,126 +37,24 @@ const std::map<std::string, std::string> kOverrides = {
     {"rounds", "8192"}}; // paces one job to ~tens of ms: a wide
                          // still-running window around the SIGTERM
 
-std::string
-readFile(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
-
-class HarpdOverloadTest : public ::testing::Test
+class HarpdOverloadTest : public test::DaemonFixture
 {
   protected:
-    void SetUp() override
+    HarpdOverloadTest()
+        : DaemonFixture({.harpd = HARPD_BIN_PATH,
+                         .threads = 4,
+                         .args = {"--tenant-weight", "heavy=3"}})
     {
-#ifdef HARPD_BIN_PATH
-        binary_ = HARPD_BIN_PATH;
-#endif
-        if (const char *env = std::getenv("HARPD_BIN"))
-            binary_ = env;
-        if (binary_.empty() || !fs::exists(binary_))
-            FAIL() << "harpd binary not found (" << binary_ << ")";
-        static int counter = 0;
-        root_ = fs::temp_directory_path() /
-                ("harpd_ovl_" + std::to_string(::getpid()) + "_" +
-                 std::to_string(counter++));
-        fs::remove_all(root_);
-        fs::create_directories(root_);
-        socket_ = (root_ / "d.sock").string();
-        data_ = (root_ / "data").string();
-    }
-
-    void TearDown() override
-    {
-        if (daemon_ > 0) {
-            ::kill(daemon_, SIGKILL);
-            ::waitpid(daemon_, nullptr, 0);
-        }
-        if (!root_.empty())
-            fs::remove_all(root_);
-    }
-
-    void startDaemon()
-    {
-        daemon_ = ::fork();
-        ASSERT_GE(daemon_, 0);
-        if (daemon_ == 0) {
-            const int null = ::open("/dev/null", O_RDWR);
-            ::dup2(null, 0);
-            ::dup2(null, 1);
-            ::dup2(null, 2);
-            ::execl(binary_.c_str(), "harpd", "--socket",
-                    socket_.c_str(), "--data", data_.c_str(),
-                    "--threads", "4", "--tenant-weight", "heavy=3",
-                    nullptr);
-            ::_exit(127);
-        }
-        for (int i = 0; i < 2000; ++i) {
-            try {
-                Client probe(socket_);
-                JsonValue ping = JsonValue::object();
-                ping.set("verb", JsonValue("ping"));
-                if (probe.request(ping).find("type")->asString() ==
-                    "pong")
-                    return;
-            } catch (const std::exception &) {
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        FAIL() << "daemon never came up";
-    }
-
-    JsonValue status(const std::string &campaign)
-    {
-        Client client(socket_);
-        JsonValue request = JsonValue::object();
-        request.set("verb", JsonValue("status"));
-        request.set("campaign", JsonValue(campaign));
-        return client.request(request);
-    }
-
-    JsonValue awaitDone(const std::string &campaign)
-    {
-        for (int i = 0; i < 4000; ++i) {
-            try {
-                const JsonValue reply = status(campaign);
-                if (reply.find("type")->asString() == "status") {
-                    const std::string state =
-                        reply.find("state")->asString();
-                    EXPECT_NE(state, "failed")
-                        << reply.find("error")->asString();
-                    if (state == "done" || state == "failed")
-                        return reply;
-                }
-            } catch (const std::exception &) {
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        ADD_FAILURE() << campaign << " never finished";
-        return JsonValue::object();
     }
 
     void submitDetached(const std::string &campaign,
                         const std::string &tenant)
     {
         Client client(socket_);
-        JsonValue request = JsonValue::object();
-        request.set("verb", JsonValue("submit"));
-        request.set("campaign", JsonValue(campaign));
-        JsonValue experiments = JsonValue::array();
-        experiments.push(JsonValue("quickstart"));
-        request.set("experiments", experiments);
-        request.set("seed", JsonValue(std::to_string(kSeed)));
-        request.set("repeat", JsonValue(kRepeat));
-        request.set("tenant", JsonValue(tenant));
-        JsonValue overrides = JsonValue::object();
-        for (const auto &[key, value] : kOverrides)
-            overrides.set(key, JsonValue(value));
-        request.set("overrides", overrides);
-        ASSERT_TRUE(client.send(request));
+        ASSERT_TRUE(client.send(submitRequest(
+            {.campaign = campaign, .experiments = {"quickstart"},
+             .seed = kSeed, .repeat = kRepeat, .overrides = kOverrides,
+             .tenant = tenant})));
         const std::optional<JsonValue> accepted = client.read();
         ASSERT_TRUE(accepted.has_value());
         ASSERT_EQ(accepted->find("type")->asString(), "accepted")
@@ -168,37 +62,11 @@ class HarpdOverloadTest : public ::testing::Test
         // Dropping the connection detaches the stream; the campaign
         // runs on inside the daemon.
     }
-
-    /** Uninterrupted ground truth from the in-process batch driver. */
-    fs::path batchGroundTruth()
-    {
-        const fs::path out = root_ / "batch";
-        if (!fs::exists(out)) {
-            runner::CampaignOptions options;
-            options.seed = kSeed;
-            options.threads = 4;
-            options.repeat = kRepeat;
-            options.noTimings = true;
-            options.outDir = out.string();
-            options.overrides = kOverrides;
-            std::ostringstream log;
-            runner::runCampaign(
-                runner::builtinRegistry().select({"quickstart"}),
-                options, log);
-        }
-        return out;
-    }
-
-    std::string binary_;
-    fs::path root_;
-    std::string socket_;
-    std::string data_;
-    pid_t daemon_ = -1;
 };
 
 TEST_F(HarpdOverloadTest, SigtermDrainUnderLoadThenResumeByteExact)
 {
-    const fs::path batch = batchGroundTruth();
+    const fs::path batch = batchGroundTruth(kSeed, kRepeat, kOverrides);
     startDaemon();
 
     // Full overload: two tenants (3:1 weights) contending for the
@@ -315,14 +183,7 @@ TEST_F(HarpdOverloadTest, SighupSnapshotsStatusWithoutDisruption)
     EXPECT_TRUE(done_visible);
 
     // Graceful shutdown still works after HUP traffic.
-    {
-        Client client(socket_);
-        JsonValue request = JsonValue::object();
-        request.set("verb", JsonValue("shutdown"));
-        client.request(request);
-    }
-    ::waitpid(daemon_, nullptr, 0);
-    daemon_ = -1;
+    shutdownDaemon();
 }
 
 } // namespace

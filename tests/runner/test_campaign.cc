@@ -13,7 +13,6 @@
 #include <array>
 #include <atomic>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
@@ -30,12 +29,14 @@
 #include "runner/cli.hh"
 #include "runner/registry.hh"
 #include "runner/session.hh"
+#include "support/files.hh"
 #include "support/golden.hh"
 
 namespace harp::runner {
 namespace {
 
 namespace fs = std::filesystem;
+using test::readFile;
 
 /** Self-cleaning output directory under the system temp dir. */
 class TempDir
@@ -56,16 +57,6 @@ class TempDir
   private:
     fs::path path_;
 };
-
-std::string
-readFile(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
 
 /** Cheap scale-down overrides so integration runs stay fast. */
 std::map<std::string, std::string>
